@@ -21,7 +21,7 @@ import (
 //     must cover every declared Op — a Sink method without an encoding
 //     is a record kind that exists only on the serial path;
 //   - decoder exhaustiveness (any switch over a ring.Op value, i.e. the
-//     uarch.ApplyRecord side): every declared Op constant needs a case
+//     uarch.ApplyBatch side): every declared Op constant needs a case
 //     (or an explicit default) — a missing case drops records silently;
 //   - interface lockstep (the package declaring a Sink interface next to
 //     record encoders): Sink must have exactly one method per Op

@@ -222,6 +222,9 @@ func Contend(cfg uarch.Config, sc Scenario) uarch.Config {
 // shrinkWays partitions a cache by dividing associativity, keeping the set
 // count (and therefore power-of-two indexing) intact.
 func shrinkWays(g uarch.CacheGeom, factor int) uarch.CacheGeom {
+	if g.Ways == 0 {
+		return g // an absent level (the Rocket host's LLC) stays absent
+	}
 	ways := g.Ways / factor
 	if ways < 1 {
 		ways = 1

@@ -156,3 +156,28 @@ func TestTables(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryScenarioValidates: every host the experiments build, under every
+// co-run scenario they and cmd/profgem5 can ask for, is a geometry
+// uarch.NewMachine accepts: partitioning divides ways and capacities, and
+// none of the quotients may leave a level without a power-of-two set count
+// or the uop cache without a set.
+func TestEveryScenarioValidates(t *testing.T) {
+	hosts := append(TableIIPlatforms(), FireSimBase(),
+		FireSimRocket(8, 2, 8, 2, 512, 8), FireSimRocket(16, 4, 16, 4, 512, 8),
+		FireSimRocket(32, 8, 32, 8, 1024, 8), FireSimRocket(64, 16, 64, 16, 512, 8),
+		FireSimRocket(8, 2, 8, 2, 2048, 8))
+	procs := []int{1, 2, 3, 4, 5, 6, 7, 8, M1UltraPerfCores, XeonPhysicalCores, XeonHardwareThreads}
+	for _, host := range hosts {
+		for _, p := range procs {
+			for _, smt := range []bool{false, true} {
+				cfg := Contend(host, Scenario{Procs: p, SMT: smt})
+				if err := cfg.Validate(); err != nil {
+					t.Errorf("%s procs=%d smt=%v: %v", host.Name, p, smt, err)
+				}
+			}
+		}
+	}
+	// The smallest of them builds: one LLC way, four L1 ways, 768 uops.
+	uarch.NewMachine(Contend(IntelXeon(), Scenario{Procs: XeonHardwareThreads, SMT: true}))
+}

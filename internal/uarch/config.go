@@ -75,17 +75,29 @@ type Config struct {
 	SkipVIPTCheck bool    // ablation A2: allow non-VIPT L1 geometries
 }
 
-// Validate checks internal consistency, including the VIPT constraint the
-// paper leans on: one L1 way must not exceed the page size.
+// Validate checks internal consistency: the geometry of every cache level
+// and the VIPT constraint the paper leans on, that one L1 way must not
+// exceed the page size. The uop cache needs no check: NewMachine derives a
+// valid geometry from any capacity.
 func (c *Config) Validate() error {
 	if c.FreqGHz <= 0 || c.PageBytes == 0 {
 		return fmt.Errorf("uarch: %s: frequency and page size required", c.Name)
 	}
+	type level struct {
+		name string
+		g    CacheGeom
+	}
+	levels := []level{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}}
+	if c.LLC.SizeBytes > 0 {
+		levels = append(levels, level{"LLC", c.LLC})
+	}
+	for _, l := range levels {
+		if msg := l.g.check(); msg != "" {
+			return fmt.Errorf("uarch: %s: %s: %s", c.Name, l.name, msg)
+		}
+	}
 	if !c.SkipVIPTCheck {
-		for _, l1 := range []struct {
-			name string
-			g    CacheGeom
-		}{{"L1I", c.L1I}, {"L1D", c.L1D}} {
+		for _, l1 := range levels[:2] {
 			wayBytes := l1.g.SizeBytes / uint64(l1.g.Ways)
 			if wayBytes > c.PageBytes {
 				return fmt.Errorf("uarch: %s: %s way (%d B) exceeds page size (%d B): VIPT constraint violated",

@@ -1,11 +1,12 @@
 package uarch
 
-// Differential tests: the flattened cache and the O(1) exact-LRU TLB
-// must be indistinguishable from the naive implementations they replaced
-// — hit-for-hit, miss-for-miss, and victim-for-victim — on randomized
-// access streams. The naive models below are verbatim ports of the
-// pre-refactor structures (slice-of-slices sets with a per-access
-// popcount; scan-based fully-associative LRU entry file).
+// Differential tests: the cache and the O(1) exact-LRU TLB must be
+// indistinguishable from the naive implementations they replaced —
+// hit-for-hit, miss-for-miss, and victim-for-victim — on randomized and
+// on traffic-shaped access streams. The naive models below are verbatim
+// ports of the first structures (slice-of-slices sets of {tag, valid,
+// lru} lines with a per-access popcount; scan-based fully-associative
+// LRU entry file).
 
 import (
 	"math/rand"
@@ -21,6 +22,13 @@ func naivePopcount(mask uint64) uint {
 		mask >>= 1
 	}
 	return n
+}
+
+// cacheLine is one way of the reference model.
+type cacheLine struct {
+	tag   uint64
+	valid bool
+	lru   uint64
 }
 
 // naiveCache is the pre-refactor set-associative LRU cache.
@@ -158,6 +166,132 @@ func refProbe(c *naiveCache, addr uint64) bool {
 		}
 	}
 	return false
+}
+
+// cacheEquiv drives a fresh cache and the naive reference over addrs and
+// compares, on every step, hit/miss, the evicted tag, the resident count
+// and probe of the address just touched, of the one touched before it and
+// of its set-mate one cache size away.
+func cacheEquiv(t testing.TB, g CacheGeom, addrs []uint64) {
+	t.Helper()
+	c := newCache(g)
+	ref := newNaiveCache(g)
+	var resident, prev uint64
+	for i, addr := range addrs {
+		c.evictedOK = false
+		gotHit := c.access(addr)
+		wantHit, wantEv, wantEvOK := ref.access(addr)
+		if !wantHit && !wantEvOK {
+			resident++
+		}
+		if gotHit != wantHit || c.evictedOK != wantEvOK || (wantEvOK && c.evictedTag != wantEv) {
+			t.Fatalf("%+v step %d addr %#x: got (hit=%v ev=%#x,%v) want (hit=%v ev=%#x,%v)",
+				g, i, addr, gotHit, c.evictedTag, c.evictedOK, wantHit, wantEv, wantEvOK)
+		}
+		if c.resident != resident {
+			t.Fatalf("%+v step %d: resident = %d, want %d", g, i, c.resident, resident)
+		}
+		for _, p := range []uint64{addr, prev, addr + g.SizeBytes} {
+			if c.probe(p) != refProbe(ref, p) {
+				t.Fatalf("%+v step %d: probe(%#x) disagrees", g, i, p)
+			}
+		}
+		prev = addr
+	}
+	if c.Accesses != uint64(len(addrs)) {
+		t.Fatalf("%+v: %d accesses counted, want %d", g, c.Accesses, len(addrs))
+	}
+}
+
+// trafficStream is shaped like the hostmodel's stream and not like uniform
+// noise: runs of repeats inside one line (the memo), walks over the next
+// lines, returns to lines touched long ago (after their eviction, once the
+// footprint has outgrown the cache), and jumps by a whole number of sets
+// (conflicts in one set). The footprint starts at a sixteenth of the cache
+// and doubles every eighth of the stream up to four times its size, so big
+// geometries spend long phases with partly filled sets, where the victim
+// must be the last unfilled way.
+func trafficStream(g CacheGeom, seed int64, n int) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	addrs := make([]uint64, 0, n)
+	var history []uint64
+	line := uint64(0)
+	for len(addrs) < n {
+		footprint := g.SizeBytes / 16 << uint(len(addrs)*8/n) / g.LineBytes
+		if footprint < 2 {
+			footprint = 2
+		}
+		switch rng.Intn(8) {
+		case 0, 1: // a new place
+			line = rng.Uint64() % footprint
+		case 2: // an old place
+			if len(history) > 0 {
+				line = history[rng.Intn(len(history))]
+			}
+		case 3: // same set, another tag
+			line += g.Sets() * uint64(1+rng.Intn(2*g.Ways))
+		default: // the next line
+			line++
+		}
+		history = append(history, line)
+		for r := 1 + rng.Intn(4); r > 0 && len(addrs) < n; r-- {
+			addrs = append(addrs, line*g.LineBytes+rng.Uint64()%g.LineBytes)
+		}
+	}
+	return addrs
+}
+
+// TestCacheDifferentialTraffic covers what uniform addresses almost never
+// produce: back-to-back repeats of a block and sets that stay partly
+// filled, at every associativity and line size a host config uses.
+func TestCacheDifferentialTraffic(t *testing.T) {
+	for gi, tc := range []struct {
+		g CacheGeom
+		n int
+	}{
+		{CacheGeom{SizeBytes: 2 << 10, Ways: 1, LineBytes: 32}, 60000},      // direct-mapped
+		{CacheGeom{SizeBytes: 1 << 10, Ways: 2, LineBytes: 64}, 60000},      // 8 sets
+		{CacheGeom{SizeBytes: 2 << 10, Ways: 8, LineBytes: 32}, 60000},      // the Xeon's DSB
+		{CacheGeom{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64}, 100000},    // Xeon L1
+		{CacheGeom{SizeBytes: 192 << 10, Ways: 12, LineBytes: 128}, 100000}, // M1 L1I
+		{CacheGeom{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64}, 300000},    // Xeon L2
+		{CacheGeom{SizeBytes: 8 << 20, Ways: 16, LineBytes: 128}, 600000},   // M1 Pro LLC
+	} {
+		cacheEquiv(t, tc.g, trafficStream(tc.g, int64(gi)+7, tc.n))
+	}
+}
+
+// FuzzCacheEquivalence takes the geometry from the first three bytes and
+// an op per following byte: the top two bits choose repeat, next line,
+// same-set conflict or jump, the rest is the operand.
+func FuzzCacheEquivalence(f *testing.F) {
+	f.Add([]byte{7, 3, 5, 0x80, 0x00, 0x41, 0x42, 0xc1, 0x00, 0x43})              // 8-way: fill, repeat, conflict
+	f.Add([]byte{15, 0, 0, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0xc0, 0x81, 0x40}) // one 16-way set of 2 B lines
+	f.Add([]byte{0, 5, 6, 0xc5, 0x05, 0x85, 0xc5, 0x45, 0x85})                    // direct-mapped, 128 B lines: repeat, evict, return
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		ways := 1 + int(data[0])%maxWays
+		sets := uint64(1) << (data[1] % 7)
+		g := CacheGeom{Ways: ways, LineBytes: 2 << (data[2] % 7)}
+		g.SizeBytes = sets * uint64(ways) * g.LineBytes
+		line := uint64(0)
+		addrs := make([]uint64, 0, len(data)-3)
+		for _, b := range data[3:] {
+			arg := uint64(b & 0x3f)
+			switch b >> 6 {
+			case 1:
+				line += 1 + arg
+			case 2:
+				line += sets * (1 + arg)
+			case 3:
+				line = arg * arg
+			}
+			addrs = append(addrs, line*g.LineBytes+arg%g.LineBytes)
+		}
+		cacheEquiv(t, g, addrs)
+	})
 }
 
 // TestTLBDifferential drives the O(1) TLB and the naive scan with

@@ -1,6 +1,9 @@
 package uarch
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // TopDown is the level-1/level-2 cycle accounting of the VTune Top-Down
 // method: every modeled cycle lands in exactly one bucket.
@@ -54,6 +57,11 @@ type pageRegion struct {
 type Machine struct {
 	cfg Config
 
+	// The two divisions FetchBlock would otherwise redo per block, done
+	// once: the same expressions on the same operands, so bit-identical.
+	dsbSlack  float64 // 1/DSBWidth - 1/IssueWidth
+	miteSlack float64 // 1/DecodeWidth - 1/IssueWidth
+
 	l1i, l1d, l2, llc *cache
 	itlb, dtlb, stlb  *tlb
 	dsb               *cache
@@ -99,6 +107,9 @@ func NewMachine(cfg Config) *Machine {
 		dtlb: newTLB(cfg.DTLBEntries),
 		stlb: newTLB(cfg.STLBEntries),
 		bp:   newGshare(cfg.BPTableEntries, cfg.BTBEntries),
+
+		dsbSlack:  1/cfg.DSBWidth - 1/cfg.IssueWidth,
+		miteSlack: 1/cfg.DecodeWidth - 1/cfg.IssueWidth,
 	}
 	if cfg.LLC.SizeBytes > 0 {
 		// Two-level hosts (the FireSim Rocket) have no LLC.
@@ -108,13 +119,14 @@ func NewMachine(cfg Config) *Machine {
 		// The DSB holds decoded uops for 32-byte code windows; its
 		// effective reach in code bytes is about one byte per uop capacity
 		// once per-window fragmentation is accounted for, so only loops of
-		// roughly a kilobyte live entirely out of it.
-		reach := uint64(cfg.DSBUops)
-		ways := 8
-		for reach/(uint64(ways)*32)&(reach/(uint64(ways)*32)-1) != 0 {
-			reach += 32 * uint64(ways) // round up to a power-of-two set count
+		// roughly a kilobyte live entirely out of it. The set count is
+		// rounded up to a power of two (1536 uops reach 2048 B).
+		const ways, window = 8, 32
+		sets := uint64(1)
+		if n := uint64(cfg.DSBUops) / (ways * window); n > 1 {
+			sets = 1 << uint(bits.Len64(n-1))
 		}
-		m.dsb = newCache(CacheGeom{SizeBytes: reach, Ways: ways, LineBytes: 32})
+		m.dsb = newCache(CacheGeom{SizeBytes: sets * ways * window, Ways: ways, LineBytes: window})
 	}
 	return m
 }
@@ -249,7 +261,7 @@ func (m *Machine) FetchBlock(addr uint64, bytes uint32, uops uint32) {
 	}
 	if fromDSB {
 		m.uopsDSB += uint64(uops)
-		if d := u * (1/m.cfg.DSBWidth - 1/m.cfg.IssueWidth); d > 0 {
+		if d := u * m.dsbSlack; d > 0 {
 			m.td.FEBandwidthDSB += d
 		}
 		if !m.lastWasDSB {
@@ -257,7 +269,7 @@ func (m *Machine) FetchBlock(addr uint64, bytes uint32, uops uint32) {
 		}
 	} else {
 		m.uopsMITE += uint64(uops)
-		if d := u * (1/m.cfg.DecodeWidth - 1/m.cfg.IssueWidth); d > 0 {
+		if d := u * m.miteSlack; d > 0 {
 			m.td.FEBandwidthMITE += d
 		}
 		if m.lastWasDSB && m.dsb != nil {

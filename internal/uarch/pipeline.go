@@ -15,25 +15,21 @@ import (
 // applied synchronously (the differential test in internal/core proves
 // this end to end).
 
-// ApplyRecord decodes one host-trace record into the corresponding sink
-// call.
-func (m *Machine) ApplyRecord(rec *ring.Record) {
-	switch rec.Op {
-	case ring.OpFetch:
-		m.FetchBlock(rec.Addr, rec.A, rec.B)
-	case ring.OpBranch:
-		m.Branch(rec.Addr, rec.Arg,
-			rec.Flags&ring.FlagTaken != 0, rec.Flags&ring.FlagIndirect != 0)
-	case ring.OpData:
-		m.Data(rec.Addr, rec.A, rec.Flags&ring.FlagWrite != 0)
-	}
-}
-
-// ApplyBatch decodes a whole batch in record order.
+// ApplyBatch decodes a whole batch, in record order, into the sink calls
+// its records encode.
 func (m *Machine) ApplyBatch(b *ring.Batch) {
 	recs := b.Records()
 	for i := range recs {
-		m.ApplyRecord(&recs[i])
+		rec := &recs[i]
+		switch rec.Op {
+		case ring.OpFetch:
+			m.FetchBlock(rec.Addr, rec.A, rec.B)
+		case ring.OpBranch:
+			m.Branch(rec.Addr, rec.Arg,
+				rec.Flags&ring.FlagTaken != 0, rec.Flags&ring.FlagIndirect != 0)
+		case ring.OpData:
+			m.Data(rec.Addr, rec.A, rec.Flags&ring.FlagWrite != 0)
+		}
 	}
 }
 

@@ -10,7 +10,10 @@
 // in simulation.
 package uarch
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheGeom is the geometry of one cache level.
 type CacheGeom struct {
@@ -24,25 +27,36 @@ func (g CacheGeom) Sets() uint64 {
 	return g.SizeBytes / (uint64(g.Ways) * g.LineBytes)
 }
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	lru   uint64
-}
+const (
+	maxWays    = 16                 // a set's recency order packs 4-bit way numbers into one word
+	eachNibble = 0x1111111111111111 // the low bit of every 4-bit field
+)
 
-// cache is a set-associative LRU cache over 64-bit host addresses. The
-// line array is a single contiguous set-major slice (lines[set*ways+way])
-// rather than a slice-of-slices: one allocation, no per-access pointer
-// chase, and the set/tag shifts are computed once at construction instead
-// of popcounting the mask on every lookup.
+// cache is a set-associative exact-LRU cache over 64-bit host addresses.
+//
+// keys is set-major (keys[set*ways+way]) and holds block<<1|1, or 0 for a
+// way never filled: a hit scan reads one contiguous row and nothing else.
+// order holds, per set, the way numbers from most (bits 0-3) to least
+// recently used: a lookup rewrites that one word, and a miss takes its
+// victim from the top of it without scanning. Every hit, miss and victim
+// is what a scan over {tag, valid, lru} structs yields (the differential
+// tests), by three invariants argued in DESIGN.md. Exact LRU: a lookup
+// moves its way to the front and keeps the others' relative order. Fill
+// order: way w starts in position w and only filled ways move, so a set
+// fills from its last way down before it evicts. Memo: the previous
+// access's block is resident and already in front, so repeating it is a
+// hit that changes nothing and skips the arrays.
 type cache struct {
 	geom     CacheGeom
-	lines    []cacheLine // sets × ways, set-major
+	keys     []uint64 // sets × ways: block<<1|1, 0 = never filled
+	order    []uint64 // per set: way numbers, MRU in the low nibble
 	setMask  uint64
 	setBits  uint
 	lineBits uint
 	ways     uint64
-	seq      uint64
+	// lastBlock is the block of the previous access; before the first it
+	// is all ones, which no address shifted right by lineBits >= 1 equals.
+	lastBlock uint64
 
 	Accesses uint64
 	Misses   uint64
@@ -55,66 +69,96 @@ type cache struct {
 	evictedOK  bool
 }
 
+// check reports what is wrong with a geometry, or "". A line has at least
+// two bytes so that block<<1 cannot overflow a key.
+func (g CacheGeom) check() string {
+	switch {
+	case g.Ways < 1 || g.Ways > maxWays:
+		return fmt.Sprintf("%d ways, want 1..%d", g.Ways, maxWays)
+	case g.LineBytes < 2 || g.LineBytes&(g.LineBytes-1) != 0:
+		return fmt.Sprintf("line size %d B is not a power of two >= 2", g.LineBytes)
+	case g.Sets() == 0 || g.Sets()&(g.Sets()-1) != 0:
+		return fmt.Sprintf("%d B is not a power-of-two number of %d-way sets", g.SizeBytes, g.Ways)
+	}
+	return ""
+}
+
 func newCache(g CacheGeom) *cache {
+	if msg := g.check(); msg != "" {
+		panic("uarch: cache: " + msg)
+	}
 	sets := g.Sets()
-	if sets == 0 || sets&(sets-1) != 0 {
-		panic("uarch: cache set count must be a nonzero power of two")
-	}
-	if g.LineBytes&(g.LineBytes-1) != 0 {
-		panic("uarch: line size must be a power of two")
-	}
 	c := &cache{
-		geom:     g,
-		setMask:  sets - 1,
-		setBits:  uint(bits.OnesCount64(sets - 1)),
-		lineBits: uint(bits.TrailingZeros64(g.LineBytes)),
-		ways:     uint64(g.Ways),
-		lines:    make([]cacheLine, sets*uint64(g.Ways)),
+		geom:      g,
+		setMask:   sets - 1,
+		setBits:   uint(bits.OnesCount64(sets - 1)),
+		lineBits:  uint(bits.TrailingZeros64(g.LineBytes)),
+		ways:      uint64(g.Ways),
+		keys:      make([]uint64, sets*uint64(g.Ways)),
+		order:     make([]uint64, sets),
+		lastBlock: ^uint64(0),
+	}
+	initial := uint64(0xFEDCBA9876543210) & (1<<(4*c.ways) - 1) // way w in position w
+	for i := range c.order {
+		c.order[i] = initial
 	}
 	return c
 }
 
-// access looks up addr, filling on miss. Returns true on hit.
+// access looks up addr, filling on miss. Returns true on hit. It is small
+// enough to inline, so a same-line repeat costs its caller one compare.
 func (c *cache) access(addr uint64) bool {
 	c.Accesses++
 	block := addr >> c.lineBits
-	base := (block & c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
-	tag := block >> c.setBits
-	c.seq++
-	victim := &set[0]
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == tag {
-			l.lru = c.seq
-			return true
+	return block == c.lastBlock || c.lookup(block)
+}
+
+// lookup is access past the memo.
+func (c *cache) lookup(block uint64) bool {
+	c.lastBlock = block
+	key := block<<1 | 1
+	set := block & c.setMask
+	row := c.keys[set*c.ways : (set+1)*c.ways]
+	// No early exit: at most one way matches, and a fixed-length scan
+	// compiles to conditional moves, where leaving at the (unpredictable)
+	// hit way would be a mispredicted branch.
+	way := -1
+	for i, k := range row {
+		if k == key {
+			way = i
 		}
-		if !l.valid {
-			victim = l
-		} else if victim.valid && l.lru < victim.lru {
-			victim = l
-		}
+	}
+	ord := c.order[set]
+	if way >= 0 {
+		// Find way's nibble: the lowest zero nibble of x (one above the
+		// set's ways is zero only for way 0, whose own nibble is lower).
+		// Move it to the front, shifting the nibbles below it up.
+		x := ord ^ uint64(way)*eachNibble
+		pos := uint(bits.TrailingZeros64((x-eachNibble)&^x&(eachNibble<<3))) - 3
+		below := uint64(1)<<pos - 1
+		c.order[set] = ord&^(below|0xF<<pos) | ord&below<<4 | uint64(way)
+		return true
 	}
 	c.Misses++
-	if !victim.valid {
+	back := uint(c.ways-1) * 4
+	victim := ord >> back
+	c.order[set] = ord&^(0xF<<back)<<4 | victim
+	if old := row[victim]; old == 0 {
 		c.resident++
 	} else {
-		c.evictedTag, c.evictedOK = victim.tag, true
+		c.evictedTag, c.evictedOK = old>>1>>c.setBits, true
 	}
-	victim.tag = tag
-	victim.valid = true
-	victim.lru = c.seq
+	row[victim] = key
 	return false
 }
 
 // probe reports whether addr is resident without updating state.
 func (c *cache) probe(addr uint64) bool {
 	block := addr >> c.lineBits
-	base := (block & c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
-	tag := block >> c.setBits
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	key := block<<1 | 1
+	set := block & c.setMask
+	for _, k := range c.keys[set*c.ways : (set+1)*c.ways] {
+		if k == key {
 			return true
 		}
 	}

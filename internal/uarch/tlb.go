@@ -2,16 +2,18 @@ package uarch
 
 import "gem5prof/internal/lruidx"
 
-// tlb is a fully-associative exact-LRU TLB keyed by page number.
+// tlb is a fully-associative exact-LRU TLB keyed by page base address.
 //
-// It used to be a linear-scan entry file — O(entries) per access, which
-// for the 1.5k-entry STLB made TLB lookups the hottest path of the
-// whole co-simulation. The lruidx.Index gives the same observable
-// behaviour (hit iff resident, victim is always the exact LRU page) in
-// O(1); TestTLBDifferential proves hit-for-hit and victim-for-victim
-// equality against the old scan on randomized streams.
+// The lruidx.Index gives the observable behaviour of a linear scan over an
+// entry file (hit iff resident, victim is always the exact LRU page) in
+// O(1), which the 1.5k-entry STLB needs; TestTLBDifferential proves
+// hit-for-hit and victim-for-victim equality against such a scan. Most
+// accesses repeat the previous page (consecutive fetch blocks, the hot
+// stack); lastPage answers those without hashing, exactly, because that
+// page is resident and already the MRU entry.
 type tlb struct {
 	idx      *lruidx.Index
+	lastPage uint64 // page of the previous access; all ones (no page's base) before it
 	Accesses uint64
 	Misses   uint64
 
@@ -25,12 +27,16 @@ func newTLB(entries int) *tlb {
 	if entries <= 0 {
 		panic("uarch: TLB needs entries")
 	}
-	return &tlb{idx: lruidx.New(entries)}
+	return &tlb{idx: lruidx.New(entries), lastPage: ^uint64(0)}
 }
 
 // access looks up a page number, filling on miss; returns true on hit.
 func (t *tlb) access(page uint64) bool {
 	t.Accesses++
+	if page == t.lastPage {
+		return true
+	}
+	t.lastPage = page
 	if slot, ok := t.idx.Lookup(page); ok {
 		t.idx.Touch(slot)
 		return true

@@ -91,6 +91,11 @@ func TestCachePanicsOnBadGeometry(t *testing.T) {
 		{SizeBytes: 1000, Ways: 2, LineBytes: 64},
 		{SizeBytes: 4096, Ways: 3, LineBytes: 64},
 		{SizeBytes: 4096, Ways: 2, LineBytes: 60},
+		{SizeBytes: 4096, Ways: 0, LineBytes: 64},  // used to divide by zero
+		{SizeBytes: 4096, Ways: 2, LineBytes: 0},   // likewise
+		{SizeBytes: 4096, Ways: 32, LineBytes: 64}, // beyond the packed order word
+		{SizeBytes: 64, Ways: 2, LineBytes: 1},     // a key needs a spare bit
+		{SizeBytes: 0, Ways: 2, LineBytes: 64},
 	} {
 		func() {
 			defer func() {
@@ -325,6 +330,48 @@ func TestConfigValidation(t *testing.T) {
 	bad.IssueWidth = 0
 	if bad.Validate() == nil {
 		t.Fatal("zero width accepted")
+	}
+	// Bad geometry on any level is an error that names the machine and the
+	// level, not a divide-by-zero in Validate or a bare panic in newCache.
+	for _, tc := range []struct {
+		level string
+		edit  func(*Config)
+	}{
+		{"L1I", func(c *Config) { c.L1I.Ways = 0 }},
+		{"L1D", func(c *Config) { c.L1D.LineBytes = 0 }},
+		{"L1D", func(c *Config) { c.L1D.LineBytes = 48 }},
+		{"L2", func(c *Config) { c.L2.SizeBytes = 3 << 18 }}, // 768 sets
+		{"L2", func(c *Config) { c.L2 = CacheGeom{} }},
+		{"LLC", func(c *Config) { c.LLC.Ways = 11 }}, // the real Xeon's, not a power-of-two set count
+		{"LLC", func(c *Config) { c.LLC.Ways = 32; c.LLC.SizeBytes *= 2 }},
+	} {
+		bad = testConfig()
+		tc.edit(&bad)
+		err := bad.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), "uarch: test: "+tc.level+": ") {
+			t.Errorf("bad %s geometry: got %v", tc.level, err)
+		}
+	}
+}
+
+// TestDSBGeometry: the uop cache's set count rounds up to a power of two
+// with a floor of one set, so every capacity builds, including what
+// platform.Contend leaves of a small one under SMT.
+func TestDSBGeometry(t *testing.T) {
+	for uops, wantBytes := range map[int]uint64{
+		1536: 2048, 768: 1024, // the Xeon, and the Xeon under SMT
+		2048: 2048, 2049: 2048, 4000: 4096,
+		256: 256, 255: 256, 128: 256, 1: 256, // below one set's worth
+	} {
+		cfg := testConfig()
+		cfg.DSBUops = uops
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("DSBUops %d: %v", uops, err)
+		}
+		g := NewMachine(cfg).dsb.geom
+		if g.SizeBytes != wantBytes || g.Ways != 8 || g.LineBytes != 32 {
+			t.Errorf("DSBUops %d: geometry %+v, want %d B", uops, g, wantBytes)
+		}
 	}
 }
 
