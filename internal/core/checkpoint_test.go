@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 
 	"gem5prof/internal/core"
+	"gem5prof/internal/guest"
 	"gem5prof/internal/sim"
 )
 
@@ -245,5 +248,40 @@ func TestRestoreCoreCountMismatch(t *testing.T) {
 	ck, _ := core.DecodeCheckpoint(data)
 	if _, err := core.RestoreGuest(core.GuestConfig{CPU: core.Atomic, NumCPUs: 4, Mode: core.FS, BootExit: true}, ck, sim.NewNopTracer()); err == nil {
 		t.Fatal("core-count mismatch accepted")
+	}
+}
+
+// TestCheckpointFixtureReencodes pins the encoded form across the change of
+// guest.Memory's backing store: a checkpoint written by the commit before the
+// page table (water_spatial cut at 1 us, plus one page in the second leaf and
+// the last page of memory) must decode, pass through a Memory and encode back
+// to the same bytes. The checkpoint cache is content-addressed, so a byte of
+// drift would orphan every stored entry.
+func TestCheckpointFixtureReencodes(t *testing.T) {
+	want, err := os.ReadFile("testdata/checkpoint/pr12_water_spatial_1us.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := core.DecodeCheckpoint(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := guest.RestoreMemory(ck.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.TouchedPages() != 4 {
+		t.Fatalf("fixture restores to %d pages, want 4", m.TouchedPages())
+	}
+	if v, _ := m.Read(m.Size()-8, 8); v != 0x0123456789abcdef {
+		t.Fatalf("last word of memory = %#x", v)
+	}
+	ck.Mem = m.Snapshot()
+	got, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("checkpoint fixture does not re-encode to the bytes it was read from")
 	}
 }

@@ -114,7 +114,7 @@ type IdealPort struct {
 // SendTiming implements mem.Port.
 func (p IdealPort) SendTiming(acc mem.Access, done func()) {
 	if done != nil {
-		p.Sys.ScheduleIn(sim.NewEvent("ideal.resp", 0, done), p.Latency)
+		p.Sys.OneShot("ideal.resp", 0, sim.DomainCPU, p.Latency, done)
 	}
 }
 

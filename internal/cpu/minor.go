@@ -51,6 +51,8 @@ type MinorCPU struct {
 	fetchPC       uint32
 	fetchEpoch    uint64
 	fetchBusy     bool
+	sentEpoch     uint64 // fetchEpoch when the in-flight fetch was sent
+	fetchDone     func() // completeFetch, bound once: one fetch is in flight at most
 	buffer        []minorInst
 	regReadyAt    [isa.NumArchRegs]sim.Tick
 	stallUntil    sim.Tick
@@ -88,6 +90,7 @@ func NewMinorCPU(sys *sim.System, cfg Config, mcfg MinorConfig) *MinorCPU {
 	c.squashes = st.Counter(cfg.Name+".squashes", "pipeline squashes (mispredicts + traps)")
 	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.fnIssue, sim.PrioCPUTick, c.evaluate).SetDomain(cfg.Domain)
 	c.core.wakeup = func() { c.schedule() }
+	c.fetchDone = c.completeFetch
 	c.core.redirect = func(pc uint32) { c.squash(pc) }
 	sys.Register(c)
 	return c
@@ -317,24 +320,25 @@ func (c *MinorCPU) tryFetch() {
 		c.scheduleAt(c.stallUntil)
 		return
 	}
-	epoch := c.fetchEpoch
-	start := c.fetchPC
+	c.sentEpoch = c.fetchEpoch
 	c.fetchBusy = true
 	core.sys.Tracer().Call(core.fnFetch)
-	core.cfg.IPort.SendTiming(mem.Access{Addr: start, Size: isa.InstBytes, Inst: true}, func() {
-		c.fetchBusy = false
-		if core.halted {
-			return
-		}
-		if epoch != c.fetchEpoch {
-			// Squashed while in flight: the redirected stream still needs
-			// fetching, so re-arm the pipeline rather than going idle.
-			c.schedule()
-			return
-		}
-		c.fillBuffer(start)
-		c.schedule()
-	})
+	core.cfg.IPort.SendTiming(mem.Access{Addr: c.fetchPC, Size: isa.InstBytes, Inst: true}, c.fetchDone)
+}
+
+// completeFetch runs when the instruction cache responds.
+func (c *MinorCPU) completeFetch() {
+	c.fetchBusy = false
+	if c.core.halted {
+		return
+	}
+	// Squashed while in flight: the redirected stream still needs fetching,
+	// so re-arm the pipeline rather than going idle. Otherwise fetchPC is
+	// still the pc that was sent: only a squash moves it during a fetch.
+	if c.sentEpoch == c.fetchEpoch {
+		c.fillBuffer(c.fetchPC)
+	}
+	c.schedule()
 }
 
 // fillBuffer decodes straight-line instructions from one fetched block,

@@ -64,6 +64,8 @@ type O3CPU struct {
 	fetchPC    uint32
 	fetchEpoch uint64
 	fetchBusy  bool
+	sentEpoch  uint64 // fetchEpoch when the in-flight fetch was sent
+	fetchDone  func() // completeFetch, bound once: one fetch is in flight at most
 	buffer     []minorInst
 	stallUntil sim.Tick
 	// resolveSeq, when nonzero, stalls fetch until that entry completes.
@@ -121,6 +123,7 @@ func NewO3CPU(sys *sim.System, cfg Config, ocfg O3Config) *O3CPU {
 	c.squashes = st.Counter(cfg.Name+".squashes", "front-end squashes")
 	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.fnIEW, sim.PrioCPUTick, c.evaluate).SetDomain(cfg.Domain)
 	c.core.wakeup = func() { c.schedule() }
+	c.fetchDone = c.completeFetch
 	c.core.redirect = func(pc uint32) { c.squashFrontEnd(pc, 0) }
 	sys.Register(c)
 	return c
@@ -421,24 +424,25 @@ func (c *O3CPU) tryFetch() {
 	if c.resolveSeq != 0 || now < c.stallUntil {
 		return // waiting on a branch resolution or redirect penalty
 	}
-	epoch := c.fetchEpoch
-	start := c.fetchPC
+	c.sentEpoch = c.fetchEpoch
 	c.fetchBusy = true
 	core.sys.Tracer().Call(core.fnFetch)
-	core.cfg.IPort.SendTiming(mem.Access{Addr: start, Size: isa.InstBytes, Inst: true}, func() {
-		c.fetchBusy = false
-		if core.halted {
-			return
-		}
-		if epoch != c.fetchEpoch {
-			// Squashed while in flight: re-arm so the redirected stream is
-			// fetched instead of the pipeline going idle.
-			c.schedule()
-			return
-		}
-		c.fillBuffer(start)
-		c.schedule()
-	})
+	core.cfg.IPort.SendTiming(mem.Access{Addr: c.fetchPC, Size: isa.InstBytes, Inst: true}, c.fetchDone)
+}
+
+// completeFetch runs when the instruction cache responds.
+func (c *O3CPU) completeFetch() {
+	c.fetchBusy = false
+	if c.core.halted {
+		return
+	}
+	// Squashed while in flight: re-arm so the redirected stream is fetched
+	// instead of the pipeline going idle. Otherwise fetchPC is still the pc
+	// that was sent: only a squash moves it during a fetch.
+	if c.sentEpoch == c.fetchEpoch {
+		c.fillBuffer(c.fetchPC)
+	}
+	c.schedule()
 }
 
 // fillBuffer decodes one fetched block into the dispatch buffer.

@@ -13,7 +13,14 @@ type TimingCPU struct {
 	core *Core
 
 	fetchEv *sim.Event
-	busy    bool
+
+	// The CPU blocks on each access, so one is in flight at most: its send
+	// time and the fetched pc live here, and the completion callbacks are
+	// method values bound once rather than a closure per access.
+	sent      sim.Tick
+	fetchPC   uint32
+	fetchDone func()
+	dataDone  func()
 
 	numCycles  *sim.Counter
 	fetchStall *sim.Counter
@@ -30,6 +37,7 @@ func NewTimingCPU(sys *sim.System, cfg Config) *TimingCPU {
 	c.fetchStall = st.Counter(cfg.Name+".icacheStallTicks", "ticks stalled on instruction fetch")
 	c.dataStall = st.Counter(cfg.Name+".dcacheStallTicks", "ticks stalled on data access")
 	c.fetchEv = sim.NewEventPrio(cfg.Name+".fetch", c.core.fnFetch, sim.PrioCPUTick, c.startFetch).SetDomain(cfg.Domain)
+	c.fetchDone, c.dataDone = c.completeFetch, c.completeData
 	c.core.wakeup = func() {
 		// The fetch may still be queued: a core parked at build time keeps
 		// its Start event until it first fires, and a spawn can unpark it
@@ -73,18 +81,15 @@ func (c *TimingCPU) startFetch() {
 	if core.waiting {
 		return
 	}
-	pc := core.pc
 	core.sys.Tracer().Call(core.fnFetch)
-	sent := core.sys.Now()
-	core.cfg.IPort.SendTiming(mem.Access{Addr: pc, Size: isa.InstBytes, Inst: true}, func() {
-		c.fetchStall.Addn(uint64(core.sys.Now() - sent))
-		c.completeFetch(pc)
-	})
+	c.sent, c.fetchPC = core.sys.Now(), core.pc
+	core.cfg.IPort.SendTiming(mem.Access{Addr: c.fetchPC, Size: isa.InstBytes, Inst: true}, c.fetchDone)
 }
 
 // completeFetch decodes and executes after the icache responds.
-func (c *TimingCPU) completeFetch(pc uint32) {
-	core := c.core
+func (c *TimingCPU) completeFetch() {
+	core, pc := c.core, c.fetchPC
+	c.fetchStall.Addn(uint64(core.sys.Now() - c.sent))
 	if core.halted {
 		return
 	}
@@ -105,15 +110,18 @@ func (c *TimingCPU) completeFetch(pc uint32) {
 	if out.HasMem {
 		// The architectural access already happened in execute; model the
 		// timing by blocking until the data port responds.
-		sent := core.sys.Now()
+		c.sent = core.sys.Now()
 		core.cfg.DPort.SendTiming(mem.Access{
 			Addr: out.MemAddr, Size: uint8(in.MemSize()), Write: in.IsStore(),
-		}, func() {
-			c.dataStall.Addn(uint64(core.sys.Now() - sent))
-			c.instDone()
-		})
+		}, c.dataDone)
 		return
 	}
+	c.instDone()
+}
+
+// completeData ends the instruction after the dcache responds.
+func (c *TimingCPU) completeData() {
+	c.dataStall.Addn(uint64(c.core.sys.Now() - c.sent))
 	c.instDone()
 }
 

@@ -4,8 +4,8 @@
 package guest
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"gem5prof/internal/isa"
 )
@@ -13,11 +13,24 @@ import (
 // PageBytes is the granularity of the sparse backing store.
 const PageBytes = 4096
 
+// leafPages is the fan-out of the page table's second level.
+const leafPages = 64
+
+type page = [PageBytes]byte
+
 // Memory is a sparse physical memory of a fixed size. The zero page is
 // shared implicitly: unwritten pages read as zero.
+//
+// Pages hang off a two-level radix table indexed by page number: one table
+// slot per leafPages pages, one leaf pointer per page, leaves and pages
+// allocated on first write (the default 16 MiB is 64 leaves of 64 pages).
+// Walking it visits pages in address order. Two levels, not one flat slice,
+// so that a guest touching a few pages does not pay for a pointer to every
+// page it could have touched (DESIGN.md §18).
 type Memory struct {
-	size  uint32
-	pages map[uint32]*[PageBytes]byte
+	size    uint32
+	table   []*[leafPages]*page
+	touched int // pages allocated
 
 	// hostBase is the synthetic host address of the backing store, used to
 	// attribute host-level data traffic to guest memory.
@@ -30,7 +43,8 @@ func NewMemory(size uint32) *Memory {
 		panic("guest: zero-size memory")
 	}
 	size = (size + PageBytes - 1) &^ (PageBytes - 1)
-	return &Memory{size: size, pages: make(map[uint32]*[PageBytes]byte)}
+	leaves := (size/PageBytes + leafPages - 1) / leafPages
+	return &Memory{size: size, table: make([]*[leafPages]*page, leaves)}
 }
 
 // Size returns the memory size in bytes.
@@ -58,6 +72,9 @@ func (e *AccessError) Error() string {
 	return fmt.Sprintf("guest: %s of %d bytes at %#x outside physical memory", kind, e.Size, e.Addr)
 }
 
+// sizeMask covers the low size (1..8) bytes of a word.
+func sizeMask(size int) uint64 { return ^uint64(0) >> (64 - 8*uint(size)) }
+
 func (m *Memory) check(addr uint32, size int, write bool) error {
 	if size <= 0 || size > 8 {
 		return &AccessError{Addr: addr, Size: size, Write: write}
@@ -69,12 +86,23 @@ func (m *Memory) check(addr uint32, size int, write bool) error {
 	return nil
 }
 
-func (m *Memory) page(addr uint32, alloc bool) *[PageBytes]byte {
+// page returns the page holding addr (which the caller has bounds-checked),
+// or nil if it was never written and alloc is false.
+func (m *Memory) page(addr uint32, alloc bool) *page {
 	idx := addr / PageBytes
-	p := m.pages[idx]
+	leaf := m.table[idx/leafPages]
+	if leaf == nil {
+		if !alloc {
+			return nil
+		}
+		leaf = new([leafPages]*page)
+		m.table[idx/leafPages] = leaf
+	}
+	p := leaf[idx%leafPages]
 	if p == nil && alloc {
-		p = new([PageBytes]byte)
-		m.pages[idx] = p
+		p = new(page)
+		leaf[idx%leafPages] = p
+		m.touched++
 	}
 	return p
 }
@@ -84,6 +112,15 @@ func (m *Memory) Read(addr uint32, size int) (uint64, error) {
 	if err := m.check(addr, size, false); err != nil {
 		return 0, err
 	}
+	if off := addr % PageBytes; off <= PageBytes-8 {
+		// Eight bytes at addr lie in one page: one load, masked to size.
+		p := m.page(addr, false)
+		if p == nil {
+			return 0, nil
+		}
+		return binary.LittleEndian.Uint64(p[off:]) & sizeMask(size), nil
+	}
+	// The last bytes of a page, and accesses that straddle two, go bytewise.
 	var v uint64
 	for i := size - 1; i >= 0; i-- {
 		a := addr + uint32(i)
@@ -101,6 +138,11 @@ func (m *Memory) Write(addr uint32, size int, v uint64) error {
 	if err := m.check(addr, size, true); err != nil {
 		return err
 	}
+	if off := addr % PageBytes; off <= PageBytes-8 {
+		b, mask := m.page(addr, true)[off:], sizeMask(size)
+		binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)&^mask|v&mask)
+		return nil
+	}
 	for i := 0; i < size; i++ {
 		a := addr + uint32(i)
 		m.page(a, true)[a%PageBytes] = byte(v >> (8 * i))
@@ -113,13 +155,15 @@ func (m *Memory) ReadBytes(addr uint32, dst []byte) error {
 	if uint64(addr)+uint64(len(dst)) > uint64(m.size) {
 		return &AccessError{Addr: addr, Size: len(dst)}
 	}
-	for i := range dst {
-		a := addr + uint32(i)
-		if p := m.page(a, false); p != nil {
-			dst[i] = p[a%PageBytes]
+	for len(dst) > 0 {
+		off := addr % PageBytes
+		n := min(len(dst), int(PageBytes-off))
+		if p := m.page(addr, false); p != nil {
+			copy(dst[:n], p[off:])
 		} else {
-			dst[i] = 0
+			clear(dst[:n])
 		}
+		dst, addr = dst[n:], addr+uint32(n)
 	}
 	return nil
 }
@@ -129,9 +173,10 @@ func (m *Memory) WriteBytes(addr uint32, src []byte) error {
 	if uint64(addr)+uint64(len(src)) > uint64(m.size) {
 		return &AccessError{Addr: addr, Size: len(src), Write: true}
 	}
-	for i, b := range src {
-		a := addr + uint32(i)
-		m.page(a, true)[a%PageBytes] = b
+	for len(src) > 0 {
+		off := addr % PageBytes
+		n := copy(m.page(addr, true)[off:], src)
+		src, addr = src[n:], addr+uint32(n)
 	}
 	return nil
 }
@@ -149,7 +194,21 @@ func (m *Memory) FetchWord(pc uint32) (isa.Word, error) {
 }
 
 // TouchedPages returns how many distinct pages have been written.
-func (m *Memory) TouchedPages() int { return len(m.pages) }
+func (m *Memory) TouchedPages() int { return m.touched }
+
+// eachPage calls f for every written page in address order.
+func (m *Memory) eachPage(f func(idx uint32, p *page)) {
+	for i, leaf := range m.table {
+		if leaf == nil {
+			continue
+		}
+		for j, p := range leaf {
+			if p != nil {
+				f(uint32(i*leafPages+j), p)
+			}
+		}
+	}
+}
 
 // Checksum returns an FNV-1a hash of the memory contents, independent of
 // page-allocation history: pages are hashed in address order and all-zero
@@ -157,28 +216,14 @@ func (m *Memory) TouchedPages() int { return len(m.pages) }
 // byte contents hash equal even if one touched extra pages with zeroes.
 // The conformance lockstep runner diffs final memory images with it.
 func (m *Memory) Checksum() uint64 {
-	idxs := make([]uint32, 0, len(m.pages))
-	//lint:deterministic keys are sorted before use
-	for idx := range m.pages {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, idx := range idxs {
-		p := m.pages[idx]
-		zero := true
-		for _, b := range p {
-			if b != 0 {
-				zero = false
-				break
-			}
-		}
-		if zero {
-			continue
+	m.eachPage(func(idx uint32, p *page) {
+		if *p == (page{}) {
+			return
 		}
 		// Mix the page address so equal contents at different addresses
 		// hash differently.
@@ -188,7 +233,7 @@ func (m *Memory) Checksum() uint64 {
 		for _, b := range p {
 			h = (h ^ uint64(b)) * prime64
 		}
-	}
+	})
 	return h
 }
 

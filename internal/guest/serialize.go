@@ -18,11 +18,10 @@ type MemoryImage struct {
 
 // Snapshot captures all touched pages.
 func (m *Memory) Snapshot() MemoryImage {
-	img := MemoryImage{Size: m.size, Pages: make(map[string]string, len(m.pages))}
-	//lint:deterministic map-to-map copy commutes; JSON encoding sorts the keys
-	for idx, page := range m.pages {
-		img.Pages[fmt.Sprintf("%d", idx)] = base64.StdEncoding.EncodeToString(page[:])
-	}
+	img := MemoryImage{Size: m.size, Pages: make(map[string]string, m.touched)}
+	m.eachPage(func(idx uint32, p *page) {
+		img.Pages[strconv.FormatUint(uint64(idx), 10)] = base64.StdEncoding.EncodeToString(p[:])
+	})
 	return img
 }
 
@@ -85,9 +84,7 @@ func RestoreMemory(img MemoryImage) (*Memory, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := new([PageBytes]byte)
-		copy(p[:], raw)
-		m.pages[idx] = p
+		copy(m.page(idx*PageBytes, true)[:], raw)
 	}
 	return m, nil
 }
@@ -103,7 +100,7 @@ func (m *Memory) LoadImage(img MemoryImage) error {
 	if restored.size != m.size {
 		return fmt.Errorf("guest: snapshot size %d != memory size %d", restored.size, m.size)
 	}
-	m.pages = restored.pages
+	m.table, m.touched = restored.table, restored.touched
 	return nil
 }
 
@@ -113,30 +110,16 @@ func (m *Memory) Equal(o *Memory) bool {
 	if m.size != o.size {
 		return false
 	}
-	keys := map[uint32]bool{}
-	//lint:deterministic pure set union
-	for k := range m.pages {
-		keys[k] = true
-	}
-	//lint:deterministic pure set union
-	for k := range o.pages {
-		keys[k] = true
-	}
-	idxs := make([]uint32, 0, len(keys))
-	//lint:deterministic keys are sorted before use
-	for k := range keys {
-		idxs = append(idxs, k)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	zero := [PageBytes]byte{}
-	get := func(mm *Memory, k uint32) *[PageBytes]byte {
-		if p := mm.pages[k]; p != nil {
-			return p
+	zero := page{}
+	for idx := uint32(0); idx < m.size/PageBytes; idx++ {
+		a, b := m.page(idx*PageBytes, false), o.page(idx*PageBytes, false)
+		if a == nil {
+			a = &zero
 		}
-		return &zero
-	}
-	for _, k := range idxs {
-		if *get(m, k) != *get(o, k) {
+		if b == nil {
+			b = &zero
+		}
+		if a != b && *a != *b {
 			return false
 		}
 	}

@@ -460,7 +460,7 @@ func isSystemScheduleCall(fn *types.Func) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "Schedule", "ScheduleIn", "Reschedule":
+	case "Schedule", "ScheduleIn", "Reschedule", "OneShot":
 	default:
 		return false
 	}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
 )
@@ -28,10 +29,17 @@ import (
 // is reported. The approximation is deliberately local and one-sided:
 // it can demand an annotation for safe code (//lint:allow pastsched),
 // but accepted code still has the runtime panic behind it.
+//
+// ScheduleIn and OneShot take a delay, not a tick, and fail the other way
+// round: a delay that is itself an absolute tick (Now() or a sum with it,
+// directly or through a local) lands the event at twice the current time,
+// where no panic catches it. Such a delay is reported; a difference
+// (when - Now()) is a delay and is not.
 var PastSched = &Analyzer{
 	Name: "pastsched",
 	Doc: "flag Schedule/Reschedule tick arguments not provably >= the current tick " +
-		"(Now()-derived, parameter-forwarded, or Now()-guarded in the enclosing function)",
+		"(Now()-derived, parameter-forwarded, or Now()-guarded in the enclosing function), " +
+		"and ScheduleIn/OneShot delay arguments that are an absolute tick",
 	Run: runPastSched,
 }
 
@@ -54,7 +62,19 @@ func checkSchedFunc(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Schedule" && sel.Sel.Name != "Reschedule") {
+		if !ok {
+			return true
+		}
+		if at, ok := delayArg[sel.Sel.Name]; ok {
+			if len(call.Args) == at.of && isTickType(pass.TypesInfo.TypeOf(call.Args[at.i])) &&
+				absoluteTick(pass, fd, call.Args[at.i], 0) {
+				pass.Reportf(call.Args[at.i].Pos(),
+					"%s delay argument is an absolute tick (Now()-derived): the event would fire at twice the current time — pass the latency alone, or annotate //lint:allow pastsched <reason>",
+					sel.Sel.Name)
+			}
+			return true
+		}
+		if sel.Sel.Name != "Schedule" && sel.Sel.Name != "Reschedule" {
 			return true
 		}
 		if len(call.Args) != 2 || !isTickType(pass.TypesInfo.TypeOf(call.Args[1])) {
@@ -68,6 +88,31 @@ func checkSchedFunc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// delayArg locates the delay argument of the relative scheduling entry
+// points: argument i of a call with exactly of arguments.
+var delayArg = map[string]struct{ i, of int }{
+	"ScheduleIn": {1, 2},
+	"OneShot":    {3, 5},
+}
+
+// absoluteTick reports whether e is an absolute tick where a delay belongs:
+// a Now()/CurTick() call, a sum with one, or a local assigned only such.
+func absoluteTick(pass *Pass, fd *ast.FuncDecl, e ast.Expr, depth int) bool {
+	if depth > 8 {
+		return false
+	}
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		return mentionsNow(e.Fun)
+	case *ast.BinaryExpr:
+		return e.Op == token.ADD &&
+			(absoluteTick(pass, fd, e.X, depth+1) || absoluteTick(pass, fd, e.Y, depth+1))
+	case *ast.Ident:
+		return assignmentsAll(pass, fd, e, func(rhs ast.Expr) bool { return absoluteTick(pass, fd, rhs, depth+1) })
+	}
+	return false
 }
 
 // isTickType matches the sim.Tick named type (by name and package name, so
@@ -109,7 +154,7 @@ func tickDerived(pass *Pass, fd *ast.FuncDecl, e ast.Expr, depth int) bool {
 		if guardedAgainstNow(fd, e) {
 			return true
 		}
-		return assignmentsDerived(pass, fd, e, depth)
+		return assignmentsAll(pass, fd, e, func(rhs ast.Expr) bool { return tickDerived(pass, fd, rhs, depth+1) })
 	case *ast.BasicLit:
 		return fd.Name.Name == "Startup" && nonNegativeLit(e)
 	}
@@ -143,9 +188,9 @@ func paramOf(pass *Pass, params *ast.FieldList, id *ast.Ident) bool {
 	return false
 }
 
-// assignmentsDerived checks that id has at least one assignment in fd and
-// that every assignment's RHS is itself tick-derived.
-func assignmentsDerived(pass *Pass, fd *ast.FuncDecl, id *ast.Ident, depth int) bool {
+// assignmentsAll checks that id has at least one assignment in fd and that
+// every assignment's RHS satisfies ok.
+func assignmentsAll(pass *Pass, fd *ast.FuncDecl, id *ast.Ident, ok func(rhs ast.Expr) bool) bool {
 	obj := pass.TypesInfo.Uses[id]
 	if obj == nil {
 		return false
@@ -155,13 +200,13 @@ func assignmentsDerived(pass *Pass, fd *ast.FuncDecl, id *ast.Ident, depth int) 
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
-				li, ok := lhs.(*ast.Ident)
-				if !ok || i >= len(n.Rhs) {
+				li, isIdent := lhs.(*ast.Ident)
+				if !isIdent || i >= len(n.Rhs) {
 					continue
 				}
 				if pass.TypesInfo.Defs[li] == obj || pass.TypesInfo.Uses[li] == obj {
 					found = true
-					if !tickDerived(pass, fd, n.Rhs[i], depth+1) {
+					if !ok(n.Rhs[i]) {
 						allOK = false
 					}
 				}
@@ -170,7 +215,7 @@ func assignmentsDerived(pass *Pass, fd *ast.FuncDecl, id *ast.Ident, depth int) 
 			for i, name := range n.Names {
 				if pass.TypesInfo.Defs[name] == obj && i < len(n.Values) {
 					found = true
-					if !tickDerived(pass, fd, n.Values[i], depth+1) {
+					if !ok(n.Values[i]) {
 						allOK = false
 					}
 				}

@@ -8,10 +8,10 @@ import (
 )
 
 // ShardPost enforces the sharded-execution scheduling discipline added with
-// the per-domain event queues (sim.System.EnableSharding). Two rules:
+// the per-domain event queues (sim.System.EnableSharding). Three rules:
 //
 //  1. Outside package sim, events must be scheduled through a System
-//     (Schedule/ScheduleIn/Reschedule), never directly on a Queue backend
+//     (Schedule/ScheduleIn/Reschedule/OneShot), never directly on a Queue backend
 //     (sys.Queue().Schedule(...)). The System is where cross-domain events
 //     are routed into the engine's mailboxes; a direct queue insert lands
 //     the event on the caller's shard regardless of its domain, silently
@@ -31,13 +31,22 @@ import (
 //     is also accepted: a zero floor grants nothing, which is always safe
 //     (and for Quantum the runtime rejects it at startup).
 //
-// Both rules are syntactic and one-sided: safe-but-unprovable code can be
-// annotated with //lint:allow shardpost <reason>.
+//  3. Rule 2 seen from the posting side. System.OneShot names its target
+//     domain at the call, so a one-shot addressed to the constant DomainMem
+//     is visibly a post over the group-to-mem edge, whose BusLookahead floor
+//     its delay must reach. The floor is QuantumFor of a configured latency;
+//     a delay that is a compile-time constant cannot follow that latency when
+//     someone tunes it up, and the per-edge violation panic would again fire
+//     deep in a run. The delay must be a value (a config field, a parameter,
+//     a sum with one).
+//
+// All three rules are syntactic and one-sided: safe-but-unprovable code can
+// be annotated with //lint:allow shardpost <reason>.
 var ShardPost = &Analyzer{
 	Name: "shardpost",
 	Doc: "flag direct Queue scheduling outside package sim (bypasses cross-shard mailbox " +
-		"routing) and EnableSharding lookahead floors (Quantum, BusLookahead) not provably " +
-		"derived from sim.QuantumFor",
+		"routing), EnableSharding lookahead floors (Quantum, BusLookahead) not provably " +
+		"derived from sim.QuantumFor, and constant delays on one-shots posted to DomainMem",
 	Run: runShardPost,
 }
 
@@ -116,6 +125,9 @@ func shardPostWalk(pass *Pass, inSim bool, sc fnScope, body *ast.BlockStmt) {
 			if sel.Sel.Name == "EnableSharding" && len(n.Args) == 1 {
 				checkQuantum(pass, sc, n)
 			}
+			if sel.Sel.Name == "OneShot" && len(n.Args) == 5 {
+				checkOneShotDelay(pass, n)
+			}
 		case *ast.SelectorExpr:
 			if !inSim && !callFuns[n] {
 				checkQueueMethodValue(pass, n)
@@ -162,6 +174,17 @@ func checkQueuePost(pass *Pass, call *ast.CallExpr, sel *ast.SelectorExpr) {
 		pass.Reportf(call.Pos(),
 			"direct %s on a sim queue backend bypasses the System's cross-shard mailbox routing; schedule through the System (or annotate //lint:allow shardpost <reason>)",
 			sel.Sel.Name)
+	}
+}
+
+// checkOneShotDelay is rule 3: name, fn, domain, delay, fire.
+func checkOneShotDelay(pass *Pass, call *ast.CallExpr) {
+	if domainConstSide(pass.TypesInfo, call.Args[2]) != "mem" {
+		return
+	}
+	if tv, ok := pass.TypesInfo.Types[call.Args[3]]; ok && tv.Value != nil {
+		pass.Reportf(call.Args[3].Pos(),
+			"OneShot to DomainMem crosses the group-to-mem edge with a constant delay; the edge's BusLookahead floor follows a configured latency — take the delay from that latency, or annotate //lint:allow shardpost <reason>")
 	}
 }
 

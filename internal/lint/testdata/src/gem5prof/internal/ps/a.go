@@ -54,6 +54,21 @@ func BadField(sys *sim.System, e *sim.Event, w *waiter) {
 	sys.Reschedule(e, w.when) // want `not provably derived from the current tick`
 }
 
+// GoodDelay passes latencies, and a difference of ticks, as delays.
+func GoodDelay(sys *sim.System, e *sim.Event, w *waiter, lat sim.Tick) {
+	sys.ScheduleIn(e, lat)
+	sys.OneShot("resp", 0, sim.DomainCPU, lat+5, func() {})
+	sys.OneShot("wake", 0, sim.DomainCPU, w.when-sys.Now(), func() {})
+}
+
+// BadDelay passes an absolute tick where the delay belongs: the event
+// would land at twice the current time.
+func BadDelay(sys *sim.System, e *sim.Event, lat sim.Tick) {
+	sys.ScheduleIn(e, sys.Now()+lat) // want `ScheduleIn delay argument is an absolute tick`
+	when := sys.Now() + lat
+	sys.OneShot("resp", 0, sim.DomainCPU, when, func() {}) // want `OneShot delay argument is an absolute tick`
+}
+
 // Allowed waives an absolute tick with an annotation.
 func Allowed(sys *sim.System, e *sim.Event) {
 	//lint:allow pastsched checkpoint restore replays a recorded absolute tick

@@ -21,6 +21,13 @@ func (d *DRAM) Tick(addr uint64) {
 	lastAddr = addr // want "mem-side method writes package-level lastAddr"
 }
 
+// Respond posts its completion through the mailbox, but the mem-side
+// method still writes package state on its own goroutine before posting.
+func (d *DRAM) Respond(s *sim.System, addr uint64, lat sim.Tick) {
+	lastAddr = addr // want "mem-side method writes package-level lastAddr"
+	s.OneShot("dram.resp", 0, sim.DomainCPU, lat, func() {})
+}
+
 // Core is coordinator-side.
 type Core struct{ issued int }
 

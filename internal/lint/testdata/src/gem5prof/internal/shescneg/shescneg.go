@@ -21,6 +21,13 @@ func (d *DRAM) Tick(s *sim.System, when sim.Tick) {
 	s.Schedule(d.done, when)
 }
 
+// Respond posts the completion as a one-shot: the callback runs on the
+// coordinator's shard, so what it captures crosses through the mailbox too.
+func (d *DRAM) Respond(s *sim.System, c *Core, lat sim.Tick) {
+	d.rows++
+	s.OneShot("dram.resp", 0, sim.DomainCPU, lat, func() { c.issued++ })
+}
+
 // Core is coordinator-side.
 type Core struct{ issued int }
 
@@ -42,6 +49,15 @@ func (c *Core) Issue(s *sim.System, dec *Decoder, req *sim.Event, addr uint64) {
 	c.issued++
 	_ = dec.Decode(addr)
 	s.Schedule(req, sim.Tick(addr))
+}
+
+// forward is the bus: built on the coordinator's view, it posts one-shots
+// addressed to the mem domain. OneShot holds on to the domain it is given,
+// but it is the mailbox: the view posted through does not thereby become
+// reachable from the mem shard.
+func forward(s *sim.System, lat sim.Tick, fire func()) {
+	cpu := s.DomainView(sim.DomainCPU)
+	cpu.OneShot("bus.fwd", 0, sim.DomainMem, lat, fire)
 }
 
 // coordinator views on separate variables never join domains.

@@ -11,7 +11,10 @@ type Tick uint64
 type Event struct{ Name string }
 
 // System owns the event queue.
-type System struct{ now Tick }
+type System struct {
+	now  Tick
+	last Domain
+}
 
 // Now returns the current simulated time.
 func (s *System) Now() Tick { return s.now }
@@ -21,6 +24,14 @@ func (s *System) Schedule(e *Event, when Tick) {}
 
 // Reschedule moves e to absolute tick when.
 func (s *System) Reschedule(e *Event, when Tick) {}
+
+// ScheduleIn enqueues e delta ticks from now.
+func (s *System) ScheduleIn(e *Event, delta Tick) {}
+
+// OneShot fires fire once, delay ticks from now, on domain d's shard.
+func (s *System) OneShot(name string, fn int, d Domain, delay Tick, fire func()) {
+	s.last = d
+}
 
 // Scalar is a settable stat.
 type Scalar struct{ v float64 }

@@ -14,6 +14,19 @@ func GoodSystemPost(sys *sim.System, e *sim.Event) {
 	sys.Reschedule(e, 200)
 }
 
+// GoodOneShot posts over the group-to-mem edge with the configured bus
+// latency as its delay; a constant delay is fine on an edge with no floor.
+func GoodOneShot(sys *sim.System, busLat sim.Tick, fire func()) {
+	sys.OneShot("bus.fwd", 0, sim.DomainMem, busLat+64, fire)
+	sys.OneShot("l1.hit", 0, sim.DomainCPU, 2000, fire)
+}
+
+// BadOneShot hardcodes the delay of a post to the memory shard: it cannot
+// follow the latency the edge's BusLookahead floor is derived from.
+func BadOneShot(sys *sim.System, fire func()) {
+	sys.OneShot("bus.fwd", 0, sim.DomainMem, 2000, fire) // want `OneShot to DomainMem crosses the group-to-mem edge with a constant delay`
+}
+
 // BadQueuePost schedules directly on the backend, skipping mailbox routing.
 func BadQueuePost(sys *sim.System, e *sim.Event) {
 	sys.Queue().Schedule(e, 100) // want `bypasses the System's cross-shard mailbox routing`

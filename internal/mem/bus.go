@@ -25,6 +25,7 @@ type Bus struct {
 
 	busyUntil sim.Tick
 
+	nameFwd   string
 	fnForward sim.FuncID
 
 	transactions *sim.Counter
@@ -37,7 +38,7 @@ func NewBus(sys *sim.System, cfg BusConfig, next Port) *Bus {
 	if next == nil {
 		panic("mem: bus needs a downstream port")
 	}
-	b := &Bus{sys: sys, cfg: cfg, next: next}
+	b := &Bus{sys: sys, cfg: cfg, next: next, nameFwd: cfg.Name + ".fwd"}
 	if ds, ok := next.(DomainSource); ok {
 		b.fwdDomain = ds.EventDomain()
 	}
@@ -78,9 +79,9 @@ func (b *Bus) SendTiming(acc Access, done func()) {
 	b.waitTicks.Addn(uint64(start - now))
 	b.busyUntil = start + b.occupancy(acc.Size)
 	delay := (start - now) + b.cfg.Latency + b.occupancy(acc.Size)
-	b.sys.ScheduleIn(sim.NewEvent(b.cfg.Name+".fwd", b.fnForward, func() {
+	b.sys.OneShot(b.nameFwd, b.fnForward, b.fwdDomain, delay, func() {
 		b.next.SendTiming(acc, done)
-	}).SetDomain(b.fwdDomain), delay)
+	})
 }
 
 func (b *Bus) account(acc Access) {

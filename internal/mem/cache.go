@@ -74,6 +74,13 @@ type mshr struct {
 	// fetch is still in flight: the fill completes its waiters but must not
 	// install the (stale) line.
 	dropInstall bool
+
+	// fetch is sent downstream by forward and answered by filled. Both
+	// callbacks capture only the cache and this mshr, so they are bound once
+	// and survive the mshr's trips through Cache.freeMSHRs.
+	fetch   Access
+	forward func()
+	filled  func()
 }
 
 type pendingReq struct {
@@ -106,8 +113,9 @@ type Cache struct {
 	setBits    uint
 	lruSeq     uint64
 
-	mshrs   map[uint32]*mshr
-	pending []pendingReq
+	mshrs     map[uint32]*mshr
+	freeMSHRs []*mshr // retired by handleFill, reused by allocMSHR
+	pending   []pendingReq
 
 	// Event names are per-access in the timing path; building them with
 	// string concatenation there showed up as steady allocation traffic.
@@ -349,8 +357,7 @@ func (c *Cache) sendTiming(acc Access, done func()) {
 			}
 			l.dirty = true
 		}
-		ev := sim.NewEvent(c.nameHitResp, c.fnAccess, done).SetDomain(c.cfg.Domain)
-		c.sys.ScheduleIn(ev, lat)
+		c.sys.OneShot(c.nameHitResp, c.fnAccess, c.cfg.Domain, lat, done)
 		return
 	}
 	c.startMiss(acc, done)
@@ -384,15 +391,22 @@ func (c *Cache) startMiss(acc Access, done func()) {
 
 func (c *Cache) allocMSHR(acc Access, done func(), prefetch bool) {
 	block := blockAlign(acc.Addr, c.cfg.BlockBytes)
-	m := &mshr{blockAddr: block, write: acc.Write, prefetch: prefetch}
+	var m *mshr
+	if n := len(c.freeMSHRs); n > 0 {
+		m = c.freeMSHRs[n-1]
+		c.freeMSHRs = c.freeMSHRs[:n-1]
+	} else {
+		m = &mshr{}
+		m.filled = func() { c.handleFill(m) }
+		m.forward = func() { c.next.SendTiming(m.fetch, m.filled) }
+	}
+	m.blockAddr, m.write, m.prefetch = block, acc.Write, prefetch
 	if done != nil {
 		m.waiters = append(m.waiters, done)
 	}
 	c.mshrs[block] = m
-	fetch := Access{Addr: block, Size: uint8(c.cfg.BlockBytes), Inst: acc.Inst, Excl: acc.Write}
-	c.sys.ScheduleIn(sim.NewEvent(c.nameMissFwd, c.fnAccess, func() {
-		c.next.SendTiming(fetch, func() { c.handleFill(m) })
-	}).SetDomain(c.cfg.Domain), c.cfg.HitLatency)
+	m.fetch = Access{Addr: block, Size: uint8(c.cfg.BlockBytes), Inst: acc.Inst, Excl: acc.Write}
+	c.sys.OneShot(c.nameMissFwd, c.fnAccess, c.cfg.Domain, c.cfg.HitLatency, m.forward)
 	if !prefetch {
 		switch {
 		case c.cfg.NextLine:
@@ -460,15 +474,23 @@ func (c *Cache) handleFill(m *mshr) {
 		}
 		c.fill(m.blockAddr, m.write, false, m.fillExcl)
 	}
-	for _, w := range m.waiters {
-		ev := sim.NewEvent(c.nameFill, c.fnFill, w).SetDomain(c.cfg.Domain)
-		c.sys.ScheduleIn(ev, respLat)
+	for i, w := range m.waiters {
+		c.sys.OneShot(c.nameFill, c.fnFill, c.cfg.Domain, respLat, w)
+		m.waiters[i] = nil
 	}
+	// Nothing refers to m any more: clear it for the next miss (which the
+	// re-probe below may already be).
+	m.waiters, m.fillExcl, m.dropInstall = m.waiters[:0], false, false
+	c.freeMSHRs = append(c.freeMSHRs, m)
 	// Service a queued request now that an MSHR is free. The re-probe
 	// must not recount the access: it was counted when it first entered.
 	if len(c.pending) > 0 && len(c.mshrs) < c.cfg.MSHRs {
+		// Pop by copying down: re-slicing the head away strands the front of
+		// the backing array, and a long MSHR-full phase keeps reallocating.
 		p := c.pending[0]
-		c.pending = c.pending[1:]
+		n := copy(c.pending, c.pending[1:])
+		c.pending[n] = pendingReq{}
+		c.pending = c.pending[:n]
 		// Re-probe: the fill may have satisfied it.
 		c.sendTiming(p.acc, p.done)
 	}

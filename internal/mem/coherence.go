@@ -244,13 +244,13 @@ func (d *Directory) start(core int, acc Access, done func()) {
 	e := d.entry(acc.Addr)
 	e.busy = true
 	lat := d.cfg.LookupLatency + d.process(core, acc, false)
-	d.sys.ScheduleIn(sim.NewEvent(d.nameFwd, d.fnLookup, func() {
+	d.sys.OneShot(d.nameFwd, d.fnLookup, sim.DomainCPU, lat, func() {
 		d.next.SendTiming(acc, func() {
 			e.busy = false
 			done()
 			d.drain(acc.Addr, e)
 		})
-	}), lat)
+	})
 }
 
 // drain services the next queued conflicting request, if any.
@@ -260,7 +260,9 @@ func (d *Directory) drain(block uint32, e *dirEntry) {
 		return
 	}
 	w := e.waiting[0]
-	e.waiting = e.waiting[1:]
+	n := copy(e.waiting, e.waiting[1:]) // keep the backing array's head in use
+	e.waiting[n] = dirWaiting{}
+	e.waiting = e.waiting[:n]
 	d.start(w.core, w.acc, w.done)
 }
 

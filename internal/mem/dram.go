@@ -42,6 +42,7 @@ type DRAM struct {
 	cfg   DRAMConfig
 	banks []dramBank
 
+	nameResp string
 	fnAccess sim.FuncID
 
 	reads      *sim.Counter
@@ -56,7 +57,7 @@ func NewDRAM(sys *sim.System, cfg DRAMConfig) *DRAM {
 	if cfg.Banks <= 0 || cfg.RowBytes == 0 {
 		panic("mem: dram needs banks and a row size")
 	}
-	d := &DRAM{sys: sys, cfg: cfg, banks: make([]dramBank, cfg.Banks)}
+	d := &DRAM{sys: sys, cfg: cfg, banks: make([]dramBank, cfg.Banks), nameResp: cfg.Name + ".resp"}
 	d.fnAccess = sys.Tracer().RegisterFunc(cfg.Name+"::recvAtomic", 1600, sim.FuncVirtual)
 	st := sys.Stats()
 	d.reads = st.Counter(cfg.Name+".reads", "read transactions")
@@ -139,6 +140,6 @@ func (d *DRAM) SendTiming(acc Access, done func()) {
 	bank.busyUntil = start + lat
 	total := (start - now) + lat
 	if done != nil {
-		d.sys.ScheduleIn(sim.NewEvent(d.cfg.Name+".resp", d.fnAccess, done), total)
+		d.sys.OneShot(d.nameResp, d.fnAccess, sim.DomainCPU, total, done)
 	}
 }

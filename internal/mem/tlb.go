@@ -116,7 +116,7 @@ func (t *TLB) SendTiming(acc Access, done func()) {
 		return
 	}
 	// Table walk, then the access proceeds.
-	t.sys.ScheduleIn(sim.NewEvent(t.nameWalk, t.fnLookup, func() {
+	t.sys.OneShot(t.nameWalk, t.fnLookup, t.cfg.Domain, t.cfg.MissLatency, func() {
 		t.next.SendTiming(acc, done)
-	}).SetDomain(t.cfg.Domain), t.cfg.MissLatency)
+	})
 }

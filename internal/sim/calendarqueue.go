@@ -10,6 +10,7 @@ const overflowPos = 1 << 30
 // (DESIGN.md A5); behaviour is identical to HeapQueue.
 type CalendarQueue struct {
 	stamper
+	oneShots
 	now     Tick
 	seq     uint64
 	width   Tick
@@ -149,6 +150,7 @@ func (q *CalendarQueue) ServiceOne() bool {
 	q.now = e.when
 	q.fired++
 	e.fire()
+	q.put(e)
 	return true
 }
 

@@ -7,6 +7,7 @@ import "fmt"
 // O(log n).
 type HeapQueue struct {
 	stamper
+	oneShots
 	now   Tick
 	seq   uint64
 	heap  []*Event
@@ -99,6 +100,7 @@ func (q *HeapQueue) ServiceOne() bool {
 	q.now = e.when
 	q.fired++
 	e.fire()
+	q.put(e)
 	return true
 }
 

@@ -14,6 +14,7 @@ type queueStream struct {
 	data   []byte
 	pos    int
 	events []*Event
+	posted int // one-shots posted so far; the next one's id is 1000+posted
 	log    []firedRec
 	check  func() error // structural invariant, nil for the heap
 	err    error
@@ -85,16 +86,40 @@ func (s *queueStream) perform(op byte) {
 	}
 }
 
+// oneShot posts a recycled event the way System.OneShot does: drawn from the
+// queue's own free list, returned to it by ServiceOne. Posted from the main
+// loop and from inside callbacks (where the firing event must not be the one
+// handed out), so both backends are compared with recycling in the mix.
+func (s *queueStream) oneShot() {
+	d, ok := s.next()
+	if !ok {
+		return
+	}
+	id := 1000 + s.posted
+	s.posted++
+	s.q.Schedule(s.q.pool().get("o", 0, DomainCPU, func() { s.fired(id) }), s.q.Now()+Tick(d))
+	if s.check != nil && s.err == nil {
+		s.err = s.check()
+	}
+}
+
+// fired is every event's callback: log, then one follow-on op.
+func (s *queueStream) fired(id int) {
+	s.log = append(s.log, firedRec{id, s.q.Now()})
+	if op, ok := s.next(); ok {
+		if op%8 == 7 {
+			s.oneShot()
+		} else {
+			s.perform(op)
+		}
+	}
+}
+
 // run replays the whole stream, then drains the queue.
 func (s *queueStream) run() {
 	for i := range s.events {
 		id := i
-		s.events[i] = NewEvent("f", 0, func() {
-			s.log = append(s.log, firedRec{id, s.q.Now()})
-			if op, ok := s.next(); ok {
-				s.perform(op)
-			}
-		})
+		s.events[i] = NewEvent("f", 0, func() { s.fired(id) })
 	}
 	for {
 		op, ok := s.next()
@@ -103,6 +128,8 @@ func (s *queueStream) run() {
 		}
 		if op%8 < 6 {
 			s.perform(op)
+		} else if op%8 == 7 {
+			s.oneShot()
 		} else {
 			s.q.ServiceOne()
 			if s.check != nil && s.err == nil {
@@ -149,6 +176,13 @@ func FuzzQueueEquivalence(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 50, 1, 1, 60, 3, 0, 10, 6, 2, 1, 4, 2, 1, 100, 6, 5, 0, 3, 0, 6, 6,
 	})
+	// One-shots: posted from the main loop, chained from inside a one-shot's
+	// own callback at the same tick, and interleaved with a persistent event.
+	f.Add([]byte{
+		7, 3, 7, 3, 0, 0, 3, // two one-shots and e0, all at tick 3
+		6, 7, 0, // service the first; its callback posts another at Now()+0
+		6, 7, 5, 6, 6, 6, 6,
+	})
 	// Deterministic random streams stand in for the retired
 	// TestQueueEquivalenceDynamic seeds.
 	rng := rand.New(rand.NewSource(7))
@@ -183,6 +217,7 @@ func TestFuzzInvariantChecked(t *testing.T) {
 		{4, 0, 0xff, 0xff, 5, 0, 1, 0, 6, 6},
 		{0, 0, 120, 5, 0, 1, 2, 6, 6},
 		{0, 0, 50, 1, 1, 60, 3, 0, 10, 6, 2, 1, 4, 2, 1, 100, 6, 5, 0, 3, 0, 6, 6},
+		{7, 3, 7, 3, 0, 0, 3, 6, 7, 0, 6, 7, 5, 6, 6, 6, 6},
 	}
 	for i, data := range seeds {
 		q := NewCalendarQueue(8, 16)

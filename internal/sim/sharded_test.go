@@ -52,6 +52,9 @@ type shardWorkload struct {
 	maxOps int
 	retire uint64
 	exitAt int // retire count at which to RequestExit (0 = never)
+	// oneShot issues the accesses and responses through System.OneShot
+	// instead of a fresh event each (TestOneShotRecycle).
+	oneShot bool
 }
 
 func newShardWorkload(sys *System, seed uint64, maxOps, exitAt int) *shardWorkload {
@@ -83,9 +86,13 @@ func (w *shardWorkload) start() {
 			// multiples of the clock period so cross-domain same-tick
 			// collisions actually happen.
 			d := Tick(1000 * (1 + w.rng.next()%40))
-			acc := NewEvent(fmt.Sprintf("mem.acc.%d", id), w.fnMem, nil).SetDomain(DomainMem)
-			acc.fire = func() { w.memFire(id) }
-			w.sys.ScheduleIn(acc, d)
+			if w.oneShot {
+				w.sys.OneShot("mem.acc", w.fnMem, DomainMem, d, func() { w.memFire(id) })
+			} else {
+				acc := NewEvent(fmt.Sprintf("mem.acc.%d", id), w.fnMem, nil).SetDomain(DomainMem)
+				acc.fire = func() { w.memFire(id) }
+				w.sys.ScheduleIn(acc, d)
+			}
 			w.sys.ScheduleIn(tick, 1000)
 		}
 	}
@@ -102,6 +109,10 @@ func (w *shardWorkload) memFire(id int) {
 	tr.Data(uint64(w.msys.Now())<<8|uint64(id&0xff), 64, true)
 	h := splitmix(uint64(id) * 0x5851f42d4c957f2d)
 	extra := Tick(1000 * (h.next() % 8))
+	if w.oneShot {
+		w.msys.OneShot("mem.resp", w.fnResp, DomainCPU, testQuantum+1000+extra, func() { w.respFire(id) })
+		return
+	}
 	resp := NewEvent(fmt.Sprintf("mem.resp.%d", id), w.fnResp, nil) // DomainCPU
 	resp.fire = func() { w.respFire(id) }
 	w.msys.ScheduleIn(resp, testQuantum+1000+extra)
@@ -128,6 +139,13 @@ type shardRunOut struct {
 // runWorkload builds and runs one workload; shards<2 runs serial.
 func runWorkload(t *testing.T, shards int, calendar bool, seed uint64, maxOps, exitAt int, limit Tick) shardRunOut {
 	t.Helper()
+	return runWorkloadVia(t, false, shards, calendar, seed, maxOps, exitAt, limit)
+}
+
+// runWorkloadVia is runWorkload with the choice of how accesses and responses
+// are posted: a fresh event each, or System.OneShot.
+func runWorkloadVia(t *testing.T, oneShot bool, shards int, calendar bool, seed uint64, maxOps, exitAt int, limit Tick) shardRunOut {
+	t.Helper()
 	var q Queue
 	if calendar {
 		q = NewCalendarQueue(256, 1000)
@@ -147,6 +165,7 @@ func runWorkload(t *testing.T, shards int, calendar bool, seed uint64, maxOps, e
 		t.Fatal("EnableSharding did not take effect")
 	}
 	w := newShardWorkload(sys, seed, maxOps, exitAt)
+	w.oneShot = oneShot
 	w.start()
 	res := sys.Run(limit, 0)
 	return shardRunOut{res: res, log: tr.log, evServ: sys.EventsServiced(), retired: w.retire}

@@ -76,9 +76,12 @@ func (s schedStamp) less(o schedStamp) (bool, bool) {
 	return false, false
 }
 
-// Event is a schedulable callback. Events are created once and may be
-// scheduled, descheduled, and rescheduled many times, but never scheduled
-// twice concurrently.
+// Event is a schedulable callback, with one of two lifetimes. A persistent
+// event (NewEvent, NewEventPrio) is created once by the SimObject that owns
+// it and may be scheduled, descheduled, and rescheduled many times, but never
+// scheduled twice concurrently. A one-shot event (System.OneShot) is owned by
+// the queue that will fire it: no caller holds it, and once its callback
+// returns the queue reuses it (DESIGN.md §18).
 type Event struct {
 	name   string
 	prio   int
@@ -91,11 +94,13 @@ type Event struct {
 	pos      int // index in the owning heap, -1 when unscheduled
 	stamp    schedStamp
 	stampSet bool // next insertion keeps the pre-assigned stamp (mailbox post)
+	oneShot  bool // recycled by the queue that fires it (see oneShots)
 }
 
-// NewEvent returns an event with the given debug name, host-function
-// attribution and callback. A zero FuncID attributes the event to the
-// scheduler itself.
+// NewEvent returns a persistent event with the given debug name,
+// host-function attribution and callback. A zero FuncID attributes the event
+// to the scheduler itself. Construct it once and reschedule it; a callback
+// that fires once per access belongs in System.OneShot instead.
 func NewEvent(name string, fn FuncID, fire func()) *Event {
 	return &Event{name: name, prio: PrioDefault, fire: fire, fn: fn, pos: -1}
 }
@@ -185,6 +190,43 @@ type Queue interface {
 	Peek() *Event
 	// Len returns the number of pending events.
 	Len() int
+	// pool returns the queue's one-shot free list (embed oneShots).
+	pool() *oneShots
+}
+
+// maxFreeOneShots bounds a queue's free list: events cross the shard mailbox
+// in unequal numbers (a writeback goes to the memory shard and is never
+// answered), and the receiving list must not grow for as long as a guest runs.
+const maxFreeOneShots = 1024
+
+// oneShots is the free list of one-shot events embedded by every Queue
+// implementation. ServiceOne puts an event back on the queue that fired it,
+// after its callback returned; System.OneShot gets one from a queue the
+// calling goroutine executes. Each list therefore has one goroutine as owner
+// and needs no lock at any shard layout.
+type oneShots struct{ free []*Event }
+
+func (p *oneShots) pool() *oneShots { return p }
+
+// get returns a one-shot event, recycled when the list has one.
+func (p *oneShots) get(name string, fn FuncID, d Domain, fire func()) *Event {
+	n := len(p.free)
+	if n == 0 {
+		return &Event{name: name, fire: fire, fn: fn, domain: d, pos: -1, oneShot: true}
+	}
+	e := p.free[n-1]
+	p.free = p.free[:n-1]
+	e.name, e.fire, e.fn, e.domain = name, fire, fn, d
+	return e
+}
+
+// put takes a fired event back if it is a one-shot, dropping the callback so
+// that what it captured does not outlive the access it completed.
+func (p *oneShots) put(e *Event) {
+	if e.oneShot && len(p.free) < maxFreeOneShots {
+		e.fire = nil
+		p.free = append(p.free, e)
+	}
 }
 
 // stamper is the shared scheduling-provenance bookkeeping embedded by every

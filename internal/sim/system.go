@@ -139,6 +139,23 @@ func (s *System) ScheduleIn(e *Event, delta Tick) {
 	s.Schedule(e, s.queue.Now()+delta)
 }
 
+// OneShot fires fire once, delay ticks from now, on domain d's shard. No
+// handle is returned, so a one-shot can be neither descheduled nor observed
+// after it fired; the queue that fires it takes the event back. Ordering is
+// that of ScheduleIn with a fresh event: seq and stamp are assigned at
+// insertion. The event comes from the free list it will return to when that
+// list is this goroutine's to touch — the caller's queue or another group
+// shard's (a core-private cache is built on the root view but fires on its
+// core's shard) — and from the caller's list when it crosses to the worker,
+// where the traffic coming back draws on it in turn.
+func (s *System) OneShot(name string, fn FuncID, d Domain, delay Tick, fire func()) {
+	from := s
+	if s.eng != nil && s.eng.isGroup(s.shard) && s.eng.isGroup(s.eng.layout[d]) {
+		from = s.eng.views[s.eng.layout[d]]
+	}
+	s.Schedule(from.queue.pool().get(name, fn, d, fire), s.queue.Now()+delay)
+}
+
 // Deschedule removes a scheduled event. Under sharding an event owned by
 // another affine group shard may be descheduled directly (both shards
 // execute on the coordinator goroutine — guest cores park and wake each
