@@ -2,8 +2,8 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-run table1,fig01,...|all] [-j N] [-pipeline auto|on|off]
-//	            [-shards auto|off|N] [-cores N] [-simpoint] [-simpoint-interval N]
+//	experiments [-quick] [-run table1,fig01,...|all] [-j N] [-pipeline on|off]
+//	            [-cores N] [-simpoint] [-simpoint-interval N]
 //	            [-ckpt-cache-dir DIR] [-o out.txt] [-cpuprofile cpu.out]
 //	            [-memprofile mem.out]
 //
@@ -32,17 +32,11 @@
 // `go tool pprof -tagfocus` attributes time to pipeline stages.
 //
 // -pipeline controls the in-session producer/consumer split (see DESIGN.md
-// §10): every co-simulation runs its guest simulator + trace synthesis and
-// its host uarch model on separate goroutines coupled by a batched SPSC
-// ring. Output is byte-identical in every mode; "auto" (default) enables
-// it when GOMAXPROCS > 1. See EXPERIMENTS.md for the full flag reference.
-//
-// -shards controls the third parallelism axis: sharded per-domain event
-// queues inside each guest simulation (DESIGN.md §13) — the CPU complex and
-// the DRAM controller advance on separate goroutines under a conservative
-// quantum barrier. Output is byte-identical at every shard count; "auto"
-// enables two shards when GOMAXPROCS >= 4, and the default is "off" because
-// job-level parallelism (-j) already saturates small hosts.
+// §10): "on" runs every co-simulation's guest simulator + trace synthesis
+// and its host uarch model on separate goroutines coupled by a batched SPSC
+// ring. Output is byte-identical either way; the default is "off" because
+// the measured cost of the ring exceeds what the overlap buys (DESIGN.md
+// §15). See EXPERIMENTS.md for the full flag reference.
 //
 // Each experiment prints an aligned table whose rows mirror the series of
 // the corresponding figure, plus notes comparing the measured shape with the
@@ -65,7 +59,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"gem5prof/internal/core"
@@ -82,8 +75,7 @@ func run() int {
 	quick := flag.Bool("quick", false, "use reduced workload sets and problem sizes")
 	runList := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulation runs (output is identical for any value)")
-	pipeline := flag.String("pipeline", "auto", "in-session producer/consumer pipeline: auto, on, or off (output is identical in every mode)")
-	shards := flag.String("shards", "off", "per-domain event-queue sharding inside each simulation: auto, off, or a shard count (output is identical in every mode)")
+	pipeline := flag.String("pipeline", "off", "in-session producer/consumer pipeline: on or off (output is identical either way)")
 	cores := flag.Int("cores", 0, "cap the multicore scaling sweep (fig16) at this guest core count (0 = default 1/2/4)")
 	simPoint := flag.Bool("simpoint", false, "sample the sweep figures (10, 12, 13) via SimPoint-style phase-representative intervals")
 	simPointInterval := flag.Uint64("simpoint-interval", 0, "override the SimPoint profiling interval in committed instructions (0 = harness default)")
@@ -95,34 +87,10 @@ func run() int {
 
 	mode, ok := core.ParsePipelineMode(*pipeline)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "invalid -pipeline %q (want auto, on, or off)\n", *pipeline)
+		fmt.Fprintf(os.Stderr, "invalid -pipeline %q (want on or off)\n", *pipeline)
 		return 2
 	}
 	core.SetDefaultPipeline(mode)
-
-	smode, ok := core.ParseShardMode(*shards)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "invalid -shards %q (want auto, off, or a shard count)\n", *shards)
-		return 2
-	}
-	core.SetDefaultShards(smode)
-
-	// Log each distinct effective shard layout once: -shards is a pure
-	// performance knob, so the only interesting fact is what the request
-	// actually resolved to (clamps included), not one line per simulation.
-	var (
-		shardLogMu   sync.Mutex
-		shardLogSeen = map[string]bool{}
-	)
-	core.SetDefaultShardLog(func(line string) {
-		shardLogMu.Lock()
-		defer shardLogMu.Unlock()
-		if shardLogSeen[line] {
-			return
-		}
-		shardLogSeen[line] = true
-		fmt.Fprintln(os.Stderr, line)
-	})
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -19,25 +20,36 @@ import (
 )
 
 func main() {
-	cpuModel := flag.String("cpu", "atomic", "CPU model: atomic|timing|minor|o3")
-	mode := flag.String("mode", "se", "simulation mode: se|fs")
-	workload := flag.String("workload", "sieve", "workload name (see -list)")
-	scale := flag.Int("scale", 0, "problem size (0 = workload default)")
-	bootExit := flag.Bool("boot-exit", false, "FS mode: boot the kernel and exit")
-	numCPUs := flag.Int("ncpus", 1, "simulated cores (FS mode)")
-	ideal := flag.Bool("ideal-mem", false, "disable the cache model")
-	guestTLBs := flag.Bool("guest-tlbs", false, "insert guest iTLB/dTLB in front of the L1s")
-	stats := flag.Bool("stats", false, "dump the full statistics registry")
-	list := flag.Bool("list", false, "list workloads and exit")
-	ckptOut := flag.String("take-checkpoint", "", "fast-forward (atomic CPU), write a checkpoint here and exit")
-	ckptAfter := flag.Duration("checkpoint-after", 0, "guest time to fast-forward before checkpointing (e.g. 20us)")
-	restore := flag.String("restore", "", "resume from a checkpoint file")
-	tracePath := flag.String("trace", "", "write an Exec trace (one line per committed instruction)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main's body. It returns the exit code instead of calling os.Exit so
+// that the deferred flush of the -trace file runs on every path: the Exec
+// trace of a guest that fails is the one that is wanted.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("g5", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cpuModel := fs.String("cpu", "atomic", "CPU model: atomic|timing|minor|o3")
+	mode := fs.String("mode", "se", "simulation mode: se|fs")
+	workload := fs.String("workload", "sieve", "workload name (see -list)")
+	scale := fs.Int("scale", 0, "problem size (0 = workload default)")
+	bootExit := fs.Bool("boot-exit", false, "FS mode: boot the kernel and exit")
+	numCPUs := fs.Int("ncpus", 1, "simulated cores (FS mode)")
+	ideal := fs.Bool("ideal-mem", false, "disable the cache model")
+	guestTLBs := fs.Bool("guest-tlbs", false, "insert guest iTLB/dTLB in front of the L1s")
+	stats := fs.Bool("stats", false, "dump the full statistics registry")
+	list := fs.Bool("list", false, "list workloads and exit")
+	ckptOut := fs.String("take-checkpoint", "", "fast-forward (atomic CPU), write a checkpoint here and exit")
+	ckptAfter := fs.Duration("checkpoint-after", 0, "guest time to fast-forward before checkpointing (e.g. 20us)")
+	restore := fs.String("restore", "", "resume from a checkpoint file")
+	tracePath := fs.String("trace", "", "write an Exec trace (one line per committed instruction)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Println("workloads:", strings.Join(gem5prof.WorkloadNames(), " "))
-		return
+		fmt.Fprintln(stdout, "workloads:", strings.Join(gem5prof.WorkloadNames(), " "))
+		return 0
 	}
 
 	cfg := gem5prof.GuestConfig{
@@ -53,50 +65,59 @@ func main() {
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "g5:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "g5:", err)
+			return 1
 		}
-		defer f.Close()
 		w := bufio.NewWriter(f)
-		defer w.Flush()
 		cfg.ExecTrace = w
+		defer func() {
+			err := w.Flush()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintln(stderr, "g5: trace:", err)
+				code = 1
+			}
+		}()
 	}
 	t0 := time.Now()
 	if *ckptOut != "" {
-		if err := takeCheckpoint(cfg, *ckptOut, *ckptAfter); err != nil {
-			fmt.Fprintln(os.Stderr, "g5:", err)
-			os.Exit(1)
+		if err := takeCheckpoint(stdout, cfg, *ckptOut, *ckptAfter); err != nil {
+			fmt.Fprintln(stderr, "g5:", err)
+			return 1
 		}
-		return
+		return 0
 	}
 	var res *gem5prof.GuestResult
 	var err error
 	if *restore != "" {
-		res, err = restoreAndRun(cfg, *restore)
+		res, err = restoreAndRun(stdout, cfg, *restore)
 	} else {
 		res, err = gem5prof.RunGuest(cfg)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "g5:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "g5:", err)
+		return 1
 	}
-	fmt.Printf("Exiting @ tick %d because %s (code %d)\n", res.SimTicks, res.ExitReason, res.ExitCode)
-	fmt.Printf("committed instructions: %d\n", res.Insts)
-	fmt.Printf("simulated seconds:      %.6f\n", float64(res.SimTicks)/1e12)
-	fmt.Printf("host wall clock:        %v\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "Exiting @ tick %d because %s (code %d)\n", res.SimTicks, res.ExitReason, res.ExitCode)
+	fmt.Fprintf(stdout, "committed instructions: %d\n", res.Insts)
+	fmt.Fprintf(stdout, "simulated seconds:      %.6f\n", float64(res.SimTicks)/1e12)
+	fmt.Fprintf(stdout, "host wall clock:        %v\n", time.Since(t0).Round(time.Millisecond))
 	if res.Expected != 0 || res.ChecksumOK {
-		fmt.Printf("checksum:               %#x (reference match: %v)\n", uint32(res.ExitCode), res.ChecksumOK)
+		fmt.Fprintf(stdout, "checksum:               %#x (reference match: %v)\n", uint32(res.ExitCode), res.ChecksumOK)
 	}
 	if res.Stdout != "" {
-		fmt.Printf("--- guest output ---\n%s", res.Stdout)
+		fmt.Fprintf(stdout, "--- guest output ---\n%s", res.Stdout)
 	}
 	if *stats {
-		fmt.Print(res.Stats.Dump())
+		fmt.Fprint(stdout, res.Stats.Dump())
 	}
+	return 0
 }
 
 // takeCheckpoint fast-forwards with the Atomic CPU and writes a checkpoint.
-func takeCheckpoint(cfg gem5prof.GuestConfig, path string, after time.Duration) error {
+func takeCheckpoint(stdout io.Writer, cfg gem5prof.GuestConfig, path string, after time.Duration) error {
 	cfg.CPU = gem5prof.Atomic
 	if after <= 0 {
 		after = 20 * time.Microsecond
@@ -106,7 +127,7 @@ func takeCheckpoint(cfg gem5prof.GuestConfig, path string, after time.Duration) 
 		return err
 	}
 	res := g.RunFor(gem5prof.Tick(after.Nanoseconds()) * gem5prof.Nanosecond)
-	fmt.Printf("fast-forwarded to tick %d (%v)\n", res.Now, res.Status)
+	fmt.Fprintf(stdout, "fast-forwarded to tick %d (%v)\n", res.Now, res.Status)
 	ck, err := g.TakeCheckpoint()
 	if err != nil {
 		return err
@@ -118,12 +139,12 @@ func takeCheckpoint(cfg gem5prof.GuestConfig, path string, after time.Duration) 
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d instructions, %d bytes\n", path, ck.Insts, len(data))
+	fmt.Fprintf(stdout, "wrote %s: %d instructions, %d bytes\n", path, ck.Insts, len(data))
 	return nil
 }
 
 // restoreAndRun resumes a checkpoint under the requested CPU model.
-func restoreAndRun(cfg gem5prof.GuestConfig, path string) (*gem5prof.GuestResult, error) {
+func restoreAndRun(stdout io.Writer, cfg gem5prof.GuestConfig, path string) (*gem5prof.GuestResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -136,6 +157,6 @@ func restoreAndRun(cfg gem5prof.GuestConfig, path string) (*gem5prof.GuestResult
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("restored %s at tick %d into the %s model\n", path, ck.Tick, cfg.CPU)
+	fmt.Fprintf(stdout, "restored %s at tick %d into the %s model\n", path, ck.Tick, cfg.CPU)
 	return g.Run()
 }

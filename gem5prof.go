@@ -119,10 +119,14 @@ type (
 	// execution of one co-simulation; statistics are bit-identical either
 	// way (DESIGN.md §10).
 	PipelineMode = core.PipelineMode
-	// ShardMode selects sharded per-domain event-queue execution inside
-	// one guest simulation; statistics are bit-identical at every shard
-	// count (DESIGN.md §13).
+	// ShardMode is the type of GuestConfig.Shards: 2 or more runs the guest
+	// on the sharded event-queue engine (DRAM on a worker shard);
+	// statistics are bit-identical either way (DESIGN.md §13).
 	ShardMode = core.ShardMode
+	// ExecPlan is how one run executed — pipelined, sharded, queue backend
+	// — resolved once per run and reported on GuestResult.Plan and
+	// SessionResult.Plan, never in a report (DESIGN.md §19).
+	ExecPlan = core.ExecPlan
 )
 
 // Huge-page modes for the host text segment.
@@ -134,23 +138,17 @@ const (
 
 // Pipeline modes for SessionConfig.Pipeline.
 const (
-	// PipelineAuto defers to SetDefaultPipeline, then to GOMAXPROCS>1.
+	// PipelineAuto defers to SetDefaultPipeline; unset, that means off.
 	PipelineAuto = core.PipelineAuto
 	// PipelineOff forces the serial co-simulation path.
 	PipelineOff = core.PipelineOff
-	// PipelineOn forces the pipelined path even on one processor.
+	// PipelineOn forces the pipelined path.
 	PipelineOn = core.PipelineOn
 )
 
-// Shard modes for GuestConfig.Shards.
-const (
-	// ShardAuto enables sharding when GOMAXPROCS >= 4.
-	ShardAuto = core.ShardAuto
-	// ShardDefault (the zero value) defers to SetDefaultShards.
-	ShardDefault = core.ShardDefault
-	// ShardSerial forces the single-queue path.
-	ShardSerial = core.ShardSerial
-)
+// ShardSerial is the GuestConfig.Shards value for the single-queue path
+// (as is the zero value).
+const ShardSerial = core.ShardSerial
 
 var (
 	// SetDefaultPipeline sets the process-wide pipeline mode used when
@@ -159,12 +157,6 @@ var (
 	SetDefaultPipeline = core.SetDefaultPipeline
 	// ParsePipelineMode parses "auto", "on" or "off".
 	ParsePipelineMode = core.ParsePipelineMode
-	// SetDefaultShards sets the process-wide shard mode used when
-	// GuestConfig.Shards is ShardDefault (the -shards flag of
-	// cmd/experiments).
-	SetDefaultShards = core.SetDefaultShards
-	// ParseShardMode parses "auto", "off", or a shard count.
-	ParseShardMode = core.ParseShardMode
 )
 
 // RunSession runs one co-simulation: the guest simulator executing on a

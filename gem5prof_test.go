@@ -33,6 +33,11 @@ func TestPublicSurface(t *testing.T) {
 	if sess.SimSeconds() <= 0 {
 		t.Fatal("no host time")
 	}
+	// The result says how it ran; with every knob at its default that is
+	// serial on one heap queue.
+	if sess.Plan != (gem5prof.ExecPlan{}) || sess.Guest.Plan != sess.Plan {
+		t.Fatalf("default session ran under %v (guest %v)", sess.Plan, sess.Guest.Plan)
+	}
 
 	if len(gem5prof.WorkloadNames()) != 13 {
 		t.Fatalf("workloads = %v", gem5prof.WorkloadNames())

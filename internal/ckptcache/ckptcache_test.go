@@ -116,10 +116,6 @@ func TestKeyDerivation(t *testing.T) {
 		{Workload: base.Workload, ConfigPrefix: "cpu=atomic mode=fs", FormatVersion: base.FormatVersion, Tick: base.Tick},
 		{Workload: base.Workload, ConfigPrefix: base.ConfigPrefix, FormatVersion: 2, Tick: base.Tick},
 		{Workload: base.Workload, ConfigPrefix: base.ConfigPrefix, FormatVersion: base.FormatVersion, Tick: base.Tick + 1},
-		// Shard layout rides in the prefix (simpoint.ConfigPrefix appends
-		// shards=<layout>): sharded and serial runs must never share entries.
-		{Workload: base.Workload, ConfigPrefix: base.ConfigPrefix + " shards=cpu+dev|mem",
-			FormatVersion: base.FormatVersion, Tick: base.Tick},
 	}
 	for i, k := range vary {
 		if k.ID() == base.ID() {

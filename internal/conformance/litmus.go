@@ -279,15 +279,13 @@ func (r *LitmusResult) OK() bool { return len(r.Violations) == 0 }
 // the observed outcome against the SC set, the coherence stat invariants,
 // and the directory's structural audit.
 func RunLitmus(lt *LitmusTest, model string, cores int) (*LitmusResult, error) {
-	return RunLitmusSharded(lt, model, cores, 1)
+	return RunLitmusSharded(lt, model, cores, false)
 }
 
-// RunLitmusSharded is RunLitmus on a sharded event queue: shards == 2 fuses
-// the per-core domains onto the coordinator shard, shards > 2 gives each
-// extra core domain its own affine shard (up to 2+min(cores-1, 3)), and the
-// result must be identical at every shard count and layout (the battery
-// diffs it against the serial run).
-func RunLitmusSharded(lt *LitmusTest, model string, cores, shards int) (*LitmusResult, error) {
+// RunLitmusSharded is RunLitmus with the choice of the sharded event queue
+// (DRAM on a worker shard); the result must be identical either way (the
+// battery diffs it against the serial run).
+func RunLitmusSharded(lt *LitmusTest, model string, cores int, sharded bool) (*LitmusResult, error) {
 	if cores < len(lt.Threads) {
 		return nil, fmt.Errorf("conformance: litmus %s needs %d cores, got %d", lt.Name, len(lt.Threads), cores)
 	}
@@ -303,12 +301,10 @@ func RunLitmusSharded(lt *LitmusTest, model string, cores, shards int) (*LitmusR
 	se := sysemu.NewSEEnv(sys, gm, 0x0040_0000, 0x0080_0000)
 	hcfg := mem.DefaultHierarchyConfig("sys")
 	hcfg.Directory = true
-	if shards >= 2 {
+	if sharded {
 		sys.EnableSharding(sim.ShardConfig{
-			Shards:       shards,
 			Quantum:      sim.QuantumFor(hcfg.DRAM.RowHitLatency),
 			BusLookahead: sim.QuantumFor(hcfg.Bus.Latency),
-			Cores:        cores,
 		})
 	}
 	hier := mem.NewMultiHierarchy(sys, hcfg, cores)
@@ -319,7 +315,6 @@ func RunLitmusSharded(lt *LitmusTest, model string, cores, shards int) (*LitmusR
 			Mem:    memAdapter{gm},
 			Env:    se,
 			HartID: uint32(i),
-			Domain: sim.DomainForCore(i),
 			IPort:  hier.IPort(i),
 			DPort:  hier.DPort(i),
 		}

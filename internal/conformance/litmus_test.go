@@ -143,20 +143,11 @@ func TestLitmusDeterministicAndSharded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sharded, err := RunLitmusSharded(lt, model, cores, 2)
+				sharded, err := RunLitmusSharded(lt, model, cores, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// 1+cores un-fuses every extra core domain onto its own
-				// affine shard (the widest per-core layout for this guest).
-				perCore, err := RunLitmusSharded(lt, model, cores, 1+cores)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for run, r := range map[string]*LitmusResult{
-					"rerun": again, "shards=2": sharded,
-					fmt.Sprintf("shards=%d", 1+cores): perCore,
-				} {
+				for run, r := range map[string]*LitmusResult{"rerun": again, "sharded": sharded} {
 					if r.Outcome != serial.Outcome || r.Ticks != serial.Ticks {
 						t.Errorf("seed %d cores=%d %s %s: outcome/ticks %#x@%d != serial %#x@%d",
 							seed, cores, model, run, r.Outcome, r.Ticks, serial.Outcome, serial.Ticks)

@@ -105,16 +105,16 @@ func (a memAdapter) HostAddr(addr uint32) uint64                 { return a.m.Ho
 // hierarchy) and captures its Result. commit, when non-nil, additionally
 // observes every committed (pc, inst) pair.
 func RunModel(model string, prog *isa.Program, caches bool, commit func(pc uint32, in isa.Inst)) (*Result, error) {
-	return RunModelSharded(model, prog, caches, 1, commit)
+	return RunModelSharded(model, prog, caches, false, commit)
 }
 
-// RunModelSharded is RunModel on sharded per-domain event queues (shards < 2
-// stays serial; the layout clamps counts above 2). A cache-less rig has no
-// memory domain to shard, so it stays serial regardless. Every field of the
-// Result — architectural state, trace hash, ticks, statistics — must be
-// identical at every shard count; the sharded differential suites diff it
-// against the serial run over the whole conformance corpus.
-func RunModelSharded(model string, prog *isa.Program, caches bool, shards int, commit func(pc uint32, in isa.Inst)) (*Result, error) {
+// RunModelSharded is RunModel with the choice of the sharded event queue
+// (DRAM on a worker shard). A cache-less rig has no memory domain to shard,
+// so it stays serial regardless. Every field of the Result — architectural
+// state, trace hash, ticks, statistics — must be identical either way; the
+// sharded differential suites diff it against the serial run over the whole
+// conformance corpus.
+func RunModelSharded(model string, prog *isa.Program, caches, sharded bool, commit func(pc uint32, in isa.Inst)) (*Result, error) {
 	sys := sim.NewSystem(7)
 	gm := guest.NewMemory(memBytes)
 	if err := gm.Load(prog); err != nil {
@@ -123,9 +123,8 @@ func RunModelSharded(model string, prog *isa.Program, caches bool, shards int, c
 	cfg := cpu.Config{Name: "cpu0", Mem: memAdapter{gm}, Env: &exitEnv{sys}}
 	if caches {
 		hcfg := mem.DefaultHierarchyConfig("sys")
-		if shards >= 2 {
+		if sharded {
 			sys.EnableSharding(sim.ShardConfig{
-				Shards:       shards,
 				Quantum:      sim.QuantumFor(hcfg.DRAM.RowHitLatency),
 				BusLookahead: sim.QuantumFor(hcfg.Bus.Latency),
 			})

@@ -8,23 +8,23 @@ import (
 	"gem5prof/internal/isa"
 )
 
-// diffSharded runs prog on one model serially and at the given shard count,
-// returning a description of every field that differs ("" when identical).
+// diffSharded runs prog on one model serially and sharded, returning a
+// description of every field that differs ("" when identical).
 // The comparison covers the full Result — architectural end state, retired
 // count, memory checksum, trace hash, final ticks — plus a rendered dump of
 // the statistics registry, so a single diverging counter fails it.
-func diffSharded(model string, prog *isa.Program, shards int) (string, error) {
+func diffSharded(model string, prog *isa.Program) (string, error) {
 	serial, err := RunModel(model, prog, true, nil)
 	if err != nil {
 		return "", fmt.Errorf("serial: %w", err)
 	}
-	sharded, err := RunModelSharded(model, prog, true, shards, nil)
+	sharded, err := RunModelSharded(model, prog, true, true, nil)
 	if err != nil {
-		return "", fmt.Errorf("shards=%d: %w", shards, err)
+		return "", fmt.Errorf("sharded: %w", err)
 	}
 	var diffs []string
 	add := func(field string, got, want interface{}) {
-		diffs = append(diffs, fmt.Sprintf("%s: shards=%d got %v, serial %v", field, shards, got, want))
+		diffs = append(diffs, fmt.Sprintf("%s: sharded got %v, serial %v", field, got, want))
 	}
 	if sharded.ExitCode != serial.ExitCode {
 		add("exit", sharded.ExitCode, serial.ExitCode)
@@ -80,8 +80,8 @@ func firstStatDiff(got, want string) string {
 }
 
 // TestShardedLockstepDifferential sweeps the conformance corpus through
-// every CPU model at shard counts 2 and 4 and requires the full Result to
-// be identical to the serial run's. On a mismatch it ddmin-minimizes the
+// every CPU model, serial and sharded, and requires the full Result to be
+// identical. On a mismatch it ddmin-minimizes the
 // generated program to the smallest source still diverging, so the failure
 // message is directly actionable.
 func TestShardedLockstepDifferential(t *testing.T) {
@@ -96,27 +96,25 @@ func TestShardedLockstepDifferential(t *testing.T) {
 			t.Fatalf("seed %d: assemble: %v", seed, err)
 		}
 		for _, model := range Models {
-			for _, shards := range []int{2, 4} {
-				diff, err := diffSharded(model, prog, shards)
-				if err != nil {
-					t.Fatalf("seed %d %s: %v", seed, model, err)
-				}
-				if diff == "" {
-					continue
-				}
-				// Minimize before reporting: the smallest program whose
-				// sharded run still diverges from serial.
-				min := Minimize(g.Src, func(src string) bool {
-					p, err := isa.Assemble(src)
-					if err != nil {
-						return false
-					}
-					d, err := diffSharded(model, p, shards)
-					return err == nil && d != ""
-				}, 200)
-				t.Fatalf("seed %d %s shards=%d diverged from serial:\n%s\nminimized reproducer:\n%s",
-					seed, model, shards, diff, min)
+			diff, err := diffSharded(model, prog)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, model, err)
 			}
+			if diff == "" {
+				continue
+			}
+			// Minimize before reporting: the smallest program whose
+			// sharded run still diverges from serial.
+			min := Minimize(g.Src, func(src string) bool {
+				p, err := isa.Assemble(src)
+				if err != nil {
+					return false
+				}
+				d, err := diffSharded(model, p)
+				return err == nil && d != ""
+			}, 200)
+			t.Fatalf("seed %d %s sharded diverged from serial:\n%s\nminimized reproducer:\n%s",
+				seed, model, diff, min)
 		}
 	}
 }
@@ -135,13 +133,12 @@ func FuzzShardedEquivalence(f *testing.F) {
 			t.Fatalf("generator emitted unassemblable source: %v\n%s", err, g.Src)
 		}
 		model := Models[int(sel)%len(Models)]
-		shards := []int{2, 4}[int(sel/4)%2]
-		diff, err := diffSharded(model, prog, shards)
+		diff, err := diffSharded(model, prog)
 		if err != nil {
-			t.Fatalf("%s shards=%d: %v", model, shards, err)
+			t.Fatalf("%s: %v", model, err)
 		}
 		if diff != "" {
-			t.Errorf("%s shards=%d diverged from serial: %s", model, shards, diff)
+			t.Errorf("%s sharded diverged from serial: %s", model, diff)
 		}
 	})
 }

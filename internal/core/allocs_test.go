@@ -24,7 +24,7 @@ func TestTimingPathAllocs(t *testing.T) {
 	}{
 		{"heap", false, core.ShardSerial},
 		{"calendar", true, core.ShardSerial},
-		{"shards5", false, 5},
+		{"sharded", false, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := core.BuildGuest(core.GuestConfig{

@@ -148,6 +148,11 @@ func (c *Checkpoint) Validate() error {
 // checkpoint (the gem5 fast-forward-then-switch flow) and runs under any
 // tracer/host platform. The core count must match.
 func RestoreGuest(cfg GuestConfig, ck *Checkpoint, tracer sim.Tracer) (*GuestSystem, error) {
+	return restoreGuest(cfg, newExecPlan(SessionConfig{Guest: cfg, Pipeline: PipelineOff}, false), ck, tracer)
+}
+
+// restoreGuest is RestoreGuest under an already resolved plan.
+func restoreGuest(cfg GuestConfig, plan ExecPlan, ck *Checkpoint, tracer sim.Tracer) (*GuestSystem, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NumCPUs != len(ck.Arch) {
 		return nil, fmt.Errorf("core: checkpoint has %d cores, config wants %d", len(ck.Arch), cfg.NumCPUs)
@@ -163,7 +168,7 @@ func RestoreGuest(cfg GuestConfig, ck *Checkpoint, tracer sim.Tracer) (*GuestSys
 	if cfg.Mode == "" {
 		cfg.Mode = ck.Mode
 	}
-	g, _, err := buildGuest(cfg, tracer)
+	g, _, err := buildGuest(cfg, plan, tracer)
 	if err != nil {
 		return nil, err
 	}

@@ -77,16 +77,9 @@ type GuestConfig struct {
 	Seed int64
 	// CalendarQueue selects the alternative event-queue backend (A5).
 	CalendarQueue bool
-	// Shards selects sharded per-domain event-queue execution (bit-identical
-	// at every shard count; see ShardMode). The zero value defers to the
-	// process-wide default (SetDefaultShards).
+	// Shards of 2 or more selects the sharded event-queue engine
+	// (bit-identical results; see ShardMode).
 	Shards ShardMode
-	// ShardLog, when non-nil, receives one line describing the effective
-	// shard layout at build time — requested vs clamped counts and the
-	// domain placement (sim.ShardInfo.String). It is a visibility hook
-	// only and never affects modeled outcomes; it is ignored (like Shards)
-	// on configs that force the serial path.
-	ShardLog func(string)
 	// ExecTrace, when non-nil, receives one line per committed instruction
 	// on every core (gem5's --debug-flags=Exec).
 	ExecTrace io.Writer
@@ -152,6 +145,9 @@ type GuestResult struct {
 	// HostEvents is the number of simulator events serviced (the event
 	// queue's workload).
 	HostEvents uint64
+	// Plan is how the guest executed. It is not part of the modeled
+	// outcome: every plan produces the same statistics.
+	Plan ExecPlan
 }
 
 // GuestSystem is a fully constructed, not-yet-run guest simulation.
@@ -163,6 +159,7 @@ type GuestSystem struct {
 	Hier   *mem.MultiHierarchy // nil when IdealMemory
 	SE     *sysemu.SEEnv       // SE mode only
 	FS     *sysemu.Platform    // FS mode only
+	plan   ExecPlan
 	expect uint32
 	hasRef bool
 }
@@ -171,7 +168,12 @@ type GuestSystem struct {
 // (use sim.NewNopTracer() for pure guest runs), with every CPU started at
 // the workload entry point.
 func BuildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, error) {
-	g, entry, err := buildGuest(cfg, tracer)
+	return startGuest(cfg, newExecPlan(SessionConfig{Guest: cfg, Pipeline: PipelineOff}, false), tracer)
+}
+
+// startGuest is BuildGuest under an already resolved plan.
+func startGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem, error) {
+	g, entry, err := buildGuest(cfg, plan, tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -182,12 +184,12 @@ func BuildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, error) {
 }
 
 // buildGuest constructs the system without starting the CPUs, returning the
-// workload entry point. RestoreGuest starts them at checkpointed PCs
+// workload entry point. restoreGuest starts them at checkpointed PCs
 // instead.
-func buildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, uint32, error) {
+func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem, uint32, error) {
 	cfg = cfg.withDefaults()
 	newQueue := func() sim.Queue {
-		if cfg.CalendarQueue {
+		if plan.Calendar {
 			return sim.NewCalendarQueue(1024, sim.Tick(cfg.ClockPeriod))
 		}
 		return sim.NewHeapQueue()
@@ -196,7 +198,7 @@ func buildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, uint32, error
 	ram := guest.NewMemory(cfg.MemBytes)
 	ram.SetHostBase(tracer.AllocData("guest.ram", uint64(cfg.MemBytes)))
 
-	g := &GuestSystem{Cfg: cfg, Sys: sys, Mem: ram}
+	g := &GuestSystem{Cfg: cfg, Sys: sys, Mem: ram, plan: plan}
 
 	// Resolve and load the workload image(s).
 	var entry uint32
@@ -291,26 +293,20 @@ func buildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, uint32, error
 		if cfg.Cores > 1 {
 			hcfg.Directory = true
 		}
-		shardLog := resolveShardLog(cfg)
-		if shards := resolveShards(cfg); shards > 1 {
+		if plan.Sharded {
 			// The only CPU-side events that land on the memory shard are
 			// the bus's forward events, scheduled at least the bus latency
-			// in the future — the group→mem edge floor. A zero-latency bus
+			// in the future — the cpu→mem floor. A zero-latency bus
 			// override leaves the edge unfloored (safe, just conservative).
 			busLook := sim.Tick(0)
 			if hcfg.Bus.Latency > 0 {
 				busLook = sim.QuantumFor(hcfg.Bus.Latency)
 			}
 			sys.EnableSharding(sim.ShardConfig{
-				Shards:       shards,
 				Quantum:      sim.QuantumFor(hcfg.DRAM.RowHitLatency),
 				BusLookahead: busLook,
 				NewQueue:     newQueue,
-				Cores:        cfg.NumCPUs,
-				Log:          shardLog,
 			})
-		} else if shardLog != nil {
-			shardLog("sharding: serial (single queue)")
 		}
 		g.Hier = mem.NewMultiHierarchy(sys, hcfg, cfg.NumCPUs)
 	}
@@ -323,7 +319,6 @@ func buildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, uint32, error
 			Mem:         fmem,
 			Env:         env,
 			HartID:      uint32(i),
-			Domain:      sim.DomainForCore(i),
 			ExecTrace:   cfg.ExecTrace,
 		}
 		if g.Hier != nil {
@@ -378,6 +373,7 @@ func (g *GuestSystem) finish(res sim.RunResult) (*GuestResult, error) {
 		ExitReason: res.ExitReason,
 		Stats:      g.Sys.Stats(),
 		HostEvents: g.Sys.EventsServiced(),
+		Plan:       g.plan,
 	}
 	for _, c := range g.CPUs {
 		out.Insts += c.Core().CommittedInsts()

@@ -123,15 +123,11 @@ func RunIntervalSession(cfg SessionConfig, ck *Checkpoint, warmup, budget uint64
 
 // Run measures one interval window; see RunIntervalSession.
 //
-// Interval sessions always run serially (never pipelined, never sharded):
-// the warmup→measure boundary reads the host machine's clock mid-run, which
-// neither a decoupled ring consumer nor the sharded engine's deferred trace
-// replay can serve — the same constraint that forces Profile sessions
-// serial. The function profiler is rejected outright because its reports
-// would mix warmup with measurement.
+// Interval sessions always run serially (never pipelined, never sharded;
+// see newExecPlan). The function profiler is rejected outright because its
+// reports would mix warmup with measurement.
 func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) (*IntervalResult, error) {
 	cfg := r.cfg
-	cfg.Guest.Shards = ShardSerial
 	if cfg.Profile {
 		return nil, fmt.Errorf("core: interval sessions do not support the function profiler")
 	}
@@ -142,12 +138,7 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) (*IntervalRe
 	if total < budget {
 		return nil, fmt.Errorf("core: warmup %d + budget %d overflows", warmup, budget)
 	}
-	cs, err := newCosimOn(r.prev, cfg, false, func(tr sim.Tracer) (*GuestSystem, error) {
-		if ck == nil {
-			return BuildGuest(cfg.Guest, tr)
-		}
-		return RestoreGuest(cfg.Guest, ck, tr)
-	})
+	cs, err := newCosim(r.prev, cfg, newExecPlan(cfg, true), ck)
 	if err != nil {
 		return nil, err
 	}

@@ -97,13 +97,12 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("dumps differ in length: %d vs %d lines", len(al), len(bl))
 }
 
-// TestPipelineModeResolution pins the auto-resolution rules: profiling
+// TestPipelineModeResolution pins the pipeline rules of the plan: profiling
 // always forces serial; explicit on/off win over the process default; auto
-// defers to the default and then to GOMAXPROCS.
+// takes the default, and an unset default is off.
 func TestPipelineModeResolution(t *testing.T) {
 	defer SetDefaultPipeline(PipelineAuto)
 
-	multi := runtime.GOMAXPROCS(0) > 1
 	cases := []struct {
 		mode    PipelineMode
 		def     PipelineMode
@@ -112,18 +111,18 @@ func TestPipelineModeResolution(t *testing.T) {
 	}{
 		{PipelineOn, PipelineAuto, false, true},
 		{PipelineOff, PipelineAuto, false, false},
-		{PipelineOn, PipelineOff, false, true},   // per-session beats default
-		{PipelineOff, PipelineOn, false, false},  // per-session beats default
-		{PipelineAuto, PipelineOn, false, true},  // default fills in auto
+		{PipelineOn, PipelineOff, false, true},  // per-session beats default
+		{PipelineOff, PipelineOn, false, false}, // per-session beats default
+		{PipelineAuto, PipelineOn, false, true}, // default fills in auto
 		{PipelineAuto, PipelineOff, false, false},
-		{PipelineAuto, PipelineAuto, false, multi}, // pure auto: GOMAXPROCS
-		{PipelineOn, PipelineAuto, true, false},    // profiler forces serial
+		{PipelineOn, PipelineAuto, true, false}, // profiler forces serial
 		{PipelineAuto, PipelineOn, true, false},
 	}
 	for i, c := range cases {
 		SetDefaultPipeline(c.def)
-		if got := c.mode.enabled(c.profile); got != c.want {
-			t.Errorf("case %d: mode=%v default=%v profile=%v: enabled=%v, want %v",
+		got := newExecPlan(SessionConfig{Pipeline: c.mode, Profile: c.profile}, false).Pipelined
+		if got != c.want {
+			t.Errorf("case %d: mode=%v default=%v profile=%v: pipelined=%v, want %v",
 				i, c.mode, c.def, c.profile, got, c.want)
 		}
 	}

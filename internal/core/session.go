@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"io"
-	"runtime"
 	"runtime/pprof"
 	"sync/atomic"
 
@@ -28,13 +27,11 @@ type PipelineMode int
 // Pipeline modes.
 const (
 	// PipelineAuto (the zero value) defers to the process-wide default set
-	// by SetDefaultPipeline; if that too is auto, the pipeline is on
-	// exactly when GOMAXPROCS > 1.
+	// by SetDefaultPipeline; if that too is auto, the pipeline is off.
 	PipelineAuto PipelineMode = iota
 	// PipelineOff forces the serial path (the pre-pipeline behaviour).
 	PipelineOff
-	// PipelineOn forces the pipelined path even on a single-processor
-	// runtime (useful for differential tests; on one core it only costs).
+	// PipelineOn forces the pipelined path (on one core it only costs).
 	PipelineOn
 )
 
@@ -75,27 +72,6 @@ func SetDefaultPipeline(m PipelineMode) { defaultPipeline.Store(int32(m)) }
 // DefaultPipeline returns the process-wide pipeline mode.
 func DefaultPipeline() PipelineMode { return PipelineMode(defaultPipeline.Load()) }
 
-// enabled resolves the mode for one session. The function profiler reads
-// the machine's running cycle count synchronously from the producer side
-// (profiler.Enter/Leave → Machine.Cycles), which a decoupled consumer
-// cannot serve, so Profile always forces the serial path.
-func (m PipelineMode) enabled(profile bool) bool {
-	if profile {
-		return false
-	}
-	if m == PipelineAuto {
-		m = DefaultPipeline()
-	}
-	switch m {
-	case PipelineOn:
-		return true
-	case PipelineOff:
-		return false
-	default:
-		return runtime.GOMAXPROCS(0) > 1
-	}
-}
-
 // ringSlots is the per-session ring capacity in batches. 8 slots of 16 KiB
 // batches bound the producer's lead at 128 KiB of trace — enough slack
 // that neither side parks in steady state, small enough to stay resident
@@ -114,27 +90,13 @@ type SessionConfig struct {
 	// SizeFactor < 1 models the -O3 build (Fig. 12).
 	HostCode hostmodel.Config
 	// Profile attaches the function profiler (Fig. 15). It adds overhead,
-	// so it is off by default. Profiling forces PipelineOff: the profiler
-	// reads the host machine's cycle counter synchronously at every
-	// function entry/exit.
+	// so it is off by default. Profiling forces a serial, unpipelined run
+	// (see newExecPlan).
 	Profile bool
 	// Pipeline selects serial or producer/consumer execution of the
 	// co-simulation (bit-identical statistics either way). The zero value
 	// is PipelineAuto.
 	Pipeline PipelineMode
-}
-
-// guestConfig returns the session's guest config with session-level
-// constraints applied: profiling forces the single-queue path because the
-// profiler reads the host machine's cycle counter synchronously at every
-// function entry/exit, which the sharded engine's deferred trace replay
-// cannot serve. (It forces PipelineOff for the same reason.)
-func (c SessionConfig) guestConfig() GuestConfig {
-	g := c.Guest
-	if c.Profile {
-		g.Shards = ShardSerial
-	}
-	return g
 }
 
 // SessionResult is one completed co-simulation.
@@ -150,6 +112,9 @@ type SessionResult struct {
 	TextBytes   uint64
 	NumFuncs    int
 	CalledFuncs int
+	// Plan is how the session executed. It is not part of the modeled
+	// outcome: every plan produces the same statistics.
+	Plan ExecPlan
 }
 
 // SimSeconds returns the modeled host wall-clock of the simulation.
@@ -178,36 +143,40 @@ func DeriveSeed(experiment string, cell int) int64 {
 // together with the guest it traces. RunSession and RunIntervalSession
 // share this assembly; only how (and how much of) the guest runs differs.
 type cosim struct {
-	cfg       SessionConfig
-	machine   *uarch.Machine
-	cm        *hostmodel.CodeModel
-	prof      *profiler.Profiler
-	enc       *hostmodel.RingSink
-	cons      *uarch.Consumer
-	guest     *GuestSystem
-	pipelined bool
+	plan    ExecPlan
+	machine *uarch.Machine
+	cm      *hostmodel.CodeModel
+	prof    *profiler.Profiler
+	enc     *hostmodel.RingSink
+	cons    *uarch.Consumer
+	guest   *GuestSystem
 }
 
-// newCosim builds the host machine and code model, constructs the guest via
-// build (BuildGuest for fresh runs, RestoreGuest for checkpoint resumes),
-// and hands the finished address map to the machine's TLBs.
-func newCosim(cfg SessionConfig, pipelined bool, build func(tr sim.Tracer) (*GuestSystem, error)) (*cosim, error) {
-	return newCosimOn(nil, cfg, pipelined, build)
-}
-
-// newCosimOn is newCosim with an optional previous cosim whose host side —
-// the modeled machine and the code model — is reused. IntervalRunner uses
-// this so successive interval measurements of one cell keep the machine's
-// caches, TLBs and predictors warm (the way one long full run would) and
-// skip re-laying-out the synthetic simulator binary. The reused guest
-// build re-registers its component functions, which the code model dedups
-// back to the first build's layout, so the address map already handed to
-// the machine's TLBs stays correct; re-adding the same regions would push
+// newCosim builds the host machine and code model, constructs the guest
+// under plan onto the code model's tracer (from ck when non-nil, else from
+// the workload entry point), and hands the finished address map to the
+// machine's TLBs.
+//
+// prev, when non-nil, is a previous cosim whose host side — the modeled
+// machine and the code model — is reused. IntervalRunner uses this so
+// successive interval measurements of one cell keep the machine's caches,
+// TLBs and predictors warm (the way one long full run would) and skip
+// re-laying-out the synthetic simulator binary. The reused guest build
+// re-registers its component functions, which the code model dedups back to
+// the first build's layout, so the address map already handed to the
+// machine's TLBs stays correct; re-adding the same regions would push
 // lookups onto the slow overlapping-region path, hence the fresh guard.
-// Reuse implies the serial path (prev != nil requires pipelined false).
-func newCosimOn(prev *cosim, cfg SessionConfig, pipelined bool, build func(tr sim.Tracer) (*GuestSystem, error)) (*cosim, error) {
+// The reused machine has no ring in front of it, so prev and plan must
+// both be unpipelined — an interval plan always is.
+func newCosim(prev *cosim, cfg SessionConfig, plan ExecPlan, ck *Checkpoint) (*cosim, error) {
+	build := func(tr sim.Tracer) (*GuestSystem, error) {
+		if ck != nil {
+			return restoreGuest(cfg.Guest, plan, ck, tr)
+		}
+		return startGuest(cfg.Guest, plan, tr)
+	}
 	if prev != nil {
-		cs := &cosim{cfg: cfg, machine: prev.machine, cm: prev.cm}
+		cs := &cosim{plan: plan, machine: prev.machine, cm: prev.cm}
 		// Rewind the replay state so this build's allocations and access
 		// patterns land on the first build's addresses — the ones the
 		// machine's map covers and its warm caches hold.
@@ -220,14 +189,14 @@ func newCosimOn(prev *cosim, cfg SessionConfig, pipelined bool, build func(tr si
 		return cs, nil
 	}
 	machine := uarch.NewMachine(platform.Contend(cfg.Host, cfg.Scenario))
-	cs := &cosim{cfg: cfg, machine: machine, pipelined: pipelined}
+	cs := &cosim{plan: plan, machine: machine}
 
 	// Pipelined mode interposes a batch encoder between the code model and
 	// the machine; the machine then consumes the identical event stream on
 	// its own goroutine (uarch.Consumer), started only after the address
 	// map below is final.
 	var sink hostmodel.Sink = machine
-	if pipelined {
+	if plan.Pipelined {
 		rg := ring.New(ringSlots)
 		cs.enc = hostmodel.NewRingSink(rg)
 		cs.cons = uarch.NewConsumer(machine, rg)
@@ -268,7 +237,7 @@ func newCosimOn(prev *cosim, cfg SessionConfig, pipelined bool, build func(tr si
 // run executes the guest through the session's pipeline arrangement.
 // runGuest is the producer body (normally cs.guest.Run).
 func (cs *cosim) run(runGuest func() (*GuestResult, error)) (*GuestResult, error) {
-	if !cs.pipelined {
+	if !cs.plan.Pipelined {
 		return runGuest()
 	}
 	cs.cons.Start()
@@ -299,6 +268,7 @@ func (cs *cosim) result(gres *GuestResult) *SessionResult {
 		TextBytes:   cs.cm.TextBytes(),
 		NumFuncs:    cs.cm.NumFuncs(),
 		CalledFuncs: cs.cm.CalledFuncs(),
+		Plan:        cs.plan,
 	}
 }
 
@@ -313,9 +283,7 @@ func (cs *cosim) result(gres *GuestResult) *SessionResult {
 // harness admitting Jobs concurrent sessions runs at most
 // Jobs x (1 + pipeline + 2 x sharded) simulation goroutines.
 func RunSession(cfg SessionConfig) (*SessionResult, error) {
-	gcfg := cfg.guestConfig()
-	cs, err := newCosim(cfg, cfg.Pipeline.enabled(cfg.Profile),
-		func(tr sim.Tracer) (*GuestSystem, error) { return BuildGuest(gcfg, tr) })
+	cs, err := newCosim(nil, cfg, newExecPlan(cfg, false), nil)
 	if err != nil {
 		return nil, err
 	}

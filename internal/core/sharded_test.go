@@ -2,19 +2,17 @@ package core
 
 import (
 	"hash/fnv"
-	"runtime"
 	"strings"
 	"testing"
 
 	"gem5prof/internal/platform"
-	"gem5prof/internal/sim"
 )
 
 // TestShardedDifferential is the sharded engine's end-to-end correctness
-// proof at the session level: for every cell, co-simulations at shard counts
-// 1, 2, and 4 (the layout clamps to 2) must produce a stat dump — host
-// report, code-model summary, guest registry — byte-identical to the serial
-// path's, and the committed-instruction exec trace must hash identically.
+// proof at the session level: for every cell, the sharded co-simulation must
+// produce a stat dump — host report, code-model summary, guest registry —
+// byte-identical to the serial path's, and the committed-instruction exec
+// trace must hash identically.
 // The conservative quantum barrier never lets a shard fire an event another
 // shard could still affect, and cross-shard posts carry their serial
 // provenance stamps, so the merged event order is the single-queue order
@@ -28,10 +26,6 @@ func TestShardedDifferential(t *testing.T) {
 		{"o3_xeon", GuestConfig{CPU: O3, Mode: SE, Workload: "water_nsquared", Scale: 24}, PipelineOff},
 		{"timing_calendar", GuestConfig{CPU: Timing, Mode: SE, Workload: "dedup", Scale: 2048, CalendarQueue: true}, PipelineOff},
 		{"fs_boot_pipelined", GuestConfig{CPU: Timing, Mode: FS, BootExit: true, BootKBs: 8}, PipelineOn},
-		// Multicore cells drive the per-core layouts: shards=4 un-fuses two
-		// core domains (cpu+dev|cpu1|cpu2|mem) and shards=5 all of a quad's
-		// (the shards=2 leg keeps every core fused, and shards > the
-		// partitionable domains clamps — both still byte-identical).
 		{"timing_mt_dual", GuestConfig{CPU: Timing, Mode: SE, Workload: "histogram_mt", Scale: 2048, Cores: 2}, PipelineOff},
 		{"timing_mt_quad", GuestConfig{CPU: Timing, Mode: SE, Workload: "dotprod_mt", Scale: 2048, Cores: 4}, PipelineOff},
 	}
@@ -56,177 +50,35 @@ func TestShardedDifferential(t *testing.T) {
 			if !strings.Contains(serial, "stat ") || strings.Contains(serial, "Cycles:0") {
 				t.Fatalf("suspiciously empty stat dump:\n%.400s", serial)
 			}
-			for _, shards := range []ShardMode{2, 4, 5} {
-				dump, trace := run(shards)
-				if dump != serial {
-					t.Fatalf("stat dumps differ between serial and shards=%v:\n%s",
-						shards, firstDiff(serial, dump))
-				}
-				if trace != serialTrace {
-					t.Fatalf("exec trace hash differs between serial and shards=%v: %x vs %x",
-						shards, serialTrace, trace)
-				}
+			dump, trace := run(2)
+			if dump != serial {
+				t.Fatalf("stat dumps differ between serial and sharded:\n%s", firstDiff(serial, dump))
+			}
+			if trace != serialTrace {
+				t.Fatalf("exec trace hash differs between serial and sharded: %x vs %x", serialTrace, trace)
 			}
 		})
 	}
 }
 
-// TestShardedHintReachesCodeModel checks the diagnostic plumbing: in a
-// sharded co-simulation the trace replayer announces shard transitions to
-// the code model (sim.ShardHinter), so the model attributes a nonzero share
-// of its records to the memory shard.
-func TestShardedHintReachesCodeModel(t *testing.T) {
-	cfg := SessionConfig{
-		Guest: GuestConfig{CPU: Timing, Workload: "sieve", Scale: 1024, Shards: 2},
-		Host:  platform.IntelXeon(),
-	}
-	cs, err := newCosim(cfg, false, func(tr sim.Tracer) (*GuestSystem, error) {
-		return BuildGuest(cfg.Guest, tr)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.run(cs.guest.Run); err != nil {
-		t.Fatal(err)
-	}
-	recs := cs.cm.ShardRecords()
-	if len(recs) < 2 || recs[1] == 0 {
-		t.Fatalf("no records attributed to the memory shard: %v", recs)
-	}
-	if recs[0] == 0 {
-		t.Fatalf("no records attributed to the cpu shard: %v", recs)
-	}
-}
-
-// TestShardModeResolution pins the resolution rules: the Atomic CPU and
-// IdealMemory force serial (no DRAM events to offload); explicit counts win
-// over the process default; auto needs GOMAXPROCS >= 4; profiling forces
-// serial at the session level.
-func TestShardModeResolution(t *testing.T) {
-	defer SetDefaultShards(ShardDefault)
-
-	auto := 1
-	if runtime.GOMAXPROCS(0) >= 4 {
-		auto = 2
-	}
-	base := GuestConfig{CPU: Timing}.Normalized()
-	cases := []struct {
-		name string
-		cfg  func() GuestConfig
-		def  ShardMode
-		want int
-	}{
-		{"default_off", func() GuestConfig { return base }, ShardDefault, 1},
-		{"explicit_2", func() GuestConfig { g := base; g.Shards = 2; return g }, ShardDefault, 2},
-		{"explicit_wins_over_default", func() GuestConfig { g := base; g.Shards = ShardSerial; return g }, 2, 1},
-		{"default_fills_in", func() GuestConfig { return base }, 2, 2},
-		{"auto", func() GuestConfig { g := base; g.Shards = ShardAuto; return g }, ShardDefault, auto},
-		{"auto_via_default", func() GuestConfig { return base }, ShardAuto, auto},
-		{"atomic_forces_serial", func() GuestConfig { g := base; g.CPU = Atomic; g.Shards = 2; return g }, ShardDefault, 1},
-		{"ideal_memory_forces_serial", func() GuestConfig { g := base; g.IdealMemory = true; g.Shards = 2; return g }, ShardDefault, 1},
-	}
-	for _, c := range cases {
-		SetDefaultShards(c.def)
-		if got := resolveShards(c.cfg()); got != c.want {
-			t.Errorf("%s: resolveShards = %d, want %d", c.name, got, c.want)
+// TestShardsAboveTwoIsTwo: there is one sharded layout, so on a 4-core
+// guest Shards: 5 is Shards: 2 — the same plan on the result, and the serial
+// run's statistics.
+func TestShardsAboveTwoIsTwo(t *testing.T) {
+	run := func(shards ShardMode) *GuestResult {
+		res, err := RunGuest(GuestConfig{CPU: Timing, Mode: SE, Workload: "dotprod_mt",
+			Scale: 2048, Cores: 4, Shards: shards})
+		if err != nil {
+			t.Fatalf("shards %d: %v", shards, err)
 		}
+		return res
 	}
-
-	SetDefaultShards(ShardDefault)
-	prof := SessionConfig{
-		Guest:   GuestConfig{CPU: Timing, Shards: 2},
-		Profile: true,
+	serial, two, five := run(ShardSerial), run(2), run(5)
+	if serial.Plan.Sharded || !two.Plan.Sharded || five.Plan != two.Plan {
+		t.Fatalf("plans: serial %v, Shards 2 %v, Shards 5 %v", serial.Plan, two.Plan, five.Plan)
 	}
-	if got := resolveShards(prof.guestConfig().Normalized()); got != 1 {
-		t.Errorf("profiling session: resolveShards = %d, want 1", got)
-	}
-}
-
-// TestShardParseMode pins the flag spellings.
-func TestShardParseMode(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		mode ShardMode
-		ok   bool
-	}{
-		{"auto", ShardAuto, true}, {"", ShardDefault, true},
-		{"off", ShardSerial, true}, {"serial", ShardSerial, true},
-		{"0", ShardSerial, true}, {"1", ShardSerial, true},
-		{"2", 2, true}, {"4", 4, true},
-		{"-3", ShardDefault, false}, {"bogus", ShardDefault, false},
-	} {
-		mode, ok := ParseShardMode(c.in)
-		if mode != c.mode || ok != c.ok {
-			t.Errorf("ParseShardMode(%q) = %v,%v want %v,%v", c.in, mode, ok, c.mode, c.ok)
-		}
-	}
-	for _, m := range []ShardMode{ShardAuto, ShardSerial, 2} {
-		back, ok := ParseShardMode(m.String())
-		if !ok || back != m {
-			t.Errorf("round-trip %v -> %q -> %v,%v", m, m.String(), back, ok)
-		}
-	}
-}
-
-// TestShardLayoutMatchesEngine pins core's layout mirror (ShardLayout, used
-// for checkpoint cache keys) against the engine's own effective plan: the
-// layout the guest logs at startup (sim.ShardInfo rendered through ShardLog)
-// must equal what ShardLayout predicted for the same config, clamps and all.
-func TestShardLayoutMatchesEngine(t *testing.T) {
-	cells := []struct {
-		cores  int
-		shards ShardMode
-	}{
-		{1, 2}, {1, 8}, // single core: everything past the memory worker clamps
-		{2, 2},         // fused multicore
-		{2, 4}, {2, 8}, // per-core, clamped by core domains
-		{4, 3}, {4, 5}, // partial and full per-core un-fusing
-	}
-	for _, c := range cells {
-		g := GuestConfig{CPU: Timing, Mode: SE, Workload: "dotprod_mt", Scale: 64,
-			Cores: c.cores, Shards: c.shards}
-		var line string
-		g.ShardLog = func(s string) { line = s }
-		if _, err := RunGuest(g); err != nil {
-			t.Fatalf("cores=%d shards=%v: %v", c.cores, c.shards, err)
-		}
-		i := strings.LastIndex(line, "): ")
-		if i < 0 {
-			t.Fatalf("cores=%d shards=%v: no layout in log line %q", c.cores, c.shards, line)
-		}
-		engine := line[i+len("): "):]
-		if mirror := ShardLayout(g); engine != mirror {
-			t.Errorf("cores=%d shards=%v: engine layout %q != ShardLayout %q",
-				c.cores, c.shards, engine, mirror)
-		}
-	}
-
-	// The serial path logs a fixed line and mirrors to "serial".
-	g := GuestConfig{CPU: Timing, Mode: SE, Workload: "dotprod_mt", Scale: 64}
-	var line string
-	g.ShardLog = func(s string) { line = s }
-	if _, err := RunGuest(g); err != nil {
-		t.Fatal(err)
-	}
-	if line != "sharding: serial (single queue)" {
-		t.Errorf("serial log line = %q", line)
-	}
-	if got := ShardLayout(g); got != "serial" {
-		t.Errorf("serial mirror = %q", got)
-	}
-}
-
-// TestShardLayout pins the layout strings the checkpoint cache keys embed.
-func TestShardLayout(t *testing.T) {
-	if got := ShardLayout(GuestConfig{CPU: Timing}); got != "serial" {
-		t.Errorf("serial layout = %q", got)
-	}
-	if got := ShardLayout(GuestConfig{CPU: Timing, Shards: 2}); got != "cpu+dev|mem" {
-		t.Errorf("sharded layout = %q", got)
-	}
-	// Atomic clamps to serial even when sharding is requested: the layout
-	// string must reflect what actually runs, or cache keys would split.
-	if got := ShardLayout(GuestConfig{CPU: Atomic, Shards: 2}); got != "serial" {
-		t.Errorf("atomic layout = %q", got)
+	want := serial.Stats.Dump()
+	if two.Stats.Dump() != want || five.Stats.Dump() != want {
+		t.Fatal("sharded statistics differ from the serial run's")
 	}
 }

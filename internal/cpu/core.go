@@ -75,10 +75,6 @@ type Config struct {
 	DPort mem.Port
 	// HartID distinguishes cores in a multi-core guest.
 	HartID uint32
-	// Domain tags the model's root tick/fetch event for sharded execution
-	// (sim.DomainForCore). The zero value is DomainCPU, the single-core
-	// behaviour.
-	Domain sim.Domain
 	// ExecTrace, when non-nil, receives one line per committed instruction
 	// (gem5's --debug-flags=Exec).
 	ExecTrace io.Writer

@@ -121,7 +121,7 @@ func NewO3CPU(sys *sim.System, cfg Config, ocfg O3Config) *O3CPU {
 	c.iqFullStall = st.Counter(cfg.Name+".iqFullStalls", "dispatch stalls: IQ full")
 	c.lsqFullStall = st.Counter(cfg.Name+".lsqFullStalls", "dispatch stalls: LQ/SQ full")
 	c.squashes = st.Counter(cfg.Name+".squashes", "front-end squashes")
-	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.fnIEW, sim.PrioCPUTick, c.evaluate).SetDomain(cfg.Domain)
+	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.fnIEW, sim.PrioCPUTick, c.evaluate)
 	c.core.wakeup = func() { c.schedule() }
 	c.fetchDone = c.completeFetch
 	c.core.redirect = func(pc uint32) { c.squashFrontEnd(pc, 0) }

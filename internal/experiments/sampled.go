@@ -15,9 +15,9 @@ import (
 // runs (measured across every cell of figs 10/12/13: worst 23.7%, mean
 // 8.3% — the worst cells are the Atomic-target M1 rows, whose windows
 // are the shortest in host instructions and so carry the largest
-// residual cold-start fraction). BENCH_simpoint.json records the
-// measured numbers next to the speedup; TestSampledFiguresError holds
-// this bound.
+// residual cold-start fraction). TestSampledFiguresError holds this
+// bound; bench/ records error and speedup as simpoint.err_max_pct,
+// simpoint.err_mean_pct and simpoint.speedup_x.
 const sampledErrorBoundPct = 25.0
 
 // simpointConfig is the harness's sampling parameterization. The interval
@@ -26,8 +26,7 @@ const sampledErrorBoundPct = 25.0
 // host machine warm across windows (core.IntervalRunner) and projects the
 // residual transient out (simpoint.steadyRate). These defaults keep the
 // quick-suite per-cell error inside sampledErrorBoundPct while clearing
-// the >=10x wall-clock target; BENCH_simpoint.json records the measured
-// numbers.
+// the >=10x wall-clock target (simpoint.speedup_x in bench/).
 func (o Options) simpointConfig() simpoint.Config {
 	cfg := simpoint.Config{
 		// WarmupInsts 1 means effectively no warmup: the runner's

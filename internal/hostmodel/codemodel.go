@@ -137,14 +137,6 @@ type CodeModel struct {
 	heapPool  uint64
 	callsByFn []uint64
 
-	// curShard and shardRecs are pure diagnostics fed by SetShardHint (the
-	// sharded engine's trace replayer announces which shard produced the
-	// records that follow). They are deliberately kept out of the modeled
-	// statistics: shard attribution depends on the shard count, and every
-	// modeled outcome must be bit-identical at all of them.
-	curShard  int
-	shardRecs []uint64
-
 	// byName dedups repeat registrations: successive guest builds feeding
 	// one persistent code model (core.IntervalRunner) declare the same
 	// component functions again, and those must resolve to the first
@@ -410,36 +402,7 @@ func (m *CodeModel) Call(fn sim.FuncID) {
 	if int(fn) >= len(m.funcs) {
 		return
 	}
-	m.shardRec()
 	m.call(fn, 0)
-}
-
-// SetShardHint implements sim.ShardHinter: records that follow were produced
-// by the given shard. Diagnostic only — it must not (and does not) influence
-// the replay fed to the sink.
-func (m *CodeModel) SetShardHint(shard int) {
-	if shard < 0 {
-		shard = 0
-	}
-	m.curShard = shard
-}
-
-// shardRec attributes one incoming trace record to the current shard.
-func (m *CodeModel) shardRec() {
-	for len(m.shardRecs) <= m.curShard {
-		m.shardRecs = append(m.shardRecs, 0)
-	}
-	m.shardRecs[m.curShard]++
-}
-
-// ShardRecords returns how many trace records each shard produced so far
-// (index = shard; a serial run attributes everything to shard 0). The counts
-// describe where simulator work ran, not anything the model's outputs depend
-// on.
-func (m *CodeModel) ShardRecords() []uint64 {
-	out := make([]uint64, len(m.shardRecs))
-	copy(out, m.shardRecs)
-	return out
 }
 
 const maxCallDepth = 2
@@ -535,7 +498,6 @@ func (m *CodeModel) ResetRun() {
 
 // Data implements sim.Tracer.
 func (m *CodeModel) Data(addr uint64, size uint32, write bool) {
-	m.shardRec()
 	m.sink.Data(addr, size, write)
 }
 

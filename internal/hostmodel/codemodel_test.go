@@ -247,34 +247,3 @@ func TestBitReverse(t *testing.T) {
 		}
 	}
 }
-
-func TestShardHintAttribution(t *testing.T) {
-	sink := &recordSink{}
-	m := New(DefaultConfig(), sink)
-	fn := m.RegisterFunc("EventQueue::serviceOne", 480, sim.FuncHot)
-
-	// Attribution must follow the most recent hint, default to shard 0, and
-	// never change what reaches the sink.
-	m.Call(fn)
-	m.SetShardHint(1)
-	m.Data(0x1000, 8, false)
-	m.Call(fn)
-	m.SetShardHint(0)
-	m.Call(fn)
-	m.SetShardHint(-3) // defensive clamp
-	m.Data(0x1008, 8, true)
-
-	recs := m.ShardRecords()
-	if len(recs) != 2 || recs[0] != 3 || recs[1] != 2 {
-		t.Fatalf("ShardRecords() = %v, want [3 2]", recs)
-	}
-	if sink.datas == 0 || sink.fetches == 0 {
-		t.Fatalf("sink starved: %+v", sink)
-	}
-
-	// The accessor returns a copy, not the live counters.
-	recs[0] = 999
-	if again := m.ShardRecords(); again[0] == 999 {
-		t.Fatal("ShardRecords must copy")
-	}
-}

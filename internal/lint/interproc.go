@@ -52,7 +52,7 @@ const (
 	classEnv      = "env"       // read from the process environment / host identity
 	classPtrFmt   = "ptrfmt"    // formatted host pointer value (ASLR-dependent)
 	classDomMem   = "dom:mem"   // reachable from the memory shard domain
-	classDomGroup = "dom:group" // reachable from a coordinator-side (CPU/core/dev) domain
+	classDomGroup = "dom:group" // reachable from a coordinator-side (CPU/dev) domain
 )
 
 // Sink kinds: the determinism-critical outputs detflow guards.

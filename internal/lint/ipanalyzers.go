@@ -33,9 +33,8 @@ var FloatOrder = &Analyzer{
 // ShardEscape reports mutable state reachable from more than one sim
 // shard domain without passing through the System mailbox or a barrier
 // merge — the static happens-before complement to the race job. State is
-// seeded from DomainView/DomainForCore roots and EventDomain tags; only
-// mem↔coordinator crossings are flagged (the memory shard is the one
-// worker goroutine; per-core shards are coordinator-affine).
+// seeded from DomainView roots and EventDomain tags: the memory shard is
+// the one worker goroutine, every other domain runs on the coordinator.
 var ShardEscape = &Analyzer{
 	Name: "shardescape",
 	Doc:  "mutable state shared across shard domains without a mailbox crossing",

@@ -91,9 +91,6 @@ func (w *fnWalker) evalCall(call *ast.CallExpr) taintSet {
 		}
 		return taintSet{}.with(classDomGroup)
 	}
-	if fn.Name() == "DomainForCore" && isSimPackageFunc(fn) {
-		return taintSet{}.with(classDomGroup)
-	}
 
 	ops := w.operands(call)
 

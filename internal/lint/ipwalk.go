@@ -651,8 +651,7 @@ func (w *fnWalker) objTaint(obj types.Object) taintSet {
 		return nil
 	}
 	// Domain constants: sim.DomainMem tags the mem side; every other
-	// Domain constant (and DomainForCore's result, handled at the call)
-	// is coordinator-side.
+	// Domain constant is coordinator-side.
 	if c, ok := obj.(*types.Const); ok {
 		if side := domainSideOfConst(c); side != "" {
 			return taintSet{}.with(side)
@@ -760,10 +759,6 @@ func domainConstSide(info *types.Info, e ast.Expr) string {
 		}
 	case *ast.SelectorExpr:
 		return domainConstSide(info, e.Sel)
-	case *ast.CallExpr:
-		if fn := calleeFunc(info, e); fn != nil && fn.Name() == "DomainForCore" {
-			return "group"
-		}
 	}
 	return ""
 }

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// ShardPost enforces the sharded-execution scheduling discipline added with
-// the per-domain event queues (sim.System.EnableSharding). Three rules:
+// ShardPost enforces the scheduling discipline of sharded execution
+// (sim.System.EnableSharding). Three rules:
 //
 //  1. Outside package sim, events must be scheduled through a System
 //     (Schedule/ScheduleIn/Reschedule/OneShot), never directly on a Queue backend
@@ -23,20 +23,20 @@ import (
 //     provably derived from sim.QuantumFor — a call of it, a parameter of
 //     the enclosing function (wrappers re-delegate the obligation), or a
 //     local whose assignments all derive. QuantumFor is where the
-//     conservative-barrier safety argument lives (each per-edge lookahead
-//     floor <= the minimum latency crossing that edge); a raw constant may
+//     conservative-barrier safety argument lives (each direction's floor
+//     <= the minimum latency crossing in that direction); a raw constant may
 //     be silently larger than a latency someone later tunes down, and the
-//     runtime's per-edge violation panic would then fire deep in a run
+//     runtime's floor-violation panic would then fire deep in a run
 //     instead of the mistake being visible at the call site. A literal zero
 //     is also accepted: a zero floor grants nothing, which is always safe
 //     (and for Quantum the runtime rejects it at startup).
 //
 //  3. Rule 2 seen from the posting side. System.OneShot names its target
 //     domain at the call, so a one-shot addressed to the constant DomainMem
-//     is visibly a post over the group-to-mem edge, whose BusLookahead floor
+//     is visibly a post over the cpu-to-mem edge, whose BusLookahead floor
 //     its delay must reach. The floor is QuantumFor of a configured latency;
 //     a delay that is a compile-time constant cannot follow that latency when
-//     someone tunes it up, and the per-edge violation panic would again fire
+//     someone tunes it up, and the floor-violation panic would again fire
 //     deep in a run. The delay must be a value (a config field, a parameter,
 //     a sum with one).
 //
@@ -184,14 +184,13 @@ func checkOneShotDelay(pass *Pass, call *ast.CallExpr) {
 	}
 	if tv, ok := pass.TypesInfo.Types[call.Args[3]]; ok && tv.Value != nil {
 		pass.Reportf(call.Args[3].Pos(),
-			"OneShot to DomainMem crosses the group-to-mem edge with a constant delay; the edge's BusLookahead floor follows a configured latency — take the delay from that latency, or annotate //lint:allow shardpost <reason>")
+			"OneShot to DomainMem crosses the cpu-to-mem edge with a constant delay; the edge's BusLookahead floor follows a configured latency — take the delay from that latency, or annotate //lint:allow shardpost <reason>")
 	}
 }
 
 // lookaheadFields are the ShardConfig fields that grant cross-shard
 // scheduling slack and therefore carry the rule-2 provenance obligation:
-// Quantum floors every mem-to-group edge, BusLookahead every group-to-mem
-// edge of the per-edge lookahead matrix.
+// Quantum floors the mem-to-cpu direction, BusLookahead the cpu-to-mem one.
 var lookaheadFields = []string{"Quantum", "BusLookahead"}
 
 // checkQuantum locates each lookahead-floor expression flowing into an

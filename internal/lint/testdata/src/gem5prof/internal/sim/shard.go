@@ -26,12 +26,9 @@ func (q *CalendarQueue) Reschedule(e *Event, when Tick) {}
 
 // ShardConfig configures sharded execution.
 type ShardConfig struct {
-	Shards       int
 	Quantum      Tick
 	BusLookahead Tick
-	Cores        int
 	NewQueue     func() Queue
-	Log          func(string)
 }
 
 // QuantumFor blesses a cross-domain latency as a barrier quantum.
@@ -47,15 +44,12 @@ func (s *System) Queue() Queue { return &HeapQueue{} }
 type Domain uint8
 
 // Shard domains: the memory side runs on the worker goroutine, everything
-// else is coordinator-affine.
+// else on the coordinator.
 const (
 	DomainCPU Domain = iota
 	DomainMem
 	DomainDev
 )
-
-// DomainForCore maps a core index to its private domain.
-func DomainForCore(i int) Domain { return Domain(3 + i%3) }
 
 // DomainView returns a scheduling facade pinned to domain d.
 func (s *System) DomainView(d Domain) *System { return s }

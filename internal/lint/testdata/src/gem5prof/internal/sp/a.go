@@ -14,7 +14,7 @@ func GoodSystemPost(sys *sim.System, e *sim.Event) {
 	sys.Reschedule(e, 200)
 }
 
-// GoodOneShot posts over the group-to-mem edge with the configured bus
+// GoodOneShot posts over the cpu-to-mem edge with the configured bus
 // latency as its delay; a constant delay is fine on an edge with no floor.
 func GoodOneShot(sys *sim.System, busLat sim.Tick, fire func()) {
 	sys.OneShot("bus.fwd", 0, sim.DomainMem, busLat+64, fire)
@@ -24,7 +24,7 @@ func GoodOneShot(sys *sim.System, busLat sim.Tick, fire func()) {
 // BadOneShot hardcodes the delay of a post to the memory shard: it cannot
 // follow the latency the edge's BusLookahead floor is derived from.
 func BadOneShot(sys *sim.System, fire func()) {
-	sys.OneShot("bus.fwd", 0, sim.DomainMem, 2000, fire) // want `OneShot to DomainMem crosses the group-to-mem edge with a constant delay`
+	sys.OneShot("bus.fwd", 0, sim.DomainMem, 2000, fire) // want `OneShot to DomainMem crosses the cpu-to-mem edge with a constant delay`
 }
 
 // BadQueuePost schedules directly on the backend, skipping mailbox routing.
@@ -46,18 +46,18 @@ func AllowedQueuePost(q sim.Queue, e *sim.Event) {
 
 // GoodQuantumLiteral derives the quantum at the call site.
 func GoodQuantumLiteral(sys *sim.System, rowHit sim.Tick) {
-	sys.EnableSharding(sim.ShardConfig{Shards: 2, Quantum: sim.QuantumFor(rowHit)})
+	sys.EnableSharding(sim.ShardConfig{Quantum: sim.QuantumFor(rowHit)})
 }
 
 // GoodQuantumLocal derives a local first.
 func GoodQuantumLocal(sys *sim.System, rowHit sim.Tick) {
 	q := sim.QuantumFor(rowHit)
-	sys.EnableSharding(sim.ShardConfig{Shards: 2, Quantum: q})
+	sys.EnableSharding(sim.ShardConfig{Quantum: q})
 }
 
 // GoodQuantumParam forwards the obligation to the caller.
 func GoodQuantumParam(sys *sim.System, quantum sim.Tick) {
-	sys.EnableSharding(sim.ShardConfig{Shards: 2, Quantum: quantum})
+	sys.EnableSharding(sim.ShardConfig{Quantum: quantum})
 }
 
 // GoodConfigParam delegates the whole config.
@@ -67,38 +67,38 @@ func GoodConfigParam(sys *sim.System, cfg sim.ShardConfig) {
 
 // GoodConfigVar builds a local config with a derived quantum.
 func GoodConfigVar(sys *sim.System, rowHit sim.Tick) {
-	cfg := sim.ShardConfig{Shards: 2, Quantum: sim.QuantumFor(rowHit)}
+	cfg := sim.ShardConfig{Quantum: sim.QuantumFor(rowHit)}
 	sys.EnableSharding(cfg)
 }
 
 // GoodFieldWrite assigns the quantum field from QuantumFor.
 func GoodFieldWrite(sys *sim.System, rowHit sim.Tick) {
 	var cfg sim.ShardConfig
-	cfg = sim.ShardConfig{Shards: 2}
+	cfg = sim.ShardConfig{}
 	cfg.Quantum = sim.QuantumFor(rowHit)
 	sys.EnableSharding(cfg)
 }
 
 // BadQuantumLiteral hardcodes a raw tick count.
 func BadQuantumLiteral(sys *sim.System) {
-	sys.EnableSharding(sim.ShardConfig{Shards: 2, Quantum: 15000}) // want `not provably derived from sim.QuantumFor`
+	sys.EnableSharding(sim.ShardConfig{Quantum: 15000}) // want `not provably derived from sim.QuantumFor`
 }
 
 // BadQuantumLocal launders the raw constant through a local.
 func BadQuantumLocal(sys *sim.System) {
 	q := sim.Tick(15000)
-	sys.EnableSharding(sim.ShardConfig{Shards: 2, Quantum: q}) // want `not provably derived from sim.QuantumFor`
+	sys.EnableSharding(sim.ShardConfig{Quantum: q}) // want `not provably derived from sim.QuantumFor`
 }
 
 // BadConfigVar builds a local config with a raw quantum.
 func BadConfigVar(sys *sim.System) {
-	cfg := sim.ShardConfig{Shards: 2, Quantum: 15000} // want `not provably derived from sim.QuantumFor`
+	cfg := sim.ShardConfig{Quantum: 15000} // want `not provably derived from sim.QuantumFor`
 	sys.EnableSharding(cfg)
 }
 
 // BadFieldWrite overwrites a derived quantum with a raw one.
 func BadFieldWrite(sys *sim.System, rowHit sim.Tick) {
-	cfg := sim.ShardConfig{Shards: 2, Quantum: sim.QuantumFor(rowHit)}
+	cfg := sim.ShardConfig{Quantum: sim.QuantumFor(rowHit)}
 	cfg.Quantum = 15000 // want `not provably derived from sim.QuantumFor`
 	sys.EnableSharding(cfg)
 }
@@ -112,19 +112,18 @@ func BadOpaqueConfig(sys *sim.System, r *rig) {
 // AllowedQuantum waives a raw quantum with an annotation.
 func AllowedQuantum(sys *sim.System) {
 	//lint:allow shardpost barrier safety proven offline for this fixed config
-	sys.EnableSharding(sim.ShardConfig{Shards: 2, Quantum: 15000})
+	sys.EnableSharding(sim.ShardConfig{Quantum: 15000})
 }
 
-// GoodBusLookahead derives both per-edge floors at the call site.
+// GoodBusLookahead derives both floors at the call site.
 func GoodBusLookahead(sys *sim.System, rowHit, busLat sim.Tick) {
 	sys.EnableSharding(sim.ShardConfig{
-		Shards:       5,
 		Quantum:      sim.QuantumFor(rowHit),
 		BusLookahead: sim.QuantumFor(busLat),
 	})
 }
 
-// GoodBusLookaheadZero leaves the group-to-mem edge unfloored via the
+// GoodBusLookaheadZero leaves the cpu-to-mem edge unfloored via the
 // conditional sim.Tick(0) idiom: a zero floor grants nothing, always safe.
 func GoodBusLookaheadZero(sys *sim.System, rowHit, busLat sim.Tick) {
 	look := sim.Tick(0)
@@ -132,16 +131,14 @@ func GoodBusLookaheadZero(sys *sim.System, rowHit, busLat sim.Tick) {
 		look = sim.QuantumFor(busLat)
 	}
 	sys.EnableSharding(sim.ShardConfig{
-		Shards:       5,
 		Quantum:      sim.QuantumFor(rowHit),
 		BusLookahead: look,
 	})
 }
 
-// BadBusLookahead hardcodes a raw group-to-mem floor.
+// BadBusLookahead hardcodes a raw cpu-to-mem floor.
 func BadBusLookahead(sys *sim.System, rowHit sim.Tick) {
 	sys.EnableSharding(sim.ShardConfig{
-		Shards:       5,
 		Quantum:      sim.QuantumFor(rowHit),
 		BusLookahead: 2000, // want `BusLookahead is not provably derived from sim.QuantumFor`
 	})
@@ -149,7 +146,7 @@ func BadBusLookahead(sys *sim.System, rowHit sim.Tick) {
 
 // BadBusLookaheadWrite overwrites a derived floor with a raw one.
 func BadBusLookaheadWrite(sys *sim.System, rowHit, busLat sim.Tick) {
-	cfg := sim.ShardConfig{Shards: 5, Quantum: sim.QuantumFor(rowHit)}
+	cfg := sim.ShardConfig{Quantum: sim.QuantumFor(rowHit)}
 	cfg.BusLookahead = 2000 // want `BusLookahead is not provably derived from sim.QuantumFor`
 	sys.EnableSharding(cfg)
 }
@@ -188,14 +185,14 @@ var hook = func(q *sim.CalendarQueue, e *sim.Event) {
 // the obligation moves to whoever invokes the callback.
 func GoodClosureQuantum(sys *sim.System) func(sim.Tick) {
 	return func(quantum sim.Tick) {
-		sys.EnableSharding(sim.ShardConfig{Shards: 2, Quantum: quantum})
+		sys.EnableSharding(sim.ShardConfig{Quantum: quantum})
 	}
 }
 
 // BadClosureQuantum hardcodes the floor inside the callback.
 func BadClosureQuantum(sys *sim.System) func() {
 	return func() {
-		sys.EnableSharding(sim.ShardConfig{Shards: 2, Quantum: 4096}) // want `not provably derived from sim.QuantumFor`
+		sys.EnableSharding(sim.ShardConfig{Quantum: 4096}) // want `not provably derived from sim.QuantumFor`
 	}
 }
 
@@ -203,6 +200,6 @@ func BadClosureQuantum(sys *sim.System) func() {
 func GoodClosureQuantumLocal(sys *sim.System, rowHit sim.Tick) func() {
 	return func() {
 		q := sim.QuantumFor(rowHit)
-		sys.EnableSharding(sim.ShardConfig{Shards: 2, Quantum: q})
+		sys.EnableSharding(sim.ShardConfig{Quantum: q})
 	}
 }

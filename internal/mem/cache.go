@@ -25,11 +25,6 @@ type CacheConfig struct {
 	// stream's block stride and runs one block ahead). Mutually exclusive
 	// with NextLine.
 	Stride bool
-	// Domain tags this cache's self-scheduled events (hit responses, miss
-	// forwards, fills). Core-private caches in a multicore guest carry their
-	// core's domain so sharded execution can place them on the core's shard;
-	// the zero value (DomainCPU) keeps shared caches on the coordinator.
-	Domain sim.Domain
 }
 
 func (c *CacheConfig) validate() {
@@ -357,7 +352,7 @@ func (c *Cache) sendTiming(acc Access, done func()) {
 			}
 			l.dirty = true
 		}
-		c.sys.OneShot(c.nameHitResp, c.fnAccess, c.cfg.Domain, lat, done)
+		c.sys.OneShot(c.nameHitResp, c.fnAccess, sim.DomainCPU, lat, done)
 		return
 	}
 	c.startMiss(acc, done)
@@ -406,7 +401,7 @@ func (c *Cache) allocMSHR(acc Access, done func(), prefetch bool) {
 	}
 	c.mshrs[block] = m
 	m.fetch = Access{Addr: block, Size: uint8(c.cfg.BlockBytes), Inst: acc.Inst, Excl: acc.Write}
-	c.sys.OneShot(c.nameMissFwd, c.fnAccess, c.cfg.Domain, c.cfg.HitLatency, m.forward)
+	c.sys.OneShot(c.nameMissFwd, c.fnAccess, sim.DomainCPU, c.cfg.HitLatency, m.forward)
 	if !prefetch {
 		switch {
 		case c.cfg.NextLine:
@@ -475,7 +470,7 @@ func (c *Cache) handleFill(m *mshr) {
 		c.fill(m.blockAddr, m.write, false, m.fillExcl)
 	}
 	for i, w := range m.waiters {
-		c.sys.OneShot(c.nameFill, c.fnFill, c.cfg.Domain, respLat, w)
+		c.sys.OneShot(c.nameFill, c.fnFill, sim.DomainCPU, respLat, w)
 		m.waiters[i] = nil
 	}
 	// Nothing refers to m any more: clear it for the next miss (which the

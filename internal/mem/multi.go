@@ -52,17 +52,10 @@ func NewMultiHierarchy(sys *sim.System, cfg HierarchyConfig, n int) *MultiHierar
 		h.Dir = NewDirectory(sys, cfg.Dir, h.L2, n)
 	}
 	for i := 0; i < n; i++ {
-		// Core-private levels carry the core's domain so that sharded
-		// execution can place each core's L1/TLB events on that core's
-		// shard (fused back onto the coordinator when the layout is
-		// narrower). The shared L2/bus/directory stay on the default
-		// coordinator domain.
 		l1i := cfg.L1I
 		l1i.Name = fmt.Sprintf("%s%d", cfg.L1I.Name, i)
-		l1i.Domain = sim.DomainForCore(i)
 		l1d := cfg.L1D
 		l1d.Name = fmt.Sprintf("%s%d", cfg.L1D.Name, i)
-		l1d.Domain = sim.DomainForCore(i)
 		// Instruction caches bypass the directory: KISA code is read-only.
 		h.L1I = append(h.L1I, NewCache(sys, l1i, h.L2))
 		if h.Dir != nil {
@@ -74,10 +67,8 @@ func NewMultiHierarchy(sys *sim.System, cfg HierarchyConfig, n int) *MultiHierar
 		if cfg.GuestTLBs {
 			itb := cfg.ITB
 			itb.Name = fmt.Sprintf("%s%d", cfg.ITB.Name, i)
-			itb.Domain = sim.DomainForCore(i)
 			dtb := cfg.DTB
 			dtb.Name = fmt.Sprintf("%s%d", cfg.DTB.Name, i)
-			dtb.Domain = sim.DomainForCore(i)
 			h.ITB = append(h.ITB, NewTLB(sys, itb, h.L1I[i]))
 			h.DTB = append(h.DTB, NewTLB(sys, dtb, h.L1D[i]))
 		} else {

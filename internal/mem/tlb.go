@@ -14,9 +14,6 @@ type TLBConfig struct {
 	PageBytes uint32
 	// MissLatency models the table-walk cost charged on a miss.
 	MissLatency sim.Tick
-	// Domain tags the walk events; per-core TLBs in a multicore guest carry
-	// their core's domain (see CacheConfig.Domain).
-	Domain sim.Domain
 }
 
 // TLB sits in front of a cache port and charges translation latency. The
@@ -116,7 +113,7 @@ func (t *TLB) SendTiming(acc Access, done func()) {
 		return
 	}
 	// Table walk, then the access proceeds.
-	t.sys.OneShot(t.nameWalk, t.fnLookup, t.cfg.Domain, t.cfg.MissLatency, func() {
+	t.sys.OneShot(t.nameWalk, t.fnLookup, sim.DomainCPU, t.cfg.MissLatency, func() {
 		t.next.SendTiming(acc, done)
 	})
 }

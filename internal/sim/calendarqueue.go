@@ -34,15 +34,6 @@ func NewCalendarQueue(nb int, width Tick) *CalendarQueue {
 // Now implements Queue.
 func (q *CalendarQueue) Now() Tick { return q.now }
 
-// syncNow advances the clock without firing (see clockSyncer). Bucket state
-// is untouched: the sharded engine only syncs to the merged group's minimum
-// pending tick, so no pending event falls behind the new clock.
-func (q *CalendarQueue) syncNow(t Tick) {
-	if t > q.now {
-		q.now = t
-	}
-}
-
 // Len implements Queue.
 func (q *CalendarQueue) Len() int { return q.size }
 

@@ -3,44 +3,31 @@ package sim
 import "fmt"
 
 // Domain classifies SimObjects (and the events they schedule) into the
-// coarse simulation domains that can advance in parallel under sharded
-// execution: the CPU complex (cores, caches, TLBs, syscall emulation), the
-// memory system behind the shared bus (DRAM), and platform devices.
+// coarse simulation domains sharded execution distinguishes: the CPU complex
+// (cores, caches, TLBs, syscall emulation), the memory system behind the
+// shared bus (DRAM), and platform devices.
 //
 // Domains exist independently of sharding: every event carries one, and the
-// tag is inert (all events share the single queue) until EnableSharding maps
-// domains onto shards.
+// tag is inert (all events share the single queue) until EnableSharding puts
+// DomainMem on a queue of its own.
 type Domain uint8
 
 // Simulation domains.
 const (
 	// DomainCPU covers the CPU cores and everything they call
-	// synchronously: caches, TLBs, the bus front end, and OS emulation.
+	// synchronously: caches, TLBs, the directory, the bus front end, and OS
+	// emulation. Guest cores couple at zero latency (threading syscalls and
+	// directory invalidations mutate a sibling core directly), so all of
+	// them share this domain.
 	DomainCPU Domain = iota
 	// DomainMem covers DRAM behind the shared memory bus — the only
 	// components separated from the CPU complex by a latency large enough
 	// to make a conservative quantum barrier worthwhile.
 	DomainMem
 	// DomainDev covers platform devices (UART, timer). Devices interact
-	// with the CPUs at zero latency (MMIO, interrupt wires), so their
-	// shard is always fused with DomainCPU.
+	// with the CPUs at zero latency (MMIO, interrupt wires), so they share
+	// DomainCPU's shard.
 	DomainDev
-	// DomainCore1..DomainCore3 tag the private events of guest cores 1..3
-	// in a multicore guest (core 0 stays DomainCPU, which also covers the
-	// shared memory-side complex the cores reach synchronously). Under the
-	// per-core layouts (Shards > 2) each gets its own affine shard — a
-	// private queue, clock, and trace arena merged on the coordinator's
-	// executor — because cores couple at zero latency through the syscall
-	// threading surface (spawn/join/futex wake mutate a sibling core
-	// directly) and through synchronous directory invalidations, so no
-	// conservative window separating their execution would be safe; the
-	// zero-floor core↔core edges encode exactly that. Narrower layouts
-	// fuse them back onto shard 0 without touching the core models.
-	DomainCore1
-	DomainCore2
-	DomainCore3
-	// NumDomains is the number of simulation domains.
-	NumDomains = 6
 )
 
 func (d Domain) String() string {
@@ -51,38 +38,40 @@ func (d Domain) String() string {
 		return "mem"
 	case DomainDev:
 		return "dev"
-	case DomainCore1, DomainCore2, DomainCore3:
-		return fmt.Sprintf("cpu%d", 1+uint8(d-DomainCore1))
 	}
 	return fmt.Sprintf("Domain(%d)", uint8(d))
 }
 
-// DomainForCore returns the domain tagging guest core i's private events:
-// DomainCPU for core 0 and DomainCore1..DomainCore3 for cores 1..3. Cores
-// past 3 fold onto DomainCore3 — still correct under any layout (a domain
-// may hold any number of SimObjects), merely coarser.
-func DomainForCore(i int) Domain {
-	switch {
-	case i <= 0:
-		return DomainCPU
-	case i >= 3:
-		return DomainCore3
+// The two shards of sharded execution: everything but DRAM executes on the
+// goroutine that calls Run, DRAM on a worker goroutine.
+const (
+	shardCPU = 0
+	shardMem = 1
+)
+
+// shardNames renders the shards in messages.
+var shardNames = [2]string{"cpu+dev", "mem"}
+
+// shardOf maps a domain to its shard.
+func shardOf(d Domain) int {
+	if d == DomainMem {
+		return shardMem
 	}
-	return DomainCore1 + Domain(i-1)
+	return shardCPU
 }
 
-// QuantumFor derives the conservative barrier quantum from the minimum
-// cross-domain event latency: the smallest delta, in ticks, at which any
-// event fired on the memory shard may schedule an event onto another
-// domain's shard. For the classic hierarchy this is the DRAM row-hit
-// latency — every DRAM response is scheduled at least a row hit (plus
-// transfer) in the future. The engine lets the CPU shard run up to
-// Quantum ticks past the memory shard's earliest pending event, which is
-// safe exactly because no memory-side event can make anything happen
-// sooner than that. Cross-domain posts below the quantum panic at post
-// time, so a config whose real latencies violate the derivation fails
-// loudly instead of diverging. It panics on zero: a zero quantum would
-// serialize the shards tick by tick and indicates a broken derivation.
+// QuantumFor derives a conservative barrier floor from the minimum latency
+// of a cross-shard event path: the smallest delta, in ticks, at which any
+// event fired on one shard may schedule an event onto the other. For the
+// memory→CPU direction this is the DRAM row-hit latency — every DRAM
+// response is scheduled at least a row hit (plus transfer) in the future.
+// The engine lets the CPU shard run up to Quantum ticks past the memory
+// shard's earliest pending event, which is safe exactly because no
+// memory-side event can make anything happen sooner than that. Cross-shard
+// posts below a floor panic at post time, so a config whose real latencies
+// violate the derivation fails loudly instead of diverging. It panics on
+// zero: a zero quantum would serialize the shards tick by tick and indicates
+// a broken derivation.
 func QuantumFor(minCrossLatency Tick) Tick {
 	if minCrossLatency == 0 {
 		panic("sim: QuantumFor(0): quantum must derive from a nonzero cross-domain latency")
@@ -90,241 +79,22 @@ func QuantumFor(minCrossLatency Tick) Tick {
 	return minCrossLatency
 }
 
-// LookInf marks an absent edge in a lookahead matrix: the source shard
-// never schedules events onto the destination, so the barrier ignores the
-// pair entirely (the conservative window computation treats it as an
-// infinite floor, and a post across it fails loudly).
-const LookInf = MaxTick
-
-// MaxShards bounds the shard count of any plan. It exists so per-shard
-// engine state (replay marks in flight to the replayer) can live in fixed
-// arrays instead of per-batch allocations; 8 covers the widest derived
-// layout (cpu+dev, three split core shards, mem) with headroom for
-// synthetic test topologies.
-const MaxShards = 8
-
-// NewLookahead returns an n-shard lookahead matrix with no edges: every
-// entry is LookInf and the diagonal (local scheduling, which never crosses
-// a mailbox) is zero. Callers open the edges their topology actually has,
-// deriving each floor from the minimum latency of the component path it
-// models — QuantumFor for latency-backed edges, zero for edges with no
-// floor (which fuse the pair's execution onto the coordinator).
-func NewLookahead(n int) [][]Tick {
-	m := make([][]Tick, n)
-	for i := range m {
-		m[i] = make([]Tick, n)
-		for j := range m[i] {
-			if i != j {
-				m[i][j] = LookInf
-			}
-		}
-	}
-	return m
-}
-
-// ShardPlan is an explicit shard topology: the domain→shard layout, the
-// executor class of every shard, and the per-directed-edge lookahead
-// matrix. EnableSharding derives a plan from ShardConfig's scalar fields
-// for the standard guest layouts; tests and synthetic topologies may pass
-// one directly.
-//
-// Shard 0 is always the coordinator (executed by the goroutine that calls
-// Run). Shards with Worker[i] false are "affine": they keep their own
-// queue, clock, and trace arena, but execute on the coordinator goroutine
-// in globally merged deterministic order — the right class for shards
-// connected by a zero-lookahead edge (guest cores coupling through shared
-// functional memory, threading syscalls, and synchronous directory
-// invalidations). Shards with Worker[i] true execute on their own
-// goroutine under conservative CMB windows derived from Look.
-type ShardPlan struct {
-	// Layout maps each Domain to its shard index (0..len(Worker)-1).
-	Layout [NumDomains]int
-	// Worker marks the shards that run on their own goroutine. Worker[0]
-	// must be false: the coordinator executes shard 0.
-	Worker []bool
-	// Look[src][dst] is the conservative floor, in ticks, below which no
-	// event fired on shard src may schedule an event onto shard dst
-	// (LookInf = no such edge exists). The barrier advances each worker
-	// shard to the minimum over its incoming edges of the neighbor's
-	// window frontier plus the edge lookahead; a uniform matrix degrades
-	// to the single-quantum behavior of the original two-shard engine.
-	Look [][]Tick
-}
-
-// ShardInfo reports the effective layout EnableSharding settled on, so
-// callers can validate and log it once at startup instead of discovering a
-// silent clamp later.
-type ShardInfo struct {
-	// Requested is the shard count asked for (ShardConfig.Shards).
-	Requested int
-	// Shards is the effective shard count after clamping to the
-	// partitionable domains.
-	Shards int
-	// Workers is how many shards run on their own goroutine.
-	Workers int
-	// Clamped reports Requested != Shards.
-	Clamped bool
-	// Layout renders the effective topology, e.g. "cpu+dev|cpu1|cpu2|mem".
-	Layout string
-}
-
 // ShardConfig configures sharded execution of one System (see
 // System.EnableSharding).
 type ShardConfig struct {
-	// Shards is the requested shard count. Values below 2 leave the system
-	// serial; values above the number of partitionable domains are clamped
-	// (DomainDev is always fused with DomainCPU). With Cores <= 1 the
-	// maximum is 2 (cpu+dev | mem); with Cores > 1 and Shards > 2 the
-	// derived plan un-fuses the per-core domains, one shard per extra core
-	// domain, up to 2+min(Cores-1, 3).
-	Shards int
-	// Quantum is the conservative barrier quantum in ticks, derived with
-	// QuantumFor from the slowest cross-domain latency floor. In the
-	// derived plans it is the mem→group edge lookahead (the minimum delta at
-	// which a memory-side event may schedule back onto a CPU-side shard).
+	// Quantum is the mem→cpu floor: the minimum delta, in ticks, at which a
+	// memory-side event may schedule back onto the CPU shard, derived with
+	// QuantumFor from the DRAM row-hit latency. Required.
 	Quantum Tick
-	// BusLookahead is the group→mem edge floor: the minimum delta, in
-	// ticks, at which any CPU-side event may schedule an event onto the
-	// memory shard — the bus forward latency in the classic hierarchy,
-	// derived with QuantumFor. Zero leaves the edge unfloored (always safe,
-	// merely conservative: the engine then never extends a memory window
-	// past the CPU side's next pending event). Posts below a nonzero floor
-	// panic at post time naming the edge.
+	// BusLookahead is the cpu→mem floor: the minimum delta at which any
+	// CPU-side event may schedule an event onto the memory shard — the bus
+	// forward latency in the classic hierarchy, derived with QuantumFor.
+	// Zero leaves the edge unfloored (always safe, merely conservative: the
+	// engine then never extends a memory window past the CPU side's next
+	// pending event). Posts below a nonzero floor panic at post time naming
+	// the edge.
 	BusLookahead Tick
-	// NewQueue builds the event-queue backend for each additional shard;
-	// it should match the primary queue's backend (heap or calendar).
+	// NewQueue builds the memory shard's event queue; it should match the
+	// primary queue's backend (heap or calendar). Nil means a heap queue.
 	NewQueue func() Queue
-	// Cores is the guest core count. With Shards > 2 it selects the
-	// per-core layout: core i's private domain (DomainForCore) gets its
-	// own coordinator-fused shard next to the memory worker shard.
-	Cores int
-	// Plan, when non-nil, overrides the derived topology entirely
-	// (Shards/Quantum/Cores are ignored except for validation).
-	Plan *ShardPlan
-	// Log, when non-nil, receives one line describing the effective
-	// layout at EnableSharding time — the startup visibility hook for
-	// clamped requests.
-	Log func(string)
-}
-
-// String renders the effective layout for the startup log line, e.g.
-// "5 shards (1 worker, requested 8, clamped): cpu+dev|cpu1|cpu2|cpu3|mem".
-func (i ShardInfo) String() string {
-	s := fmt.Sprintf("%d shards (%d worker", i.Shards, i.Workers)
-	if i.Clamped {
-		s += fmt.Sprintf(", requested %d, clamped", i.Requested)
-	}
-	return s + "): " + i.Layout
-}
-
-// derivePlan builds the standard guest topology for one ShardConfig: shard 0
-// is the coordinator (DomainCPU + DomainDev and any core domains left
-// fused), the last shard is the memory worker, and — with Cores > 1 and
-// Shards > 2 — up to min(Shards-2, Cores-1, 3) per-core domains get their
-// own affine shard between them. The lookahead matrix opens group→mem edges
-// at BusLookahead, mem→group edges at Quantum, and group↔group edges at
-// zero: guest cores couple at zero latency (threading syscalls mutate
-// sibling cores at the same tick), so no conservative window could separate
-// them — they merge onto the coordinator's executor instead, which is the
-// merge-order meaning of the "core↔core needs no mailbox" claim.
-func derivePlan(cfg ShardConfig) *ShardPlan {
-	cores := cfg.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	perCore := 0
-	if cfg.Shards > 2 && cores > 1 {
-		perCore = cfg.Shards - 2
-		if m := cores - 1; perCore > m {
-			perCore = m
-		}
-		if perCore > 3 {
-			perCore = 3
-		}
-	}
-	n := 2 + perCore
-	memShard := n - 1
-	p := &ShardPlan{Worker: make([]bool, n), Look: NewLookahead(n)}
-	p.Worker[memShard] = true
-	p.Layout[DomainMem] = memShard
-	for c := 1; c <= perCore; c++ {
-		p.Layout[DomainCore1+Domain(c-1)] = c
-	}
-	for src := 0; src < memShard; src++ {
-		p.Look[src][memShard] = cfg.BusLookahead
-		p.Look[memShard][src] = cfg.Quantum
-		for dst := 0; dst < memShard; dst++ {
-			if src != dst {
-				p.Look[src][dst] = 0
-			}
-		}
-	}
-	return p
-}
-
-// validate checks a plan's structural invariants, panicking with a
-// configuration-time message on violation.
-func (p *ShardPlan) validate() {
-	n := len(p.Worker)
-	if n < 2 {
-		panic("sim: ShardPlan needs at least 2 shards")
-	}
-	if n > MaxShards {
-		panic(fmt.Sprintf("sim: ShardPlan has %d shards, max %d", n, MaxShards))
-	}
-	if p.Worker[0] {
-		panic("sim: ShardPlan shard 0 must be the coordinator (Worker[0] false)")
-	}
-	workers := 0
-	for _, w := range p.Worker {
-		if w {
-			workers++
-		}
-	}
-	if workers != 1 {
-		panic(fmt.Sprintf("sim: ShardPlan has %d worker shards; the engine runs exactly one (the memory system) — affine shards cover zero-lookahead topologies", workers))
-	}
-	if len(p.Look) != n {
-		panic(fmt.Sprintf("sim: ShardPlan lookahead matrix is %dx? for %d shards", len(p.Look), n))
-	}
-	for i, row := range p.Look {
-		if len(row) != n {
-			panic(fmt.Sprintf("sim: ShardPlan lookahead row %d has %d entries for %d shards", i, len(row), n))
-		}
-		if row[i] != 0 {
-			panic(fmt.Sprintf("sim: ShardPlan lookahead diagonal [%d][%d] must be 0", i, i))
-		}
-	}
-	for d, sh := range p.Layout {
-		if sh < 0 || sh >= n {
-			panic(fmt.Sprintf("sim: ShardPlan maps domain %s to shard %d (have %d)", Domain(d), sh, n))
-		}
-	}
-}
-
-// layoutString renders a plan as the stable shard-layout notation: shard 0
-// is "cpu+dev" — or "cpuxN+dev" for a multicore guest whose core domains
-// ALL fuse onto it, making the fusing visible in the startup log — and
-// every other shard lists its domains joined by "+". Partially-fused
-// layouts keep the plain "cpu+dev" spelling (extra cores folded onto shard
-// 0 or a shared per-core shard ride along implicitly). The rendering must
-// stay in lockstep with core.ShardLayout, the checkpoint-cache-key mirror
-// (core's TestShardLayoutMatchesEngine pins the two together).
-func (p *ShardPlan) layoutString(cores int) string {
-	s := "cpu+dev"
-	if cores > 1 &&
-		p.Layout[DomainCore1] == 0 && p.Layout[DomainCore2] == 0 && p.Layout[DomainCore3] == 0 {
-		s = fmt.Sprintf("cpux%d+dev", cores)
-	}
-	for sh := 1; sh < len(p.Worker); sh++ {
-		s += "|"
-		sep := ""
-		for d := Domain(0); d < NumDomains; d++ {
-			if p.Layout[d] == sh {
-				s += sep + d.String()
-				sep = "+"
-			}
-		}
-	}
-	return s
 }

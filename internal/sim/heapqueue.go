@@ -20,15 +20,6 @@ func NewHeapQueue() *HeapQueue { return &HeapQueue{} }
 // Now implements Queue.
 func (q *HeapQueue) Now() Tick { return q.now }
 
-// syncNow advances the clock without firing (see clockSyncer). The sharded
-// engine only calls it with the merged group's minimum pending tick, which
-// can never undercut a pending local event.
-func (q *HeapQueue) syncNow(t Tick) {
-	if t > q.now {
-		q.now = t
-	}
-}
-
 // Len implements Queue.
 func (q *HeapQueue) Len() int { return len(q.heap) }
 

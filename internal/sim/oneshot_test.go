@@ -14,7 +14,7 @@ func queueBackends() map[string]func() Queue {
 
 // TestOneShotRecycle pins the lifetime rule of one-shot events: the queue
 // that fires one takes it back only after its callback returned, so recycling
-// is invisible to every caller, at every shard layout.
+// is invisible to every caller, serial and sharded.
 func TestOneShotRecycle(t *testing.T) {
 	for name, newQ := range queueBackends() {
 		newQ := newQ
@@ -89,7 +89,7 @@ func TestOneShotRecycle(t *testing.T) {
 		// sees them again.
 		t.Run(name+"/cross-shard retire", func(t *testing.T) {
 			sys := NewSystemWith(newQ(), NewNopTracer(), 1)
-			sys.EnableSharding(ShardConfig{Shards: 2, Quantum: QuantumFor(testQuantum), NewQueue: newQ})
+			sys.EnableSharding(ShardConfig{Quantum: QuantumFor(testQuantum), NewQueue: newQ})
 			msys := sys.DomainView(DomainMem)
 			const m = 5
 			fired := 0
@@ -111,47 +111,19 @@ func TestOneShotRecycle(t *testing.T) {
 		})
 	}
 
-	// Between two group shards: a component built against the root view posts
-	// onto a core's own shard, as every core-private cache does. Both run on
-	// the coordinator, so the event comes from the list it returns to and a
-	// long run neither grows the core's list nor drains the root's.
-	t.Run("group shard draws from the firing list", func(t *testing.T) {
-		newQ := func() Queue { return NewHeapQueue() }
-		sys := NewSystemWith(newQ(), NewNopTracer(), 1)
-		sys.EnableSharding(ShardConfig{Shards: 4, Quantum: QuantumFor(testQuantum),
-			BusLookahead: QuantumFor(1000), NewQueue: newQ, Cores: 4})
-		core1 := sys.DomainView(DomainForCore(1))
-		if core1 == sys {
-			t.Fatal("core 1 has no shard of its own in this layout")
-		}
-		left := 500
-		var again func()
-		again = func() {
-			if left--; left > 0 {
-				sys.OneShot("l1.hit", 0, DomainForCore(1), 1000, again)
-			}
-		}
-		sys.OneShot("l1.hit", 0, DomainForCore(1), 1000, again)
-		sys.Run(MaxTick, 0)
-		if got := len(core1.Queue().pool().free); left != 0 || got != 2 {
-			t.Errorf("core shard's free list holds %d events after the chain (left %d), want 2", got, left)
-		}
-		if got := len(sys.Queue().pool().free); got != 0 {
-			t.Errorf("root's free list holds %d events, want 0", got)
-		}
-	})
-
 	// Invisible: the two-domain workload issuing every access and response
 	// through OneShot produces the trace, the event count and the result of
 	// the same workload allocating a fresh event each time, serial and
 	// sharded, on both queues.
 	t.Run("same trace as fresh events", func(t *testing.T) {
-		want := runWorkload(t, 1, false, 3, 400, 0, MaxTick)
-		for _, shards := range []int{1, 2} {
-			for _, calendar := range []bool{false, true} {
-				if got := runWorkloadVia(t, true, shards, calendar, 3, 400, 0, MaxTick); !reflect.DeepEqual(got, want) {
-					t.Errorf("shards=%d calendar=%v: one-shot run differs from the fresh-event serial run (%d vs %d records, result %+v vs %+v)",
-						shards, calendar, len(got.log), len(want.log), got.res, want.res)
+		c := shardRun{seed: 3, maxOps: 400}
+		want := c.run()
+		c.oneShot = true
+		for _, c.sharded = range []bool{false, true} {
+			for _, c.calendar = range []bool{false, true} {
+				if got := c.run(); !reflect.DeepEqual(got, want) {
+					t.Errorf("sharded=%v calendar=%v: one-shot run differs from the fresh-event serial run (%d vs %d records, result %+v vs %+v)",
+						c.sharded, c.calendar, len(got.log), len(want.log), got.res, want.res)
 				}
 			}
 		}

@@ -2,77 +2,48 @@ package sim
 
 import "fmt"
 
-// Sharded per-domain event queues under a conservative per-edge lookahead
-// barrier.
+// Sharded execution: two event queues under a conservative quantum barrier.
 //
-// EnableSharding splits one System across N event queues that advance in
-// parallel under a ShardPlan: shard 0 plus every other non-worker shard form
-// the affine "group" (each keeps its own queue, clock, and trace arena, but
-// all execute on the goroutine that called Run, merged in deterministic
-// order), and the single worker shard — the memory system — executes on its
-// own goroutine inside granted windows. The protocol is conservative PDES
-// (a null-message-free CMB variant) specialized to the plan's per-edge
-// lookahead matrix:
+// EnableSharding splits one System across two event queues that advance in
+// parallel: the CPU shard — every domain but DomainMem — executes on the
+// goroutine that called Run (the coordinator), and the memory shard — DRAM —
+// executes on a worker goroutine inside granted windows. The protocol is
+// conservative PDES (a null-message-free CMB variant) with one latency floor
+// per direction:
 //
-//   - Cross-executor Schedule calls never touch the other executor's queues
+//   - Cross-shard Schedule calls never touch the other shard's queue
 //     directly; they are appended to a per-direction outbox (mailbox) and
 //     merged into the destination queue at barrier points, in posting order,
 //     carrying the poster's provenance stamp. Merge points and order are
 //     pure functions of simulation state, so event seq assignment — and with
-//     it every stat, trace, and report — is bit-identical at every shard
-//     count and layout. Each post is validated against its directed edge's
-//     declared lookahead floor (Look[src][dst]); a post below the floor, or
-//     over an absent edge (LookInf), panics naming the edge and window.
-//
-//   - Schedules between two group shards are direct inserts into the
-//     destination queue: both shards execute on the coordinator goroutine in
-//     merged order, and the shared provenance stamper makes the insert
-//     indistinguishable from a single-queue one. This is how the plan
-//     encodes edges with no latency floor (guest cores coupling at zero
-//     latency through threading syscalls and shared functional memory): a
-//     zero-lookahead edge admits no conservative window, so the pair fuses
-//     onto one executor instead.
+//     it every stat, trace, and report — is bit-identical to the serial run.
+//     Each post is validated against its direction's floor (BusLookahead for
+//     cpu→mem, Quantum for mem→cpu); a post below the floor panics naming
+//     the edge and window.
 //
 //   - The memory shard may fire events strictly below the earliest tick any
-//     future cross post onto it can target: the group's next pending event
-//     plus the minimum group→mem edge floor, the bounce-back path (its own
-//     next event plus the round-trip mem→group→mem floor), and — while the
-//     group has eligible work — the group's next event tick itself, because
-//     any group event may RequestExit and exit truncation must never have
-//     overshot it. The window [floor, horizon) is handed to the worker as a
-//     grant.
+//     future cross post onto it can target: the bounce-back path (its own
+//     next event plus the round-trip mem→cpu→mem floor), and — while the CPU
+//     shard has eligible work — the CPU shard's next event tick itself,
+//     because any CPU-side event may RequestExit and exit truncation must
+//     never have overshot it. The window [floor, horizon) is handed to the
+//     worker as a grant.
 //
-//   - The group may fire events strictly below the earliest possible
+//   - The CPU shard may fire events strictly below the earliest possible
 //     memory-side post onto it: the memory shard's earliest pending or
-//     in-flight event — including posts sitting in the group→mem outbox —
-//     plus the minimum mem→group edge floor. The bound tightens live as the
-//     burst itself posts to memory.
-//
-// With one worker shard the per-edge shortest-path closure collapses: the
-// group shards form a zero-floor clique, so the effective group→mem floor is
-// the minimum over group shards of Look[g][mem] and symmetrically for
-// mem→group. A uniform matrix therefore degrades exactly to the original
-// two-shard quantum barrier (Quantum = the mem→group floor).
+//     in-flight event — including posts sitting in the cpu→mem outbox — plus
+//     Quantum. The bound tightens live as the burst itself posts to memory.
 type shardEngine struct {
-	views  []*System
-	layout [NumDomains]int
-	look   [][]Tick // per-directed-edge lookahead floors (ShardPlan.Look)
-	lookGM Tick     // min group→mem edge floor (closure over the group clique)
-	lookMG Tick     // min mem→group edge floor (the classic quantum)
-	mem    int      // the worker shard index
-	group  []int    // non-worker shard indices, ascending (group[0] == 0)
-	names  []string // per-shard domain names for messages
-	info   ShardInfo
+	views   [2]*System // shardCPU (the root), shardMem
+	quantum Tick       // mem→cpu floor
+	busLook Tick       // cpu→mem floor (0 = unfloored)
 
 	under    Tracer // the real tracer, fed only by the replayer
 	traceOff bool   // under is a NopTracer: skip logging entirely
 	running  bool
 
-	obToMem   outboxT // posts from any group shard bound for the worker
-	obFromMem outboxT // posts from the worker bound for group shards
-	log       []*shardLog
-	syncers   []clockSyncer // group queues' clock syncers, resolved once
-	synced    Tick          // last tick syncGroup fanned out (skip duplicates)
+	outbox [2]outboxT // outbox[src]: posts from shard src bound for the other
+	log    [2]*shardLog
 
 	grantCh    chan grant
 	joinCh     chan joinMsg
@@ -84,23 +55,13 @@ type shardEngine struct {
 	workerBusy   bool
 	grantFloor   Tick
 	grantHorizon Tick
-	mark         [MaxShards]Tick // per-shard replay marks (see replayBatch)
-	// cur is the group shard whose event the coordinator is currently
-	// dispatching. A group event's callback reaches synchronously into
-	// components constructed against other group views (a core's tick event
-	// drives the shared L2 through the root view; an L1 fill closure drives
-	// the core), and every trace record they emit belongs to the dispatched
-	// event's group — so group-shard tracers route through cur, not their
-	// own view's shard. Coordinator-owned: the worker's dispatches (the
-	// memory shard) log to their own shard and never read it.
-	cur int
+	mark         [2]Tick // per-shard replay marks (see replayBatch)
 }
 
-// post is one cross-executor Schedule waiting in a mailbox.
+// post is one cross-shard Schedule waiting in a mailbox.
 type post struct {
 	e     *Event
 	when  Tick
-	dst   int // destination shard (mem→group posts; group→mem is always mem)
 	stamp schedStamp
 }
 
@@ -131,28 +92,23 @@ func addSat(a, b Tick) Tick {
 
 // describe renders a shard for panic messages.
 func (eng *shardEngine) describe(shard int) string {
-	if shard == eng.mem {
+	if shard == shardMem {
 		return fmt.Sprintf("shard %d (%s), window [%d, %d), quantum %d",
-			shard, eng.names[shard], eng.grantFloor, eng.grantHorizon, eng.lookMG)
+			shard, shardNames[shard], eng.grantFloor, eng.grantHorizon, eng.quantum)
 	}
-	return fmt.Sprintf("shard %d (%s)", shard, eng.names[shard])
+	return fmt.Sprintf("shard %d (%s)", shard, shardNames[shard])
 }
 
-// isGroup reports whether shard executes on the coordinator goroutine.
-func (eng *shardEngine) isGroup(shard int) bool { return shard != eng.mem }
-
-// post routes a cross-shard Schedule. Group→group schedules insert directly
-// into the destination queue (same executor, shared stamper — exactly a
-// single-queue insert); schedules crossing the worker boundary go through
-// the mailboxes after validation against the directed edge's lookahead
-// floor. The fnSchedule trace call and the provenance stamp are taken on the
-// posting side, exactly where the single-queue run would take them.
-func (eng *shardEngine) post(src *System, dst int, e *Event, when Tick) {
+// post routes a Schedule from src onto the other shard: through the mailbox
+// after validation against the direction's floor. The fnSchedule trace call
+// and the provenance stamp are taken on the posting side, exactly where the
+// single-queue run would take them.
+func (eng *shardEngine) post(src *System, e *Event, when Tick) {
+	dst := 1 - src.shard
 	src.tracer.Call(src.fnSchedule)
-	if !eng.running || (eng.isGroup(src.shard) && eng.isGroup(dst)) {
-		// Construction/startup time, or an intra-group schedule: insert
-		// directly into the owning queue, which validates when against its
-		// own clock (synced to the merged group time before every dispatch).
+	if !eng.running {
+		// Construction/startup time: insert directly into the owning queue,
+		// which validates when against its own clock.
 		eng.views[dst].queue.Schedule(e, when)
 		return
 	}
@@ -164,26 +120,21 @@ func (eng *shardEngine) post(src *System, dst int, e *Event, when Tick) {
 		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d [%s]",
 			e.name, when, now, eng.describe(src.shard)))
 	}
-	lk := eng.look[src.shard][dst]
-	if lk == LookInf {
-		panic(fmt.Sprintf(
-			"sim: cross-shard post of %s at %d over absent edge %s→%s (lookahead ∞): no such event traffic was declared [%s]",
-			e.name, when, eng.names[src.shard], eng.names[dst], eng.describe(src.shard)))
+	lk := eng.busLook
+	if src.shard == shardMem {
+		lk = eng.quantum
 	}
 	if when < addSat(now, lk) {
 		panic(fmt.Sprintf(
 			"sim: cross-shard post of %s at %d violates the %s→%s edge lookahead %d (quantum barrier): %s is at %d, floor %d",
-			e.name, when, eng.names[src.shard], eng.names[dst], lk, eng.describe(src.shard), now, addSat(now, lk)))
+			e.name, when, shardNames[src.shard], shardNames[dst], lk, eng.describe(src.shard), now, addSat(now, lk)))
 	}
 	stp := schedStamp{at: now}
 	if st, ok := src.queue.(stampTaker); ok {
 		stp = st.takeStamp(now)
 	}
-	ob := &eng.obToMem
-	if src.shard == eng.mem {
-		ob = &eng.obFromMem
-	}
-	ob.posts = append(ob.posts, post{e: e, when: when, dst: dst, stamp: stp})
+	ob := &eng.outbox[src.shard]
+	ob.posts = append(ob.posts, post{e: e, when: when, stamp: stp})
 	if when < ob.minWhen {
 		ob.minWhen = when
 	}
@@ -199,23 +150,24 @@ type panicContexter interface {
 	SetPanicContext(fn func() string)
 }
 
-// deliver merges one outbox into its destination queues in posting order —
-// a deterministic order at a deterministic barrier point, so destination
-// seq assignment matches across shard counts and layouts.
-func (eng *shardEngine) deliver(ob *outboxT) {
+// deliver merges shard src's outbox into the other shard's queue in posting
+// order — a deterministic order at a deterministic barrier point, so
+// destination seq assignment matches the serial run.
+func (eng *shardEngine) deliver(src int) {
+	ob := &eng.outbox[src]
 	if len(ob.posts) == 0 {
 		return
 	}
+	q := eng.views[1-src].queue
 	for i := range ob.posts {
 		p := &ob.posts[i]
 		p.e.stamp = p.stamp
 		p.e.stampSet = true
 		// The barrier protocol guarantees posted ticks are at or beyond the
-		// destination's clock (per-edge lookahead floor on mem→group, grant
-		// horizon cap on group→mem); the queue's own Schedule guard still
-		// enforces it.
+		// destination's clock (Quantum floor on mem→cpu, grant horizon cap on
+		// cpu→mem); the queue's own Schedule guard still enforces it.
 		//lint:allow pastsched conservative barrier bounds posted ticks; destination queue re-validates
-		eng.views[p.dst].queue.Schedule(p.e, p.when)
+		q.Schedule(p.e, p.when)
 		ob.posts[i] = post{}
 	}
 	ob.posts = ob.posts[:0]
@@ -224,9 +176,6 @@ func (eng *shardEngine) deliver(ob *outboxT) {
 
 // dispatchOne fires the head event e of v's queue, logging its trace group.
 func (eng *shardEngine) dispatchOne(v *System, e *Event) {
-	if v.shard != eng.mem {
-		eng.cur = v.shard
-	}
 	if !eng.traceOff {
 		eng.log[v.shard].begin(groupKey{when: e.when, prio: e.prio, stamp: e.stamp})
 	}
@@ -237,8 +186,8 @@ func (eng *shardEngine) dispatchOne(v *System, e *Event) {
 	v.queue.ServiceOne()
 }
 
-// dispatchOneCatching is dispatchOne with RequestExit translation; group
-// shards only (exit-capable components all live there).
+// dispatchOneCatching is dispatchOne with RequestExit translation; CPU shard
+// only (exit-capable components all live there).
 func (eng *shardEngine) dispatchOneCatching(v *System, e *Event, res *RunResult) (stop bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -256,71 +205,10 @@ func (eng *shardEngine) dispatchOneCatching(v *System, e *Event, res *RunResult)
 	return false
 }
 
-// groupPeek returns the view holding the merged group's earliest pending
-// event, and that event. Iteration ascends shard indices, so residual
-// full-key ties resolve to the lower shard — the same tie rule the trace
-// replayer uses. This runs once per dispatched group event, so the common
-// case — ticks differ — compares raw ticks without building full keys.
-func (eng *shardEngine) groupPeek() (*System, *Event) {
-	if len(eng.group) == 1 {
-		v := eng.views[eng.group[0]]
-		return v, v.queue.Peek()
-	}
-	var bv *System
-	var be *Event
-	for _, g := range eng.group {
-		e := eng.views[g].queue.Peek()
-		if e == nil {
-			continue
-		}
-		if be == nil {
-			bv, be = eng.views[g], e
-			continue
-		}
-		if e.when != be.when {
-			if e.when < be.when {
-				bv, be = eng.views[g], e
-			}
-			continue
-		}
-		if (groupKey{when: e.when, prio: e.prio, stamp: e.stamp}).less(
-			groupKey{when: be.when, prio: be.prio, stamp: be.stamp}) {
-			bv, be = eng.views[g], e
-		}
-	}
-	return bv, be
-}
-
-// syncGroup advances every group queue's clock to t, so the dispatched
-// event's callback reads a consistent Now() — and schedules at correct
-// absolute ticks — through whichever group view it holds. The syncers are
-// resolved once at EnableSharding time (one interface assertion per shard
-// per event showed up in the per-core profile), and consecutive events at
-// one tick — the overwhelmingly common case inside a core's cycle — skip
-// the fan-out entirely.
-func (eng *shardEngine) syncGroup(t Tick) {
-	if t == eng.synced {
-		return
-	}
-	eng.synced = t
-	for _, cs := range eng.syncers {
-		cs.syncNow(t)
-	}
-}
-
-// groupServiced sums the group shards' event counters.
-func (eng *shardEngine) groupServiced() uint64 {
-	var n uint64
-	for _, g := range eng.group {
-		n += eng.views[g].serviced
-	}
-	return n
-}
-
 // worker executes granted memory-shard windows until the grant channel
 // closes. Panics are captured and re-raised on the coordinator.
 func (eng *shardEngine) worker() {
-	mv := eng.views[eng.mem]
+	mv := eng.views[shardMem]
 	for g := range eng.grantCh {
 		var msg joinMsg
 		func() {
@@ -367,48 +255,50 @@ func (eng *shardEngine) flushReplay(final bool) {
 	if eng.traceOff {
 		return
 	}
-	var segs []*segment
-	for _, l := range eng.log {
+	b := replayBatch{mark: eng.mark, final: final}
+	for i, l := range eng.log {
 		if !l.empty() {
-			if segs == nil {
-				segs = takeSegsSlice()
-			}
-			segs = append(segs, l.take())
+			b.segs[i] = l.take()
 		}
 	}
-	if segs == nil && !final {
+	if b.segs == [2]*segment{} && !final {
 		return
 	}
-	eng.replayCh <- replayBatch{segs: segs, mark: eng.mark, final: final}
+	eng.replayCh <- b
 	if final {
 		close(eng.replayCh)
 		<-eng.replayDone
 	}
 }
 
+// cpuBound is the tick below which the CPU shard may fire: the earliest
+// possible memory-side activity — memEarliest or a post already sitting in
+// the cpu→mem outbox — plus the mem→cpu floor.
+func (eng *shardEngine) cpuBound(memEarliest Tick) Tick {
+	if ob := eng.outbox[shardCPU].minWhen; ob < memEarliest {
+		memEarliest = ob
+	}
+	return addSat(memEarliest, eng.quantum)
+}
+
 // run is the sharded equivalent of System.Run. The caller's goroutine is the
-// coordinator and executes every group shard itself, in merged deterministic
-// order.
+// coordinator and executes the CPU shard itself.
 //
-// maxEvents is honored at burst granularity on the group and at window
+// maxEvents is honored at burst granularity on the CPU shard and at window
 // granularity on the memory shard, so under sharding ExitEventLimit may stop
 // slightly past the requested count (it is a safety valve, not a precise
 // budget; callers needing exactness run serial).
 func (eng *shardEngine) run(s *System, limit Tick, maxEvents uint64) (res RunResult) {
-	mv := eng.views[eng.mem]
+	mv := eng.views[shardMem]
 	s.startup()
-	g0, m0 := eng.groupServiced(), mv.serviced
+	c0, m0 := s.serviced, mv.serviced
 	memJoined := uint64(0) // mv.serviced-m0 as of the last join (race-free copy)
 
 	eng.running = true
 	eng.workerBusy = false
-	eng.mark = [MaxShards]Tick{}
-	// All group clocks are equal at every barrier point (syncGroup advances
-	// them in lockstep and only the synced-to tick is ever dispatched), so
-	// the duplicate-sync skip can seed from the coordinator's clock.
-	eng.synced = s.queue.Now()
-	eng.obToMem.minWhen = MaxTick
-	eng.obFromMem.minWhen = MaxTick
+	eng.mark = [2]Tick{}
+	eng.outbox[shardCPU].minWhen = MaxTick
+	eng.outbox[shardMem].minWhen = MaxTick
 	if !eng.traceOff {
 		eng.replayCh = make(chan replayBatch, 8)
 		eng.replayDone = make(chan struct{})
@@ -428,54 +318,52 @@ func (eng *shardEngine) run(s *System, limit Tick, maxEvents uint64) (res RunRes
 		close(eng.grantCh)
 		eng.flushReplay(true)
 		eng.running = false
-		res.Events = (eng.groupServiced() - g0) + (mv.serviced - m0)
-		for _, v := range eng.views {
-			if n := v.queue.Now(); n > res.Now {
-				res.Now = n
-			}
+		res.Events = (s.serviced - c0) + (mv.serviced - m0)
+		res.Now = s.queue.Now()
+		if n := mv.queue.Now(); n > res.Now {
+			res.Now = n
 		}
 	}()
 
-	mq := mv.queue
+	cq, mq := s.queue, mv.queue
 	for {
 		// Coordination point: the worker is idle. Merge both mailboxes, then
 		// hand completed trace segments to the replayer.
-		eng.deliver(&eng.obFromMem)
-		eng.deliver(&eng.obToMem)
+		eng.deliver(shardMem)
+		eng.deliver(shardCPU)
 		if !eng.traceOff {
-			// Memory-shard mark: future arrivals are posts from group events
-			// at or above the last burst bound (the shared group mark);
-			// pending ones are in the queue now.
-			m := eng.mark[0]
+			// Memory-shard mark: future arrivals are posts from CPU-side
+			// events at or above the last burst bound (the CPU mark); pending
+			// ones are in the queue now.
+			m := eng.mark[shardCPU]
 			if e := mq.Peek(); e != nil && e.when < m {
 				m = e.when
 			}
-			if m > eng.mark[eng.mem] {
-				eng.mark[eng.mem] = m
+			if m > eng.mark[shardMem] {
+				eng.mark[shardMem] = m
 			}
 			eng.flushReplay(false)
 		}
 
-		if maxEvents > 0 && (eng.groupServiced()-g0)+memJoined >= maxEvents {
+		if maxEvents > 0 && (s.serviced-c0)+memJoined >= maxEvents {
 			res.Status = ExitEventLimit
 			return
 		}
 
-		var memNext, groupNext Tick
+		var memNext, cpuNext Tick
 		memHas := false
 		if e := mq.Peek(); e != nil {
 			memHas, memNext = true, e.when
 		}
-		_, ge := eng.groupPeek()
-		groupHas := ge != nil
-		if groupHas {
-			groupNext = ge.when
+		cpuHas := false
+		if e := cq.Peek(); e != nil {
+			cpuHas, cpuNext = true, e.when
 		}
-		if !memHas && !groupHas {
+		if !memHas && !cpuHas {
 			res.Status = ExitQueueEmpty
 			return
 		}
-		if (!memHas || memNext > limit) && (!groupHas || groupNext > limit) {
+		if (!memHas || memNext > limit) && (!cpuHas || cpuNext > limit) {
 			res.Status = ExitLimit
 			return
 		}
@@ -483,14 +371,14 @@ func (eng *shardEngine) run(s *System, limit Tick, maxEvents uint64) (res RunRes
 		// Grant the memory shard its window, if it has eligible work: the
 		// horizon is the earliest tick a future arrival could target — the
 		// bounce-back path through its own posts (its next event plus the
-		// round-trip mem→group→mem floor) — capped by the group's next
-		// pending event: any group event may RequestExit at its tick (in
+		// round-trip mem→cpu→mem floor) — capped by the CPU shard's next
+		// pending event: any CPU-side event may RequestExit at its tick (in
 		// this Run call or a later one with a higher limit), and exit
 		// truncation must never find the memory shard past it.
 		if memHas && memNext <= limit {
-			horizon := addSat(memNext, addSat(eng.lookMG, eng.lookGM))
-			if groupHas && groupNext < horizon {
-				horizon = groupNext
+			horizon := addSat(memNext, addSat(eng.quantum, eng.busLook))
+			if cpuHas && cpuNext < horizon {
+				horizon = cpuNext
 			}
 			if memNext < horizon {
 				eng.grantFloor, eng.grantHorizon = memNext, horizon
@@ -499,9 +387,8 @@ func (eng *shardEngine) run(s *System, limit Tick, maxEvents uint64) (res RunRes
 			}
 		}
 
-		// Run the merged group burst concurrently with the window. The bound
-		// is the earliest possible memory-side activity plus the mem→group
-		// floor; it tightens live as the burst posts to memory.
+		// Run the CPU burst concurrently with the window. The bound tightens
+		// live as the burst posts to memory.
 		memEarliest := MaxTick
 		if eng.workerBusy {
 			memEarliest = eng.grantFloor
@@ -511,40 +398,25 @@ func (eng *shardEngine) run(s *System, limit Tick, maxEvents uint64) (res RunRes
 		exited := false
 		var exitKey groupKey
 		for {
-			bv, e := eng.groupPeek()
-			if e == nil || e.when > limit {
-				break
-			}
-			me := memEarliest
-			if ob := eng.obToMem.minWhen; ob < me {
-				me = ob
-			}
-			if e.when >= addSat(me, eng.lookMG) {
+			e := cq.Peek()
+			if e == nil || e.when > limit || e.when >= eng.cpuBound(memEarliest) {
 				break
 			}
 			k := groupKey{when: e.when, prio: e.prio, stamp: e.stamp}
-			eng.syncGroup(e.when)
-			if eng.dispatchOneCatching(bv, e, &res) {
+			if eng.dispatchOneCatching(s, e, &res) {
 				exited, exitKey = true, k
 				break
 			}
-			if maxEvents > 0 && (eng.groupServiced()-g0)+memJoined >= maxEvents {
+			if maxEvents > 0 && (s.serviced-c0)+memJoined >= maxEvents {
 				break // status set at the top of the next round
 			}
 		}
-		// Publish the group replay mark: every group event below the final
-		// live bound has fired, and future group events (local or
-		// response-spawned) are at or above it. All group shards share one
-		// merged frontier, so they share one mark.
+		// Publish the CPU replay mark: every CPU-side event below the final
+		// live bound has fired, and future ones (local or response-spawned)
+		// are at or above it.
 		if !exited {
-			me := memEarliest
-			if ob := eng.obToMem.minWhen; ob < me {
-				me = ob
-			}
-			if b := addSat(me, eng.lookMG); b > eng.mark[0] {
-				for _, g := range eng.group {
-					eng.mark[g] = b
-				}
+			if b := eng.cpuBound(memEarliest); b > eng.mark[shardCPU] {
+				eng.mark[shardCPU] = b
 			}
 		}
 
@@ -559,13 +431,13 @@ func (eng *shardEngine) run(s *System, limit Tick, maxEvents uint64) (res RunRes
 			// Exact truncation: the serial run fires, before the exit event
 			// E, every memory event strictly below E's full ordering key.
 			// The worker has only fired events below the granted horizon,
-			// which is <= E's tick (the grant never extends past the group's
-			// next event while the group has eligible work), so no overshoot
+			// which is <= E's tick (the grant never extends past the CPU
+			// shard's next event while it has eligible work), so no overshoot
 			// is possible; drain the remainder single-threaded. Posts
-			// generated by the drain target at least the mem→group floor
-			// past E and are dropped unfired, exactly the events the serial
-			// run leaves in its queue at exit.
-			eng.deliver(&eng.obToMem)
+			// generated by the drain target at least Quantum past E and are
+			// dropped unfired, exactly the events the serial run leaves in
+			// its queue at exit.
+			eng.deliver(shardCPU)
 			for {
 				e := mq.Peek()
 				if e == nil {
@@ -577,9 +449,7 @@ func (eng *shardEngine) run(s *System, limit Tick, maxEvents uint64) (res RunRes
 				}
 				eng.dispatchOne(mv, e)
 			}
-			for i := range eng.mark {
-				eng.mark[i] = MaxTick
-			}
+			eng.mark = [2]Tick{MaxTick, MaxTick}
 			return
 		}
 	}

@@ -4,17 +4,14 @@ import "sync"
 
 // Deferred tracer replay for sharded execution.
 //
-// Under sharded execution every shard's tracer activity (Call/Data records)
+// Under sharded execution each shard's tracer activity (Call/Data records)
 // is appended to a per-shard log instead of being fed to the real Tracer
 // inline: the real Tracer is a stateful host model (or its ring encoder)
 // whose record order must equal the serial simulation's byte for byte, and
 // two shards firing concurrently cannot share it. A replayer goroutine
-// k-way-merges the per-shard logs below the published safe frontier — in
-// exactly the event order the single-queue simulation would have used — and
-// feeds the merged stream to the real Tracer. This also moves the entire
-// host-model/encoder cost off the simulation-critical shards, which is
-// where the sharded wall-clock win comes from on top of the DRAM-event
-// offload.
+// merges the two logs below the published safe frontier — in exactly the
+// event order the single-queue simulation would have used — and feeds the
+// merged stream to the real Tracer.
 
 // recKind distinguishes deferred tracer records.
 type recKind uint8
@@ -58,10 +55,9 @@ func (k groupKey) less(o groupKey) bool {
 // segment is a flushable chunk of one shard's trace log: a flat record
 // arena indexed by per-group offsets, so appends never copy per record.
 type segment struct {
-	shard int
-	keys  []groupKey
-	offs  []int // offs[i] = start of group i in recs; len(keys)+1 entries
-	recs  []traceRec
+	keys []groupKey
+	offs []int // offs[i] = start of group i in recs; len(keys)+1 entries
+	recs []traceRec
 }
 
 // segPool recycles drained trace segments (and their backing arenas)
@@ -81,33 +77,15 @@ func recycleSegment(s *segment) {
 	segPool.Put(s)
 }
 
-// segsSlicePool recycles the small per-batch segment-pointer slices handed
-// from the coordinator to the replayer (boxed behind a pointer so the pool
-// round-trip itself does not allocate).
-var segsSlicePool = sync.Pool{New: func() any {
-	s := make([]*segment, 0, MaxShards)
-	return &s
-}}
-
-func takeSegsSlice() []*segment { return (*segsSlicePool.Get().(*[]*segment))[:0] }
-
-func putSegsSlice(s []*segment) {
-	s = s[:0]
-	segsSlicePool.Put(&s)
-}
-
 // shardLog accumulates trace groups for one shard. It is written only by
 // the goroutine currently executing that shard and handed over (flushed)
 // only at barrier points, so it needs no locking.
 type shardLog struct {
-	shard int
-	seg   *segment
+	seg *segment
 }
 
-func newShardLog(shard int) *shardLog {
-	seg := segPool.Get().(*segment)
-	seg.shard = shard
-	return &shardLog{shard: shard, seg: seg}
+func newShardLog() *shardLog {
+	return &shardLog{seg: segPool.Get().(*segment)}
 }
 
 // begin opens a new trace group for the event with the given key: offs[i]
@@ -132,22 +110,20 @@ func (l *shardLog) take() *segment {
 	// Terminate: offs gets len(keys)+1 entries, the last one len(recs), so
 	// group i's records are recs[offs[i]:offs[i+1]].
 	s.offs = append(s.offs, len(s.recs))
-	ns := segPool.Get().(*segment)
-	ns.shard = l.shard
-	l.seg = ns
+	l.seg = segPool.Get().(*segment)
 	return s
 }
 
 // empty reports whether the current segment holds no groups.
 func (l *shardLog) empty() bool { return len(l.seg.keys) == 0 }
 
-// replayBatch is one hand-off from the coordinator to the replayer: newly
-// completed segments plus the per-shard safe marks. mark[s] guarantees that
-// shard s will never log another group with key.when < mark[s]. The mark
-// array is sized by MaxShards so batches carry it inline, allocation-free.
+// replayBatch is one hand-off from the coordinator to the replayer: each
+// shard's newly completed segment (nil when it logged nothing) plus the
+// per-shard safe marks. mark[s] guarantees that shard s will never log
+// another group with key.when < mark[s].
 type replayBatch struct {
-	segs  []*segment
-	mark  [MaxShards]Tick
+	segs  [2]*segment
+	mark  [2]Tick
 	final bool // no further batches: drain everything
 }
 
@@ -170,18 +146,6 @@ func (t *shardTracer) RegisterFunc(name string, codeBytes int, flags FuncFlags) 
 	return t.under.RegisterFunc(name, codeBytes, flags)
 }
 
-// logShard resolves which shard log records emitted through this view belong
-// to: the worker logs to its own shard, while group views log to the shard
-// whose event the coordinator is currently dispatching (a group callback
-// reaches synchronously across group views, and its records belong to the
-// dispatched event's group — see shardEngine.cur).
-func (t *shardTracer) logShard() int {
-	if t.shard == t.eng.mem {
-		return t.shard
-	}
-	return t.eng.cur
-}
-
 func (t *shardTracer) Call(fn FuncID) {
 	if !t.eng.running {
 		t.under.Call(fn)
@@ -190,7 +154,7 @@ func (t *shardTracer) Call(fn FuncID) {
 	if t.eng.traceOff {
 		return
 	}
-	t.eng.log[t.logShard()].call(fn)
+	t.eng.log[t.shard].call(fn)
 }
 
 func (t *shardTracer) Data(addr uint64, size uint32, write bool) {
@@ -201,7 +165,7 @@ func (t *shardTracer) Data(addr uint64, size uint32, write bool) {
 	if t.eng.traceOff {
 		return
 	}
-	t.eng.log[t.logShard()].data(addr, size, write)
+	t.eng.log[t.shard].data(addr, size, write)
 }
 
 func (t *shardTracer) AllocData(name string, bytes uint64) uint64 {
@@ -209,14 +173,6 @@ func (t *shardTracer) AllocData(name string, bytes uint64) uint64 {
 		panic("sim: AllocData during a sharded run (allocate host data at construction time)")
 	}
 	return t.under.AllocData(name, bytes)
-}
-
-// ShardHinter is optionally implemented by Tracers that want to know which
-// shard produced the records that follow (a diagnostic annotation; it must
-// not influence modeled outcomes, which are bit-identical at every shard
-// count).
-type ShardHinter interface {
-	SetShardHint(shard int)
 }
 
 // replayStream is the replayer's view of one shard's ordered group stream.
@@ -259,77 +215,54 @@ func (st *replayStream) pop(tr Tracer) {
 	st.gi++
 }
 
-// replayLoop drains replayBatches, k-way-merging the per-shard streams in
-// deterministic key order (ties: lower shard first) and feeding the real
-// tracer. The merge order is a pure function of the logs; batch boundaries
-// and marks only affect when groups become eligible, never their order.
+// nextStream returns the shard whose head group replays next, or -1 if none
+// may yet. The serial-next group is the smaller of the two stream heads (full
+// ties: CPU shard first): each stream lists its shard's dispatches in pop
+// order, which equals the serial order restricted to that shard. With one
+// head visible, emitting it is safe once the other shard provably cannot log
+// anything below it (its mark, or the final batch).
+func nextStream(streams *[2]replayStream, mark [2]Tick, final bool) int {
+	kc, okc := streams[shardCPU].head()
+	km, okm := streams[shardMem].head()
+	switch {
+	case okc && okm:
+		if km.less(kc) {
+			return shardMem
+		}
+		return shardCPU
+	case okc && (final || kc.when < mark[shardMem]):
+		return shardCPU
+	case okm && (final || km.when < mark[shardCPU]):
+		return shardMem
+	}
+	return -1
+}
+
+// replayLoop drains replayBatches, merging the two shards' streams in
+// deterministic key order and feeding the real tracer. The merge order is a
+// pure function of the logs; batch boundaries and marks only affect when
+// groups become eligible, never their order.
 func (eng *shardEngine) replayLoop() {
 	defer close(eng.replayDone)
-	tr := eng.under
-	hinter, _ := tr.(ShardHinter)
-	curShard := 0
-	streams := make([]replayStream, len(eng.views))
-	var mark [MaxShards]Tick
+	var streams [2]replayStream
 	final := false
 	for !final {
 		batch, ok := <-eng.replayCh
 		if !ok {
 			break
 		}
-		for _, seg := range batch.segs {
-			streams[seg.shard].segs = append(streams[seg.shard].segs, seg)
+		for i, seg := range batch.segs {
+			if seg != nil {
+				streams[i].segs = append(streams[i].segs, seg)
+			}
 		}
-		if batch.segs != nil {
-			putSegsSlice(batch.segs)
-		}
-		mark = batch.mark
 		final = batch.final
 		for {
-			// The minimum visible head is the serial-next group among the
-			// streams that have one: each stream lists its shard's
-			// dispatches in shard pop order, which equals the serial order
-			// restricted to that shard, so the serial-next event is always
-			// some stream's head and the key comparison (full ties: lower
-			// shard first) decides which. Emitting it is safe once every
-			// stream with NO visible head provably cannot log anything
-			// below it (its mark, or the final batch).
-			s := -1
-			var k groupKey
-			for i := range streams {
-				ki, ok := streams[i].head()
-				if !ok {
-					continue
-				}
-				if s < 0 || ki.less(k) {
-					s, k = i, ki
-				}
-			}
+			s := nextStream(&streams, batch.mark, final)
 			if s < 0 {
 				break
 			}
-			if !final {
-				safe := true
-				for i := range streams {
-					if i == s {
-						continue
-					}
-					if _, has := streams[i].head(); has {
-						continue // a visible head is >= k by selection
-					}
-					if k.when >= mark[i] {
-						safe = false
-						break
-					}
-				}
-				if !safe {
-					break
-				}
-			}
-			if hinter != nil && s != curShard {
-				hinter.SetShardHint(s)
-				curShard = s
-			}
-			streams[s].pop(tr)
+			streams[s].pop(eng.under)
 		}
 	}
 }

@@ -201,9 +201,9 @@ const maxFreeOneShots = 1024
 
 // oneShots is the free list of one-shot events embedded by every Queue
 // implementation. ServiceOne puts an event back on the queue that fired it,
-// after its callback returned; System.OneShot gets one from a queue the
+// after its callback returned; System.OneShot gets one from the queue the
 // calling goroutine executes. Each list therefore has one goroutine as owner
-// and needs no lock at any shard layout.
+// and needs no lock, sharded or not.
 type oneShots struct{ free []*Event }
 
 func (p *oneShots) pool() *oneShots { return p }
@@ -237,34 +237,10 @@ type stamper struct {
 	dispPrio int  // priority of the event being dispatched
 	dispAt   Tick // insertion tick of the event being dispatched
 	dispIdx  uint32
-	// del, when set, is the stamper all provenance operations delegate to.
-	// The sharded engine points every affine group shard's queue at the
-	// coordinator queue's stamper, so insertions across the whole group mint
-	// stamps from one monotone sequence — the group's merged dispatch order
-	// then equals the single-queue order restricted to group events, exactly
-	// as if they shared one queue.
-	del *stamper
 	// panicCtx, when set, is appended to queue panic messages (sharded
-	// execution installs a shard/window description here). It is never
-	// delegated: each queue describes its own shard.
+	// execution installs a shard/window description here).
 	panicCtx func() string
 }
-
-// target returns the stamper provenance operations act on (the delegate for
-// affine group queues, st itself otherwise).
-func (st *stamper) target() *stamper {
-	if st.del != nil {
-		return st.del
-	}
-	return st
-}
-
-// shareStamper redirects this queue's provenance bookkeeping to with's
-// stamper. Installed by EnableSharding before any event is inserted.
-func (st *stamper) shareStamper(with *stamper) { st.del = with.target() }
-
-// stamperPtr exposes the embedded stamper for sharing (see shareStamper).
-func (st *stamper) stamperPtr() *stamper { return st }
 
 // stampFor assigns e its insertion stamp unless a pre-assigned stamp (a
 // cross-shard mailbox post carrying the poster's provenance) is pending.
@@ -273,7 +249,7 @@ func (st *stamper) stampFor(e *Event, now Tick) {
 		e.stampSet = false
 		return
 	}
-	e.stamp = st.target().takeStamp(now)
+	e.stamp = st.takeStamp(now)
 }
 
 // takeStamp mints the next insertion stamp for the current dispatch context.
@@ -281,9 +257,8 @@ func (st *stamper) stampFor(e *Event, now Tick) {
 // local insertion would, so local and remote children of one dispatch share
 // a single index sequence — the same order a single queue would produce.
 func (st *stamper) takeStamp(now Tick) schedStamp {
-	t := st.target()
-	s := schedStamp{at: now, pPrio: t.dispPrio, pAt: t.dispAt, pIdx: t.dispIdx}
-	t.dispIdx++
+	s := schedStamp{at: now, pPrio: st.dispPrio, pAt: st.dispAt, pIdx: st.dispIdx}
+	st.dispIdx++
 	return s
 }
 
@@ -293,29 +268,10 @@ func (st *stamper) takeStamp(now Tick) schedStamp {
 // a key prefix under the lexicographic comparator — so children of
 // equal-stamped parents still sort in overall insertion order.
 func (st *stamper) beginDispatch(e *Event) {
-	t := st.target()
-	if e.when != t.dispWhen || e.prio != t.dispPrio || e.stamp.at != t.dispAt {
-		t.dispWhen, t.dispPrio, t.dispAt = e.when, e.prio, e.stamp.at
-		t.dispIdx = 0
+	if e.when != st.dispWhen || e.prio != st.dispPrio || e.stamp.at != st.dispAt {
+		st.dispWhen, st.dispPrio, st.dispAt = e.when, e.prio, e.stamp.at
+		st.dispIdx = 0
 	}
-}
-
-// stampSharer is satisfied by every queue backend via the embedded stamper;
-// the sharded engine uses it to fuse the provenance sequences of affine
-// group shards onto the coordinator queue's stamper.
-type stampSharer interface {
-	shareStamper(with *stamper)
-	stamperPtr() *stamper
-}
-
-// clockSyncer is implemented by queue backends whose clock the sharded
-// engine can advance without firing an event. Before dispatching the merged
-// group's next event at tick t, the coordinator syncs every affine group
-// queue to t so that components constructed against any group view read a
-// consistent Now() (and ScheduleIn computes correct absolute ticks) no
-// matter which shard's queue the fired event came from.
-type clockSyncer interface {
-	syncNow(t Tick)
 }
 
 // context renders the installed panic context, or "".

@@ -85,18 +85,14 @@ func (s *System) Rand() *rand.Rand { return s.rng }
 // Now returns the current simulation time.
 func (s *System) Now() Tick { return s.queue.Now() }
 
-// EventsServiced returns the number of events fired so far, summed over all
-// shards. Each shard's counter has a single writer and the sum is read
+// EventsServiced returns the number of events fired so far, summed over
+// both shards. Each shard's counter has a single writer and the sum is read
 // between runs, so the aggregate is deterministic.
 func (s *System) EventsServiced() uint64 {
 	r := s.root()
 	n := r.serviced
 	if r.eng != nil {
-		for _, v := range r.eng.views {
-			if v != r {
-				n += v.serviced
-			}
-		}
+		n += r.eng.views[shardMem].serviced
 	}
 	return n
 }
@@ -124,11 +120,9 @@ func (s *System) Objects() []SimObject { return s.root().objects }
 // another shard is routed through the engine's mailbox instead of the local
 // queue (see shardEngine.post).
 func (s *System) Schedule(e *Event, when Tick) {
-	if s.eng != nil {
-		if dst := s.eng.layout[e.domain]; dst != s.shard {
-			s.eng.post(s, dst, e, when)
-			return
-		}
+	if s.eng != nil && shardOf(e.domain) != s.shard {
+		s.eng.post(s, e, when)
+		return
 	}
 	s.tracer.Call(s.fnSchedule)
 	s.queue.Schedule(e, when)
@@ -143,52 +137,28 @@ func (s *System) ScheduleIn(e *Event, delta Tick) {
 // handle is returned, so a one-shot can be neither descheduled nor observed
 // after it fired; the queue that fires it takes the event back. Ordering is
 // that of ScheduleIn with a fresh event: seq and stamp are assigned at
-// insertion. The event comes from the free list it will return to when that
-// list is this goroutine's to touch — the caller's queue or another group
-// shard's (a core-private cache is built on the root view but fires on its
-// core's shard) — and from the caller's list when it crosses to the worker,
-// where the traffic coming back draws on it in turn.
+// insertion. The event comes from the caller's queue's free list — the only
+// one this goroutine may touch — also when it crosses to the other shard,
+// where the traffic coming back draws on the list it retires to in turn.
 func (s *System) OneShot(name string, fn FuncID, d Domain, delay Tick, fire func()) {
-	from := s
-	if s.eng != nil && s.eng.isGroup(s.shard) && s.eng.isGroup(s.eng.layout[d]) {
-		from = s.eng.views[s.eng.layout[d]]
-	}
-	s.Schedule(from.queue.pool().get(name, fn, d, fire), s.queue.Now()+delay)
+	s.Schedule(s.queue.pool().get(name, fn, d, fire), s.queue.Now()+delay)
 }
 
-// Deschedule removes a scheduled event. Under sharding an event owned by
-// another affine group shard may be descheduled directly (both shards
-// execute on the coordinator goroutine — guest cores park and wake each
-// other through the threading syscalls); descheduling across the worker
-// boundary is not supported.
+// Deschedule removes a scheduled event. Under sharding an event owned by the
+// other shard cannot be descheduled (no component moves an event it does not
+// own, and supporting it would need a cancellation protocol).
 func (s *System) Deschedule(e *Event) {
-	if s.eng != nil {
-		if dst := s.eng.layout[e.domain]; dst != s.shard {
-			if s.eng.isGroup(dst) && s.eng.isGroup(s.shard) {
-				s.eng.views[dst].queue.Deschedule(e)
-				return
-			}
-			panic(fmt.Sprintf("sim: cross-shard Deschedule of %s (domain %s)", e.name, e.domain))
-		}
+	if s.eng != nil && shardOf(e.domain) != s.shard {
+		panic(fmt.Sprintf("sim: cross-shard Deschedule of %s (domain %s)", e.name, e.domain))
 	}
 	s.queue.Deschedule(e)
 }
 
 // Reschedule moves e to absolute tick when, scheduling it if necessary.
-// Like Deschedule, reschedules between affine group shards are direct;
-// across the worker boundary they are not supported (no component moves an
-// event it does not own, and supporting it would need a cancellation
-// protocol).
+// Like Deschedule, it is not supported across shards.
 func (s *System) Reschedule(e *Event, when Tick) {
-	if s.eng != nil {
-		if dst := s.eng.layout[e.domain]; dst != s.shard {
-			if s.eng.isGroup(dst) && s.eng.isGroup(s.shard) {
-				s.tracer.Call(s.fnSchedule)
-				s.eng.views[dst].queue.Reschedule(e, when)
-				return
-			}
-			panic(fmt.Sprintf("sim: cross-shard Reschedule of %s (domain %s)", e.name, e.domain))
-		}
+	if s.eng != nil && shardOf(e.domain) != s.shard {
+		panic(fmt.Sprintf("sim: cross-shard Reschedule of %s (domain %s)", e.name, e.domain))
 	}
 	s.tracer.Call(s.fnSchedule)
 	s.queue.Reschedule(e, when)
@@ -257,8 +227,8 @@ type RunResult struct {
 
 // Run services events until the queue empties, limit ticks is exceeded,
 // maxEvents events have fired (0 = unlimited), or a component requests exit.
-// With sharding enabled the run executes on per-domain queues in parallel;
-// results are bit-identical to the serial run (see shardedqueue.go).
+// With sharding enabled the run executes on two queues in parallel; results
+// are bit-identical to the serial run (see shardedqueue.go).
 func (s *System) Run(limit Tick, maxEvents uint64) RunResult {
 	if s.eng != nil {
 		if s.prim != nil {
@@ -292,161 +262,58 @@ func (s *System) Run(limit Tick, maxEvents uint64) RunResult {
 	return res
 }
 
-// EnableSharding splits the system onto per-domain event queues executed in
-// parallel under a conservative per-edge lookahead barrier (see
-// shardedqueue.go). It must be called on the root System before any
-// component that schedules cross-domain events is constructed, and before
-// simulation begins. With cfg.Shards < 2 (and no explicit Plan) it is a
-// no-op and the system stays serial. The topology comes from cfg.Plan when
-// given, otherwise from the derived guest layout: shard 0 is the
-// coordinator (DomainCPU + DomainDev), the last shard is the memory worker,
-// and with Cores > 1 and Shards > 2 up to min(Shards-2, Cores-1, 3)
-// per-core domains get affine shards of their own. Requests beyond the
-// partitionable domains clamp; the returned ShardInfo reports the effective
-// layout and cfg.Log (when set) receives it as one line, so a clamp is
-// visible at startup instead of discovered later.
-func (s *System) EnableSharding(cfg ShardConfig) ShardInfo {
+// EnableSharding splits the system onto two event queues executed in
+// parallel under a conservative quantum barrier (see shardedqueue.go): the
+// memory domain gets a queue and worker goroutine of its own, everything
+// else stays on this System's queue and the goroutine that calls Run. It
+// must be called on the root System before any component that schedules
+// cross-domain events is constructed, and before simulation begins.
+func (s *System) EnableSharding(cfg ShardConfig) {
 	if s.prim != nil {
 		panic("sim: EnableSharding on a domain view")
 	}
 	if s.eng != nil {
 		panic("sim: EnableSharding called twice")
 	}
-	if cfg.Plan == nil && cfg.Shards < 2 {
-		return ShardInfo{Requested: cfg.Shards, Shards: 1, Layout: "serial"}
-	}
 	if s.started || s.serviced > 0 {
 		panic("sim: EnableSharding after simulation began")
 	}
-	plan := cfg.Plan
-	if plan == nil {
-		if cfg.Quantum == 0 {
-			panic("sim: EnableSharding requires a nonzero quantum (derive it with QuantumFor)")
-		}
-		plan = derivePlan(cfg)
+	if cfg.Quantum == 0 {
+		panic("sim: EnableSharding requires a nonzero quantum (derive it with QuantumFor)")
 	}
-	plan.validate()
-	n := len(plan.Worker)
-	newQ := cfg.NewQueue
-	if newQ == nil {
-		newQ = func() Queue { return NewHeapQueue() }
+	var mq Queue
+	if cfg.NewQueue != nil {
+		mq = cfg.NewQueue()
+	} else {
+		mq = NewHeapQueue()
 	}
 	eng := &shardEngine{
-		layout: plan.Layout,
-		look:   plan.Look,
-		under:  s.tracer,
-		lookGM: LookInf,
-		lookMG: LookInf,
+		quantum: cfg.Quantum,
+		busLook: cfg.BusLookahead,
+		under:   s.tracer,
 	}
-	for i, w := range plan.Worker {
-		if w {
-			eng.mem = i
-		} else {
-			eng.group = append(eng.group, i)
-		}
+	_, eng.traceOff = s.tracer.(*NopTracer)
+	mv := &System{
+		queue:      mq,
+		byName:     s.byName,
+		stats:      s.stats,
+		rng:        s.rng,
+		fnDispatch: s.fnDispatch,
+		fnSchedule: s.fnSchedule,
+		prim:       s,
+		shard:      shardMem,
+		eng:        eng,
 	}
-	for _, g := range eng.group {
-		if lk := plan.Look[g][eng.mem]; lk < eng.lookGM {
-			eng.lookGM = lk
-		}
-		if lk := plan.Look[eng.mem][g]; lk < eng.lookMG {
-			eng.lookMG = lk
-		}
-	}
-	if _, nop := s.tracer.(*NopTracer); nop {
-		eng.traceOff = true
-	}
-	eng.views = make([]*System, n)
-	eng.log = make([]*shardLog, n)
-	eng.names = make([]string, n)
-	eng.views[0] = s
-	for i := 1; i < n; i++ {
-		v := &System{
-			queue:      newQ(),
-			byName:     s.byName,
-			stats:      s.stats,
-			rng:        s.rng,
-			fnDispatch: s.fnDispatch,
-			fnSchedule: s.fnSchedule,
-			prim:       s,
-			shard:      i,
-			eng:        eng,
-		}
-		v.tracer = &shardTracer{eng: eng, shard: i, under: eng.under}
-		eng.views[i] = v
-	}
-	s.tracer = &shardTracer{eng: eng, shard: 0, under: eng.under}
-	s.eng = eng
-	// Affine group shards share the coordinator queue's provenance stamper
-	// (their merged dispatch order must mint stamps like one queue) and must
-	// support clock syncing; the worker keeps its own stamper.
-	rootSharer, rootOK := s.queue.(stampSharer)
+	eng.views = [2]*System{s, mv}
 	for i, v := range eng.views {
-		eng.log[i] = newShardLog(i)
-		if i != 0 && eng.isGroup(i) {
-			sh, shOK := v.queue.(stampSharer)
-			_, csOK := v.queue.(clockSyncer)
-			if !rootOK || !shOK || !csOK {
-				panic(fmt.Sprintf("sim: queue backend %T does not support affine group shards (needs shared stamping and clock sync)", v.queue))
-			}
-			sh.shareStamper(rootSharer.stamperPtr())
-		}
+		v.tracer = &shardTracer{eng: eng, shard: i, under: eng.under}
+		eng.log[i] = newShardLog()
 		if pc, ok := v.queue.(panicContexter); ok {
 			shard := i
 			pc.SetPanicContext(func() string { return eng.describe(shard) })
 		}
 	}
-	// Resolve the group clock syncers once: syncGroup runs per dispatched
-	// event and must not re-assert the interface each time.
-	for _, g := range eng.group {
-		if cs, ok := eng.views[g].queue.(clockSyncer); ok {
-			eng.syncers = append(eng.syncers, cs)
-		}
-	}
-	layout := plan.layoutString(cfg.Cores)
-	for i := range eng.names {
-		eng.names[i] = shardDomains(plan, i)
-	}
-	requested := cfg.Shards
-	if cfg.Plan != nil {
-		requested = n
-	}
-	eng.info = ShardInfo{
-		Requested: requested,
-		Shards:    n,
-		Workers:   1,
-		Clamped:   requested != n,
-		Layout:    layout,
-	}
-	if cfg.Log != nil {
-		cfg.Log("sharding: " + eng.info.String())
-	}
-	return eng.info
-}
-
-// ShardInfo returns the effective layout settled on by EnableSharding (the
-// zero value when the system is serial).
-func (s *System) ShardInfo() ShardInfo {
-	if r := s.root(); r.eng != nil {
-		return r.eng.info
-	}
-	return ShardInfo{Shards: 1, Layout: "serial"}
-}
-
-// shardDomains names one shard for messages: "cpu+dev" for the coordinator,
-// the "+"-joined domain names otherwise.
-func shardDomains(p *ShardPlan, shard int) string {
-	if shard == 0 {
-		return "cpu+dev"
-	}
-	s, sep := "", ""
-	for d := Domain(0); d < NumDomains; d++ {
-		if p.Layout[d] == shard {
-			s += sep + d.String()
-			sep = "+"
-		}
-	}
-	return s
+	s.eng = eng
 }
 
 // Sharded reports whether sharded execution is enabled.
@@ -454,15 +321,15 @@ func (s *System) Sharded() bool { return s.root().eng != nil }
 
 // DomainView returns the System facade owning the given domain's events:
 // components constructed against it schedule and read time on that domain's
-// shard. Without sharding (or for domains fused onto the primary shard) it
-// returns the root System itself. Views share the root's object registry,
+// shard. Without sharding, and for every domain but DomainMem, it returns
+// the root System itself. Views share the root's object registry,
 // statistics, RNG, and tracer identity.
 func (s *System) DomainView(d Domain) *System {
 	r := s.root()
 	if r.eng == nil {
 		return r
 	}
-	return r.eng.views[r.eng.layout[d]]
+	return r.eng.views[shardOf(d)]
 }
 
 // serviceOneCatching fires one event, translating RequestExit panics into a

@@ -102,22 +102,19 @@ type Result struct {
 // (instruction streams are model-invariant; the profile and checkpoints
 // always come from the Atomic model regardless of the measured target).
 //
-// The resolved shard layout IS included, defensively: sharded execution is
-// bit-identical to serial by design, but that is an invariant the
-// differential suites test, not an axiom the cache may assume. If a
-// layout-dependent divergence bug ever slipped in, shared cache keys would
-// launder a serial-engine checkpoint into a sharded run (or vice versa)
-// and hide the divergence from exactly the suites meant to catch it.
+// Shards is excluded as well: the profile and the checkpoints come from the
+// Atomic model and the windows from interval sessions, and both always run
+// on the single event queue (core.ExecPlan), so the work keyed here is the
+// same whatever the target asks for.
 func ConfigPrefix(gc core.GuestConfig) string {
 	gc = gc.Normalized()
 	hier := "default"
 	if gc.Hierarchy != nil {
 		hier = fmt.Sprintf("%+v", *gc.Hierarchy)
 	}
-	return fmt.Sprintf("mode=%s workload=%s scale=%d bootexit=%v bootkbs=%d ncpu=%d mem=%d clk=%d hier=%s ideal=%v gtlb=%v calq=%v shards=%s",
+	return fmt.Sprintf("mode=%s workload=%s scale=%d bootexit=%v bootkbs=%d ncpu=%d mem=%d clk=%d hier=%s ideal=%v gtlb=%v calq=%v",
 		gc.Mode, gc.Workload, gc.Scale, gc.BootExit, gc.BootKBs, gc.NumCPUs,
-		gc.MemBytes, gc.ClockPeriod, hier, gc.IdealMemory, gc.GuestTLBs, gc.CalendarQueue,
-		core.ShardLayout(gc))
+		gc.MemBytes, gc.ClockPeriod, hier, gc.IdealMemory, gc.GuestTLBs, gc.CalendarQueue)
 }
 
 // analysis is the per-(config family, sampling params) work shared by

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"gem5prof/internal/ckptcache"
@@ -300,27 +299,50 @@ func TestConfigPrefixExcludesSeedIncludesExecution(t *testing.T) {
 	}
 }
 
-// TestConfigPrefixShardLayout pins that checkpoint cache keys split on the
-// resolved shard layout: a sharded and a serial run never exchange cached
-// checkpoints, so a hypothetical layout-dependent divergence could not be
-// laundered through the cache past the differential suites. Resolution —
-// not the raw mode — is what's keyed: an Atomic guest clamps to serial, so
-// requesting shards there must NOT split the key.
-func TestConfigPrefixShardLayout(t *testing.T) {
-	a := testGuest()
-	s := testGuest()
-	s.Shards = 2
-	if simpoint.ConfigPrefix(a) == simpoint.ConfigPrefix(s) {
-		t.Fatal("prefix ignores shard layout")
+// TestSampledSharesAnalysisAcrossShards: the BBV pass, the checkpoints and
+// the interval windows always run on the single event queue, so two sampled
+// runs that differ only in Guest.Shards are the same work: one in-process
+// analysis, one set of on-disk checkpoint keys, one result.
+func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
+	cache, err := ckptcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(simpoint.ConfigPrefix(s), "shards=cpu+dev|mem") {
-		t.Fatalf("sharded prefix missing layout: %q", simpoint.ConfigPrefix(s))
+	serial, sharded := testSession(), testSession()
+	serial.Guest.Shards = core.ShardSerial
+	sharded.Guest.Shards = 2
+
+	simpoint.ResetMemo()
+	first, err := simpoint.RunSampled(serial, testConfig(cache))
+	if err != nil {
+		t.Fatal(err)
 	}
-	at := testGuest()
-	at.CPU = core.Atomic
-	ats := at
-	ats.Shards = 2
-	if simpoint.ConfigPrefix(at) != simpoint.ConfigPrefix(ats) {
-		t.Fatal("prefix splits on a shard request the Atomic model clamps away")
+	cold := cache.Stats()
+	if cold.Misses == 0 || cold.Hits != 0 {
+		t.Fatalf("cold run should only miss: %+v", cold)
+	}
+
+	// Same memo entry: the second call neither profiles again nor looks a
+	// checkpoint up.
+	second, err := simpoint.RunSampled(sharded, testConfig(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st != cold {
+		t.Fatalf("Shards split the in-process analysis: cache traffic %+v -> %+v", cold, st)
+	}
+
+	// Same on-disk keys: a fresh analysis for the sharded target finds
+	// every checkpoint the serial one stored.
+	simpoint.ResetMemo()
+	third, err := simpoint.RunSampled(sharded, testConfig(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != cold.Misses || st.Misses != cold.Misses {
+		t.Fatalf("Shards split the checkpoint keys: cold %+v, after re-analysis %+v", cold, st)
+	}
+	if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first, third) {
+		t.Fatalf("results differ across Shards:\nserial  %+v\nsharded %+v\nre-analysed %+v", first, second, third)
 	}
 }
