@@ -46,9 +46,10 @@
 // GOMAXPROCS): experiments fan out against each other and the independent
 // runs inside each experiment fan out too, all on one shared pool. The
 // report on stdout (and -o) is byte-identical for every -j value — results
-// are collected in cell order and per-run seeds derive from (experiment id,
-// cell index) — so only timing, which is inherently nondeterministic, goes
-// to stderr.
+// are collected in cell order and each run is a pure function of its cell's
+// config — so only timing, which is inherently nondeterministic, goes to
+// stderr. -run ids are checked before anything runs: an unknown id is a
+// usage error (exit 2) listing the valid set.
 package main
 
 import (
@@ -58,6 +59,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -66,28 +68,39 @@ import (
 )
 
 func main() {
-	// Indirection so deferred profile writers run before the process
-	// exits, even when experiments fail.
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	quick := flag.Bool("quick", false, "use reduced workload sets and problem sizes")
-	runList := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulation runs (output is identical for any value)")
-	pipeline := flag.String("pipeline", "off", "in-session producer/consumer pipeline: on or off (output is identical either way)")
-	cores := flag.Int("cores", 0, "cap the multicore scaling sweep (fig16) at this guest core count (0 = default 1/2/4)")
-	simPoint := flag.Bool("simpoint", false, "sample the sweep figures (10, 12, 13) via SimPoint-style phase-representative intervals")
-	simPointInterval := flag.Uint64("simpoint-interval", 0, "override the SimPoint profiling interval in committed instructions (0 = harness default)")
-	ckptCacheDir := flag.String("ckpt-cache-dir", "", "persist fast-forward checkpoints in this directory (content-addressed, self-verifying)")
-	outPath := flag.String("o", "", "also write the report to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the harness to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	flag.Parse()
+// run is main's body. It returns the exit code instead of calling os.Exit
+// so that the deferred profile writers run on every path, experiment
+// failures included. The report goes to stdout (and -o); everything that
+// depends on the host — timing, progress, failures — goes to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "use reduced workload sets and problem sizes")
+	runList := fs.String("run", "all", "comma-separated experiment ids, or 'all'")
+	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulation runs (output is identical for any value)")
+	pipeline := fs.String("pipeline", "off", "in-session producer/consumer pipeline: on or off (output is identical either way)")
+	cores := fs.Int("cores", 0, "cap the multicore scaling sweep (fig16) at this guest core count (0 = default 1/2/4)")
+	simPoint := fs.Bool("simpoint", false, "sample the sweep figures (10, 12, 13) via SimPoint-style phase-representative intervals")
+	simPointInterval := fs.Uint64("simpoint-interval", 0, "override the SimPoint profiling interval in committed instructions (0 = harness default)")
+	ckptCacheDir := fs.String("ckpt-cache-dir", "", "persist fast-forward checkpoints in this directory (content-addressed, self-verifying)")
+	outPath := fs.String("o", "", "also write the report to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the harness to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	mode, ok := core.ParsePipelineMode(*pipeline)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "invalid -pipeline %q (want on or off)\n", *pipeline)
+		fmt.Fprintf(stderr, "invalid -pipeline %q (want on or off)\n", *pipeline)
+		return 2
+	}
+	ids, err := selectIDs(*runList)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	core.SetDefaultPipeline(mode)
@@ -95,22 +108,18 @@ func run() int {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		// Stop and close via defer so the profile is complete on every
-		// exit path of run() — experiment failures included. (main exits
-		// through run()'s return value, never os.Exit directly, precisely
-		// so these defers always execute.)
 		defer func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+				fmt.Fprintln(stderr, "cpuprofile:", err)
 			}
 		}()
 	}
@@ -118,31 +127,26 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle live objects so the profile shows retention
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}()
 	}
 
-	ids := experiments.IDs()
-	if *runList != "all" {
-		ids = strings.Split(*runList, ",")
-	}
-
-	var out io.Writer = os.Stdout
+	out := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
+		out = io.MultiWriter(stdout, f)
 	}
 
 	opt := experiments.Options{
@@ -158,17 +162,44 @@ func run() int {
 	// streams deterministically while later experiments keep computing.
 	for oc := range experiments.RunMany(ids, opt) {
 		if oc.Err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", oc.ID, oc.Err)
+			fmt.Fprintf(stderr, "experiment %s failed: %v\n", oc.ID, oc.Err)
 			failed++
 			continue
 		}
 		fmt.Fprint(out, oc.Res.Render())
 		fmt.Fprintln(out)
-		fmt.Fprintf(os.Stderr, "%s done at %v\n", oc.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "%s done at %v\n", oc.ID, time.Since(start).Round(time.Millisecond))
 	}
-	fmt.Fprintf(os.Stderr, "total: %v (-j %d)\n", time.Since(start).Round(time.Millisecond), *jobs)
+	fmt.Fprintf(stderr, "total: %v (-j %d)\n", time.Since(start).Round(time.Millisecond), *jobs)
 	if failed > 0 {
 		return 1
 	}
 	return 0
+}
+
+// selectIDs resolves -run to experiment ids, before anything runs: "all",
+// or a comma-separated list whose entries are trimmed, dropped when empty
+// and each checked against the registered set.
+func selectIDs(runList string) ([]string, error) {
+	valid := experiments.IDs()
+	if runList == "all" {
+		return valid, nil
+	}
+	var ids, unknown []string
+	for _, id := range strings.Split(runList, ",") {
+		switch id = strings.TrimSpace(id); {
+		case id == "":
+		case slices.Contains(valid, id):
+			ids = append(ids, id)
+		default:
+			unknown = append(unknown, id)
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment %s; valid ids: %s", strings.Join(unknown, ", "), strings.Join(valid, " "))
+	}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("-run %q names no experiment; valid ids: %s", runList, strings.Join(valid, " "))
+	}
+	return ids, nil
 }

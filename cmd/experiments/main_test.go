@@ -1,0 +1,72 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestReportCarriesNoHostTime is the dynamic half of the determinism
+// contract for this command, where the nowallclock source ban does not
+// apply (cmd/ may time itself): the report on stdout and in -o is
+// byte-identical at every -j, and the wall-clock progress lines exist —
+// on stderr only. The seed's committed experiments_full.txt ends in
+// "total: 17m41.636s", so this class did happen once.
+func TestReportCarriesNoHostTime(t *testing.T) {
+	var reports []string
+	for _, j := range []string{"1", "2"} {
+		outPath := filepath.Join(t.TempDir(), "report.txt")
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-quick", "-run", "table1,fig13", "-j", j, "-o", outPath}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-j %s exited %d:\n%s", j, code, stderr.String())
+		}
+		file, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, stdout.Bytes()) {
+			t.Errorf("-j %s: the -o file differs from stdout", j)
+		}
+		for _, timing := range []string{"done at", "total:"} {
+			if strings.Contains(stdout.String(), timing) {
+				t.Errorf("-j %s: report contains the timing line %q", j, timing)
+			}
+			if !strings.Contains(stderr.String(), timing) {
+				t.Errorf("-j %s: stderr lacks the timing line %q:\n%s", j, timing, stderr.String())
+			}
+		}
+		if !strings.Contains(stdout.String(), "=== table1:") || !strings.Contains(stdout.String(), "=== fig13:") {
+			t.Errorf("-j %s: report lacks one of the requested experiments:\n%s", j, stdout.String())
+		}
+		reports = append(reports, stdout.String())
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("report differs between -j 1 and -j 2:\n--- -j 1\n%s\n--- -j 2\n%s", reports[0], reports[1])
+	}
+}
+
+// TestRunListValidatedUpFront: a bad -run is a usage error (exit 2) that
+// names the valid ids and runs nothing, however many good ids precede it.
+func TestRunListValidatedUpFront(t *testing.T) {
+	for _, c := range []struct{ list, want string }{
+		{"fig13,,fig99", "unknown experiment fig99"},
+		{"table1,nope, alsonope", "unknown experiment nope, alsonope"},
+		{" , ", "names no experiment"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-quick", "-run", c.list}, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), c.want) || !strings.Contains(stderr.String(), "fig13 fig14") {
+			t.Errorf("-run %q: exit %d, stderr %q; want 2 and %q with the valid list", c.list, code, stderr.String(), c.want)
+		}
+		if stdout.Len() != 0 || strings.Contains(stderr.String(), "done at") {
+			t.Errorf("-run %q ran something: stdout %q, stderr %q", c.list, stdout.String(), stderr.String())
+		}
+	}
+	// Empty entries and padding are dropped, not run.
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-quick", "-run", " table1 ,,"}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "=== table1:") {
+		t.Errorf(`-run " table1 ,,": exit %d, stderr %q`, code, stderr.String())
+	}
+}

@@ -17,9 +17,14 @@
 //	                                 diagnostic no longer fires)
 //
 // Analyzers: detmap, nowallclock, pastsched, atomicring, statreg,
-// sinkdiscipline, shardpost, detflow, floatorder, shardescape; see
+// sinkdiscipline, shardpost — each looks at one function at a time; see
 // internal/lint for what each enforces and for the //lint:deterministic
 // and //lint:allow escape hatches.
+//
+// The plain mode exits with go vet's own status. -json and -suppressions
+// exit 0 when clean, 1 on findings (for -suppressions: stale annotations)
+// and 2 when the vet run underneath failed some other way — a package that
+// does not parse or build — after passing its output on to stderr.
 package main
 
 import (
@@ -28,6 +33,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"regexp"
@@ -38,7 +44,12 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main's body for the standalone modes. Invoked by the go command as
+// a vet tool it hands over to lint.Main, which reads os.Args and exits.
+func run(args []string, stdout, stderr io.Writer) int {
 	for _, arg := range args {
 		if arg == "-V=full" || arg == "--V=full" || arg == "-flags" || arg == "--flags" ||
 			strings.HasSuffix(arg, ".cfg") {
@@ -59,43 +70,36 @@ func main() {
 	}
 	switch {
 	case suppMode:
-		os.Exit(suppressionsMode(patterns))
+		return suppressionsMode(patterns, stdout, stderr)
 	case jsonMode:
-		os.Exit(jsonMode2(patterns))
+		return jsonFindings(patterns, stdout, stderr)
 	default:
-		os.Exit(standalone(patterns, nil))
+		return vet(patterns, stdout, stderr)
 	}
 }
 
-// standalone re-invokes the suite through `go vet -vettool=<self>` so the
-// go command does the package loading and export-data plumbing. extra
-// flags are inserted before the patterns. When capture is nil, output
-// streams through; otherwise it is collected there and nothing is shown.
-func standalone(patterns []string, capture *bytes.Buffer, extra ...string) int {
+// vet re-invokes the suite through `go vet -vettool=<self>` so the go
+// command does the package loading and export-data plumbing, with extra
+// flags inserted before the patterns, and returns go vet's exit status.
+func vet(patterns []string, stdout, stderr io.Writer, extra ...string) int {
 	self, err := os.Executable()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "g5lint:", err)
-		return 1
+		fmt.Fprintln(stderr, "g5lint:", err)
+		return 2
 	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	vetArgs := append([]string{"vet", "-vettool=" + self}, extra...)
 	cmd := exec.Command("go", append(vetArgs, patterns...)...)
-	if capture != nil {
-		cmd.Stdout = capture
-		cmd.Stderr = capture
-	} else {
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-	}
-	cmd.Stdin = os.Stdin
+	cmd.Stdout = stdout
+	cmd.Stderr = stderr
 	if err := cmd.Run(); err != nil {
 		if ee, ok := err.(*exec.ExitError); ok {
 			return ee.ExitCode()
 		}
-		fmt.Fprintln(os.Stderr, "g5lint:", err)
-		return 1
+		fmt.Fprintln(stderr, "g5lint:", err)
+		return 2
 	}
 	return 0
 }
@@ -112,40 +116,63 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// jsonMode2 runs the suite and reprints the findings as a JSON array on
-// stdout (always an array, possibly empty). Exit status 1 means findings
-// were present, 2 means the underlying vet run failed some other way.
-func jsonMode2(patterns []string) int {
-	var out bytes.Buffer
-	code := standalone(patterns, &out)
-	findings := []jsonFinding{}
+// suppression is one audited //lint: annotation.
+type suppression struct{ loc, analyzer, status, reason string }
+
+// vetOutput is one captured vet run split by line kind. failed means the
+// run broke rather than reported: it exited nonzero and said something
+// that is neither a finding, an audit line nor a "# package" header — a
+// parse or build error — so what it did report cannot be taken as complete.
+type vetOutput struct {
+	findings     []jsonFinding
+	suppressions []suppression
+	failed       bool
+}
+
+// capturedVet runs vet and sorts its output; the lines that make a run
+// failed are passed through to stderr so they do not vanish.
+func capturedVet(patterns []string, stderr io.Writer, extra ...string) vetOutput {
+	var buf bytes.Buffer
+	code := vet(patterns, &buf, &buf, extra...)
+	out := vetOutput{findings: []jsonFinding{}}
 	sawOther := false
-	for _, line := range strings.Split(out.String(), "\n") {
-		m := findingRE.FindStringSubmatch(line)
-		if m == nil {
-			// Package headers ("# pkg"), blank lines and vet chatter are
-			// expected; anything else (build errors) must not vanish.
-			if line != "" && !strings.HasPrefix(line, "#") {
-				fmt.Fprintln(os.Stderr, line)
-				sawOther = true
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, lint.SuppressionPrefix+"\t"); ok {
+			if f := strings.SplitN(rest, "\t", 4); len(f) == 4 {
+				out.suppressions = append(out.suppressions, suppression{f[0], f[1], f[2], f[3]})
+				continue
 			}
+		}
+		if m := findingRE.FindStringSubmatch(line); m != nil {
+			lineNo, _ := strconv.Atoi(m[2])
+			colNo, _ := strconv.Atoi(m[3])
+			out.findings = append(out.findings, jsonFinding{File: m[1], Line: lineNo, Col: colNo,
+				Analyzer: m[5], Message: m[4]})
 			continue
 		}
-		lineNo, _ := strconv.Atoi(m[2])
-		colNo, _ := strconv.Atoi(m[3])
-		findings = append(findings, jsonFinding{File: m[1], Line: lineNo, Col: colNo,
-			Analyzer: m[5], Message: m[4]})
+		if line != "" && !strings.HasPrefix(line, "#") {
+			fmt.Fprintln(stderr, line)
+			sawOther = true
+		}
 	}
-	enc := json.NewEncoder(os.Stdout)
+	out.failed = code != 0 && sawOther
+	return out
+}
+
+// jsonFindings runs the suite and reprints the findings as a JSON array on
+// stdout (always an array, possibly empty).
+func jsonFindings(patterns []string, stdout, stderr io.Writer) int {
+	out := capturedVet(patterns, stderr)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "\t")
-	if err := enc.Encode(findings); err != nil {
-		fmt.Fprintln(os.Stderr, "g5lint:", err)
+	if err := enc.Encode(out.findings); err != nil {
+		fmt.Fprintln(stderr, "g5lint:", err)
 		return 2
 	}
-	if code != 0 && len(findings) == 0 && sawOther {
+	switch {
+	case out.failed:
 		return 2
-	}
-	if len(findings) > 0 {
+	case len(out.findings) > 0:
 		return 1
 	}
 	return 0
@@ -154,46 +181,36 @@ func jsonMode2(patterns []string) int {
 // suppressionsMode audits every //lint: annotation: each unit re-runs
 // with a cache-busting nonce and reports its annotations as
 // g5lint-suppression lines; this parent renders the table and fails when
-// any annotation is stale (suppresses nothing anymore).
-func suppressionsMode(patterns []string) int {
+// any annotation is stale (suppresses nothing anymore). Ordinary findings
+// still stream through to stderr.
+func suppressionsMode(patterns []string, stdout, stderr io.Writer) int {
 	var nonce [8]byte
 	if _, err := rand.Read(nonce[:]); err != nil {
-		fmt.Fprintln(os.Stderr, "g5lint:", err)
+		fmt.Fprintln(stderr, "g5lint:", err)
 		return 2
 	}
-	var out bytes.Buffer
-	standalone(patterns, &out, "-suppressions=run"+hex.EncodeToString(nonce[:]))
-	type entry struct{ loc, analyzer, status, reason string }
-	var entries []entry
-	stale := 0
-	for _, line := range strings.Split(out.String(), "\n") {
-		rest, ok := strings.CutPrefix(line, lint.SuppressionPrefix)
-		if !ok {
-			// Ordinary findings still stream through in audit mode.
-			if findingRE.MatchString(line) {
-				fmt.Fprintln(os.Stderr, line)
-			}
-			continue
-		}
-		f := strings.SplitN(strings.TrimPrefix(rest, "\t"), "\t", 4)
-		if len(f) != 4 {
-			continue
-		}
-		entries = append(entries, entry{f[0], f[1], f[2], f[3]})
-		if f[2] == "stale" {
-			stale++
-		}
+	out := capturedVet(patterns, stderr, "-suppressions=run"+hex.EncodeToString(nonce[:]))
+	for _, f := range out.findings {
+		fmt.Fprintf(stderr, "%s:%d:%d: %s [g5lint/%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
 	}
-	for _, e := range entries {
+	stale := 0
+	for _, e := range out.suppressions {
 		status := e.status
 		if status == "stale" {
 			status = "STALE"
+			stale++
 		}
-		fmt.Printf("%-5s %-12s %s\n      reason: %s\n", status, e.analyzer, e.loc, e.reason)
+		fmt.Fprintf(stdout, "%-5s %-12s %s\n      reason: %s\n", status, e.analyzer, e.loc, e.reason)
 	}
-	fmt.Printf("%d suppressions, %d stale\n", len(entries), stale)
+	fmt.Fprintf(stdout, "%d suppressions, %d stale\n", len(out.suppressions), stale)
 	if stale > 0 {
-		fmt.Println("stale suppressions excuse diagnostics that no longer fire; delete them")
+		fmt.Fprintln(stdout, "stale suppressions excuse diagnostics that no longer fire; delete them")
+	}
+	switch {
+	case out.failed:
+		fmt.Fprintln(stderr, "g5lint: the vet run failed; the audit above is incomplete")
+		return 2
+	case stale > 0:
 		return 1
 	}
 	return 0

@@ -8,6 +8,7 @@ import (
 	"gem5prof/internal/core"
 	"gem5prof/internal/hostmodel"
 	"gem5prof/internal/platform"
+	"gem5prof/internal/sim"
 )
 
 func TestRunGuestDefaults(t *testing.T) {
@@ -23,18 +24,56 @@ func TestRunGuestDefaults(t *testing.T) {
 	}
 }
 
+// countingTracer counts what a build takes from its tracer.
+type countingTracer struct {
+	sim.NopTracer
+	funcs, allocs int
+}
+
+func (t *countingTracer) RegisterFunc(name string, codeBytes int, flags sim.FuncFlags) sim.FuncID {
+	t.funcs++
+	return t.NopTracer.RegisterFunc(name, codeBytes, flags)
+}
+
+func (t *countingTracer) AllocData(name string, bytes uint64) uint64 {
+	t.allocs++
+	return t.NopTracer.AllocData(name, bytes)
+}
+
+// TestRunGuestErrors: every config error is named, and is
+// raised before the System, guest RAM or tracer arena are built — the
+// tracer of a rejected config has been asked for nothing.
 func TestRunGuestErrors(t *testing.T) {
-	if _, err := core.RunGuest(core.GuestConfig{Workload: "nope"}); err == nil {
-		t.Fatal("unknown workload accepted")
+	for _, c := range []struct {
+		name string
+		cfg  core.GuestConfig
+		want string
+	}{
+		{"unknown workload", core.GuestConfig{Workload: "nope"}, `unknown workload "nope"`},
+		{"unknown FS workload", core.GuestConfig{Mode: core.FS, Workload: "nope"}, `unknown workload "nope"`},
+		{"unknown CPU", core.GuestConfig{Workload: "sieve", CPU: "vliw"}, `unknown CPU model "vliw"`},
+		{"SE boot-exit", core.GuestConfig{BootExit: true, Mode: core.SE}, "boot-exit requires FS mode"},
+		{"FS with Cores", core.GuestConfig{Mode: core.FS, Workload: "sieve", Cores: 2}, "Cores is SE-only"},
+	} {
+		tr := &countingTracer{NopTracer: *sim.NewNopTracer()}
+		_, err := core.BuildGuest(c.cfg, tr)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+		if tr.funcs != 0 || tr.allocs != 0 {
+			t.Errorf("%s: rejected after %d RegisterFunc and %d AllocData calls", c.name, tr.funcs, tr.allocs)
+		}
+		if _, err := core.RunGuest(c.cfg); err == nil {
+			t.Errorf("%s: RunGuest accepted the config", c.name)
+		}
 	}
-	if _, err := core.RunGuest(core.GuestConfig{Workload: "sieve", CPU: "vliw"}); err == nil {
-		t.Fatal("unknown CPU accepted")
+	// The counter does count: an accepted config registers and allocates.
+	tr := &countingTracer{NopTracer: *sim.NewNopTracer()}
+	if _, err := core.BuildGuest(core.GuestConfig{Mode: core.FS, BootExit: true, Workload: "ignored"}, tr); err != nil {
+		t.Fatalf("FS boot-exit ignores the workload name, got %v", err)
 	}
-	if _, err := core.RunGuest(core.GuestConfig{BootExit: true, Mode: core.SE}); err == nil {
-		t.Fatal("SE boot-exit accepted")
-	}
-	if _, err := core.RunGuest(core.GuestConfig{Mode: core.FS, Workload: "nope"}); err == nil {
-		t.Fatal("unknown FS workload accepted")
+	if tr.funcs == 0 || tr.allocs == 0 {
+		t.Errorf("accepted build made %d RegisterFunc and %d AllocData calls", tr.funcs, tr.allocs)
 	}
 }
 

@@ -73,7 +73,12 @@ type GuestConfig struct {
 	// GuestTLBs inserts guest instruction/data TLBs in front of the L1s
 	// (gem5's ARM FS configuration).
 	GuestTLBs bool
-	// Seed drives all deterministic randomness.
+	// Seed seeds the System's RNG (sim.NewSystemWith), and nothing else:
+	// no model draws from that RNG, so a guest or session result is a pure
+	// function of its config minus Seed and ExecTrace. simpoint.ConfigPrefix
+	// leaves both out of the checkpoint key for that reason and
+	// TestCheckpointSeedInvariance pins it. A model that ever needs
+	// variation must take it from here, never from the host.
 	Seed int64
 	// CalendarQueue selects the alternative event-queue backend (A5).
 	CalendarQueue bool
@@ -183,11 +188,55 @@ func startGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 	return g, nil
 }
 
+// cpuModels constructs each guest CPU model.
+var cpuModels = map[CPUModel]func(*sim.System, cpu.Config) cpu.CPU{
+	Atomic: func(sys *sim.System, c cpu.Config) cpu.CPU { return cpu.NewAtomicCPU(sys, c) },
+	Timing: func(sys *sim.System, c cpu.Config) cpu.CPU { return cpu.NewTimingCPU(sys, c) },
+	Minor:  func(sys *sim.System, c cpu.Config) cpu.CPU { return cpu.NewMinorCPU(sys, c, cpu.DefaultMinorConfig()) },
+	O3:     func(sys *sim.System, c cpu.Config) cpu.CPU { return cpu.NewO3CPU(sys, c, cpu.DefaultO3Config()) },
+}
+
+// loadWorkload builds spec's program at the given scale (0 = the workload's
+// default), loads it into ram and returns its entry point and reference
+// checksum.
+func loadWorkload(spec workloads.Spec, scale int, ram *guest.Memory) (entry, expect uint32, err error) {
+	if scale == 0 {
+		scale = spec.DefaultScale
+	}
+	prog, expect, err := spec.Build(scale)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := ram.Load(prog); err != nil {
+		return 0, 0, err
+	}
+	return prog.Entry, expect, nil
+}
+
 // buildGuest constructs the system without starting the CPUs, returning the
 // workload entry point. restoreGuest starts them at checkpointed PCs
 // instead.
 func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem, uint32, error) {
 	cfg = cfg.withDefaults()
+
+	// What a config can name wrongly is rejected before anything is built:
+	// a refused config costs no System, no guest RAM and no tracer arena.
+	switch {
+	case cfg.Mode == SE && cfg.BootExit:
+		return nil, 0, fmt.Errorf("core: boot-exit requires FS mode")
+	case cfg.Mode != SE && cfg.Cores > 1:
+		return nil, 0, fmt.Errorf("core: Cores is SE-only; FS guests size with NumCPUs")
+	}
+	hasApp := !cfg.BootExit
+	spec, ok := workloads.ByName(cfg.Workload)
+	if hasApp && !ok {
+		return nil, 0, fmt.Errorf("core: unknown workload %q", cfg.Workload)
+	}
+	newCPU, ok := cpuModels[cfg.CPU]
+	if !ok {
+		return nil, 0, fmt.Errorf("core: unknown CPU model %q", cfg.CPU)
+	}
+
 	newQueue := func() sim.Queue {
 		if plan.Calendar {
 			return sim.NewCalendarQueue(1024, sim.Tick(cfg.ClockPeriod))
@@ -200,58 +249,22 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 
 	g := &GuestSystem{Cfg: cfg, Sys: sys, Mem: ram, plan: plan}
 
-	// Resolve and load the workload image(s).
+	// Load the workload image and, in FS mode, the kernel that enters it.
 	var entry uint32
-	if cfg.Mode == SE {
-		if cfg.BootExit {
-			return nil, 0, fmt.Errorf("core: boot-exit requires FS mode")
+	if hasApp {
+		var err error
+		if entry, g.expect, err = loadWorkload(spec, cfg.Scale, ram); err != nil {
+			return nil, 0, err
 		}
-	} else if cfg.Cores > 1 {
-		return nil, 0, fmt.Errorf("core: Cores is SE-only; FS guests size with NumCPUs")
+		g.hasRef = true
 	}
-	if cfg.Mode == SE {
-		spec, ok := workloads.ByName(cfg.Workload)
-		if !ok {
-			return nil, 0, fmt.Errorf("core: unknown workload %q", cfg.Workload)
-		}
-		scale := cfg.Scale
-		if scale == 0 {
-			scale = spec.DefaultScale
-		}
-		prog, expect, err := spec.Build(scale)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := ram.Load(prog); err != nil {
-			return nil, 0, err
-		}
-		entry = prog.Entry
-		g.expect, g.hasRef = expect, true
-	} else {
+	if cfg.Mode != SE {
 		kcfg := workloads.DefaultKernelConfig()
 		kcfg.Harts = cfg.NumCPUs
 		if cfg.BootKBs > 0 {
 			kcfg.BootKBs = cfg.BootKBs
 		}
-		if !cfg.BootExit {
-			spec, ok := workloads.ByName(cfg.Workload)
-			if !ok {
-				return nil, 0, fmt.Errorf("core: unknown workload %q", cfg.Workload)
-			}
-			scale := cfg.Scale
-			if scale == 0 {
-				scale = spec.DefaultScale
-			}
-			prog, expect, err := spec.Build(scale)
-			if err != nil {
-				return nil, 0, err
-			}
-			if err := ram.Load(prog); err != nil {
-				return nil, 0, err
-			}
-			kcfg.AppEntry = prog.Entry
-			g.expect, g.hasRef = expect, true
-		}
+		kcfg.AppEntry = entry
 		kern, err := workloads.BuildKernel(kcfg)
 		if err != nil {
 			return nil, 0, err
@@ -325,20 +338,7 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 			ccfg.IPort = g.Hier.IPort(i)
 			ccfg.DPort = g.Hier.DPort(i)
 		}
-		var c cpu.CPU
-		switch cfg.CPU {
-		case Atomic:
-			c = cpu.NewAtomicCPU(sys, ccfg)
-		case Timing:
-			c = cpu.NewTimingCPU(sys, ccfg)
-		case Minor:
-			c = cpu.NewMinorCPU(sys, ccfg, cpu.DefaultMinorConfig())
-		case O3:
-			c = cpu.NewO3CPU(sys, ccfg, cpu.DefaultO3Config())
-		default:
-			return nil, 0, fmt.Errorf("core: unknown CPU model %q", cfg.CPU)
-		}
-		g.CPUs = append(g.CPUs, c)
+		g.CPUs = append(g.CPUs, newCPU(sys, ccfg))
 	}
 	if sink != nil {
 		sink.Sink = g.CPUs[0].Core()

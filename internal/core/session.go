@@ -120,11 +120,13 @@ type SessionResult struct {
 // SimSeconds returns the modeled host wall-clock of the simulation.
 func (r *SessionResult) SimSeconds() float64 { return r.Host.TimeSeconds }
 
-// DeriveSeed returns the deterministic RNG seed for one independent run
-// (cell) of a named experiment. Seeds are a pure function of the experiment
-// id and the cell's position in the experiment's sequential cell order —
-// never of a shared RNG or of run scheduling — so a parallel harness draws
-// exactly the seeds a sequential one would, cell for cell.
+// DeriveSeed returns the GuestConfig.Seed for one independent run (cell) of
+// a named experiment: a pure function of the experiment id and the cell's
+// position in the experiment's sequential cell order — never of a shared RNG
+// or of run scheduling — so a parallel harness would draw exactly the seeds
+// a sequential one does, cell for cell. Today that is a labelling, not an
+// input: no model consumes the seeded RNG (see GuestConfig.Seed), so a
+// cell's result does not depend on the value returned here.
 func DeriveSeed(experiment string, cell int) int64 {
 	h := fnv.New64a()
 	io.WriteString(h, experiment)

@@ -13,11 +13,12 @@ import (
 // Runner executes the independent simulation runs of an experiment — and,
 // via RunMany, whole experiments — on a bounded worker pool. Every run
 // constructs its own core.Session/sim.System, so runs share no mutable
-// state; determinism comes from collecting results by cell index and from
-// deriving per-run seeds from (experiment id, cell index) rather than any
-// shared RNG (core.DeriveSeed). A parallel schedule is therefore
-// bit-identical to the sequential one: `-j 8` renders the same bytes as
-// `-j 1`.
+// state and each result is a pure function of its cell's config;
+// determinism comes from collecting results by cell index (per-run seeds
+// derive from (experiment id, cell index), core.DeriveSeed, never from a
+// shared RNG — though no model consumes them today). A parallel schedule is
+// therefore bit-identical to the sequential one: `-j 8` renders the same
+// bytes as `-j 1`.
 type Runner struct {
 	workers int
 	sem     chan struct{}

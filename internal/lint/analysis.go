@@ -21,7 +21,8 @@
 // line or the line directly above it:
 //
 //	//lint:deterministic <reason>   waives detmap (the loop provably
-//	                                commutes or its output is sorted)
+//	                                commutes or its output is sorted);
+//	                                refused on a loop that sums floats
 //	//lint:allow <analyzer> <reason>  waives any named analyzer
 //
 // Both forms require a non-empty reason; an annotation without one is
@@ -69,10 +70,6 @@ type Pass struct {
 	Sizes types.Sizes
 	// Report receives every non-suppressed diagnostic.
 	Report func(Diagnostic)
-	// IP is the package's shared interprocedural result, set by the
-	// driver; nil when the driver did not compute summaries (then the
-	// interprocedural analyzers are silently inert).
-	IP *IP
 	// Audit, when non-nil, collects which suppression annotations
 	// actually fired (see SuppressionAudit). Shared across the analyzers
 	// of one unit so -suppressions can report stale entries.
@@ -178,15 +175,24 @@ func (p *Pass) SourceFiles() []*ast.File {
 // Reportf reports a finding at pos unless a suppression annotation covers
 // it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.suppressed(pos) {
+	p.reportf(pos, true, format, args...)
+}
+
+// reportf is Reportf with the //lint:deterministic shorthand honoured or
+// not. A finding that says the flagged loop does not commute passes false:
+// the shorthand claims that it does, so it is refused there (and audits
+// stale) and only //lint:allow waives the finding.
+func (p *Pass) reportf(pos token.Pos, deterministic bool, format string, args ...any) {
+	if p.suppressed(pos, deterministic) {
 		return
 	}
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // suppressed reports whether a //lint: annotation on the diagnostic's line
-// or the line above waives this analyzer there.
-func (p *Pass) suppressed(pos token.Pos) bool {
+// or the line above waives this analyzer there. deterministic says whether
+// the //lint:deterministic shorthand counts.
+func (p *Pass) suppressed(pos token.Pos, deterministic bool) bool {
 	if p.suppressions == nil {
 		p.buildSuppressions()
 	}
@@ -200,7 +206,7 @@ func (p *Pass) suppressed(pos token.Pos) bool {
 			p.Audit.mark(posn.Filename, s.line)
 			return true
 		case "":
-			if p.Analyzer.Name == "detmap" {
+			if deterministic && p.Analyzer.Name == "detmap" {
 				p.Audit.mark(posn.Filename, s.line)
 				return true
 			}
@@ -285,8 +291,8 @@ func pkgScope(p *Pass) bool {
 }
 
 // simScope reports whether the package is part of the simulator core, where
-// host entropy is forbidden outright (nowallclock): seeds and time must
-// flow from core.DeriveSeed and sim.Tick.
+// host entropy is forbidden outright (nowallclock): variation and time
+// come from the config and sim.Tick.
 func simScope(p *Pass) bool {
 	path := p.Pkg.Path()
 	const pre = "gem5prof/internal/"

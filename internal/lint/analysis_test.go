@@ -54,7 +54,7 @@ func TestAllAnalyzersNamed(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 10 {
-		t.Errorf("expected 10 analyzers, have %d", len(seen))
+	if len(seen) != 7 {
+		t.Errorf("expected 7 analyzers, have %d", len(seen))
 	}
 }

@@ -10,8 +10,5 @@ func All() []*Analyzer {
 		StatReg,
 		SinkDiscipline,
 		ShardPost,
-		Detflow,
-		FloatOrder,
-		ShardEscape,
 	}
 }

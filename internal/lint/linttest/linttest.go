@@ -72,7 +72,6 @@ type loader struct {
 	fset *token.FileSet
 	root string // testdata/src
 	pkgs map[string]*loadedPkg
-	sums map[string]*lint.PkgSummary
 	std  types.Importer
 }
 
@@ -87,30 +86,8 @@ func newLoader(t *testing.T) *loader {
 		fset: fset,
 		root: root,
 		pkgs: make(map[string]*loadedPkg),
-		sums: make(map[string]*lint.PkgSummary),
 		std:  importer.ForCompiler(fset, "source", nil),
 	}
-}
-
-// summary computes (memoized) one fixture package's interprocedural
-// summary, recursing through fixture imports — the linttest analogue of
-// the facts files go vet hands each unit. Unknown paths (stdlib) yield
-// nil, exactly like an absent facts file.
-func (l *loader) summary(path string) *lint.PkgSummary {
-	if s, ok := l.sums[path]; ok {
-		return s
-	}
-	l.sums[path] = nil // break accidental cycles
-	if st, err := os.Stat(filepath.Join(l.root, path)); err != nil || !st.IsDir() {
-		return nil
-	}
-	p, err := l.load(path)
-	if err != nil {
-		return nil
-	}
-	s := lint.NewIP(l.fset, p.files, p.pkg, p.info, l.summary).Result().Summary
-	l.sums[path] = s
-	return s
 }
 
 // Import implements types.Importer over the fixture tree with a stdlib
@@ -180,12 +157,6 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 func checkPackage(t *testing.T, l *loader, a *lint.Analyzer, p *loadedPkg) {
 	t.Helper()
 	fset := l.fset
-	dep := func(path string) *lint.PkgSummary {
-		if path == p.path {
-			return nil
-		}
-		return l.summary(path)
-	}
 	var diags []lint.Diagnostic
 	pass := &lint.Pass{
 		Analyzer:  a,
@@ -194,7 +165,6 @@ func checkPackage(t *testing.T, l *loader, a *lint.Analyzer, p *loadedPkg) {
 		Pkg:       p.pkg,
 		TypesInfo: p.info,
 		Sizes:     types.SizesFor("gc", "amd64"),
-		IP:        lint.NewIP(fset, p.files, p.pkg, p.info, dep),
 		Report:    func(d lint.Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {

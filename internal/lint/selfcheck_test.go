@@ -8,13 +8,13 @@ import (
 )
 
 // TestSelfApplication is the acceptance bar of the suite: g5lint, run as
-// a vet tool over this repository, must be clean — all ten analyzers,
-// including the interprocedural ones (detflow, floatorder, shardescape)
-// whose summaries flow through the vet facts path. Every real violation
-// has been fixed and every benign one carries a reasoned annotation; a
-// regression in either direction fails here. The suppression audit runs
-// too: an annotation whose diagnostic no longer fires is dead weight
-// that would silently excuse a future, different bug at the same line.
+// a vet tool over this repository, must be clean — all seven analyzers.
+// Every real violation has been fixed and every benign one carries a
+// reasoned annotation; a regression in either direction fails here. The
+// suppression audit runs too: an annotation whose diagnostic no longer
+// fires is dead weight that would silently excuse a future, different bug
+// at the same line. The audit exits 2 if the vet run under it failed for
+// any other reason, so a tree that does not build cannot audit clean.
 func TestSelfApplication(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and vets the whole module")

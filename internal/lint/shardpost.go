@@ -179,13 +179,33 @@ func checkQueuePost(pass *Pass, call *ast.CallExpr, sel *ast.SelectorExpr) {
 
 // checkOneShotDelay is rule 3: name, fn, domain, delay, fire.
 func checkOneShotDelay(pass *Pass, call *ast.CallExpr) {
-	if domainConstSide(pass.TypesInfo, call.Args[2]) != "mem" {
+	if !isDomainMem(pass.TypesInfo, call.Args[2]) {
 		return
 	}
 	if tv, ok := pass.TypesInfo.Types[call.Args[3]]; ok && tv.Value != nil {
 		pass.Reportf(call.Args[3].Pos(),
 			"OneShot to DomainMem crosses the cpu-to-mem edge with a constant delay; the edge's BusLookahead floor follows a configured latency — take the delay from that latency, or annotate //lint:allow shardpost <reason>")
 	}
+}
+
+// isDomainMem reports whether e denotes the constant sim.DomainMem, bare or
+// package-qualified.
+func isDomainMem(info *types.Info, e ast.Expr) bool {
+	e = ast.Unparen(e)
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		e = sel.Sel
+	}
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	c, ok := info.Uses[id].(*types.Const)
+	if !ok || c.Name() != "DomainMem" {
+		return false
+	}
+	named := namedType(c.Type())
+	return named != nil && named.Obj().Name() == "Domain" &&
+		named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "sim"
 }
 
 // lookaheadFields are the ShardConfig fields that grant cross-shard

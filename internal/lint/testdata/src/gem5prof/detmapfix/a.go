@@ -8,13 +8,84 @@ import (
 	"sort"
 )
 
-// Bad folds over a map in iteration order.
-func Bad(m map[string]float64) float64 {
-	total := 0.0
-	for _, v := range m { // want `range over a map`
-		total += v
+// BadPick returns whichever key the runtime happens to visit first.
+func BadPick(m map[string]int) string {
+	for k := range m { // want `range over a map: iteration order leaks`
+		return k
 	}
-	return total
+	return ""
+}
+
+// fracSum is the Fig. 15 bug: a float total folded in map order.
+func fracSum(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m { // want `accumulates float sum in iteration order`
+		sum += v
+	}
+	return sum
+}
+
+// fracSumAnnotated: //lint:deterministic claims the loop commutes, and
+// float addition does not, so the annotation is refused.
+func fracSumAnnotated(m map[string]float64) float64 {
+	var sum float64
+	//lint:deterministic all values positive, total is what matters
+	for _, v := range m { // want `//lint:deterministic cannot waive this loop`
+		sum += v
+	}
+	return sum
+}
+
+type acc struct{ total, spread float64 }
+
+// spelledOut covers the other accumulation spellings and a field target.
+func (a *acc) spelledOut(m map[string]float64) {
+	//lint:deterministic refused: x = x + e is still a float sum
+	for _, v := range m { // want `accumulates float a\.total in iteration order`
+		a.total = a.total + v
+	}
+	//lint:deterministic refused: so is x -= e
+	for _, v := range m { // want `accumulates float a\.spread in iteration order`
+		if v > 0 {
+			a.spread -= v
+		}
+	}
+}
+
+// GoodIntSum: integer addition does commute, so the annotation stands.
+func GoodIntSum(m map[string]int) int {
+	n := 0
+	//lint:deterministic integer sum commutes
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+// GoodLocalAcc: each iteration sums into its own variable, which no other
+// iteration sees; building another map commutes.
+func GoodLocalAcc(m map[string][]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	//lint:deterministic builds another map, one independent entry per key
+	for k, vs := range m {
+		var t float64
+		for _, v := range vs {
+			t += v
+		}
+		out[k] = t
+	}
+	return out
+}
+
+// WaivedSum: the explicit waiver is the one annotation the float rule
+// honours.
+func WaivedSum(m map[string]float64) float64 {
+	var sum float64
+	//lint:allow detmap fixture exercises the explicit waiver
+	for _, v := range m {
+		sum += v
+	}
+	return sum
 }
 
 // BadKeys walks maps.Keys without sorting.

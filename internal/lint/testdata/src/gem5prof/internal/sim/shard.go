@@ -50,18 +50,3 @@ const (
 	DomainMem
 	DomainDev
 )
-
-// DomainView returns a scheduling facade pinned to domain d.
-func (s *System) DomainView(d Domain) *System { return s }
-
-// Tracer records execution into the trace arena (stub).
-type Tracer struct{}
-
-// RegisterFunc interns a guest function symbol.
-func (t *Tracer) RegisterFunc(name string, size uint32, flags int) int { return 0 }
-
-// Call records one call event.
-func (t *Tracer) Call(fn int) {}
-
-// Data records one memory access.
-func (t *Tracer) Data(addr uint64, size uint32, write bool) {}

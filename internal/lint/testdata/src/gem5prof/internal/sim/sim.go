@@ -39,9 +39,6 @@ type Scalar struct{ v float64 }
 // Set updates the stat.
 func (s *Scalar) Set(v float64) { s.v = v }
 
-// Add accumulates into the stat.
-func (s *Scalar) Add(v float64) { s.v += v }
-
 // Counter is a monotonically increasing stat.
 type Counter struct{ n uint64 }
 
@@ -49,16 +46,10 @@ type Counter struct{ n uint64 }
 func (c *Counter) Inc(d uint64) { c.n += d }
 
 // Histogram is a distribution stat.
-type Histogram struct {
-	sum float64
-	n   int
-}
+type Histogram struct{ n int }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.sum += v
-	h.n++
-}
+func (h *Histogram) Observe(v float64) { h.n++ }
 
 // Formula is a derived stat computed at dump time.
 type Formula struct{}

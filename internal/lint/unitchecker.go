@@ -13,14 +13,11 @@ package lint
 // path to compiled export data for every dependency, so type-checking one
 // unit never re-parses its imports.
 //
-// Facts. The go command drives units in package-DAG order and hands each
-// unit a facts file per dependency (Config.PackageVetx) plus a place to
-// write its own (Config.VetxOutput). This driver uses that channel for
-// the interprocedural summaries (see summary.go): module packages get a
-// real PkgSummary computed even in VetxOnly mode (dependency-only
-// visits), everything else gets an empty file. The go command caches the
-// facts next to export data, so warm runs skip unchanged packages
-// entirely.
+// Facts. The go command hands each unit a place to write analysis facts
+// for its importers (Config.VetxOutput) and visits dependency-only units
+// just to collect them (Config.VetxOnly). No analyzer here looks past one
+// function, so there are no facts: every unit writes an empty file, and a
+// VetxOnly unit does nothing else.
 
 import (
 	"crypto/sha256"
@@ -101,22 +98,8 @@ func Main(analyzers []*Analyzer) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Dependency units are visited for facts only: module packages still
-	// get their interprocedural summary computed (callers need it); for
-	// everything else the facts file is empty.
+	writeFacts(cfg)
 	if cfg.VetxOnly {
-		var facts []byte
-		if summariesWanted(cfg.ImportPath) {
-			unit, err := typecheckUnit(cfg)
-			if err == nil {
-				ip := NewIP(unit.fset, unit.files, unit.pkg, unit.info, depLoader(cfg))
-				facts, err = EncodeSummary(ip.Result().Summary)
-			}
-			if err != nil && !cfg.SucceedOnTypecheckFailure {
-				log.Fatal(err)
-			}
-		}
-		writeFacts(cfg, facts)
 		os.Exit(0)
 	}
 
@@ -128,30 +111,12 @@ func Main(analyzers []*Analyzer) {
 		log.Fatal(err)
 	}
 	audit := NewSuppressionAudit()
-	var ip *IP
-	if summariesWanted(cfg.ImportPath) {
-		ip = NewIP(unit.fset, unit.files, unit.pkg, unit.info, depLoader(cfg))
-		ip.SetAudit(audit)
-	}
-	diags := runAnalyzers(unit.fset, unit.files, unit.pkg, unit.info, analyzers, ip, audit)
-
-	var facts []byte
-	if ip != nil {
-		if facts, err = EncodeSummary(ip.Result().Summary); err != nil {
-			log.Fatal(err)
-		}
-	}
-	writeFacts(cfg, facts)
+	diags := runAnalyzers(unit.fset, unit.files, unit.pkg, unit.info, analyzers, audit)
 
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s\n", d)
 	}
 	fail := len(diags) > 0
-	// Debug aid: dump the unit's summary (failing so go vet shows it).
-	if os.Getenv("G5LINT_DUMP_SUMMARY") != "" && len(facts) > 0 {
-		fmt.Fprintf(os.Stderr, "summary %s:\n%s\n", cfg.ImportPath, facts)
-		fail = true
-	}
 	if suppMode {
 		// Report every annotation in non-test files with its fired/stale
 		// status. Emitting anything must fail the unit: the go command
@@ -172,58 +137,14 @@ func Main(analyzers []*Analyzer) {
 	os.Exit(0)
 }
 
-// summariesWanted reports whether the unit belongs to the module set the
-// interprocedural engine covers (mirrors pkgScope, plus linttest fixture
-// paths which also start with gem5prof/).
-func summariesWanted(path string) bool {
-	if path == "gem5prof" {
-		return true
-	}
-	if !strings.HasPrefix(path, "gem5prof/") {
-		return false
-	}
-	return !strings.HasPrefix(path, "gem5prof/internal/lint") &&
-		!strings.HasPrefix(path, "gem5prof/cmd/g5lint")
-}
-
-// writeFacts stores the unit's facts (summary or empty) where the go
-// command caches them.
-func writeFacts(cfg *Config, facts []byte) {
+// writeFacts stores the unit's (empty) facts file where the go command
+// expects one.
+func writeFacts(cfg *Config) {
 	if cfg.VetxOutput == "" {
 		return
 	}
-	if facts == nil {
-		facts = []byte{}
-	}
-	if err := os.WriteFile(cfg.VetxOutput, facts, 0o666); err != nil {
+	if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 		log.Fatal(err)
-	}
-}
-
-// depLoader resolves dependency import paths to their decoded summaries
-// through the facts files the go command provided, memoized.
-func depLoader(cfg *Config) func(path string) *PkgSummary {
-	cache := make(map[string]*PkgSummary)
-	seen := make(map[string]bool)
-	return func(path string) *PkgSummary {
-		if seen[path] {
-			return cache[path]
-		}
-		seen[path] = true
-		file, ok := cfg.PackageVetx[path]
-		if !ok {
-			return nil
-		}
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil
-		}
-		ps, err := DecodeSummary(data)
-		if err != nil {
-			return nil
-		}
-		cache[path] = ps
-		return ps
 	}
 }
 
@@ -367,8 +288,8 @@ func newTypesInfo() *types.Info {
 
 // runAnalyzers executes every analyzer over one type-checked package and
 // renders the findings as "file:line:col: message [g5lint/name]" lines.
-// ip (may be nil) and audit are shared across the analyzers' passes.
-func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, ip *IP, audit *SuppressionAudit) []string {
+// audit is shared across the analyzers' passes.
+func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, audit *SuppressionAudit) []string {
 	type posDiag struct {
 		pos token.Position
 		msg string
@@ -382,7 +303,6 @@ func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Pkg:       pkg,
 			TypesInfo: info,
 			Sizes:     types.SizesFor("gc", "amd64"),
-			IP:        ip,
 			Audit:     audit,
 		}
 		name := a.Name
