@@ -138,15 +138,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	out := stdout
+	var file *reportFile
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer f.Close()
-		out = io.MultiWriter(stdout, f)
+		file = &reportFile{w: f}
 	}
 
 	opt := experiments.Options{
@@ -166,15 +165,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 			failed++
 			continue
 		}
-		fmt.Fprint(out, oc.Res.Render())
-		fmt.Fprintln(out)
+		report := oc.Res.Render() + "\n"
+		io.WriteString(stdout, report)
+		file.write(report)
 		fmt.Fprintf(stderr, "%s done at %v\n", oc.ID, time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Fprintf(stderr, "total: %v (-j %d)\n", time.Since(start).Round(time.Millisecond), *jobs)
+	if err := file.close(); err != nil {
+		fmt.Fprintf(stderr, "writing %s: %v\n", *outPath, err)
+		return 1
+	}
 	if failed > 0 {
 		return 1
 	}
 	return 0
+}
+
+// reportFile is the -o copy of the report; nil without -o. A full disk can
+// show up in any write or only in the Close that flushes them, so the first
+// error of either is kept and fails the run: a truncated report must not
+// exit 0.
+type reportFile struct {
+	w   io.WriteCloser
+	err error
+}
+
+func (r *reportFile) write(s string) {
+	if r == nil || r.err != nil {
+		return
+	}
+	_, r.err = io.WriteString(r.w, s)
+}
+
+func (r *reportFile) close() error {
+	if r == nil {
+		return nil
+	}
+	if err := r.w.Close(); r.err == nil {
+		r.err = err
+	}
+	return r.err
 }
 
 // selectIDs resolves -run to experiment ids, before anything runs: "all",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,5 +69,43 @@ func TestRunListValidatedUpFront(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-quick", "-run", " table1 ,,"}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "=== table1:") {
 		t.Errorf(`-run " table1 ,,": exit %d, stderr %q`, code, stderr.String())
+	}
+}
+
+// closeFails accepts every write and reports the disk full on Close, the
+// way a file system that buffers writes does.
+type closeFails struct{ bytes.Buffer }
+
+func (*closeFails) Close() error { return errors.New("no space left on device") }
+
+// TestReportFileErrorsFailTheRun: the -o copy's Close error used to be
+// dropped (a deferred f.Close()), and its write errors too, so a report cut
+// short by a full disk exited 0. The first error of either kind is kept...
+func TestReportFileErrorsFailTheRun(t *testing.T) {
+	late := &reportFile{w: &closeFails{}}
+	late.write("=== table1 ===\n")
+	if late.err != nil {
+		t.Fatalf("write failed: %v", late.err)
+	}
+	if err := late.close(); err == nil || !strings.Contains(err.Error(), "no space left") {
+		t.Errorf("close error dropped: %v", err)
+	}
+	var none *reportFile // no -o
+	none.write("x")
+	if err := none.close(); err != nil {
+		t.Errorf("no -o: %v", err)
+	}
+
+	// ... and fails the command, with the report on stdout intact.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to write a report to")
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-quick", "-run", "table1,table2", "-o", "/dev/full"}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "writing /dev/full: ") {
+		t.Errorf("-o /dev/full: exit %d, stderr %q; want 1 and the write error", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "=== table1:") || !strings.Contains(stdout.String(), "=== table2:") {
+		t.Errorf("-o /dev/full: stdout lost part of the report:\n%s", stdout.String())
 	}
 }

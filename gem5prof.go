@@ -108,8 +108,9 @@ type (
 	HostReport = uarch.Report
 	// Scenario describes co-running gem5 processes (Fig. 1).
 	Scenario = platform.Scenario
-	// HostCodeConfig tunes the synthetic simulator binary (e.g.
-	// SizeFactor < 1 for the -O3 build of Fig. 12).
+	// HostCodeConfig tunes the synthetic simulator binary field by field
+	// (e.g. SizeFactor < 1 for the -O3 build of Fig. 12); every zero field
+	// takes its default.
 	HostCodeConfig = hostmodel.Config
 	// Profiler is the hot-function profiler (Fig. 15).
 	Profiler = profiler.Profiler

@@ -1,0 +1,26 @@
+package core
+
+// DropStores empties the three construction stores, so that the next
+// session builds everything itself (tests compare it against sessions that
+// did not have to).
+func DropStores() {
+	layouts.drop()
+	machines.drop()
+	images.drop()
+}
+
+// StoreLens returns how many layouts, idle machines and images are stored,
+// and StoreCaps the bounds they must stay within.
+func StoreLens() (nlayouts, nmachines, nimages int) {
+	return layouts.len(), machines.len(), images.len()
+}
+
+func StoreCaps() (nlayouts, nmachines, nimages int) {
+	return layouts.max, machines.max, images.max
+}
+
+func (s *store[K, V]) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.ents)
+}

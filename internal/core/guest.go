@@ -196,21 +196,27 @@ var cpuModels = map[CPUModel]func(*sim.System, cpu.Config) cpu.CPU{
 	O3:     func(sys *sim.System, c cpu.Config) cpu.CPU { return cpu.NewO3CPU(sys, c, cpu.DefaultO3Config()) },
 }
 
-// loadWorkload builds spec's program at the given scale (0 = the workload's
-// default), loads it into ram and returns its entry point and reference
-// checksum.
+// loadWorkload loads spec's program at the given scale (0 = the workload's
+// default) into ram and returns its entry point and reference checksum. The
+// program is assembled the first time a (workload, scale) is asked for and
+// kept in the images store: it is read-only once assembled, and Load copies
+// out of it.
 func loadWorkload(spec workloads.Spec, scale int, ram *guest.Memory) (entry, expect uint32, err error) {
 	if scale == 0 {
 		scale = spec.DefaultScale
 	}
-	prog, expect, err := spec.Build(scale)
-	if err != nil {
+	key := imageKey{spec.Name, scale}
+	var img image
+	if have := images.peek(key); len(have) > 0 {
+		img = have[0]
+	} else if img.prog, img.expect, err = spec.Build(scale); err != nil {
 		return 0, 0, err
 	}
-	if err := ram.Load(prog); err != nil {
+	images.put(key, img, func(o image) bool { return o == img })
+	if err := ram.Load(img.prog); err != nil {
 		return 0, 0, err
 	}
-	return prog.Entry, expect, nil
+	return img.prog.Entry, img.expect, nil
 }
 
 // buildGuest constructs the system without starting the CPUs, returning the

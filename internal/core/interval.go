@@ -94,17 +94,31 @@ type IntervalResult struct {
 // predictors, clock — carries over from the previous Run, the way it would
 // across the same instructions of one long full run. Without this, every
 // measured window pays the machine's full cold start, which no affordable
-// per-window warmup can absorb. Runs are serial by construction; a runner
-// must not be shared across goroutines.
+// per-window warmup can absorb. The machine and the simulator binary come
+// from the same stores every session draws on (stores.go); the runner just
+// keeps its machine, unreset, from window to window and rewinds its code
+// model over the layout it already follows. Runs are serial by
+// construction; a runner must not be shared across goroutines. Close it
+// when the last window has been measured.
 type IntervalRunner struct {
-	cfg  SessionConfig
-	prev *cosim
+	cfg SessionConfig
+	cs  *cosim
 }
 
 // NewIntervalRunner returns a runner for one session configuration. The
-// host machine is created on the first Run and reused afterwards.
+// host machine is drawn on the first Run and kept until Close.
 func NewIntervalRunner(cfg SessionConfig) *IntervalRunner {
 	return &IntervalRunner{cfg: cfg}
+}
+
+// Close gives the runner's machine back for other sessions to reuse. Every
+// IntervalResult already returned stays valid (its Report is a copy); a Run
+// after Close starts over on a cold machine.
+func (r *IntervalRunner) Close() {
+	if r.cs != nil {
+		r.cs.release()
+		r.cs = nil
+	}
 }
 
 // RunIntervalSession co-simulates one slice of a guest on a fresh host
@@ -118,7 +132,9 @@ func NewIntervalRunner(cfg SessionConfig) *IntervalRunner {
 // should use one IntervalRunner instead so the machine stays warm across
 // windows.
 func RunIntervalSession(cfg SessionConfig, ck *Checkpoint, warmup, budget uint64) (*IntervalResult, error) {
-	return NewIntervalRunner(cfg).Run(ck, warmup, budget)
+	r := NewIntervalRunner(cfg)
+	defer r.Close()
+	return r.Run(ck, warmup, budget)
 }
 
 // Run measures one interval window; see RunIntervalSession.
@@ -138,11 +154,21 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) (*IntervalRe
 	if total < budget {
 		return nil, fmt.Errorf("core: warmup %d + budget %d overflows", warmup, budget)
 	}
-	cs, err := newCosim(r.prev, cfg, newExecPlan(cfg, true), ck)
-	if err != nil {
+	if r.cs == nil {
+		cs, err := newCosim(cfg, newExecPlan(cfg, true))
+		if err != nil {
+			return nil, err
+		}
+		r.cs = cs
+	} else {
+		// Rewind the replay state so this build's registrations,
+		// allocations and access patterns repeat the first build's.
+		r.cs.cm.ResetRun()
+	}
+	cs := r.cs
+	if err := cs.build(cfg.Guest, ck); err != nil {
 		return nil, err
 	}
-	r.prev = cs
 	g := cs.guest
 
 	// Clock-read boundaries: the warmup→measure edge, plus interior marks

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"runtime/pprof"
@@ -12,7 +13,6 @@ import (
 	"gem5prof/internal/platform"
 	"gem5prof/internal/profiler"
 	"gem5prof/internal/ring"
-	"gem5prof/internal/sim"
 	"gem5prof/internal/uarch"
 )
 
@@ -86,8 +86,10 @@ type SessionConfig struct {
 	Host uarch.Config
 	// Scenario applies co-run/SMT contention (Fig. 1).
 	Scenario platform.Scenario
-	// HostCode overrides the code-model parameters; zero value = defaults.
-	// SizeFactor < 1 models the -O3 build (Fig. 12).
+	// HostCode overrides the code-model parameters field by field: every
+	// zero field takes its default (hostmodel.Config.Normalized), so the
+	// zero value is the default binary. SizeFactor < 1 models the -O3 build
+	// (Fig. 12).
 	HostCode hostmodel.Config
 	// Profile attaches the function profiler (Fig. 15). It adds overhead,
 	// so it is off by default. Profiling forces a serial, unpipelined run
@@ -142,61 +144,45 @@ func DeriveSeed(experiment string, cell int) int64 {
 
 // cosim bundles the host side of one co-simulation — the modeled machine,
 // the synthetic simulator binary, and (when pipelined) the ring stages —
-// together with the guest it traces. RunSession and RunIntervalSession
-// share this assembly; only how (and how much of) the guest runs differs.
+// together with the guest it traces. RunSession and IntervalRunner share
+// this assembly; only how (and how much of) the guest runs differs.
 type cosim struct {
-	plan    ExecPlan
-	machine *uarch.Machine
-	cm      *hostmodel.CodeModel
-	prof    *profiler.Profiler
-	enc     *hostmodel.RingSink
-	cons    *uarch.Consumer
-	guest   *GuestSystem
+	plan     ExecPlan
+	machine  *uarch.Machine
+	cm       *hostmodel.CodeModel
+	hostCode hostmodel.Config // normalised
+	prof     *profiler.Profiler
+	enc      *hostmodel.RingSink
+	cons     *uarch.Consumer
+	guest    *GuestSystem
 }
 
-// newCosim builds the host machine and code model, constructs the guest
-// under plan onto the code model's tracer (from ck when non-nil, else from
-// the workload entry point), and hands the finished address map to the
-// machine's TLBs.
-//
-// prev, when non-nil, is a previous cosim whose host side — the modeled
-// machine and the code model — is reused. IntervalRunner uses this so
-// successive interval measurements of one cell keep the machine's caches,
-// TLBs and predictors warm (the way one long full run would) and skip
-// re-laying-out the synthetic simulator binary. The reused guest build
-// re-registers its component functions, which the code model dedups back to
-// the first build's layout, so the address map already handed to the
-// machine's TLBs stays correct; re-adding the same regions would push
-// lookups onto the slow overlapping-region path, hence the fresh guard.
-// The reused machine has no ring in front of it, so prev and plan must
-// both be unpipelined — an interval plan always is.
-func newCosim(prev *cosim, cfg SessionConfig, plan ExecPlan, ck *Checkpoint) (*cosim, error) {
-	build := func(tr sim.Tracer) (*GuestSystem, error) {
-		if ck != nil {
-			return restoreGuest(cfg.Guest, plan, ck, tr)
-		}
-		return startGuest(cfg.Guest, plan, tr)
+// newCosim assembles the host side of a session under plan: a machine drawn
+// from the machines store and reset for the (contended) host, and a code
+// model that follows the published layouts of the normalised HostCode. Both
+// configs are validated before anything is looked up or allocated, so a bad
+// one is an error here and not a panic out of a constructor. The caller
+// builds a guest onto the result (build) and releases it when done.
+func newCosim(cfg SessionConfig, plan ExecPlan) (*cosim, error) {
+	// The host is checked before Contend divides by its geometry and after,
+	// because what Contend returns is what gets built.
+	if err := cfg.Host.Validate(); err != nil {
+		return nil, fmt.Errorf("core: host: %w", err)
 	}
-	if prev != nil {
-		cs := &cosim{plan: plan, machine: prev.machine, cm: prev.cm}
-		// Rewind the replay state so this build's allocations and access
-		// patterns land on the first build's addresses — the ones the
-		// machine's map covers and its warm caches hold.
-		cs.cm.ResetRun()
-		g, err := build(cs.cm)
-		if err != nil {
-			return nil, err
-		}
-		cs.guest = g
-		return cs, nil
+	host := platform.Contend(cfg.Host, cfg.Scenario)
+	if err := host.Validate(); err != nil {
+		return nil, fmt.Errorf("core: host: %w", err)
 	}
-	machine := uarch.NewMachine(platform.Contend(cfg.Host, cfg.Scenario))
-	cs := &cosim{plan: plan, machine: machine}
+	if err := cfg.HostCode.Validate(); err != nil {
+		return nil, fmt.Errorf("core: host code: %w", err)
+	}
+	machine := acquireMachine(host)
+	cs := &cosim{plan: plan, machine: machine, hostCode: cfg.HostCode.Normalized()}
 
 	// Pipelined mode interposes a batch encoder between the code model and
 	// the machine; the machine then consumes the identical event stream on
 	// its own goroutine (uarch.Consumer), started only after the address
-	// map below is final.
+	// map is final.
 	var sink hostmodel.Sink = machine
 	if plan.Pipelined {
 		rg := ring.New(ringSlots)
@@ -204,60 +190,81 @@ func newCosim(prev *cosim, cfg SessionConfig, plan ExecPlan, ck *Checkpoint) (*c
 		cs.cons = uarch.NewConsumer(machine, rg)
 		sink = cs.enc
 	}
-
-	hc := cfg.HostCode
-	if hc.TextBase == 0 {
-		def := hostmodel.DefaultConfig()
-		if hc.SizeFactor > 0 {
-			def.SizeFactor = hc.SizeFactor
-		}
-		hc = def
-	}
-	cs.cm = hostmodel.New(hc, sink)
-
+	cs.cm = hostmodel.Follow(cs.hostCode, sink, layouts.peek(cs.hostCode))
 	if cfg.Profile {
 		cs.prof = profiler.New(machine, cs.cm)
 		cs.cm.SetProfiler(cs.prof)
 	}
+	return cs, nil
+}
 
-	g, err := build(cs.cm)
-	if err != nil {
-		return nil, err
+// build constructs the guest onto the code model's tracer (from ck when
+// non-nil, else from the workload entry point), publishes the layout the
+// build ended on, and hands the finished address map to the machine's TLBs.
+//
+// An IntervalRunner builds again and again onto one cosim, after rewinding
+// the code model (CodeModel.ResetRun): the new guest makes the same
+// registrations and allocations and lands on the addresses the kept
+// machine's map covers and its warm caches hold, and mapping them again
+// changes nothing (Machine.MapText and MapData are idempotent).
+func (cs *cosim) build(gc GuestConfig, ck *Checkpoint) error {
+	var err error
+	if ck != nil {
+		cs.guest, err = restoreGuest(gc, cs.plan, ck, cs.cm)
+	} else {
+		cs.guest, err = startGuest(gc, cs.plan, cs.cm)
 	}
-	cs.guest = g
+	if err != nil {
+		return err
+	}
+	if l := cs.cm.Publish(); l != nil {
+		layouts.put(cs.hostCode, l, l.Same)
+	}
 
 	// The simulator binary is now fully laid out; hand the address map to
 	// the host machine so its TLBs know the page backing.
 	tb, te := cs.cm.TextRange()
-	machine.MapText(tb, te)
+	cs.machine.MapText(tb, te)
 	hb, he := cs.cm.HeapRange()
-	machine.MapData(hb, he)
-	machine.MapData(hc.StackBase-(1<<20), hc.StackBase+(1<<12))
-	return cs, nil
+	cs.machine.MapData(hb, he)
+	cs.machine.MapData(cs.hostCode.StackBase-(1<<20), cs.hostCode.StackBase+(1<<12))
+	return nil
+}
+
+// release returns the machine to the store once nothing reads it any more:
+// after the consumer has been waited for and the Report taken. A profiled
+// session keeps its machine, which the Profiler it hands out reads cycles
+// from. The cosim must not be used afterwards.
+func (cs *cosim) release() {
+	if cs.prof == nil {
+		releaseMachine(cs.machine)
+	}
+	cs.machine = nil
 }
 
 // run executes the guest through the session's pipeline arrangement.
 // runGuest is the producer body (normally cs.guest.Run).
-func (cs *cosim) run(runGuest func() (*GuestResult, error)) (*GuestResult, error) {
+func (cs *cosim) run(runGuest func() (*GuestResult, error)) (gres *GuestResult, err error) {
 	if !cs.plan.Pipelined {
 		return runGuest()
 	}
 	cs.cons.Start()
-	var gres *GuestResult
-	var err error
+	// Flush-on-report barrier: publish the partial tail batch, close the
+	// ring, and wait for the consumer to apply everything — on the error
+	// path and when the guest panics too, so no goroutine outlives its
+	// session and the machine is nobody's by the time it is released.
+	defer func() {
+		cs.enc.Close()
+		cs.cons.Wait()
+		if err == nil {
+			err = cs.enc.Err()
+		}
+	}()
 	// Label the producer stage so -cpuprofile output splits guest
 	// simulation + trace synthesis from the consumer's uarch time.
 	pprof.Do(context.Background(),
 		pprof.Labels("cosim-stage", "guest-producer"),
 		func(context.Context) { gres, err = runGuest() })
-	// Flush-on-report barrier: publish the partial tail batch, close
-	// the ring, and wait for the consumer to apply everything — on the
-	// error path too, so no goroutine outlives its session.
-	cs.enc.Close()
-	cs.cons.Wait()
-	if err == nil {
-		err = cs.enc.Err()
-	}
 	return gres, err
 }
 
@@ -276,17 +283,24 @@ func (cs *cosim) result(gres *GuestResult) *SessionResult {
 
 // RunSession builds and runs one co-simulation.
 //
-// RunSession is safe for concurrent use: every call constructs its own guest
-// system, host machine, and code model, and the package-level state it reads
-// (workload registry, platform tables, SPEC profiles) is immutable after
-// init. The parallel experiment runner relies on this. In pipelined mode
-// each session adds one consumer goroutine for the duration of its run, and
-// a sharded guest adds one shard worker plus one trace replayer, so a
-// harness admitting Jobs concurrent sessions runs at most
+// RunSession is safe for concurrent use, and its result is a pure function
+// of cfg. A call constructs its own guest system, and the package-level
+// state it reads (workload registry, platform tables, SPEC profiles) is
+// immutable after init; what it takes from the construction stores
+// (stores.go) — a layout it verifies call by call, a machine it resets
+// completely, an image it copies from — cannot carry anything from one
+// session into another. The parallel experiment runner relies on this. In
+// pipelined mode each session adds one consumer goroutine for the duration
+// of its run, and a sharded guest adds one shard worker plus one trace
+// replayer, so a harness admitting Jobs concurrent sessions runs at most
 // Jobs x (1 + pipeline + 2 x sharded) simulation goroutines.
 func RunSession(cfg SessionConfig) (*SessionResult, error) {
-	cs, err := newCosim(nil, cfg, newExecPlan(cfg, false), nil)
+	cs, err := newCosim(cfg, newExecPlan(cfg, false))
 	if err != nil {
+		return nil, err
+	}
+	defer cs.release()
+	if err := cs.build(cfg.Guest, nil); err != nil {
 		return nil, err
 	}
 	gres, err := cs.run(cs.guest.Run)

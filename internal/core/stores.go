@@ -1,0 +1,168 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+
+	"gem5prof/internal/hostmodel"
+	"gem5prof/internal/isa"
+	"gem5prof/internal/uarch"
+)
+
+// Construction is paid once and reset many times. Three process-wide stores,
+// all owned here, keep what building a session produces and running it does
+// not consume:
+//
+//   - layouts: the synthetic simulator binaries (hostmodel.Layout), immutable
+//     and shared, under their normalised hostmodel.Config. A session's code
+//     model follows them registration by registration and builds only what
+//     none of them recorded, so the real key is that config plus the
+//     verified sequence itself.
+//   - machines: idle uarch.Machines under their structure sizes. A session
+//     takes one and Resets it for its own config; it comes back once the
+//     session's Report has been extracted.
+//   - images: assembled guest programs under (workload, scale), read-only
+//     after isa.Assemble; guest.Memory.Load copies out of them.
+//
+// None of them holds a statistic or anything a run has written and a later
+// run reads: reuse is either verified against what a fresh build would do
+// (layouts) or total (Machine.Reset, an image that is only copied from), so
+// a result stays a pure function of its config whatever ran before, on
+// whatever goroutine — which the goldens and identity tests hold byte for
+// byte. They are not measurement caches, and experiments.ResetCaches leaves
+// them alone. Each holds at most a small constant number of entries, least
+// recently used out first, sized so that what sits idle stays small next to
+// a session in flight: everything kept here is live heap, and the collector
+// lets the heap grow to twice that. The capacities are not knobs.
+var (
+	layouts  = store[hostmodel.Config, *hostmodel.Layout]{max: 4}
+	machines = store[uarch.Sizes, *uarch.Machine]{max: 2}
+	images   = store[imageKey, image]{max: 16}
+)
+
+// imageKey names one assembled guest program.
+type imageKey struct {
+	workload string
+	scale    int
+}
+
+// image is a workload program and its reference checksum.
+type image struct {
+	prog   *isa.Program
+	expect uint32
+}
+
+// store is a small list of keyed values, most recently used first, safe for
+// concurrent use. Several values may share a key: the idle machines of one
+// geometry do, and so do the binaries of one code-model config.
+type store[K comparable, V any] struct {
+	mu   sync.Mutex
+	max  int
+	ents []storeEntry[K, V]
+}
+
+type storeEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// take removes and returns the most recently used value under key; the
+// caller owns it until it puts it back.
+func (s *store[K, V]) take(key K) (v V, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, e := range s.ents {
+		if e.key == key {
+			s.ents = slices.Delete(s.ents, i, i+1)
+			return e.val, true
+		}
+	}
+	return v, false
+}
+
+// peek returns the values under key, most recently used first, without
+// counting as a use of any.
+func (s *store[K, V]) peek(key K) []V {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var vals []V
+	for _, e := range s.ents {
+		if e.key == key {
+			vals = append(vals, e.val)
+		}
+	}
+	return vals
+}
+
+// put marks a value used, moving it to the front. When same is non-nil and
+// accepts a value already stored under key, it is that value which is
+// marked and val is not stored; otherwise val goes in, and past the bound
+// the least recently used entry goes out.
+func (s *store[K, V]) put(key K, val V, same func(V) bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	at := len(s.ents)
+	if same != nil {
+		for i, e := range s.ents {
+			if e.key == key && same(e.val) {
+				val, at = e.val, i
+				break
+			}
+		}
+	}
+	if at == len(s.ents) {
+		if at < s.max {
+			s.ents = append(s.ents, storeEntry[K, V]{})
+		} else {
+			at--
+		}
+	}
+	copy(s.ents[1:at+1], s.ents[:at])
+	s.ents[0] = storeEntry[K, V]{key, val}
+}
+
+// drop empties the store.
+func (s *store[K, V]) drop() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ents = nil
+}
+
+// acquireMachine returns a machine armed for cfg, which must validate: an
+// idle one of cfg's structure sizes, reset, or a new one.
+//
+// A miss empties the store first. The caller is about to allocate a machine
+// of another geometry, and the idle ones are megabytes each: kept across the
+// switch they would make the heap — and the collector's target with it —
+// larger than the sessions in flight need, for the sake of a geometry that
+// has just stopped being asked for.
+func acquireMachine(cfg uarch.Config) *uarch.Machine {
+	if m, ok := machines.take(cfg.Sizes()); ok {
+		m.Reset(cfg)
+		return m
+	}
+	machines.drop()
+	return uarch.NewMachine(cfg)
+}
+
+// releaseMachine hands a machine nobody reads any more back for reuse.
+func releaseMachine(m *uarch.Machine) {
+	cfg := m.Config()
+	machines.put(cfg.Sizes(), m, nil)
+}
+
+// OnMachine calls fn with a machine armed for host, for host-side replays
+// that have no guest and so no session (the SPEC profiles of Figs. 2-6). The
+// machine comes from the store every session draws on and goes back when fn
+// returns, so fn must not keep it; what it computes is what a machine from
+// uarch.NewMachine(host) would.
+func OnMachine(host uarch.Config, fn func(*uarch.Machine)) error {
+	if err := host.Validate(); err != nil {
+		return fmt.Errorf("core: host: %w", err)
+	}
+	m := acquireMachine(host)
+	defer releaseMachine(m)
+	fn(m)
+	return nil
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gem5prof/internal/core"
+	"gem5prof/internal/platform"
 )
 
 // TestRunAllOrderAndBound checks the submit/collect primitive: results come
@@ -123,4 +124,49 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	// Leave a cold cache for whichever test runs next.
 	ResetCaches()
+}
+
+// TestInvalidHostIsAnOutcomeError: a cell whose host (or code-model) config
+// cannot be built used to panic on its worker goroutine, which takes the
+// whole process down. It must arrive where every other failure does: as the
+// error of its experiment's Outcome, with the other cells and experiments
+// unharmed.
+func TestInvalidHostIsAnOutcomeError(t *testing.T) {
+	const id = "test-bad-host"
+	register(id, func(opt Options) (*Result, error) {
+		secs, err := runAll(opt.runner, 4, func(i int) (float64, error) {
+			sc := core.SessionConfig{
+				Guest: core.GuestConfig{CPU: core.Atomic, Workload: "sieve", Scale: 64},
+				Host:  platform.IntelXeon(),
+			}
+			switch i {
+			case 1:
+				sc.Host.L1I.Ways = 17
+			case 3:
+				sc.HostCode.TextSlots = 3000
+			}
+			return sessionSeconds(opt, sc)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &Result{ID: id, Rows: []Row{{Label: "s", Values: secs}}}, nil
+	})
+	defer func() {
+		mu.Lock()
+		delete(registry, id)
+		mu.Unlock()
+	}()
+	for _, sampled := range []bool{false, true} {
+		var got []Outcome
+		for oc := range RunMany([]string{"table1", id}, Options{Quick: true, Jobs: 2, SimPoint: sampled}) {
+			got = append(got, oc)
+		}
+		if len(got) != 2 || got[0].Err != nil || got[0].Res == nil {
+			t.Fatalf("sampled=%v: table1 beside the failing experiment: %+v", sampled, got)
+		}
+		if err := got[1].Err; err == nil || !strings.Contains(err.Error(), "core: host: uarch: Intel_Xeon: L1I: 17 ways") {
+			t.Errorf("sampled=%v: Outcome.Err = %v, want the lowest failing cell's named host error", sampled, err)
+		}
+	}
 }

@@ -12,13 +12,17 @@ import (
 
 // Runner executes the independent simulation runs of an experiment — and,
 // via RunMany, whole experiments — on a bounded worker pool. Every run
-// constructs its own core.Session/sim.System, so runs share no mutable
-// state and each result is a pure function of its cell's config;
-// determinism comes from collecting results by cell index (per-run seeds
-// derive from (experiment id, cell index), core.DeriveSeed, never from a
-// shared RNG — though no model consumes them today). A parallel schedule is
-// therefore bit-identical to the sequential one: `-j 8` renders the same
-// bytes as `-j 1`.
+// constructs its own guest (sim.System, CPUs, memory system) and shares
+// nothing that one run writes and another reads: the simulator binary's
+// layout it may find already built is immutable and checked call by call,
+// the host machine it may be handed was somebody else's and is reset
+// completely (core's construction stores, DESIGN §20). So each result is a
+// pure function of its cell's config, whatever ran before it on whichever
+// worker; determinism comes from collecting results by cell index (per-run
+// seeds derive from (experiment id, cell index), core.DeriveSeed, never
+// from a shared RNG — though no model consumes them today). A parallel
+// schedule is therefore bit-identical to the sequential one: `-j 8` renders
+// the same bytes as `-j 1`.
 type Runner struct {
 	workers int
 	sem     chan struct{}
@@ -133,7 +137,9 @@ func RunMany(ids []string, opt Options) <-chan Outcome {
 // ResetCaches drops the per-process measurement caches (the shared Fig. 2-6
 // Top-Down set and the simpoint analysis memo). Benchmarks and determinism
 // tests call it so that repeated regenerations re-measure instead of
-// replaying the cache.
+// replaying the cache. core's construction stores are not measurement
+// caches — they hold no result, only what building a session produces — and
+// stay as they are.
 func ResetCaches() {
 	tdMu.Lock()
 	defer tdMu.Unlock()

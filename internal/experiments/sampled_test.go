@@ -120,14 +120,18 @@ func TestSampledFiguresError(t *testing.T) {
 	t.Logf("worst per-cell sampled error %.1f%% (documented bound %.0f%%)", worst, sampledErrorBoundPct)
 }
 
-// TestGoldenSampledReports pins the sampled quick reports of fig10 and
-// fig13 to fixtures, and requires the rendering to be byte-identical at
+// TestGoldenSampledReports pins the sampled quick reports of fig10, fig12
+// and fig13 to fixtures, and requires the rendering to be byte-identical at
 // Jobs=1 and Jobs=4 — sampling must not cost the harness its determinism
-// guarantee. Regenerate alongside the full goldens:
+// guarantee. fig12 is the figure that exercises the whole sharing matrix of
+// DESIGN §20: three machine geometries and two builds of the simulator
+// binary, handed from cell to cell through core's stores (its fixture was
+// recorded at the commit before they existed). Regenerate alongside the
+// full goldens:
 //
 //	go test ./internal/experiments -run TestGoldenSampledReports -update-golden
 func TestGoldenSampledReports(t *testing.T) {
-	for _, id := range []string{"fig10", "fig13"} {
+	for _, id := range []string{"fig10", "fig12", "fig13"} {
 		t.Run(id, func(t *testing.T) {
 			path := filepath.Join("testdata", id+"_quick_sampled.golden")
 			var j1 string

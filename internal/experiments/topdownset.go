@@ -96,7 +96,9 @@ func runTopdownSet(opt Options) (*tdSet, error) {
 			if err != nil {
 				return uarch.Report{}, err
 			}
-			return p.Run(uarch.NewMachine(platform.IntelXeon()), specBlocks), nil
+			var rep uarch.Report
+			err = core.OnMachine(platform.IntelXeon(), func(m *uarch.Machine) { rep = p.Run(m, specBlocks) })
+			return rep, err
 		}
 		gc := core.GuestConfig{CPU: cfg.CPU, Seed: core.DeriveSeed("topdownset", i)}
 		if cfg.BootExit {

@@ -12,7 +12,7 @@ package hostmodel
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 
 	"gem5prof/internal/sim"
 )
@@ -91,6 +91,70 @@ func DefaultConfig() Config {
 	}
 }
 
+// Normalized returns the config a code model actually runs: every zero
+// field takes DefaultConfig's value, and a zero DynFactor is derived from
+// SizeFactor. There is no other place defaults are filled in, so two
+// spellings of one binary — Config{}, Config{SizeFactor: 1} and
+// DefaultConfig() — normalise to equal values and share one layout.
+func (c Config) Normalized() Config {
+	d := DefaultConfig()
+	if c.TextBase == 0 {
+		c.TextBase = d.TextBase
+	}
+	if c.TextSlots == 0 {
+		c.TextSlots = d.TextSlots
+	}
+	if c.SlotBytes == 0 {
+		c.SlotBytes = d.SlotBytes
+	}
+	if c.HeapBase == 0 {
+		c.HeapBase = d.HeapBase
+	}
+	if c.HeapPoolBytes == 0 {
+		c.HeapPoolBytes = d.HeapPoolBytes
+	}
+	if c.StackBase == 0 {
+		c.StackBase = d.StackBase
+	}
+	if c.SizeFactor == 0 {
+		c.SizeFactor = d.SizeFactor
+	}
+	if c.DynFactor == 0 {
+		c.DynFactor = 1 - (1-c.SizeFactor)/4
+	}
+	if c.CalleeFanout == 0 {
+		c.CalleeFanout = d.CalleeFanout
+	}
+	if c.CalleesPerCall == 0 {
+		c.CalleesPerCall = d.CalleesPerCall
+	}
+	if c.BytesPerUop == 0 {
+		c.BytesPerUop = d.BytesPerUop
+	}
+	return c
+}
+
+// Validate reports what New would panic on, for the normalised config: an
+// arena that is not a power-of-two number of power-of-two slots (placeFunc
+// staggers with SlotBytes/2-1 as a mask over 64-byte steps, hence the 128
+// byte floor) or a negative (or NaN) factor or count.
+func (c Config) Validate() error {
+	c = c.Normalized()
+	switch {
+	case c.TextSlots < 0 || c.TextSlots&(c.TextSlots-1) != 0:
+		return fmt.Errorf("hostmodel: TextSlots must be a power of two (got %d)", c.TextSlots)
+	case c.SlotBytes < 128 || c.SlotBytes&(c.SlotBytes-1) != 0:
+		return fmt.Errorf("hostmodel: SlotBytes must be a power of two >= 128 (got %d)", c.SlotBytes)
+	case !(c.SizeFactor > 0) || !(c.DynFactor > 0) || !(c.BytesPerUop > 0):
+		return fmt.Errorf("hostmodel: SizeFactor, DynFactor and BytesPerUop must not be negative (got %g, %g, %g)",
+			c.SizeFactor, c.DynFactor, c.BytesPerUop)
+	case c.CalleeFanout < 0 || c.CalleesPerCall < 0:
+		return fmt.Errorf("hostmodel: CalleeFanout and CalleesPerCall must not be negative (got %d, %d)",
+			c.CalleeFanout, c.CalleesPerCall)
+	}
+	return nil
+}
+
 // traceStep is one step of a function's dynamic execution path.
 type traceStep struct {
 	addr  uint64
@@ -104,95 +168,96 @@ type traceStep struct {
 	callee int
 }
 
-// fnMeta is the static model of one registered function.
-type fnMeta struct {
+// fnLayout is the static model of one registered function: everything about
+// it that is fixed once it is placed. Nothing writes to it afterwards, so
+// every code model that runs the same binary can read the same copy (see
+// Layout); what changes from call to call lives in fnRun.
+type fnLayout struct {
+	// name is the registered name. A helper has none of its own: it is
+	// helper number fn-owner-1 of the primary function owner, and FuncName
+	// spells that out on demand — twelve of every thirteen functions are
+	// helpers, and a kept layout should not carry five thousand strings
+	// only a profile listing ever reads. owner is 0 for a primary.
 	name    string
+	owner   sim.FuncID
 	addr    uint64
 	size    uint32
 	flags   sim.FuncFlags
 	traces  [3][]traceStep
 	callees []sim.FuncID
-	rotor   uint32 // per-call trace/pattern rotation
 	// polymorphic marks virtual functions whose indirect call sites flip
 	// between targets (distinct dynamic types), defeating the BTB.
 	polymorphic bool
-	isHelper    bool
+}
+
+// fnRun is one function's dynamic state in one code model.
+type fnRun struct {
+	calls uint64 // invocations, across ResetRun boundaries
+	rotor uint32 // per-call trace/pattern rotation
 }
 
 // CodeModel implements sim.Tracer, translating simulator activity into host
-// micro-events.
+// micro-events. The synthetic binary it executes is a Layout, which it
+// either builds itself or follows (layout.go); the replay state — call
+// counters, rotors, the heap cursor — is its own.
 type CodeModel struct {
 	cfg      Config
 	sink     Sink
 	prof     Profiler
-	funcs    []fnMeta
 	slotBits uint
-	nextSlot int
-	overflow uint64 // sequential placement once the arena is full
-	heapEnd  uint64
 
+	// lay is the layout in use and pos how many of its registrations this
+	// run has made; funcs and cur are the binary as far as pos: the
+	// functions registered so far and the placement cursor after them.
+	lay   *Layout
+	pos   int
+	funcs []fnLayout
+	cur   cursor
+	// While following, cands are the published layouts that recorded every
+	// registration made so far (lay is the first of them). owned means lay
+	// is this model's private copy instead, which registrations append to;
+	// byName then maps a name to the log index of its first registration.
+	cands  []*Layout
+	owned  bool
+	byName map[string]int
+
+	scratch   []traceStep // buildTraces' work area
+	nameBuf   []byte      // place's, for helper names
+	run       []fnRun     // indexed by FuncID; at least len(funcs) long
 	calls     uint64
 	statCalls uint64 // calls retired before the last ResetRun
 	stackHot  uint64
 	heapPool  uint64
-	callsByFn []uint64
-
-	// byName dedups repeat registrations: successive guest builds feeding
-	// one persistent code model (core.IntervalRunner) declare the same
-	// component functions again, and those must resolve to the first
-	// build's layout — re-placing them would diverge the text segment from
-	// the address map already handed to the machine's TLBs.
-	byName map[string]regRecord
+	heapEnd   uint64
 }
 
-// regRecord remembers one primary registration for dedup.
-type regRecord struct {
-	id        sim.FuncID
-	codeBytes int
-	flags     sim.FuncFlags
-}
+// New builds a code model feeding sink that lays out a binary of its own,
+// shared with nobody. It panics on a config Validate rejects.
+func New(cfg Config, sink Sink) *CodeModel { return newModel(cfg, sink, nil) }
 
-// New builds a code model feeding sink.
-func New(cfg Config, sink Sink) *CodeModel {
-	if cfg.SizeFactor <= 0 {
-		cfg.SizeFactor = 1.0
+// newModel builds a code model that follows cands, published layouts of
+// cfg's normalised form, for as long as its registrations agree with one.
+func newModel(cfg Config, sink Sink, cands []*Layout) *CodeModel {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	if cfg.DynFactor <= 0 {
-		cfg.DynFactor = 1 - (1-cfg.SizeFactor)/4
-	}
-	if cfg.BytesPerUop <= 0 {
-		cfg.BytesPerUop = 3.6
-	}
-	if cfg.TextSlots <= 0 {
-		cfg.TextSlots = 8192
-	}
-	if cfg.TextSlots&(cfg.TextSlots-1) != 0 {
-		panic("hostmodel: TextSlots must be a power of two")
-	}
-	if cfg.SlotBytes == 0 {
-		cfg.SlotBytes = 16 << 10
-	}
-	if cfg.HeapPoolBytes == 0 {
-		cfg.HeapPoolBytes = 48 << 20
-	}
+	cfg = cfg.Normalized()
 	m := &CodeModel{
 		cfg:      cfg,
 		sink:     sink,
 		stackHot: cfg.StackBase,
-		byName:   map[string]regRecord{},
+		// The allocator pool sits at the start of the heap, followed by a
+		// 1MB reservation for the resident SimObject set.
+		heapPool: cfg.HeapBase,
+		heapEnd:  cfg.HeapBase + cfg.HeapPoolBytes + (1 << 20),
 	}
 	for s := cfg.TextSlots; s > 1; s >>= 1 {
 		m.slotBits++
 	}
-	m.overflow = cfg.TextBase + uint64(cfg.TextSlots)*cfg.SlotBytes
-	// The allocator pool sits at the start of the heap, followed by a 1MB
-	// reservation for the resident SimObject set.
-	m.heapPool = cfg.HeapBase
-	m.heapEnd = cfg.HeapBase + cfg.HeapPoolBytes + (1 << 20)
-	// FuncID 0 is the reserved scheduler entry; register a placeholder so
-	// indexes line up.
-	m.funcs = append(m.funcs, fnMeta{name: "<dispatch>"})
-	m.callsByFn = append(m.callsByFn, 0)
+	if len(cands) == 0 {
+		cands = []*Layout{emptyLayout(cfg)}
+	}
+	m.rewind(cands)
 	return m
 }
 
@@ -202,14 +267,14 @@ func New(cfg Config, sink Sink) *CodeModel {
 func (m *CodeModel) placeFunc(size uint32) uint64 {
 	// Stagger start offsets within the slot so that slot-aligned placement
 	// does not alias every function onto the same cache sets.
-	stagger := (uint64(m.nextSlot) * 2654435761 >> 7) & (m.cfg.SlotBytes/2 - 1) &^ 63
-	if uint64(size)+stagger > m.cfg.SlotBytes || m.nextSlot >= m.cfg.TextSlots {
-		addr := m.overflow
-		m.overflow += uint64(size+15) &^ 15
+	stagger := (uint64(m.cur.nextSlot) * 2654435761 >> 7) & (m.cfg.SlotBytes/2 - 1) &^ 63
+	if uint64(size)+stagger > m.cfg.SlotBytes || m.cur.nextSlot >= m.cfg.TextSlots {
+		addr := m.cur.overflow
+		m.cur.overflow += uint64(size+15) &^ 15
 		return addr
 	}
-	slot := bitReverse(uint64(m.nextSlot), m.slotBits)
-	m.nextSlot++
+	slot := bitReverse(uint64(m.cur.nextSlot), m.slotBits)
+	m.cur.nextSlot++
 	return m.cfg.TextBase + slot*m.cfg.SlotBytes + stagger
 }
 
@@ -233,12 +298,13 @@ func (m *CodeModel) TextRange() (uint64, uint64) { return m.cfg.TextBase, m.text
 // textEnd covers the whole arena: bit-reversed placement scatters even the
 // first registrations across it.
 func (m *CodeModel) textEnd() uint64 {
-	arenaEnd := m.cfg.TextBase + uint64(m.cfg.TextSlots)*m.cfg.SlotBytes
-	if m.overflow > arenaEnd {
-		return m.overflow
+	if arenaEnd := m.cfg.arenaEnd(); m.cur.overflow < arenaEnd {
+		return arenaEnd
 	}
-	return arenaEnd
+	return m.cur.overflow
 }
+
+func (c *Config) arenaEnd() uint64 { return c.TextBase + uint64(c.TextSlots)*c.SlotBytes }
 
 // NumFuncs returns the number of registered functions (including helpers).
 func (m *CodeModel) NumFuncs() int { return len(m.funcs) }
@@ -248,7 +314,15 @@ func (m *CodeModel) FuncName(fn sim.FuncID) string {
 	if int(fn) >= len(m.funcs) {
 		return fmt.Sprintf("fn%d", fn)
 	}
+	if f := &m.funcs[fn]; f.owner != 0 {
+		return string(helperName(nil, m.funcs[f.owner].name, int(fn-f.owner-1)))
+	}
 	return m.funcs[fn].name
+}
+
+// helperName appends the name of primary's i-th helper to buf.
+func helperName(buf []byte, primary string, i int) []byte {
+	return fmt.Appendf(buf, "%s::helper%d", primary, i)
 }
 
 // Calls returns the total function invocations replayed, across ResetRun
@@ -259,86 +333,33 @@ func (m *CodeModel) Calls() uint64 { return m.statCalls + m.calls }
 // once (the paper's Fig. 15 metric).
 func (m *CodeModel) CalledFuncs() int {
 	n := 0
-	for _, c := range m.callsByFn {
-		if c > 0 {
+	for i := range m.run {
+		if m.run[i].calls > 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// RegisterFunc implements sim.Tracer. Registering an identical (name,
-// size, flags) triple again returns the original function: a simulator
-// binary has one copy of each function no matter how many guest systems
-// trace into it.
-func (m *CodeModel) RegisterFunc(name string, codeBytes int, flags sim.FuncFlags) sim.FuncID {
-	if prev, ok := m.byName[name]; ok && prev.codeBytes == codeBytes && prev.flags == flags {
-		return prev.id
-	}
-	id := m.registerOne(name, codeBytes, flags, false)
-	if _, ok := m.byName[name]; !ok {
-		m.byName[name] = regRecord{id: id, codeBytes: codeBytes, flags: flags}
-	}
-	// Primary functions bring a retinue of helper callees: parameter
-	// checks, accessors, allocator shims — the reason gem5 touches
-	// thousands of distinct functions per simulation.
-	fanout := m.cfg.CalleeFanout
-	if flags&sim.FuncLeaf != 0 {
-		fanout = 0
-	}
-	h := hashName(name)
-	for i := 0; i < fanout; i++ {
-		// Helpers scale with their owner: big dispatch hubs (pipeline
-		// stages) fan work out into substantial subroutines, which is what
-		// flattens gem5's hot-function CDF for detailed CPU models.
-		helperSize := 90 + codeBytes/20 + int(h>>uint(i%24)&0x7F)
-		// Helpers are direct-called leaves: no indirect branches.
-		hflags := (flags &^ (sim.FuncVirtual | sim.FuncPoly)) | sim.FuncLeaf
-		helper := m.registerOne(fmt.Sprintf("%s::helper%d", name, i), helperSize, hflags, true)
-		m.funcs[id].callees = append(m.funcs[id].callees, helper)
-	}
-	return id
-}
-
-func (m *CodeModel) registerOne(name string, codeBytes int, flags sim.FuncFlags, helper bool) sim.FuncID {
-	size := uint32(float64(codeBytes) * m.cfg.SizeFactor)
-	if size < 32 {
-		size = 32
-	}
-	id := sim.FuncID(len(m.funcs))
-	addr := m.placeFunc(size)
-	f := fnMeta{
-		name:        name,
-		addr:        addr,
-		size:        size,
-		flags:       flags,
-		polymorphic: flags&sim.FuncPoly != 0,
-		isHelper:    helper,
-	}
-	f.buildTraces(hashName(name), m.cfg.DynFactor/m.cfg.SizeFactor)
-	m.funcs = append(m.funcs, f)
-	m.callsByFn = append(m.callsByFn, 0)
-	return id
-}
-
 // buildTraces precomputes three alternative dynamic paths through the
 // function: basic blocks of 16-48 bytes, each ending in a branch, some with
 // a call site. uopScale decouples dynamic work from static size (the -O3
 // model).
-func (f *fnMeta) buildTraces(seed uint64, uopScale float64) {
+//
+// The steps are generated into scratch (returned for the next call) and
+// copied out at their exact length: a layout is kept and shared, so what it
+// holds is sized to what it uses.
+func (f *fnLayout) buildTraces(seed uint64, uopScale float64, scratch []traceStep) []traceStep {
 	for t := range f.traces {
 		rng := seed*2654435761 + uint64(t)*0x9e3779b97f4a7c15
 		frac := 0.12 + 0.05*float64(t)
-		if f.size > 3000 && !f.isHelper {
+		if f.size > 3000 && f.owner == 0 {
 			// Dispatch hubs mostly branch out to callees; their own body
 			// contributes proportionally less.
 			frac *= 0.55
 		}
 		covered := uint32(float64(f.size) * frac)
-		// Blocks are at least 16 bytes, so covered/16+1 bounds the step
-		// count: one allocation per trace instead of append regrowth
-		// (which dominated session-construction allocations).
-		f.traces[t] = make([]traceStep, 0, covered/16+1)
+		steps := scratch[:0]
 		pos := uint64(0)
 		callSlot := 0
 		for covered > 0 {
@@ -375,26 +396,33 @@ func (f *fnMeta) buildTraces(seed uint64, uopScale float64) {
 			if f.flags&sim.FuncVirtual != 0 && pos == 0 {
 				step.indirect = true
 			}
-			if len(f.traces[t]) > 0 && len(f.traces[t])%3 == 0 {
+			if len(steps) > 0 && len(steps)%3 == 0 {
 				step.callee = callSlot
 				callSlot++
 			}
-			f.traces[t] = append(f.traces[t], step)
+			steps = append(steps, step)
 			// Dynamic paths jump around the function body.
 			pos = (pos + uint64(blk) + (rng >> 21 & 0x3F)) % uint64(f.size)
 		}
-		if len(f.traces[t]) == 0 {
-			f.traces[t] = append(f.traces[t], traceStep{
+		if len(steps) == 0 {
+			steps = append(steps, traceStep{
 				addr: f.addr, bytes: 32, uops: 9, callee: -1,
 			})
 		}
+		f.traces[t] = slices.Clone(steps)
+		scratch = steps
 	}
+	return scratch
 }
 
-func hashName(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
+// hashName is 64-bit FNV-1a, spelled out so that hashing a name allocates
+// nothing.
+func hashName[S string | []byte](name S) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	return h
 }
 
 // Call implements sim.Tracer: replay one invocation of fn into the sink.
@@ -409,14 +437,15 @@ const maxCallDepth = 2
 
 func (m *CodeModel) call(fn sim.FuncID, depth int) {
 	f := &m.funcs[fn]
+	run := &m.run[fn]
 	m.calls++
-	m.callsByFn[fn]++
+	run.calls++
 	if m.prof != nil {
 		m.prof.Enter(fn)
 	}
-	f.rotor++
-	tr := f.traces[f.rotor%3]
-	pat := f.rotor
+	run.rotor++
+	tr := f.traces[run.rotor%3]
+	pat := run.rotor
 
 	// Call overhead: push/pop on the (hot) host stack.
 	m.sink.Data(m.stackHot-uint64(depth)*128, 16, true)
@@ -477,23 +506,25 @@ func (m *CodeModel) call(fn sim.FuncID, depth int) {
 	}
 }
 
-// ResetRun rewinds the model's dynamic replay state — the call counter
-// and per-function trace rotors that drive heap/branch access patterns,
-// and the heap cursor that AllocData advances — to their initial values,
-// while keeping every registered function and the text layout intact. A
-// fresh guest build after ResetRun therefore replays the identical
-// component allocations and access sequences of the first build, staying
-// inside the address map already handed to the machine. core's
-// IntervalRunner calls this between the measurement windows that share
-// one code model; cumulative statistics (Calls, CalledFuncs) are
-// deliberately not reset.
+// ResetRun rewinds the model to the start of a run: the call counter and
+// per-function trace rotors that drive heap/branch access patterns, the
+// heap cursor that AllocData advances, and the registration cursor, which
+// goes back to the start of the layout the model ended on. A guest built
+// after ResetRun therefore makes the same registrations against the same
+// layout and gets the first build's ids, addresses, allocations and access
+// sequences back without placing anything — the same following a fresh
+// model does over a layout somebody else published (layout.go). core's
+// IntervalRunner calls this between the measurement windows that share one
+// code model and one warm machine; cumulative statistics (Calls,
+// CalledFuncs) are deliberately not reset.
 func (m *CodeModel) ResetRun() {
 	m.statCalls += m.calls
 	m.calls = 0
 	m.heapEnd = m.cfg.HeapBase + m.cfg.HeapPoolBytes + (1 << 20)
-	for i := range m.funcs {
-		m.funcs[i].rotor = 0
+	for i := range m.run {
+		m.run[i].rotor = 0
 	}
+	m.rewind([]*Layout{m.lay})
 }
 
 // Data implements sim.Tracer.

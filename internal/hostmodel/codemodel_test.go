@@ -89,7 +89,7 @@ func TestLayoutScattersAndDoesNotOverlap(t *testing.T) {
 	type span struct{ lo, hi uint64 }
 	var spans []span
 	for i := 0; i < 200; i++ {
-		id := m.registerOne(fmt.Sprintf("f%d", i), 1000+i*17, 0, false)
+		id := m.RegisterFunc(fmt.Sprintf("f%d", i), 1000+i*17, sim.FuncLeaf)
 		f := &m.funcs[id]
 		spans = append(spans, span{f.addr, f.addr + uint64(f.size)})
 	}
@@ -128,7 +128,7 @@ func TestArenaOverflowFallsBackSequential(t *testing.T) {
 	cfg.SlotBytes = 8 << 10
 	m := New(cfg, &recordSink{})
 	for i := 0; i < 40; i++ {
-		m.registerOne(fmt.Sprintf("f%d", i), 500, 0, false)
+		m.RegisterFunc(fmt.Sprintf("f%d", i), 500, sim.FuncLeaf)
 	}
 	lo, hi := m.TextRange()
 	if hi <= lo+uint64(cfg.TextSlots)*cfg.SlotBytes {

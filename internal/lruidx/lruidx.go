@@ -66,6 +66,15 @@ func New(n int) *Index {
 	}
 }
 
+// Reset empties the index in place. The slot file needs no clearing: slots
+// fill top-down again and Insert writes every field of the one it takes, so
+// an index that was Reset behaves exactly like a new one of the same size.
+func (ix *Index) Reset() {
+	ix.head, ix.tail = -1, -1
+	ix.nextFree = int32(len(ix.slots) - 1)
+	clear(ix.table)
+}
+
 // Cap returns the slot count.
 func (ix *Index) Cap() int { return len(ix.slots) }
 

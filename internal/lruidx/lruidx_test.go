@@ -145,3 +145,30 @@ func TestNewPanicsOnZero(t *testing.T) {
 	}()
 	New(0)
 }
+
+// TestResetIsFresh: an index that has been filled, churned and Reset must
+// answer a random stream exactly as the naive reference started from empty
+// does — hit for hit and victim for victim — and report itself empty.
+func TestResetIsFresh(t *testing.T) {
+	for _, n := range []int{1, 7, 64, 512} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		ix := New(n)
+		for i := 0; i < 8*n; i++ {
+			access(ix, rng.Uint64()%uint64(3*n))
+		}
+		ix.Reset()
+		if ix.Len() != 0 || ix.Cap() != n {
+			t.Fatalf("n=%d: after Reset Len=%d Cap=%d", n, ix.Len(), ix.Cap())
+		}
+		ref := newNaive(n)
+		for i := 0; i < 16*n; i++ {
+			key := rng.Uint64() % uint64(3*n)
+			gotHit, gotEv, gotOK := access(ix, key)
+			wantHit, wantEv, wantOK := ref.access(key)
+			if gotHit != wantHit || gotOK != wantOK || (wantOK && gotEv != wantEv) {
+				t.Fatalf("n=%d step %d key %d: got (%v,%d,%v) want (%v,%d,%v)",
+					n, i, key, gotHit, gotEv, gotOK, wantHit, wantEv, wantOK)
+			}
+		}
+	}
+}

@@ -188,6 +188,7 @@ func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
 	// — because float addition is non-commutative and the report must be
 	// byte-identical at any -j.
 	runner := core.NewIntervalRunner(sc)
+	defer runner.Close()
 	for ci, cl := range a.phases.Clusters {
 		iv := a.prof.Intervals[cl.Rep]
 		var ivr *core.IntervalResult

@@ -5,12 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gem5prof/internal/ckptcache"
 	"gem5prof/internal/core"
+	"gem5prof/internal/hostmodel"
 	"gem5prof/internal/platform"
 	"gem5prof/internal/simpoint"
+	"gem5prof/internal/uarch"
 )
 
 func testGuest() core.GuestConfig {
@@ -344,5 +347,48 @@ func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first, third) {
 		t.Fatalf("results differ across Shards:\nserial  %+v\nsharded %+v\nre-analysed %+v", first, second, third)
+	}
+}
+
+// TestWarmConstructionAllocs holds "construct once, reset many" where it
+// pays: the second sampled cell of a family must allocate at most a third
+// of what the first did. Both cells restore the same checkpoints and
+// measure the same windows; the first also lays out the simulator binary
+// and allocates the host machine, the second finds both in core's stores
+// (it differs only in the host's clock, as the cells of fig13 do). When
+// every cell built its own, the two allocated the same. The host geometry
+// and the build are this test's own, so nothing that ran before it can
+// have warmed them; a third cell on another host and build takes the
+// family's one-off analysis (profile, clustering, checkpoints) out of the
+// comparison.
+func TestWarmConstructionAllocs(t *testing.T) {
+	simpoint.ResetMemo()
+	defer simpoint.ResetMemo()
+	cfg := simpoint.Config{IntervalInsts: 500, WarmupInsts: 1, MaxK: 3}
+	cell := func(host uarch.Config, sizeFactor float64) uint64 {
+		t.Helper()
+		sc := core.SessionConfig{
+			Guest:    core.GuestConfig{CPU: core.O3, Mode: core.SE, Workload: "sieve", Scale: 512},
+			Host:     host,
+			HostCode: hostmodel.Config{SizeFactor: sizeFactor},
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := simpoint.RunSampled(sc, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cell(platform.M1Pro(), 0.911) // the family's analysis
+
+	host := platform.IntelXeon()
+	host.STLBEntries++ // structure sizes no other test builds
+	first := cell(host, 0.913)
+	host.FreqGHz = 1.2
+	second := cell(host, 0.913)
+	t.Logf("first cell %d KB, second cell %d KB", first>>10, second>>10)
+	if second > first/3 {
+		t.Errorf("the second cell of the family allocated %d bytes, the first %d: want at most a third", second, first)
 	}
 }

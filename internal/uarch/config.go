@@ -75,7 +75,30 @@ type Config struct {
 	SkipVIPTCheck bool    // ablation A2: allow non-VIPT L1 geometries
 }
 
-// Validate checks internal consistency: the geometry of every cache level
+// Sizes is the part of a Config that fixes how much memory a Machine's
+// structures take and how they are indexed. Two configs with equal Sizes
+// differ only in scalars that Machine.Reset re-reads (clock, latencies,
+// widths, page sizes and modes), so a machine built for one can be re-armed
+// for the other.
+type Sizes struct {
+	L1I, L1D, L2, LLC                     CacheGeom
+	DSBUops                               int
+	ITLBEntries, DTLBEntries, STLBEntries int
+	BPTableEntries, BTBEntries            int
+}
+
+// Sizes returns c's structure sizes.
+func (c *Config) Sizes() Sizes {
+	return Sizes{
+		L1I: c.L1I, L1D: c.L1D, L2: c.L2, LLC: c.LLC,
+		DSBUops:     c.DSBUops,
+		ITLBEntries: c.ITLBEntries, DTLBEntries: c.DTLBEntries, STLBEntries: c.STLBEntries,
+		BPTableEntries: c.BPTableEntries, BTBEntries: c.BTBEntries,
+	}
+}
+
+// Validate checks everything NewMachine would panic on and the model's own
+// consistency: the geometry of every cache level, TLB and predictor sizes,
 // and the VIPT constraint the paper leans on, that one L1 way must not
 // exceed the page size. The uop cache needs no check: NewMachine derives a
 // valid geometry from any capacity.
@@ -103,6 +126,16 @@ func (c *Config) Validate() error {
 				return fmt.Errorf("uarch: %s: %s way (%d B) exceeds page size (%d B): VIPT constraint violated",
 					c.Name, l1.name, wayBytes, c.PageBytes)
 			}
+		}
+	}
+	if c.ITLBEntries < 1 || c.DTLBEntries < 1 || c.STLBEntries < 1 {
+		return fmt.Errorf("uarch: %s: every TLB needs at least one entry (iTLB %d, dTLB %d, STLB %d)",
+			c.Name, c.ITLBEntries, c.DTLBEntries, c.STLBEntries)
+	}
+	for _, n := range []int{c.BPTableEntries, c.BTBEntries} {
+		if n < 1 || n&(n-1) != 0 {
+			return fmt.Errorf("uarch: %s: predictor sizes must be powers of two (table %d, BTB %d)",
+				c.Name, c.BPTableEntries, c.BTBEntries)
 		}
 	}
 	if c.IssueWidth <= 0 || c.DecodeWidth <= 0 {

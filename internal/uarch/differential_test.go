@@ -168,6 +168,10 @@ func refProbe(c *naiveCache, addr uint64) bool {
 	return false
 }
 
+// resetOp in a cacheEquiv stream resets the cache under test and replaces
+// the reference with a fresh one: a reset cache must be a fresh cache.
+const resetOp = ^uint64(0)
+
 // cacheEquiv drives a fresh cache and the naive reference over addrs and
 // compares, on every step, hit/miss, the evicted tag, the resident count
 // and probe of the address just touched, of the one touched before it and
@@ -176,8 +180,15 @@ func cacheEquiv(t testing.TB, g CacheGeom, addrs []uint64) {
 	t.Helper()
 	c := newCache(g)
 	ref := newNaiveCache(g)
-	var resident, prev uint64
+	var resident, prev, accesses uint64
 	for i, addr := range addrs {
+		if addr == resetOp {
+			c.reset()
+			ref = newNaiveCache(g)
+			resident, prev, accesses = 0, 0, 0
+			continue
+		}
+		accesses++
 		c.evictedOK = false
 		gotHit := c.access(addr)
 		wantHit, wantEv, wantEvOK := ref.access(addr)
@@ -198,8 +209,8 @@ func cacheEquiv(t testing.TB, g CacheGeom, addrs []uint64) {
 		}
 		prev = addr
 	}
-	if c.Accesses != uint64(len(addrs)) {
-		t.Fatalf("%+v: %d accesses counted, want %d", g, c.Accesses, len(addrs))
+	if c.Accesses != accesses {
+		t.Fatalf("%+v: %d accesses counted, want %d", g, c.Accesses, accesses)
 	}
 }
 
@@ -263,11 +274,13 @@ func TestCacheDifferentialTraffic(t *testing.T) {
 
 // FuzzCacheEquivalence takes the geometry from the first three bytes and
 // an op per following byte: the top two bits choose repeat, next line,
-// same-set conflict or jump, the rest is the operand.
+// same-set conflict or jump, the rest is the operand; the byte 0x3f is a
+// reset, after which the replay must match a fresh cache.
 func FuzzCacheEquivalence(f *testing.F) {
-	f.Add([]byte{7, 3, 5, 0x80, 0x00, 0x41, 0x42, 0xc1, 0x00, 0x43})              // 8-way: fill, repeat, conflict
-	f.Add([]byte{15, 0, 0, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0xc0, 0x81, 0x40}) // one 16-way set of 2 B lines
-	f.Add([]byte{0, 5, 6, 0xc5, 0x05, 0x85, 0xc5, 0x45, 0x85})                    // direct-mapped, 128 B lines: repeat, evict, return
+	f.Add([]byte{7, 3, 5, 0x80, 0x00, 0x41, 0x42, 0xc1, 0x00, 0x43})                   // 8-way: fill, repeat, conflict
+	f.Add([]byte{15, 0, 0, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0xc0, 0x81, 0x40})      // one 16-way set of 2 B lines
+	f.Add([]byte{0, 5, 6, 0xc5, 0x05, 0x85, 0xc5, 0x45, 0x85})                         // direct-mapped, 128 B lines: repeat, evict, return
+	f.Add([]byte{3, 1, 5, 0x80, 0x81, 0x82, 0x83, 0x84, 0x00, 0x3f, 0x00, 0x84, 0x80}) // 4-way: overfill a set, reset, the memoised line misses again
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -279,6 +292,10 @@ func FuzzCacheEquivalence(f *testing.F) {
 		line := uint64(0)
 		addrs := make([]uint64, 0, len(data)-3)
 		for _, b := range data[3:] {
+			if b == 0x3f {
+				addrs = append(addrs, resetOp)
+				continue
+			}
 			arg := uint64(b & 0x3f)
 			switch b >> 6 {
 			case 1:

@@ -11,6 +11,7 @@ package uarch_test
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"gem5prof/internal/core"
@@ -20,83 +21,202 @@ import (
 	"gem5prof/internal/uarch"
 )
 
-func TestReportIdentityPerHostClass(t *testing.T) {
-	// Capture the head of the stream the way a pipelined session carries
-	// it: hostmodel's own encoder into a ring, drained here.
-	const records = 1 << 20
-	rg := ring.New(8)
-	enc := hostmodel.NewRingSink(rg)
-	var head []ring.Batch
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for b := rg.Acquire(); b != nil; b = rg.Acquire() {
-			if len(head)*ring.BatchRecords < records {
-				head = append(head, *b)
-			}
-			rg.Release()
-		}
-	}()
-	hc := hostmodel.DefaultConfig()
-	cm := hostmodel.New(hc, enc)
-	g, err := core.BuildGuest(core.GuestConfig{CPU: core.O3, Mode: core.SE,
-		Workload: "water_nsquared", Scale: 40, Seed: 1}, cm)
-	if err == nil {
-		_, err = g.Run()
-	}
-	enc.Close()
-	<-drained
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(head); n*ring.BatchRecords != records || head[n-1].Len() != ring.BatchRecords {
-		t.Fatalf("captured %d batches, want %d full ones", n, records/ring.BatchRecords)
-	}
-	newMachine := func(cfg uarch.Config) *uarch.Machine {
-		m := uarch.NewMachine(cfg)
-		tb, te := cm.TextRange()
-		m.MapText(tb, te)
-		hb, he := cm.HeapRange()
-		m.MapData(hb, he)
-		m.MapData(hc.StackBase-(1<<20), hc.StackBase+(1<<12))
-		return m
-	}
+// hostStream is the head of one deterministic hostmodel stream, captured
+// once for the tests below, and the address map it refers to.
+var hostStream struct {
+	once                   sync.Once
+	err                    error
+	head                   []ring.Batch
+	text, heap, stackRange [2]uint64
+}
 
-	for _, tc := range []struct {
-		cfg  uarch.Config
-		want uint64
-	}{
-		{platform.IntelXeon(), 0xfd5d8d79869a167d},
-		{platform.M1Pro(), 0x195744cd12b06b65},       // 12-way, 128 B lines, no DSB
-		{platform.FireSimBase(), 0x327953c53e5c446d}, // no LLC
-		{platform.Contend(platform.IntelXeon(), platform.Scenario{Procs: 4, SMT: true}), 0x479d420836a9a03d},
-	} {
-		direct := newMachine(tc.cfg)
-		for i := range head {
-			for _, rec := range head[i].Records() {
-				switch rec.Op {
-				case ring.OpFetch:
-					direct.FetchBlock(rec.Addr, rec.A, rec.B)
-				case ring.OpBranch:
-					direct.Branch(rec.Addr, rec.Arg,
-						rec.Flags&ring.FlagTaken != 0, rec.Flags&ring.FlagIndirect != 0)
-				case ring.OpData:
-					direct.Data(rec.Addr, rec.A, rec.Flags&ring.FlagWrite != 0)
+// capturedStream captures the head of the stream the way a pipelined
+// session carries it: hostmodel's own encoder into a ring, drained here.
+func capturedStream(t *testing.T) []ring.Batch {
+	t.Helper()
+	hs := &hostStream
+	hs.once.Do(func() {
+		const records = 1 << 20
+		rg := ring.New(8)
+		enc := hostmodel.NewRingSink(rg)
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for b := rg.Acquire(); b != nil; b = rg.Acquire() {
+				if len(hs.head)*ring.BatchRecords < records {
+					hs.head = append(hs.head, *b)
 				}
+				rg.Release()
+			}
+		}()
+		hc := hostmodel.DefaultConfig()
+		cm := hostmodel.New(hc, enc)
+		g, err := core.BuildGuest(core.GuestConfig{CPU: core.O3, Mode: core.SE,
+			Workload: "water_nsquared", Scale: 40, Seed: 1}, cm)
+		if err == nil {
+			_, err = g.Run()
+		}
+		enc.Close()
+		<-drained
+		if n := len(hs.head); err == nil && (n*ring.BatchRecords != records || hs.head[n-1].Len() != ring.BatchRecords) {
+			err = fmt.Errorf("captured %d batches, want %d full ones", n, records/ring.BatchRecords)
+		}
+		hs.err = err
+		hs.text[0], hs.text[1] = cm.TextRange()
+		hs.heap[0], hs.heap[1] = cm.HeapRange()
+		hs.stackRange = [2]uint64{hc.StackBase - (1 << 20), hc.StackBase + (1 << 12)}
+	})
+	if hs.err != nil {
+		t.Fatal(hs.err)
+	}
+	return hs.head
+}
+
+// mapStream hands m the address map of the captured stream.
+func mapStream(m *uarch.Machine) {
+	hs := &hostStream
+	m.MapText(hs.text[0], hs.text[1])
+	m.MapData(hs.heap[0], hs.heap[1])
+	m.MapData(hs.stackRange[0], hs.stackRange[1])
+}
+
+// hostClasses pins, per host class, an FNV of the Report the captured
+// stream produces, recorded before the cache layout was rebuilt (PR 12's
+// parent).
+var hostClasses = []struct {
+	cfg  uarch.Config
+	want uint64
+}{
+	{platform.IntelXeon(), 0xfd5d8d79869a167d},
+	{platform.M1Pro(), 0x195744cd12b06b65},       // 12-way, 128 B lines, no DSB
+	{platform.FireSimBase(), 0x327953c53e5c446d}, // no LLC
+	{platform.Contend(platform.IntelXeon(), platform.Scenario{Procs: 4, SMT: true}), 0x479d420836a9a03d},
+}
+
+// reportFNV hashes the rendered text plus every field at full precision.
+func reportFNV(r uarch.Report) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s\n%+v", r.String(), r)
+	return h.Sum64()
+}
+
+// sinkCalls applies the records of head one sink call at a time, each
+// address moved by shift.
+func sinkCalls(m *uarch.Machine, head []ring.Batch, shift uint64) {
+	for i := range head {
+		for _, rec := range head[i].Records() {
+			switch rec.Op {
+			case ring.OpFetch:
+				m.FetchBlock(rec.Addr+shift, rec.A, rec.B)
+			case ring.OpBranch:
+				m.Branch(rec.Addr+shift, rec.Arg+shift,
+					rec.Flags&ring.FlagTaken != 0, rec.Flags&ring.FlagIndirect != 0)
+			case ring.OpData:
+				m.Data(rec.Addr+shift, rec.A, rec.Flags&ring.FlagWrite != 0)
 			}
 		}
-		batched := newMachine(tc.cfg)
+	}
+}
+
+func TestReportIdentityPerHostClass(t *testing.T) {
+	head := capturedStream(t)
+	for _, tc := range hostClasses {
+		direct := uarch.NewMachine(tc.cfg)
+		mapStream(direct)
+		sinkCalls(direct, head, 0)
+		batched := uarch.NewMachine(tc.cfg)
+		mapStream(batched)
 		for i := range head {
 			batched.ApplyBatch(&head[i])
 		}
 		if d, b := direct.Report(), batched.Report(); d != b {
 			t.Errorf("%s: sink calls and ApplyBatch disagree:\n%v\n%v", tc.cfg.Name, d, b)
 		}
-		// The rendered text plus every field at full precision.
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s\n%+v", direct.Report().String(), direct.Report())
-		if got := h.Sum64(); got != tc.want {
+		if got := reportFNV(direct.Report()); got != tc.want {
 			t.Errorf("%s: Report FNV = %#x, want %#x", tc.cfg.Name, got, tc.want)
 		}
+	}
+}
+
+// TestRecycledMachineIdentity makes reuse adversarial: every host class's
+// machine first runs as a different host of the same structure sizes —
+// another clock, other latencies and widths, a THP-split text segment and a
+// foreign data region, fed the stream at shifted addresses and then at its
+// own, so that every cache, TLB, predictor table, stream tracker and
+// counter ends up holding something — and is then Reset for the pinned
+// config. Replaying the
+// captured stream must give the FNV a fresh machine gives; one surviving
+// line, LRU position, region or memo moves it.
+func TestRecycledMachineIdentity(t *testing.T) {
+	head := capturedStream(t)
+	for _, tc := range hostClasses {
+		dirty := tc.cfg
+		dirty.Name = "dirty " + tc.cfg.Name
+		dirty.FreqGHz *= 1.7
+		dirty.HugePages, dirty.THPCoverage = uarch.PagesTHP, 0.37
+		dirty.L2Cycles += 5
+		dirty.DRAMNanos *= 2
+		dirty.IssueWidth += 2
+		dirty.MLPOverlap /= 2
+		if dirty.Sizes() != tc.cfg.Sizes() {
+			t.Fatalf("%s: the dirtying config changed the structure sizes", tc.cfg.Name)
+		}
+		m := uarch.NewMachine(dirty)
+		mapStream(m)
+		m.MapData(0x5000_0000_0000, 0x5000_4000_0000)
+		sinkCalls(m, head, 0x12340)
+		// ... and then something familiar: the stream's own addresses, so
+		// that a stale BTB entry or predictor counter would answer for the
+		// replay's branches, ending on the replay's first fetch and first
+		// data access, so that the L1s' same-line and the TLBs' same-page
+		// memos point at exactly what the replay touches first.
+		sinkCalls(m, head[:len(head)/4], 0)
+		var fetched, touched bool
+		for _, rec := range head[0].Records() {
+			if rec.Op == ring.OpFetch && !fetched {
+				m.FetchBlock(rec.Addr, rec.A, rec.B)
+				fetched = true
+			}
+			if rec.Op == ring.OpData && !touched {
+				m.Data(rec.Addr, rec.A, rec.Flags&ring.FlagWrite != 0)
+				touched = true
+			}
+		}
+		if m.Report().Uops == 0 {
+			t.Fatalf("%s: the foreign stream left the machine clean", tc.cfg.Name)
+		}
+
+		m.Reset(tc.cfg)
+		if got := m.Config(); got != tc.cfg {
+			t.Errorf("%s: Config() after Reset = %+v", tc.cfg.Name, got)
+		}
+		if r := m.Report(); r.Uops != 0 || r.Cycles != 0 || r.DRAMBytes != 0 || r.LLCOccupancyBytes != 0 {
+			t.Errorf("%s: Reset left counters behind: %+v", tc.cfg.Name, r)
+		}
+		mapStream(m)
+		sinkCalls(m, head, 0)
+		if got := reportFNV(m.Report()); got != tc.want {
+			t.Errorf("%s: recycled machine: Report FNV = %#x, want %#x", tc.cfg.Name, got, tc.want)
+		}
+	}
+}
+
+// TestResetRejectsOtherSizes: Reset keeps the structures' memory, so it
+// refuses a config they do not fit, as loudly as NewMachine refuses a bad
+// one.
+func TestResetRejectsOtherSizes(t *testing.T) {
+	m := uarch.NewMachine(platform.IntelXeon())
+	for name, cfg := range map[string]uarch.Config{
+		"other geometry": platform.M1Pro(),
+		"invalid":        {Name: "empty"},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Reset(%s) did not panic", name)
+				}
+			}()
+			m.Reset(cfg)
+		}()
 	}
 }

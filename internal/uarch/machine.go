@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 )
@@ -99,7 +100,6 @@ func NewMachine(cfg Config) *Machine {
 		panic(err)
 	}
 	m := &Machine{
-		cfg:  cfg,
 		l1i:  newCache(cfg.L1I),
 		l1d:  newCache(cfg.L1D),
 		l2:   newCache(cfg.L2),
@@ -107,9 +107,6 @@ func NewMachine(cfg Config) *Machine {
 		dtlb: newTLB(cfg.DTLBEntries),
 		stlb: newTLB(cfg.STLBEntries),
 		bp:   newGshare(cfg.BPTableEntries, cfg.BTBEntries),
-
-		dsbSlack:  1/cfg.DSBWidth - 1/cfg.IssueWidth,
-		miteSlack: 1/cfg.DecodeWidth - 1/cfg.IssueWidth,
 	}
 	if cfg.LLC.SizeBytes > 0 {
 		// Two-level hosts (the FireSim Rocket) have no LLC.
@@ -128,7 +125,51 @@ func NewMachine(cfg Config) *Machine {
 		}
 		m.dsb = newCache(CacheGeom{SizeBytes: sets * ways * window, Ways: ways, LineBytes: window})
 	}
+	m.arm(cfg)
 	return m
+}
+
+// arm is the part of construction that reads cfg's scalars.
+func (m *Machine) arm(cfg Config) {
+	m.cfg = cfg
+	m.dsbSlack = 1/cfg.DSBWidth - 1/cfg.IssueWidth
+	m.miteSlack = 1/cfg.DecodeWidth - 1/cfg.IssueWidth
+}
+
+// Reset re-arms m for cfg in place: afterwards m computes, report for
+// report, what NewMachine(cfg) would, whatever it ran before. Every
+// structure goes back to its initial state (caches invalidated, LRU orders
+// and predictor tables re-initialised, TLBs and the BTB emptied, memos
+// forgotten), the address map, the stream trackers, every counter and the
+// Top-Down account are dropped, and everything derived from the config is
+// recomputed, since clock, latencies, widths and page modes may all differ
+// from the last run's. Only the structures' memory survives, so cfg must
+// validate and have the machine's Sizes; Reset panics otherwise, as
+// NewMachine does on a config that does not validate.
+func (m *Machine) Reset(cfg Config) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	if cfg.Sizes() != m.cfg.Sizes() {
+		panic(fmt.Sprintf("uarch: Reset: %s does not have the structure sizes of %s", cfg.Name, m.cfg.Name))
+	}
+	for _, c := range []*cache{m.l1i, m.l1d, m.l2, m.llc, m.dsb} {
+		if c != nil {
+			c.reset()
+		}
+	}
+	m.itlb.reset()
+	m.dtlb.reset()
+	m.stlb.reset()
+	m.bp.reset()
+	// Rebuilt from what survives, so a counter added later is zeroed here
+	// without being named.
+	*m = Machine{
+		l1i: m.l1i, l1d: m.l1d, l2: m.l2, llc: m.llc, dsb: m.dsb,
+		itlb: m.itlb, dtlb: m.dtlb, stlb: m.stlb, bp: m.bp,
+		regions: m.regions[:0], sorted: m.sorted[:0],
+	}
+	m.arm(cfg)
 }
 
 // Config returns the machine's configuration.
@@ -163,6 +204,15 @@ func (m *Machine) MapData(base, end uint64) {
 // current callers produce any) fall back to the insertion-order scan so
 // the documented first-match-wins behaviour is preserved exactly.
 func (m *Machine) addRegion(r pageRegion) {
+	for _, have := range m.regions {
+		if have == r {
+			// Mapping is idempotent: under first-match-wins a repeated
+			// region can never answer a lookup, and recording it would only
+			// push lookups onto the overlapping-region scan. A session that
+			// rebuilds its guest on a kept machine maps the same binary again.
+			return
+		}
+	}
 	m.regions = append(m.regions, r)
 	if r.end <= r.base {
 		return // empty region: can never match an address

@@ -89,20 +89,39 @@ func newCache(g CacheGeom) *cache {
 	}
 	sets := g.Sets()
 	c := &cache{
-		geom:      g,
-		setMask:   sets - 1,
-		setBits:   uint(bits.OnesCount64(sets - 1)),
-		lineBits:  uint(bits.TrailingZeros64(g.LineBytes)),
-		ways:      uint64(g.Ways),
-		keys:      make([]uint64, sets*uint64(g.Ways)),
-		order:     make([]uint64, sets),
+		geom:     g,
+		setMask:  sets - 1,
+		setBits:  uint(bits.OnesCount64(sets - 1)),
+		lineBits: uint(bits.TrailingZeros64(g.LineBytes)),
+		ways:     uint64(g.Ways),
+		keys:     make([]uint64, sets*uint64(g.Ways)),
+		order:    make([]uint64, sets),
+	}
+	c.arm()
+	return c
+}
+
+// arm puts the cache in its initial state, given keys that are all zero:
+// every set in fill order, the memo empty, the counters at zero. The struct
+// is rebuilt from the fields that survive, so a counter added later starts
+// from zero here without being named.
+func (c *cache) arm() {
+	*c = cache{
+		geom: c.geom, keys: c.keys, order: c.order,
+		setMask: c.setMask, setBits: c.setBits, lineBits: c.lineBits, ways: c.ways,
 		lastBlock: ^uint64(0),
 	}
 	initial := uint64(0xFEDCBA9876543210) & (1<<(4*c.ways) - 1) // way w in position w
 	for i := range c.order {
 		c.order[i] = initial
 	}
-	return c
+}
+
+// reset empties the cache in place; what follows is what a new cache of the
+// same geometry does. With 0 meaning never filled, invalidating is a clear.
+func (c *cache) reset() {
+	clear(c.keys)
+	c.arm()
 }
 
 // access looks up addr, filling on miss. Returns true on hit. It is small
@@ -207,17 +226,26 @@ func newGshare(tableEntries, btbEntries int) *gshare {
 		choice:  make([]uint8, tableEntries),
 		mask:    uint64(tableEntries - 1),
 	}
-	for i := range g.bimodal {
-		g.bimodal[i] = 2 // weakly taken
-		g.global[i] = 2
-		g.choice[i] = 1 // prefer bimodal until global proves itself
-	}
 	g.btb = make([]struct {
 		tag, target uint64
 		valid       bool
 	}, btbEntries)
 	g.btbMask = uint64(btbEntries - 1)
+	g.reset()
 	return g
+}
+
+// reset puts the predictor in its initial state in place: untrained tables,
+// an empty BTB, no history, counters at zero.
+func (g *gshare) reset() {
+	*g = gshare{bimodal: g.bimodal, global: g.global, choice: g.choice, mask: g.mask,
+		btb: g.btb, btbMask: g.btbMask}
+	for i := range g.bimodal {
+		g.bimodal[i] = 2 // weakly taken
+		g.global[i] = 2
+		g.choice[i] = 1 // prefer bimodal until global proves itself
+	}
+	clear(g.btb)
 }
 
 // conditional predicts and trains one conditional branch; returns true when

@@ -30,6 +30,12 @@ func newTLB(entries int) *tlb {
 	return &tlb{idx: lruidx.New(entries), lastPage: ^uint64(0)}
 }
 
+// reset empties the TLB in place, back to what newTLB returned.
+func (t *tlb) reset() {
+	t.idx.Reset()
+	*t = tlb{idx: t.idx, lastPage: ^uint64(0)}
+}
+
 // access looks up a page number, filling on miss; returns true on hit.
 func (t *tlb) access(page uint64) bool {
 	t.Accesses++
