@@ -13,7 +13,7 @@ import (
 // contract for this command, where the nowallclock source ban does not
 // apply (cmd/ may time itself): the report on stdout and in -o is
 // byte-identical at every -j, and the wall-clock progress lines exist —
-// on stderr only. The seed's committed experiments_full.txt ends in
+// on stderr only. The seed's committed experiments_full.txt ended in
 // "total: 17m41.636s", so this class did happen once.
 func TestReportCarriesNoHostTime(t *testing.T) {
 	var reports []string

@@ -24,3 +24,9 @@ func (s *store[K, V]) len() int {
 	defer s.mu.Unlock()
 	return len(s.ents)
 }
+
+func (s *store[K, V]) drop() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ents = nil
+}

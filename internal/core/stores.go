@@ -32,12 +32,14 @@ import (
 // whatever goroutine — which the goldens and identity tests hold byte for
 // byte. They are not measurement caches, and experiments.ResetCaches leaves
 // them alone. Each holds at most a small constant number of entries, least
-// recently used out first, sized so that what sits idle stays small next to
-// a session in flight: everything kept here is live heap, and the collector
-// lets the heap grow to twice that. The capacities are not knobs.
+// recently used out first, sized to what the figure suite cycles through —
+// eight simulator binaries (the Top-Down set's four CPU models in SE and FS;
+// the sampled figures use six) and four host geometries — and no further:
+// everything kept here is live heap, and the collector lets the heap grow to
+// twice that. The capacities are not knobs.
 var (
-	layouts  = store[hostmodel.Config, *hostmodel.Layout]{max: 4}
-	machines = store[uarch.Sizes, *uarch.Machine]{max: 2}
+	layouts  = store[hostmodel.Config, *hostmodel.Layout]{max: 8}
+	machines = store[uarch.Sizes, *uarch.Machine]{max: 4}
 	images   = store[imageKey, image]{max: 16}
 )
 
@@ -122,27 +124,13 @@ func (s *store[K, V]) put(key K, val V, same func(V) bool) {
 	s.ents[0] = storeEntry[K, V]{key, val}
 }
 
-// drop empties the store.
-func (s *store[K, V]) drop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ents = nil
-}
-
 // acquireMachine returns a machine armed for cfg, which must validate: an
 // idle one of cfg's structure sizes, reset, or a new one.
-//
-// A miss empties the store first. The caller is about to allocate a machine
-// of another geometry, and the idle ones are megabytes each: kept across the
-// switch they would make the heap — and the collector's target with it —
-// larger than the sessions in flight need, for the sake of a geometry that
-// has just stopped being asked for.
 func acquireMachine(cfg uarch.Config) *uarch.Machine {
 	if m, ok := machines.take(cfg.Sizes()); ok {
 		m.Reset(cfg)
 		return m
 	}
-	machines.drop()
 	return uarch.NewMachine(cfg)
 }
 

@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"gem5prof/internal/core"
@@ -168,4 +169,45 @@ func TestGoldenSampledReports(t *testing.T) {
 		})
 	}
 	ResetCaches()
+}
+
+// TestSampledPassAllocBudget: once the stores are warm, regenerating the
+// sampled figures from cold measurement caches allocates what its windows
+// touch — not a machine per geometry switch, a layout per fifth binary and a
+// guest L2 per window — and the same whichever figure reaches the pool first,
+// since everything the three figures cycle through stays resident. With
+// machines of 4.5-10 MB, two of them kept and four layouts, the six orders
+// read 79.2-97.8 MB here.
+func TestSampledPassAllocBudget(t *testing.T) {
+	opt := Options{Quick: true, Jobs: 1, SimPoint: true}
+	pass := func(ids ...string) float64 {
+		t.Helper()
+		ResetCaches()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for out := range RunMany(ids, opt) {
+			if out.Err != nil {
+				t.Fatalf("%s: %v", out.ID, out.Err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	}
+	defer ResetCaches()
+	pass("fig10", "fig12", "fig13") // fills the stores
+	lo, hi := math.Inf(1), 0.0
+	for _, ids := range [][]string{
+		{"fig10", "fig12", "fig13"}, {"fig10", "fig13", "fig12"}, {"fig12", "fig10", "fig13"},
+		{"fig12", "fig13", "fig10"}, {"fig13", "fig10", "fig12"}, {"fig13", "fig12", "fig10"},
+	} {
+		mb := pass(ids...)
+		t.Logf("%v: %.2f MB", ids, mb)
+		lo, hi = math.Min(lo, mb), math.Max(hi, mb)
+	}
+	if hi > 25 {
+		t.Errorf("a warm sampled pass allocated %.1f MB, want at most 25", hi)
+	}
+	if hi > 1.01*lo {
+		t.Errorf("a warm sampled pass allocated %.2f-%.2f MB depending on the submission order, want within 1%%", lo, hi)
+	}
 }

@@ -178,13 +178,15 @@ type fnLayout struct {
 	// spells that out on demand — twelve of every thirteen functions are
 	// helpers, and a kept layout should not carry five thousand strings
 	// only a profile listing ever reads. owner is 0 for a primary.
-	name    string
-	owner   sim.FuncID
-	addr    uint64
-	size    uint32
-	flags   sim.FuncFlags
-	traces  [3][]traceStep
-	callees []sim.FuncID
+	name   string
+	owner  sim.FuncID
+	addr   uint64
+	size   uint32
+	flags  sim.FuncFlags
+	traces [3][]traceStep
+	// helpers is how many helper callees follow a primary: place lays them
+	// out right behind it, so they are the functions fn+1 … fn+helpers.
+	helpers uint32
 	// polymorphic marks virtual functions whose indirect call sites flip
 	// between targets (distinct dynamic types), defeating the BTB.
 	polymorphic bool
@@ -489,15 +491,15 @@ func (m *CodeModel) call(fn sim.FuncID, depth int) {
 			}
 			m.sink.Branch(st.addr+uint64(st.bytes)-2, target, taken, st.indirect)
 		}
-		if st.callee >= 0 && calleeBudget > 0 && depth < maxCallDepth && len(f.callees) > 0 {
+		if st.callee >= 0 && calleeBudget > 0 && depth < maxCallDepth && f.helpers > 0 {
 			// Rotate through the helper set so successive calls touch
 			// different helpers (low temporal reuse, like gem5).
 			calleeBudget--
 			// Helper selection rotates slowly: within a window of calls the
 			// same helpers run (good iCache reuse, like a steady simulation
 			// loop), while over a whole run every helper gets exercised.
-			idx := (int(pat/8) + st.callee*7) % len(f.callees)
-			m.call(f.callees[idx], depth+1)
+			idx := (int(pat/8) + st.callee*7) % int(f.helpers)
+			m.call(fn+1+sim.FuncID(idx), depth+1)
 		}
 	}
 	m.sink.Data(m.stackHot-uint64(depth)*128, 16, false)

@@ -89,10 +89,18 @@ func (m *CodeModel) advance(cur cursor) {
 	m.cur = cur
 	m.funcs = m.lay.funcs[:cur.nfuncs]
 	if len(m.run) < cur.nfuncs {
-		// Room for the whole layout at once — as far as it has grown, when
-		// it is m's own: a follower usually gets to its end, and a builder
-		// then reallocates as seldom as placeOne does.
-		m.run = append(m.run, make([]fnRun, cap(m.lay.funcs)-len(m.run))...)
+		// Room for a whole layout at once — as far as it has grown, when it
+		// is m's own: a follower usually gets to its end, and a builder then
+		// reallocates as seldom as placeOne does. Of several layouts still
+		// followed it is the smallest, so that what a session allocates does
+		// not depend on which of them was used last.
+		room := cap(m.lay.funcs)
+		for _, l := range m.cands {
+			if n := cap(l.funcs); n >= cur.nfuncs && n < room {
+				room = n
+			}
+		}
+		m.run = append(m.run, make([]fnRun, room-len(m.run))...)
 	}
 }
 
@@ -150,11 +158,11 @@ func (m *CodeModel) follow(name string, codeBytes int, flags sim.FuncFlags) (sim
 }
 
 // fork makes lay a private copy of the registrations followed so far. Only
-// the function headers are copied; the traces and callee lists behind them
-// are immutable and stay shared with the layout they came from. A model
-// that had run further than this on an earlier pass (ResetRun, then a guest
-// that registers differently) loses the counters of the functions past the
-// fork: their ids are about to name other functions.
+// the function headers are copied; the traces behind them are immutable and
+// stay shared with the layout they came from. A model that had run further
+// than this on an earlier pass (ResetRun, then a guest that registers
+// differently) loses the counters of the functions past the fork: their ids
+// are about to name other functions.
 func (m *CodeModel) fork() {
 	from := m.lay
 	m.lay = &Layout{
@@ -184,7 +192,6 @@ func (m *CodeModel) place(name string, codeBytes int, flags sim.FuncFlags) sim.F
 	if flags&sim.FuncLeaf != 0 {
 		fanout = 0
 	}
-	callees := make([]sim.FuncID, 0, fanout)
 	for i := 0; i < fanout; i++ {
 		// Helpers scale with their owner: big dispatch hubs (pipeline
 		// stages) fan work out into substantial subroutines, which is what
@@ -193,9 +200,9 @@ func (m *CodeModel) place(name string, codeBytes int, flags sim.FuncFlags) sim.F
 		// Helpers are direct-called leaves: no indirect branches.
 		hflags := (flags &^ (sim.FuncVirtual | sim.FuncPoly)) | sim.FuncLeaf
 		m.nameBuf = helperName(m.nameBuf[:0], name, i)
-		callees = append(callees, m.placeOne("", id, hashName(m.nameBuf), helperSize, hflags))
+		m.placeOne("", id, hashName(m.nameBuf), helperSize, hflags)
 	}
-	m.lay.funcs[id].callees = callees
+	m.lay.funcs[id].helpers = uint32(fanout)
 	m.cur.nfuncs = len(m.lay.funcs)
 	m.advance(m.cur)
 	return id

@@ -84,10 +84,14 @@ type pendingReq struct {
 }
 
 // Cache is one level of a classic write-back, write-allocate cache with LRU
-// replacement and a bounded MSHR file. The line array is one contiguous
-// set-major slice (lines[set*ways+way]) with the block/set shifts computed
-// once at construction, so the per-access path has no divisions and no
-// per-set pointer chase.
+// replacement and a bounded MSHR file. The block/set shifts are computed
+// once at construction, so the per-access path has no divisions. A private
+// L1 keeps its lines in one contiguous set-major slice
+// (lines[set*ways+way]). The shared L2 is a megabyte of which a guest touches
+// a corner, and is row-indexed instead: rowOf holds, per set, one more than
+// the number of its row of ways lines, 0 for a set nothing was installed in,
+// and rows are taken from fixed-size chunks on a set's first fill. A chunk is
+// never copied or moved, so a *cacheLine stays good either way.
 type Cache struct {
 	sys  *sim.System
 	cfg  CacheConfig
@@ -101,12 +105,15 @@ type Cache struct {
 	// miss, where no MSHR exists to hold fillExcl.
 	pendingExcl bool
 
-	lines      []cacheLine // numSets × ways, set-major
+	lines      []cacheLine // dense: numSets × ways, set-major
 	numSets    uint32
 	ways       uint32
 	blockShift uint
 	setBits    uint
 	lruSeq     uint64
+	rowOf      []uint32      // row-indexed: per set, row number + 1
+	chunks     [][]cacheLine // row-indexed: rowChunk rows of ways lines each
+	rows       uint32        // row-indexed: rows handed out
 
 	mshrs     map[uint32]*mshr
 	freeMSHRs []*mshr // retired by handleFill, reused by allocMSHR
@@ -142,8 +149,21 @@ type Cache struct {
 	prefetches *sim.Counter
 }
 
+// rowChunk is how many rows a row-indexed cache allocates at a time (4 KB of
+// the default L2's).
+const (
+	rowChunkBits = 5
+	rowChunk     = 1 << rowChunkBits
+)
+
 // NewCache builds a cache in sys that forwards misses to next.
 func NewCache(sys *sim.System, cfg CacheConfig, next Port) *Cache {
+	return newCache(sys, cfg, next, false)
+}
+
+// newCache is NewCache for either line store; the hierarchies, which know
+// which level they are building, ask for a row-indexed L2.
+func newCache(sys *sim.System, cfg CacheConfig, next Port, rowIndexed bool) *Cache {
 	cfg.validate()
 	if next == nil {
 		panic("mem: cache needs a downstream port")
@@ -157,11 +177,15 @@ func NewCache(sys *sim.System, cfg CacheConfig, next Port) *Cache {
 		ways:        uint32(cfg.Ways),
 		blockShift:  uint(bits.TrailingZeros32(cfg.BlockBytes)),
 		setBits:     uint(bits.TrailingZeros32(numSets)),
-		lines:       make([]cacheLine, numSets*uint32(cfg.Ways)),
 		mshrs:       make(map[uint32]*mshr),
 		nameHitResp: cfg.Name + ".hitResp",
 		nameMissFwd: cfg.Name + ".missFwd",
 		nameFill:    cfg.Name + ".fillResp",
+	}
+	if rowIndexed {
+		c.rowOf = make([]uint32, numSets)
+	} else {
+		c.lines = make([]cacheLine, numSets*c.ways)
 	}
 	tr := sys.Tracer()
 	c.fnAccess = tr.RegisterFunc(cfg.Name+"::access", 1400, sim.FuncVirtual|sim.FuncHot)
@@ -208,10 +232,34 @@ func (c *Cache) index(addr uint32) (set uint32, tag uint32) {
 	return blockNum & (c.numSets - 1), blockNum >> c.setBits
 }
 
-// set returns the contiguous line window of one set.
+// set returns the contiguous line window of one set; for a row-indexed set
+// nothing was installed in, that is the empty window. It stays small enough
+// to inline, so that an L1 lookup pays one compare for the L2's index.
 func (c *Cache) set(set uint32) []cacheLine {
-	base := set * c.ways
-	return c.lines[base : base+c.ways]
+	if c.rowOf != nil {
+		return c.row(set, false)
+	}
+	return c.lines[set*c.ways:][:c.ways]
+}
+
+// row is set for a row-indexed cache; with take, a set that has no row gets
+// one of invalid lines.
+func (c *Cache) row(set uint32, take bool) []cacheLine {
+	r := c.rowOf[set]
+	if r == 0 {
+		if !take {
+			return nil
+		}
+		if int(c.rows>>rowChunkBits) == len(c.chunks) {
+			c.chunks = append(c.chunks, make([]cacheLine, rowChunk*c.ways))
+		}
+		c.rows++
+		r = c.rows
+		c.rowOf[set] = r
+	}
+	base := (r - 1) & (rowChunk - 1) * c.ways
+	lines := c.chunks[(r-1)>>rowChunkBits]
+	return lines[base : base+c.ways]
 }
 
 // lookup returns the line holding addr, or nil.
@@ -236,6 +284,9 @@ func (c *Cache) touch(l *cacheLine) {
 func (c *Cache) victim(addr uint32) *cacheLine {
 	set, _ := c.index(addr)
 	lines := c.set(set)
+	if lines == nil {
+		lines = c.row(set, true)
+	}
 	best := &lines[0]
 	for i := range lines {
 		l := &lines[i]
@@ -572,13 +623,12 @@ func (c *Cache) GrantExclusive(block uint32) {
 // reporting its block address and coherence state. The conformance audits
 // use it to cross-check the cache contents against the directory.
 func (c *Cache) VisitLines(f func(block uint32, dirty, excl bool)) {
-	for i := range c.lines {
-		l := &c.lines[i]
-		if !l.valid {
-			continue
+	for set := uint32(0); set < c.numSets; set++ {
+		for _, l := range c.set(set) {
+			if l.valid {
+				f((l.tag<<c.setBits|set)<<c.blockShift, l.dirty, l.excl)
+			}
 		}
-		set := uint32(i) / c.ways
-		f((l.tag<<c.setBits|set)<<c.blockShift, l.dirty, l.excl)
 	}
 }
 

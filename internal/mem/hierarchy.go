@@ -100,7 +100,7 @@ func NewHierarchy(sys *sim.System, cfg HierarchyConfig) *Hierarchy {
 	h := &Hierarchy{}
 	h.DRAM = NewDRAM(sys.DomainView(sim.DomainMem), cfg.DRAM)
 	h.Bus = NewBus(sys, cfg.Bus, h.DRAM)
-	h.L2 = NewCache(sys, cfg.L2, h.Bus)
+	h.L2 = newCache(sys, cfg.L2, h.Bus, true)
 	h.L1I = NewCache(sys, cfg.L1I, h.L2)
 	h.L1D = NewCache(sys, cfg.L1D, h.L2)
 	return h

@@ -47,7 +47,7 @@ func NewMultiHierarchy(sys *sim.System, cfg HierarchyConfig, n int) *MultiHierar
 	h := &MultiHierarchy{}
 	h.DRAM = NewDRAM(sys.DomainView(sim.DomainMem), cfg.DRAM)
 	h.Bus = NewBus(sys, cfg.Bus, h.DRAM)
-	h.L2 = NewCache(sys, cfg.L2, h.Bus)
+	h.L2 = newCache(sys, cfg.L2, h.Bus, true)
 	if cfg.Directory && n > 1 {
 		h.Dir = NewDirectory(sys, cfg.Dir, h.L2, n)
 	}

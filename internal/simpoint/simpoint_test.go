@@ -351,17 +351,19 @@ func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
 }
 
 // TestWarmConstructionAllocs holds "construct once, reset many" where it
-// pays: the second sampled cell of a family must allocate at most a third
-// of what the first did. Both cells restore the same checkpoints and
-// measure the same windows; the first also lays out the simulator binary
-// and allocates the host machine, the second finds both in core's stores
-// (it differs only in the host's clock, as the cells of fig13 do). When
-// every cell built its own, the two allocated the same. The host geometry
-// and the build are this test's own, so nothing that ran before it can
-// have warmed them; a third cell on another host and build takes the
-// family's one-off analysis (profile, clustering, checkpoints) out of the
-// comparison.
+// pays: the second sampled cell of a family must allocate at most a sixth
+// of what the first did, and under 1 MB (it reads 629 KB against 5.5 MB;
+// with dense host and guest L2s, 1.36 MB against 10.7 MB). Both cells
+// restore the same checkpoints and measure the same windows; the first also
+// lays out the simulator binary and allocates the host machine, the second
+// finds both in core's stores (it differs only in the host's clock, as the
+// cells of fig13 do). When every cell built its own, the two allocated the
+// same. The host geometry and the build are this test's own, so nothing that
+// ran before it can have warmed them — not even this test under -count, hence
+// warmRuns; a third cell on another host and build takes the family's one-off
+// analysis (profile, clustering, checkpoints) out of the comparison.
 func TestWarmConstructionAllocs(t *testing.T) {
+	warmRuns++
 	simpoint.ResetMemo()
 	defer simpoint.ResetMemo()
 	cfg := simpoint.Config{IntervalInsts: 500, WarmupInsts: 1, MaxK: 3}
@@ -383,12 +385,15 @@ func TestWarmConstructionAllocs(t *testing.T) {
 	cell(platform.M1Pro(), 0.911) // the family's analysis
 
 	host := platform.IntelXeon()
-	host.STLBEntries++ // structure sizes no other test builds
-	first := cell(host, 0.913)
+	host.STLBEntries += warmRuns // structure sizes no other test builds
+	build := 0.913 + float64(warmRuns)/1e4
+	first := cell(host, build)
 	host.FreqGHz = 1.2
-	second := cell(host, 0.913)
+	second := cell(host, build)
 	t.Logf("first cell %d KB, second cell %d KB", first>>10, second>>10)
-	if second > first/3 {
-		t.Errorf("the second cell of the family allocated %d bytes, the first %d: want at most a third", second, first)
+	if second > first/6 || second > 1<<20 {
+		t.Errorf("the second cell of the family allocated %d bytes, the first %d: want at most a sixth, and under 1 MB", second, first)
 	}
 }
+
+var warmRuns int // how often TestWarmConstructionAllocs has run in this process

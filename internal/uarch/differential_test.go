@@ -130,7 +130,7 @@ func TestCacheDifferential(t *testing.T) {
 		{SizeBytes: 2 << 10, Ways: 1, LineBytes: 32},   // direct-mapped
 	}
 	for gi, g := range geoms {
-		c := newCache(g)
+		c := newCache(g, gi%2 == 1)
 		ref := newNaiveCache(g)
 		rng := rand.New(rand.NewSource(int64(gi) + 42))
 		footprint := 4 * g.SizeBytes
@@ -172,13 +172,20 @@ func refProbe(c *naiveCache, addr uint64) bool {
 // the reference with a fresh one: a reset cache must be a fresh cache.
 const resetOp = ^uint64(0)
 
-// cacheEquiv drives a fresh cache and the naive reference over addrs and
-// compares, on every step, hit/miss, the evicted tag, the resident count
-// and probe of the address just touched, of the one touched before it and
-// of its set-mate one cache size away.
+// cacheEquiv drives a fresh cache of each kind and the naive reference over
+// addrs and compares, on every step, hit/miss, the evicted tag, the resident
+// count and probe of the address just touched, of the one touched before it
+// and of its set-mate one cache size away.
 func cacheEquiv(t testing.TB, g CacheGeom, addrs []uint64) {
 	t.Helper()
-	c := newCache(g)
+	for _, sparse := range []bool{false, true} {
+		cacheKindEquiv(t, g, sparse, addrs)
+	}
+}
+
+func cacheKindEquiv(t testing.TB, g CacheGeom, sparse bool, addrs []uint64) {
+	t.Helper()
+	c := newCache(g, sparse)
 	ref := newNaiveCache(g)
 	var resident, prev, accesses uint64
 	for i, addr := range addrs {
@@ -196,21 +203,21 @@ func cacheEquiv(t testing.TB, g CacheGeom, addrs []uint64) {
 			resident++
 		}
 		if gotHit != wantHit || c.evictedOK != wantEvOK || (wantEvOK && c.evictedTag != wantEv) {
-			t.Fatalf("%+v step %d addr %#x: got (hit=%v ev=%#x,%v) want (hit=%v ev=%#x,%v)",
-				g, i, addr, gotHit, c.evictedTag, c.evictedOK, wantHit, wantEv, wantEvOK)
+			t.Fatalf("%+v sparse=%v step %d addr %#x: got (hit=%v ev=%#x,%v) want (hit=%v ev=%#x,%v)",
+				g, sparse, i, addr, gotHit, c.evictedTag, c.evictedOK, wantHit, wantEv, wantEvOK)
 		}
 		if c.resident != resident {
-			t.Fatalf("%+v step %d: resident = %d, want %d", g, i, c.resident, resident)
+			t.Fatalf("%+v sparse=%v step %d: resident = %d, want %d", g, sparse, i, c.resident, resident)
 		}
 		for _, p := range []uint64{addr, prev, addr + g.SizeBytes} {
 			if c.probe(p) != refProbe(ref, p) {
-				t.Fatalf("%+v step %d: probe(%#x) disagrees", g, i, p)
+				t.Fatalf("%+v sparse=%v step %d: probe(%#x) disagrees", g, sparse, i, p)
 			}
 		}
 		prev = addr
 	}
 	if c.Accesses != accesses {
-		t.Fatalf("%+v: %d accesses counted, want %d", g, c.Accesses, accesses)
+		t.Fatalf("%+v sparse=%v: %d accesses counted, want %d", g, sparse, c.Accesses, accesses)
 	}
 }
 

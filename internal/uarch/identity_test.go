@@ -11,6 +11,7 @@ package uarch_test
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -218,5 +219,33 @@ func TestResetRejectsOtherSizes(t *testing.T) {
 			}()
 			m.Reset(cfg)
 		}()
+	}
+}
+
+// TestNewMachineAllocs: a machine costs its L1s, TLBs, predictor and one
+// index word per L2/LLC set, not its capacity (10 MB and 4.5 MB of key rows
+// when every level was dense), and a Reset allocates nothing.
+func TestNewMachineAllocs(t *testing.T) {
+	allocated := func(fn func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	}
+	for _, tc := range []struct {
+		cfg   uarch.Config
+		maxMB float64
+	}{
+		{platform.M1Ultra(), 1.5},
+		{platform.IntelXeon(), 0.5},
+	} {
+		var m *uarch.Machine
+		if mb := allocated(func() { m = uarch.NewMachine(tc.cfg) }); mb > tc.maxMB {
+			t.Errorf("NewMachine(%s) allocated %.2f MB, want at most %.1f", tc.cfg.Name, mb, tc.maxMB)
+		}
+		if mb := allocated(func() { m.Reset(tc.cfg) }); mb > 0.01 {
+			t.Errorf("Reset(%s) allocated %.2f MB", tc.cfg.Name, mb)
+		}
 	}
 }

@@ -100,9 +100,9 @@ func NewMachine(cfg Config) *Machine {
 		panic(err)
 	}
 	m := &Machine{
-		l1i:  newCache(cfg.L1I),
-		l1d:  newCache(cfg.L1D),
-		l2:   newCache(cfg.L2),
+		l1i:  newCache(cfg.L1I, false),
+		l1d:  newCache(cfg.L1D, false),
+		l2:   newCache(cfg.L2, true),
 		itlb: newTLB(cfg.ITLBEntries),
 		dtlb: newTLB(cfg.DTLBEntries),
 		stlb: newTLB(cfg.STLBEntries),
@@ -110,7 +110,7 @@ func NewMachine(cfg Config) *Machine {
 	}
 	if cfg.LLC.SizeBytes > 0 {
 		// Two-level hosts (the FireSim Rocket) have no LLC.
-		m.llc = newCache(cfg.LLC)
+		m.llc = newCache(cfg.LLC, true)
 	}
 	if cfg.DSBUops > 0 {
 		// The DSB holds decoded uops for 32-byte code windows; its
@@ -123,7 +123,7 @@ func NewMachine(cfg Config) *Machine {
 		if n := uint64(cfg.DSBUops) / (ways * window); n > 1 {
 			sets = 1 << uint(bits.Len64(n-1))
 		}
-		m.dsb = newCache(CacheGeom{SizeBytes: sets * ways * window, Ways: ways, LineBytes: window})
+		m.dsb = newCache(CacheGeom{SizeBytes: sets * ways * window, Ways: ways, LineBytes: window}, false)
 	}
 	m.arm(cfg)
 	return m

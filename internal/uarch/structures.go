@@ -30,26 +30,48 @@ func (g CacheGeom) Sets() uint64 {
 const (
 	maxWays    = 16                 // a set's recency order packs 4-bit way numbers into one word
 	eachNibble = 0x1111111111111111 // the low bit of every 4-bit field
+
+	// A sparse cache hands rows out of chunks of this many: big enough that
+	// a session's few thousand rows are a few dozen allocations, small enough
+	// that the unused tail of the last one does not show.
+	chunkBits = 7
+	chunkRows = 1 << chunkBits
 )
 
 // cache is a set-associative exact-LRU cache over 64-bit host addresses.
 //
-// keys is set-major (keys[set*ways+way]) and holds block<<1|1, or 0 for a
-// way never filled: a hit scan reads one contiguous row and nothing else.
-// order holds, per set, the way numbers from most (bits 0-3) to least
-// recently used: a lookup rewrites that one word, and a miss takes its
-// victim from the top of it without scanning. Every hit, miss and victim
-// is what a scan over {tag, valid, lru} structs yields (the differential
-// tests), by three invariants argued in DESIGN.md. Exact LRU: a lookup
-// moves its way to the front and keeps the others' relative order. Fill
-// order: way w starts in position w and only filled ways move, so a set
-// fills from its last way down before it evicts. Memo: the previous
-// access's block is resident and already in front, so repeating it is a
-// hit that changes nothing and skips the arrays.
+// A set is a row of keys — block<<1|1, or 0 for a way never filled, so that
+// a hit scan reads one contiguous row and nothing else — and one order word
+// holding the way numbers from most (bits 0-3) to least recently used: a
+// lookup rewrites that one word, and a miss takes its victim from the top
+// of it without scanning. Every hit, miss and victim is what a scan over
+// {tag, valid, lru} structs yields (the differential tests), by three
+// invariants argued in DESIGN.md. Exact LRU: a lookup moves its way to the
+// front and keeps the others' relative order. Fill order: way w starts in
+// position w and only filled ways move, so a set fills from its last way
+// down before it evicts. Memo: the previous access's block is resident and
+// already in front, so repeating it is a hit that changes nothing and skips
+// the arrays.
+//
+// Where the rows live is fixed by the level at construction. The L1s and
+// the DSB take nearly every lookup and are dense: keys is set-major
+// (keys[set*ways+way]) and order has one word per set. The L2 and the LLC
+// are megabytes of which a run touches a few percent, and are sparse: rowOf
+// holds, per set, one more than the number of its row, 0 for a set never
+// touched, and a row — its order word, then its keys — is taken from chunks
+// on the set's first lookup. Chunks are never copied or moved and survive
+// reset, so a cache costs its set index plus the rows it has ever used.
+// Both kinds run the one row routine in lookup.
 type cache struct {
-	geom     CacheGeom
-	keys     []uint64 // sets × ways: block<<1|1, 0 = never filled
-	order    []uint64 // per set: way numbers, MRU in the low nibble
+	geom  CacheGeom
+	keys  []uint64 // dense: sets × ways
+	order []uint64 // dense: per set
+
+	rowOf  []uint32   // sparse: per set, row number + 1
+	chunks [][]uint64 // sparse: chunkRows rows of 1+ways words each
+	used   uint32     // sparse: rows handed out since the last reset
+
+	initial  uint64 // a set's order word before its first lookup: way w in position w
 	setMask  uint64
 	setBits  uint
 	lineBits uint
@@ -83,45 +105,81 @@ func (g CacheGeom) check() string {
 	return ""
 }
 
-func newCache(g CacheGeom) *cache {
+// newCache builds a cache of geometry g, sparse or dense.
+func newCache(g CacheGeom, sparse bool) *cache {
 	if msg := g.check(); msg != "" {
 		panic("uarch: cache: " + msg)
 	}
 	sets := g.Sets()
 	c := &cache{
 		geom:     g,
+		initial:  0xFEDCBA9876543210 & (1<<(4*uint(g.Ways)) - 1),
 		setMask:  sets - 1,
 		setBits:  uint(bits.OnesCount64(sets - 1)),
 		lineBits: uint(bits.TrailingZeros64(g.LineBytes)),
 		ways:     uint64(g.Ways),
-		keys:     make([]uint64, sets*uint64(g.Ways)),
-		order:    make([]uint64, sets),
+	}
+	if sparse {
+		c.rowOf = make([]uint32, sets)
+	} else {
+		c.keys = make([]uint64, sets*c.ways)
+		c.order = make([]uint64, sets)
 	}
 	c.arm()
 	return c
 }
 
-// arm puts the cache in its initial state, given keys that are all zero:
-// every set in fill order, the memo empty, the counters at zero. The struct
-// is rebuilt from the fields that survive, so a counter added later starts
-// from zero here without being named.
+// arm puts the cache in its initial state, given dense keys or a set index
+// that are all zero: every set in fill order, the memo empty, the counters
+// at zero. The struct is rebuilt from the fields that survive, so a counter
+// added later starts from zero here without being named.
 func (c *cache) arm() {
 	*c = cache{
-		geom: c.geom, keys: c.keys, order: c.order,
-		setMask: c.setMask, setBits: c.setBits, lineBits: c.lineBits, ways: c.ways,
+		geom: c.geom, keys: c.keys, order: c.order, rowOf: c.rowOf, chunks: c.chunks,
+		initial: c.initial, setMask: c.setMask, setBits: c.setBits, lineBits: c.lineBits, ways: c.ways,
 		lastBlock: ^uint64(0),
 	}
-	initial := uint64(0xFEDCBA9876543210) & (1<<(4*c.ways) - 1) // way w in position w
 	for i := range c.order {
-		c.order[i] = initial
+		c.order[i] = c.initial
 	}
 }
 
 // reset empties the cache in place; what follows is what a new cache of the
-// same geometry does. With 0 meaning never filled, invalidating is a clear.
+// same geometry does. With 0 meaning never filled, invalidating a dense
+// cache is a clear; a sparse one forgets which sets have rows and hands the
+// rows it keeps out again, each initialised as it is taken.
 func (c *cache) reset() {
 	clear(c.keys)
+	clear(c.rowOf)
 	c.arm()
+}
+
+// sparseRow returns the keys and the order word of set's row. A set that has
+// none gets the next unused one, empty and in fill order, when take is set,
+// and nil otherwise.
+func (c *cache) sparseRow(set uint64, take bool) ([]uint64, *uint64) {
+	r := c.rowOf[set]
+	fresh := r == 0
+	if fresh {
+		if !take {
+			return nil, nil
+		}
+		if int(c.used>>chunkBits) == len(c.chunks) {
+			c.chunks = append(c.chunks, make([]uint64, chunkRows*(c.ways+1)))
+		}
+		c.used++
+		r = c.used
+		c.rowOf[set] = r
+	}
+	chunk := c.chunks[(r-1)>>chunkBits]
+	at := uint64((r-1)&(chunkRows-1)) * (c.ways + 1)
+	keys, order := chunk[at+1:at+1+c.ways], &chunk[at]
+	if fresh {
+		// A row of a chunk kept across a reset still holds the last run's.
+		*order = c.initial
+		clear(keys)
+	}
+	return keys, order
 }
 
 // access looks up addr, filling on miss. Returns true on hit. It is small
@@ -137,7 +195,13 @@ func (c *cache) lookup(block uint64) bool {
 	c.lastBlock = block
 	key := block<<1 | 1
 	set := block & c.setMask
-	row := c.keys[set*c.ways : (set+1)*c.ways]
+	var row []uint64
+	var order *uint64
+	if c.rowOf == nil {
+		row, order = c.keys[set*c.ways:(set+1)*c.ways], &c.order[set]
+	} else {
+		row, order = c.sparseRow(set, true)
+	}
 	// No early exit: at most one way matches, and a fixed-length scan
 	// compiles to conditional moves, where leaving at the (unpredictable)
 	// hit way would be a mispredicted branch.
@@ -147,7 +211,7 @@ func (c *cache) lookup(block uint64) bool {
 			way = i
 		}
 	}
-	ord := c.order[set]
+	ord := *order
 	if way >= 0 {
 		// Find way's nibble: the lowest zero nibble of x (one above the
 		// set's ways is zero only for way 0, whose own nibble is lower).
@@ -155,13 +219,13 @@ func (c *cache) lookup(block uint64) bool {
 		x := ord ^ uint64(way)*eachNibble
 		pos := uint(bits.TrailingZeros64((x-eachNibble)&^x&(eachNibble<<3))) - 3
 		below := uint64(1)<<pos - 1
-		c.order[set] = ord&^(below|0xF<<pos) | ord&below<<4 | uint64(way)
+		*order = ord&^(below|0xF<<pos) | ord&below<<4 | uint64(way)
 		return true
 	}
 	c.Misses++
 	back := uint(c.ways-1) * 4
 	victim := ord >> back
-	c.order[set] = ord&^(0xF<<back)<<4 | victim
+	*order = ord&^(0xF<<back)<<4 | victim
 	if old := row[victim]; old == 0 {
 		c.resident++
 	} else {
@@ -176,7 +240,13 @@ func (c *cache) probe(addr uint64) bool {
 	block := addr >> c.lineBits
 	key := block<<1 | 1
 	set := block & c.setMask
-	for _, k := range c.keys[set*c.ways : (set+1)*c.ways] {
+	var row []uint64
+	if c.rowOf == nil {
+		row = c.keys[set*c.ways : (set+1)*c.ways]
+	} else {
+		row, _ = c.sparseRow(set, false)
+	}
+	for _, k := range row {
 		if k == key {
 			return true
 		}

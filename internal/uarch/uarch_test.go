@@ -37,7 +37,7 @@ func TestCacheGeomSets(t *testing.T) {
 }
 
 func TestCacheHitMissLRU(t *testing.T) {
-	c := newCache(CacheGeom{SizeBytes: 1024, Ways: 2, LineBytes: 64}) // 8 sets
+	c := newCache(CacheGeom{SizeBytes: 1024, Ways: 2, LineBytes: 64}, false) // 8 sets
 	if c.access(0) {
 		t.Fatal("cold access hit")
 	}
@@ -67,8 +67,8 @@ func TestCacheHitMissLRU(t *testing.T) {
 // to one set never re-misses (property over random access sequences).
 func TestCacheWorkingSetInvariant(t *testing.T) {
 	f := func(seq []uint8) bool {
-		c := newCache(CacheGeom{SizeBytes: 4096, Ways: 4, LineBytes: 64}) // 16 sets
-		blocks := []uint64{0, 1024, 2048, 3072}                           // all set 0
+		c := newCache(CacheGeom{SizeBytes: 4096, Ways: 4, LineBytes: 64}, len(seq)%2 == 1) // 16 sets
+		blocks := []uint64{0, 1024, 2048, 3072}                                            // all set 0
 		seen := map[uint64]bool{}
 		cold := 0
 		for _, s := range seq {
@@ -103,7 +103,7 @@ func TestCachePanicsOnBadGeometry(t *testing.T) {
 					t.Errorf("geometry %+v did not panic", g)
 				}
 			}()
-			newCache(g)
+			newCache(g, false)
 		}()
 	}
 }
