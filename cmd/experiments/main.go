@@ -2,10 +2,9 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-run table1,fig01,...|all] [-j N] [-pipeline on|off]
-//	            [-cores N] [-simpoint] [-simpoint-interval N]
-//	            [-ckpt-cache-dir DIR] [-o out.txt] [-cpuprofile cpu.out]
-//	            [-memprofile mem.out]
+//	experiments [-quick] [-run table1,fig01,...|all] [-j N] [-cores N]
+//	            [-simpoint] [-simpoint-interval N] [-o out.txt]
+//	            [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -cores caps the multicore guest scaling sweep (fig16): each cell builds
 // an N-core SE guest with per-core L1s/TLBs behind a MESI-style directory
@@ -17,26 +16,15 @@
 // representative interval per phase on the detailed model and extrapolate by
 // cluster weight. Sampled figures carry a note documenting the mode and its
 // error bound; figures that need full microarchitectural detail (fig11's
-// Top-Down breakdown) always run full. -ckpt-cache-dir persists the
-// fast-forward checkpoints across processes in a content-addressed,
-// self-verifying cache (internal/ckptcache); corrupt or version-skewed
-// entries are evicted and re-simulated, never restored.
+// Top-Down breakdown) always run full.
 //
 // -cpuprofile and -memprofile write pprof profiles of the harness itself
 // (the tool the paper applies to gem5, applied to our reproduction of it),
 // which is how the hot-path work in internal/uarch, internal/hostmodel and
 // internal/mem is measured before and after. Profiles are flushed and
 // closed via defer on every exit path, including experiment failures, so a
-// failing run still yields a usable profile. Goroutines carry pprof labels
-// (cosim-stage = experiment-worker / guest-producer / uarch-consumer), so
-// `go tool pprof -tagfocus` attributes time to pipeline stages.
-//
-// -pipeline controls the in-session producer/consumer split (see DESIGN.md
-// §10): "on" runs every co-simulation's guest simulator + trace synthesis
-// and its host uarch model on separate goroutines coupled by a batched SPSC
-// ring. Output is byte-identical either way; the default is "off" because
-// the measured cost of the ring exceeds what the overlap buys (DESIGN.md
-// §15). See EXPERIMENTS.md for the full flag reference.
+// failing run still yields a usable profile. Pool workers carry the pprof
+// label cosim-stage=experiment-worker.
 //
 // Each experiment prints an aligned table whose rows mirror the series of
 // the corresponding figure, plus notes comparing the measured shape with the
@@ -49,7 +37,8 @@
 // are collected in cell order and each run is a pure function of its cell's
 // config — so only timing, which is inherently nondeterministic, goes to
 // stderr. -run ids are checked before anything runs: an unknown id is a
-// usage error (exit 2) listing the valid set.
+// usage error (exit 2) listing the valid set. See EXPERIMENTS.md for the
+// full flag reference.
 package main
 
 import (
@@ -63,7 +52,6 @@ import (
 	"strings"
 	"time"
 
-	"gem5prof/internal/core"
 	"gem5prof/internal/experiments"
 )
 
@@ -81,11 +69,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "use reduced workload sets and problem sizes")
 	runList := fs.String("run", "all", "comma-separated experiment ids, or 'all'")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulation runs (output is identical for any value)")
-	pipeline := fs.String("pipeline", "off", "in-session producer/consumer pipeline: on or off (output is identical either way)")
 	cores := fs.Int("cores", 0, "cap the multicore scaling sweep (fig16) at this guest core count (0 = default 1/2/4)")
 	simPoint := fs.Bool("simpoint", false, "sample the sweep figures (10, 12, 13) via SimPoint-style phase-representative intervals")
 	simPointInterval := fs.Uint64("simpoint-interval", 0, "override the SimPoint profiling interval in committed instructions (0 = harness default)")
-	ckptCacheDir := fs.String("ckpt-cache-dir", "", "persist fast-forward checkpoints in this directory (content-addressed, self-verifying)")
 	outPath := fs.String("o", "", "also write the report to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the harness to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -93,17 +79,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	mode, ok := core.ParsePipelineMode(*pipeline)
-	if !ok {
-		fmt.Fprintf(stderr, "invalid -pipeline %q (want on or off)\n", *pipeline)
-		return 2
-	}
 	ids, err := selectIDs(*runList)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	core.SetDefaultPipeline(mode)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -153,7 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Cores:            *cores,
 		SimPoint:         *simPoint,
 		SimPointInterval: *simPointInterval,
-		CkptCacheDir:     *ckptCacheDir,
 	}
 	start := time.Now()
 	failed := 0

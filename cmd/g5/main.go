@@ -34,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	workload := fs.String("workload", "sieve", "workload name (see -list)")
 	scale := fs.Int("scale", 0, "problem size (0 = workload default)")
 	bootExit := fs.Bool("boot-exit", false, "FS mode: boot the kernel and exit")
-	numCPUs := fs.Int("ncpus", 1, "simulated cores (FS mode)")
+	cores := fs.Int("cores", 1, "simulated cores (SE: threads via the spawn syscall; FS: extra harts park)")
 	ideal := fs.Bool("ideal-mem", false, "disable the cache model")
 	guestTLBs := fs.Bool("guest-tlbs", false, "insert guest iTLB/dTLB in front of the L1s")
 	stats := fs.Bool("stats", false, "dump the full statistics registry")
@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Workload:    *workload,
 		Scale:       *scale,
 		BootExit:    *bootExit,
-		NumCPUs:     *numCPUs,
+		Cores:       *cores,
 		IdealMemory: *ideal,
 		GuestTLBs:   *guestTLBs,
 	}

@@ -12,7 +12,6 @@
 package gem5prof
 
 import (
-	"gem5prof/internal/ckptcache"
 	"gem5prof/internal/core"
 	"gem5prof/internal/experiments"
 	"gem5prof/internal/hostmodel"
@@ -139,7 +138,7 @@ const (
 
 // Pipeline modes for SessionConfig.Pipeline.
 const (
-	// PipelineAuto defers to SetDefaultPipeline; unset, that means off.
+	// PipelineAuto (the zero value) runs serially, as PipelineOff does.
 	PipelineAuto = core.PipelineAuto
 	// PipelineOff forces the serial co-simulation path.
 	PipelineOff = core.PipelineOff
@@ -151,15 +150,6 @@ const (
 // (as is the zero value).
 const ShardSerial = core.ShardSerial
 
-var (
-	// SetDefaultPipeline sets the process-wide pipeline mode used when
-	// SessionConfig.Pipeline is PipelineAuto (the -pipeline flag of
-	// cmd/experiments).
-	SetDefaultPipeline = core.SetDefaultPipeline
-	// ParsePipelineMode parses "auto", "on" or "off".
-	ParsePipelineMode = core.ParsePipelineMode
-)
-
 // RunSession runs one co-simulation: the guest simulator executing on a
 // modeled host platform.
 func RunSession(cfg SessionConfig) (*SessionResult, error) { return core.RunSession(cfg) }
@@ -169,24 +159,15 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) { return core.RunSess
 // extrapolate by cluster weight; see DESIGN.md §12).
 type (
 	// SampledConfig parameterizes sampling (interval length, warmup,
-	// phase bound, checkpoint cache).
+	// phase bound).
 	SampledConfig = simpoint.Config
 	// SampledResult is the extrapolated stand-in for a full session's
 	// modeled seconds, with per-phase measurements attached.
 	SampledResult = simpoint.Result
-	// CheckpointCache is the content-addressed, self-verifying on-disk
-	// store for fast-forward checkpoints (internal/ckptcache). A nil
-	// *CheckpointCache is valid and means in-process memoization only.
-	CheckpointCache = ckptcache.Cache
 )
 
-var (
-	// RunSampled runs one co-simulation in sampled mode.
-	RunSampled = simpoint.RunSampled
-	// OpenCheckpointCache opens (creating if needed) a checkpoint cache
-	// directory.
-	OpenCheckpointCache = ckptcache.Open
-)
+// RunSampled runs one co-simulation in sampled mode.
+var RunSampled = simpoint.RunSampled
 
 // Host platforms (paper Table II and Table I).
 var (

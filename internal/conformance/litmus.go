@@ -289,6 +289,10 @@ func RunLitmusSharded(lt *LitmusTest, model string, cores int, sharded bool) (*L
 	if cores < len(lt.Threads) {
 		return nil, fmt.Errorf("conformance: litmus %s needs %d cores, got %d", lt.Name, len(lt.Threads), cores)
 	}
+	newCPU, err := cpu.Model(model)
+	if err != nil {
+		return nil, fmt.Errorf("conformance: %w", err)
+	}
 	prog, err := isa.Assemble(lt.Src)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: litmus %s: assemble: %w", lt.Name, err)
@@ -318,20 +322,7 @@ func RunLitmusSharded(lt *LitmusTest, model string, cores int, sharded bool) (*L
 			IPort:  hier.IPort(i),
 			DPort:  hier.DPort(i),
 		}
-		var c cpu.CPU
-		switch model {
-		case "atomic":
-			c = cpu.NewAtomicCPU(sys, cfg)
-		case "timing":
-			c = cpu.NewTimingCPU(sys, cfg)
-		case "minor":
-			c = cpu.NewMinorCPU(sys, cfg, cpu.DefaultMinorConfig())
-		case "o3":
-			c = cpu.NewO3CPU(sys, cfg, cpu.DefaultO3Config())
-		default:
-			return nil, fmt.Errorf("conformance: unknown model %q", model)
-		}
-		cpus[i] = c
+		cpus[i] = newCPU(sys, cfg)
 	}
 	cores32 := make([]*cpu.Core, cores)
 	for i, c := range cpus {

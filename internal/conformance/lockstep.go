@@ -115,6 +115,10 @@ func RunModel(model string, prog *isa.Program, caches bool, commit func(pc uint3
 // sharded differential suites diff it against the serial run over the whole
 // conformance corpus.
 func RunModelSharded(model string, prog *isa.Program, caches, sharded bool, commit func(pc uint32, in isa.Inst)) (*Result, error) {
+	newCPU, err := cpu.Model(model)
+	if err != nil {
+		return nil, fmt.Errorf("conformance: %w", err)
+	}
 	sys := sim.NewSystem(7)
 	gm := guest.NewMemory(memBytes)
 	if err := gm.Load(prog); err != nil {
@@ -132,19 +136,7 @@ func RunModelSharded(model string, prog *isa.Program, caches, sharded bool, comm
 		hier := mem.NewHierarchy(sys, hcfg)
 		cfg.IPort, cfg.DPort = hier.L1I, hier.L1D
 	}
-	var c cpu.CPU
-	switch model {
-	case "atomic":
-		c = cpu.NewAtomicCPU(sys, cfg)
-	case "timing":
-		c = cpu.NewTimingCPU(sys, cfg)
-	case "minor":
-		c = cpu.NewMinorCPU(sys, cfg, cpu.DefaultMinorConfig())
-	case "o3":
-		c = cpu.NewO3CPU(sys, cfg, cpu.DefaultO3Config())
-	default:
-		return nil, fmt.Errorf("conformance: unknown model %q", model)
-	}
+	c := newCPU(sys, cfg)
 	h := newTraceHash()
 	c.Core().SetCommitHook(func(pc uint32, in isa.Inst) {
 		h.mix(pc, in)

@@ -71,7 +71,7 @@ func (g *GuestSystem) TakeCheckpoint() (*Checkpoint, error) {
 	if g.Cfg.CPU != Atomic {
 		return nil, fmt.Errorf("core: checkpoints require the Atomic CPU (got %s)", g.Cfg.CPU)
 	}
-	if g.Cfg.Cores > 1 {
+	if g.Cfg.threaded() {
 		// The snapshot captures memory and per-core arch state but not
 		// the coherence directory or the sysemu thread table (join
 		// values, futex wait queues), so restoring a multicore guest
@@ -154,8 +154,8 @@ func RestoreGuest(cfg GuestConfig, ck *Checkpoint, tracer sim.Tracer) (*GuestSys
 // restoreGuest is RestoreGuest under an already resolved plan.
 func restoreGuest(cfg GuestConfig, plan ExecPlan, ck *Checkpoint, tracer sim.Tracer) (*GuestSystem, error) {
 	cfg = cfg.withDefaults()
-	if cfg.NumCPUs != len(ck.Arch) {
-		return nil, fmt.Errorf("core: checkpoint has %d cores, config wants %d", len(ck.Arch), cfg.NumCPUs)
+	if cfg.Cores != len(ck.Arch) {
+		return nil, fmt.Errorf("core: checkpoint has %d cores, config wants %d", len(ck.Arch), cfg.Cores)
 	}
 	// Carry the workload identity so the restored run validates against the
 	// same reference checksum.

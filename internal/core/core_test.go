@@ -53,7 +53,6 @@ func TestRunGuestErrors(t *testing.T) {
 		{"unknown FS workload", core.GuestConfig{Mode: core.FS, Workload: "nope"}, `unknown workload "nope"`},
 		{"unknown CPU", core.GuestConfig{Workload: "sieve", CPU: "vliw"}, `unknown CPU model "vliw"`},
 		{"SE boot-exit", core.GuestConfig{BootExit: true, Mode: core.SE}, "boot-exit requires FS mode"},
-		{"FS with Cores", core.GuestConfig{Mode: core.FS, Workload: "sieve", Cores: 2}, "Cores is SE-only"},
 	} {
 		tr := &countingTracer{NopTracer: *sim.NewNopTracer()}
 		_, err := core.BuildGuest(c.cfg, tr)

@@ -51,15 +51,14 @@ type GuestConfig struct {
 	// BootKBs overrides how much memory the FS kernel initializes at boot
 	// (scales boot length); 0 uses the kernel default.
 	BootKBs int
-	// NumCPUs is the simulated core count (FS only; extra harts park).
-	NumCPUs int
-	// Cores is the SE-mode multicore guest core count. Core 0 enters the
-	// workload at its entry point; cores 1..Cores-1 start parked and are
-	// dispatched by the SysSpawn threading syscall (internal/sysemu). More
-	// than one core puts a MESI directory controller between the per-core
-	// L1 data caches and the shared L2 and enables the threading syscall
-	// surface; at the default of 1 the build is bit-identical to the
-	// single-core path. FS mode uses NumCPUs instead.
+	// Cores is the simulated core count (default 1, which builds the
+	// single-core machine). In SE mode core 0 enters the workload at its
+	// entry point and cores 1..Cores-1 start parked until the SysSpawn
+	// threading syscall (internal/sysemu) dispatches them; more than one
+	// core puts a MESI directory controller between the per-core L1 data
+	// caches and the shared L2 and enables the threading syscall surface.
+	// In FS mode every core boots the kernel, which parks the extra harts;
+	// there is no directory and no thread table.
 	Cores int
 	// MemBytes is guest DRAM size (default 16 MiB, like the paper's small
 	// simulated memories relative to the host).
@@ -80,15 +79,22 @@ type GuestConfig struct {
 	// TestCheckpointSeedInvariance pins it. A model that ever needs
 	// variation must take it from here, never from the host.
 	Seed int64
-	// CalendarQueue selects the alternative event-queue backend (A5).
+	// CalendarQueue selects the calendar event-queue backend instead of
+	// the heap (bit-identical results; TestCalendarQueueMatchesHeap). No
+	// harness sets it; it stays because bench/ compiles against it.
 	CalendarQueue bool
 	// Shards of 2 or more selects the sharded event-queue engine
-	// (bit-identical results; see ShardMode).
+	// (bit-identical results; see ShardMode). No harness sets it; it stays
+	// because bench/ compiles against it.
 	Shards ShardMode
 	// ExecTrace, when non-nil, receives one line per committed instruction
 	// on every core (gem5's --debug-flags=Exec).
 	ExecTrace io.Writer
 }
+
+// threaded reports whether a normalized config is a multicore SE guest: the
+// build with a coherence directory and a thread table.
+func (c *GuestConfig) threaded() bool { return c.Mode == SE && c.Cores > 1 }
 
 // Normalized returns the config with every defaultable zero field replaced
 // by its default — the exact config a build would run. Cache-key derivation
@@ -104,17 +110,8 @@ func (c *GuestConfig) withDefaults() GuestConfig {
 	if out.Mode == "" {
 		out.Mode = SE
 	}
-	if out.NumCPUs <= 0 {
-		out.NumCPUs = 1
-	}
 	if out.Cores <= 0 {
 		out.Cores = 1
-	}
-	if out.Mode == SE && out.Cores > 1 {
-		// The builder sizes the CPU array and memory system off NumCPUs;
-		// folding Cores into it here also makes the checkpoint-cache key
-		// (simpoint.ConfigPrefix's ncpu field) distinguish core counts.
-		out.NumCPUs = out.Cores
 	}
 	if out.MemBytes == 0 {
 		out.MemBytes = 16 * 1024 * 1024
@@ -188,14 +185,6 @@ func startGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 	return g, nil
 }
 
-// cpuModels constructs each guest CPU model.
-var cpuModels = map[CPUModel]func(*sim.System, cpu.Config) cpu.CPU{
-	Atomic: func(sys *sim.System, c cpu.Config) cpu.CPU { return cpu.NewAtomicCPU(sys, c) },
-	Timing: func(sys *sim.System, c cpu.Config) cpu.CPU { return cpu.NewTimingCPU(sys, c) },
-	Minor:  func(sys *sim.System, c cpu.Config) cpu.CPU { return cpu.NewMinorCPU(sys, c, cpu.DefaultMinorConfig()) },
-	O3:     func(sys *sim.System, c cpu.Config) cpu.CPU { return cpu.NewO3CPU(sys, c, cpu.DefaultO3Config()) },
-}
-
 // loadWorkload loads spec's program at the given scale (0 = the workload's
 // default) into ram and returns its entry point and reference checksum. The
 // program is assembled the first time a (workload, scale) is asked for and
@@ -227,20 +216,17 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 
 	// What a config can name wrongly is rejected before anything is built:
 	// a refused config costs no System, no guest RAM and no tracer arena.
-	switch {
-	case cfg.Mode == SE && cfg.BootExit:
+	if cfg.Mode == SE && cfg.BootExit {
 		return nil, 0, fmt.Errorf("core: boot-exit requires FS mode")
-	case cfg.Mode != SE && cfg.Cores > 1:
-		return nil, 0, fmt.Errorf("core: Cores is SE-only; FS guests size with NumCPUs")
 	}
 	hasApp := !cfg.BootExit
 	spec, ok := workloads.ByName(cfg.Workload)
 	if hasApp && !ok {
 		return nil, 0, fmt.Errorf("core: unknown workload %q", cfg.Workload)
 	}
-	newCPU, ok := cpuModels[cfg.CPU]
-	if !ok {
-		return nil, 0, fmt.Errorf("core: unknown CPU model %q", cfg.CPU)
+	newCPU, err := cpu.Model(string(cfg.CPU))
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: %w", err)
 	}
 
 	newQueue := func() sim.Queue {
@@ -258,7 +244,6 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 	// Load the workload image and, in FS mode, the kernel that enters it.
 	var entry uint32
 	if hasApp {
-		var err error
 		if entry, g.expect, err = loadWorkload(spec, cfg.Scale, ram); err != nil {
 			return nil, 0, err
 		}
@@ -266,7 +251,7 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 	}
 	if cfg.Mode != SE {
 		kcfg := workloads.DefaultKernelConfig()
-		kcfg.Harts = cfg.NumCPUs
+		kcfg.Harts = cfg.Cores
 		if cfg.BootKBs > 0 {
 			kcfg.BootKBs = cfg.BootKBs
 		}
@@ -309,7 +294,7 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 		if cfg.GuestTLBs {
 			hcfg.GuestTLBs = true
 		}
-		if cfg.Cores > 1 {
+		if cfg.threaded() {
 			hcfg.Directory = true
 		}
 		if plan.Sharded {
@@ -327,11 +312,11 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 				NewQueue:     newQueue,
 			})
 		}
-		g.Hier = mem.NewMultiHierarchy(sys, hcfg, cfg.NumCPUs)
+		g.Hier = mem.NewMultiHierarchy(sys, hcfg, cfg.Cores)
 	}
 
 	// CPUs.
-	for i := 0; i < cfg.NumCPUs; i++ {
+	for i := 0; i < cfg.Cores; i++ {
 		ccfg := cpu.Config{
 			Name:        fmt.Sprintf("cpu%d", i),
 			ClockPeriod: cfg.ClockPeriod,
@@ -349,7 +334,7 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 	if sink != nil {
 		sink.Sink = g.CPUs[0].Core()
 	}
-	if g.SE != nil && cfg.Cores > 1 {
+	if cfg.threaded() {
 		// Multicore SE guest: hand the threading syscalls their cores and
 		// park the secondaries — only SysSpawn dispatches them.
 		cores := make([]*cpu.Core, len(g.CPUs))

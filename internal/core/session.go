@@ -31,7 +31,9 @@ const (
 	PipelineAuto PipelineMode = iota
 	// PipelineOff forces the serial path (the pre-pipeline behaviour).
 	PipelineOff
-	// PipelineOn forces the pipelined path (on one core it only costs).
+	// PipelineOn forces the pipelined path (on one core it only costs). No
+	// harness flag selects it any more; it stays because bench/ compiles
+	// against it and runs the cosim_pipelined workload on it.
 	PipelineOn
 )
 
@@ -47,26 +49,13 @@ func (m PipelineMode) String() string {
 	}
 }
 
-// ParsePipelineMode parses "auto", "on" or "off".
-func ParsePipelineMode(s string) (PipelineMode, bool) {
-	switch s {
-	case "auto", "":
-		return PipelineAuto, true
-	case "on", "true", "1":
-		return PipelineOn, true
-	case "off", "false", "0":
-		return PipelineOff, true
-	}
-	return PipelineAuto, false
-}
-
 // defaultPipeline is the process-wide mode that PipelineAuto sessions
-// resolve against (cmd/experiments' -pipeline flag sets it once at
-// startup). Atomic so concurrent sessions may read it freely.
+// resolve against. Atomic so concurrent sessions may read it freely.
 var defaultPipeline atomic.Int32
 
 // SetDefaultPipeline sets the process-wide pipeline mode used by sessions
-// whose SessionConfig.Pipeline is PipelineAuto.
+// whose SessionConfig.Pipeline is PipelineAuto. Nothing in this module
+// calls it outside tests; it stays because bench/ compiles against it.
 func SetDefaultPipeline(m PipelineMode) { defaultPipeline.Store(int32(m)) }
 
 // DefaultPipeline returns the process-wide pipeline mode.

@@ -285,6 +285,16 @@ func (c *Core) Clock() sim.Tick { return c.clock }
 // CommittedInsts returns the number of retired instructions.
 func (c *Core) CommittedInsts() uint64 { return c.numInsts.Count() }
 
+// cycleIPC returns committed instructions per elapsed clock cycle,
+// stalls included.
+func (c *Core) cycleIPC() float64 {
+	elapsed := c.sys.Now() / c.clock
+	if elapsed == 0 {
+		return 0
+	}
+	return float64(c.numInsts.Count()) / float64(elapsed)
+}
+
 // SetCommitHook installs fn on the core's retire path: it fires once per
 // architecturally committed instruction with the pre-execution PC and the
 // decoded form, in commit order, on every CPU model. A nil fn disables the
@@ -546,4 +556,25 @@ type CPU interface {
 	Start(entry uint32)
 	// IPC returns committed instructions per cycle so far.
 	IPC() float64
+}
+
+// Constructor builds one CPU of a model at its default geometry.
+type Constructor func(sys *sim.System, cfg Config) CPU
+
+// models is the one table of CPU models by name.
+var models = map[string]Constructor{
+	"atomic": func(sys *sim.System, cfg Config) CPU { return NewAtomicCPU(sys, cfg) },
+	"timing": func(sys *sim.System, cfg Config) CPU { return NewTimingCPU(sys, cfg) },
+	"minor":  func(sys *sim.System, cfg Config) CPU { return NewMinorCPU(sys, cfg, DefaultMinorConfig()) },
+	"o3":     func(sys *sim.System, cfg Config) CPU { return NewO3CPU(sys, cfg, DefaultO3Config()) },
+}
+
+// Model returns the constructor of the named model (atomic, timing, minor
+// or o3). Looking a name up builds nothing, so a caller can reject an
+// unknown model before it constructs a system.
+func Model(name string) (Constructor, error) {
+	if newCPU, ok := models[name]; ok {
+		return newCPU, nil
+	}
+	return nil, fmt.Errorf("unknown CPU model %q", name)
 }

@@ -33,14 +33,26 @@ func (a memAdapter) HostAddr(addr uint32) uint64                 { return a.m.Ho
 type rig struct {
 	sys  *sim.System
 	mem  *guest.Memory
+	prog *isa.Program
 	cpu  CPU
 	hier *mem.Hierarchy
 }
 
 // buildRig assembles src and constructs a CPU of the given model
-// ("atomic", "timing", "minor", "o3"), optionally with a real cache
-// hierarchy ("caches") or ideal memory.
+// ("atomic", "timing", "minor", "o3") through the model table, optionally
+// with a real cache hierarchy ("caches") or ideal memory.
 func buildRig(t *testing.T, model, src string, caches bool) *rig {
+	t.Helper()
+	newCPU, err := Model(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buildRigWith(t, newCPU, src, caches)
+}
+
+// buildRigWith is buildRig for any constructor: a model at a custom
+// geometry, or one behind an instrumented port.
+func buildRigWith(t *testing.T, newCPU Constructor, src string, caches bool) *rig {
 	t.Helper()
 	sys := sim.NewSystem(7)
 	gm := guest.NewMemory(16 * 1024 * 1024)
@@ -56,24 +68,13 @@ func buildRig(t *testing.T, model, src string, caches bool) *rig {
 		Mem:  memAdapter{gm},
 		Env:  &haltEnv{sys},
 	}
-	r := &rig{sys: sys, mem: gm}
+	r := &rig{sys: sys, mem: gm, prog: prog}
 	if caches {
 		r.hier = mem.NewHierarchy(sys, mem.DefaultHierarchyConfig("sys"))
 		cfg.IPort = r.hier.L1I
 		cfg.DPort = r.hier.L1D
 	}
-	switch model {
-	case "atomic":
-		r.cpu = NewAtomicCPU(sys, cfg)
-	case "timing":
-		r.cpu = NewTimingCPU(sys, cfg)
-	case "minor":
-		r.cpu = NewMinorCPU(sys, cfg, DefaultMinorConfig())
-	case "o3":
-		r.cpu = NewO3CPU(sys, cfg, DefaultO3Config())
-	default:
-		t.Fatalf("unknown model %q", model)
-	}
+	r.cpu = newCPU(sys, cfg)
 	r.cpu.Start(prog.Entry)
 	return r
 }

@@ -32,41 +32,23 @@ func DefaultMinorConfig() MinorConfig {
 	}
 }
 
-type minorInst struct {
-	pc       uint32
-	in       isa.Inst
-	predNext uint32
-}
-
 // MinorCPU is the in-order pipelined model: strict in-order issue, a
 // scoreboard for register hazards, branch prediction with redirect
 // penalties, and timing memory accesses.
 type MinorCPU struct {
-	core *Core
+	frontEnd
 	mcfg MinorConfig
-	bp   *TournamentBP
 
-	tick *sim.Event
-
-	fetchPC       uint32
-	fetchEpoch    uint64
-	fetchBusy     bool
-	sentEpoch     uint64 // fetchEpoch when the in-flight fetch was sent
-	fetchDone     func() // completeFetch, bound once: one fetch is in flight at most
-	buffer        []minorInst
 	regReadyAt    [isa.NumArchRegs]sim.Tick
-	stallUntil    sim.Tick
 	outstandingLd int
 
 	// Host-model stage functions beyond the common core set.
-	fnFetch2 sim.FuncID
-	fnIssue  sim.FuncID
-	fnLSQ    sim.FuncID
+	fnIssue sim.FuncID
+	fnLSQ   sim.FuncID
 
 	numCycles   *sim.Counter
 	fetchStalls *sim.Counter
 	issueStalls *sim.Counter
-	squashes    *sim.Counter
 }
 
 // NewMinorCPU builds a Minor in-order CPU.
@@ -74,82 +56,30 @@ func NewMinorCPU(sys *sim.System, cfg Config, mcfg MinorConfig) *MinorCPU {
 	if mcfg.IssueWidth <= 0 || mcfg.BufferDepth <= 0 || mcfg.FetchBytes == 0 {
 		panic("cpu: bad minor config")
 	}
-	c := &MinorCPU{
-		core: newCore(sys, "MinorCPU", cfg),
-		mcfg: mcfg,
-		bp:   NewTournamentBP(sys.Stats(), cfg.Name, mcfg.BP),
-	}
+	c := &MinorCPU{mcfg: mcfg}
+	core := newCore(sys, "MinorCPU", cfg)
+	bp := NewTournamentBP(sys.Stats(), cfg.Name, mcfg.BP)
 	tr := sys.Tracer()
-	c.fnFetch2 = tr.RegisterFunc("MinorCPU::Fetch2::evaluate", 4200, sim.FuncVirtual|sim.FuncPoly)
+	fetch2 := tr.RegisterFunc("MinorCPU::Fetch2::evaluate", 4200, sim.FuncVirtual|sim.FuncPoly)
 	c.fnIssue = tr.RegisterFunc("MinorCPU::Execute::issue", 5100, sim.FuncVirtual|sim.FuncPoly)
 	c.fnLSQ = tr.RegisterFunc("MinorCPU::LSQ::pushRequest", 3600, sim.FuncVirtual|sim.FuncPoly)
 	st := sys.Stats()
 	c.numCycles = st.Counter(cfg.Name+".numCycles", "pipeline cycles evaluated")
 	c.fetchStalls = st.Counter(cfg.Name+".fetchStallCycles", "cycles with an empty decode buffer")
 	c.issueStalls = st.Counter(cfg.Name+".issueStallCycles", "cycles blocked on hazards")
-	c.squashes = st.Counter(cfg.Name+".squashes", "pipeline squashes (mispredicts + traps)")
-	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.fnIssue, sim.PrioCPUTick, c.evaluate)
-	c.core.wakeup = func() { c.schedule() }
-	c.fetchDone = c.completeFetch
-	c.core.redirect = func(pc uint32) { c.squash(pc) }
+	c.init(frontEnd{
+		core:       core,
+		bp:         bp,
+		tick:       sim.NewEventPrio(cfg.Name+".tick", c.fnIssue, sim.PrioCPUTick, c.evaluate),
+		fetchBytes: mcfg.FetchBytes,
+		depth:      mcfg.BufferDepth,
+		penalty:    sim.Tick(mcfg.MispredictPenalty) * core.clock,
+		perInst:    fetch2,
+		rearm:      true,
+		squashes:   st.Counter(cfg.Name+".squashes", "pipeline squashes (mispredicts + traps)"),
+	})
 	sys.Register(c)
 	return c
-}
-
-// Name implements sim.SimObject.
-func (c *MinorCPU) Name() string { return c.core.name }
-
-// Core implements CPU.
-func (c *MinorCPU) Core() *Core { return c.core }
-
-// BP returns the branch predictor for inspection.
-func (c *MinorCPU) BP() *TournamentBP { return c.bp }
-
-// IPC implements CPU.
-func (c *MinorCPU) IPC() float64 {
-	elapsed := c.core.sys.Now() / c.core.clock
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(c.core.numInsts.Count()) / float64(elapsed)
-}
-
-// Start implements CPU.
-func (c *MinorCPU) Start(entry uint32) {
-	c.core.pc = entry
-	c.fetchPC = entry
-	c.schedule()
-}
-
-// schedule arms the pipeline event for the next cycle if it is not pending.
-func (c *MinorCPU) schedule() {
-	if c.core.halted || c.tick.Scheduled() {
-		return
-	}
-	c.core.sys.ScheduleIn(c.tick, c.core.clock)
-}
-
-// scheduleAt arms the pipeline event at an absolute tick.
-func (c *MinorCPU) scheduleAt(when sim.Tick) {
-	if c.core.halted {
-		return
-	}
-	if c.tick.Scheduled() {
-		if c.tick.When() <= when {
-			return
-		}
-		c.core.sys.Deschedule(c.tick)
-	}
-	c.core.sys.Reschedule(c.tick, when)
-}
-
-// squash flushes all fetched state and redirects fetch to pc.
-func (c *MinorCPU) squash(pc uint32) {
-	c.squashes.Inc()
-	c.fetchEpoch++
-	c.buffer = c.buffer[:0]
-	c.fetchPC = pc
-	c.stallUntil = c.core.sys.Now() + sim.Tick(c.mcfg.MispredictPenalty)*c.core.clock
 }
 
 // evaluate advances the whole pipeline by one cycle.
@@ -165,7 +95,7 @@ func (c *MinorCPU) evaluate() {
 		return // WFI: wakeup() re-arms
 	}
 	if core.takeInterruptIfPending() {
-		c.squash(core.pc)
+		c.squash(core.pc, 0)
 	}
 
 	// Execute stage: in-order issue of up to IssueWidth ready instructions.
@@ -255,7 +185,7 @@ func fuLatency(cl isa.Class) int {
 
 // issueOne architecturally executes one instruction and models its latency.
 // It returns false if the simulation was terminated by a fault.
-func (c *MinorCPU) issueOne(mi minorInst, now sim.Tick) bool {
+func (c *MinorCPU) issueOne(mi decodedInst, now sim.Tick) bool {
 	core := c.core
 	in := mi.in
 	pc := mi.pc
@@ -268,7 +198,7 @@ func (c *MinorCPU) issueOne(mi minorInst, now sim.Tick) bool {
 		core.pc = out.NextPC(pc)
 	} else {
 		// A trap or environment call redirected the stream.
-		c.squash(core.pc)
+		c.squash(core.pc, 0)
 	}
 
 	// Register result latency.
@@ -304,78 +234,8 @@ func (c *MinorCPU) issueOne(mi minorInst, now sim.Tick) bool {
 		c.bp.Update(pc, in, out.ControlTaken, out.ControlTarget)
 		if mi.predNext != realNext {
 			c.bp.RecordMispredict()
-			c.squash(realNext)
+			c.squash(realNext, 0)
 		}
 	}
 	return true
-}
-
-// tryFetch issues an instruction-cache fetch when the buffer has space.
-func (c *MinorCPU) tryFetch() {
-	core := c.core
-	if c.fetchBusy || core.halted || len(c.buffer) >= c.mcfg.BufferDepth {
-		return
-	}
-	if core.sys.Now() < c.stallUntil {
-		c.scheduleAt(c.stallUntil)
-		return
-	}
-	c.sentEpoch = c.fetchEpoch
-	c.fetchBusy = true
-	core.sys.Tracer().Call(core.fnFetch)
-	core.cfg.IPort.SendTiming(mem.Access{Addr: c.fetchPC, Size: isa.InstBytes, Inst: true}, c.fetchDone)
-}
-
-// completeFetch runs when the instruction cache responds.
-func (c *MinorCPU) completeFetch() {
-	c.fetchBusy = false
-	if c.core.halted {
-		return
-	}
-	// Squashed while in flight: the redirected stream still needs fetching,
-	// so re-arm the pipeline rather than going idle. Otherwise fetchPC is
-	// still the pc that was sent: only a squash moves it during a fetch.
-	if c.sentEpoch == c.fetchEpoch {
-		c.fillBuffer(c.fetchPC)
-	}
-	c.schedule()
-}
-
-// fillBuffer decodes straight-line instructions from one fetched block,
-// following predicted-taken control flow.
-func (c *MinorCPU) fillBuffer(start uint32) {
-	core := c.core
-	blockEnd := (start &^ (c.mcfg.FetchBytes - 1)) + c.mcfg.FetchBytes
-	pc := start
-	for pc < blockEnd && len(c.buffer) < c.mcfg.BufferDepth {
-		core.sys.Tracer().Call(c.fnFetch2)
-		w, err := core.fetchWord(pc)
-		if err != nil {
-			if pc == start && len(c.buffer) == 0 {
-				// Fetch fault with an empty pipeline: inject an illegal
-				// instruction so execute reports the fault instead of the
-				// front end spinning forever.
-				c.buffer = append(c.buffer, minorInst{pc: pc, in: isa.Inst{Op: isa.OpInvalid}, predNext: pc})
-			}
-			break
-		}
-		core.sys.Tracer().Call(core.fnDecode)
-		in := isa.Decode(w)
-		next := pc + isa.InstBytes
-		if in.IsControl() {
-			pred := c.bp.Predict(pc, in)
-			if pred.Taken {
-				next = pred.Target
-			}
-		}
-		c.buffer = append(c.buffer, minorInst{pc: pc, in: in, predNext: next})
-		pc = next
-		if next < start || next >= blockEnd {
-			break // control flow left the fetched block
-		}
-		if in.IsSystem() {
-			break // serialize after system instructions
-		}
-	}
-	c.fetchPC = pc
 }

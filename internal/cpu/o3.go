@@ -54,22 +54,8 @@ type robEntry struct {
 // load/store queues, and a tournament predictor then determines when cycles
 // elapse. Wrong-path work appears as front-end squash bubbles.
 type O3CPU struct {
-	core *Core
+	frontEnd
 	ocfg O3Config
-	bp   *TournamentBP
-
-	tick *sim.Event
-
-	// Front end.
-	fetchPC    uint32
-	fetchEpoch uint64
-	fetchBusy  bool
-	sentEpoch  uint64 // fetchEpoch when the in-flight fetch was sent
-	fetchDone  func() // completeFetch, bound once: one fetch is in flight at most
-	buffer     []minorInst
-	stallUntil sim.Tick
-	// resolveSeq, when nonzero, stalls fetch until that entry completes.
-	resolveSeq uint64
 
 	// Back end.
 	rob      []robEntry
@@ -92,7 +78,6 @@ type O3CPU struct {
 	robFullStall *sim.Counter
 	iqFullStall  *sim.Counter
 	lsqFullStall *sim.Counter
-	squashes     *sim.Counter
 }
 
 // NewO3CPU builds an out-of-order core.
@@ -101,14 +86,9 @@ func NewO3CPU(sys *sim.System, cfg Config, ocfg O3Config) *O3CPU {
 		ocfg.LQEntries <= 0 || ocfg.SQEntries <= 0 {
 		panic("cpu: bad O3 config")
 	}
-	c := &O3CPU{
-		core: newCore(sys, "O3CPU", cfg),
-		ocfg: ocfg,
-		bp:   NewTournamentBP(sys.Stats(), cfg.Name, ocfg.BP),
-		rob:  make([]robEntry, ocfg.ROBEntries),
-	}
-	c.nextSeq = 1
-	c.headSeq = 1
+	c := &O3CPU{ocfg: ocfg, rob: make([]robEntry, ocfg.ROBEntries), headSeq: 1, nextSeq: 1}
+	core := newCore(sys, "O3CPU", cfg)
+	bp := NewTournamentBP(sys.Stats(), cfg.Name, ocfg.BP)
 	tr := sys.Tracer()
 	c.fnRename = tr.RegisterFunc("O3CPU::Rename::renameInsts", 6200, sim.FuncVirtual|sim.FuncPoly)
 	c.fnIEW = tr.RegisterFunc("O3CPU::IEW::executeInsts", 7400, sim.FuncVirtual|sim.FuncPoly)
@@ -120,45 +100,17 @@ func NewO3CPU(sys *sim.System, cfg Config, ocfg O3Config) *O3CPU {
 	c.robFullStall = st.Counter(cfg.Name+".robFullStalls", "dispatch stalls: ROB full")
 	c.iqFullStall = st.Counter(cfg.Name+".iqFullStalls", "dispatch stalls: IQ full")
 	c.lsqFullStall = st.Counter(cfg.Name+".lsqFullStalls", "dispatch stalls: LQ/SQ full")
-	c.squashes = st.Counter(cfg.Name+".squashes", "front-end squashes")
-	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.fnIEW, sim.PrioCPUTick, c.evaluate)
-	c.core.wakeup = func() { c.schedule() }
-	c.fetchDone = c.completeFetch
-	c.core.redirect = func(pc uint32) { c.squashFrontEnd(pc, 0) }
+	c.init(frontEnd{
+		core:       core,
+		bp:         bp,
+		tick:       sim.NewEventPrio(cfg.Name+".tick", c.fnIEW, sim.PrioCPUTick, c.evaluate),
+		fetchBytes: ocfg.FetchBytes,
+		depth:      4 * ocfg.Width,
+		penalty:    sim.Tick(ocfg.MispredictPenalty) * core.clock,
+		squashes:   st.Counter(cfg.Name+".squashes", "front-end squashes"),
+	})
 	sys.Register(c)
 	return c
-}
-
-// Name implements sim.SimObject.
-func (c *O3CPU) Name() string { return c.core.name }
-
-// Core implements CPU.
-func (c *O3CPU) Core() *Core { return c.core }
-
-// BP returns the branch predictor.
-func (c *O3CPU) BP() *TournamentBP { return c.bp }
-
-// IPC implements CPU.
-func (c *O3CPU) IPC() float64 {
-	elapsed := c.core.sys.Now() / c.core.clock
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(c.core.numInsts.Count()) / float64(elapsed)
-}
-
-// Start implements CPU.
-func (c *O3CPU) Start(entry uint32) {
-	c.core.pc = entry
-	c.fetchPC = entry
-	c.schedule()
-}
-
-func (c *O3CPU) schedule() {
-	if c.core.halted || c.tick.Scheduled() {
-		return
-	}
-	c.core.sys.ScheduleIn(c.tick, c.core.clock)
 }
 
 func (c *O3CPU) entry(seq uint64) *robEntry {
@@ -168,19 +120,6 @@ func (c *O3CPU) entry(seq uint64) *robEntry {
 // live reports whether seq names an in-flight ROB entry.
 func (c *O3CPU) live(seq uint64) bool {
 	return seq >= c.headSeq && seq < c.nextSeq && c.entry(seq).seq == seq
-}
-
-// squashFrontEnd discards fetched-but-not-dispatched instructions and
-// redirects fetch to pc once the resolving instruction completes.
-func (c *O3CPU) squashFrontEnd(pc uint32, resolveSeq uint64) {
-	c.squashes.Inc()
-	c.fetchEpoch++
-	c.buffer = c.buffer[:0]
-	c.fetchPC = pc
-	c.resolveSeq = resolveSeq
-	if resolveSeq == 0 {
-		c.stallUntil = c.core.sys.Now() + sim.Tick(c.ocfg.MispredictPenalty)*c.core.clock
-	}
 }
 
 // evaluate advances commit, issue, dispatch, and fetch by one cycle.
@@ -210,20 +149,6 @@ func (c *O3CPU) evaluate() {
 		c.scheduleAt(c.stallUntil)
 	}
 	// Otherwise fetch response or memory callbacks re-arm the pipeline.
-}
-
-// scheduleAt arms the pipeline event at an absolute tick.
-func (c *O3CPU) scheduleAt(when sim.Tick) {
-	if c.core.halted {
-		return
-	}
-	if c.tick.Scheduled() {
-		if c.tick.When() <= when {
-			return
-		}
-		c.core.sys.Deschedule(c.tick)
-	}
-	c.core.sys.Reschedule(c.tick, when)
 }
 
 // commit retires completed instructions in order.
@@ -293,7 +218,7 @@ func (c *O3CPU) issue(now sim.Tick) {
 func (c *O3CPU) resolved(e *robEntry) {
 	if c.resolveSeq != 0 && e.seq == c.resolveSeq {
 		c.resolveSeq = 0
-		c.stallUntil = e.doneAt + sim.Tick(c.ocfg.MispredictPenalty)*c.core.clock
+		c.stallUntil = e.doneAt + c.penalty
 	}
 }
 
@@ -335,7 +260,7 @@ func (c *O3CPU) dispatch(now sim.Tick) bool {
 				return true
 			}
 			if core.takeInterruptIfPending() {
-				c.squashFrontEnd(core.pc, 0)
+				c.squash(core.pc, 0)
 				return true
 			}
 		}
@@ -400,82 +325,15 @@ func (c *O3CPU) dispatch(now sim.Tick) bool {
 		if redirected {
 			// Trap/environment redirect: refetch immediately after resolve.
 			e.mispred = true
-			c.squashFrontEnd(realNext, seq)
+			c.squash(realNext, seq)
 			return true
 		}
 		if mi.predNext != realNext {
 			c.bp.RecordMispredict()
 			e.mispred = true
-			c.squashFrontEnd(realNext, seq)
+			c.squash(realNext, seq)
 			return true
 		}
 	}
 	return true
-}
-
-// tryFetch mirrors the Minor front end: fetch one block, pre-decode, follow
-// predictions.
-func (c *O3CPU) tryFetch() {
-	core := c.core
-	if c.fetchBusy || core.halted || len(c.buffer) >= 4*c.ocfg.Width {
-		return
-	}
-	now := core.sys.Now()
-	if c.resolveSeq != 0 || now < c.stallUntil {
-		return // waiting on a branch resolution or redirect penalty
-	}
-	c.sentEpoch = c.fetchEpoch
-	c.fetchBusy = true
-	core.sys.Tracer().Call(core.fnFetch)
-	core.cfg.IPort.SendTiming(mem.Access{Addr: c.fetchPC, Size: isa.InstBytes, Inst: true}, c.fetchDone)
-}
-
-// completeFetch runs when the instruction cache responds.
-func (c *O3CPU) completeFetch() {
-	c.fetchBusy = false
-	if c.core.halted {
-		return
-	}
-	// Squashed while in flight: re-arm so the redirected stream is fetched
-	// instead of the pipeline going idle. Otherwise fetchPC is still the pc
-	// that was sent: only a squash moves it during a fetch.
-	if c.sentEpoch == c.fetchEpoch {
-		c.fillBuffer(c.fetchPC)
-	}
-	c.schedule()
-}
-
-// fillBuffer decodes one fetched block into the dispatch buffer.
-func (c *O3CPU) fillBuffer(start uint32) {
-	core := c.core
-	blockEnd := (start &^ (c.ocfg.FetchBytes - 1)) + c.ocfg.FetchBytes
-	pc := start
-	max := 4 * c.ocfg.Width
-	for pc < blockEnd && len(c.buffer) < max {
-		w, err := core.fetchWord(pc)
-		if err != nil {
-			if pc == start && len(c.buffer) == 0 {
-				c.buffer = append(c.buffer, minorInst{pc: pc, in: isa.Inst{Op: isa.OpInvalid}, predNext: pc})
-			}
-			break
-		}
-		core.sys.Tracer().Call(core.fnDecode)
-		in := isa.Decode(w)
-		next := pc + isa.InstBytes
-		if in.IsControl() {
-			pred := c.bp.Predict(pc, in)
-			if pred.Taken {
-				next = pred.Target
-			}
-		}
-		c.buffer = append(c.buffer, minorInst{pc: pc, in: in, predNext: next})
-		pc = next
-		if next < start || next >= blockEnd {
-			break
-		}
-		if in.IsSystem() {
-			break
-		}
-	}
-	c.fetchPC = pc
 }

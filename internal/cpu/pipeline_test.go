@@ -3,8 +3,6 @@ package cpu
 import (
 	"testing"
 
-	"gem5prof/internal/guest"
-	"gem5prof/internal/isa"
 	"gem5prof/internal/mem"
 	"gem5prof/internal/sim"
 )
@@ -140,28 +138,10 @@ arr:
 	}
 }
 
-// buildRigO3 mirrors buildRig for the O3 model with a custom geometry.
+// buildRigO3 is buildRig for the O3 model with a custom geometry.
 func buildRigO3(t *testing.T, src string, ocfg O3Config) *rig {
 	t.Helper()
-	sys := sim.NewSystem(7)
-	gm := guest.NewMemory(16 * 1024 * 1024)
-	prog, err := isa.Assemble(src)
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	if err := gm.Load(prog); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	hier := mem.NewHierarchy(sys, mem.DefaultHierarchyConfig("sys"))
-	cfg := Config{
-		Name: "cpu0", Mem: memAdapter{gm}, Env: &haltEnv{sys},
-		IPort: hier.L1I, DPort: hier.L1D,
-	}
-	r := &rig{sys: sys, mem: gm, hier: hier}
-	c := NewO3CPU(sys, cfg, ocfg)
-	r.cpu = c
-	c.Start(prog.Entry)
-	return r
+	return buildRigWith(t, func(sys *sim.System, cfg Config) CPU { return NewO3CPU(sys, cfg, ocfg) }, src, true)
 }
 
 func TestO3TinyROBStalls(t *testing.T) {
@@ -191,5 +171,90 @@ func TestStatsRegistryExposesPipelineCounters(t *testing.T) {
 		if r.sys.Stats().Lookup(name) == nil {
 			t.Errorf("stat %q missing", name)
 		}
+	}
+}
+
+// fetchLog is an instruction port that records the address of every fetch
+// sent while on is set.
+type fetchLog struct {
+	mem.Port
+	on    bool
+	addrs []uint32
+}
+
+func (p *fetchLog) SendTiming(acc mem.Access, done func()) {
+	if p.on {
+		p.addrs = append(p.addrs, acc.Addr)
+	}
+	p.Port.SendTiming(acc, done)
+}
+
+// TestParkedRedirectSquashesFrontEnd: SetPC on a parked core must squash
+// the buffered front end, so that the core resumes on the new stream and
+// fetches nothing else. Without the core's redirect hook the buffered old
+// stream is dropped as wrong-path and fetch follows the old stream's
+// predicted loop forever: the livelock PR 8 found, which before this test
+// only TestMTSmoke's 4-core Minor run caught. A spawn is this: park, aim
+// the core at the thread's entry, unpark. The old stream is a chain of
+// dependent divides, which stalls issue and so keeps the buffer full.
+func TestParkedRedirectSquashesFrontEnd(t *testing.T) {
+	const src = `
+_start:
+	li   t1, 3
+spin:
+	div  t0, t0, t1
+	j    spin
+thread:
+	li   a0, 42
+	ecall
+`
+	for _, model := range []string{"minor", "o3"} {
+		t.Run(model, func(t *testing.T) {
+			newCPU, err := Model(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := &fetchLog{}
+			r := buildRigWith(t, func(sys *sim.System, cfg Config) CPU {
+				log.Port = IdealPort{Sys: sys, Latency: sim.Nanosecond}
+				cfg.IPort = log
+				return newCPU(sys, cfg)
+			}, src, false)
+			var fe *frontEnd
+			switch c := r.cpu.(type) {
+			case *MinorCPU:
+				fe = &c.frontEnd
+			case *O3CPU:
+				fe = &c.frontEnd
+			}
+			core, thread := r.cpu.Core(), r.prog.Symbols["thread"]
+			r.sys.Schedule(sim.NewEvent("park", 0, core.Park), 200*sim.Nanosecond)
+			r.sys.Schedule(sim.NewEvent("spawn", 0, func() {
+				if len(fe.buffer) != fe.depth {
+					t.Errorf("parked with %d of %d buffer entries, want a full buffer", len(fe.buffer), fe.depth)
+				}
+				for _, mi := range fe.buffer {
+					if mi.pc >= thread {
+						t.Errorf("buffered %#x before the redirect: not the old stream", mi.pc)
+					}
+				}
+				log.on = true
+				core.SetPC(thread)
+				core.Unpark()
+			}), 300*sim.Nanosecond)
+			res := r.sys.Run(100*sim.Microsecond, 0)
+			if res.Status != sim.ExitRequested || res.ExitCode != 42 {
+				t.Fatalf("redirected core did not run the thread: %v, exit %d, %d fetches after the redirect",
+					res.Status, res.ExitCode, len(log.addrs))
+			}
+			if len(log.addrs) == 0 {
+				t.Fatal("no fetch after the redirect")
+			}
+			for _, a := range log.addrs {
+				if a < thread {
+					t.Fatalf("fetched %#x of the old stream after the redirect to %#x", a, thread)
+				}
+			}
+		})
 	}
 }

@@ -57,13 +57,7 @@ func (c *TimingCPU) Name() string { return c.core.name }
 func (c *TimingCPU) Core() *Core { return c.core }
 
 // IPC implements CPU: instructions per elapsed cycle including stalls.
-func (c *TimingCPU) IPC() float64 {
-	elapsed := c.core.sys.Now() / c.core.clock
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(c.core.numInsts.Count()) / float64(elapsed)
-}
+func (c *TimingCPU) IPC() float64 { return c.core.cycleIPC() }
 
 // Start implements CPU.
 func (c *TimingCPU) Start(entry uint32) {

@@ -20,7 +20,7 @@ func runAblations(opt Options) (*Result, error) {
 	if !opt.Quick {
 		scale = parsecRepScale(opt)
 	}
-	// The six probes are independent sessions; flatten them into cells and
+	// The five probes are independent sessions; flatten them into cells and
 	// fan out on the worker pool, normalizing against cell 0 afterwards.
 	noDSB := platform.IntelXeon() // A1: no uop cache.
 	noDSB.DSBUops = 0
@@ -33,25 +33,22 @@ func runAblations(opt Options) (*Result, error) {
 	packed.TextSlots = 2                // forces sequential overflow placement
 
 	cells := []struct {
-		label    string
-		host     uarch.Config
-		hc       hostmodel.Config
-		calendar bool // A5: calendar event queue (guest-side; host time via co-sim)
+		label string
+		host  uarch.Config
+		hc    hostmodel.Config
 	}{
 		{label: "baseline", host: platform.IntelXeon()},
 		{label: "A1 no DSB", host: noDSB},
 		{label: "A2 non-VIPT 128KB L1I", host: bigL1},
 		{label: "A3 no MLP overlap", host: noMLP},
 		{label: "A4 packed layout", host: platform.IntelXeon(), hc: packed},
-		{label: "A5 calendar event queue", host: platform.IntelXeon(), calendar: true},
 	}
 	times, err := runAll(opt.runner, len(cells), func(i int) (float64, error) {
 		r, err := core.RunSession(core.SessionConfig{
 			Guest: core.GuestConfig{
 				CPU: core.O3, Mode: core.SE,
 				Workload: "water_nsquared", Scale: scale,
-				CalendarQueue: cells[i].calendar,
-				Seed:          core.DeriveSeed("ablations", i),
+				Seed: core.DeriveSeed("ablations", i),
 			},
 			Host:     cells[i].host,
 			HostCode: cells[i].hc,
@@ -80,7 +77,6 @@ func runAblations(opt Options) (*Result, error) {
 		"A4's layout effect on *total* time is small once the hot path is cache-resident; its impact concentrates in iTLB stalls (compare fig11)",
 		fmt.Sprintf("A2 shows what the VIPT page-size constraint costs the Xeon: %.2fx of baseline time with a 128KB L1I",
 			res.Rows[2].Values[0]),
-		"A5 must be ~1.0: the queue backend changes wall-clock, not modeled cycles",
 	)
 	return res, nil
 }

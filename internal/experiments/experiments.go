@@ -10,8 +10,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"gem5prof/internal/ckptcache"
 )
 
 // Options tune experiment cost.
@@ -43,32 +41,17 @@ type Options struct {
 	// SimPointInterval overrides the profiling interval in committed
 	// instructions (0 = the harness default).
 	SimPointInterval uint64
-	// CkptCacheDir, when non-empty, persists fast-forward checkpoints
-	// across processes (content-addressed, self-verifying; see
-	// internal/ckptcache).
-	CkptCacheDir string
 
 	// runner is the shared worker pool, created lazily from Jobs. RunMany
 	// installs one runner across all its experiments so Jobs bounds the
 	// whole harness, not each experiment separately.
 	runner *Runner
-	// ckptCache is opened lazily from CkptCacheDir alongside the runner.
-	ckptCache *ckptcache.Cache
 }
 
-// withRunner returns opt with its worker pool (and checkpoint cache, if
-// configured) materialized.
+// withRunner returns opt with its worker pool materialized.
 func (o Options) withRunner() Options {
 	if o.runner == nil {
 		o.runner = NewRunner(o.Jobs)
-	}
-	if o.ckptCache == nil && o.CkptCacheDir != "" {
-		cache, err := ckptcache.Open(o.CkptCacheDir)
-		if err == nil {
-			o.ckptCache = cache
-		}
-		// An unopenable cache directory degrades to uncached sampling;
-		// sampled results are identical either way.
 	}
 	return o
 }

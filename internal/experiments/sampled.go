@@ -35,7 +35,6 @@ func (o Options) simpointConfig() simpoint.Config {
 		IntervalInsts: 500,
 		WarmupInsts:   1,
 		MaxK:          3,
-		Cache:         o.ckptCache,
 	}
 	if o.SimPointInterval != 0 {
 		cfg.IntervalInsts = o.SimPointInterval

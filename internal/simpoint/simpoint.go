@@ -21,24 +21,22 @@ type Config struct {
 	// measured window. 0 means IntervalInsts/4. Must stay below
 	// IntervalInsts.
 	WarmupInsts uint64
-	// MeasureInsts caps the measured window of each representative at this
-	// many instructions (0 = measure the whole interval). Intervals are
-	// BBV-homogeneous by construction, so a prefix of the interval carries
-	// the same rate as the whole; capping the window cuts detailed-model
-	// cost without moving the extrapolation, which already works from
-	// seconds-per-instruction (RepRun.Rate), never from raw window totals.
-	MeasureInsts uint64
 	// MaxK bounds the number of phases (default 6).
 	MaxK int
-	// Dims is the BBV projection dimensionality (default 16).
-	Dims int
-	// Seed drives the k-means initialization (default 1). It is part of
-	// the analysis, not the guest: checkpoints are seed-independent.
-	Seed int64
 	// Cache, when non-nil, persists fast-forward checkpoints across
-	// processes. A nil cache still memoizes within the process.
+	// processes. A nil cache still memoizes within the process. No harness
+	// sets it any more (a warm cache measured 0.99x a cold one); it stays
+	// because bench/ compiles against it.
 	Cache *ckptcache.Cache
 }
+
+// The analysis constants: the BBV projection's dimensionality and the
+// seed of the k-means initialization. The seed is part of the analysis,
+// not the guest: checkpoints are seed-independent.
+const (
+	bbvDims    = 16
+	kmeansSeed = 1
+)
 
 func (c Config) withDefaults() Config {
 	if c.IntervalInsts == 0 {
@@ -55,12 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxK <= 0 {
 		c.MaxK = 6
-	}
-	if c.Dims <= 0 {
-		c.Dims = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -113,7 +105,7 @@ func ConfigPrefix(gc core.GuestConfig) string {
 		hier = fmt.Sprintf("%+v", *gc.Hierarchy)
 	}
 	return fmt.Sprintf("mode=%s workload=%s scale=%d bootexit=%v bootkbs=%d ncpu=%d mem=%d clk=%d hier=%s ideal=%v gtlb=%v calq=%v",
-		gc.Mode, gc.Workload, gc.Scale, gc.BootExit, gc.BootKBs, gc.NumCPUs,
+		gc.Mode, gc.Workload, gc.Scale, gc.BootExit, gc.BootKBs, gc.Cores,
 		gc.MemBytes, gc.ClockPeriod, hier, gc.IdealMemory, gc.GuestTLBs, gc.CalendarQueue)
 }
 
@@ -144,8 +136,8 @@ func ResetMemo() {
 }
 
 func memoFor(prefix string, cfg Config) *analysis {
-	key := fmt.Sprintf("%s|iv=%d warm=%d k=%d dims=%d seed=%d cache=%s",
-		prefix, cfg.IntervalInsts, cfg.WarmupInsts, cfg.MaxK, cfg.Dims, cfg.Seed, cfg.Cache.Dir())
+	key := fmt.Sprintf("%s|iv=%d warm=%d k=%d cache=%s",
+		prefix, cfg.IntervalInsts, cfg.WarmupInsts, cfg.MaxK, cfg.Cache.Dir())
 	memoMu.Lock()
 	a, ok := memo[key]
 	if !ok {
@@ -164,11 +156,11 @@ func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
 	if sc.Profile {
 		return nil, fmt.Errorf("simpoint: sampled mode cannot host the function profiler (its report would cover only representative intervals)")
 	}
-	if sc.Guest.Cores > 1 {
+	gc := sc.Guest.Normalized()
+	if gc.Mode == core.SE && gc.Cores > 1 {
 		return nil, fmt.Errorf("simpoint: sampled mode is single-core only (BBV profiles and checkpoints capture one architectural thread); run the multicore guest full-length")
 	}
 	cfg = cfg.withDefaults()
-	gc := sc.Guest.Normalized()
 	prefix := ConfigPrefix(gc)
 	a := memoFor(prefix, cfg)
 	a.once.Do(func() { a.compute(gc, prefix, cfg) })
@@ -196,7 +188,7 @@ func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
 		if a.ckpts[ci] == nil {
 			// The representative starts at (or is) the first interval:
 			// run fresh from the workload entry.
-			ivr, err = runner.Run(nil, iv.StartInsts, capBudget(iv.Insts(), cfg))
+			ivr, err = runner.Run(nil, iv.StartInsts, iv.Insts())
 		} else {
 			ck := a.ckpts[ci]
 			// The checkpoint lands on an Atomic event boundary at or
@@ -210,7 +202,7 @@ func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
 			if ck.Insts > start {
 				start = ck.Insts
 			}
-			ivr, err = runner.Run(ck, warm, capBudget(iv.EndInsts-start, cfg))
+			ivr, err = runner.Run(ck, warm, iv.EndInsts-start)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("simpoint: interval %d (cluster %d): %w", cl.Rep, ci, err)
@@ -224,15 +216,6 @@ func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
 		out.Seconds += float64(rep.ClusterInsts) * rep.Rate
 	}
 	return out, nil
-}
-
-// capBudget applies Config.MeasureInsts to one window's instruction
-// budget.
-func capBudget(budget uint64, cfg Config) uint64 {
-	if cfg.MeasureInsts > 0 && cfg.MeasureInsts < budget {
-		return cfg.MeasureInsts
-	}
-	return budget
 }
 
 // steadyRate returns the modeled seconds-per-instruction of one measured
@@ -281,11 +264,11 @@ func steadyRate(ivr *core.IntervalResult, restored bool) float64 {
 
 // compute runs the shared analysis: profile, cluster, acquire checkpoints.
 func (a *analysis) compute(gc core.GuestConfig, prefix string, cfg Config) {
-	a.prof, a.err = buildProfile(gc, cfg.IntervalInsts, cfg.WarmupInsts, cfg.Dims)
+	a.prof, a.err = buildProfile(gc, cfg.IntervalInsts, cfg.WarmupInsts, bbvDims)
 	if a.err != nil {
 		return
 	}
-	a.phases = clusterIntervals(a.prof.Intervals, cfg.MaxK, cfg.Seed)
+	a.phases = clusterIntervals(a.prof.Intervals, cfg.MaxK, kmeansSeed)
 	a.ckpts, a.err = acquireCheckpoints(gc, prefix, cfg, a.prof, a.phases)
 }
 

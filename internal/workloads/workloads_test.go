@@ -167,13 +167,18 @@ func TestFSMultiCore(t *testing.T) {
 		CPU:      core.Atomic,
 		Mode:     core.FS,
 		BootExit: true,
-		NumCPUs:  4,
+		Cores:    4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ExitCode != 0 {
 		t.Fatalf("quad-core boot-exit = %d", res.ExitCode)
+	}
+	// The kernel parks the extra harts: an FS guest has no coherence
+	// directory, whatever its core count.
+	if res.Stats.Lookup("sys.dir.getS") != nil {
+		t.Fatal("FS guest built a coherence directory")
 	}
 }
 
