@@ -8,18 +8,6 @@ import (
 	"testing"
 )
 
-// TestMain lets the test binary stand in for g5lint: the standalone modes
-// re-execute os.Executable() through `go vet -vettool`, which in a test is
-// this binary, called back with the vet-tool protocol's arguments.
-func TestMain(m *testing.M) {
-	for _, arg := range os.Args[1:] {
-		if arg == "-V=full" || arg == "-flags" || strings.HasSuffix(arg, ".cfg") {
-			main()
-		}
-	}
-	os.Exit(m.Run())
-}
-
 const cleanSrc = `package demo
 
 import "sort"
@@ -36,12 +24,12 @@ func Keys(m map[string]int) []string {
 }
 `
 
-// g5lint runs one standalone mode over a throw-away module named gem5prof
-// (so its packages are in the analyzers' scope) holding the given files.
+// g5lint runs one mode over a throw-away module named gem5prof (so its
+// packages are in the analyzers' scope) holding the given files.
 func g5lint(t *testing.T, files map[string]string, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	if testing.Short() {
-		t.Skip("runs go vet with the test binary as its tool")
+		t.Skip("runs go list over a temporary module")
 	}
 	dir := t.TempDir()
 	write := func(name, src string) {
@@ -57,16 +45,8 @@ func g5lint(t *testing.T, files map[string]string, args ...string) (code int, st
 	for name, src := range files {
 		write(name, src)
 	}
-	old, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(old)
 	var out, errb bytes.Buffer
-	code = run(append(args, "./..."), &out, &errb)
+	code = run(dir, append(args, "./..."), &out, &errb)
 	return code, out.String(), errb.String()
 }
 
@@ -119,13 +99,14 @@ func Len(m map[string]int) int {
 }
 
 // TestBrokenTreeFailsClosed: a package that does not parse reports no
-// annotations and no findings, which must not read as a clean audit.
+// annotations and no findings, which must not read as a clean run in any
+// mode.
 func TestBrokenTreeFailsClosed(t *testing.T) {
 	files := map[string]string{"internal/demo/a.go": cleanSrc, "internal/demo/b.go": "package demo\nfunc broken( {\n"}
-	for _, mode := range []string{"-suppressions", "-json"} {
-		code, stdout, stderr := g5lint(t, files, mode)
+	for _, args := range [][]string{{"-suppressions"}, {"-json"}, nil} {
+		code, stdout, stderr := g5lint(t, files, args...)
 		if code != 2 || !strings.Contains(stderr, "b.go:2:") {
-			t.Errorf("%s on a tree that does not parse: exit %d, stdout:\n%s\nstderr:\n%s", mode, code, stdout, stderr)
+			t.Errorf("%v on a tree that does not parse: exit %d, stdout:\n%s\nstderr:\n%s", args, code, stdout, stderr)
 		}
 	}
 }

@@ -76,7 +76,8 @@ type GuestConfig struct {
 	// no model draws from that RNG, so a guest or session result is a pure
 	// function of its config minus Seed and ExecTrace. simpoint.ConfigPrefix
 	// leaves both out of the checkpoint key for that reason and
-	// TestCheckpointSeedInvariance pins it. A model that ever needs
+	// TestCheckpointSeedInvariance pins it. No experiment sets it; it
+	// stays because bench/ sets it, and a model that ever needs
 	// variation must take it from here, never from the host.
 	Seed int64
 	// CalendarQueue selects the calendar event-queue backend instead of

@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"runtime/pprof"
 	"sync/atomic"
 
@@ -110,26 +107,6 @@ type SessionResult struct {
 
 // SimSeconds returns the modeled host wall-clock of the simulation.
 func (r *SessionResult) SimSeconds() float64 { return r.Host.TimeSeconds }
-
-// DeriveSeed returns the GuestConfig.Seed for one independent run (cell) of
-// a named experiment: a pure function of the experiment id and the cell's
-// position in the experiment's sequential cell order — never of a shared RNG
-// or of run scheduling — so a parallel harness would draw exactly the seeds
-// a sequential one does, cell for cell. Today that is a labelling, not an
-// input: no model consumes the seeded RNG (see GuestConfig.Seed), so a
-// cell's result does not depend on the value returned here.
-func DeriveSeed(experiment string, cell int) int64 {
-	h := fnv.New64a()
-	io.WriteString(h, experiment)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(cell))
-	h.Write(b[:])
-	s := int64(h.Sum64() >> 1) // keep it positive; Seed==0 means "default"
-	if s == 0 {
-		s = 1
-	}
-	return s
-}
 
 // cosim bundles the host side of one co-simulation — the modeled machine,
 // the synthetic simulator binary, and (when pipelined) the ring stages —

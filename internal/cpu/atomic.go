@@ -22,7 +22,7 @@ type AtomicCPU struct {
 
 // NewAtomicCPU builds an AtomicSimpleCPU.
 func NewAtomicCPU(sys *sim.System, cfg Config) *AtomicCPU {
-	c := &AtomicCPU{core: newCore(sys, "AtomicSimpleCPU", cfg), batch: 64}
+	c := &AtomicCPU{core: newCore(sys, atomicCode, cfg), batch: 64}
 	c.numCycles = sys.Stats().Counter(cfg.Name+".numCycles", "guest cycles simulated")
 	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.core.fnFetch, sim.PrioCPUTick, c.doTick)
 	c.core.wakeup = func() {

@@ -11,16 +11,6 @@ type Prediction struct {
 	Target uint32
 }
 
-// Predictor is the direction+target predictor interface used by the Minor
-// and O3 models. Implementations are deterministic.
-type Predictor interface {
-	// Predict returns the predicted outcome for the control instruction in
-	// at pc. The decoded instruction is available (decode-assisted BTB).
-	Predict(pc uint32, in isa.Inst) Prediction
-	// Update trains the predictor with the resolved outcome.
-	Update(pc uint32, in isa.Inst, taken bool, target uint32)
-}
-
 // counter2 is a 2-bit saturating counter.
 type counter2 uint8
 
@@ -137,7 +127,8 @@ func isReturn(in isa.Inst) bool {
 	return in.Op == isa.OpJalr && in.Rd == 0 && in.Rs1 == 1
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted outcome for the control instruction in at
+// pc. The decoded instruction is available (decode-assisted BTB).
 func (b *TournamentBP) Predict(pc uint32, in isa.Inst) Prediction {
 	b.lookups.Inc()
 	switch {
@@ -175,7 +166,7 @@ func (b *TournamentBP) direction(pc uint32) bool {
 	return l.taken()
 }
 
-// Update implements Predictor.
+// Update trains the predictor with the resolved outcome.
 func (b *TournamentBP) Update(pc uint32, in isa.Inst, taken bool, target uint32) {
 	switch {
 	case isCall(in):
@@ -222,17 +213,3 @@ func btoi(v bool) uint32 {
 	}
 	return 0
 }
-
-// AlwaysNotTakenBP is the trivial predictor used as a baseline in tests.
-type AlwaysNotTakenBP struct{}
-
-// Predict implements Predictor.
-func (AlwaysNotTakenBP) Predict(pc uint32, in isa.Inst) Prediction {
-	if in.IsJump() && !in.IsIndirect() {
-		return Prediction{Taken: true, Target: pc + uint32(in.Imm)*isa.InstBytes}
-	}
-	return Prediction{Taken: false, Target: pc + isa.InstBytes}
-}
-
-// Update implements Predictor.
-func (AlwaysNotTakenBP) Update(pc uint32, in isa.Inst, taken bool, target uint32) {}

@@ -171,7 +171,7 @@ type Core struct {
 	commitHook func(pc uint32, in isa.Inst)
 }
 
-func newCore(sys *sim.System, model string, cfg Config) *Core {
+func newCore(sys *sim.System, code hostCode, cfg Config) *Core {
 	cfg.fill(sys)
 	c := &Core{
 		name:  cfg.Name,
@@ -190,30 +190,8 @@ func newCore(sys *sim.System, model string, cfg Config) *Core {
 	c.numStores = st.Counter(cfg.Name+".stores", "stores committed")
 	c.numEcalls = st.Counter(cfg.Name+".ecalls", "environment calls")
 
-	// Host code footprint and dispatch polymorphism scale strongly with
-	// model detail: AtomicSimpleCPU is a tight, nearly monomorphic loop
-	// while O3 touches far more (and megamorphic) code per instruction —
-	// the root of the paper's Fig. 4 contrast.
-	factor := 1.0
-	libStride := uint64(16)
-	execFlags := sim.FuncVirtual
-	switch model {
-	case "AtomicSimpleCPU":
-		factor = 0.35
-		libStride = 26
-	case "TimingSimpleCPU":
-		factor = 0.80
-		libStride = 18
-	case "MinorCPU":
-		factor = 1.15
-		libStride = 12
-		execFlags |= sim.FuncPoly
-	case "O3CPU":
-		factor = 1.40
-		libStride = 10
-		execFlags |= sim.FuncPoly
-	}
-	sz := func(base int) int { return int(float64(base) * factor) }
+	model := code.class
+	sz := func(base int) int { return int(float64(base) * code.sizeFactor) }
 
 	tr := sys.Tracer()
 	c.fnFetch = tr.RegisterFunc(model+"::fetch", sz(2200), sim.FuncVirtual|sim.FuncHot)
@@ -238,39 +216,15 @@ func newCore(sys *sim.System, model string, cfg Config) *Core {
 		{isa.ClassSystem, 2400},
 	}
 	for _, cs := range classSizes {
-		c.fnExec[cs.cls] = tr.RegisterFunc(fmt.Sprintf("%s::execute<%s>", model, cs.cls), sz(cs.size), execFlags)
+		c.fnExec[cs.cls] = tr.RegisterFunc(fmt.Sprintf("%s::execute<%s>", model, cs.cls), sz(cs.size), code.execFlags)
 	}
-	c.registerLib(model, libFuncCount(model))
-	c.libStride = libStride
-	return c
-}
-
-// libFuncCount sizes the cold-code tail per model. With the default helper
-// fanout these produce total function counts matching the paper's Fig. 15
-// (1602/2557/3957/5209 for Atomic/Timing/Minor/O3).
-func libFuncCount(model string) int {
-	switch model {
-	case "AtomicSimpleCPU":
-		return 85
-	case "TimingSimpleCPU":
-		return 155
-	case "MinorCPU":
-		return 260
-	case "O3CPU":
-		return 354
-	}
-	return 60
-}
-
-// registerLib registers n cold library functions touched round-robin during
-// execution.
-func (c *Core) registerLib(model string, n int) {
-	tr := c.sys.Tracer()
-	for i := 0; i < n; i++ {
+	for i := 0; i < code.libFuncs; i++ {
 		size := 180 + (i*137)%900
 		c.libFns = append(c.libFns,
 			tr.RegisterFunc(fmt.Sprintf("%s::lib%d", model, i), size, sim.FuncVirtual|sim.FuncCold))
 	}
+	c.libStride = code.libStride
+	return c
 }
 
 // Name returns the core's SimObject name.
@@ -560,6 +514,29 @@ type CPU interface {
 
 // Constructor builds one CPU of a model at its default geometry.
 type Constructor func(sys *sim.System, cfg Config) CPU
+
+// hostCode is what one CPU model registers with the tracer beyond its
+// stage functions. Host code footprint and dispatch polymorphism scale
+// strongly with model detail: AtomicSimpleCPU is a tight, nearly
+// monomorphic loop while O3 touches far more (and megamorphic) code per
+// instruction — the root of the paper's Fig. 4 contrast. With the default
+// helper fanout the cold-code tails produce total function counts matching
+// the paper's Fig. 15 (1602/2557/3957/5209 for Atomic/Timing/Minor/O3).
+type hostCode struct {
+	class      string        // gem5 class name, prefixing every function
+	sizeFactor float64       // scales the base size of each core function
+	execFlags  sim.FuncFlags // of the per-class execute functions
+	libFuncs   int           // cold-code tail: functions registered...
+	libStride  uint64        // ...and one touched every libStride instructions
+}
+
+// The host-code row of each model.
+var (
+	atomicCode = hostCode{"AtomicSimpleCPU", 0.35, sim.FuncVirtual, 85, 26}
+	timingCode = hostCode{"TimingSimpleCPU", 0.80, sim.FuncVirtual, 155, 18}
+	minorCode  = hostCode{"MinorCPU", 1.15, sim.FuncVirtual | sim.FuncPoly, 260, 12}
+	o3Code     = hostCode{"O3CPU", 1.40, sim.FuncVirtual | sim.FuncPoly, 354, 10}
+)
 
 // models is the one table of CPU models by name.
 var models = map[string]Constructor{

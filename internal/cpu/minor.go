@@ -57,7 +57,7 @@ func NewMinorCPU(sys *sim.System, cfg Config, mcfg MinorConfig) *MinorCPU {
 		panic("cpu: bad minor config")
 	}
 	c := &MinorCPU{mcfg: mcfg}
-	core := newCore(sys, "MinorCPU", cfg)
+	core := newCore(sys, minorCode, cfg)
 	bp := NewTournamentBP(sys.Stats(), cfg.Name, mcfg.BP)
 	tr := sys.Tracer()
 	fetch2 := tr.RegisterFunc("MinorCPU::Fetch2::evaluate", 4200, sim.FuncVirtual|sim.FuncPoly)

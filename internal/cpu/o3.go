@@ -87,7 +87,7 @@ func NewO3CPU(sys *sim.System, cfg Config, ocfg O3Config) *O3CPU {
 		panic("cpu: bad O3 config")
 	}
 	c := &O3CPU{ocfg: ocfg, rob: make([]robEntry, ocfg.ROBEntries), headSeq: 1, nextSeq: 1}
-	core := newCore(sys, "O3CPU", cfg)
+	core := newCore(sys, o3Code, cfg)
 	bp := NewTournamentBP(sys.Stats(), cfg.Name, ocfg.BP)
 	tr := sys.Tracer()
 	c.fnRename = tr.RegisterFunc("O3CPU::Rename::renameInsts", 6200, sim.FuncVirtual|sim.FuncPoly)

@@ -31,7 +31,7 @@ type TimingCPU struct {
 
 // NewTimingCPU builds a TimingSimpleCPU.
 func NewTimingCPU(sys *sim.System, cfg Config) *TimingCPU {
-	c := &TimingCPU{core: newCore(sys, "TimingSimpleCPU", cfg)}
+	c := &TimingCPU{core: newCore(sys, timingCode, cfg)}
 	st := sys.Stats()
 	c.numCycles = st.Counter(cfg.Name+".numCycles", "active guest cycles")
 	c.fetchStall = st.Counter(cfg.Name+".icacheStallTicks", "ticks stalled on instruction fetch")

@@ -48,7 +48,6 @@ func runAblations(opt Options) (*Result, error) {
 			Guest: core.GuestConfig{
 				CPU: core.O3, Mode: core.SE,
 				Workload: "water_nsquared", Scale: scale,
-				Seed: core.DeriveSeed("ablations", i),
 			},
 			Host:     cells[i].host,
 			HostCode: cells[i].hc,

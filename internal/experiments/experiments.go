@@ -21,9 +21,9 @@ type Options struct {
 	// Jobs bounds how many simulation runs execute concurrently (the
 	// harness's -j flag). 0 means GOMAXPROCS; 1 reproduces the sequential
 	// harness. The rendered output is byte-identical for every value: runs
-	// are independent sessions, results are collected in cell order, and
-	// per-run seeds derive from (experiment id, cell index), never from a
-	// shared RNG.
+	// are independent sessions and results are collected in cell order.
+	// Runs leave core.GuestConfig.Seed at its default; a result does not
+	// depend on it, and the field stays only because bench/ sets it.
 	Jobs int
 
 	// Cores caps the multicore scaling sweep (fig16) at the given guest

@@ -14,7 +14,7 @@ func init() {
 
 // fig01Scale returns the per-workload problem size for the Fig. 1 sweep
 // (scaled-down simmedium).
-func fig01Scale(name string, quick bool) int {
+func fig01Scale(name string) int {
 	full := map[string]int{
 		"blackscholes":   128,
 		"canneal":        128,
@@ -135,7 +135,7 @@ func runFig01(opt Options) (*Result, error) {
 	times, err := runAll(opt.runner, len(cells), func(i int) (float64, error) {
 		c := cells[i]
 		gc := core.GuestConfig{CPU: c.cfg.cpu, Mode: c.cfg.mode, Workload: c.wl,
-			Scale: fig01Scale(c.wl, opt.Quick), Seed: core.DeriveSeed("fig01", i)}
+			Scale: fig01Scale(c.wl)}
 		if c.cfg.mode == core.FS {
 			gc.BootKBs = 8
 		}

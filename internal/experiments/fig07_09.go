@@ -25,7 +25,6 @@ func platformSet(opt Options, cpus []core.CPUModel) (map[string]map[core.CPUMode
 			Guest: core.GuestConfig{
 				CPU: cpu, Mode: core.SE,
 				Workload: "water_nsquared", Scale: parsecRepScale(opt),
-				Seed: core.DeriveSeed("platformset", i),
 			},
 			Host: host,
 		})
@@ -140,7 +139,7 @@ func runFig09(opt Options) (*Result, error) {
 	nCPU := len(core.AllCPUModels)
 	reports, err := runAll(opt.runner, len(modes)*nCPU, func(i int) (uarch.Report, error) {
 		mode, cpu := modes[i/nCPU], core.AllCPUModels[i%nCPU]
-		gc := core.GuestConfig{CPU: cpu, Mode: mode, Seed: core.DeriveSeed("fig09", i)}
+		gc := core.GuestConfig{CPU: cpu, Mode: mode}
 		if mode == core.FS {
 			gc.BootExit = true
 			gc.BootKBs = 16

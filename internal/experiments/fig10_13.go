@@ -18,14 +18,13 @@ func init() {
 
 // hugePageSession is the PARSEC-representative cell with a text-backing
 // mode; figs 10 and 11 share it.
-func hugePageSession(opt Options, cpu core.CPUModel, hp uarch.HugePageMode, seed int64) core.SessionConfig {
+func hugePageSession(opt Options, cpu core.CPUModel, hp uarch.HugePageMode) core.SessionConfig {
 	host := platform.IntelXeon()
 	host.HugePages = hp
 	return core.SessionConfig{
 		Guest: core.GuestConfig{
 			CPU: cpu, Mode: core.SE,
 			Workload: "water_nsquared", Scale: parsecRepScale(opt),
-			Seed: seed,
 		},
 		Host: host,
 	}
@@ -33,8 +32,8 @@ func hugePageSession(opt Options, cpu core.CPUModel, hp uarch.HugePageMode, seed
 
 // hugePageRun runs the cell as a full co-simulation (fig11 needs the
 // complete Top-Down report, which sampling does not reconstruct).
-func hugePageRun(opt Options, cpu core.CPUModel, hp uarch.HugePageMode, seed int64) (*core.SessionResult, error) {
-	return core.RunSession(hugePageSession(opt, cpu, hp, seed))
+func hugePageRun(opt Options, cpu core.CPUModel, hp uarch.HugePageMode) (*core.SessionResult, error) {
+	return core.RunSession(hugePageSession(opt, cpu, hp))
 }
 
 // hugePageGrid fans the CPU-model x page-mode grid out on the worker pool
@@ -44,7 +43,7 @@ func hugePageGrid(opt Options, id string, modes []uarch.HugePageMode) ([][]float
 	cpus := core.AllCPUModels
 	times, err := runAll(opt.runner, len(cpus)*len(modes), func(i int) (float64, error) {
 		cpu, hp := cpus[i/len(modes)], modes[i%len(modes)]
-		return sessionSeconds(opt, hugePageSession(opt, cpu, hp, core.DeriveSeed(id, i)))
+		return sessionSeconds(opt, hugePageSession(opt, cpu, hp))
 	})
 	if err != nil {
 		return nil, err
@@ -101,7 +100,7 @@ func runFig11(opt Options) (*Result, error) {
 	modes := []uarch.HugePageMode{uarch.PagesBase, uarch.PagesTHP}
 	runs, err := runAll(opt.runner, len(core.AllCPUModels)*len(modes), func(i int) (*core.SessionResult, error) {
 		cpu, hp := core.AllCPUModels[i/len(modes)], modes[i%len(modes)]
-		return hugePageRun(opt, cpu, hp, core.DeriveSeed("fig11", i))
+		return hugePageRun(opt, cpu, hp)
 	})
 	if err != nil {
 		return nil, err
@@ -139,8 +138,7 @@ func runFig12(opt Options) (*Result, error) {
 		host := hostList[i/perHost]
 		cpu := cpus[i%perHost/2]
 		gc := core.GuestConfig{CPU: cpu, Mode: core.SE,
-			Workload: "water_nsquared", Scale: parsecRepScale(opt),
-			Seed: core.DeriveSeed("fig12", i)}
+			Workload: "water_nsquared", Scale: parsecRepScale(opt)}
 		sc := core.SessionConfig{Guest: gc, Host: host}
 		if i%2 == 1 { // the -O3 (smaller binary) build
 			sc.HostCode = hostmodel.Config{SizeFactor: 0.97}
@@ -181,8 +179,7 @@ func runFig13(opt Options) (*Result, error) {
 	baseTime := 0.0
 	times, err := runAll(opt.runner, len(freqs), func(i int) (float64, error) {
 		gc := core.GuestConfig{CPU: core.Timing, Mode: core.SE,
-			Workload: "water_nsquared", Scale: parsecRepScale(opt),
-			Seed: core.DeriveSeed("fig13", i)}
+			Workload: "water_nsquared", Scale: parsecRepScale(opt)}
 		host := platform.IntelXeon()
 		host.FreqGHz = freqs[i]
 		return sessionSeconds(opt, core.SessionConfig{Guest: gc, Host: host})

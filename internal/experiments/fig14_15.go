@@ -49,7 +49,7 @@ func runFig14(opt Options) (*Result, error) {
 		host, cpu := geoms[i/nCPU], fig14CPUs[i%nCPU]
 		r, err := core.RunSession(core.SessionConfig{
 			Guest: core.GuestConfig{CPU: cpu, Mode: core.SE, Workload: "sieve",
-				Scale: scale, Seed: core.DeriveSeed("fig14", i)},
+				Scale: scale},
 			Host: host,
 		})
 		if err != nil {
@@ -99,8 +99,7 @@ func runFig15(opt Options) (*Result, error) {
 	runs, err := runAll(opt.runner, len(core.AllCPUModels), func(i int) (*core.SessionResult, error) {
 		return core.RunSession(core.SessionConfig{
 			Guest: core.GuestConfig{CPU: core.AllCPUModels[i], Mode: core.SE,
-				Workload: "water_nsquared", Scale: parsecRepScale(opt),
-				Seed: core.DeriveSeed("fig15", i)},
+				Workload: "water_nsquared", Scale: parsecRepScale(opt)},
 			Host:    platform.IntelXeon(),
 			Profile: true,
 		})
@@ -108,31 +107,21 @@ func runFig15(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hottest []float64
 	for ci, cpu := range core.AllCPUModels {
 		r := runs[ci]
 		cdf := r.Prof.CDF(50)
 		top1 := pct(cdf[0])
 		top10 := pct(cdf[min(9, len(cdf)-1)])
 		top50 := pct(cdf[len(cdf)-1])
-		hottest = append(hottest, top1)
 		res.Rows = append(res.Rows, Row{
 			Label:  string(cpu),
-			Values: []float64{top1, top10, top50, float64(r.Prof.NumCalled()), float64(r.NumFuncs)},
+			Values: []float64{top1, top10, top50, float64(r.CalledFuncs), float64(r.NumFuncs)},
 		})
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%s: hottest %.1f%% (paper %.1f%%), functions called %d of %d in this scaled-down run (paper: %d called over a full-length simulation)",
-			cpu, top1, paperHottest[cpu], r.Prof.NumCalled(), r.NumFuncs, paperCalled[cpu]))
+			cpu, top1, paperHottest[cpu], r.CalledFuncs, r.NumFuncs, paperCalled[cpu]))
 	}
 	res.Notes = append(res.Notes,
 		"paper: no killer function; the CDF flattens as CPU-model complexity grows")
-	_ = hottest
 	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -59,7 +59,7 @@ func runFig16(opt Options) (*Result, error) {
 		wl, cores := fig16Workloads[i/nc], counts[i%nc]
 		r, err := core.RunGuest(core.GuestConfig{
 			CPU: core.Timing, Mode: core.SE, Workload: wl, Scale: scale,
-			Cores: cores, Seed: core.DeriveSeed("fig16", i),
+			Cores: cores,
 		})
 		if err != nil {
 			return cell{}, fmt.Errorf("fig16 %s cores=%d: %w", wl, cores, err)

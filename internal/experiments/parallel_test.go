@@ -83,21 +83,6 @@ func TestRunManyOrder(t *testing.T) {
 	}
 }
 
-// TestDeriveSeedStable pins the seed-derivation contract: seeds depend only
-// on (experiment id, cell index), are positive, and differ across cells.
-func TestDeriveSeedStable(t *testing.T) {
-	a := core.DeriveSeed("fig02", 3)
-	if a != core.DeriveSeed("fig02", 3) {
-		t.Fatal("seed not stable")
-	}
-	if a <= 0 {
-		t.Fatalf("seed %d not positive", a)
-	}
-	if a == core.DeriveSeed("fig02", 4) || a == core.DeriveSeed("fig03", 3) {
-		t.Fatal("seed collision across cells")
-	}
-}
-
 // renderWithJobs regenerates one experiment from a cold cache under the
 // given worker count and returns the rendered report.
 func renderWithJobs(t *testing.T, id string, jobs int) string {

@@ -18,11 +18,11 @@ import (
 // the host machine it may be handed was somebody else's and is reset
 // completely (core's construction stores, DESIGN §20). So each result is a
 // pure function of its cell's config, whatever ran before it on whichever
-// worker; determinism comes from collecting results by cell index (per-run
-// seeds derive from (experiment id, cell index), core.DeriveSeed, never
-// from a shared RNG — though no model consumes them today). A parallel
-// schedule is therefore bit-identical to the sequential one: `-j 8` renders
-// the same bytes as `-j 1`.
+// worker; determinism comes from collecting results by cell index. No cell
+// sets core.GuestConfig.Seed: the result does not depend on it, and the
+// field stays only because bench/ sets it. A parallel schedule is therefore
+// bit-identical to the sequential one: `-j 8` renders the same bytes as
+// `-j 1`.
 type Runner struct {
 	workers int
 	sem     chan struct{}

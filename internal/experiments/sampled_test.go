@@ -23,8 +23,8 @@ import (
 // sampledErrorCells is a cross-figure slice of the sweep cells that run
 // sampled under -simpoint: a CPU-model x page-mode spread from fig10, the
 // build-size pairs from fig12, and the frequency endpoints (plus the
-// normalization base) from fig13. Seeds reproduce each cell's position in
-// its figure, so the measurement matches what the figures actually run.
+// normalization base) from fig13. Each cell is built the way its figure
+// builds it, so the measurement matches what the figures actually run.
 func sampledErrorCells() []struct {
 	name string
 	sc   core.SessionConfig
@@ -36,30 +36,26 @@ func sampledErrorCells() []struct {
 	opt := Options{Quick: true}
 	var cells []cell
 
-	// fig10 grid: cell i = cpu*len(modes) + mode.
+	// fig10 grid: CPU model x page mode.
 	modes := []uarch.HugePageMode{uarch.PagesBase, uarch.PagesTHP, uarch.PagesEHP}
 	for _, pick := range []struct {
 		cpu  int
 		mode int
 	}{{0, 0}, {1, 1}, {2, 2}, {3, 0}, {3, 1}} {
 		cpu := core.AllCPUModels[pick.cpu]
-		i := pick.cpu*len(modes) + pick.mode
 		cells = append(cells, cell{
 			name: fmt.Sprintf("fig10/%s/mode%d", cpu, pick.mode),
-			sc:   hugePageSession(opt, cpu, modes[pick.mode], core.DeriveSeed("fig10", i)),
+			sc:   hugePageSession(opt, cpu, modes[pick.mode]),
 		})
 	}
 
-	// fig12 cells: per host, (atomic|o3) x (base|-O3 build); i follows the
-	// figure's flattening.
+	// fig12 cells: per host, (atomic|o3) x (base|-O3 build).
 	hosts := platform.TableIIPlatforms()
 	cpus := []core.CPUModel{core.Atomic, core.O3}
 	for _, pick := range []struct{ host, cpu, build int }{{0, 0, 0}, {0, 1, 1}, {1, 0, 0}} {
-		i := pick.host*4 + pick.cpu*2 + pick.build
 		sc := core.SessionConfig{
 			Guest: core.GuestConfig{CPU: cpus[pick.cpu], Mode: core.SE,
-				Workload: "water_nsquared", Scale: parsecRepScale(opt),
-				Seed: core.DeriveSeed("fig12", i)},
+				Workload: "water_nsquared", Scale: parsecRepScale(opt)},
 			Host: hosts[pick.host],
 		}
 		if pick.build == 1 {
@@ -81,8 +77,7 @@ func sampledErrorCells() []struct {
 			name: fmt.Sprintf("fig13/%.1fGHz", freqs[fi]),
 			sc: core.SessionConfig{
 				Guest: core.GuestConfig{CPU: core.Timing, Mode: core.SE,
-					Workload: "water_nsquared", Scale: parsecRepScale(opt),
-					Seed: core.DeriveSeed("fig13", fi)},
+					Workload: "water_nsquared", Scale: parsecRepScale(opt)},
 				Host: host,
 			},
 		})

@@ -100,7 +100,7 @@ func runTopdownSet(opt Options) (*tdSet, error) {
 			err = core.OnMachine(platform.IntelXeon(), func(m *uarch.Machine) { rep = p.Run(m, specBlocks) })
 			return rep, err
 		}
-		gc := core.GuestConfig{CPU: cfg.CPU, Seed: core.DeriveSeed("topdownset", i)}
+		gc := core.GuestConfig{CPU: cfg.CPU}
 		if cfg.BootExit {
 			gc.Mode = core.FS
 			gc.BootExit = true

@@ -206,14 +206,22 @@ func TestProfilerHook(t *testing.T) {
 	sink := &recordSink{}
 	m := New(DefaultConfig(), sink)
 	var enters, leaves int
+	entered := make(map[sim.FuncID]bool)
 	m.SetProfiler(profFns{
-		enter: func(fn sim.FuncID) { enters++ },
+		enter: func(fn sim.FuncID) { enters++; entered[fn] = true },
 		leave: func(fn sim.FuncID) { leaves++ },
 	})
 	fn := m.RegisterFunc("f", 2000, 0)
-	m.Call(fn)
+	for i := 0; i < 20; i++ {
+		m.Call(fn)
+	}
 	if enters == 0 || enters != leaves {
 		t.Fatalf("enter/leave = %d/%d", enters, leaves)
+	}
+	// Fig. 15's "functions called" is CalledFuncs: the distinct functions
+	// a profiler sees entered.
+	if m.CalledFuncs() != len(entered) || len(entered) < 2 {
+		t.Fatalf("CalledFuncs = %d, profiler entered %d distinct functions", m.CalledFuncs(), len(entered))
 	}
 }
 

@@ -8,14 +8,13 @@
 //
 // The package deliberately depends only on the standard library (go/ast,
 // go/types): golang.org/x/tools is not vendored here, so it provides its
-// own minimal analogue of the go/analysis Analyzer/Pass contract plus a
-// driver speaking the `go vet -vettool` unitchecker protocol (see
-// unitchecker.go) and an analysistest-style fixture loader (see the
+// own minimal analogue of the go/analysis Analyzer/Pass contract, a loader
+// that type-checks packages against the export data `go list -export`
+// builds (see load.go), and an analysistest-style fixture loader (see the
 // linttest subpackage).
 //
-// Analyzers report on production code only: files named *_test.go are
-// parsed and type-checked (the package would not compile without them) but
-// never walked for diagnostics.
+// Analyzers see production code only: a package is loaded from its
+// non-test files, so *_test.go files are never parsed.
 //
 // Suppression. A finding can be waived with a comment on the offending
 // line or the line directly above it:
@@ -32,6 +31,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"sort"
@@ -42,7 +42,7 @@ import (
 // golang.org/x/tools/go/analysis.Analyzer so the suite could migrate to
 // the real framework wholesale if the dependency ever becomes available.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
+	// Name identifies the analyzer in findings and in
 	// //lint:allow annotations.
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
@@ -51,10 +51,97 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// Diagnostic is one finding.
-type Diagnostic struct {
-	Pos     token.Pos
-	Message string
+// Finding is one diagnostic, positioned and attributed to its analyzer.
+type Finding struct {
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
+}
+
+// String renders f as a vet-style line.
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: %s [g5lint/%s]", f.File, f.Line, f.Col, f.Message, f.Analyzer)
+}
+
+// AuditEntry is one annotation with whether it waived a finding; one that
+// waived nothing is stale: the code it excused no longer trips the
+// analyzer, so the excuse (and its reason) is rot.
+type AuditEntry struct {
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Analyzer string `json:"analyzer"` // "detmap" for //lint:deterministic
+	Reason   string `json:"reason"`
+	Used     bool   `json:"used"`
+}
+
+// Package is one parsed and type-checked package.
+type Package struct {
+	Fset  *token.FileSet
+	Files []*ast.File // non-test files only
+	Types *types.Package
+	Info  *types.Info
+}
+
+// sizes is gc/amd64 regardless of host, so size contracts (e.g. the
+// 32-byte trace record) are checked the same everywhere.
+var sizes = types.SizesFor("gc", "amd64")
+
+// NewPackage parses the named files and type-checks them as package path,
+// resolving imports through imp.
+func NewPackage(fset *token.FileSet, path string, filenames []string, imp types.Importer, goVersion string) (*Package, error) {
+	files := make([]*ast.File, len(filenames))
+	for i, name := range filenames {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files[i] = f
+	}
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	tc := &types.Config{Importer: imp, Sizes: sizes, GoVersion: goVersion}
+	pkg, err := tc.Check(path, fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{Fset: fset, Files: files, Types: pkg, Info: info}, nil
+}
+
+// Run applies analyzers to pkg. It returns their findings sorted by
+// position, and every annotation in pkg with whether it waived one.
+func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, []AuditEntry, error) {
+	var found []Finding
+	used := make(map[fileLine]bool)
+	for _, a := range analyzers {
+		pass := &Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types,
+			TypesInfo: pkg.Info, Sizes: sizes, found: &found, used: used}
+		if err := a.Run(pass); err != nil {
+			return nil, nil, fmt.Errorf("%s: analyzer %s: %v", pkg.Types.Path(), a.Name, err)
+		}
+	}
+	sortFindings(found)
+	return found, auditEntries(pkg.Fset, pkg.Files, used), nil
+}
+
+func sortFindings(fs []Finding) {
+	sort.SliceStable(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return a.Col < b.Col
+	})
 }
 
 // Pass carries one package's parsed and type-checked representation
@@ -62,20 +149,20 @@ type Diagnostic struct {
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
-	Files     []*ast.File // every file of the unit, tests included
+	Files     []*ast.File // the package's non-test files
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Sizes is fixed to gc/amd64 regardless of host so size contracts
-	// (e.g. the 32-byte trace record) are checked deterministically.
-	Sizes types.Sizes
-	// Report receives every non-suppressed diagnostic.
-	Report func(Diagnostic)
-	// Audit, when non-nil, collects which suppression annotations
-	// actually fired (see SuppressionAudit). Shared across the analyzers
-	// of one unit so -suppressions can report stale entries.
-	Audit *SuppressionAudit
+	Sizes     types.Sizes // gc/amd64 on every host (see sizes)
+
+	found *[]Finding        // every non-suppressed finding of the package
+	used  map[fileLine]bool // annotations that waived a finding, across the package's passes
 
 	suppressions map[string][]suppression // filename -> entries, lazily built
+}
+
+type fileLine struct {
+	file string
+	line int
 }
 
 // suppression is one parsed //lint: annotation.
@@ -85,47 +172,9 @@ type suppression struct {
 	reason   string
 }
 
-// SuppressionAudit records, across every analyzer of one unit, which
-// //lint: annotations suppressed at least one diagnostic. Annotations
-// that never fire are stale: the code they excused no longer trips the
-// analyzer, so the excuse (and its reason) is rot.
-type SuppressionAudit struct {
-	// Used maps filename -> annotation line -> true once any analyzer
-	// was suppressed by the annotation on that line.
-	Used map[string]map[int]bool
-}
-
-// NewSuppressionAudit returns an empty audit.
-func NewSuppressionAudit() *SuppressionAudit {
-	return &SuppressionAudit{Used: make(map[string]map[int]bool)}
-}
-
-func (a *SuppressionAudit) mark(file string, line int) {
-	if a == nil {
-		return
-	}
-	m := a.Used[file]
-	if m == nil {
-		m = make(map[int]bool)
-		a.Used[file] = m
-	}
-	m[line] = true
-}
-
-// AuditEntry is one annotation with its fired/stale status, as reported
-// by CollectSuppressions.
-type AuditEntry struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"` // "detmap" for //lint:deterministic
-	Reason   string `json:"reason"`
-	Used     bool   `json:"used"`
-}
-
-// CollectSuppressions lists every annotation in the files with whether it
-// suppressed anything in this audit, sorted by file then line. fset must
-// be the FileSet the files were parsed with.
-func (a *SuppressionAudit) CollectSuppressions(fset *token.FileSet, files []*ast.File) []AuditEntry {
+// auditEntries lists every annotation in files with whether it is in
+// used, sorted by file then line.
+func auditEntries(fset *token.FileSet, files []*ast.File, used map[fileLine]bool) []AuditEntry {
 	var out []AuditEntry
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -144,32 +193,22 @@ func (a *SuppressionAudit) CollectSuppressions(fset *token.FileSet, files []*ast
 					Line:     posn.Line,
 					Analyzer: name,
 					Reason:   s.reason,
-					Used:     a.Used[posn.Filename][posn.Line],
+					Used:     used[fileLine{posn.Filename, posn.Line}],
 				})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
+	sortAudit(out)
 	return out
 }
 
-// SourceFiles returns the files analyzers should walk: every file of the
-// package except *_test.go files.
-func (p *Pass) SourceFiles() []*ast.File {
-	out := make([]*ast.File, 0, len(p.Files))
-	for _, f := range p.Files {
-		name := p.Fset.Position(f.Package).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
+func sortAudit(es []AuditEntry) {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].File != es[j].File {
+			return es[i].File < es[j].File
 		}
-		out = append(out, f)
-	}
-	return out
+		return es[i].Line < es[j].Line
+	})
 }
 
 // Reportf reports a finding at pos unless a suppression annotation covers
@@ -186,7 +225,13 @@ func (p *Pass) reportf(pos token.Pos, deterministic bool, format string, args ..
 	if p.suppressed(pos, deterministic) {
 		return
 	}
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.report(pos, fmt.Sprintf(format, args...))
+}
+
+func (p *Pass) report(pos token.Pos, msg string) {
+	posn := p.Fset.Position(pos)
+	*p.found = append(*p.found, Finding{File: posn.Filename, Line: posn.Line, Col: posn.Column,
+		Analyzer: p.Analyzer.Name, Message: msg})
 }
 
 // suppressed reports whether a //lint: annotation on the diagnostic's line
@@ -203,11 +248,11 @@ func (p *Pass) suppressed(pos token.Pos, deterministic bool) bool {
 		}
 		switch s.analyzer {
 		case p.Analyzer.Name:
-			p.Audit.mark(posn.Filename, s.line)
+			p.used[fileLine{posn.Filename, s.line}] = true
 			return true
 		case "":
 			if deterministic && p.Analyzer.Name == "detmap" {
-				p.Audit.mark(posn.Filename, s.line)
+				p.used[fileLine{posn.Filename, s.line}] = true
 				return true
 			}
 		}
@@ -229,8 +274,7 @@ func (p *Pass) buildSuppressions() {
 				if s.reason == "" {
 					// A bare annotation documents nothing; make the
 					// missing reason itself a finding (not suppressible).
-					p.Report(Diagnostic{Pos: c.Pos(),
-						Message: "lint annotation without a reason; write //lint:" + annotationVerb(s) + " <why this is safe>"})
+					p.report(c.Pos(), "lint annotation without a reason; write //lint:"+annotationVerb(s)+" <why this is safe>")
 					continue
 				}
 				p.suppressions[posn.Filename] = append(p.suppressions[posn.Filename], s)
@@ -267,10 +311,10 @@ func parseAnnotation(text string) (suppression, bool) {
 	return suppression{}, false
 }
 
-// inspect walks every node of every non-test file, calling fn; fn
-// returning false prunes the subtree.
+// inspect walks every node of every file, calling fn; fn returning false
+// prunes the subtree.
 func inspect(p *Pass, fn func(ast.Node) bool) {
-	for _, f := range p.SourceFiles() {
+	for _, f := range p.Files {
 		ast.Inspect(f, fn)
 	}
 }

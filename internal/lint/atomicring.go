@@ -72,7 +72,7 @@ func checkMixedAccess(pass *Pass) {
 		return
 	}
 
-	for _, file := range pass.SourceFiles() {
+	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || isConstructor(fd) {

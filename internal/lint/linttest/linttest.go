@@ -1,19 +1,19 @@
 // Package linttest is a minimal analogue of
 // golang.org/x/tools/go/analysis/analysistest (which is not importable
 // here): it loads fixture packages from testdata/src/<importpath>, runs
-// one lint.Analyzer over each, and compares the diagnostics against
-// `// want "regexp"` comments in the fixture sources.
+// one lint.Analyzer over each through lint.Run, and compares the findings
+// against `// want "regexp"` comments in the fixture sources.
 //
 // Expectations. A comment of the form
 //
 //	// want "regexp" `another regexp`
 //
-// demands one diagnostic per quoted pattern on the comment's own line. A
+// demands one finding per quoted pattern on the comment's own line. A
 // signed offset applies the expectation to a nearby line instead:
 //
 //	// want+1 "lint annotation without a reason"
 //
-// is satisfied by a diagnostic on the next line (needed when the flagged
+// is satisfied by a finding on the next line (needed when the flagged
 // line is itself a comment, which cannot carry a second comment). A
 // fixture package containing no want comments asserts the analyzer stays
 // silent on it.
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -44,8 +43,8 @@ import (
 
 // Run loads each fixture package rooted at testdata/src/<path> (relative
 // to the calling test's working directory), applies the analyzer, and
-// reports every mismatch between actual diagnostics and want comments as
-// a test error.
+// reports every mismatch between actual findings and want comments as a
+// test error.
 func Run(t *testing.T, a *lint.Analyzer, paths ...string) {
 	t.Helper()
 	l := newLoader(t)
@@ -54,24 +53,19 @@ func Run(t *testing.T, a *lint.Analyzer, paths ...string) {
 		if err != nil {
 			t.Fatalf("%s: load fixture: %v", path, err)
 		}
-		checkPackage(t, l, a, pkg)
+		found, _, err := lint.Run(pkg, []*lint.Analyzer{a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFindings(t, pkg, found)
 	}
-}
-
-// loadedPkg is one type-checked fixture package.
-type loadedPkg struct {
-	path  string
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
 }
 
 // loader resolves fixture and stdlib imports, memoized, over one FileSet.
 type loader struct {
-	t    *testing.T
 	fset *token.FileSet
 	root string // testdata/src
-	pkgs map[string]*loadedPkg
+	pkgs map[string]*lint.Package
 	std  types.Importer
 }
 
@@ -82,10 +76,9 @@ func newLoader(t *testing.T) *loader {
 	}
 	fset := token.NewFileSet()
 	return &loader{
-		t:    t,
 		fset: fset,
 		root: root,
-		pkgs: make(map[string]*loadedPkg),
+		pkgs: make(map[string]*lint.Package),
 		std:  importer.ForCompiler(fset, "source", nil),
 	}
 }
@@ -101,13 +94,13 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.pkg, nil
+		return p.Types, nil
 	}
 	return l.std.Import(path)
 }
 
-// load parses and type-checks one fixture package.
-func (l *loader) load(path string) (*loadedPkg, error) {
+// load parses and type-checks one fixture package from its non-test files.
+func (l *loader) load(path string) (*lint.Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
@@ -116,79 +109,43 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
+	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+			names = append(names, filepath.Join(dir, e.Name()))
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
 	}
-	if len(files) == 0 {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	tc := &types.Config{
-		Importer: l,
-		// Fixed sizes match the driver (unitchecker.go), so size-sensitive
-		// fixtures (the 32-byte record) behave the same on every host.
-		Sizes: types.SizesFor("gc", "amd64"),
-	}
-	pkg, err := tc.Check(path, l.fset, files, info)
+	p, err := lint.NewPackage(l.fset, path, names, l, "")
 	if err != nil {
 		return nil, err
 	}
-	p := &loadedPkg{path: path, pkg: pkg, files: files, info: info}
 	l.pkgs[path] = p
 	return p, nil
 }
 
-// checkPackage runs the analyzer and diffs diagnostics against wants.
-func checkPackage(t *testing.T, l *loader, a *lint.Analyzer, p *loadedPkg) {
+// checkFindings diffs an analyzer's findings against the want comments.
+func checkFindings(t *testing.T, p *lint.Package, found []lint.Finding) {
 	t.Helper()
-	fset := l.fset
-	var diags []lint.Diagnostic
-	pass := &lint.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     p.files,
-		Pkg:       p.pkg,
-		TypesInfo: p.info,
-		Sizes:     types.SizesFor("gc", "amd64"),
-		Report:    func(d lint.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %s: %v", p.path, a.Name, err)
-	}
-
-	exps := expectations(t, fset, p.files)
-	for _, d := range diags {
-		posn := fset.Position(d.Pos)
+	exps := expectations(t, p.Fset, p.Files)
+	for _, f := range found {
 		matched := false
 		for _, e := range exps {
-			if !e.used && e.file == posn.Filename && e.line == posn.Line && e.re.MatchString(d.Message) {
+			if !e.used && e.file == f.File && e.line == f.Line && e.re.MatchString(f.Message) {
 				e.used = true
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic: %s", posn, d.Message)
+			t.Errorf("%s:%d:%d: unexpected finding: %s", f.File, f.Line, f.Col, f.Message)
 		}
 	}
 	for _, e := range exps {
 		if !e.used {
-			t.Errorf("%s:%d: no diagnostic matching %q", e.file, e.line, e.text)
+			t.Errorf("%s:%d: no finding matching %q", e.file, e.line, e.text)
 		}
 	}
 }

@@ -44,7 +44,7 @@ var PastSched = &Analyzer{
 }
 
 func runPastSched(pass *Pass) error {
-	for _, file := range pass.SourceFiles() {
+	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if ok && fd.Body != nil {

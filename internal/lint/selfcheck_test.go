@@ -1,47 +1,37 @@
 package lint_test
 
 import (
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"gem5prof/internal/lint"
 )
 
-// TestSelfApplication is the acceptance bar of the suite: g5lint, run as
-// a vet tool over this repository, must be clean — all seven analyzers.
-// Every real violation has been fixed and every benign one carries a
-// reasoned annotation; a regression in either direction fails here. The
-// suppression audit runs too: an annotation whose diagnostic no longer
-// fires is dead weight that would silently excuse a future, different bug
-// at the same line. The audit exits 2 if the vet run under it failed for
-// any other reason, so a tree that does not build cannot audit clean.
+// TestSelfApplication is the acceptance bar of the suite: g5lint over this
+// repository must be clean — all seven analyzers. Every real violation has
+// been fixed and every benign one carries a reasoned annotation; a
+// regression in either direction fails here. The suppression audit is
+// checked too: an annotation whose finding no longer fires is dead weight
+// that would silently excuse a future, different bug at the same line. A
+// package that does not load fails the test, so a tree that does not build
+// cannot audit clean.
 func TestSelfApplication(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and vets the whole module")
+		t.Skip("loads and type-checks the whole module")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
+	rep, err := lint.Check(filepath.Join("..", ".."), []string{"./..."}, lint.All())
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("loading the module: %v", err)
 	}
-	tool := filepath.Join(t.TempDir(), "g5lint")
-	build := exec.Command("go", "build", "-o", tool, "./cmd/g5lint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building g5lint: %v\n%s", err, out)
+	for _, f := range rep.Findings {
+		t.Errorf("finding: %s", f)
 	}
-	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
-	vet.Dir = root
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Errorf("go vet -vettool=g5lint ./... is not clean: %v\n%s", err, out)
+	for _, e := range rep.Suppressions {
+		if !e.Used {
+			t.Errorf("stale annotation %s:%d (%s): %s", e.File, e.Line, e.Analyzer, e.Reason)
+		}
 	}
-
-	audit := exec.Command(tool, "-suppressions", "./...")
-	audit.Dir = root
-	out, err := audit.CombinedOutput()
-	if err != nil {
-		t.Errorf("g5lint -suppressions ./... found stale annotations: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), ", 0 stale") {
-		t.Errorf("suppression audit did not report zero stale:\n%s", out)
+	if len(rep.Suppressions) != 15 {
+		t.Errorf("the module carries %d annotations, want 15", len(rep.Suppressions))
 	}
 }

@@ -66,7 +66,7 @@ func runShardPost(pass *Pass) error {
 	}
 	inSim := pass.Pkg.Path() == "gem5prof/internal/sim" ||
 		strings.HasSuffix(pass.Pkg.Path(), "/internal/sim")
-	for _, file := range pass.SourceFiles() {
+	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:

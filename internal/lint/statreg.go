@@ -46,7 +46,7 @@ var registryMethods = map[string]bool{
 }
 
 func runStatReg(pass *Pass) error {
-	for _, file := range pass.SourceFiles() {
+	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if ok && fd.Body != nil {

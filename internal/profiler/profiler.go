@@ -30,28 +30,28 @@ type frame struct {
 }
 
 // Profiler accumulates exclusive cycles per function. It implements
-// hostmodel.Profiler.
+// hostmodel.Profiler. Function IDs are dense from 0, so the per-function
+// account is two slices indexed by ID.
 type Profiler struct {
 	src   CycleSource
 	names NameSource
 
 	stack []frame
-	self  map[sim.FuncID]float64
-	calls map[sim.FuncID]uint64
+	self  []float64
+	calls []uint64
 }
 
 // New builds a profiler reading cycles from src.
 func New(src CycleSource, names NameSource) *Profiler {
-	return &Profiler{
-		src:   src,
-		names: names,
-		self:  make(map[sim.FuncID]float64),
-		calls: make(map[sim.FuncID]uint64),
-	}
+	return &Profiler{src: src, names: names}
 }
 
 // Enter implements hostmodel.Profiler.
 func (p *Profiler) Enter(fn sim.FuncID) {
+	if n := int(fn) + 1 - len(p.calls); n > 0 {
+		p.calls = append(p.calls, make([]uint64, n)...)
+		p.self = append(p.self, make([]float64, n)...)
+	}
 	p.calls[fn]++
 	p.stack = append(p.stack, frame{fn: fn, enter: p.src.Cycles()})
 }
@@ -88,32 +88,16 @@ type Entry struct {
 	Frac   float64 // share of all attributed cycles
 }
 
-// sortedFns returns the profiled function IDs in ascending order. Every
-// aggregation below iterates in this order: float64 addition does not
-// commute, so summing in map order would make TotalCycles — and through
-// it every Frac — differ between same-seed runs.
-func (p *Profiler) sortedFns() []sim.FuncID {
-	fns := make([]sim.FuncID, 0, len(p.self))
-	//lint:deterministic keys are sorted before use
-	for fn := range p.self {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i] < fns[j] })
-	return fns
-}
-
-// TotalCycles returns the sum of attributed exclusive cycles.
+// TotalCycles returns the sum of attributed exclusive cycles, added in
+// ascending function-ID order: float64 addition does not commute, so the
+// order is part of the result (and of every Frac).
 func (p *Profiler) TotalCycles() float64 {
 	var t float64
-	for _, fn := range p.sortedFns() {
-		t += p.self[fn]
+	for _, cyc := range p.self {
+		t += cyc
 	}
 	return t
 }
-
-// NumCalled returns how many distinct functions executed (the paper's
-// Fig. 15 "functions called" count).
-func (p *Profiler) NumCalled() int { return len(p.calls) }
 
 // Top returns the n hottest functions by exclusive cycles.
 func (p *Profiler) Top(n int) []Entry {
@@ -122,8 +106,11 @@ func (p *Profiler) Top(n int) []Entry {
 		total = 1
 	}
 	out := make([]Entry, 0, len(p.self))
-	for _, fn := range p.sortedFns() {
-		cyc := p.self[fn]
+	for i, cyc := range p.self {
+		if p.calls[i] == 0 {
+			continue
+		}
+		fn := sim.FuncID(i)
 		name := fmt.Sprintf("fn%d", fn)
 		if p.names != nil {
 			name = p.names.FuncName(fn)

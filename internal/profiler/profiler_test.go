@@ -44,9 +44,6 @@ func TestExclusiveAttribution(t *testing.T) {
 	if p.TotalCycles() != 45 {
 		t.Fatalf("total = %v", p.TotalCycles())
 	}
-	if p.NumCalled() != 2 {
-		t.Fatalf("called = %d", p.NumCalled())
-	}
 }
 
 func TestCDFMonotoneAndBounded(t *testing.T) {
