@@ -154,6 +154,15 @@ const ShardSerial = core.ShardSerial
 // modeled host platform.
 func RunSession(cfg SessionConfig) (*SessionResult, error) { return core.RunSession(cfg) }
 
+// RunSessions runs one guest on several hosts that differ only in scalars
+// (clock, latencies, widths, page backing), returning one result per host,
+// each what RunSession of that host returns (DESIGN.md §21).
+func RunSessions(cfgs []SessionConfig) ([]*SessionResult, error) { return core.RunSessions(cfgs) }
+
+// SweepError is how RunSessions and RunSampledSweep reject hosts that
+// cannot share one guest.
+type SweepError = core.SweepError
+
 // SimPoint-style sampled simulation (profile on the Atomic model, simulate
 // only one representative interval per program phase on the target model,
 // extrapolate by cluster weight; see DESIGN.md §12).
@@ -168,6 +177,9 @@ type (
 
 // RunSampled runs one co-simulation in sampled mode.
 var RunSampled = simpoint.RunSampled
+
+// RunSampledSweep is RunSampled over the hosts of one RunSessions sweep.
+var RunSampledSweep = simpoint.RunSampledSweep
 
 // Host platforms (paper Table II and Table I).
 var (

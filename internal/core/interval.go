@@ -62,10 +62,12 @@ func (g *GuestSystem) RunInsts(budget uint64) (*GuestResult, error) {
 	return g.finish(g.Sys.Run(sim.MaxTick, 0))
 }
 
-// IntervalResult is one measured interval of a sampled co-simulation.
+// IntervalResult is one measured interval of a sampled co-simulation, on
+// one host of the runner's sweep.
 type IntervalResult struct {
 	// Session carries the full session state (guest result, host report)
-	// for callers that want more than the headline numbers. Its Host
+	// of this lane, for callers that want more than the headline numbers:
+	// one per lane, sharing the window's read-only GuestResult. Its Host
 	// report covers warmup and the measured window together — cumulative
 	// across windows when the IntervalRunner's machine is reused; Seconds
 	// below covers this window alone.
@@ -88,27 +90,30 @@ type IntervalResult struct {
 	Completed bool
 }
 
-// IntervalRunner measures successive interval sessions of one sweep cell
-// on a single persistent host machine. Each Run builds a fresh guest
-// (restored from its checkpoint), but the modeled machine — caches, TLBs,
-// predictors, clock — carries over from the previous Run, the way it would
-// across the same instructions of one long full run. Without this, every
-// measured window pays the machine's full cold start, which no affordable
-// per-window warmup can absorb. The machine and the simulator binary come
-// from the same stores every session draws on (stores.go); the runner just
-// keeps its machine, unreset, from window to window and rewinds its code
-// model over the layout it already follows. Runs are serial by
-// construction; a runner must not be shared across goroutines. Close it
-// when the last window has been measured.
+// IntervalRunner measures successive interval sessions of one sweep on a
+// single persistent host machine, one lane per host. Each Run builds a fresh
+// guest (restored from its checkpoint), but the modeled machine — caches,
+// TLBs, predictors, clocks — carries over from the previous Run, the way it
+// would across the same instructions of one long full run. Without this,
+// every measured window pays the machine's full cold start, which no
+// affordable per-window warmup can absorb. The machine and the simulator
+// binary come from the same stores every session draws on (stores.go); the
+// runner just keeps its machine, unreset, from window to window and rewinds
+// its code model over the layout it already follows. The sweep is what
+// RunSessions accepts, and each lane's windows are bit for bit what a
+// runner of that host alone measures. Runs are serial by construction; a
+// runner must not be shared across goroutines. Close it when the last
+// window has been measured.
 type IntervalRunner struct {
-	cfg SessionConfig
-	cs  *cosim
+	cfgs []SessionConfig
+	cs   *cosim
 }
 
-// NewIntervalRunner returns a runner for one session configuration. The
-// host machine is drawn on the first Run and kept until Close.
-func NewIntervalRunner(cfg SessionConfig) *IntervalRunner {
-	return &IntervalRunner{cfg: cfg}
+// NewIntervalRunner returns a runner for one sweep of session
+// configurations. The host machine is drawn on the first Run and kept until
+// Close.
+func NewIntervalRunner(cfgs []SessionConfig) *IntervalRunner {
+	return &IntervalRunner{cfgs: cfgs}
 }
 
 // Close gives the runner's machine back for other sessions to reuse. Every
@@ -132,21 +137,22 @@ func (r *IntervalRunner) Close() {
 // should use one IntervalRunner instead so the machine stays warm across
 // windows.
 func RunIntervalSession(cfg SessionConfig, ck *Checkpoint, warmup, budget uint64) (*IntervalResult, error) {
-	r := NewIntervalRunner(cfg)
+	r := NewIntervalRunner([]SessionConfig{cfg})
 	defer r.Close()
-	return r.Run(ck, warmup, budget)
+	res, err := r.Run(ck, warmup, budget)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
-// Run measures one interval window; see RunIntervalSession.
+// Run measures one interval window on every host of the sweep and returns
+// one result per host, in order; see RunIntervalSession.
 //
 // Interval sessions always run serially (never pipelined, never sharded;
 // see newExecPlan). The function profiler is rejected outright because its
 // reports would mix warmup with measurement.
-func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) (*IntervalResult, error) {
-	cfg := r.cfg
-	if cfg.Profile {
-		return nil, fmt.Errorf("core: interval sessions do not support the function profiler")
-	}
+func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) ([]*IntervalResult, error) {
 	if budget == 0 {
 		return nil, fmt.Errorf("core: interval budget must be positive")
 	}
@@ -155,7 +161,7 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) (*IntervalRe
 		return nil, fmt.Errorf("core: warmup %d + budget %d overflows", warmup, budget)
 	}
 	if r.cs == nil {
-		cs, err := newCosim(cfg, newExecPlan(cfg, true))
+		cs, err := newCosim(r.cfgs, true)
 		if err != nil {
 			return nil, err
 		}
@@ -166,21 +172,25 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) (*IntervalRe
 		r.cs.cm.ResetRun()
 	}
 	cs := r.cs
-	if err := cs.build(cfg.Guest, ck); err != nil {
+	if err := cs.build(r.cfgs[0].Guest, ck); err != nil {
 		return nil, err
 	}
 	g := cs.guest
+	lanes := cs.machine.Lanes()
 
 	// Clock-read boundaries: the warmup→measure edge, plus interior marks
-	// at thirds of the budget that delimit the sub-windows.
+	// at thirds of the budget that delimit the sub-windows. Every lane's
+	// clock is read at each, into times[mark*lanes+lane].
 	bounds := []uint64{warmup}
 	if sub := budget / 3; sub > 0 {
 		bounds = append(bounds, warmup+sub, warmup+2*sub)
 	}
-	times := make([]float64, len(bounds))
+	times := make([]float64, len(bounds)*lanes)
 	reached := 0
 	markAt := func(i int) {
-		times[i] = cs.machine.TimeSeconds()
+		for l := 0; l < lanes; l++ {
+			times[i*lanes+l] = cs.machine.LaneTimeSeconds(l)
+		}
 		reached = i + 1
 	}
 	hookBounds, off := bounds, 0
@@ -198,23 +208,29 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) (*IntervalRe
 		return nil, fmt.Errorf("core: workload exited after %d instructions, before the measured window (warmup %d)",
 			executed, warmup)
 	}
-	end := cs.machine.TimeSeconds()
-	var subSecs []float64
-	var subInsts []uint64
-	for i := 1; i < reached; i++ {
-		subSecs = append(subSecs, times[i]-times[i-1])
-		subInsts = append(subInsts, bounds[i]-bounds[i-1])
+	sessions := cs.results(gres)
+	out := make([]*IntervalResult, lanes)
+	for l := range out {
+		at := func(i int) float64 { return times[i*lanes+l] }
+		end := cs.machine.LaneTimeSeconds(l)
+		var subSecs []float64
+		var subInsts []uint64
+		for i := 1; i < reached; i++ {
+			subSecs = append(subSecs, at(i)-at(i-1))
+			subInsts = append(subInsts, bounds[i]-bounds[i-1])
+		}
+		if executed > bounds[reached-1] { // close the final (possibly partial) sub-window
+			subSecs = append(subSecs, end-at(reached-1))
+			subInsts = append(subInsts, executed-bounds[reached-1])
+		}
+		out[l] = &IntervalResult{
+			Session:    sessions[l],
+			Seconds:    end - at(0),
+			Insts:      executed - warmup,
+			SubSeconds: subSecs,
+			SubInsts:   subInsts,
+			Completed:  gres.ExitReason == InstBudgetReason,
+		}
 	}
-	if executed > bounds[reached-1] { // close the final (possibly partial) sub-window
-		subSecs = append(subSecs, end-times[reached-1])
-		subInsts = append(subInsts, executed-bounds[reached-1])
-	}
-	return &IntervalResult{
-		Session:    cs.result(gres),
-		Seconds:    end - times[0],
-		Insts:      executed - warmup,
-		SubSeconds: subSecs,
-		SubInsts:   subInsts,
-		Completed:  gres.ExitReason == InstBudgetReason,
-	}, nil
+	return out, nil
 }

@@ -89,7 +89,9 @@ type SessionConfig struct {
 
 // SessionResult is one completed co-simulation.
 type SessionResult struct {
-	// Guest is the guest-side result (simulated ticks, instructions).
+	// Guest is the guest-side result (simulated ticks, instructions). The
+	// results of one RunSessions call share it, since their hosts ran one
+	// guest: it is read-only.
 	Guest *GuestResult
 	// Host is the host machine's profile; Host.TimeSeconds is the paper's
 	// "simulation time (host seconds)" metric.
@@ -109,9 +111,10 @@ type SessionResult struct {
 func (r *SessionResult) SimSeconds() float64 { return r.Host.TimeSeconds }
 
 // cosim bundles the host side of one co-simulation — the modeled machine,
-// the synthetic simulator binary, and (when pipelined) the ring stages —
-// together with the guest it traces. RunSession and IntervalRunner share
-// this assembly; only how (and how much of) the guest runs differs.
+// one lane per host of the sweep, the synthetic simulator binary, and (when
+// pipelined) the ring stages — together with the guest it traces.
+// RunSessions and IntervalRunner share this assembly; only how (and how much
+// of) the guest runs differs.
 type cosim struct {
 	plan     ExecPlan
 	machine  *uarch.Machine
@@ -123,26 +126,24 @@ type cosim struct {
 	guest    *GuestSystem
 }
 
-// newCosim assembles the host side of a session under plan: a machine drawn
-// from the machines store and reset for the (contended) host, and a code
-// model that follows the published layouts of the normalised HostCode. Both
-// configs are validated before anything is looked up or allocated, so a bad
-// one is an error here and not a panic out of a constructor. The caller
-// builds a guest onto the result (build) and releases it when done.
-func newCosim(cfg SessionConfig, plan ExecPlan) (*cosim, error) {
-	// The host is checked before Contend divides by its geometry and after,
-	// because what Contend returns is what gets built.
-	if err := cfg.Host.Validate(); err != nil {
-		return nil, fmt.Errorf("core: host: %w", err)
+// newCosim assembles the host side of a sweep, for an IntervalRunner when
+// interval is set: a machine drawn from the machines store and reset for
+// the (contended) hosts, one lane each, and a code model that follows the
+// published layouts of the normalised HostCode. The sweep is checked
+// (sweepHosts) before anything is looked up or allocated, so a bad config
+// is an error here and not a panic out of a constructor. The caller builds
+// a guest onto the result (build) and releases it when done.
+func newCosim(cfgs []SessionConfig, interval bool) (*cosim, error) {
+	hosts, err := sweepHosts(cfgs)
+	if err != nil {
+		return nil, err
 	}
-	host := platform.Contend(cfg.Host, cfg.Scenario)
-	if err := host.Validate(); err != nil {
-		return nil, fmt.Errorf("core: host: %w", err)
+	cfg := cfgs[0]
+	if interval && cfg.Profile {
+		return nil, fmt.Errorf("core: interval sessions do not support the function profiler")
 	}
-	if err := cfg.HostCode.Validate(); err != nil {
-		return nil, fmt.Errorf("core: host code: %w", err)
-	}
-	machine := acquireMachine(host)
+	plan := newExecPlan(cfg, interval)
+	machine := acquireMachine(hosts...)
 	cs := &cosim{plan: plan, machine: machine, hostCode: cfg.HostCode.Normalized()}
 
 	// Pipelined mode interposes a batch encoder between the code model and
@@ -234,44 +235,64 @@ func (cs *cosim) run(runGuest func() (*GuestResult, error)) (gres *GuestResult, 
 	return gres, err
 }
 
-// result assembles the SessionResult for a completed run.
-func (cs *cosim) result(gres *GuestResult) *SessionResult {
-	return &SessionResult{
-		Guest:       gres,
-		Host:        cs.machine.Report(),
-		Prof:        cs.prof,
-		TextBytes:   cs.cm.TextBytes(),
-		NumFuncs:    cs.cm.NumFuncs(),
-		CalledFuncs: cs.cm.CalledFuncs(),
-		Plan:        cs.plan,
+// results assembles one SessionResult per host for a completed run, in
+// sweep order. They share gres.
+func (cs *cosim) results(gres *GuestResult) []*SessionResult {
+	out := make([]*SessionResult, cs.machine.Lanes())
+	for i := range out {
+		out[i] = &SessionResult{
+			Guest:       gres,
+			Host:        cs.machine.LaneReport(i),
+			Prof:        cs.prof,
+			TextBytes:   cs.cm.TextBytes(),
+			NumFuncs:    cs.cm.NumFuncs(),
+			CalledFuncs: cs.cm.CalledFuncs(),
+			Plan:        cs.plan,
+		}
 	}
+	return out
 }
 
-// RunSession builds and runs one co-simulation.
-//
-// RunSession is safe for concurrent use, and its result is a pure function
-// of cfg. A call constructs its own guest system, and the package-level
-// state it reads (workload registry, platform tables, SPEC profiles) is
-// immutable after init; what it takes from the construction stores
-// (stores.go) — a layout it verifies call by call, a machine it resets
-// completely, an image it copies from — cannot carry anything from one
-// session into another. The parallel experiment runner relies on this. In
-// pipelined mode each session adds one consumer goroutine for the duration
-// of its run, and a sharded guest adds one shard worker plus one trace
-// replayer, so a harness admitting Jobs concurrent sessions runs at most
-// Jobs x (1 + pipeline + 2 x sharded) simulation goroutines.
+// RunSession builds and runs one co-simulation: RunSessions of one.
 func RunSession(cfg SessionConfig) (*SessionResult, error) {
-	cs, err := newCosim(cfg, newExecPlan(cfg, false))
+	res, err := RunSessions([]SessionConfig{cfg})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// RunSessions co-simulates one guest on several hosts and returns one
+// result per host, in order. The members must differ in nothing but Host,
+// and their contended hosts must share uarch.Sizes (SweepError otherwise):
+// then the guest, its trace and the caches, uop cache and predictor it
+// drives are simulated once, and each host is a lane of one machine whose
+// report is bit for bit what RunSession of that member alone returns
+// (DESIGN §21). The results share one read-only GuestResult.
+//
+// RunSessions is safe for concurrent use, and its results are a pure
+// function of cfgs. A call constructs its own guest system, and the
+// package-level state it reads (workload registry, platform tables, SPEC
+// profiles) is immutable after init; what it takes from the construction
+// stores (stores.go) — a layout it verifies call by call, a machine it
+// resets completely, an image it copies from — cannot carry anything from
+// one session into another. The parallel experiment runner relies on this.
+// In pipelined mode each call adds one consumer goroutine for the duration
+// of its run, and a sharded guest adds one shard worker plus one trace
+// replayer, so a harness admitting Jobs concurrent calls runs at most
+// Jobs x (1 + pipeline + 2 x sharded) simulation goroutines.
+func RunSessions(cfgs []SessionConfig) ([]*SessionResult, error) {
+	cs, err := newCosim(cfgs, false)
 	if err != nil {
 		return nil, err
 	}
 	defer cs.release()
-	if err := cs.build(cfg.Guest, nil); err != nil {
+	if err := cs.build(cfgs[0].Guest, nil); err != nil {
 		return nil, err
 	}
 	gres, err := cs.run(cs.guest.Run)
 	if err != nil {
 		return nil, err
 	}
-	return cs.result(gres), nil
+	return cs.results(gres), nil
 }

@@ -20,8 +20,9 @@ import (
 //     none of them recorded, so the real key is that config plus the
 //     verified sequence itself.
 //   - machines: idle uarch.Machines under their structure sizes. A session
-//     takes one and Resets it for its own config; it comes back once the
-//     session's Report has been extracted.
+//     takes one and Resets it for its own hosts, one lane each; it comes
+//     back, with every lane it was ever given, once the session's Reports
+//     have been extracted, so a repeated sweep allocates no lane.
 //   - images: assembled guest programs under (workload, scale), read-only
 //     after isa.Assemble; guest.Memory.Load copies out of them.
 //
@@ -124,14 +125,15 @@ func (s *store[K, V]) put(key K, val V, same func(V) bool) {
 	s.ents[0] = storeEntry[K, V]{key, val}
 }
 
-// acquireMachine returns a machine armed for cfg, which must validate: an
-// idle one of cfg's structure sizes, reset, or a new one.
-func acquireMachine(cfg uarch.Config) *uarch.Machine {
-	if m, ok := machines.take(cfg.Sizes()); ok {
-		m.Reset(cfg)
+// acquireMachine returns a machine armed for hosts, one lane each, which
+// must validate and share their structure sizes: an idle one of those
+// sizes, reset, or a new one.
+func acquireMachine(hosts ...uarch.Config) *uarch.Machine {
+	if m, ok := machines.take(hosts[0].Sizes()); ok {
+		m.Reset(hosts...)
 		return m
 	}
-	return uarch.NewMachine(cfg)
+	return uarch.NewLanes(hosts...)
 }
 
 // releaseMachine hands a machine nobody reads any more back for reuse.

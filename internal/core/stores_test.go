@@ -395,12 +395,19 @@ func TestIntervalRunnerClose(t *testing.T) {
 		Host:  platform.IntelXeon(),
 	}
 	core.DropStores()
-	r := core.NewIntervalRunner(sc)
-	first, err := r.Run(nil, 100, 600)
+	r := core.NewIntervalRunner([]core.SessionConfig{sc})
+	run := func() (*core.IntervalResult, error) {
+		res, err := r.Run(nil, 100, 600)
+		if err != nil {
+			return nil, err
+		}
+		return res[0], nil
+	}
+	first, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := r.Run(nil, 100, 600)
+	second, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +423,7 @@ func TestIntervalRunnerClose(t *testing.T) {
 	if _, nm, _ := core.StoreLens(); nm != 1 {
 		t.Errorf("%d idle machines after Close, want the runner's one", nm)
 	}
-	again, err := r.Run(nil, 100, 600)
+	again, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,204 @@
+package core_test
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"testing"
+
+	"gem5prof/internal/core"
+	"gem5prof/internal/hostmodel"
+	"gem5prof/internal/platform"
+	"gem5prof/internal/sim"
+	"gem5prof/internal/simpoint"
+	"gem5prof/internal/uarch"
+)
+
+// laneSweeps are the sweeps the lane identity tests run: every CPU model
+// over the three page backings of the Xeon, Timing over the six clocks of
+// Fig. 13, a pair that differs only in MLP, and an M1 Pro pair (no DSB,
+// 16 KB pages) that differs in clock, DRAM latency and text backing.
+func laneSweeps() map[string][]core.SessionConfig {
+	sweep := func(gc core.GuestConfig, hosts ...uarch.Config) []core.SessionConfig {
+		out := make([]core.SessionConfig, len(hosts))
+		for i, h := range hosts {
+			out[i] = core.SessionConfig{Guest: gc, Host: h}
+		}
+		return out
+	}
+	with := func(h uarch.Config, edit func(*uarch.Config)) uarch.Config {
+		edit(&h)
+		return h
+	}
+	sieve := func(cpu core.CPUModel) core.GuestConfig {
+		return core.GuestConfig{CPU: cpu, Mode: core.SE, Workload: "sieve", Scale: 256}
+	}
+	xeon := platform.IntelXeon()
+	out := map[string][]core.SessionConfig{}
+	for _, cpu := range core.AllCPUModels {
+		var hosts []uarch.Config
+		for _, hp := range []uarch.HugePageMode{uarch.PagesBase, uarch.PagesTHP, uarch.PagesEHP} {
+			hosts = append(hosts, with(xeon, func(h *uarch.Config) { h.HugePages = hp }))
+		}
+		out[fmt.Sprintf("%s x pages", cpu)] = sweep(sieve(cpu), hosts...)
+	}
+	var clocks []uarch.Config
+	for _, f := range []float64{1.2, 1.6, 2.1, 2.6, 3.1, 4.1} {
+		clocks = append(clocks, with(xeon, func(h *uarch.Config) { h.FreqGHz = f }))
+	}
+	out["timing x clocks"] = sweep(sieve(core.Timing), clocks...)
+	out["mlp"] = sweep(sieve(core.O3), xeon, with(xeon, func(h *uarch.Config) { h.MLPOverlap = 0 }))
+	m1 := platform.M1Pro()
+	out["m1 pro"] = sweep(sieve(core.Minor), m1, with(m1, func(h *uarch.Config) {
+		h.FreqGHz, h.DRAMNanos, h.HugePages = 2.4, 120, uarch.PagesTHP
+	}))
+	return out
+}
+
+// TestLaneIdentity: every lane of a sweep reports, field for field and to
+// the last bit of every float, what RunSession of its host alone reports —
+// serial and pipelined, since the pipelined consumer feeds the laned
+// machine — and the lanes share the one guest they ran.
+func TestLaneIdentity(t *testing.T) {
+	for name, cfgs := range laneSweeps() {
+		solo := make([]string, len(cfgs))
+		for i, sc := range cfgs {
+			res, err := core.RunSession(sc)
+			if err != nil {
+				t.Fatalf("%s: host %d alone: %v", name, i, err)
+			}
+			solo[i] = fmt.Sprintf("%+v", res.Host)
+		}
+		for _, pipe := range []core.PipelineMode{core.PipelineOff, core.PipelineOn} {
+			swept := append([]core.SessionConfig(nil), cfgs...)
+			for i := range swept {
+				swept[i].Pipeline = pipe
+			}
+			res, err := core.RunSessions(swept)
+			if err != nil {
+				t.Fatalf("%s, pipeline %v: %v", name, pipe, err)
+			}
+			if len(res) != len(cfgs) {
+				t.Fatalf("%s, pipeline %v: %d results for %d hosts", name, pipe, len(res), len(cfgs))
+			}
+			for i, r := range res {
+				if got := fmt.Sprintf("%+v", r.Host); got != solo[i] {
+					t.Errorf("%s, pipeline %v: lane %d (%s):\n%s\nalone:\n%s", name, pipe, i, cfgs[i].Host.Name, got, solo[i])
+				}
+				if r.Guest != res[0].Guest {
+					t.Errorf("%s, pipeline %v: lane %d has a guest result of its own", name, pipe, i)
+				}
+			}
+		}
+	}
+}
+
+// TestIntervalLaneIdentity: a runner over a sweep measures, lane for lane
+// and window for window, what a runner of each host alone measures — a
+// fresh window, a restored one, and a restored one on the machine the first
+// two warmed.
+func TestIntervalLaneIdentity(t *testing.T) {
+	data, _ := ffAndCheckpoint(t, "sieve", 1024, 2*sim.Microsecond)
+	ck, err := core.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := []struct {
+		ck             *core.Checkpoint
+		warmup, budget uint64
+	}{{nil, 200, 900}, {ck, 100, 1000}, {ck, 0, 700}}
+	measure := func(cfgs []core.SessionConfig) [][]*core.IntervalResult {
+		t.Helper()
+		r := core.NewIntervalRunner(cfgs)
+		defer r.Close()
+		var out [][]*core.IntervalResult
+		for _, w := range windows {
+			res, err := r.Run(w.ck, w.warmup, w.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	fields := func(ivr *core.IntervalResult) string {
+		return fmt.Sprintf("%v %v %d %v %v %+v", ivr.Seconds, ivr.SubSeconds, ivr.Insts, ivr.SubInsts, ivr.Completed, ivr.Session.Host)
+	}
+	for name, cfgs := range laneSweeps() {
+		if name != "timing x clocks" && name != "o3 x pages" && name != "m1 pro" {
+			continue
+		}
+		for i := range cfgs {
+			cfgs[i].Guest.Scale = 1024
+		}
+		swept := measure(cfgs)
+		for i := range cfgs {
+			alone := measure(cfgs[i : i+1])
+			for w := range windows {
+				if got, want := fields(swept[w][i]), fields(alone[w][0]); got != want {
+					t.Errorf("%s: window %d, lane %d:\n%s\nalone:\n%s", name, w, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepRejections: a sweep whose members cannot share one guest is a
+// *SweepError naming the field and the two members, from every entry point
+// that takes a sweep, before a machine is drawn — never a panic.
+func TestSweepRejections(t *testing.T) {
+	base := core.SessionConfig{
+		Guest: core.GuestConfig{CPU: core.Timing, Mode: core.SE, Workload: "sieve", Scale: 256},
+		Host:  platform.IntelXeon(),
+	}
+	for _, tc := range []struct {
+		field string
+		edit  func(*core.SessionConfig)
+	}{
+		{"Guest", func(sc *core.SessionConfig) { sc.Guest.CPU = core.O3 }},
+		{"Guest", func(sc *core.SessionConfig) { sc.Guest.ExecTrace = io.Discard }},
+		{"HostCode", func(sc *core.SessionConfig) { sc.HostCode = hostmodel.Config{SizeFactor: 0.97} }},
+		{"Scenario", func(sc *core.SessionConfig) { sc.Scenario = platform.Scenario{Procs: 4} }},
+		{"Pipeline", func(sc *core.SessionConfig) { sc.Pipeline = core.PipelineOn }},
+		{"Profile", func(sc *core.SessionConfig) { sc.Profile = true }},
+		{"Sizes", func(sc *core.SessionConfig) { sc.Host = platform.M1Pro() }},
+		{"Sizes", func(sc *core.SessionConfig) { sc.Host.DSBUops = 0 }},
+	} {
+		other := base
+		tc.edit(&other)
+		cfgs := []core.SessionConfig{base, base, other}
+		core.DropStores()
+		for entry, call := range map[string]func() error{
+			"RunSessions": func() error { _, err := core.RunSessions(cfgs); return err },
+			"IntervalRunner": func() error {
+				r := core.NewIntervalRunner(cfgs)
+				defer r.Close()
+				_, err := r.Run(nil, 0, 100)
+				return err
+			},
+			"RunSampledSweep": func() error { _, err := simpoint.RunSampledSweep(cfgs, simpoint.Config{}); return err },
+		} {
+			var se *core.SweepError
+			if err := call(); !errors.As(err, &se) || se.Field != tc.field || se.A != 0 || se.B != 2 {
+				t.Errorf("%s beside a different %s: got %v, want a SweepError for %s between members 0 and 2", entry, tc.field, err, tc.field)
+			}
+		}
+		if _, nm, _ := core.StoreLens(); nm != 0 {
+			t.Errorf("rejected sweep (%s) drew a machine", tc.field)
+		}
+	}
+	// One profiled host is a sweep of one, and same-writer exec traces are
+	// one guest.
+	profiled := base
+	profiled.Profile = true
+	traced := base
+	traced.Guest.ExecTrace = io.Discard
+	for _, cfgs := range [][]core.SessionConfig{{profiled}, {traced, traced}} {
+		if err := core.CheckSweep(cfgs); err != nil {
+			t.Errorf("%d members: %v", len(cfgs), err)
+		}
+	}
+	if _, err := core.RunSessions(nil); err == nil {
+		t.Error("an empty sweep ran")
+	}
+}

@@ -20,8 +20,8 @@ func runAblations(opt Options) (*Result, error) {
 	if !opt.Quick {
 		scale = parsecRepScale(opt)
 	}
-	// The five probes are independent sessions; flatten them into cells and
-	// fan out on the worker pool, normalizing against cell 0 afterwards.
+	// The five probes are flattened into cells and fanned out on the worker
+	// pool, normalizing against cell 0 afterwards.
 	noDSB := platform.IntelXeon() // A1: no uop cache.
 	noDSB.DSBUops = 0
 	bigL1 := platform.IntelXeon() // A2: VIPT constraint lifted.
@@ -43,22 +43,26 @@ func runAblations(opt Options) (*Result, error) {
 		{label: "A3 no MLP overlap", host: noMLP},
 		{label: "A4 packed layout", host: platform.IntelXeon(), hc: packed},
 	}
-	times, err := runAll(opt.runner, len(cells), func(i int) (float64, error) {
-		r, err := core.RunSession(core.SessionConfig{
+	// Baseline and A3 differ only in a scalar and run as one sweep; the
+	// others differ in Sizes or in the binary and run alone.
+	scs := make([]core.SessionConfig, len(cells))
+	for i, c := range cells {
+		scs[i] = core.SessionConfig{
 			Guest: core.GuestConfig{
 				CPU: core.O3, Mode: core.SE,
 				Workload: "water_nsquared", Scale: scale,
 			},
-			Host:     cells[i].host,
-			HostCode: cells[i].hc,
-		})
-		if err != nil {
-			return 0, err
+			Host:     c.host,
+			HostCode: c.hc,
 		}
-		return r.SimSeconds(), nil
-	})
+	}
+	runs, err := runSweeps(opt.runner, scs, core.RunSessions)
 	if err != nil {
 		return nil, err
+	}
+	times := make([]float64, len(runs))
+	for i, r := range runs {
+		times[i] = r.SimSeconds()
 	}
 	base := times[0]
 

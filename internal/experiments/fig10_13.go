@@ -30,26 +30,29 @@ func hugePageSession(opt Options, cpu core.CPUModel, hp uarch.HugePageMode) core
 	}
 }
 
-// hugePageRun runs the cell as a full co-simulation (fig11 needs the
-// complete Top-Down report, which sampling does not reconstruct).
-func hugePageRun(opt Options, cpu core.CPUModel, hp uarch.HugePageMode) (*core.SessionResult, error) {
-	return core.RunSession(hugePageSession(opt, cpu, hp))
+// hugePageCells is the CPU-model x page-mode grid, CPU-major: one sweep of
+// len(modes) hosts per CPU model, since the modes differ only in how the
+// host backs the simulator's text.
+func hugePageCells(opt Options, modes []uarch.HugePageMode) []core.SessionConfig {
+	var cells []core.SessionConfig
+	for _, cpu := range core.AllCPUModels {
+		for _, hp := range modes {
+			cells = append(cells, hugePageSession(opt, cpu, hp))
+		}
+	}
+	return cells
 }
 
-// hugePageGrid fans the CPU-model x page-mode grid out on the worker pool
-// and returns modeled seconds indexed [cpu][mode]. Cells consume only
-// SimSeconds, so the grid samples under -simpoint.
-func hugePageGrid(opt Options, id string, modes []uarch.HugePageMode) ([][]float64, error) {
-	cpus := core.AllCPUModels
-	times, err := runAll(opt.runner, len(cpus)*len(modes), func(i int) (float64, error) {
-		cpu, hp := cpus[i/len(modes)], modes[i%len(modes)]
-		return sessionSeconds(opt, hugePageSession(opt, cpu, hp))
-	})
+// hugePageGrid runs the grid and returns modeled seconds indexed
+// [cpu][mode]. Cells consume only SimSeconds, so the grid samples under
+// -simpoint.
+func hugePageGrid(opt Options, modes []uarch.HugePageMode) ([][]float64, error) {
+	times, err := cellSeconds(opt, hugePageCells(opt, modes))
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float64, len(cpus))
-	for ci := range cpus {
+	out := make([][]float64, len(core.AllCPUModels))
+	for ci := range out {
 		out[ci] = times[ci*len(modes) : (ci+1)*len(modes)]
 	}
 	return out, nil
@@ -63,8 +66,7 @@ func runFig10(opt Options) (*Result, error) {
 		Title: "Speedup from huge-page code backing on Intel_Xeon (%)",
 		Cols:  []string{"THP-speedup-%", "EHP-speedup-%"},
 	}
-	grid, err := hugePageGrid(opt, "fig10",
-		[]uarch.HugePageMode{uarch.PagesBase, uarch.PagesTHP, uarch.PagesEHP})
+	grid, err := hugePageGrid(opt, []uarch.HugePageMode{uarch.PagesBase, uarch.PagesTHP, uarch.PagesEHP})
 	if err != nil {
 		return nil, err
 	}
@@ -97,11 +99,10 @@ func runFig11(opt Options) (*Result, error) {
 		Title: "THP effect on iTLB overhead and retiring cycles on Intel_Xeon",
 		Cols:  []string{"iTLB-overhead-reduction-%", "retiring-improvement-%"},
 	}
+	// Full co-simulations: fig11 needs the complete Top-Down report, which
+	// sampling does not reconstruct.
 	modes := []uarch.HugePageMode{uarch.PagesBase, uarch.PagesTHP}
-	runs, err := runAll(opt.runner, len(core.AllCPUModels)*len(modes), func(i int) (*core.SessionResult, error) {
-		cpu, hp := core.AllCPUModels[i/len(modes)], modes[i%len(modes)]
-		return hugePageRun(opt, cpu, hp)
-	})
+	runs, err := runSweeps(opt.runner, hugePageCells(opt, modes), core.RunSessions)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +135,8 @@ func runFig12(opt Options) (*Result, error) {
 	cpus := []core.CPUModel{core.Atomic, core.O3}
 	hostList := platform.TableIIPlatforms()
 	perHost := len(cpus) * 2 // (base, -O3 build) per CPU model
-	times, err := runAll(opt.runner, len(hostList)*perHost, func(i int) (float64, error) {
+	var cells []core.SessionConfig
+	for i := 0; i < len(hostList)*perHost; i++ {
 		host := hostList[i/perHost]
 		cpu := cpus[i%perHost/2]
 		gc := core.GuestConfig{CPU: cpu, Mode: core.SE,
@@ -143,8 +145,11 @@ func runFig12(opt Options) (*Result, error) {
 		if i%2 == 1 { // the -O3 (smaller binary) build
 			sc.HostCode = hostmodel.Config{SizeFactor: 0.97}
 		}
-		return sessionSeconds(opt, sc)
-	})
+		cells = append(cells, sc)
+	}
+	// Every cell runs alone: the hosts differ in Sizes, and the builds in
+	// the binary.
+	times, err := cellSeconds(opt, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -177,13 +182,18 @@ func runFig13(opt Options) (*Result, error) {
 	}
 	freqs := []float64{1.2, 1.6, 2.1, 2.6, 3.1, 4.1} // 4.1 = Turbo Boost
 	baseTime := 0.0
-	times, err := runAll(opt.runner, len(freqs), func(i int) (float64, error) {
-		gc := core.GuestConfig{CPU: core.Timing, Mode: core.SE,
-			Workload: "water_nsquared", Scale: parsecRepScale(opt)}
+	// One sweep: the clock is a scalar of the host.
+	cells := make([]core.SessionConfig, len(freqs))
+	for i, f := range freqs {
 		host := platform.IntelXeon()
-		host.FreqGHz = freqs[i]
-		return sessionSeconds(opt, core.SessionConfig{Guest: gc, Host: host})
-	})
+		host.FreqGHz = f
+		cells[i] = core.SessionConfig{
+			Guest: core.GuestConfig{CPU: core.Timing, Mode: core.SE,
+				Workload: "water_nsquared", Scale: parsecRepScale(opt)},
+			Host: host,
+		}
+	}
+	times, err := cellSeconds(opt, cells)
 	if err != nil {
 		return nil, err
 	}

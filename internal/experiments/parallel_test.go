@@ -119,19 +119,16 @@ func TestParallelDeterminism(t *testing.T) {
 func TestInvalidHostIsAnOutcomeError(t *testing.T) {
 	const id = "test-bad-host"
 	register(id, func(opt Options) (*Result, error) {
-		secs, err := runAll(opt.runner, 4, func(i int) (float64, error) {
-			sc := core.SessionConfig{
+		cells := make([]core.SessionConfig, 4)
+		for i := range cells {
+			cells[i] = core.SessionConfig{
 				Guest: core.GuestConfig{CPU: core.Atomic, Workload: "sieve", Scale: 64},
 				Host:  platform.IntelXeon(),
 			}
-			switch i {
-			case 1:
-				sc.Host.L1I.Ways = 17
-			case 3:
-				sc.HostCode.TextSlots = 3000
-			}
-			return sessionSeconds(opt, sc)
-		})
+		}
+		cells[1].Host.L1I.Ways = 17
+		cells[3].HostCode.TextSlots = 3000
+		secs, err := cellSeconds(opt, cells)
 		if err != nil {
 			return nil, err
 		}

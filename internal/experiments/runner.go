@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"gem5prof/internal/core"
 	"gem5prof/internal/simpoint"
 )
 
@@ -96,6 +97,47 @@ func runAll[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// runSweeps runs session cells on the pool as few sweeps as it can and
+// returns one result per cell, in cell order. Each cell joins the first
+// group whose first cell it can share a guest with (core.CheckSweep), so the
+// hosts of one geometry that differ only in scalars — a clock, a latency, a
+// page backing — become lanes of one co-simulation; sweep runs one group and
+// returns a result per member. A lane's result is its cell's solo result
+// bit for bit, and groups are collected in index order, so the output is
+// what running every cell alone renders, at any -j.
+func runSweeps[T any](r *Runner, cells []core.SessionConfig, sweep func([]core.SessionConfig) ([]T, error)) ([]T, error) {
+	var groups [][]int
+	for i := range cells {
+		g := 0
+		for ; g < len(groups); g++ {
+			if core.CheckSweep([]core.SessionConfig{cells[groups[g][0]], cells[i]}) == nil {
+				break
+			}
+		}
+		if g == len(groups) {
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	done, err := runAll(r, len(groups), func(g int) ([]T, error) {
+		scs := make([]core.SessionConfig, len(groups[g]))
+		for j, i := range groups[g] {
+			scs[j] = cells[i]
+		}
+		return sweep(scs)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, len(cells))
+	for g, members := range groups {
+		for j, i := range members {
+			out[i] = done[g][j]
 		}
 	}
 	return out, nil

@@ -43,24 +43,33 @@ func (o Options) simpointConfig() simpoint.Config {
 	return cfg
 }
 
-// sessionSeconds runs one sweep cell and returns its modeled host seconds:
-// the full co-simulation normally, or the SimPoint extrapolation when the
-// harness runs with -simpoint. Only figures whose cells consume nothing
-// but SimSeconds() may call this — figures needing full Top-Down detail
-// (fig11) always run full.
-func sessionSeconds(opt Options, sc core.SessionConfig) (float64, error) {
-	if !opt.SimPoint {
-		r, err := core.RunSession(sc)
-		if err != nil {
-			return 0, err
+// cellSeconds runs sweep cells on the pool (runSweeps) and returns their
+// modeled host seconds in cell order: the full co-simulation normally, or
+// the SimPoint extrapolation when the harness runs with -simpoint. Only
+// figures whose cells consume nothing but SimSeconds() may call this —
+// figures needing full Top-Down detail (fig11) always run full.
+func cellSeconds(opt Options, cells []core.SessionConfig) ([]float64, error) {
+	return runSweeps(opt.runner, cells, func(scs []core.SessionConfig) ([]float64, error) {
+		secs := make([]float64, len(scs))
+		if !opt.SimPoint {
+			rs, err := core.RunSessions(scs)
+			if err != nil {
+				return nil, err
+			}
+			for i, r := range rs {
+				secs[i] = r.SimSeconds()
+			}
+			return secs, nil
 		}
-		return r.SimSeconds(), nil
-	}
-	res, err := simpoint.RunSampled(sc, opt.simpointConfig())
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
+		rs, err := simpoint.RunSampledSweep(scs, opt.simpointConfig())
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range rs {
+			secs[i] = r.Seconds
+		}
+		return secs, nil
+	})
 }
 
 // sampledNote documents a figure's sampled provenance in its rendered

@@ -149,10 +149,28 @@ func memoFor(prefix string, cfg Config) *analysis {
 }
 
 // RunSampled runs one co-simulation in sampled mode and returns the
-// extrapolated result. It is safe for concurrent use; concurrent calls
-// sharing a config family block on one shared analysis, then measure
-// their own representative intervals independently.
+// extrapolated result: RunSampledSweep of one.
 func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
+	res, err := RunSampledSweep([]core.SessionConfig{sc}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// RunSampledSweep runs one guest on several hosts in sampled mode and
+// returns one extrapolated result per host, in order. The sweep is what
+// core.RunSessions accepts (core.SweepError otherwise): each representative
+// window is measured once, every host a lane of one machine, and each
+// lane's result is what RunSampled of that host alone returns. It is safe
+// for concurrent use; concurrent calls sharing a config family block on one
+// shared analysis, then measure their own representative intervals
+// independently.
+func RunSampledSweep(scs []core.SessionConfig, cfg Config) ([]*Result, error) {
+	if err := core.CheckSweep(scs); err != nil {
+		return nil, err
+	}
+	sc := scs[0]
 	if sc.Profile {
 		return nil, fmt.Errorf("simpoint: sampled mode cannot host the function profiler (its report would cover only representative intervals)")
 	}
@@ -168,27 +186,30 @@ func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
 		return nil, a.err
 	}
 
-	out := &Result{
-		K:            a.phases.K,
-		NumIntervals: len(a.prof.Intervals),
-		TotalInsts:   a.prof.TotalInsts,
+	outs := make([]*Result, len(scs))
+	for i := range outs {
+		outs[i] = &Result{
+			K:            a.phases.K,
+			NumIntervals: len(a.prof.Intervals),
+			TotalInsts:   a.prof.TotalInsts,
+		}
 	}
 	// Measure each representative, then extrapolate. The windows run
 	// serially on one IntervalRunner, so the modeled host machine stays
-	// warm across them (as it would across one long full run), and the
-	// sum runs in cluster-index order — a fixed, clustering-derived order
-	// — because float addition is non-commutative and the report must be
-	// byte-identical at any -j.
-	runner := core.NewIntervalRunner(sc)
+	// warm across them (as it would across one long full run), and each
+	// host's sum runs in cluster-index order — a fixed, clustering-derived
+	// order — because float addition is non-commutative and the report must
+	// be byte-identical at any -j.
+	runner := core.NewIntervalRunner(scs)
 	defer runner.Close()
 	for ci, cl := range a.phases.Clusters {
 		iv := a.prof.Intervals[cl.Rep]
-		var ivr *core.IntervalResult
+		var ivrs []*core.IntervalResult
 		var err error
 		if a.ckpts[ci] == nil {
 			// The representative starts at (or is) the first interval:
 			// run fresh from the workload entry.
-			ivr, err = runner.Run(nil, iv.StartInsts, iv.Insts())
+			ivrs, err = runner.Run(nil, iv.StartInsts, iv.Insts())
 		} else {
 			ck := a.ckpts[ci]
 			// The checkpoint lands on an Atomic event boundary at or
@@ -202,20 +223,22 @@ func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
 			if ck.Insts > start {
 				start = ck.Insts
 			}
-			ivr, err = runner.Run(ck, warm, iv.EndInsts-start)
+			ivrs, err = runner.Run(ck, warm, iv.EndInsts-start)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("simpoint: interval %d (cluster %d): %w", cl.Rep, ci, err)
 		}
-		rep := RepRun{
-			Rep: cl.Rep, Weight: cl.Weight, ClusterInsts: cl.Insts,
-			Insts: ivr.Insts, Seconds: ivr.Seconds,
-			Rate: steadyRate(ivr, a.ckpts[ci] != nil),
+		for i, ivr := range ivrs {
+			rep := RepRun{
+				Rep: cl.Rep, Weight: cl.Weight, ClusterInsts: cl.Insts,
+				Insts: ivr.Insts, Seconds: ivr.Seconds,
+				Rate: steadyRate(ivr, a.ckpts[ci] != nil),
+			}
+			outs[i].Reps = append(outs[i].Reps, rep)
+			outs[i].Seconds += float64(rep.ClusterInsts) * rep.Rate
 		}
-		out.Reps = append(out.Reps, rep)
-		out.Seconds += float64(rep.ClusterInsts) * rep.Rate
 	}
-	return out, nil
+	return outs, nil
 }
 
 // steadyRate returns the modeled seconds-per-instruction of one measured

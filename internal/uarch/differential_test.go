@@ -357,14 +357,15 @@ func TestPageOfMemoization(t *testing.T) {
 	m.MapText(0x40_0000, 0x40_0000+64<<20)
 	m.MapData(0x7f00_0000_0000, 0x7f00_0000_0000+32<<20)
 	m.MapData(0x7fff_ff00_0000-(1<<20), 0x7fff_ff00_0000+(1<<12))
+	l := &m.lanes[0]
 
 	scan := func(addr uint64) uint64 {
-		for _, r := range m.regions {
+		for _, r := range l.regions {
 			if addr >= r.base && addr < r.end {
 				return addr &^ (r.pageBytes - 1)
 			}
 		}
-		return addr &^ (m.cfg.PageBytes - 1)
+		return addr &^ (l.cfg.PageBytes - 1)
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -377,7 +378,7 @@ func TestPageOfMemoization(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		s := spans[rng.Intn(len(spans))]
 		addr := s[0] + rng.Uint64()%(s[1]-s[0])
-		if got, want := m.pageOf(addr), scan(addr); got != want {
+		if got, want := l.pageOf(addr), scan(addr); got != want {
 			t.Fatalf("pageOf(%#x) = %#x, want %#x", addr, got, want)
 		}
 	}

@@ -136,33 +136,53 @@ func TestReportIdentityPerHostClass(t *testing.T) {
 		if got := reportFNV(direct.Report()); got != tc.want {
 			t.Errorf("%s: Report FNV = %#x, want %#x", tc.cfg.Name, got, tc.want)
 		}
+		// The same host as the middle lane of three: its report is the pin.
+		laned := uarch.NewLanes(dirtied(tc.cfg, 0), tc.cfg, dirtied(tc.cfg, 1))
+		mapStream(laned)
+		for i := range head {
+			laned.ApplyBatch(&head[i])
+		}
+		if got := reportFNV(laned.LaneReport(1)); got != tc.want {
+			t.Errorf("%s as lane 1 of 3: Report FNV = %#x, want %#x", tc.cfg.Name, got, tc.want)
+		}
 	}
 }
 
+// dirtied returns cfg with every scalar a lane owns moved, differently for
+// each k: another clock, other latencies and widths, another MLP, and a
+// THP-split text segment.
+func dirtied(cfg uarch.Config, k int) uarch.Config {
+	f := 1 + 0.35*float64(k+1)
+	cfg.Name = fmt.Sprintf("dirty%d %s", k, cfg.Name)
+	cfg.FreqGHz *= f
+	cfg.HugePages, cfg.THPCoverage = uarch.PagesTHP, 0.37*f/2
+	cfg.L2Cycles += 5 * f
+	cfg.DRAMNanos *= f
+	cfg.IssueWidth += f
+	cfg.MLPOverlap /= f
+	return cfg
+}
+
 // TestRecycledMachineIdentity makes reuse adversarial: every host class's
-// machine first runs as a different host of the same structure sizes —
-// another clock, other latencies and widths, a THP-split text segment and a
+// machine first runs a sweep of six other hosts of the same structure sizes
+// — other clocks, latencies and widths, THP-split text segments and a
 // foreign data region, fed the stream at shifted addresses and then at its
-// own, so that every cache, TLB, predictor table, stream tracker and
-// counter ends up holding something — and is then Reset for the pinned
-// config. Replaying the
-// captured stream must give the FNV a fresh machine gives; one surviving
-// line, LRU position, region or memo moves it.
+// own, so that every cache, TLB, predictor table, stream tracker, counter
+// and lane ends up holding something — and is then Reset for the pinned
+// config alone. Replaying the captured stream must give the FNV a fresh
+// machine gives; one surviving line, LRU position, region, memo or lane
+// moves it.
 func TestRecycledMachineIdentity(t *testing.T) {
 	head := capturedStream(t)
 	for _, tc := range hostClasses {
-		dirty := tc.cfg
-		dirty.Name = "dirty " + tc.cfg.Name
-		dirty.FreqGHz *= 1.7
-		dirty.HugePages, dirty.THPCoverage = uarch.PagesTHP, 0.37
-		dirty.L2Cycles += 5
-		dirty.DRAMNanos *= 2
-		dirty.IssueWidth += 2
-		dirty.MLPOverlap /= 2
-		if dirty.Sizes() != tc.cfg.Sizes() {
-			t.Fatalf("%s: the dirtying config changed the structure sizes", tc.cfg.Name)
+		var dirty []uarch.Config
+		for k := 0; k < 6; k++ {
+			dirty = append(dirty, dirtied(tc.cfg, k))
+			if dirty[k].Sizes() != tc.cfg.Sizes() {
+				t.Fatalf("%s: the dirtying config changed the structure sizes", tc.cfg.Name)
+			}
 		}
-		m := uarch.NewMachine(dirty)
+		m := uarch.NewLanes(dirty...)
 		mapStream(m)
 		m.MapData(0x5000_0000_0000, 0x5000_4000_0000)
 		sinkCalls(m, head, 0x12340)
@@ -188,8 +208,8 @@ func TestRecycledMachineIdentity(t *testing.T) {
 		}
 
 		m.Reset(tc.cfg)
-		if got := m.Config(); got != tc.cfg {
-			t.Errorf("%s: Config() after Reset = %+v", tc.cfg.Name, got)
+		if got := m.Config(); got != tc.cfg || m.Lanes() != 1 {
+			t.Errorf("%s: Config() after Reset = %+v, %d lanes", tc.cfg.Name, got, m.Lanes())
 		}
 		if r := m.Report(); r.Uops != 0 || r.Cycles != 0 || r.DRAMBytes != 0 || r.LLCOccupancyBytes != 0 {
 			t.Errorf("%s: Reset left counters behind: %+v", tc.cfg.Name, r)
@@ -224,7 +244,8 @@ func TestResetRejectsOtherSizes(t *testing.T) {
 
 // TestNewMachineAllocs: a machine costs its L1s, TLBs, predictor and one
 // index word per L2/LLC set, not its capacity (10 MB and 4.5 MB of key rows
-// when every level was dense), and a Reset allocates nothing.
+// when every level was dense), and a Reset to as many lanes as the machine
+// ever had allocates nothing.
 func TestNewMachineAllocs(t *testing.T) {
 	allocated := func(fn func()) float64 {
 		var before, after runtime.MemStats
@@ -246,6 +267,14 @@ func TestNewMachineAllocs(t *testing.T) {
 		}
 		if mb := allocated(func() { m.Reset(tc.cfg) }); mb > 0.01 {
 			t.Errorf("Reset(%s) allocated %.2f MB", tc.cfg.Name, mb)
+		}
+		// A sweep's lanes are built once: a machine that ran six hosts and
+		// then one is re-armed for six again without allocating.
+		six := []uarch.Config{tc.cfg, tc.cfg, tc.cfg, tc.cfg, tc.cfg, tc.cfg}
+		m.Reset(six...)
+		m.Reset(tc.cfg)
+		if mb := allocated(func() { m.Reset(six...) }); mb > 0.01 {
+			t.Errorf("Reset(%s x6) after a sweep of six allocated %.2f MB", tc.cfg.Name, mb)
 		}
 	}
 }

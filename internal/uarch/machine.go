@@ -53,30 +53,42 @@ type pageRegion struct {
 	pageBytes uint64
 }
 
+// pageMemo is a pageRegion as one lookup tests it: addr is in the region
+// when addr-base < span (a zero span holds nothing), and its page base is
+// addr &^ mask.
+type pageMemo struct {
+	base, span, mask uint64
+}
+
+// Where a line that missed the L1 was found. A lane prices each level with
+// its own latencies; levelStream is a data miss the stream prefetcher had
+// already issued.
+const (
+	levelL2 = iota
+	levelLLC
+	levelDRAM
+	levelStream
+)
+
 // Machine is one modeled host machine consuming the hostmodel micro-event
 // stream. It implements hostmodel.Sink.
+//
+// A machine models one or more hosts of equal Sizes at once, as lanes. What
+// the caches, the uop cache and the predictor do depends on the stream and
+// the Sizes alone, so they run once per record for every lane; everything a
+// Config's scalars reach — the clock, latencies, widths, MLP, page sizes and
+// huge-page backing, hence the address map, the TLBs and the Top-Down
+// account — is per lane. Each lane sees, in order, the additions its host
+// would see alone, so its Report is bit for bit a one-host machine's
+// (DESIGN §21). Lane 0 is the machine's own host: Config, Report,
+// TimeSeconds and Cycles read it.
 type Machine struct {
-	cfg Config
-
-	// The two divisions FetchBlock would otherwise redo per block, done
-	// once: the same expressions on the same operands, so bit-identical.
-	dsbSlack  float64 // 1/DSBWidth - 1/IssueWidth
-	miteSlack float64 // 1/DecodeWidth - 1/IssueWidth
+	lanes []lane
 
 	l1i, l1d, l2, llc *cache
-	itlb, dtlb, stlb  *tlb
 	dsb               *cache
 	bp                *gshare
 
-	// regions holds page regions in insertion order (the documented
-	// first-match-wins contract); sorted holds the same regions ordered by
-	// base for the O(log n) lookup, valid only while they stay disjoint.
-	regions    []pageRegion
-	sorted     []pageRegion
-	overlapped bool
-	lastRegion int // memo: index into sorted of the last region hit
-
-	td         TopDown
 	uops       uint64
 	uopsDSB    uint64
 	uopsMITE   uint64
@@ -94,19 +106,48 @@ type Machine struct {
 	prefetched uint64
 }
 
+// lane is one host of a machine: its config, what is derived from its
+// scalars, its address map and TLBs, and its cycle account. The fields the
+// record methods touch come first.
+type lane struct {
+	td TopDown
+
+	// lat prices a miss by the level that served it, in cycles.
+	lat [levelStream + 1]float64
+	// The two divisions FetchBlock would otherwise redo per block, done
+	// once: the same expressions on the same operands, so bit-identical.
+	dsbSlack  float64 // 1/DSBWidth - 1/IssueWidth
+	miteSlack float64 // 1/DecodeWidth - 1/IssueWidth
+
+	itlb, dtlb, stlb *tlb
+
+	// last is the region the previous lookup was answered from, empty
+	// before the first and once regions overlap. regions holds page regions
+	// in insertion order (the documented first-match-wins contract); sorted
+	// holds the same regions ordered by base for the O(log n) lookup, valid
+	// only while they stay disjoint.
+	last       pageMemo
+	sorted     []pageRegion
+	overlapped bool
+	regions    []pageRegion
+
+	cfg Config
+}
+
 // NewMachine builds a host machine model from a validated config.
-func NewMachine(cfg Config) *Machine {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+func NewMachine(cfg Config) *Machine { return NewLanes(cfg) }
+
+// NewLanes builds one machine for several hosts, one lane each, in order.
+// Every config must validate and all must have the first's Sizes; NewLanes
+// panics otherwise, as NewMachine does on a config that does not validate.
+func NewLanes(cfgs ...Config) *Machine {
+	checkLanes(cfgs, nil)
+	cfg := cfgs[0]
 	m := &Machine{
-		l1i:  newCache(cfg.L1I, false),
-		l1d:  newCache(cfg.L1D, false),
-		l2:   newCache(cfg.L2, true),
-		itlb: newTLB(cfg.ITLBEntries),
-		dtlb: newTLB(cfg.DTLBEntries),
-		stlb: newTLB(cfg.STLBEntries),
-		bp:   newGshare(cfg.BPTableEntries, cfg.BTBEntries),
+		l1i: newCache(cfg.L1I, false),
+		l1d: newCache(cfg.L1D, false),
+		l2:  newCache(cfg.L2, true),
+		bp:  newGshare(cfg.BPTableEntries, cfg.BTBEntries),
 	}
 	if cfg.LLC.SizeBytes > 0 {
 		// Two-level hosts (the FireSim Rocket) have no LLC.
@@ -125,86 +166,143 @@ func NewMachine(cfg Config) *Machine {
 		}
 		m.dsb = newCache(CacheGeom{SizeBytes: sets * ways * window, Ways: ways, LineBytes: window}, false)
 	}
-	m.arm(cfg)
+	m.arm(cfgs)
 	return m
 }
 
-// arm is the part of construction that reads cfg's scalars.
-func (m *Machine) arm(cfg Config) {
-	m.cfg = cfg
-	m.dsbSlack = 1/cfg.DSBWidth - 1/cfg.IssueWidth
-	m.miteSlack = 1/cfg.DecodeWidth - 1/cfg.IssueWidth
+// checkLanes panics unless there is at least one config, every config
+// validates, and all have the Sizes of sizes (when non-nil) or of the first.
+func checkLanes(cfgs []Config, sizes *Sizes) {
+	if len(cfgs) == 0 {
+		panic("uarch: a machine needs at least one host")
+	}
+	for i := range cfgs {
+		if err := cfgs[i].Validate(); err != nil {
+			panic(err)
+		}
+	}
+	if sizes == nil {
+		s := cfgs[0].Sizes()
+		sizes = &s
+	}
+	for i := range cfgs {
+		if cfgs[i].Sizes() != *sizes {
+			panic(fmt.Sprintf("uarch: %s does not have the structure sizes of the machine's other hosts", cfgs[i].Name))
+		}
+	}
 }
 
-// Reset re-arms m for cfg in place: afterwards m computes, report for
-// report, what NewMachine(cfg) would, whatever it ran before. Every
+// arm gives m one lane per config, each in its initial state. Lanes a
+// larger run left behind past the end of the slice are reused with their
+// TLBs and region slices; only lanes never built before are allocated.
+func (m *Machine) arm(cfgs []Config) {
+	all := m.lanes[:cap(m.lanes)]
+	for len(all) < len(cfgs) {
+		all = append(all, lane{})
+	}
+	m.lanes = all[:len(cfgs)]
+	for i := range m.lanes {
+		m.lanes[i].arm(cfgs[i])
+	}
+}
+
+// arm puts l in its initial state for cfg, keeping the TLBs' and the
+// region slices' memory when l ran before.
+func (l *lane) arm(cfg Config) {
+	if l.itlb == nil {
+		l.itlb, l.dtlb, l.stlb = newTLB(cfg.ITLBEntries), newTLB(cfg.DTLBEntries), newTLB(cfg.STLBEntries)
+	} else {
+		l.itlb.reset()
+		l.dtlb.reset()
+		l.stlb.reset()
+	}
+	// Rebuilt from what survives, so a field added later is zeroed here
+	// without being named.
+	*l = lane{
+		cfg:       cfg,
+		dsbSlack:  1/cfg.DSBWidth - 1/cfg.IssueWidth,
+		miteSlack: 1/cfg.DecodeWidth - 1/cfg.IssueWidth,
+		lat:       [...]float64{cfg.L2Cycles, cfg.LLCCycles, cfg.DRAMNanos * cfg.FreqGHz, cfg.L2Cycles * 0.3},
+		itlb:      l.itlb, dtlb: l.dtlb, stlb: l.stlb,
+		regions: l.regions[:0], sorted: l.sorted[:0],
+	}
+}
+
+// Reset re-arms m in place for the hosts cfgs, one lane each: afterwards m
+// computes, report for report and lane for lane, what NewLanes(cfgs...)
+// would, whatever it ran before and with however many lanes. Every
 // structure goes back to its initial state (caches invalidated, LRU orders
 // and predictor tables re-initialised, TLBs and the BTB emptied, memos
-// forgotten), the address map, the stream trackers, every counter and the
-// Top-Down account are dropped, and everything derived from the config is
+// forgotten), the address maps, the stream trackers, every counter and the
+// Top-Down accounts are dropped, and everything derived from the configs is
 // recomputed, since clock, latencies, widths and page modes may all differ
-// from the last run's. Only the structures' memory survives, so cfg must
-// validate and have the machine's Sizes; Reset panics otherwise, as
+// from the last run's. Only the structures' memory survives, so every cfg
+// must validate and have the machine's Sizes; Reset panics otherwise, as
 // NewMachine does on a config that does not validate.
-func (m *Machine) Reset(cfg Config) {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.Sizes() != m.cfg.Sizes() {
-		panic(fmt.Sprintf("uarch: Reset: %s does not have the structure sizes of %s", cfg.Name, m.cfg.Name))
-	}
+func (m *Machine) Reset(cfgs ...Config) {
+	sizes := m.lanes[0].cfg.Sizes()
+	checkLanes(cfgs, &sizes)
 	for _, c := range []*cache{m.l1i, m.l1d, m.l2, m.llc, m.dsb} {
 		if c != nil {
 			c.reset()
 		}
 	}
-	m.itlb.reset()
-	m.dtlb.reset()
-	m.stlb.reset()
 	m.bp.reset()
 	// Rebuilt from what survives, so a counter added later is zeroed here
 	// without being named.
 	*m = Machine{
-		l1i: m.l1i, l1d: m.l1d, l2: m.l2, llc: m.llc, dsb: m.dsb,
-		itlb: m.itlb, dtlb: m.dtlb, stlb: m.stlb, bp: m.bp,
-		regions: m.regions[:0], sorted: m.sorted[:0],
+		lanes: m.lanes,
+		l1i:   m.l1i, l1d: m.l1d, l2: m.l2, llc: m.llc, dsb: m.dsb,
+		bp: m.bp,
 	}
-	m.arm(cfg)
+	m.arm(cfgs)
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
+// Config returns the configuration of the machine's first lane.
+func (m *Machine) Config() Config { return m.lanes[0].cfg }
 
-// MapText registers the simulator's code segment, applying the configured
+// Lanes returns how many hosts the machine models.
+func (m *Machine) Lanes() int { return len(m.lanes) }
+
+// MapText registers the simulator's code segment, applying each lane's
 // huge-page mode.
 func (m *Machine) MapText(base, end uint64) {
-	switch m.cfg.HugePages {
-	case PagesTHP:
-		// THP remaps the hottest prefix of the text to huge pages.
-		split := base + uint64(float64(end-base)*m.cfg.THPCoverage)
-		split &^= m.cfg.HugePageBytes - 1
-		if split > base {
-			m.addRegion(pageRegion{base, split, m.cfg.HugePageBytes})
-		}
-		m.addRegion(pageRegion{split, end, m.cfg.PageBytes})
-	case PagesEHP:
-		m.addRegion(pageRegion{base, end, m.cfg.HugePageBytes})
-	default:
-		m.addRegion(pageRegion{base, end, m.cfg.PageBytes})
+	for i := range m.lanes {
+		m.lanes[i].mapText(base, end)
 	}
 }
 
-// MapData registers a data range with the base page size.
+// MapData registers a data range with each lane's base page size.
 func (m *Machine) MapData(base, end uint64) {
-	m.addRegion(pageRegion{base, end, m.cfg.PageBytes})
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		l.addRegion(pageRegion{base, end, l.cfg.PageBytes})
+	}
+}
+
+func (l *lane) mapText(base, end uint64) {
+	switch l.cfg.HugePages {
+	case PagesTHP:
+		// THP remaps the hottest prefix of the text to huge pages.
+		split := base + uint64(float64(end-base)*l.cfg.THPCoverage)
+		split &^= l.cfg.HugePageBytes - 1
+		if split > base {
+			l.addRegion(pageRegion{base, split, l.cfg.HugePageBytes})
+		}
+		l.addRegion(pageRegion{split, end, l.cfg.PageBytes})
+	case PagesEHP:
+		l.addRegion(pageRegion{base, end, l.cfg.HugePageBytes})
+	default:
+		l.addRegion(pageRegion{base, end, l.cfg.PageBytes})
+	}
 }
 
 // addRegion records r in insertion order and maintains the sorted index
 // used by the fast pageOf path. Overlapping registrations (none of the
 // current callers produce any) fall back to the insertion-order scan so
 // the documented first-match-wins behaviour is preserved exactly.
-func (m *Machine) addRegion(r pageRegion) {
-	for _, have := range m.regions {
+func (l *lane) addRegion(r pageRegion) {
+	for _, have := range l.regions {
 		if have == r {
 			// Mapping is idempotent: under first-match-wins a repeated
 			// region can never answer a lookup, and recording it would only
@@ -213,40 +311,45 @@ func (m *Machine) addRegion(r pageRegion) {
 			return
 		}
 	}
-	m.regions = append(m.regions, r)
+	l.regions = append(l.regions, r)
 	if r.end <= r.base {
 		return // empty region: can never match an address
 	}
-	i := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].base > r.base })
-	if (i > 0 && m.sorted[i-1].end > r.base) || (i < len(m.sorted) && r.end > m.sorted[i].base) {
-		m.overlapped = true
+	i := sort.Search(len(l.sorted), func(i int) bool { return l.sorted[i].base > r.base })
+	if (i > 0 && l.sorted[i-1].end > r.base) || (i < len(l.sorted) && r.end > l.sorted[i].base) {
+		// First match wins from here on, which only the scan keeps: no
+		// lookup may be answered from the memo any more.
+		l.overlapped = true
+		l.last = pageMemo{}
 		return
 	}
-	m.sorted = append(m.sorted, pageRegion{})
-	copy(m.sorted[i+1:], m.sorted[i:])
-	m.sorted[i] = r
-	m.lastRegion = 0
+	l.sorted = append(l.sorted, pageRegion{})
+	copy(l.sorted[i+1:], l.sorted[i:])
+	l.sorted[i] = r
 }
 
-func (m *Machine) pageOf(addr uint64) uint64 {
-	if m.overlapped {
-		for _, r := range m.regions {
+// pageOf returns the base of the page addr lies in. Consecutive fetches and
+// data touches overwhelmingly land in the region hit last, which is
+// answered inline from a copy of it; everything else is pageOfSlow.
+func (l *lane) pageOf(addr uint64) uint64 {
+	if addr-l.last.base < l.last.span {
+		return addr &^ l.last.mask
+	}
+	return l.pageOfSlow(addr)
+}
+
+func (l *lane) pageOfSlow(addr uint64) uint64 {
+	if l.overlapped {
+		for _, r := range l.regions {
 			if addr >= r.base && addr < r.end {
 				return addr &^ (r.pageBytes - 1)
 			}
 		}
-		return addr &^ (m.cfg.PageBytes - 1)
+		return addr &^ (l.cfg.PageBytes - 1)
 	}
-	// Fast path: consecutive fetches and data touches overwhelmingly land
-	// in the region hit last time.
-	rs := m.sorted
-	if lr := m.lastRegion; lr < len(rs) {
-		if r := &rs[lr]; addr >= r.base && addr < r.end {
-			return addr &^ (r.pageBytes - 1)
-		}
-	}
-	// Miss path: binary search for the greatest base <= addr. Regions are
-	// disjoint here, so it is the only candidate.
+	// Binary search for the greatest base <= addr. Regions are disjoint
+	// here, so it is the only candidate.
+	rs := l.sorted
 	lo, hi := 0, len(rs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -258,80 +361,95 @@ func (m *Machine) pageOf(addr uint64) uint64 {
 	}
 	if lo > 0 {
 		if r := &rs[lo-1]; addr >= r.base && addr < r.end {
-			m.lastRegion = lo - 1
+			l.last = pageMemo{r.base, r.end - r.base, r.pageBytes - 1}
 			return addr &^ (r.pageBytes - 1)
 		}
 	}
-	return addr &^ (m.cfg.PageBytes - 1)
+	return addr &^ (l.cfg.PageBytes - 1)
 }
 
-// missLatency walks L2 → LLC → DRAM for one missing line and returns the
-// latency in cycles.
-func (m *Machine) missLatency(line uint64) float64 {
+// stlbCost returns the cycles a first-level TLB miss on page costs: the
+// STLB lookup, plus a page walk when the STLB misses too.
+func (l *lane) stlbCost(page uint64) float64 {
+	cost := l.cfg.STLBCycles
+	if !l.stlb.access(page) {
+		cost += l.cfg.WalkCycles
+	}
+	return cost
+}
+
+// missLevel walks L2 → LLC → DRAM for one missing line and returns the
+// level that had it.
+func (m *Machine) missLevel(line uint64) int {
 	if m.l2.access(line) {
-		return m.cfg.L2Cycles
+		return levelL2
 	}
 	if m.llc != nil {
 		if m.llc.access(line) {
-			return m.cfg.LLCCycles
+			return levelLLC
 		}
-		m.dramBytes += m.cfg.LLC.LineBytes
+		m.dramBytes += m.llc.geom.LineBytes
 	} else {
-		m.dramBytes += m.cfg.L2.LineBytes
+		m.dramBytes += m.l2.geom.LineBytes
 	}
-	return m.cfg.DRAMNanos * m.cfg.FreqGHz
+	return levelDRAM
 }
 
 // FetchBlock implements hostmodel.Sink.
 func (m *Machine) FetchBlock(addr uint64, bytes uint32, uops uint32) {
-	lineB := m.cfg.L1I.LineBytes
+	lineB := m.l1i.geom.LineBytes
 	first := addr &^ (lineB - 1)
 	last := (addr + uint64(bytes) - 1) &^ (lineB - 1)
 	for line := first; line <= last; line += lineB {
 		if !m.l1i.access(line) {
-			m.td.FELatICache += m.missLatency(line)
+			lv := m.missLevel(line)
+			for i := range m.lanes {
+				l := &m.lanes[i]
+				l.td.FELatICache += l.lat[lv]
+			}
 		}
-	}
-	// Instruction TLB on the first page touched.
-	page := m.pageOf(addr)
-	if !m.itlb.access(page) {
-		cost := m.cfg.STLBCycles
-		if !m.stlb.access(page) {
-			cost += m.cfg.WalkCycles
-		}
-		m.td.FELatITLB += cost
 	}
 
 	// Uop supply: DSB hit streams decoded uops; otherwise the legacy
-	// decode pipeline (MITE) limits bandwidth.
-	u := float64(uops)
-	fromDSB := false
-	if m.dsb != nil {
-		fromDSB = m.dsb.access(addr &^ 31)
-	}
+	// decode pipeline (MITE) limits bandwidth. Moving between the two
+	// costs a cycle either way (a host without a DSB never moves).
+	fromDSB := m.dsb != nil && m.dsb.access(addr&^31)
+	switched := fromDSB != m.lastWasDSB
+	m.lastWasDSB = fromDSB
 	if fromDSB {
 		m.uopsDSB += uint64(uops)
-		if d := u * m.dsbSlack; d > 0 {
-			m.td.FEBandwidthDSB += d
-		}
-		if !m.lastWasDSB {
-			m.td.FEBandwidthDSB += 1.0 // MITE→DSB switch penalty
-		}
 	} else {
 		m.uopsMITE += uint64(uops)
-		if d := u * m.miteSlack; d > 0 {
-			m.td.FEBandwidthMITE += d
+	}
+	m.uops += uint64(uops)
+
+	u := float64(uops)
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		if fromDSB {
+			if d := u * l.dsbSlack; d > 0 {
+				l.td.FEBandwidthDSB += d
+			}
+			if switched {
+				l.td.FEBandwidthDSB += 1.0 // MITE→DSB switch penalty
+			}
+		} else {
+			if d := u * l.miteSlack; d > 0 {
+				l.td.FEBandwidthMITE += d
+			}
+			if switched {
+				l.td.FEBandwidthMITE += 1.0 // DSB→MITE switch penalty
+			}
 		}
-		if m.lastWasDSB && m.dsb != nil {
-			m.td.FEBandwidthMITE += 1.0 // DSB→MITE switch penalty
+		l.td.RetiringCycles += u / l.cfg.IssueWidth
+		// Execution-port contention: a small per-uop core-bound tax.
+		l.td.BECoreCycles += u * 0.005
+		// Instruction TLB on the first page touched. It comes last, so the
+		// calls it may make have nothing of the loop body left to save.
+		if page := l.pageOf(addr); !l.itlb.access(page) {
+			l.td.FELatITLB += l.stlbCost(page)
 		}
 	}
-	m.lastWasDSB = fromDSB
-
-	m.uops += uint64(uops)
-	m.td.RetiringCycles += u / m.cfg.IssueWidth
-	// Execution-port contention: a small per-uop core-bound tax.
-	m.td.BECoreCycles += u * 0.005
 }
 
 // Branch implements hostmodel.Sink.
@@ -341,16 +459,22 @@ func (m *Machine) Branch(pc, target uint64, taken, indirect bool) {
 		if !m.bp.indirect(pc, target) {
 			// Unknown target: the front end stalls until the branch unit
 			// resolves it (a BAClear), with no wrong-path execution.
-			m.td.FELatUnknownBranch += m.cfg.BAClearCycles
+			for i := range m.lanes {
+				l := &m.lanes[i]
+				l.td.FELatUnknownBranch += l.cfg.BAClearCycles
+			}
 		}
 		return
 	}
 	if !m.bp.conditional(pc, taken) {
 		// A real misprediction: wasted back-end slots plus the front-end
 		// resteer to refill the pipe, and the machine-clear share.
-		m.td.BadSpecCycles += m.cfg.MispredictCycles
-		m.td.FELatMispredictResteer += m.cfg.ResteerCycles
-		m.td.FELatClearResteer += 0.2 * m.cfg.ResteerCycles
+		for i := range m.lanes {
+			l := &m.lanes[i]
+			l.td.BadSpecCycles += l.cfg.MispredictCycles
+			l.td.FELatMispredictResteer += l.cfg.ResteerCycles
+			l.td.FELatClearResteer += 0.2 * l.cfg.ResteerCycles
+		}
 	}
 }
 
@@ -361,37 +485,39 @@ func (m *Machine) Data(addr uint64, size uint32, write bool) {
 	} else {
 		m.dataReads++
 	}
-	page := m.pageOf(addr)
-	if !m.dtlb.access(page) {
-		cost := m.cfg.STLBCycles
-		if !m.stlb.access(page) {
-			cost += m.cfg.WalkCycles
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		if page := l.pageOf(addr); !l.dtlb.access(page) {
+			l.td.BEMemCycles += l.stlbCost(page)
 		}
-		m.td.BEMemCycles += cost
 	}
-	line := addr &^ (m.cfg.L1D.LineBytes - 1)
-	if !m.l1d.access(line) {
-		lat := m.missLatency(line)
-		factor := 1 - m.cfg.MLPOverlap
-		switch {
-		case m.streamHit(line):
-			// The stream prefetcher already issued this line: the demand
-			// access pays only a residual L2-ish latency.
-			m.prefetched++
-			lat = m.cfg.L2Cycles * 0.3
-		case write:
+	line := addr &^ (m.l1d.geom.LineBytes - 1)
+	if m.l1d.access(line) {
+		return
+	}
+	lv := m.missLevel(line)
+	if m.streamHit(line) {
+		// The stream prefetcher already issued this line: the demand
+		// access pays only a residual L2-ish latency.
+		m.prefetched++
+		lv = levelStream
+	}
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		factor := 1 - l.cfg.MLPOverlap
+		if write && lv != levelStream {
 			// Stores retire before the miss completes; only buffer
 			// pressure shows up.
 			factor *= 0.4
 		}
-		m.td.BEMemCycles += lat * factor
+		l.td.BEMemCycles += l.lat[lv] * factor
 	}
 }
 
 // streamHit reports whether line continues a tracked ascending stream, and
 // trains the trackers.
 func (m *Machine) streamHit(line uint64) bool {
-	lb := m.cfg.L1D.LineBytes
+	lb := m.l1d.geom.LineBytes
 	for i := range m.streams {
 		if line == m.streams[i]+lb || line == m.streams[i]+2*lb {
 			m.streams[i] = line
@@ -410,11 +536,15 @@ var _ interface {
 	Data(addr uint64, size uint32, write bool)
 } = (*Machine)(nil)
 
-// Cycles returns the total modeled host cycles so far.
-func (m *Machine) Cycles() float64 { return m.td.Total() }
+// Cycles returns the total modeled host cycles so far of the first lane.
+func (m *Machine) Cycles() float64 { return m.lanes[0].td.Total() }
 
 // TimeSeconds returns modeled host seconds (the paper's simulation time
-// metric).
-func (m *Machine) TimeSeconds() float64 {
-	return m.td.Total() / (m.cfg.FreqGHz * 1e9)
+// metric) of the first lane.
+func (m *Machine) TimeSeconds() float64 { return m.LaneTimeSeconds(0) }
+
+// LaneTimeSeconds returns modeled host seconds of lane i.
+func (m *Machine) LaneTimeSeconds(i int) float64 {
+	l := &m.lanes[i]
+	return l.td.Total() / (l.cfg.FreqGHz * 1e9)
 }

@@ -55,22 +55,28 @@ type Report struct {
 	DRAMBandwidthUtil float64
 }
 
-// Report captures the machine's current state.
-func (m *Machine) Report() Report {
-	total := m.td.Total()
+// Report captures the current state of the machine's first lane.
+func (m *Machine) Report() Report { return m.LaneReport(0) }
+
+// LaneReport captures the current state of lane i: its host's account over
+// the structures every lane shares.
+func (m *Machine) LaneReport(i int) Report {
+	l := &m.lanes[i]
+	td := &l.td
+	total := td.Total()
 	if total == 0 {
 		total = 1
 	}
 	r := Report{
-		Machine:        m.cfg.Name,
-		TopDown:        m.td,
-		Cycles:         m.td.Total(),
-		TimeSeconds:    m.TimeSeconds(),
+		Machine:        l.cfg.Name,
+		TopDown:        *td,
+		Cycles:         td.Total(),
+		TimeSeconds:    m.LaneTimeSeconds(i),
 		Uops:           m.uops,
 		ICacheMissRate: m.l1i.MissRate(),
 		DCacheMissRate: m.l1d.MissRate(),
-		ITLBMissRate:   m.itlb.MissRate(),
-		DTLBMissRate:   m.dtlb.MissRate(),
+		ITLBMissRate:   l.itlb.MissRate(),
+		DTLBMissRate:   l.dtlb.MissRate(),
 		L2MissRate:     m.l2.MissRate(),
 		DRAMBytes:      m.dramBytes,
 	}
@@ -81,27 +87,27 @@ func (m *Machine) Report() Report {
 	}
 	r.BranchMispredictRate = m.bp.MispredictRate()
 	r.IPC = float64(m.uops) / r.Cycles
-	r.StallFrac = 1 - m.td.RetiringCycles/total
+	r.StallFrac = 1 - td.RetiringCycles/total
 	if m.uopsDSB+m.uopsMITE > 0 {
 		r.DSBCoverage = float64(m.uopsDSB) / float64(m.uopsDSB+m.uopsMITE)
 	}
-	if r.TimeSeconds > 0 && m.cfg.PeakDRAMBytesPerSec > 0 {
-		r.DRAMBandwidthUtil = float64(m.dramBytes) / r.TimeSeconds / m.cfg.PeakDRAMBytesPerSec
+	if r.TimeSeconds > 0 && l.cfg.PeakDRAMBytesPerSec > 0 {
+		r.DRAMBandwidthUtil = float64(m.dramBytes) / r.TimeSeconds / l.cfg.PeakDRAMBytesPerSec
 	}
 	r.Level1 = Breakdown{
-		Retiring:          m.td.RetiringCycles / total,
-		FrontEndBound:     m.td.FrontEndBound() / total,
-		BadSpeculation:    m.td.BadSpecCycles / total,
-		BackEndBound:      m.td.BackEndBound() / total,
-		FELatency:         m.td.FELatency() / total,
-		FEBandwidth:       m.td.FEBandwidth() / total,
-		ICacheMisses:      m.td.FELatICache / total,
-		ITLBMisses:        m.td.FELatITLB / total,
-		MispredictResteer: m.td.FELatMispredictResteer / total,
-		ClearResteer:      m.td.FELatClearResteer / total,
-		UnknownBranches:   m.td.FELatUnknownBranch / total,
-		MITE:              m.td.FEBandwidthMITE / total,
-		DSB:               m.td.FEBandwidthDSB / total,
+		Retiring:          td.RetiringCycles / total,
+		FrontEndBound:     td.FrontEndBound() / total,
+		BadSpeculation:    td.BadSpecCycles / total,
+		BackEndBound:      td.BackEndBound() / total,
+		FELatency:         td.FELatency() / total,
+		FEBandwidth:       td.FEBandwidth() / total,
+		ICacheMisses:      td.FELatICache / total,
+		ITLBMisses:        td.FELatITLB / total,
+		MispredictResteer: td.FELatMispredictResteer / total,
+		ClearResteer:      td.FELatClearResteer / total,
+		UnknownBranches:   td.FELatUnknownBranch / total,
+		MITE:              td.FEBandwidthMITE / total,
+		DSB:               td.FEBandwidthDSB / total,
 	}
 	return r
 }

@@ -36,12 +36,16 @@ func (t *tlb) reset() {
 	*t = tlb{idx: t.idx, lastPage: ^uint64(0)}
 }
 
-// access looks up a page number, filling on miss; returns true on hit.
+// access looks up a page number, filling on miss; returns true on hit. It
+// is small enough to inline, so a same-page repeat costs its caller one
+// compare.
 func (t *tlb) access(page uint64) bool {
 	t.Accesses++
-	if page == t.lastPage {
-		return true
-	}
+	return page == t.lastPage || t.lookup(page)
+}
+
+// lookup is access past the memo.
+func (t *tlb) lookup(page uint64) bool {
 	t.lastPage = page
 	if slot, ok := t.idx.Lookup(page); ok {
 		t.idx.Touch(slot)

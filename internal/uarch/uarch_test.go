@@ -387,31 +387,45 @@ func TestHugePageModeString(t *testing.T) {
 // TestResetForgetsMemos covers what TestRecycledMachineIdentity cannot see:
 // a same-page memo that survives Reset answers one access that should have
 // missed, the page then misses on its next use instead, and every count
-// comes out the same. So look at the memos (and the address map) directly.
+// comes out the same. So look at the memos (and the address maps) directly,
+// in every lane: the machine runs three hosts, is Reset for one and then
+// for two, so the second lane comes back from the spare lanes a wider run
+// left behind.
 func TestResetForgetsMemos(t *testing.T) {
 	cfg := testConfig()
-	m := NewMachine(cfg)
-	m.MapText(0x40_0000, 0x80_0000)
-	m.MapData(0x7000_0000, 0x7100_0000)
-	m.MapData(0x7080_0000, 0x7200_0000) // overlaps: the slow path is on
-	for i := uint64(0); i < 4096; i++ {
-		m.FetchBlock(0x40_0000+i*96, 32, 9)
-		m.Data(0x7000_0000+i*520, 8, i%3 == 0)
+	m := NewLanes(cfg, cfg, cfg)
+	run := func() {
+		m.MapText(0x40_0000, 0x80_0000)
+		m.MapData(0x7000_0000, 0x7100_0000)
+		m.MapData(0x7080_0000, 0x7200_0000) // overlaps: the slow path is on
+		for i := uint64(0); i < 4096; i++ {
+			m.FetchBlock(0x40_0000+i*96, 32, 9)
+			m.Data(0x7000_0000+i*520, 8, i%3 == 0)
+		}
 	}
+	run()
 	m.Reset(cfg)
+	run()
+	m.Reset(cfg, cfg)
+	if m.Lanes() != 2 {
+		t.Fatalf("%d lanes after Reset for two hosts", m.Lanes())
+	}
 	for name, c := range map[string]*cache{"l1i": m.l1i, "l1d": m.l1d, "l2": m.l2, "llc": m.llc, "dsb": m.dsb} {
 		if c.lastBlock != ^uint64(0) || c.Accesses != 0 || c.resident != 0 {
 			t.Errorf("%s after Reset: lastBlock %#x, %d accesses, %d resident", name, c.lastBlock, c.Accesses, c.resident)
 		}
 	}
-	for name, tb := range map[string]*tlb{"itlb": m.itlb, "dtlb": m.dtlb, "stlb": m.stlb} {
-		if tb.lastPage != ^uint64(0) || tb.Accesses != 0 || tb.idx.Len() != 0 {
-			t.Errorf("%s after Reset: lastPage %#x, %d accesses, %d resident", name, tb.lastPage, tb.Accesses, tb.idx.Len())
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		for name, tb := range map[string]*tlb{"itlb": l.itlb, "dtlb": l.dtlb, "stlb": l.stlb} {
+			if tb.lastPage != ^uint64(0) || tb.Accesses != 0 || tb.idx.Len() != 0 {
+				t.Errorf("lane %d: %s after Reset: lastPage %#x, %d accesses, %d resident", i, name, tb.lastPage, tb.Accesses, tb.idx.Len())
+			}
 		}
-	}
-	if len(m.regions) != 0 || len(m.sorted) != 0 || m.overlapped || m.lastRegion != 0 {
-		t.Errorf("address map after Reset: %d regions, %d sorted, overlapped=%v, lastRegion=%d",
-			len(m.regions), len(m.sorted), m.overlapped, m.lastRegion)
+		if len(l.regions) != 0 || len(l.sorted) != 0 || l.overlapped || l.last != (pageMemo{}) || l.td != (TopDown{}) {
+			t.Errorf("lane %d: address map after Reset: %d regions, %d sorted, overlapped=%v, memo %+v, account %+v",
+				i, len(l.regions), len(l.sorted), l.overlapped, l.last, l.td)
+		}
 	}
 }
 
@@ -426,7 +440,7 @@ func TestMappingIsIdempotent(t *testing.T) {
 		m.MapText(0x40_0000, 0x1000_0000)
 		m.MapData(0x7000_0000, 0x7100_0000)
 	}
-	if len(m.regions) != 3 || m.overlapped {
-		t.Fatalf("%d regions, overlapped=%v; want the 3 of the first round on the fast path", len(m.regions), m.overlapped)
+	if l := &m.lanes[0]; len(l.regions) != 3 || l.overlapped {
+		t.Fatalf("%d regions, overlapped=%v; want the 3 of the first round on the fast path", len(l.regions), l.overlapped)
 	}
 }
