@@ -154,13 +154,13 @@ const ShardSerial = core.ShardSerial
 // modeled host platform.
 func RunSession(cfg SessionConfig) (*SessionResult, error) { return core.RunSession(cfg) }
 
-// RunSessions runs one guest on several hosts that differ only in scalars
-// (clock, latencies, widths, page backing), returning one result per host,
-// each what RunSession of that host returns (DESIGN.md §21).
+// RunSessions runs one guest and one simulator binary on several hosts,
+// whatever they differ in, returning one result per member, each what
+// RunSession of that member returns (DESIGN.md §21, §22).
 func RunSessions(cfgs []SessionConfig) ([]*SessionResult, error) { return core.RunSessions(cfgs) }
 
-// SweepError is how RunSessions and RunSampledSweep reject hosts that
-// cannot share one guest.
+// SweepError is how RunSessions and RunSampledSweep reject members that
+// cannot share one guest and binary.
 type SweepError = core.SweepError
 
 // SimPoint-style sampled simulation (profile on the Atomic model, simulate

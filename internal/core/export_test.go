@@ -19,6 +19,18 @@ func StoreCaps() (nlayouts, nmachines, nimages int) {
 	return layouts.max, machines.max, images.max
 }
 
+// IdleLanes returns the lane count of every idle machine, most recently
+// used first.
+func IdleLanes() []int {
+	machines.mu.Lock()
+	defer machines.mu.Unlock()
+	var out []int
+	for _, e := range machines.ents {
+		out = append(out, e.val.Lanes())
+	}
+	return out
+}
+
 func (s *store[K, V]) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -90,16 +90,17 @@ type IntervalResult struct {
 	Completed bool
 }
 
-// IntervalRunner measures successive interval sessions of one sweep on a
-// single persistent host machine, one lane per host. Each Run builds a fresh
-// guest (restored from its checkpoint), but the modeled machine — caches,
-// TLBs, predictors, clocks — carries over from the previous Run, the way it
-// would across the same instructions of one long full run. Without this,
-// every measured window pays the machine's full cold start, which no
-// affordable per-window warmup can absorb. The machine and the simulator
-// binary come from the same stores every session draws on (stores.go); the
-// runner just keeps its machine, unreset, from window to window and rewinds
-// its code model over the layout it already follows. The sweep is what
+// IntervalRunner measures successive interval sessions of one sweep on
+// persistent host machines, one per structure size among its hosts with one
+// lane per host. Each Run builds a fresh guest (restored from its
+// checkpoint), but the modeled machines — caches, TLBs, predictors, clocks —
+// carry over from the previous Run, the way they would across the same
+// instructions of one long full run. Without this, every measured window
+// pays the machine's full cold start, which no affordable per-window warmup
+// can absorb. The machines and the simulator binary come from the same
+// stores every session draws on (stores.go); the runner just keeps its
+// machines, unreset, from window to window and rewinds its code model over
+// the layout it already follows. The sweep is what
 // RunSessions accepts, and each lane's windows are bit for bit what a
 // runner of that host alone measures. Runs are serial by construction; a
 // runner must not be shared across goroutines. Close it when the last
@@ -110,13 +111,13 @@ type IntervalRunner struct {
 }
 
 // NewIntervalRunner returns a runner for one sweep of session
-// configurations. The host machine is drawn on the first Run and kept until
+// configurations. The host machines are drawn on the first Run and kept until
 // Close.
 func NewIntervalRunner(cfgs []SessionConfig) *IntervalRunner {
 	return &IntervalRunner{cfgs: cfgs}
 }
 
-// Close gives the runner's machine back for other sessions to reuse. Every
+// Close gives the runner's machines back for other sessions to reuse. Every
 // IntervalResult already returned stays valid (its Report is a copy); a Run
 // after Close starts over on a cold machine.
 func (r *IntervalRunner) Close() {
@@ -147,7 +148,7 @@ func RunIntervalSession(cfg SessionConfig, ck *Checkpoint, warmup, budget uint64
 }
 
 // Run measures one interval window on every host of the sweep and returns
-// one result per host, in order; see RunIntervalSession.
+// one result per member, in order; see RunIntervalSession.
 //
 // Interval sessions always run serially (never pipelined, never sharded;
 // see newExecPlan). The function profiler is rejected outright because its
@@ -176,20 +177,20 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) ([]*Interval
 		return nil, err
 	}
 	g := cs.guest
-	lanes := cs.machine.Lanes()
+	members := len(cs.lanes)
 
 	// Clock-read boundaries: the warmup→measure edge, plus interior marks
-	// at thirds of the budget that delimit the sub-windows. Every lane's
-	// clock is read at each, into times[mark*lanes+lane].
+	// at thirds of the budget that delimit the sub-windows. Every member's
+	// clock is read at each, into times[mark*members+member].
 	bounds := []uint64{warmup}
 	if sub := budget / 3; sub > 0 {
 		bounds = append(bounds, warmup+sub, warmup+2*sub)
 	}
-	times := make([]float64, len(bounds)*lanes)
+	times := make([]float64, len(bounds)*members)
 	reached := 0
 	markAt := func(i int) {
-		for l := 0; l < lanes; l++ {
-			times[i*lanes+l] = cs.machine.LaneTimeSeconds(l)
+		for l := 0; l < members; l++ {
+			times[i*members+l] = cs.laneSeconds(l)
 		}
 		reached = i + 1
 	}
@@ -209,10 +210,10 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) ([]*Interval
 			executed, warmup)
 	}
 	sessions := cs.results(gres)
-	out := make([]*IntervalResult, lanes)
+	out := make([]*IntervalResult, members)
 	for l := range out {
-		at := func(i int) float64 { return times[i*lanes+l] }
-		end := cs.machine.LaneTimeSeconds(l)
+		at := func(i int) float64 { return times[i*members+l] }
+		end := cs.laneSeconds(l)
 		var subSecs []float64
 		var subInsts []uint64
 		for i := 1; i < reached; i++ {

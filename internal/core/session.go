@@ -110,14 +110,19 @@ type SessionResult struct {
 // SimSeconds returns the modeled host wall-clock of the simulation.
 func (r *SessionResult) SimSeconds() float64 { return r.Host.TimeSeconds }
 
-// cosim bundles the host side of one co-simulation — the modeled machine,
-// one lane per host of the sweep, the synthetic simulator binary, and (when
-// pipelined) the ring stages — together with the guest it traces.
-// RunSessions and IntervalRunner share this assembly; only how (and how much
-// of) the guest runs differs.
+// cosim bundles the host side of one co-simulation — the modeled machines,
+// one per distinct structure sizes among the sweep's hosts with one lane per
+// distinct host, the synthetic simulator binary, and (when pipelined) the
+// ring stages — together with the guest it traces. RunSessions and
+// IntervalRunner share this assembly; only how (and how much of) the guest
+// runs differs.
 type cosim struct {
-	plan     ExecPlan
-	machine  *uarch.Machine
+	plan ExecPlan
+	// machines are in the order their first host appears in the sweep, and
+	// lanes[i] is where member i is modeled; members whose contended hosts
+	// are equal share one lane.
+	machines []*uarch.Machine
+	lanes    []laneRef
 	cm       *hostmodel.CodeModel
 	hostCode hostmodel.Config // normalised
 	prof     *profiler.Profiler
@@ -126,10 +131,42 @@ type cosim struct {
 	guest    *GuestSystem
 }
 
+// laneRef names lane l of machine m.
+type laneRef struct{ m, l int }
+
+// assignLanes gives every distinct host a lane, on a machine of its Sizes:
+// the first machine with them, or a new one. A host equal to an earlier one
+// shares that one's lane, so a cell asked for twice is modeled once. It
+// returns each machine's hosts, lane by lane, and each member's lane.
+func assignLanes(hosts []uarch.Config) ([][]uarch.Config, []laneRef) {
+	var armed [][]uarch.Config
+	refs := make([]laneRef, len(hosts))
+next:
+	for i, h := range hosts {
+		for j := range hosts[:i] {
+			if hosts[j] == h {
+				refs[i] = refs[j]
+				continue next
+			}
+		}
+		m := 0
+		for m < len(armed) && armed[m][0].Sizes() != h.Sizes() {
+			m++
+		}
+		if m == len(armed) {
+			armed = append(armed, nil)
+		}
+		refs[i] = laneRef{m, len(armed[m])}
+		armed[m] = append(armed[m], h)
+	}
+	return armed, refs
+}
+
 // newCosim assembles the host side of a sweep, for an IntervalRunner when
-// interval is set: a machine drawn from the machines store and reset for
-// the (contended) hosts, one lane each, and a code model that follows the
-// published layouts of the normalised HostCode. The sweep is checked
+// interval is set: for each structure size among the (contended) hosts, a
+// machine drawn from the machines store and reset for its hosts, one lane
+// each, and a code model that follows the published layouts of the
+// normalised HostCode and feeds every machine. The sweep is checked
 // (sweepHosts) before anything is looked up or allocated, so a bad config
 // is an error here and not a panic out of a constructor. The caller builds
 // a guest onto the result (build) and releases it when done.
@@ -142,27 +179,39 @@ func newCosim(cfgs []SessionConfig, interval bool) (*cosim, error) {
 	if interval && cfg.Profile {
 		return nil, fmt.Errorf("core: interval sessions do not support the function profiler")
 	}
-	plan := newExecPlan(cfg, interval)
-	machine := acquireMachine(hosts...)
-	cs := &cosim{plan: plan, machine: machine, hostCode: cfg.HostCode.Normalized()}
+	armed, lanes := assignLanes(hosts)
+	cs := &cosim{plan: newExecPlan(cfg, interval), lanes: lanes, hostCode: cfg.HostCode.Normalized()}
+	for _, hs := range armed {
+		cs.machines = append(cs.machines, acquireMachine(hs...))
+	}
 
 	// Pipelined mode interposes a batch encoder between the code model and
-	// the machine; the machine then consumes the identical event stream on
-	// its own goroutine (uarch.Consumer), started only after the address
-	// map is final.
-	var sink hostmodel.Sink = machine
-	if plan.Pipelined {
+	// the machines; they then consume the identical event stream on their
+	// own goroutine (uarch.Consumer), started only after the address map is
+	// final.
+	var sink hostmodel.Sink = uarch.Machines(cs.machines)
+	if len(cs.machines) == 1 {
+		sink = cs.machines[0]
+	}
+	if cs.plan.Pipelined {
 		rg := ring.New(ringSlots)
 		cs.enc = hostmodel.NewRingSink(rg)
-		cs.cons = uarch.NewConsumer(machine, rg)
+		cs.cons = uarch.Machines(cs.machines).Consumer(rg)
 		sink = cs.enc
 	}
 	cs.cm = hostmodel.Follow(cs.hostCode, sink, layouts.peek(cs.hostCode))
 	if cfg.Profile {
-		cs.prof = profiler.New(machine, cs.cm)
+		// A profiled sweep has one host (sweepHosts), so one machine.
+		cs.prof = profiler.New(cs.machines[0], cs.cm)
 		cs.cm.SetProfiler(cs.prof)
 	}
 	return cs, nil
+}
+
+// laneSeconds returns the modeled host seconds of member i so far.
+func (cs *cosim) laneSeconds(i int) float64 {
+	r := cs.lanes[i]
+	return cs.machines[r.m].LaneTimeSeconds(r.l)
 }
 
 // build constructs the guest onto the code model's tracer (from ck when
@@ -189,24 +238,28 @@ func (cs *cosim) build(gc GuestConfig, ck *Checkpoint) error {
 	}
 
 	// The simulator binary is now fully laid out; hand the address map to
-	// the host machine so its TLBs know the page backing.
+	// the host machines so their TLBs know the page backing.
 	tb, te := cs.cm.TextRange()
-	cs.machine.MapText(tb, te)
 	hb, he := cs.cm.HeapRange()
-	cs.machine.MapData(hb, he)
-	cs.machine.MapData(cs.hostCode.StackBase-(1<<20), cs.hostCode.StackBase+(1<<12))
+	for _, m := range cs.machines {
+		m.MapText(tb, te)
+		m.MapData(hb, he)
+		m.MapData(cs.hostCode.StackBase-(1<<20), cs.hostCode.StackBase+(1<<12))
+	}
 	return nil
 }
 
-// release returns the machine to the store once nothing reads it any more:
-// after the consumer has been waited for and the Report taken. A profiled
-// session keeps its machine, which the Profiler it hands out reads cycles
-// from. The cosim must not be used afterwards.
+// release returns the machines to the store once nothing reads them any
+// more: after the consumer has been waited for and the Reports taken. A
+// profiled session keeps its machine, which the Profiler it hands out reads
+// cycles from. The cosim must not be used afterwards.
 func (cs *cosim) release() {
 	if cs.prof == nil {
-		releaseMachine(cs.machine)
+		for _, m := range cs.machines {
+			releaseMachine(m)
+		}
 	}
-	cs.machine = nil
+	cs.machines = nil
 }
 
 // run executes the guest through the session's pipeline arrangement.
@@ -235,14 +288,14 @@ func (cs *cosim) run(runGuest func() (*GuestResult, error)) (gres *GuestResult, 
 	return gres, err
 }
 
-// results assembles one SessionResult per host for a completed run, in
+// results assembles one SessionResult per member for a completed run, in
 // sweep order. They share gres.
 func (cs *cosim) results(gres *GuestResult) []*SessionResult {
-	out := make([]*SessionResult, cs.machine.Lanes())
-	for i := range out {
+	out := make([]*SessionResult, len(cs.lanes))
+	for i, r := range cs.lanes {
 		out[i] = &SessionResult{
 			Guest:       gres,
-			Host:        cs.machine.LaneReport(i),
+			Host:        cs.machines[r.m].LaneReport(r.l),
 			Prof:        cs.prof,
 			TextBytes:   cs.cm.TextBytes(),
 			NumFuncs:    cs.cm.NumFuncs(),
@@ -263,12 +316,16 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 }
 
 // RunSessions co-simulates one guest on several hosts and returns one
-// result per host, in order. The members must differ in nothing but Host,
-// and their contended hosts must share uarch.Sizes (SweepError otherwise):
-// then the guest, its trace and the caches, uop cache and predictor it
-// drives are simulated once, and each host is a lane of one machine whose
-// report is bit for bit what RunSession of that member alone returns
-// (DESIGN §21). The results share one read-only GuestResult.
+// result per member, in order. The members must share the guest, the
+// normalised binary (HostCode) and the pipeline mode, and only a sweep of
+// one may profile (SweepError otherwise); their hosts and scenarios may
+// differ in anything. The guest and its trace are simulated once. The
+// contended hosts of one uarch.Sizes are lanes of one machine, whose caches,
+// uop cache and predictor run once for all of them (DESIGN §21); each
+// distinct Sizes is a machine of its own fed the same trace, and members
+// with equal contended hosts share a lane (DESIGN §22). Every member's
+// report is bit for bit what RunSession of that member alone returns. The
+// results share one read-only GuestResult.
 //
 // RunSessions is safe for concurrent use, and its results are a pure
 // function of cfgs. A call constructs its own guest system, and the

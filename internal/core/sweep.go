@@ -11,11 +11,11 @@ import (
 
 // SweepError rejects a sweep — the SessionConfigs of one RunSessions,
 // IntervalRunner or simpoint.RunSampledSweep — whose members cannot share
-// one guest: Field names what differs ("Guest", "HostCode", "Scenario",
-// "Pipeline", "Profile", or "Sizes" for the contended hosts' structure
-// sizes), between members A and B. A Profile set on one member of a sweep
-// of several is rejected under Field "Profile" too, since the profiler
-// follows one host.
+// one guest: Field names what differs ("Guest", "HostCode" for the
+// normalised binary, "Pipeline" or "Profile"), between members A and B. A
+// Profile set on one member of a sweep of several is rejected under Field
+// "Profile" too, since the profiler follows one host. Hosts and scenarios
+// may differ freely.
 type SweepError struct {
 	Field string
 	A, B  int
@@ -43,16 +43,15 @@ func sweepHosts(cfgs []SessionConfig) ([]uarch.Config, error) {
 		return nil, fmt.Errorf("core: a sweep needs at least one session")
 	}
 	first := &cfgs[0]
+	binary := first.HostCode.Normalized()
 	for i := range cfgs[1:] {
 		c, b := &cfgs[i+1], i+1
 		field := ""
 		switch {
 		case !sameGuest(first.Guest, c.Guest):
 			field = "Guest"
-		case first.HostCode != c.HostCode:
+		case c.HostCode.Normalized() != binary:
 			field = "HostCode"
-		case first.Scenario != c.Scenario:
-			field = "Scenario"
 		case first.Pipeline != c.Pipeline:
 			field = "Pipeline"
 		case first.Profile || c.Profile:
@@ -71,9 +70,6 @@ func sweepHosts(cfgs []SessionConfig) ([]uarch.Config, error) {
 		if err := hosts[i].Validate(); err != nil {
 			return nil, fmt.Errorf("core: host: %w", err)
 		}
-		if hosts[i].Sizes() != hosts[0].Sizes() {
-			return nil, &SweepError{Field: "Sizes", A: 0, B: i}
-		}
 	}
 	if err := first.HostCode.Validate(); err != nil {
 		return nil, fmt.Errorf("core: host code: %w", err)
@@ -82,14 +78,16 @@ func sweepHosts(cfgs []SessionConfig) ([]uarch.Config, error) {
 }
 
 // sameGuest reports whether two guest configs build the same guest: equal
-// field for field, with the exec-trace writer the same one (a writer that
-// cannot be compared is never the same as another).
+// field for field, the hierarchy overrides deeply, with the exec-trace
+// writer the same one (a writer that cannot be compared is never the same
+// as another).
 func sameGuest(a, b GuestConfig) bool {
 	if !sameWriter(a.ExecTrace, b.ExecTrace) {
 		return false
 	}
-	a.ExecTrace, b.ExecTrace = nil, nil
-	return reflect.DeepEqual(a, b)
+	ha, hb := a.Hierarchy, b.Hierarchy
+	a.ExecTrace, b.ExecTrace, a.Hierarchy, b.Hierarchy = nil, nil, nil, nil
+	return a == b && (ha == hb || ha != nil && hb != nil && reflect.DeepEqual(*ha, *hb))
 }
 
 func sameWriter(a, b io.Writer) bool {

@@ -8,6 +8,7 @@ import (
 
 	"gem5prof/internal/core"
 	"gem5prof/internal/hostmodel"
+	"gem5prof/internal/mem"
 	"gem5prof/internal/platform"
 	"gem5prof/internal/sim"
 	"gem5prof/internal/simpoint"
@@ -16,8 +17,11 @@ import (
 
 // laneSweeps are the sweeps the lane identity tests run: every CPU model
 // over the three page backings of the Xeon, Timing over the six clocks of
-// Fig. 13, a pair that differs only in MLP, and an M1 Pro pair (no DSB,
-// 16 KB pages) that differs in clock, DRAM latency and text backing.
+// Fig. 13, a pair that differs only in MLP, an M1 Pro pair (no DSB, 16 KB
+// pages) that differs in clock, DRAM latency and text backing, and a mix of
+// hosts of five structure sizes — the three Table II platforms, a FireSim
+// Rocket with no LLC, a contended Xeon — with a THP lane beside the Xeon's
+// and a member asked for twice.
 func laneSweeps() map[string][]core.SessionConfig {
 	sweep := func(gc core.GuestConfig, hosts ...uarch.Config) []core.SessionConfig {
 		out := make([]core.SessionConfig, len(hosts))
@@ -52,6 +56,10 @@ func laneSweeps() map[string][]core.SessionConfig {
 	out["m1 pro"] = sweep(sieve(core.Minor), m1, with(m1, func(h *uarch.Config) {
 		h.FreqGHz, h.DRAMNanos, h.HugePages = 2.4, 120, uarch.PagesTHP
 	}))
+	mixed := sweep(sieve(core.O3), xeon, m1, with(xeon, func(h *uarch.Config) { h.HugePages = uarch.PagesTHP }),
+		platform.M1Ultra(), platform.FireSimRocket(8, 2, 8, 2, 512, 8), xeon, xeon)
+	mixed[5].Scenario = platform.Scenario{Procs: 4, SMT: true}
+	out["mixed hosts"] = mixed
 	return out
 }
 
@@ -125,7 +133,7 @@ func TestIntervalLaneIdentity(t *testing.T) {
 		return fmt.Sprintf("%v %v %d %v %v %+v", ivr.Seconds, ivr.SubSeconds, ivr.Insts, ivr.SubInsts, ivr.Completed, ivr.Session.Host)
 	}
 	for name, cfgs := range laneSweeps() {
-		if name != "timing x clocks" && name != "o3 x pages" && name != "m1 pro" {
+		if name != "timing x clocks" && name != "o3 x pages" && name != "m1 pro" && name != "mixed hosts" {
 			continue
 		}
 		for i := range cfgs {
@@ -143,9 +151,45 @@ func TestIntervalLaneIdentity(t *testing.T) {
 	}
 }
 
+// TestSweepDrawsAMachinePerSizes: a sweep draws one machine per structure
+// size among its contended hosts, with one lane per distinct host, and gives
+// every one back; members whose contended hosts are equal (asked for twice,
+// or with a scenario that contends nothing) share a lane and report alike.
+func TestSweepDrawsAMachinePerSizes(t *testing.T) {
+	gc := core.GuestConfig{CPU: core.O3, Mode: core.SE, Workload: "sieve", Scale: 256}
+	thp := platform.IntelXeon()
+	thp.HugePages = uarch.PagesTHP
+	cfgs := []core.SessionConfig{
+		{Guest: gc, Host: platform.IntelXeon()},
+		{Guest: gc, Host: platform.M1Pro()},
+		{Guest: gc, Host: thp},
+		{Guest: gc, Host: platform.IntelXeon()},
+		{Guest: gc, Host: platform.M1Ultra()},
+		{Guest: gc, Host: platform.M1Pro(), Scenario: platform.Scenario{Procs: 1}},
+	}
+	core.DropStores()
+	res, err := core.RunSessions(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Released in the order the machines were drawn, so the store holds
+	// the M1 Ultra's, the M1 Pro's and the Xeon's, most recent first.
+	if got, want := fmt.Sprint(core.IdleLanes()), "[1 1 2]"; got != want {
+		t.Errorf("idle machines' lanes after the sweep: %s, want %s", got, want)
+	}
+	for _, pair := range [][2]int{{0, 3}, {1, 5}} {
+		a, b := fmt.Sprintf("%+v", res[pair[0]].Host), fmt.Sprintf("%+v", res[pair[1]].Host)
+		if a != b {
+			t.Errorf("members %d and %d share a lane but report differently:\n%s\n%s", pair[0], pair[1], a, b)
+		}
+	}
+}
+
 // TestSweepRejections: a sweep whose members cannot share one guest is a
 // *SweepError naming the field and the two members, from every entry point
-// that takes a sweep, before a machine is drawn — never a panic.
+// that takes a sweep, before a machine is drawn — never a panic. Members
+// that differ only on the host side (host, scenario, a spelled-out default
+// binary) are one sweep.
 func TestSweepRejections(t *testing.T) {
 	base := core.SessionConfig{
 		Guest: core.GuestConfig{CPU: core.Timing, Mode: core.SE, Workload: "sieve", Scale: 256},
@@ -157,12 +201,15 @@ func TestSweepRejections(t *testing.T) {
 	}{
 		{"Guest", func(sc *core.SessionConfig) { sc.Guest.CPU = core.O3 }},
 		{"Guest", func(sc *core.SessionConfig) { sc.Guest.ExecTrace = io.Discard }},
+		{"Guest", func(sc *core.SessionConfig) {
+			h := mem.DefaultHierarchyConfig("sys")
+			h.L2.Ways = 4
+			sc.Guest.Hierarchy = &h
+		}},
 		{"HostCode", func(sc *core.SessionConfig) { sc.HostCode = hostmodel.Config{SizeFactor: 0.97} }},
-		{"Scenario", func(sc *core.SessionConfig) { sc.Scenario = platform.Scenario{Procs: 4} }},
+		{"HostCode", func(sc *core.SessionConfig) { sc.HostCode.TextSlots = 2 }},
 		{"Pipeline", func(sc *core.SessionConfig) { sc.Pipeline = core.PipelineOn }},
 		{"Profile", func(sc *core.SessionConfig) { sc.Profile = true }},
-		{"Sizes", func(sc *core.SessionConfig) { sc.Host = platform.M1Pro() }},
-		{"Sizes", func(sc *core.SessionConfig) { sc.Host.DSBUops = 0 }},
 	} {
 		other := base
 		tc.edit(&other)
@@ -187,13 +234,21 @@ func TestSweepRejections(t *testing.T) {
 			t.Errorf("rejected sweep (%s) drew a machine", tc.field)
 		}
 	}
-	// One profiled host is a sweep of one, and same-writer exec traces are
-	// one guest.
+	// One profiled host is a sweep of one, same-writer exec traces are one
+	// guest, and so are equal hierarchy overrides behind two pointers.
 	profiled := base
 	profiled.Profile = true
 	traced := base
 	traced.Guest.ExecTrace = io.Discard
-	for _, cfgs := range [][]core.SessionConfig{{profiled}, {traced, traced}} {
+	h1, h2 := mem.DefaultHierarchyConfig("sys"), mem.DefaultHierarchyConfig("sys")
+	hier1, hier2 := base, base
+	hier1.Guest.Hierarchy, hier2.Guest.Hierarchy = &h1, &h2
+	hostSide := []core.SessionConfig{base, base, base, base, base}
+	hostSide[1].Host = platform.M1Pro()
+	hostSide[2].Host.DSBUops = 0
+	hostSide[3].Scenario = platform.Scenario{Procs: 4}
+	hostSide[4].HostCode = hostmodel.DefaultConfig()
+	for _, cfgs := range [][]core.SessionConfig{{profiled}, {traced, traced}, {hier1, hier2}, hostSide} {
 		if err := core.CheckSweep(cfgs); err != nil {
 			t.Errorf("%d members: %v", len(cfgs), err)
 		}

@@ -10,18 +10,21 @@ import (
 )
 
 func init() {
-	register("ablations", runAblations)
+	register("ablations", runAblations, ablationDecl)
 }
 
-// runAblations quantifies the design choices DESIGN.md §5 calls out, using
-// the O3/water_nsquared configuration on the Xeon as the probe.
-func runAblations(opt Options) (*Result, error) {
-	scale := 40
-	if !opt.Quick {
-		scale = parsecRepScale(opt)
-	}
-	// The five probes are flattened into cells and fanned out on the worker
-	// pool, normalizing against cell 0 afterwards.
+var ablationDecl = full(ablationCells)
+
+// ablationProbe is one row of the ablations: a host and a binary.
+type ablationProbe struct {
+	label string
+	host  uarch.Config
+	hc    hostmodel.Config
+}
+
+// ablationProbes are the baseline and the four design choices it is
+// compared against.
+func ablationProbes() []ablationProbe {
 	noDSB := platform.IntelXeon() // A1: no uop cache.
 	noDSB.DSBUops = 0
 	bigL1 := platform.IntelXeon() // A2: VIPT constraint lifted.
@@ -32,21 +35,25 @@ func runAblations(opt Options) (*Result, error) {
 	packed := hostmodel.DefaultConfig() // A4: densely packed function layout.
 	packed.TextSlots = 2                // forces sequential overflow placement
 
-	cells := []struct {
-		label string
-		host  uarch.Config
-		hc    hostmodel.Config
-	}{
+	return []ablationProbe{
 		{label: "baseline", host: platform.IntelXeon()},
 		{label: "A1 no DSB", host: noDSB},
 		{label: "A2 non-VIPT 128KB L1I", host: bigL1},
 		{label: "A3 no MLP overlap", host: noMLP},
 		{label: "A4 packed layout", host: platform.IntelXeon(), hc: packed},
 	}
-	// Baseline and A3 differ only in a scalar and run as one sweep; the
-	// others differ in Sizes or in the binary and run alone.
-	scs := make([]core.SessionConfig, len(cells))
-	for i, c := range cells {
+}
+
+// ablationCells runs every probe on the O3/water_nsquared guest. All but A4
+// share the binary, so they ride one co-simulation.
+func ablationCells(opt Options) []core.SessionConfig {
+	scale := 40
+	if !opt.Quick {
+		scale = parsecRepScale(opt)
+	}
+	probes := ablationProbes()
+	scs := make([]core.SessionConfig, len(probes))
+	for i, c := range probes {
 		scs[i] = core.SessionConfig{
 			Guest: core.GuestConfig{
 				CPU: core.O3, Mode: core.SE,
@@ -56,13 +63,16 @@ func runAblations(opt Options) (*Result, error) {
 			HostCode: c.hc,
 		}
 	}
-	runs, err := runSweeps(opt.runner, scs, core.RunSessions)
+	return scs
+}
+
+// runAblations quantifies the design choices DESIGN.md §5 calls out, using
+// the O3/water_nsquared configuration on the Xeon as the probe, normalizing
+// against the baseline.
+func runAblations(opt Options) (*Result, error) {
+	times, err := cellSeconds(opt, ablationDecl)
 	if err != nil {
 		return nil, err
-	}
-	times := make([]float64, len(runs))
-	for i, r := range runs {
-		times[i] = r.SimSeconds()
 	}
 	base := times[0]
 
@@ -71,7 +81,7 @@ func runAblations(opt Options) (*Result, error) {
 		Title: "Design-choice ablations (O3/water_nsquared on Intel_Xeon; ratio vs baseline time)",
 		Cols:  []string{"time-ratio"},
 	}
-	for i, c := range cells {
+	for i, c := range ablationProbes() {
 		res.Rows = append(res.Rows, Row{Label: c.label, Values: []float64{times[i] / base}})
 	}
 

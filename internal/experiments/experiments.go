@@ -20,10 +20,12 @@ type Options struct {
 	Quick bool
 	// Jobs bounds how many simulation runs execute concurrently (the
 	// harness's -j flag). 0 means GOMAXPROCS; 1 reproduces the sequential
-	// harness. The rendered output is byte-identical for every value: runs
-	// are independent sessions and results are collected in cell order.
-	// Runs leave core.GuestConfig.Seed at its default; a result does not
-	// depend on it, and the field stays only because bench/ sets it.
+	// harness. A run is one co-simulation of the pass (pass.go). The
+	// rendered output is byte-identical for every value: every cell's
+	// result is what its session alone returns, and results are collected
+	// in cell order. Runs leave core.GuestConfig.Seed at its default; a
+	// result does not depend on it, and the field stays only because bench/
+	// sets it.
 	Jobs int
 
 	// Cores caps the multicore scaling sweep (fig16) at the given guest
@@ -46,12 +48,19 @@ type Options struct {
 	// installs one runner across all its experiments so Jobs bounds the
 	// whole harness, not each experiment separately.
 	runner *Runner
+	// pass plans the co-simulations of the experiments run together: one
+	// per RunMany, or per Run called alone.
+	pass *pass
 }
 
-// withRunner returns opt with its worker pool materialized.
-func (o Options) withRunner() Options {
+// withRunner returns opt with its worker pool materialized, and a pass that
+// plans what the experiments ids declare unless opt has one.
+func (o Options) withRunner(ids ...string) Options {
 	if o.runner == nil {
 		o.runner = NewRunner(o.Jobs)
+	}
+	if o.pass == nil {
+		o.pass = newPass(ids, o)
 	}
 	return o
 }
@@ -102,16 +111,25 @@ func (r *Result) Render() string {
 // generator produces one experiment.
 type generator func(opt Options) (*Result, error)
 
+// experiment is a registered generator and the declaration of the sessions
+// it reads, nil for one that runs none.
+type experiment struct {
+	gen   generator
+	cells *declaration
+}
+
 var (
 	mu       sync.Mutex
-	registry = map[string]generator{}
+	registry = map[string]experiment{}
 )
 
-func register(id string, r generator) {
+// register adds an experiment. cells is the declaration gen asks the pass
+// for, so that a pass can plan it before any experiment runs.
+func register(id string, gen generator, cells *declaration) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}
-	registry[id] = r
+	registry[id] = experiment{gen, cells}
 }
 
 // IDs returns all experiment identifiers in presentation order.
@@ -131,12 +149,12 @@ func IDs() []string {
 // options' worker pool (see Options.Jobs).
 func Run(id string, opt Options) (*Result, error) {
 	mu.Lock()
-	r, ok := registry[id]
+	e, ok := registry[id]
 	mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	return r(opt.withRunner())
+	return e.gen(opt.withRunner(id))
 }
 
 // geomean returns the geometric mean of vs.

@@ -5,12 +5,13 @@ import (
 
 	"gem5prof/internal/core"
 	"gem5prof/internal/platform"
-	"gem5prof/internal/uarch"
 )
 
 func init() {
-	register("fig01", runFig01)
+	register("fig01", runFig01, fig01Decl)
 }
+
+var fig01Decl = full(fig01Cells)
 
 // fig01Scale returns the per-workload problem size for the Fig. 1 sweep
 // (scaled-down simmedium).
@@ -94,58 +95,41 @@ func fig01Scenarios() []fig01Scenario {
 	}
 }
 
-// fig01Cell is one simulation run of the Fig. 1 sweep: a (scenario, config,
-// workload, platform) tuple in the sequential sweep order.
-type fig01Cell struct {
-	sc   fig01Scenario
-	cfg  fig01Config
-	wl   string
-	host string
+// fig01Cells is the Fig. 1 sweep in its sequential order: scenario, then
+// config, then workload, then Table II platform.
+func fig01Cells(opt Options) []core.SessionConfig {
+	var cells []core.SessionConfig
+	for _, sc := range fig01Scenarios() {
+		for _, cfg := range fig01Configs(opt.Quick) {
+			for _, wl := range fig01Workloads(opt.Quick) {
+				gc := core.GuestConfig{CPU: cfg.cpu, Mode: cfg.mode, Workload: wl,
+					Scale: fig01Scale(wl)}
+				if cfg.mode == core.FS {
+					gc.BootKBs = 8
+				}
+				for _, host := range platform.TableIIPlatforms() {
+					cells = append(cells, core.SessionConfig{
+						Guest: gc, Host: host, Scenario: sc.procs[host.Name]})
+				}
+			}
+		}
+	}
+	return cells
 }
 
 // runFig01 reproduces Fig. 1: simulation time of M1_Pro and M1_Ultra
 // normalized to Intel_Xeon across co-running scenarios, geomean over the
-// PARSEC/SPLASH-2x workloads, plus the SMT on/off comparison. The sweep is
-// flattened into independent cells that fan out on the worker pool; the
-// geomeans are then folded over the collected times in cell order, so the
-// result is identical at any worker count.
+// PARSEC/SPLASH-2x workloads, plus the SMT on/off comparison. The geomeans
+// are folded over the collected times in cell order, so the result is
+// identical at any worker count.
 func runFig01(opt Options) (*Result, error) {
-	hosts := map[string]uarch.Config{
-		"Intel_Xeon": platform.IntelXeon(),
-		"M1_Pro":     platform.M1Pro(),
-		"M1_Ultra":   platform.M1Ultra(),
-	}
-	hostOrder := []string{"Intel_Xeon", "M1_Pro", "M1_Ultra"}
 	res := &Result{
 		ID:    "fig01",
 		Title: "Simulation time normalized to Intel_Xeon (geomean; >1 means faster than Xeon)",
 		Cols:  []string{"M1_Pro-speedup", "M1_Ultra-speedup"},
 	}
 
-	var cells []fig01Cell
-	for _, sc := range fig01Scenarios() {
-		for _, cfg := range fig01Configs(opt.Quick) {
-			for _, wl := range fig01Workloads(opt.Quick) {
-				for _, host := range hostOrder {
-					cells = append(cells, fig01Cell{sc, cfg, wl, host})
-				}
-			}
-		}
-	}
-	times, err := runAll(opt.runner, len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		gc := core.GuestConfig{CPU: c.cfg.cpu, Mode: c.cfg.mode, Workload: c.wl,
-			Scale: fig01Scale(c.wl)}
-		if c.cfg.mode == core.FS {
-			gc.BootKBs = 8
-		}
-		r, err := core.RunSession(core.SessionConfig{
-			Guest: gc, Host: hosts[c.host], Scenario: c.sc.procs[c.host]})
-		if err != nil {
-			return 0, fmt.Errorf("fig01 %s %s %s: %w", c.host, c.cfg.label, c.wl, err)
-		}
-		return r.SimSeconds(), nil
-	})
+	times, err := cellSeconds(opt, fig01Decl)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +141,7 @@ func runFig01(opt Options) (*Result, error) {
 			var proRatios, ultraRatios []float64
 			for range fig01Workloads(opt.Quick) {
 				xeon, pro, ultra := times[i], times[i+1], times[i+2]
-				i += len(hostOrder)
+				i += len(platform.TableIIPlatforms())
 				proRatios = append(proRatios, xeon/pro)
 				ultraRatios = append(ultraRatios, xeon/ultra)
 				switch sc.label {

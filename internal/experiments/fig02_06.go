@@ -3,13 +3,13 @@ package experiments
 import "fmt"
 
 func init() {
-	register("table1", runTable1)
-	register("table2", runTable2)
-	register("fig02", runFig02)
-	register("fig03", runFig03)
-	register("fig04", runFig04)
-	register("fig05", runFig05)
-	register("fig06", runFig06)
+	register("table1", runTable1, nil)
+	register("table2", runTable2, nil)
+	register("fig02", runFig02, topdownDecl)
+	register("fig03", runFig03, topdownDecl)
+	register("fig04", runFig04, topdownDecl)
+	register("fig05", runFig05, topdownDecl)
+	register("fig06", runFig06, topdownDecl)
 }
 
 // runFig02 reproduces Fig. 2: Top-Down level-1 breakdown of gem5 (eight

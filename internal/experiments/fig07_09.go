@@ -9,40 +9,48 @@ import (
 )
 
 func init() {
-	register("fig07", runFig07)
-	register("fig08", runFig08)
-	register("fig09", runFig09)
+	register("fig07", runFig07, platformDecl)
+	register("fig08", runFig08, platformDecl)
+	register("fig09", runFig09, fig09Decl)
 }
 
-// platformSet runs water_nsquared for the given CPU models on the three
-// Table II platforms and returns reports keyed [platform][cpu]. The
-// platform x CPU grid fans out on the worker pool.
-func platformSet(opt Options, cpus []core.CPUModel) (map[string]map[core.CPUModel]uarch.Report, error) {
-	hostList := platform.TableIIPlatforms()
-	reports, err := runAll(opt.runner, len(hostList)*len(cpus), func(i int) (uarch.Report, error) {
-		host, cpu := hostList[i/len(cpus)], cpus[i%len(cpus)]
-		r, err := core.RunSession(core.SessionConfig{
-			Guest: core.GuestConfig{
-				CPU: cpu, Mode: core.SE,
-				Workload: "water_nsquared", Scale: parsecRepScale(opt),
-			},
-			Host: host,
-		})
-		if err != nil {
-			return uarch.Report{}, fmt.Errorf("platform set %s/%s: %w", host.Name, cpu, err)
+var fig09Decl = full(fig09Cells)
+
+// platformDecl declares the platform set's sessions for the figures that
+// read it.
+var platformDecl = full(platformCells)
+
+// platformCells runs water_nsquared for fig07CPUs on the three Table II
+// platforms, platform-major.
+func platformCells(opt Options) []core.SessionConfig {
+	var cells []core.SessionConfig
+	for _, host := range platform.TableIIPlatforms() {
+		for _, cpu := range fig07CPUs {
+			cells = append(cells, core.SessionConfig{
+				Guest: core.GuestConfig{
+					CPU: cpu, Mode: core.SE,
+					Workload: "water_nsquared", Scale: parsecRepScale(opt),
+				},
+				Host: host,
+			})
 		}
-		return r.Host, nil
-	})
+	}
+	return cells
+}
+
+// platformSet returns the reports of platformCells keyed [platform][cpu].
+func platformSet(opt Options) (map[string]map[core.CPUModel]uarch.Report, error) {
+	runs, err := sessions(opt, platformDecl)
 	if err != nil {
 		return nil, err
 	}
 	out := map[string]map[core.CPUModel]uarch.Report{}
-	for i, rep := range reports {
-		host, cpu := hostList[i/len(cpus)], cpus[i%len(cpus)]
-		if out[host.Name] == nil {
-			out[host.Name] = map[core.CPUModel]uarch.Report{}
+	for i, r := range runs {
+		host, cpu := platform.TableIIPlatforms()[i/len(fig07CPUs)].Name, fig07CPUs[i%len(fig07CPUs)]
+		if out[host] == nil {
+			out[host] = map[core.CPUModel]uarch.Report{}
 		}
-		out[host.Name][cpu] = rep
+		out[host][cpu] = r.Host
 	}
 	return out, nil
 }
@@ -53,7 +61,7 @@ var fig07CPUs = []core.CPUModel{core.Atomic, core.Timing, core.O3}
 // runFig07 reproduces Fig. 7: IPC and stall percentage of gem5 on the three
 // platforms.
 func runFig07(opt Options) (*Result, error) {
-	set, err := platformSet(opt, fig07CPUs)
+	set, err := platformSet(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +95,7 @@ func runFig07(opt Options) (*Result, error) {
 // runFig08 reproduces Fig. 8: TLB, L1 cache, and branch prediction
 // performance across the platforms.
 func runFig08(opt Options) (*Result, error) {
-	set, err := platformSet(opt, fig07CPUs)
+	set, err := platformSet(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +135,29 @@ func runFig08(opt Options) (*Result, error) {
 	return res, nil
 }
 
+// fig09Modes are the guest modes of Fig. 9, SE first.
+var fig09Modes = []core.Mode{core.SE, core.FS}
+
+// fig09Cells is every CPU model on the Xeon, in SE mode (water_nsquared)
+// and then FS mode (boot-exit).
+func fig09Cells(opt Options) []core.SessionConfig {
+	var cells []core.SessionConfig
+	for _, mode := range fig09Modes {
+		for _, cpu := range core.AllCPUModels {
+			gc := core.GuestConfig{CPU: cpu, Mode: mode}
+			if mode == core.FS {
+				gc.BootExit = true
+				gc.BootKBs = 16
+			} else {
+				gc.Workload = "water_nsquared"
+				gc.Scale = parsecRepScale(opt)
+			}
+			cells = append(cells, core.SessionConfig{Guest: gc, Host: platform.IntelXeon()})
+		}
+	}
+	return cells
+}
+
 // runFig09 reproduces Fig. 9: LLC occupancy and DRAM bandwidth utilization
 // of gem5 per CPU model and mode on the Xeon.
 func runFig09(opt Options) (*Result, error) {
@@ -135,30 +166,14 @@ func runFig09(opt Options) (*Result, error) {
 		Title: "LLC occupancy and DRAM bandwidth utilization on Intel_Xeon",
 		Cols:  []string{"LLC-occupancy-KB", "DRAM-BW-util-%"},
 	}
-	modes := []core.Mode{core.SE, core.FS}
-	nCPU := len(core.AllCPUModels)
-	reports, err := runAll(opt.runner, len(modes)*nCPU, func(i int) (uarch.Report, error) {
-		mode, cpu := modes[i/nCPU], core.AllCPUModels[i%nCPU]
-		gc := core.GuestConfig{CPU: cpu, Mode: mode}
-		if mode == core.FS {
-			gc.BootExit = true
-			gc.BootKBs = 16
-		} else {
-			gc.Workload = "water_nsquared"
-			gc.Scale = parsecRepScale(opt)
-		}
-		r, err := core.RunSession(core.SessionConfig{Guest: gc, Host: platform.IntelXeon()})
-		if err != nil {
-			return uarch.Report{}, err
-		}
-		return r.Host, nil
-	})
+	runs, err := sessions(opt, fig09Decl)
 	if err != nil {
 		return nil, err
 	}
+	nCPU := len(core.AllCPUModels)
 	var occs []float64
-	for i, rep := range reports {
-		mode, cpu := modes[i/nCPU], core.AllCPUModels[i%nCPU]
+	for i, r := range runs {
+		rep, mode, cpu := r.Host, fig09Modes[i/nCPU], core.AllCPUModels[i%nCPU]
 		occKB := float64(rep.LLCOccupancyBytes) / 1024
 		occs = append(occs, occKB)
 		res.Rows = append(res.Rows, Row{

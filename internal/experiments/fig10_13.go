@@ -10,11 +10,29 @@ import (
 )
 
 func init() {
-	register("fig10", runFig10)
-	register("fig11", runFig11)
-	register("fig12", runFig12)
-	register("fig13", runFig13)
+	register("fig10", runFig10, fig10Decl)
+	register("fig11", runFig11, fig11Decl)
+	register("fig12", runFig12, fig12Decl)
+	register("fig13", runFig13, fig13Decl)
 }
+
+// The sessions of figs 10-13. Figs 10, 12 and 13 read only modeled seconds,
+// so they sample under -simpoint.
+var (
+	fig10Decl = seconds(fig10Cells)
+	fig11Decl = full(fig11Cells)
+	fig12Decl = seconds(fig12Cells)
+	fig13Decl = seconds(fig13Cells)
+)
+
+// The page backings figs 10 and 11 compare.
+var (
+	fig10Modes = []uarch.HugePageMode{uarch.PagesBase, uarch.PagesTHP, uarch.PagesEHP}
+	fig11Modes = []uarch.HugePageMode{uarch.PagesBase, uarch.PagesTHP}
+)
+
+func fig10Cells(opt Options) []core.SessionConfig { return hugePageCells(opt, fig10Modes) }
+func fig11Cells(opt Options) []core.SessionConfig { return hugePageCells(opt, fig11Modes) }
 
 // hugePageSession is the PARSEC-representative cell with a text-backing
 // mode; figs 10 and 11 share it.
@@ -30,9 +48,7 @@ func hugePageSession(opt Options, cpu core.CPUModel, hp uarch.HugePageMode) core
 	}
 }
 
-// hugePageCells is the CPU-model x page-mode grid, CPU-major: one sweep of
-// len(modes) hosts per CPU model, since the modes differ only in how the
-// host backs the simulator's text.
+// hugePageCells is the CPU-model x page-mode grid, CPU-major.
 func hugePageCells(opt Options, modes []uarch.HugePageMode) []core.SessionConfig {
 	var cells []core.SessionConfig
 	for _, cpu := range core.AllCPUModels {
@@ -43,17 +59,17 @@ func hugePageCells(opt Options, modes []uarch.HugePageMode) []core.SessionConfig
 	return cells
 }
 
-// hugePageGrid runs the grid and returns modeled seconds indexed
+// hugePageGrid runs fig10's grid and returns modeled seconds indexed
 // [cpu][mode]. Cells consume only SimSeconds, so the grid samples under
 // -simpoint.
-func hugePageGrid(opt Options, modes []uarch.HugePageMode) ([][]float64, error) {
-	times, err := cellSeconds(opt, hugePageCells(opt, modes))
+func hugePageGrid(opt Options) ([][]float64, error) {
+	times, err := cellSeconds(opt, fig10Decl)
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]float64, len(core.AllCPUModels))
 	for ci := range out {
-		out[ci] = times[ci*len(modes) : (ci+1)*len(modes)]
+		out[ci] = times[ci*len(fig10Modes) : (ci+1)*len(fig10Modes)]
 	}
 	return out, nil
 }
@@ -66,7 +82,7 @@ func runFig10(opt Options) (*Result, error) {
 		Title: "Speedup from huge-page code backing on Intel_Xeon (%)",
 		Cols:  []string{"THP-speedup-%", "EHP-speedup-%"},
 	}
-	grid, err := hugePageGrid(opt, []uarch.HugePageMode{uarch.PagesBase, uarch.PagesTHP, uarch.PagesEHP})
+	grid, err := hugePageGrid(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -101,14 +117,13 @@ func runFig11(opt Options) (*Result, error) {
 	}
 	// Full co-simulations: fig11 needs the complete Top-Down report, which
 	// sampling does not reconstruct.
-	modes := []uarch.HugePageMode{uarch.PagesBase, uarch.PagesTHP}
-	runs, err := runSweeps(opt.runner, hugePageCells(opt, modes), core.RunSessions)
+	runs, err := sessions(opt, fig11Decl)
 	if err != nil {
 		return nil, err
 	}
 	var reductions []float64
 	for ci, cpu := range core.AllCPUModels {
-		base, thp := runs[ci*len(modes)], runs[ci*len(modes)+1]
+		base, thp := runs[ci*len(fig11Modes)], runs[ci*len(fig11Modes)+1]
 		reduction := 0.0
 		if b := base.Host.TopDown.FELatITLB; b > 0 {
 			reduction = pct(1 - thp.Host.TopDown.FELatITLB/b)
@@ -124,6 +139,28 @@ func runFig11(opt Options) (*Result, error) {
 	return res, nil
 }
 
+// fig12CPUs are the models of Fig. 12, each run with the base and the -O3
+// build of the binary on every Table II platform.
+var fig12CPUs = []core.CPUModel{core.Atomic, core.O3}
+
+const fig12PerHost = 2 * 2 // (base, -O3 build) per CPU model
+
+// fig12Cells is the host x CPU model x build grid, host-major.
+func fig12Cells(opt Options) []core.SessionConfig {
+	hostList := platform.TableIIPlatforms()
+	var cells []core.SessionConfig
+	for i := 0; i < len(hostList)*fig12PerHost; i++ {
+		gc := core.GuestConfig{CPU: fig12CPUs[i%fig12PerHost/2], Mode: core.SE,
+			Workload: "water_nsquared", Scale: parsecRepScale(opt)}
+		sc := core.SessionConfig{Guest: gc, Host: hostList[i/fig12PerHost]}
+		if i%2 == 1 { // the -O3 (smaller binary) build
+			sc.HostCode = hostmodel.Config{SizeFactor: 0.97}
+		}
+		cells = append(cells, sc)
+	}
+	return cells
+}
+
 // runFig12 reproduces Fig. 12: speedup from compiling gem5 with -O3 (a
 // smaller binary) on each platform.
 func runFig12(opt Options) (*Result, error) {
@@ -132,32 +169,15 @@ func runFig12(opt Options) (*Result, error) {
 		Title: "Speedup from the -O3 build (smaller code) per platform (%)",
 		Cols:  []string{"atomic-%", "o3-%", "mean-%"},
 	}
-	cpus := []core.CPUModel{core.Atomic, core.O3}
-	hostList := platform.TableIIPlatforms()
-	perHost := len(cpus) * 2 // (base, -O3 build) per CPU model
-	var cells []core.SessionConfig
-	for i := 0; i < len(hostList)*perHost; i++ {
-		host := hostList[i/perHost]
-		cpu := cpus[i%perHost/2]
-		gc := core.GuestConfig{CPU: cpu, Mode: core.SE,
-			Workload: "water_nsquared", Scale: parsecRepScale(opt)}
-		sc := core.SessionConfig{Guest: gc, Host: host}
-		if i%2 == 1 { // the -O3 (smaller binary) build
-			sc.HostCode = hostmodel.Config{SizeFactor: 0.97}
-		}
-		cells = append(cells, sc)
-	}
-	// Every cell runs alone: the hosts differ in Sizes, and the builds in
-	// the binary.
-	times, err := cellSeconds(opt, cells)
+	times, err := cellSeconds(opt, fig12Decl)
 	if err != nil {
 		return nil, err
 	}
-	for hi, host := range hostList {
+	for hi, host := range platform.TableIIPlatforms() {
 		var gains []float64
-		for ci := range cpus {
-			base := times[hi*perHost+ci*2]
-			o3b := times[hi*perHost+ci*2+1]
+		for ci := range fig12CPUs {
+			base := times[hi*fig12PerHost+ci*2]
+			o3b := times[hi*fig12PerHost+ci*2+1]
 			gains = append(gains, pct(base/o3b-1))
 		}
 		res.Rows = append(res.Rows, Row{
@@ -172,19 +192,13 @@ func runFig12(opt Options) (*Result, error) {
 	return res, nil
 }
 
-// runFig13 reproduces Fig. 13: simulation time versus the Xeon's operating
-// frequency, normalized to 3.1 GHz.
-func runFig13(opt Options) (*Result, error) {
-	res := &Result{
-		ID:    "fig13",
-		Title: "Normalized simulation time vs Intel_Xeon frequency (3.1GHz = 1.0)",
-		Cols:  []string{"normalized-time"},
-	}
-	freqs := []float64{1.2, 1.6, 2.1, 2.6, 3.1, 4.1} // 4.1 = Turbo Boost
-	baseTime := 0.0
-	// One sweep: the clock is a scalar of the host.
-	cells := make([]core.SessionConfig, len(freqs))
-	for i, f := range freqs {
+// fig13Freqs are the Xeon clocks of Fig. 13; 4.1 is Turbo Boost.
+var fig13Freqs = []float64{1.2, 1.6, 2.1, 2.6, 3.1, 4.1}
+
+// fig13Cells is the Timing model on the Xeon at each clock.
+func fig13Cells(opt Options) []core.SessionConfig {
+	cells := make([]core.SessionConfig, len(fig13Freqs))
+	for i, f := range fig13Freqs {
 		host := platform.IntelXeon()
 		host.FreqGHz = f
 		cells[i] = core.SessionConfig{
@@ -193,7 +207,20 @@ func runFig13(opt Options) (*Result, error) {
 			Host: host,
 		}
 	}
-	times, err := cellSeconds(opt, cells)
+	return cells
+}
+
+// runFig13 reproduces Fig. 13: simulation time versus the Xeon's operating
+// frequency, normalized to 3.1 GHz.
+func runFig13(opt Options) (*Result, error) {
+	res := &Result{
+		ID:    "fig13",
+		Title: "Normalized simulation time vs Intel_Xeon frequency (3.1GHz = 1.0)",
+		Cols:  []string{"normalized-time"},
+	}
+	freqs := fig13Freqs
+	baseTime := 0.0
+	times, err := cellSeconds(opt, fig13Decl)
 	if err != nil {
 		return nil, err
 	}

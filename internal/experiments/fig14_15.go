@@ -9,9 +9,14 @@ import (
 )
 
 func init() {
-	register("fig14", runFig14)
-	register("fig15", runFig15)
+	register("fig14", runFig14, fig14Decl)
+	register("fig15", runFig15, fig15Decl)
 }
+
+var (
+	fig14Decl = full(fig14Cells)
+	fig15Decl = full(fig15Cells)
+)
 
 // fig14Geometries lists the FireSim host cache configurations the paper
 // sweeps, in the figure's (iL1 size/ways : dL1 size/ways : L2 size/ways)
@@ -31,13 +36,29 @@ func fig14Geometries() []uarch.Config {
 // fig14CPUs are the gem5 CPU models run on FireSim.
 var fig14CPUs = []core.CPUModel{core.Atomic, core.Timing, core.O3}
 
-// runFig14 reproduces Fig. 14: gem5 simulation speedup on FireSim with
-// varying host L1/L2 geometry (the Sieve of Eratosthenes workload, SE mode).
-func runFig14(opt Options) (*Result, error) {
+// fig14Cells is the geometry x CPU model grid on the Sieve of
+// Eratosthenes, geometry-major.
+func fig14Cells(opt Options) []core.SessionConfig {
 	scale := 4096
 	if opt.Quick {
 		scale = 1536
 	}
+	var cells []core.SessionConfig
+	for _, host := range fig14Geometries() {
+		for _, cpu := range fig14CPUs {
+			cells = append(cells, core.SessionConfig{
+				Guest: core.GuestConfig{CPU: cpu, Mode: core.SE, Workload: "sieve", Scale: scale},
+				Host:  host,
+			})
+		}
+	}
+	return cells
+}
+
+// runFig14 reproduces Fig. 14: gem5 simulation speedup on FireSim with
+// varying host L1/L2 geometry (the Sieve of Eratosthenes workload, SE mode).
+// Each CPU model's seven hosts ride one co-simulation.
+func runFig14(opt Options) (*Result, error) {
 	res := &Result{
 		ID:    "fig14",
 		Title: "gem5-on-FireSim speedup vs host cache configuration (baseline 8KB/2:8KB/2:512KB/8 = 1.0)",
@@ -45,18 +66,7 @@ func runFig14(opt Options) (*Result, error) {
 	}
 	geoms := fig14Geometries()
 	nCPU := len(fig14CPUs)
-	times, err := runAll(opt.runner, len(geoms)*nCPU, func(i int) (float64, error) {
-		host, cpu := geoms[i/nCPU], fig14CPUs[i%nCPU]
-		r, err := core.RunSession(core.SessionConfig{
-			Guest: core.GuestConfig{CPU: cpu, Mode: core.SE, Workload: "sieve",
-				Scale: scale},
-			Host: host,
-		})
-		if err != nil {
-			return 0, fmt.Errorf("fig14 %s/%s: %w", host.Name, cpu, err)
-		}
-		return r.SimSeconds(), nil
-	})
+	times, err := cellSeconds(opt, fig14Decl)
 	if err != nil {
 		return nil, err
 	}
@@ -82,6 +92,21 @@ func runFig14(opt Options) (*Result, error) {
 	return res, nil
 }
 
+// fig15Cells profiles every CPU model on the Xeon; a profiled session runs
+// alone.
+func fig15Cells(opt Options) []core.SessionConfig {
+	cells := make([]core.SessionConfig, len(core.AllCPUModels))
+	for i, cpu := range core.AllCPUModels {
+		cells[i] = core.SessionConfig{
+			Guest: core.GuestConfig{CPU: cpu, Mode: core.SE,
+				Workload: "water_nsquared", Scale: parsecRepScale(opt)},
+			Host:    platform.IntelXeon(),
+			Profile: true,
+		}
+	}
+	return cells
+}
+
 // runFig15 reproduces Fig. 15: the CDF of CPU time over the 50 hottest
 // gem5 functions per CPU type, plus the total number of functions called.
 func runFig15(opt Options) (*Result, error) {
@@ -96,14 +121,7 @@ func runFig15(opt Options) (*Result, error) {
 	paperCalled := map[core.CPUModel]int{
 		core.Atomic: 1602, core.Timing: 2557, core.Minor: 3957, core.O3: 5209,
 	}
-	runs, err := runAll(opt.runner, len(core.AllCPUModels), func(i int) (*core.SessionResult, error) {
-		return core.RunSession(core.SessionConfig{
-			Guest: core.GuestConfig{CPU: core.AllCPUModels[i], Mode: core.SE,
-				Workload: "water_nsquared", Scale: parsecRepScale(opt)},
-			Host:    platform.IntelXeon(),
-			Profile: true,
-		})
-	})
+	runs, err := sessions(opt, fig15Decl)
 	if err != nil {
 		return nil, err
 	}

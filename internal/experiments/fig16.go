@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	register("fig16", runFig16)
+	register("fig16", runFig16, nil)
 }
 
 // fig16Workloads are the mt-suite kernels: same checksum at every core

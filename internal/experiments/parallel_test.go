@@ -8,6 +8,7 @@ import (
 
 	"gem5prof/internal/core"
 	"gem5prof/internal/platform"
+	"gem5prof/internal/uarch"
 )
 
 // TestRunAllOrderAndBound checks the submit/collect primitive: results come
@@ -115,10 +116,10 @@ func TestParallelDeterminism(t *testing.T) {
 // cannot be built used to panic on its worker goroutine, which takes the
 // whole process down. It must arrive where every other failure does: as the
 // error of its experiment's Outcome, with the other cells and experiments
-// unharmed.
+// unharmed — among them an experiment in the same pass that asks for the
+// failing experiment's good cells, which ride one co-simulation with them.
 func TestInvalidHostIsAnOutcomeError(t *testing.T) {
-	const id = "test-bad-host"
-	register(id, func(opt Options) (*Result, error) {
+	good := func(Options) []core.SessionConfig {
 		cells := make([]core.SessionConfig, 4)
 		for i := range cells {
 			cells[i] = core.SessionConfig{
@@ -126,29 +127,46 @@ func TestInvalidHostIsAnOutcomeError(t *testing.T) {
 				Host:  platform.IntelXeon(),
 			}
 		}
+		cells[2].Host.HugePages = uarch.PagesTHP
+		return cells
+	}
+	bad := func(opt Options) []core.SessionConfig {
+		cells := good(opt)
 		cells[1].Host.L1I.Ways = 17
 		cells[3].HostCode.TextSlots = 3000
-		secs, err := cellSeconds(opt, cells)
-		if err != nil {
-			return nil, err
+		return cells
+	}
+	for _, id := range []string{"test-bad-host", "test-good-host"} {
+		d := seconds(bad)
+		if id == "test-good-host" {
+			d = seconds(good)
 		}
-		return &Result{ID: id, Rows: []Row{{Label: "s", Values: secs}}}, nil
-	})
-	defer func() {
-		mu.Lock()
-		delete(registry, id)
-		mu.Unlock()
-	}()
+		register(id, func(opt Options) (*Result, error) {
+			secs, err := cellSeconds(opt, d)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{ID: id, Rows: []Row{{Label: "s", Values: secs}}}, nil
+		}, d)
+		defer func() {
+			mu.Lock()
+			delete(registry, id)
+			mu.Unlock()
+		}()
+	}
 	for _, sampled := range []bool{false, true} {
 		var got []Outcome
-		for oc := range RunMany([]string{"table1", id}, Options{Quick: true, Jobs: 2, SimPoint: sampled}) {
+		for oc := range RunMany([]string{"table1", "test-bad-host", "test-good-host"}, Options{Quick: true, Jobs: 2, SimPoint: sampled}) {
 			got = append(got, oc)
 		}
-		if len(got) != 2 || got[0].Err != nil || got[0].Res == nil {
+		if len(got) != 3 || got[0].Err != nil || got[0].Res == nil {
 			t.Fatalf("sampled=%v: table1 beside the failing experiment: %+v", sampled, got)
 		}
 		if err := got[1].Err; err == nil || !strings.Contains(err.Error(), "core: host: uarch: Intel_Xeon: L1I: 17 ways") {
 			t.Errorf("sampled=%v: Outcome.Err = %v, want the lowest failing cell's named host error", sampled, err)
+		}
+		if err := got[2].Err; err != nil || len(got[2].Res.Rows[0].Values) != 4 {
+			t.Errorf("sampled=%v: the experiment sharing the good cells: %+v", sampled, got[2])
 		}
 	}
 }

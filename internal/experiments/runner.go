@@ -4,10 +4,10 @@ import (
 	"context"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 
-	"gem5prof/internal/core"
 	"gem5prof/internal/simpoint"
 )
 
@@ -47,8 +47,8 @@ func (r *Runner) Workers() int { return r.workers }
 // pool at -j 1.
 //
 // Goroutine accounting with the co-simulation pipeline: a slot admits one
-// session, and a pipelined session adds exactly one uarch-consumer
-// goroutine for the duration of its run (core.RunSession starts it after
+// co-simulation, and a pipelined one adds exactly one uarch-consumer
+// goroutine for the duration of its run (core.RunSessions starts it after
 // admission and joins it before releasing the slot), so the harness runs
 // at most 2*Jobs simulation goroutines no matter how many experiments are
 // in flight.
@@ -56,10 +56,8 @@ func (r *Runner) Workers() int { return r.workers }
 // Workers carry the pprof label cosim-stage=experiment-worker; pipelined
 // sessions re-label their producer span and consumer goroutine, so a
 // -cpuprofile from cmd/experiments splits time across all three stages.
-func (r *Runner) submit(wg *sync.WaitGroup, fn func()) {
-	wg.Add(1)
+func (r *Runner) submit(fn func()) {
 	go func() {
-		defer wg.Done()
 		r.sem <- struct{}{}
 		defer func() { <-r.sem }()
 		pprof.Do(context.Background(),
@@ -72,7 +70,8 @@ func (r *Runner) submit(wg *sync.WaitGroup, fn func()) {
 // returns the results in index order, so the collected slice is identical to
 // what the old sequential loops produced no matter how the pool interleaves
 // the runs. On failure the lowest failing index wins — again deterministic.
-// A nil runner runs inline (sequential, no goroutines).
+// A nil runner runs inline (sequential, no goroutines). Sessions do not come
+// through here but through the pass (pass.go); this is for the rest.
 func runAll[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if r == nil {
@@ -87,9 +86,10 @@ func runAll[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
+	wg.Add(n)
 	for i := 0; i < n; i++ {
-		i := i
-		r.submit(&wg, func() {
+		r.submit(func() {
+			defer wg.Done()
 			out[i], errs[i] = fn(i)
 		})
 	}
@@ -97,47 +97,6 @@ func runAll[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// runSweeps runs session cells on the pool as few sweeps as it can and
-// returns one result per cell, in cell order. Each cell joins the first
-// group whose first cell it can share a guest with (core.CheckSweep), so the
-// hosts of one geometry that differ only in scalars — a clock, a latency, a
-// page backing — become lanes of one co-simulation; sweep runs one group and
-// returns a result per member. A lane's result is its cell's solo result
-// bit for bit, and groups are collected in index order, so the output is
-// what running every cell alone renders, at any -j.
-func runSweeps[T any](r *Runner, cells []core.SessionConfig, sweep func([]core.SessionConfig) ([]T, error)) ([]T, error) {
-	var groups [][]int
-	for i := range cells {
-		g := 0
-		for ; g < len(groups); g++ {
-			if core.CheckSweep([]core.SessionConfig{cells[groups[g][0]], cells[i]}) == nil {
-				break
-			}
-		}
-		if g == len(groups) {
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	done, err := runAll(r, len(groups), func(g int) ([]T, error) {
-		scs := make([]core.SessionConfig, len(groups[g]))
-		for j, i := range groups[g] {
-			scs[j] = cells[i]
-		}
-		return sweep(scs)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, len(cells))
-	for g, members := range groups {
-		for j, i := range members {
-			out[i] = done[g][j]
 		}
 	}
 	return out, nil
@@ -151,16 +110,20 @@ type Outcome struct {
 }
 
 // RunMany regenerates the given experiments concurrently — every experiment
-// coordinator starts immediately, and the simulation runs inside all of them
-// share one pool bounded by opt.Jobs — and returns a channel yielding one
-// Outcome per id in ids order (not completion order), as each becomes
-// available. Rendered output is byte-identical for any worker count.
+// coordinator starts immediately, the co-simulations they need are planned
+// once for all of them (one pass, pass.go), and the simulation runs share
+// one pool bounded by opt.Jobs — and returns a channel yielding one Outcome
+// per id in ids order (not completion order), as each becomes available.
+// Rendered output is byte-identical for any worker count.
 func RunMany(ids []string, opt Options) <-chan Outcome {
-	opt = opt.withRunner()
+	ids = slices.Clone(ids)
+	for i := range ids {
+		ids[i] = strings.TrimSpace(ids[i])
+	}
+	opt = opt.withRunner(ids...)
 	pending := make([]chan Outcome, len(ids))
 	for i, id := range ids {
 		pending[i] = make(chan Outcome, 1)
-		i, id := i, strings.TrimSpace(id)
 		go func() {
 			res, err := Run(id, opt)
 			pending[i] <- Outcome{ID: id, Res: res, Err: err}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"gem5prof/internal/core"
 	"gem5prof/internal/simpoint"
 )
 
@@ -41,35 +40,6 @@ func (o Options) simpointConfig() simpoint.Config {
 		cfg.WarmupInsts = 0 // re-derive from the interval
 	}
 	return cfg
-}
-
-// cellSeconds runs sweep cells on the pool (runSweeps) and returns their
-// modeled host seconds in cell order: the full co-simulation normally, or
-// the SimPoint extrapolation when the harness runs with -simpoint. Only
-// figures whose cells consume nothing but SimSeconds() may call this —
-// figures needing full Top-Down detail (fig11) always run full.
-func cellSeconds(opt Options, cells []core.SessionConfig) ([]float64, error) {
-	return runSweeps(opt.runner, cells, func(scs []core.SessionConfig) ([]float64, error) {
-		secs := make([]float64, len(scs))
-		if !opt.SimPoint {
-			rs, err := core.RunSessions(scs)
-			if err != nil {
-				return nil, err
-			}
-			for i, r := range rs {
-				secs[i] = r.SimSeconds()
-			}
-			return secs, nil
-		}
-		rs, err := simpoint.RunSampledSweep(scs, opt.simpointConfig())
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range rs {
-			secs[i] = r.Seconds
-		}
-		return secs, nil
-	})
 }
 
 // sampledNote documents a figure's sampled provenance in its rendered

@@ -92,19 +92,19 @@ func TestSampledFiguresError(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
 	full := Options{Quick: true, Jobs: 1}.withRunner()
-	sampled := full
-	sampled.SimPoint = true
+	sampled := Options{Quick: true, Jobs: 1, SimPoint: true}.withRunner()
 	worst := 0.0
 	cells := sampledErrorCells()
 	scs := make([]core.SessionConfig, len(cells))
 	for i, c := range cells {
 		scs[i] = c.sc
 	}
-	wants, err := cellSeconds(full, scs)
+	d := seconds(func(Options) []core.SessionConfig { return scs })
+	wants, err := cellSeconds(full, d)
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
-	gots, err := cellSeconds(sampled, scs)
+	gots, err := cellSeconds(sampled, d)
 	if err != nil {
 		t.Fatalf("sampled: %v", err)
 	}
@@ -176,11 +176,12 @@ func TestGoldenSampledReports(t *testing.T) {
 // sampled figures from cold measurement caches allocates what its windows
 // touch — not a machine per geometry switch, a layout per fifth binary and a
 // guest L2 per window — and the same whichever figure reaches the pool first,
-// since everything the three figures cycle through stays resident. With
-// fig10 and fig13 run as sweeps (one guest per CPU model, and one for the
-// six clocks), the six orders read 7.47-7.48 MB here (9.10-9.14 MB under
-// the race detector); before the sweeps they read 12.02-12.04 MB. The bound
-// is 1.25x the plain reading.
+// since everything the three figures cycle through stays resident. With the
+// three figures planned as one pass (every distinct cell once, and one
+// co-simulation per guest and binary: six, where per-figure sweeps ran
+// seventeen), the six orders read 2.97 MB here (3.55-3.57 MB under the race
+// detector); with per-figure sweeps they read 7.47-7.48 MB, and before the
+// sweeps 12.02-12.04 MB. The bound is 1.25x the plain reading.
 func TestSampledPassAllocBudget(t *testing.T) {
 	opt := Options{Quick: true, Jobs: 1, SimPoint: true}
 	pass := func(ids ...string) float64 {
@@ -207,8 +208,8 @@ func TestSampledPassAllocBudget(t *testing.T) {
 		t.Logf("%v: %.2f MB", ids, mb)
 		lo, hi = math.Min(lo, mb), math.Max(hi, mb)
 	}
-	if hi > 9.35 {
-		t.Errorf("a warm sampled pass allocated %.2f MB, want at most 9.35", hi)
+	if hi > 3.71 {
+		t.Errorf("a warm sampled pass allocated %.2f MB, want at most 3.71", hi)
 	}
 	if hi > 1.01*lo {
 		t.Errorf("a warm sampled pass allocated %.2f-%.2f MB depending on the submission order, want within 1%%", lo, hi)

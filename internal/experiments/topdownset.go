@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 
 	"gem5prof/internal/core"
@@ -71,34 +70,21 @@ func parsecRepScale(opt Options) int {
 	return 72
 }
 
-// runTopdownSet measures every Fig. 2-6 configuration once per process and
-// caches the reports. The eleven configurations are independent sessions, so
-// they fan out on the options' worker pool; reports are collected in
-// configuration order, which keeps the cached set identical to the
-// sequential measurement.
-func runTopdownSet(opt Options) (*tdSet, error) {
-	tdMu.Lock()
-	defer tdMu.Unlock()
-	if s, ok := tdCache[opt.Quick]; ok {
-		return s, nil
-	}
-	specBlocks := 600_000
+// topdownDecl declares the Top-Down set's sessions for each of the figures
+// that read it.
+var topdownDecl = full(topdownCells)
+
+// topdownCells are the sessions of the gem5 configurations, in
+// configuration order.
+func topdownCells(opt Options) []core.SessionConfig {
 	bootKBs := 24
 	if opt.Quick {
-		specBlocks = 150_000
 		bootKBs = 8
 	}
-	cfgs := topdownConfigs()
-	reports, err := runAll(opt.runner, len(cfgs), func(i int) (uarch.Report, error) {
-		cfg := cfgs[i]
+	cells := make([]core.SessionConfig, 0, 8)
+	for _, cfg := range topdownConfigs() {
 		if cfg.IsSpec {
-			p, err := spec.ByName(cfg.SpecName)
-			if err != nil {
-				return uarch.Report{}, err
-			}
-			var rep uarch.Report
-			err = core.OnMachine(platform.IntelXeon(), func(m *uarch.Machine) { rep = p.Run(m, specBlocks) })
-			return rep, err
+			continue
 		}
 		gc := core.GuestConfig{CPU: cfg.CPU}
 		if cfg.BootExit {
@@ -110,16 +96,55 @@ func runTopdownSet(opt Options) (*tdSet, error) {
 			gc.Workload = "water_nsquared"
 			gc.Scale = parsecRepScale(opt)
 		}
-		res, err := core.RunSession(core.SessionConfig{Guest: gc, Host: platform.IntelXeon()})
-		if err != nil {
-			return uarch.Report{}, fmt.Errorf("topdown set %s: %w", cfg.Label, err)
+		cells = append(cells, core.SessionConfig{Guest: gc, Host: platform.IntelXeon()})
+	}
+	return cells
+}
+
+// runTopdownSet measures every Fig. 2-6 configuration once per process and
+// caches the reports. The gem5 sessions go to the pool through the pass,
+// and the SPEC replays after them; reports are collected in configuration
+// order (the gem5 configurations come first), which keeps the cached set
+// identical to the sequential measurement.
+func runTopdownSet(opt Options) (*tdSet, error) {
+	tdMu.Lock()
+	defer tdMu.Unlock()
+	if s, ok := tdCache[opt.Quick]; ok {
+		return s, nil
+	}
+	specBlocks := 600_000
+	if opt.Quick {
+		specBlocks = 150_000
+	}
+	cfgs := topdownConfigs()
+	var specs []tdConfig
+	for _, cfg := range cfgs {
+		if cfg.IsSpec {
+			specs = append(specs, cfg)
 		}
-		return res.Host, nil
+	}
+	started := opt.pass.start(topdownDecl, opt)
+	specReports, specErr := runAll(opt.runner, len(specs), func(i int) (uarch.Report, error) {
+		p, err := spec.ByName(specs[i].SpecName)
+		if err != nil {
+			return uarch.Report{}, err
+		}
+		var rep uarch.Report
+		err = core.OnMachine(platform.IntelXeon(), func(m *uarch.Machine) { rep = p.Run(m, specBlocks) })
+		return rep, err
 	})
+	runs, err := results(opt.pass.wait(started))
 	if err != nil {
 		return nil, err
 	}
-	set := &tdSet{reports: reports}
+	if specErr != nil {
+		return nil, specErr
+	}
+	set := &tdSet{reports: make([]uarch.Report, 0, len(cfgs))}
+	for _, r := range runs {
+		set.reports = append(set.reports, r.Host)
+	}
+	set.reports = append(set.reports, specReports...)
 	for _, cfg := range cfgs {
 		set.labels = append(set.labels, cfg.Label)
 	}

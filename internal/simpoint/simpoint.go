@@ -159,10 +159,11 @@ func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
 }
 
 // RunSampledSweep runs one guest on several hosts in sampled mode and
-// returns one extrapolated result per host, in order. The sweep is what
+// returns one extrapolated result per member, in order. The sweep is what
 // core.RunSessions accepts (core.SweepError otherwise): each representative
-// window is measured once, every host a lane of one machine, and each
-// lane's result is what RunSampled of that host alone returns. It is safe
+// window is measured once for every host, on the machines of one
+// core.IntervalRunner, and each member's result is what RunSampled of that
+// member alone returns. It is safe
 // for concurrent use; concurrent calls sharing a config family block on one
 // shared analysis, then measure their own representative intervals
 // independently.

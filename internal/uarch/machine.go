@@ -530,11 +530,43 @@ func (m *Machine) streamHit(line uint64) bool {
 	return false
 }
 
-var _ interface {
+// Machines is several machines fed one record stream, each every record in
+// order: the host side of a sweep whose hosts differ in Sizes, one machine
+// per Sizes with a lane per host. It implements hostmodel.Sink. No machine
+// reads another, so each computes what it computes alone.
+type Machines []*Machine
+
+// FetchBlock implements hostmodel.Sink.
+func (ms Machines) FetchBlock(addr uint64, bytes uint32, uops uint32) {
+	for _, m := range ms {
+		m.FetchBlock(addr, bytes, uops)
+	}
+}
+
+// Branch implements hostmodel.Sink.
+func (ms Machines) Branch(pc, target uint64, taken, indirect bool) {
+	for _, m := range ms {
+		m.Branch(pc, target, taken, indirect)
+	}
+}
+
+// Data implements hostmodel.Sink.
+func (ms Machines) Data(addr uint64, size uint32, write bool) {
+	for _, m := range ms {
+		m.Data(addr, size, write)
+	}
+}
+
+type sink interface {
 	FetchBlock(addr uint64, bytes uint32, uops uint32)
 	Branch(pc, target uint64, taken, indirect bool)
 	Data(addr uint64, size uint32, write bool)
-} = (*Machine)(nil)
+}
+
+var (
+	_ sink = (*Machine)(nil)
+	_ sink = Machines(nil)
+)
 
 // Cycles returns the total modeled host cycles so far of the first lane.
 func (m *Machine) Cycles() float64 { return m.lanes[0].td.Total() }

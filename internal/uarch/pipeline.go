@@ -33,20 +33,23 @@ func (m *Machine) ApplyBatch(b *ring.Batch) {
 	}
 }
 
-// Consumer drives a Machine from a trace ring on a dedicated goroutine.
-// Lifecycle: Start once, then — after the producer has flushed and closed
-// the ring — Wait, which is the flush-on-report barrier: once Wait
-// returns, every published record has been applied and the Machine may be
-// Report()ed (or otherwise read) safely from the caller's goroutine.
+// Consumer drives one or more Machines from a trace ring on a dedicated
+// goroutine. Lifecycle: Start once, then — after the producer has flushed
+// and closed the ring — Wait, which is the flush-on-report barrier: once
+// Wait returns, every published record has been applied and the Machines
+// may be Report()ed (or otherwise read) safely from the caller's goroutine.
 type Consumer struct {
-	m    *Machine
+	ms   Machines
 	r    *ring.Ring
 	done chan struct{}
 }
 
 // NewConsumer pairs m with r; call Start to begin draining.
-func NewConsumer(m *Machine, r *ring.Ring) *Consumer {
-	return &Consumer{m: m, r: r}
+func NewConsumer(m *Machine, r *ring.Ring) *Consumer { return Machines{m}.Consumer(r) }
+
+// Consumer pairs the machines with r, which feeds every one of them.
+func (ms Machines) Consumer(r *ring.Ring) *Consumer {
+	return &Consumer{ms: ms, r: r}
 }
 
 // Start launches the drain goroutine. The goroutine carries the pprof
@@ -68,7 +71,11 @@ func (c *Consumer) Start() {
 					if b == nil {
 						return
 					}
-					c.m.ApplyBatch(b)
+					// Each machine takes the whole batch in turn, so
+					// each sees every record in stream order.
+					for _, m := range c.ms {
+						m.ApplyBatch(b)
+					}
 					c.r.Release()
 				}
 			})
@@ -77,7 +84,7 @@ func (c *Consumer) Start() {
 
 // Wait blocks until the drain goroutine has exited — i.e. until the ring
 // was closed and every published batch applied (or the consumer aborted).
-// After Wait the caller has exclusive access to the Machine again. Wait on
+// After Wait the caller has exclusive access to the Machines again. Wait on
 // a never-Started consumer returns immediately.
 func (c *Consumer) Wait() {
 	if c.done != nil {
