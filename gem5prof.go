@@ -156,7 +156,7 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) { return core.RunSess
 
 // RunSessions runs one guest and one simulator binary on several hosts,
 // whatever they differ in, returning one result per member, each what
-// RunSession of that member returns (DESIGN.md §21, §22).
+// RunSession of that member returns (DESIGN.md §21, §22, §23).
 func RunSessions(cfgs []SessionConfig) ([]*SessionResult, error) { return core.RunSessions(cfgs) }
 
 // SweepError is how RunSessions and RunSampledSweep reject members that

@@ -5,28 +5,27 @@ package core
 // did not have to).
 func DropStores() {
 	layouts.drop()
-	machines.drop()
+	units.drop()
 	images.drop()
 }
 
-// StoreLens returns how many layouts, idle machines and images are stored,
+// StoreLens returns how many layouts, idle units and images are stored,
 // and StoreCaps the bounds they must stay within.
-func StoreLens() (nlayouts, nmachines, nimages int) {
-	return layouts.len(), machines.len(), images.len()
+func StoreLens() (nlayouts, nunits, nimages int) {
+	return layouts.len(), units.len(), images.len()
 }
 
-func StoreCaps() (nlayouts, nmachines, nimages int) {
-	return layouts.max, machines.max, images.max
+func StoreCaps() (nlayouts, nunits, nimages int) {
+	return layouts.max, units.max, images.max
 }
 
-// IdleLanes returns the lane count of every idle machine, most recently
-// used first.
-func IdleLanes() []int {
-	machines.mu.Lock()
-	defer machines.mu.Unlock()
-	var out []int
-	for _, e := range machines.ents {
-		out = append(out, e.val.Lanes())
+// IdleUnits counts the idle units by kind.
+func IdleUnits() map[string]int {
+	units.mu.Lock()
+	defer units.mu.Unlock()
+	out := map[string]int{}
+	for _, e := range units.ents {
+		out[e.key.Kind()]++
 	}
 	return out
 }

@@ -90,34 +90,33 @@ type IntervalResult struct {
 	Completed bool
 }
 
-// IntervalRunner measures successive interval sessions of one sweep on
-// persistent host machines, one per structure size among its hosts with one
-// lane per host. Each Run builds a fresh guest (restored from its
-// checkpoint), but the modeled machines — caches, TLBs, predictors, clocks —
-// carry over from the previous Run, the way they would across the same
-// instructions of one long full run. Without this, every measured window
-// pays the machine's full cold start, which no affordable per-window warmup
-// can absorb. The machines and the simulator binary come from the same
-// stores every session draws on (stores.go); the runner just keeps its
-// machines, unreset, from window to window and rewinds its code model over
-// the layout it already follows. The sweep is what
-// RunSessions accepts, and each lane's windows are bit for bit what a
-// runner of that host alone measures. Runs are serial by construction; a
-// runner must not be shared across goroutines. Close it when the last
-// window has been measured.
+// IntervalRunner measures successive interval sessions of one sweep on a
+// persistent host machine with one lane per host. Each Run builds a fresh
+// guest (restored from its checkpoint), but the modeled machine — caches,
+// TLBs, predictors, clocks — carries over from the previous Run, the way it
+// would across the same instructions of one long full run. Without this,
+// every measured window pays the machine's full cold start, which no
+// affordable per-window warmup can absorb. The machine's units and the
+// simulator binary come from the same stores every session draws on
+// (stores.go); the runner just keeps its machine, unreset, from window to
+// window and rewinds its code model over the layout it already follows. The
+// sweep is what RunSessions accepts, and each lane's windows are bit for
+// bit what a runner of that host alone measures. Runs are serial by
+// construction; a runner must not be shared across goroutines. Close it
+// when the last window has been measured.
 type IntervalRunner struct {
 	cfgs []SessionConfig
 	cs   *cosim
 }
 
 // NewIntervalRunner returns a runner for one sweep of session
-// configurations. The host machines are drawn on the first Run and kept until
-// Close.
+// configurations. The host machine is assembled on the first Run and kept
+// until Close.
 func NewIntervalRunner(cfgs []SessionConfig) *IntervalRunner {
 	return &IntervalRunner{cfgs: cfgs}
 }
 
-// Close gives the runner's machines back for other sessions to reuse. Every
+// Close gives the runner's machine back for other sessions to reuse. Every
 // IntervalResult already returned stays valid (its Report is a copy); a Run
 // after Close starts over on a cold machine.
 func (r *IntervalRunner) Close() {

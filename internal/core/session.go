@@ -110,19 +110,18 @@ type SessionResult struct {
 // SimSeconds returns the modeled host wall-clock of the simulation.
 func (r *SessionResult) SimSeconds() float64 { return r.Host.TimeSeconds }
 
-// cosim bundles the host side of one co-simulation — the modeled machines,
-// one per distinct structure sizes among the sweep's hosts with one lane per
-// distinct host, the synthetic simulator binary, and (when pipelined) the
-// ring stages — together with the guest it traces. RunSessions and
+// cosim bundles the host side of one co-simulation — the modeled machine,
+// with one lane per distinct host of the sweep on units shared by every
+// lane of their key, the synthetic simulator binary, and (when pipelined)
+// the ring stages — together with the guest it traces. RunSessions and
 // IntervalRunner share this assembly; only how (and how much of) the guest
 // runs differs.
 type cosim struct {
 	plan ExecPlan
-	// machines are in the order their first host appears in the sweep, and
-	// lanes[i] is where member i is modeled; members whose contended hosts
-	// are equal share one lane.
-	machines []*uarch.Machine
-	lanes    []laneRef
+	// lanes[i] is the lane member i is modeled on; members whose contended
+	// hosts are equal share one.
+	machine  *uarch.Machine
+	lanes    []int
 	cm       *hostmodel.CodeModel
 	hostCode hostmodel.Config // normalised
 	prof     *profiler.Profiler
@@ -131,45 +130,33 @@ type cosim struct {
 	guest    *GuestSystem
 }
 
-// laneRef names lane l of machine m.
-type laneRef struct{ m, l int }
-
-// assignLanes gives every distinct host a lane, on a machine of its Sizes:
-// the first machine with them, or a new one. A host equal to an earlier one
-// shares that one's lane, so a cell asked for twice is modeled once. It
-// returns each machine's hosts, lane by lane, and each member's lane.
-func assignLanes(hosts []uarch.Config) ([][]uarch.Config, []laneRef) {
-	var armed [][]uarch.Config
-	refs := make([]laneRef, len(hosts))
+// assignLanes gives every distinct host a lane; a host equal to an earlier
+// one shares that one's lane, so a cell asked for twice is modeled once. It
+// returns the hosts lane by lane, and each member's lane.
+func assignLanes(hosts []uarch.Config) ([]uarch.Config, []int) {
+	var distinct []uarch.Config
+	lanes := make([]int, len(hosts))
 next:
 	for i, h := range hosts {
 		for j := range hosts[:i] {
 			if hosts[j] == h {
-				refs[i] = refs[j]
+				lanes[i] = lanes[j]
 				continue next
 			}
 		}
-		m := 0
-		for m < len(armed) && armed[m][0].Sizes() != h.Sizes() {
-			m++
-		}
-		if m == len(armed) {
-			armed = append(armed, nil)
-		}
-		refs[i] = laneRef{m, len(armed[m])}
-		armed[m] = append(armed[m], h)
+		lanes[i] = len(distinct)
+		distinct = append(distinct, h)
 	}
-	return armed, refs
+	return distinct, lanes
 }
 
 // newCosim assembles the host side of a sweep, for an IntervalRunner when
-// interval is set: for each structure size among the (contended) hosts, a
-// machine drawn from the machines store and reset for its hosts, one lane
-// each, and a code model that follows the published layouts of the
-// normalised HostCode and feeds every machine. The sweep is checked
-// (sweepHosts) before anything is looked up or allocated, so a bad config
-// is an error here and not a panic out of a constructor. The caller builds
-// a guest onto the result (build) and releases it when done.
+// interval is set: one machine, on units drawn from the units store, with a
+// lane per distinct (contended) host, and a code model that follows the
+// published layouts of the normalised HostCode and feeds it. The sweep is
+// checked (sweepHosts) before anything is looked up or allocated, so a bad
+// config is an error here and not a panic out of a constructor. The caller
+// builds a guest onto the result (build) and releases it when done.
 func newCosim(cfgs []SessionConfig, interval bool) (*cosim, error) {
 	hosts, err := sweepHosts(cfgs)
 	if err != nil {
@@ -179,30 +166,25 @@ func newCosim(cfgs []SessionConfig, interval bool) (*cosim, error) {
 	if interval && cfg.Profile {
 		return nil, fmt.Errorf("core: interval sessions do not support the function profiler")
 	}
-	armed, lanes := assignLanes(hosts)
+	distinct, lanes := assignLanes(hosts)
 	cs := &cosim{plan: newExecPlan(cfg, interval), lanes: lanes, hostCode: cfg.HostCode.Normalized()}
-	for _, hs := range armed {
-		cs.machines = append(cs.machines, acquireMachine(hs...))
-	}
+	cs.machine = acquireMachine(distinct...)
 
 	// Pipelined mode interposes a batch encoder between the code model and
-	// the machines; they then consume the identical event stream on their
-	// own goroutine (uarch.Consumer), started only after the address map is
+	// the machine; it then consumes the identical event stream on its own
+	// goroutine (uarch.Consumer), started only after the address map is
 	// final.
-	var sink hostmodel.Sink = uarch.Machines(cs.machines)
-	if len(cs.machines) == 1 {
-		sink = cs.machines[0]
-	}
+	var sink hostmodel.Sink = cs.machine
 	if cs.plan.Pipelined {
 		rg := ring.New(ringSlots)
 		cs.enc = hostmodel.NewRingSink(rg)
-		cs.cons = uarch.Machines(cs.machines).Consumer(rg)
+		cs.cons = uarch.NewConsumer(cs.machine, rg)
 		sink = cs.enc
 	}
 	cs.cm = hostmodel.Follow(cs.hostCode, sink, layouts.peek(cs.hostCode))
 	if cfg.Profile {
-		// A profiled sweep has one host (sweepHosts), so one machine.
-		cs.prof = profiler.New(cs.machines[0], cs.cm)
+		// A profiled sweep has one host (sweepHosts), so one lane.
+		cs.prof = profiler.New(cs.machine, cs.cm)
 		cs.cm.SetProfiler(cs.prof)
 	}
 	return cs, nil
@@ -210,8 +192,7 @@ func newCosim(cfgs []SessionConfig, interval bool) (*cosim, error) {
 
 // laneSeconds returns the modeled host seconds of member i so far.
 func (cs *cosim) laneSeconds(i int) float64 {
-	r := cs.lanes[i]
-	return cs.machines[r.m].LaneTimeSeconds(r.l)
+	return cs.machine.LaneTimeSeconds(cs.lanes[i])
 }
 
 // build constructs the guest onto the code model's tracer (from ck when
@@ -238,28 +219,24 @@ func (cs *cosim) build(gc GuestConfig, ck *Checkpoint) error {
 	}
 
 	// The simulator binary is now fully laid out; hand the address map to
-	// the host machines so their TLBs know the page backing.
+	// the host machine so its TLBs know the page backing.
 	tb, te := cs.cm.TextRange()
 	hb, he := cs.cm.HeapRange()
-	for _, m := range cs.machines {
-		m.MapText(tb, te)
-		m.MapData(hb, he)
-		m.MapData(cs.hostCode.StackBase-(1<<20), cs.hostCode.StackBase+(1<<12))
-	}
+	cs.machine.MapText(tb, te)
+	cs.machine.MapData(hb, he)
+	cs.machine.MapData(cs.hostCode.StackBase-(1<<20), cs.hostCode.StackBase+(1<<12))
 	return nil
 }
 
-// release returns the machines to the store once nothing reads them any
-// more: after the consumer has been waited for and the Reports taken. A
+// release returns the machine's units to the store once nothing reads them
+// any more: after the consumer has been waited for and the Reports taken. A
 // profiled session keeps its machine, which the Profiler it hands out reads
 // cycles from. The cosim must not be used afterwards.
 func (cs *cosim) release() {
 	if cs.prof == nil {
-		for _, m := range cs.machines {
-			releaseMachine(m)
-		}
+		releaseMachine(cs.machine)
 	}
-	cs.machines = nil
+	cs.machine = nil
 }
 
 // run executes the guest through the session's pipeline arrangement.
@@ -292,10 +269,10 @@ func (cs *cosim) run(runGuest func() (*GuestResult, error)) (gres *GuestResult, 
 // sweep order. They share gres.
 func (cs *cosim) results(gres *GuestResult) []*SessionResult {
 	out := make([]*SessionResult, len(cs.lanes))
-	for i, r := range cs.lanes {
+	for i, l := range cs.lanes {
 		out[i] = &SessionResult{
 			Guest:       gres,
-			Host:        cs.machines[r.m].LaneReport(r.l),
+			Host:        cs.machine.LaneReport(l),
 			Prof:        cs.prof,
 			TextBytes:   cs.cm.TextBytes(),
 			NumFuncs:    cs.cm.NumFuncs(),
@@ -319,19 +296,19 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 // result per member, in order. The members must share the guest, the
 // normalised binary (HostCode) and the pipeline mode, and only a sweep of
 // one may profile (SweepError otherwise); their hosts and scenarios may
-// differ in anything. The guest and its trace are simulated once. The
-// contended hosts of one uarch.Sizes are lanes of one machine, whose caches,
-// uop cache and predictor run once for all of them (DESIGN §21); each
-// distinct Sizes is a machine of its own fed the same trace, and members
-// with equal contended hosts share a lane (DESIGN §22). Every member's
-// report is bit for bit what RunSession of that member alone returns. The
-// results share one read-only GuestResult.
+// differ in anything. The guest and its trace are simulated once, and the
+// contended hosts are lanes of one machine (DESIGN §21, §22): each cache,
+// uop cache, predictor and translation unit runs once for every lane whose
+// host has its geometry (DESIGN §23), and members with equal contended
+// hosts share a lane. Every member's report is bit for bit what RunSession
+// of that member alone returns. The results share one read-only
+// GuestResult.
 //
 // RunSessions is safe for concurrent use, and its results are a pure
 // function of cfgs. A call constructs its own guest system, and the
 // package-level state it reads (workload registry, platform tables, SPEC
 // profiles) is immutable after init; what it takes from the construction
-// stores (stores.go) — a layout it verifies call by call, a machine it
+// stores (stores.go) — a layout it verifies call by call, units it
 // resets completely, an image it copies from — cannot carry anything from
 // one session into another. The parallel experiment runner relies on this.
 // In pipelined mode each call adds one consumer goroutine for the duration

@@ -19,29 +19,31 @@ import (
 //     model follows them registration by registration and builds only what
 //     none of them recorded, so the real key is that config plus the
 //     verified sequence itself.
-//   - machines: idle uarch.Machines under their structure sizes. A session
-//     takes one and Resets it for its own hosts, one lane each; it comes
-//     back, with every lane it was ever given, once the session's Reports
-//     have been extracted, so a repeated sweep allocates no lane.
+//   - units: idle uarch.Units — caches, uop caches, predictors, translation
+//     units — under their uarch.UnitKey. A session assembles its one
+//     machine from them, one unit per distinct key among its hosts, and
+//     hands every unit back once the session's Reports have been extracted,
+//     so a repeated sweep builds no structure.
 //   - images: assembled guest programs under (workload, scale), read-only
 //     after isa.Assemble; guest.Memory.Load copies out of them.
 //
 // None of them holds a statistic or anything a run has written and a later
 // run reads: reuse is either verified against what a fresh build would do
-// (layouts) or total (Machine.Reset, an image that is only copied from), so
-// a result stays a pure function of its config whatever ran before, on
-// whatever goroutine — which the goldens and identity tests hold byte for
-// byte. They are not measurement caches, and experiments.ResetCaches leaves
-// them alone. Each holds at most a small constant number of entries, least
-// recently used out first, sized to what the figure suite cycles through —
-// eight simulator binaries (the Top-Down set's four CPU models in SE and FS;
-// the sampled figures use six) and four host geometries — and no further:
-// everything kept here is live heap, and the collector lets the heap grow to
-// twice that. The capacities are not knobs.
+// (layouts) or total (a unit reset as it is drawn, an image that is only
+// copied from), so a result stays a pure function of its config whatever
+// ran before, on whatever goroutine — which the goldens and identity tests
+// hold byte for byte. They are not measurement caches, and
+// experiments.ResetCaches leaves them alone. Each holds at most a small
+// constant number of entries, least recently used out first, sized to what
+// the figure suite cycles through — eight simulator binaries (the Top-Down
+// set's four CPU models in SE and FS; the sampled figures use six) and the
+// units of its host geometries (Fig. 14's seven FireSim hosts alone hand
+// back 25) — and no further: everything kept here is live heap, and the
+// collector lets the heap grow to twice that. The capacities are not knobs.
 var (
-	layouts  = store[hostmodel.Config, *hostmodel.Layout]{max: 8}
-	machines = store[uarch.Sizes, *uarch.Machine]{max: 4}
-	images   = store[imageKey, image]{max: 16}
+	layouts = store[hostmodel.Config, *hostmodel.Layout]{max: 8}
+	units   = store[uarch.UnitKey, *uarch.Unit]{max: 48}
+	images  = store[imageKey, image]{max: 16}
 )
 
 // imageKey names one assembled guest program.
@@ -57,7 +59,7 @@ type image struct {
 }
 
 // store is a small list of keyed values, most recently used first, safe for
-// concurrent use. Several values may share a key: the idle machines of one
+// concurrent use. Several values may share a key: the idle units of one
 // geometry do, and so do the binaries of one code-model config.
 type store[K comparable, V any] struct {
 	mu   sync.Mutex
@@ -126,26 +128,26 @@ func (s *store[K, V]) put(key K, val V, same func(V) bool) {
 }
 
 // acquireMachine returns a machine armed for hosts, one lane each, which
-// must validate and share their structure sizes: an idle one of those
-// sizes, reset, or a new one.
+// must validate, on idle units where the store has them.
 func acquireMachine(hosts ...uarch.Config) *uarch.Machine {
-	if m, ok := machines.take(hosts[0].Sizes()); ok {
-		m.Reset(hosts...)
-		return m
-	}
-	return uarch.NewLanes(hosts...)
+	return uarch.Assemble(takeUnit, hosts...)
 }
 
-// releaseMachine hands a machine nobody reads any more back for reuse.
-func releaseMachine(m *uarch.Machine) {
-	cfg := m.Config()
-	machines.put(cfg.Sizes(), m, nil)
+// releaseMachine hands every unit of a machine nobody reads any more back
+// for reuse.
+func releaseMachine(m *uarch.Machine) { m.Release(putUnit) }
+
+func takeUnit(key uarch.UnitKey) *uarch.Unit {
+	u, _ := units.take(key)
+	return u
 }
+
+func putUnit(u *uarch.Unit) { units.put(u.Key(), u, nil) }
 
 // OnMachine calls fn with a machine armed for host, for host-side replays
 // that have no guest and so no session (the SPEC profiles of Figs. 2-6). The
-// machine comes from the store every session draws on and goes back when fn
-// returns, so fn must not keep it; what it computes is what a machine from
+// machine's units come from the store every session draws on and go back
+// when fn returns, so fn must not keep the machine; what it computes is what a machine from
 // uarch.NewMachine(host) would.
 func OnMachine(host uarch.Config, fn func(*uarch.Machine)) error {
 	if err := host.Validate(); err != nil {

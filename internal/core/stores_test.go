@@ -237,7 +237,7 @@ func TestStoresAreBounded(t *testing.T) {
 	many := inuse() - base
 	nl, nm, ni := core.StoreLens()
 	cl, cm, ci := core.StoreCaps()
-	t.Logf("heap in use over the baseline: %.1f MB after 8 sessions, %.1f MB after 200; stores hold %d/%d layouts, %d/%d machines, %d/%d images",
+	t.Logf("heap in use over the baseline: %.1f MB after 8 sessions, %.1f MB after 200; stores hold %d/%d layouts, %d/%d units, %d/%d images",
 		float64(few)/(1<<20), float64(many)/(1<<20), nl, cl, nm, cm, ni, ci)
 	if nl > cl || nm > cm || ni > ci {
 		t.Errorf("a store is over its bound")
@@ -373,7 +373,7 @@ func TestBrokenSessionLeavesStoresUsable(t *testing.T) {
 		if _, err := core.RunSession(unbuildable); err == nil {
 			t.Errorf("pipeline %v: unknown workload accepted", pipe)
 		}
-		if _, nm, _ := core.StoreLens(); nm == 0 {
+		if _, nu, _ := core.StoreLens(); nu == 0 {
 			t.Errorf("pipeline %v: the broken sessions did not give their machine back", pipe)
 		}
 		sc.Guest.ExecTrace = io.Discard // observation only: not part of the result
@@ -414,14 +414,14 @@ func TestIntervalRunnerClose(t *testing.T) {
 	if second.Seconds >= first.Seconds {
 		t.Errorf("the second window (%.6g s) is not warmer than the first (%.6g s): the machine was not kept", second.Seconds, first.Seconds)
 	}
-	if _, nm, _ := core.StoreLens(); nm != 0 {
-		t.Errorf("%d idle machines while the runner holds its own", nm)
+	if _, nu, _ := core.StoreLens(); nu != 0 {
+		t.Errorf("%d idle units while the runner holds its machine", nu)
 	}
 	report := first.Session.Host
 	r.Close()
 	r.Close() // idempotent
-	if _, nm, _ := core.StoreLens(); nm != 1 {
-		t.Errorf("%d idle machines after Close, want the runner's one", nm)
+	if got, want := fmt.Sprint(core.IdleUnits()), "map[DSB:1 L1D:1 L1I:1 L2:1 LLC:1 predictor:1 translation:1]"; got != want {
+		t.Errorf("idle units after Close: %s, want the runner's machine's %s", got, want)
 	}
 	again, err := run()
 	if err != nil {

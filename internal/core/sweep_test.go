@@ -18,10 +18,15 @@ import (
 // laneSweeps are the sweeps the lane identity tests run: every CPU model
 // over the three page backings of the Xeon, Timing over the six clocks of
 // Fig. 13, a pair that differs only in MLP, an M1 Pro pair (no DSB, 16 KB
-// pages) that differs in clock, DRAM latency and text backing, and a mix of
+// pages) that differs in clock, DRAM latency and text backing, a mix of
 // hosts of five structure sizes — the three Table II platforms, a FireSim
 // Rocket with no LLC, a contended Xeon — with a THP lane beside the Xeon's
-// and a member asked for twice.
+// and a member asked for twice, and a sweep whose hosts share some units and
+// not others: Fig. 14's seven FireSim geometries (four L1s each side, seven
+// L2s, one predictor, one translation unit), the Xeon alone, beside 19
+// co-runners (a partitioned LLC) and beside 39 on SMT (halved L1s, TLBs and
+// DSB), the M1 Pro and M1 Ultra (the same L1s, predictor and TLBs) and two
+// more Xeon clocks.
 func laneSweeps() map[string][]core.SessionConfig {
 	sweep := func(gc core.GuestConfig, hosts ...uarch.Config) []core.SessionConfig {
 		out := make([]core.SessionConfig, len(hosts))
@@ -60,7 +65,28 @@ func laneSweeps() map[string][]core.SessionConfig {
 		platform.M1Ultra(), platform.FireSimRocket(8, 2, 8, 2, 512, 8), xeon, xeon)
 	mixed[5].Scenario = platform.Scenario{Procs: 4, SMT: true}
 	out["mixed hosts"] = mixed
+	shared := sweep(sieve(core.Timing), fig14Hosts()...)
+	for _, sc := range []platform.Scenario{{Procs: 1}, {Procs: 20}, {Procs: 40, SMT: true}} {
+		shared = append(shared, core.SessionConfig{Guest: sieve(core.Timing), Host: xeon, Scenario: sc})
+	}
+	shared = append(shared, sweep(sieve(core.Timing), m1, platform.M1Ultra(),
+		with(xeon, func(h *uarch.Config) { h.FreqGHz = 2.1 }),
+		with(xeon, func(h *uarch.Config) { h.FreqGHz = 4.1 }))...)
+	out["shared structures"] = shared
 	return out
+}
+
+// fig14Hosts are Fig. 14's FireSim L1/L2 geometries.
+func fig14Hosts() []uarch.Config {
+	return []uarch.Config{
+		platform.FireSimRocket(8, 2, 8, 2, 512, 8),
+		platform.FireSimRocket(16, 4, 16, 4, 512, 8),
+		platform.FireSimRocket(32, 8, 32, 8, 512, 8),
+		platform.FireSimRocket(8, 2, 8, 2, 1024, 8),
+		platform.FireSimRocket(8, 2, 8, 2, 2048, 8),
+		platform.FireSimRocket(32, 8, 32, 8, 1024, 8),
+		platform.FireSimRocket(64, 16, 64, 16, 512, 8),
+	}
 }
 
 // TestLaneIdentity: every lane of a sweep reports, field for field and to
@@ -133,7 +159,9 @@ func TestIntervalLaneIdentity(t *testing.T) {
 		return fmt.Sprintf("%v %v %d %v %v %+v", ivr.Seconds, ivr.SubSeconds, ivr.Insts, ivr.SubInsts, ivr.Completed, ivr.Session.Host)
 	}
 	for name, cfgs := range laneSweeps() {
-		if name != "timing x clocks" && name != "o3 x pages" && name != "m1 pro" && name != "mixed hosts" {
+		switch name {
+		case "timing x clocks", "o3 x pages", "m1 pro", "mixed hosts", "shared structures":
+		default:
 			continue
 		}
 		for i := range cfgs {
@@ -151,15 +179,34 @@ func TestIntervalLaneIdentity(t *testing.T) {
 	}
 }
 
-// TestSweepDrawsAMachinePerSizes: a sweep draws one machine per structure
-// size among its contended hosts, with one lane per distinct host, and gives
-// every one back; members whose contended hosts are equal (asked for twice,
-// or with a scenario that contends nothing) share a lane and report alike.
-func TestSweepDrawsAMachinePerSizes(t *testing.T) {
+// TestSweepDrawsAUnitPerKey: a sweep draws one unit per distinct key among
+// its contended hosts and gives every one back — Fig. 14's seven FireSim
+// geometries share one predictor, one uop cache (none) and one translation
+// unit, and their four L1 geometries a side, and need an L2 and an LLC (none)
+// for each of the seven (L1I, L1D, L2) — and a second sweep draws the same
+// units again instead of building more. Members whose contended hosts are
+// equal (asked for twice, or with a scenario that contends nothing) share a
+// lane and report alike.
+func TestSweepDrawsAUnitPerKey(t *testing.T) {
 	gc := core.GuestConfig{CPU: core.O3, Mode: core.SE, Workload: "sieve", Scale: 256}
+	var cfgs []core.SessionConfig
+	for _, h := range fig14Hosts() {
+		cfgs = append(cfgs, core.SessionConfig{Guest: gc, Host: h})
+	}
+	want := map[string]int{"L1I": 4, "L1D": 4, "L2": 7, "LLC": 7, "DSB": 1, "predictor": 1, "translation": 1}
+	core.DropStores()
+	for round := 0; round < 2; round++ {
+		if _, err := core.RunSessions(cfgs); err != nil {
+			t.Fatal(err)
+		}
+		if got := core.IdleUnits(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("sweep %d: idle units %v, want %v", round, got, want)
+		}
+	}
+
 	thp := platform.IntelXeon()
 	thp.HugePages = uarch.PagesTHP
-	cfgs := []core.SessionConfig{
+	cfgs = []core.SessionConfig{
 		{Guest: gc, Host: platform.IntelXeon()},
 		{Guest: gc, Host: platform.M1Pro()},
 		{Guest: gc, Host: thp},
@@ -167,15 +214,9 @@ func TestSweepDrawsAMachinePerSizes(t *testing.T) {
 		{Guest: gc, Host: platform.M1Ultra()},
 		{Guest: gc, Host: platform.M1Pro(), Scenario: platform.Scenario{Procs: 1}},
 	}
-	core.DropStores()
 	res, err := core.RunSessions(cfgs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Released in the order the machines were drawn, so the store holds
-	// the M1 Ultra's, the M1 Pro's and the Xeon's, most recent first.
-	if got, want := fmt.Sprint(core.IdleLanes()), "[1 1 2]"; got != want {
-		t.Errorf("idle machines' lanes after the sweep: %s, want %s", got, want)
 	}
 	for _, pair := range [][2]int{{0, 3}, {1, 5}} {
 		a, b := fmt.Sprintf("%+v", res[pair[0]].Host), fmt.Sprintf("%+v", res[pair[1]].Host)
@@ -231,7 +272,7 @@ func TestSweepRejections(t *testing.T) {
 			}
 		}
 		if _, nm, _ := core.StoreLens(); nm != 0 {
-			t.Errorf("rejected sweep (%s) drew a machine", tc.field)
+			t.Errorf("rejected sweep (%s) drew a unit", tc.field)
 		}
 	}
 	// One profiled host is a sweep of one, same-writer exec traces are one

@@ -181,7 +181,9 @@ func TestGoldenSampledReports(t *testing.T) {
 // co-simulation per guest and binary: six, where per-figure sweeps ran
 // seventeen), the six orders read 2.97 MB here (3.55-3.57 MB under the race
 // detector); with per-figure sweeps they read 7.47-7.48 MB, and before the
-// sweeps 12.02-12.04 MB. The bound is 1.25x the plain reading.
+// sweeps 12.02-12.04 MB. The bound is 1.25x that 2.97 MB reading. With one
+// machine per co-simulation, assembled from kept units (DESIGN.md §23),
+// they read 2.94-2.95 MB.
 func TestSampledPassAllocBudget(t *testing.T) {
 	opt := Options{Quick: true, Jobs: 1, SimPoint: true}
 	pass := func(ids ...string) float64 {

@@ -75,28 +75,6 @@ type Config struct {
 	SkipVIPTCheck bool    // ablation A2: allow non-VIPT L1 geometries
 }
 
-// Sizes is the part of a Config that fixes how much memory a Machine's
-// structures take and how they are indexed. Two configs with equal Sizes
-// differ only in scalars that Machine.Reset re-reads (clock, latencies,
-// widths, page sizes and modes), so a machine built for one can be re-armed
-// for the other.
-type Sizes struct {
-	L1I, L1D, L2, LLC                     CacheGeom
-	DSBUops                               int
-	ITLBEntries, DTLBEntries, STLBEntries int
-	BPTableEntries, BTBEntries            int
-}
-
-// Sizes returns c's structure sizes.
-func (c *Config) Sizes() Sizes {
-	return Sizes{
-		L1I: c.L1I, L1D: c.L1D, L2: c.L2, LLC: c.LLC,
-		DSBUops:     c.DSBUops,
-		ITLBEntries: c.ITLBEntries, DTLBEntries: c.DTLBEntries, STLBEntries: c.STLBEntries,
-		BPTableEntries: c.BPTableEntries, BTBEntries: c.BTBEntries,
-	}
-}
-
 // Validate checks everything NewMachine would panic on and the model's own
 // consistency: the geometry of every cache level, TLB and predictor sizes,
 // and the VIPT constraint the paper leans on, that one L1 way must not
@@ -110,9 +88,10 @@ func (c *Config) Validate() error {
 		name string
 		g    CacheGeom
 	}
-	levels := []level{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}}
+	all := [...]level{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}, {"LLC", c.LLC}}
+	levels := all[:3]
 	if c.LLC.SizeBytes > 0 {
-		levels = append(levels, level{"LLC", c.LLC})
+		levels = all[:]
 	}
 	for _, l := range levels {
 		if msg := l.g.check(); msg != "" {

@@ -346,9 +346,12 @@ func TestTLBDifferential(t *testing.T) {
 	}
 }
 
-// TestPageOfMemoization checks the memoized + binary-search pageOf
-// against a plain first-match scan over the insertion-ordered regions,
-// including THP split text and out-of-region fallback addresses.
+// TestPageOfMemoization checks the two memoized + binary-search pageOf
+// lookups of a translation unit — the fetch memo and the data memo, used in
+// any interleaving — against a plain first-match scan over the
+// insertion-ordered regions, including THP split text and out-of-region
+// fallback addresses; and again once an overlapping region has put the unit
+// on the scan, where neither memo may answer.
 func TestPageOfMemoization(t *testing.T) {
 	cfg := testConfig()
 	cfg.HugePages = PagesTHP
@@ -357,15 +360,15 @@ func TestPageOfMemoization(t *testing.T) {
 	m.MapText(0x40_0000, 0x40_0000+64<<20)
 	m.MapData(0x7f00_0000_0000, 0x7f00_0000_0000+32<<20)
 	m.MapData(0x7fff_ff00_0000-(1<<20), 0x7fff_ff00_0000+(1<<12))
-	l := &m.lanes[0]
+	tr := &m.lanes[0].unit[kindXlat].tr
 
 	scan := func(addr uint64) uint64 {
-		for _, r := range l.regions {
+		for _, r := range tr.regions {
 			if addr >= r.base && addr < r.end {
 				return addr &^ (r.pageBytes - 1)
 			}
 		}
-		return addr &^ (l.cfg.PageBytes - 1)
+		return addr &^ (cfg.PageBytes - 1)
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -375,11 +378,31 @@ func TestPageOfMemoization(t *testing.T) {
 		{0x7fff_ff00_0000 - (1 << 20), 0x7fff_ff00_0000 + (1 << 12)},
 		{0, 1 << 30}, // mostly unmapped
 	}
-	for i := 0; i < 200000; i++ {
-		s := spans[rng.Intn(len(spans))]
-		addr := s[0] + rng.Uint64()%(s[1]-s[0])
-		if got, want := l.pageOf(addr), scan(addr); got != want {
-			t.Fatalf("pageOf(%#x) = %#x, want %#x", addr, got, want)
+	check := func(phase string) {
+		for i := 0; i < 200000; i++ {
+			// Fetches mostly in the text and data mostly elsewhere, as the
+			// stream has them, but either memo may see any address.
+			s := spans[rng.Intn(len(spans))]
+			addr := s[0] + rng.Uint64()%(s[1]-s[0])
+			memo, name := &tr.data, "data"
+			if (s[0] == spans[0][0]) != (rng.Intn(8) == 0) {
+				memo, name = &tr.fetch, "fetch"
+			}
+			if got, want := tr.pageOf(addr, memo), scan(addr); got != want {
+				t.Fatalf("%s: pageOf(%#x) through the %s memo = %#x, want %#x", phase, addr, name, got, want)
+			}
 		}
+	}
+	check("disjoint")
+	if tr.fetch == (pageMemo{}) || tr.data == (pageMemo{}) {
+		t.Fatalf("a memo never filled: fetch %+v, data %+v", tr.fetch, tr.data)
+	}
+	// A region over the top of the heap and into the unmapped space above
+	// it, with huge pages: first match wins from here on.
+	tr.addRegion(pageRegion{0x7f00_0000_0000 + 16<<20, 0x7f00_0000_0000 + 64<<20, 2 << 20})
+	spans = append(spans, [2]uint64{0x7f00_0000_0000, 0x7f00_0000_0000 + 96<<20})
+	check("overlapped")
+	if tr.fetch != (pageMemo{}) || tr.data != (pageMemo{}) {
+		t.Fatalf("a memo filled on the overlapping-region scan: fetch %+v, data %+v", tr.fetch, tr.data)
 	}
 }

@@ -164,24 +164,23 @@ func dirtied(cfg uarch.Config, k int) uarch.Config {
 }
 
 // TestRecycledMachineIdentity makes reuse adversarial: every host class's
-// machine first runs a sweep of six other hosts of the same structure sizes
-// — other clocks, latencies and widths, THP-split text segments and a
-// foreign data region, fed the stream at shifted addresses and then at its
-// own, so that every cache, TLB, predictor table, stream tracker, counter
-// and lane ends up holding something — and is then Reset for the pinned
-// config alone. Replaying the captured stream must give the FNV a fresh
-// machine gives; one surviving line, LRU position, region, memo or lane
-// moves it.
+// machine first runs a sweep of six other hosts on the same caches, uop
+// cache and predictor — other clocks, latencies and widths, THP-split text
+// segments beside the class's own page backing, and a foreign data region,
+// fed the stream at shifted addresses and then at its own, so that every
+// cache, TLB, predictor table, stream tracker, counter and lane ends up
+// holding something — and is then Reset for the pinned config alone.
+// Replaying the captured stream must give the FNV a fresh machine gives;
+// one surviving line, LRU position, region, memo or lane moves it.
 func TestRecycledMachineIdentity(t *testing.T) {
 	head := capturedStream(t)
 	for _, tc := range hostClasses {
 		var dirty []uarch.Config
 		for k := 0; k < 6; k++ {
 			dirty = append(dirty, dirtied(tc.cfg, k))
-			if dirty[k].Sizes() != tc.cfg.Sizes() {
-				t.Fatalf("%s: the dirtying config changed the structure sizes", tc.cfg.Name)
-			}
 		}
+		// One of them on the class's own translation unit.
+		dirty[5].HugePages, dirty[5].THPCoverage = tc.cfg.HugePages, tc.cfg.THPCoverage
 		m := uarch.NewLanes(dirty...)
 		mapStream(m)
 		m.MapData(0x5000_0000_0000, 0x5000_4000_0000)
@@ -222,30 +221,80 @@ func TestRecycledMachineIdentity(t *testing.T) {
 	}
 }
 
-// TestResetRejectsOtherSizes: Reset keeps the structures' memory, so it
-// refuses a config they do not fit, as loudly as NewMachine refuses a bad
-// one.
-func TestResetRejectsOtherSizes(t *testing.T) {
-	m := uarch.NewMachine(platform.IntelXeon())
-	for name, cfg := range map[string]uarch.Config{
-		"other geometry": platform.M1Pro(),
-		"invalid":        {Name: "empty"},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Reset(%s) did not panic", name)
-				}
-			}()
-			m.Reset(cfg)
-		}()
+// resetSets are the host sets TestResetToAnyHostsEqualsNewLanes and
+// TestNewMachineAllocs move machines between: one host, then hosts of other
+// geometries that share some units and not others, then fewer, then one.
+func resetSets() [][]uarch.Config {
+	xeon := platform.IntelXeon()
+	return [][]uarch.Config{
+		{xeon},
+		append(fig14Hosts(), platform.M1Pro(), platform.Contend(xeon, platform.Scenario{Procs: 40, SMT: true}), dirtied(xeon, 0)),
+		{platform.FireSimBase(), platform.M1Ultra()},
+		{xeon},
 	}
+}
+
+// fig14Hosts are Fig. 14's FireSim L1/L2 geometries: four L1 geometries a
+// side and seven L2s on one predictor and one translation unit.
+func fig14Hosts() []uarch.Config {
+	return []uarch.Config{
+		platform.FireSimRocket(8, 2, 8, 2, 512, 8),
+		platform.FireSimRocket(16, 4, 16, 4, 512, 8),
+		platform.FireSimRocket(32, 8, 32, 8, 512, 8),
+		platform.FireSimRocket(8, 2, 8, 2, 1024, 8),
+		platform.FireSimRocket(8, 2, 8, 2, 2048, 8),
+		platform.FireSimRocket(32, 8, 32, 8, 1024, 8),
+		platform.FireSimRocket(64, 16, 64, 16, 512, 8),
+	}
+}
+
+// TestResetToAnyHostsEqualsNewLanes: Reset takes any hosts — other
+// geometries, more or fewer of them — and the machine then reports, lane for
+// lane, what NewLanes of those hosts reports; an invalid host is refused as
+// loudly as NewMachine refuses it.
+func TestResetToAnyHostsEqualsNewLanes(t *testing.T) {
+	head := capturedStream(t)
+	head = head[:len(head)/8]
+	run := func(m *uarch.Machine) []string {
+		mapStream(m)
+		for i := range head {
+			m.ApplyBatch(&head[i])
+		}
+		out := make([]string, m.Lanes())
+		for i := range out {
+			out[i] = fmt.Sprintf("%+v", m.LaneReport(i))
+		}
+		return out
+	}
+	var m *uarch.Machine
+	for n, hosts := range resetSets() {
+		if m == nil {
+			m = uarch.NewLanes(hosts...)
+		} else {
+			m.Reset(hosts...)
+		}
+		got, want := run(m), run(uarch.NewLanes(hosts...))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("set %d, lane %d (%s): after Reset\n%s\nNewLanes\n%s", n, i, hosts[i].Name, got[i], want[i])
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Reset to an invalid host did not panic")
+			}
+		}()
+		m.Reset(platform.IntelXeon(), uarch.Config{Name: "empty"})
+	}()
 }
 
 // TestNewMachineAllocs: a machine costs its L1s, TLBs, predictor and one
 // index word per L2/LLC set, not its capacity (10 MB and 4.5 MB of key rows
-// when every level was dense), and a Reset to as many lanes as the machine
-// ever had allocates nothing.
+// when every level was dense); a Reset to as many lanes as the machine ever
+// had allocates nothing; and a Reset to hosts it has modeled before, of
+// however many geometries, allocates no structure.
 func TestNewMachineAllocs(t *testing.T) {
 	allocated := func(fn func()) float64 {
 		var before, after runtime.MemStats
@@ -276,5 +325,22 @@ func TestNewMachineAllocs(t *testing.T) {
 		if mb := allocated(func() { m.Reset(six...) }); mb > 0.01 {
 			t.Errorf("Reset(%s x6) after a sweep of six allocated %.2f MB", tc.cfg.Name, mb)
 		}
+	}
+	// Fig. 14's seven geometries, one host, and the seven again: the units
+	// the first sweep built wait as spares.
+	m := uarch.NewLanes(fig14Hosts()...)
+	m.Reset(platform.IntelXeon())
+	if mb := allocated(func() { m.Reset(fig14Hosts()...) }); mb > 0.01 {
+		t.Errorf("a second Fig. 14 sweep allocated %.2f MB", mb)
+	}
+	for _, hosts := range append(resetSets(), resetSets()...) {
+		m.Reset(hosts...)
+	}
+	if mb := allocated(func() {
+		for _, hosts := range resetSets() {
+			m.Reset(hosts...)
+		}
+	}); mb > 0.01 {
+		t.Errorf("Resets through host sets the machine has modeled allocated %.2f MB", mb)
 	}
 }

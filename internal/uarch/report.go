@@ -59,7 +59,7 @@ type Report struct {
 func (m *Machine) Report() Report { return m.LaneReport(0) }
 
 // LaneReport captures the current state of lane i: its host's account over
-// the structures every lane shares.
+// the units it shares with the other lanes.
 func (m *Machine) LaneReport(i int) Report {
 	l := &m.lanes[i]
 	td := &l.td
@@ -67,32 +67,33 @@ func (m *Machine) LaneReport(i int) Report {
 	if total == 0 {
 		total = 1
 	}
+	l2, llc, dsb, tr := &l.unit[kindL2].c, l.unit[kindLLC], l.unit[kindDSB], &l.unit[kindXlat].tr
 	r := Report{
 		Machine:        l.cfg.Name,
 		TopDown:        *td,
 		Cycles:         td.Total(),
 		TimeSeconds:    m.LaneTimeSeconds(i),
 		Uops:           m.uops,
-		ICacheMissRate: m.l1i.MissRate(),
-		DCacheMissRate: m.l1d.MissRate(),
-		ITLBMissRate:   l.itlb.MissRate(),
-		DTLBMissRate:   l.dtlb.MissRate(),
-		L2MissRate:     m.l2.MissRate(),
-		DRAMBytes:      m.dramBytes,
+		ICacheMissRate: l.unit[kindL1I].c.MissRate(),
+		DCacheMissRate: l.unit[kindL1D].c.MissRate(),
+		ITLBMissRate:   tr.itlb.MissRate(),
+		DTLBMissRate:   tr.dtlb.MissRate(),
+		L2MissRate:     l2.MissRate(),
+		DRAMBytes:      llc.dramBytes,
 	}
-	if m.llc != nil {
-		r.LLCOccupancyBytes = m.llc.OccupancyBytes()
+	if llc.hasC {
+		r.LLCOccupancyBytes = llc.c.OccupancyBytes()
 	} else {
-		r.LLCOccupancyBytes = m.l2.OccupancyBytes()
+		r.LLCOccupancyBytes = l2.OccupancyBytes()
 	}
-	r.BranchMispredictRate = m.bp.MispredictRate()
+	r.BranchMispredictRate = l.unit[kindBP].bp.MispredictRate()
 	r.IPC = float64(m.uops) / r.Cycles
 	r.StallFrac = 1 - td.RetiringCycles/total
-	if m.uopsDSB+m.uopsMITE > 0 {
-		r.DSBCoverage = float64(m.uopsDSB) / float64(m.uopsDSB+m.uopsMITE)
+	if dsb.uopsDSB+dsb.uopsMITE > 0 {
+		r.DSBCoverage = float64(dsb.uopsDSB) / float64(dsb.uopsDSB+dsb.uopsMITE)
 	}
 	if r.TimeSeconds > 0 && l.cfg.PeakDRAMBytesPerSec > 0 {
-		r.DRAMBandwidthUtil = float64(m.dramBytes) / r.TimeSeconds / l.cfg.PeakDRAMBytesPerSec
+		r.DRAMBandwidthUtil = float64(llc.dramBytes) / r.TimeSeconds / l.cfg.PeakDRAMBytesPerSec
 	}
 	r.Level1 = Breakdown{
 		Retiring:          td.RetiringCycles / total,

@@ -368,7 +368,7 @@ func TestDSBGeometry(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("DSBUops %d: %v", uops, err)
 		}
-		g := NewMachine(cfg).dsb.geom
+		g := NewMachine(cfg).units[kindDSB].c.geom
 		if g.SizeBytes != wantBytes || g.Ways != 8 || g.LineBytes != 32 {
 			t.Errorf("DSBUops %d: geometry %+v, want %d B", uops, g, wantBytes)
 		}
@@ -388,12 +388,14 @@ func TestHugePageModeString(t *testing.T) {
 // a same-page memo that survives Reset answers one access that should have
 // missed, the page then misses on its next use instead, and every count
 // comes out the same. So look at the memos (and the address maps) directly,
-// in every lane: the machine runs three hosts, is Reset for one and then
-// for two, so the second lane comes back from the spare lanes a wider run
-// left behind.
+// in every unit and every lane: the machine runs three hosts of two
+// translation keys, is Reset for one and then for two, so the second
+// lane's units come back from the spares.
 func TestResetForgetsMemos(t *testing.T) {
 	cfg := testConfig()
-	m := NewLanes(cfg, cfg, cfg)
+	thp := cfg
+	thp.HugePages, thp.THPCoverage = PagesTHP, 0.5
+	m := NewLanes(cfg, thp, cfg)
 	run := func() {
 		m.MapText(0x40_0000, 0x80_0000)
 		m.MapData(0x7000_0000, 0x7100_0000)
@@ -406,25 +408,32 @@ func TestResetForgetsMemos(t *testing.T) {
 	run()
 	m.Reset(cfg)
 	run()
-	m.Reset(cfg, cfg)
+	m.Reset(cfg, thp)
 	if m.Lanes() != 2 {
 		t.Fatalf("%d lanes after Reset for two hosts", m.Lanes())
 	}
-	for name, c := range map[string]*cache{"l1i": m.l1i, "l1d": m.l1d, "l2": m.l2, "llc": m.llc, "dsb": m.dsb} {
-		if c.lastBlock != ^uint64(0) || c.Accesses != 0 || c.resident != 0 {
-			t.Errorf("%s after Reset: lastBlock %#x, %d accesses, %d resident", name, c.lastBlock, c.Accesses, c.resident)
-		}
-	}
 	for i := range m.lanes {
 		l := &m.lanes[i]
-		for name, tb := range map[string]*tlb{"itlb": l.itlb, "dtlb": l.dtlb, "stlb": l.stlb} {
+		if l.td != (TopDown{}) {
+			t.Errorf("lane %d: account after Reset: %+v", i, l.td)
+		}
+		for k, u := range l.unit {
+			if c := &u.c; u.hasC && (c.lastBlock != ^uint64(0) || c.Accesses != 0 || c.resident != 0) {
+				t.Errorf("lane %d: %s after Reset: lastBlock %#x, %d accesses, %d resident", i, u.key.Kind(), c.lastBlock, c.Accesses, c.resident)
+			}
+			if unitKind(k) == kindL1D && (u.streams != [16]uint64{} || u.streamNext != 0) {
+				t.Errorf("lane %d: stream trackers after Reset: %v, next %d", i, u.streams, u.streamNext)
+			}
+		}
+		tr := &l.unit[kindXlat].tr
+		for name, tb := range map[string]*tlb{"itlb": tr.itlb, "dtlb": tr.dtlb, "stlb": tr.stlb} {
 			if tb.lastPage != ^uint64(0) || tb.Accesses != 0 || tb.idx.Len() != 0 {
 				t.Errorf("lane %d: %s after Reset: lastPage %#x, %d accesses, %d resident", i, name, tb.lastPage, tb.Accesses, tb.idx.Len())
 			}
 		}
-		if len(l.regions) != 0 || len(l.sorted) != 0 || l.overlapped || l.last != (pageMemo{}) || l.td != (TopDown{}) {
-			t.Errorf("lane %d: address map after Reset: %d regions, %d sorted, overlapped=%v, memo %+v, account %+v",
-				i, len(l.regions), len(l.sorted), l.overlapped, l.last, l.td)
+		if len(tr.regions) != 0 || len(tr.sorted) != 0 || tr.overlapped || tr.fetch != (pageMemo{}) || tr.data != (pageMemo{}) {
+			t.Errorf("lane %d: address map after Reset: %d regions, %d sorted, overlapped=%v, memos %+v %+v",
+				i, len(tr.regions), len(tr.sorted), tr.overlapped, tr.fetch, tr.data)
 		}
 	}
 }
@@ -440,7 +449,7 @@ func TestMappingIsIdempotent(t *testing.T) {
 		m.MapText(0x40_0000, 0x1000_0000)
 		m.MapData(0x7000_0000, 0x7100_0000)
 	}
-	if l := &m.lanes[0]; len(l.regions) != 3 || l.overlapped {
-		t.Fatalf("%d regions, overlapped=%v; want the 3 of the first round on the fast path", len(l.regions), l.overlapped)
+	if tr := &m.lanes[0].unit[kindXlat].tr; len(tr.regions) != 3 || tr.overlapped {
+		t.Fatalf("%d regions, overlapped=%v; want the 3 of the first round on the fast path", len(tr.regions), tr.overlapped)
 	}
 }
