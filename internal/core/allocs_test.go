@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"gem5prof/internal/core"
@@ -54,5 +55,38 @@ func TestTimingPathAllocs(t *testing.T) {
 				t.Errorf("%.4f objects allocated per serviced event, want < 0.02", perEvent)
 			}
 		})
+	}
+}
+
+// TestGuestAtomicRebuildAllocs holds what a guest costs once its image has
+// been built: a second build and run of the guest_atomic benchmark's config
+// (sieve at scale 32768 on the Atomic CPU, untraced) allocates no decode
+// table, because the words are decoded once per (workload, scale) into the
+// images store. Before predecoding it allocated 158 616 bytes; with it,
+// 158 768-159 008 (go1.24 on linux/amd64). The bound is 2% over the former.
+// Allocation sizes follow the runtime's maps and size classes, so another
+// Go release only logs its figure.
+func TestGuestAtomicRebuildAllocs(t *testing.T) {
+	gc := core.GuestConfig{CPU: core.Atomic, Mode: core.SE, Workload: "sieve", Scale: 32768, Seed: 42}
+	run := func() uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := core.BuildGuest(gc, sim.NewNopTracer())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // assembles and predecodes the image, if nothing has yet
+	got := run()
+	t.Logf("second build and run: %d bytes (%s)", got, runtime.Version())
+	const parent = 158_616
+	if strings.HasPrefix(runtime.Version(), "go1.24") && float64(got) > 1.02*parent {
+		t.Errorf("second build and run allocated %d bytes, want at most %.0f (2%% over %d)", got, 1.02*parent, parent)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"gem5prof/internal/cpu"
 	"gem5prof/internal/guest"
+	"gem5prof/internal/isa"
 	"gem5prof/internal/mem"
 	"gem5prof/internal/sim"
 	"gem5prof/internal/sysemu"
@@ -187,26 +188,26 @@ func startGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 }
 
 // loadWorkload loads spec's program at the given scale (0 = the workload's
-// default) into ram and returns its entry point and reference checksum. The
-// program is assembled the first time a (workload, scale) is asked for and
-// kept in the images store: it is read-only once assembled, and Load copies
-// out of it.
-func loadWorkload(spec workloads.Spec, scale int, ram *guest.Memory) (entry, expect uint32, err error) {
+// default) into ram and returns its image. The program is assembled and
+// predecoded the first time a (workload, scale) is asked for and kept in the
+// images store: it is read-only once built, and Load copies out of it.
+func loadWorkload(spec workloads.Spec, scale int, ram *guest.Memory) (img image, err error) {
 	if scale == 0 {
 		scale = spec.DefaultScale
 	}
 	key := imageKey{spec.Name, scale}
-	var img image
 	if have := images.peek(key); len(have) > 0 {
 		img = have[0]
 	} else if img.prog, img.expect, err = spec.Build(scale); err != nil {
-		return 0, 0, err
+		return image{}, err
+	} else {
+		img.dec = isa.Predecode(img.prog)
 	}
 	images.put(key, img, func(o image) bool { return o == img })
 	if err := ram.Load(img.prog); err != nil {
-		return 0, 0, err
+		return image{}, err
 	}
-	return img.prog.Entry, img.expect, nil
+	return img, nil
 }
 
 // buildGuest constructs the system without starting the CPUs, returning the
@@ -244,11 +245,12 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 
 	// Load the workload image and, in FS mode, the kernel that enters it.
 	var entry uint32
+	var img image
 	if hasApp {
-		if entry, g.expect, err = loadWorkload(spec, cfg.Scale, ram); err != nil {
+		if img, err = loadWorkload(spec, cfg.Scale, ram); err != nil {
 			return nil, 0, err
 		}
-		g.hasRef = true
+		entry, g.expect, g.hasRef = img.prog.Entry, img.expect, true
 	}
 	if cfg.Mode != SE {
 		kcfg := workloads.DefaultKernelConfig()
@@ -325,6 +327,7 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 			Env:         env,
 			HartID:      uint32(i),
 			ExecTrace:   cfg.ExecTrace,
+			Decoded:     img.dec,
 		}
 		if g.Hier != nil {
 			ccfg.IPort = g.Hier.IPort(i)

@@ -24,8 +24,10 @@ import (
 //     machine from them, one unit per distinct key among its hosts, and
 //     hands every unit back once the session's Reports have been extracted,
 //     so a repeated sweep builds no structure.
-//   - images: assembled guest programs under (workload, scale), read-only
-//     after isa.Assemble; guest.Memory.Load copies out of them.
+//   - images: assembled guest programs under (workload, scale), each with
+//     its words decoded once (isa.Predecode), read-only after that;
+//     guest.Memory.Load copies out of them, and every core of every guest
+//     of that image fetches through the one decoded table.
 //
 // None of them holds a statistic or anything a run has written and a later
 // run reads: reuse is either verified against what a fresh build would do
@@ -52,9 +54,11 @@ type imageKey struct {
 	scale    int
 }
 
-// image is a workload program and its reference checksum.
+// image is a workload program, its predecoded words and its reference
+// checksum.
 type image struct {
 	prog   *isa.Program
+	dec    *isa.Decoded
 	expect uint32
 }
 

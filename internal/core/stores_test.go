@@ -435,3 +435,40 @@ func TestIntervalRunnerClose(t *testing.T) {
 		t.Error("Close changed a result already returned")
 	}
 }
+
+// TestGuestsShareDecodedImage: the words of a (workload, scale) are decoded
+// once, into the images store. Every core of two guests of one image
+// fetches through one table, a guest of another scale through another, and
+// a boot-exit guest, which has no workload image, through none.
+func TestGuestsShareDecodedImage(t *testing.T) {
+	build := func(gc core.GuestConfig) *core.GuestSystem {
+		t.Helper()
+		g, err := core.BuildGuest(gc, sim.NewNopTracer())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	mt := core.GuestConfig{CPU: core.Timing, Mode: core.SE, Workload: "matmul_mt", Scale: 64, Cores: 4}
+	first := build(mt)
+	dec := first.CPUs[0].Core().Decoded()
+	if dec == nil {
+		t.Fatal("a workload guest's core has no predecoded image")
+	}
+	for _, g := range []*core.GuestSystem{first, build(mt)} {
+		for _, c := range g.CPUs {
+			if c.Core().Decoded() != dec {
+				t.Fatalf("%s fetches through a table of its own", c.Name())
+			}
+		}
+	}
+	other := mt
+	other.Scale = 81
+	if build(other).CPUs[0].Core().Decoded() == dec {
+		t.Fatal("a guest of another scale shares the table")
+	}
+	boot := build(core.GuestConfig{CPU: core.Timing, Mode: core.FS, BootExit: true, BootKBs: 1})
+	if boot.CPUs[0].Core().Decoded() != nil {
+		t.Fatal("a boot-exit guest has a predecoded image")
+	}
+}

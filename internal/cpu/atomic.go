@@ -73,15 +73,14 @@ func (c *AtomicCPU) doTick() {
 		pc := core.pc
 		// Exercise the instruction port atomically (tag warming + stats);
 		// the returned latency is deliberately ignored: CPI stays 1.
-		core.sys.Tracer().Call(core.fnFetch)
+		core.sys.TraceCall(core.fnFetch)
 		core.cfg.IPort.AtomicLatency(mem.Access{Addr: pc, Size: isa.InstBytes, Inst: true})
 		w, err := core.fetchWord(pc)
 		if err != nil {
 			core.sys.RequestExit(err.Error(), 255)
 		}
-		core.sys.Tracer().Call(core.fnDecode)
-		in := isa.Decode(w)
-		out, err := core.execute(in)
+		in := core.decode(pc, w)
+		out, err := core.execute(*in)
 		if err != nil {
 			core.sys.RequestExit(err.Error(), 255)
 		}

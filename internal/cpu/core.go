@@ -78,6 +78,9 @@ type Config struct {
 	// ExecTrace, when non-nil, receives one line per committed instruction
 	// (gem5's --debug-flags=Exec).
 	ExecTrace io.Writer
+	// Decoded, when non-nil, is the loaded program decoded once: a fetched
+	// word equal to the image's word at its pc is not decoded again.
+	Decoded *isa.Decoded
 }
 
 func (c *Config) fill(sys *sim.System) {
@@ -158,12 +161,17 @@ type Core struct {
 	fnExec    [12]sim.FuncID // indexed by isa.Class
 	fnTrap    sim.FuncID
 
+	decodeMiss isa.Inst // what decode returns when the image does not hold the word
+
 	// libFns is the model's long tail of cold simulator code (stat
 	// callbacks, decode tables, SimObject plumbing); one is touched every
-	// libStride instructions, reproducing gem5's flat hot-function CDF.
+	// libStride instructions, reproducing gem5's flat hot-function CDF: at
+	// each instruction whose committed count is a multiple of libStride,
+	// which libDue counts down to instead of dividing.
 	libFns    []sim.FuncID
 	libRotor  int
 	libStride uint64
+	libDue    uint64
 
 	// commitHook, when non-nil, observes every architecturally committed
 	// instruction. The conformance subsystem uses it for lockstep trace
@@ -235,6 +243,10 @@ func (c *Core) System() *sim.System { return c.sys }
 
 // Clock returns the clock period in ticks.
 func (c *Core) Clock() sim.Tick { return c.clock }
+
+// Decoded returns the predecoded program the core fetches through, nil when
+// it decodes every word it fetches.
+func (c *Core) Decoded() *isa.Decoded { return c.cfg.Decoded }
 
 // CommittedInsts returns the number of retired instructions.
 func (c *Core) CommittedInsts() uint64 { return c.numInsts.Count() }
@@ -325,7 +337,7 @@ func (c *Core) takeInterruptIfPending() bool {
 	if !c.intPending || c.csrs[CSRMStatus]&MStatusMIE == 0 {
 		return false
 	}
-	c.sys.Tracer().Call(c.fnTrap)
+	c.sys.TraceCall(c.fnTrap)
 	c.intPending = false
 	c.csrs[CSRMEPC] = c.pc
 	c.csrs[CSRMCause] = CauseTimerInterrupt
@@ -337,7 +349,7 @@ func (c *Core) takeInterruptIfPending() bool {
 // Trap enters the machine trap vector with the given cause, saving epc.
 // Environments use it for ECALL traps in FS mode.
 func (c *Core) Trap(cause uint32, epc uint32) {
-	c.sys.Tracer().Call(c.fnTrap)
+	c.sys.TraceCall(c.fnTrap)
 	c.csrs[CSRMEPC] = epc
 	c.csrs[CSRMCause] = cause
 	c.csrs[CSRMStatus] &^= MStatusMIE
@@ -372,13 +384,17 @@ func (c *Core) PC() uint32 { return c.pc }
 
 // ReadMem implements isa.Context: a functional read plus host data tracing.
 func (c *Core) ReadMem(addr uint32, size int) (uint64, error) {
-	c.sys.Tracer().Data(c.fmem.HostAddr(addr), uint32(size), false)
+	if c.sys.Tracing() {
+		c.sys.TraceData(c.fmem.HostAddr(addr), uint32(size), false)
+	}
 	return c.fmem.Read(addr, size)
 }
 
 // WriteMem implements isa.Context.
 func (c *Core) WriteMem(addr uint32, size int, v uint64) error {
-	c.sys.Tracer().Data(c.fmem.HostAddr(addr), uint32(size), true)
+	if c.sys.Tracing() {
+		c.sys.TraceData(c.fmem.HostAddr(addr), uint32(size), true)
+	}
 	return c.fmem.Write(addr, size, v)
 }
 
@@ -425,7 +441,9 @@ func (c *Core) fetchWord(pc uint32) (isa.Word, error) {
 	if pc%isa.InstBytes != 0 {
 		return 0, fmt.Errorf("cpu: %s misaligned fetch at %#x", c.name, pc)
 	}
-	c.sys.Tracer().Data(c.fmem.HostAddr(pc), isa.InstBytes, false)
+	if c.sys.Tracing() {
+		c.sys.TraceData(c.fmem.HostAddr(pc), isa.InstBytes, false)
+	}
 	v, err := c.fmem.Read(pc, isa.InstBytes)
 	if err != nil {
 		return 0, err
@@ -433,13 +451,23 @@ func (c *Core) fetchWord(pc uint32) (isa.Word, error) {
 	return isa.Word(v), nil
 }
 
+// decode traces the host decode function and decodes the word fetched at
+// pc, from the predecoded image when it holds that word. The result is
+// read-only, and valid until the core's next decode.
+func (c *Core) decode(pc uint32, w isa.Word) *isa.Inst {
+	c.sys.TraceCall(c.fnDecode)
+	return c.cfg.Decoded.Decode(pc, w, &c.decodeMiss)
+}
+
 // execute runs one instruction architecturally, tracing the host-side
 // execute function for its class, and updates commit statistics.
 func (c *Core) execute(in isa.Inst) (isa.Outcome, error) {
-	tr := c.sys.Tracer()
-	tr.Call(c.fnExec[in.Class()])
-	if len(c.libFns) > 0 && c.numInsts.Count()%c.libStride == 0 {
-		tr.Call(c.libFns[c.libRotor%len(c.libFns)])
+	sys := c.sys
+	if sys.Tracing() {
+		sys.TraceCall(c.fnExec[in.Class()])
+	}
+	if len(c.libFns) > 0 && c.libDue == 0 {
+		sys.TraceCall(c.libFns[c.libRotor%len(c.libFns)])
 		c.libRotor++
 	}
 	pcBefore := c.pc
@@ -448,6 +476,10 @@ func (c *Core) execute(in isa.Inst) (isa.Outcome, error) {
 		return out, fmt.Errorf("cpu: %s at pc %#x: %w", c.name, c.pc, err)
 	}
 	c.numInsts.Inc()
+	if c.libDue == 0 {
+		c.libDue = c.libStride
+	}
+	c.libDue--
 	if c.commitHook != nil {
 		c.commitHook(pcBefore, in)
 	}
@@ -464,7 +496,7 @@ func (c *Core) execute(in isa.Inst) (isa.Outcome, error) {
 	if in.IsStore() {
 		c.numStores.Inc()
 	}
-	tr.Call(c.fnAdvance)
+	sys.TraceCall(c.fnAdvance)
 	return out, nil
 }
 

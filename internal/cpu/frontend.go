@@ -129,7 +129,7 @@ func (f *frontEnd) tryFetch() {
 	}
 	f.sentEpoch = f.fetchEpoch
 	f.fetchBusy = true
-	core.sys.Tracer().Call(core.fnFetch)
+	core.sys.TraceCall(core.fnFetch)
 	core.cfg.IPort.SendTiming(mem.Access{Addr: f.fetchPC, Size: isa.InstBytes, Inst: true}, f.fetchDone)
 }
 
@@ -156,7 +156,7 @@ func (f *frontEnd) fillBuffer(start uint32) {
 	pc := start
 	for pc < blockEnd && len(f.buffer) < f.depth {
 		if f.perInst != 0 {
-			core.sys.Tracer().Call(f.perInst)
+			core.sys.TraceCall(f.perInst)
 		}
 		w, err := core.fetchWord(pc)
 		if err != nil {
@@ -168,16 +168,15 @@ func (f *frontEnd) fillBuffer(start uint32) {
 			}
 			break
 		}
-		core.sys.Tracer().Call(core.fnDecode)
-		in := isa.Decode(w)
+		in := core.decode(pc, w)
 		next := pc + isa.InstBytes
 		if in.IsControl() {
-			pred := f.bp.Predict(pc, in)
+			pred := f.bp.Predict(pc, *in)
 			if pred.Taken {
 				next = pred.Target
 			}
 		}
-		f.buffer = append(f.buffer, decodedInst{pc: pc, in: in, predNext: next})
+		f.buffer = append(f.buffer, decodedInst{pc: pc, in: *in, predNext: next})
 		pc = next
 		if next < start || next >= blockEnd {
 			break // control flow left the fetched block

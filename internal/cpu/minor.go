@@ -113,7 +113,7 @@ func (c *MinorCPU) evaluate() {
 			blockedUntil = ready
 			break
 		}
-		core.sys.Tracer().Call(c.fnIssue)
+		core.sys.TraceCall(c.fnIssue)
 		c.buffer = c.buffer[1:]
 		if !c.issueOne(mi, now) {
 			return // fault ended the simulation
@@ -208,7 +208,7 @@ func (c *MinorCPU) issueOne(mi decodedInst, now sim.Tick) bool {
 
 	// Memory timing.
 	if out.HasMem {
-		core.sys.Tracer().Call(c.fnLSQ)
+		core.sys.TraceCall(c.fnLSQ)
 		acc := mem.Access{Addr: out.MemAddr, Size: uint8(in.MemSize()), Write: in.IsStore()}
 		if in.IsLoad() {
 			d := in.Dest()

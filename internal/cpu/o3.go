@@ -159,10 +159,10 @@ func (c *O3CPU) commit(now sim.Tick) {
 		if !e.complete || e.doneAt > now {
 			return
 		}
-		core.sys.Tracer().Call(c.fnCommit)
+		core.sys.TraceCall(c.fnCommit)
 		if e.in.IsStore() {
 			// The store leaves the SQ when the cache accepts it.
-			core.sys.Tracer().Call(c.fnLSQ)
+			core.sys.TraceCall(c.fnLSQ)
 			acc := mem.Access{Addr: e.memAddr, Size: uint8(e.in.MemSize()), Write: true}
 			core.cfg.DPort.SendTiming(acc, func() {
 				c.sqUsed--
@@ -189,12 +189,12 @@ func (c *O3CPU) issue(now sim.Tick) {
 		if !c.depsReady(e, now) {
 			continue
 		}
-		core.sys.Tracer().Call(c.fnIEW)
+		core.sys.TraceCall(c.fnIEW)
 		e.issued = true
 		c.unissued--
 		issued++
 		if e.in.IsLoad() {
-			core.sys.Tracer().Call(c.fnLSQ)
+			core.sys.TraceCall(c.fnLSQ)
 			seqCopy := seq
 			acc := mem.Access{Addr: e.memAddr, Size: uint8(e.in.MemSize())}
 			core.cfg.DPort.SendTiming(acc, func() {
@@ -274,7 +274,7 @@ func (c *O3CPU) dispatch(now sim.Tick) bool {
 			c.lsqFullStall.Inc()
 			return true
 		}
-		core.sys.Tracer().Call(c.fnRename)
+		core.sys.TraceCall(c.fnRename)
 		c.buffer = c.buffer[1:]
 
 		pc := mi.pc
@@ -289,7 +289,7 @@ func (c *O3CPU) dispatch(now sim.Tick) bool {
 		}
 
 		// Allocate the ROB entry.
-		core.sys.Tracer().Call(c.fnROB)
+		core.sys.TraceCall(c.fnROB)
 		seq := c.nextSeq
 		c.nextSeq++
 		c.inROB++

@@ -75,7 +75,7 @@ func (c *TimingCPU) startFetch() {
 	if core.waiting {
 		return
 	}
-	core.sys.Tracer().Call(core.fnFetch)
+	core.sys.TraceCall(core.fnFetch)
 	c.sent, c.fetchPC = core.sys.Now(), core.pc
 	core.cfg.IPort.SendTiming(mem.Access{Addr: c.fetchPC, Size: isa.InstBytes, Inst: true}, c.fetchDone)
 }
@@ -91,9 +91,8 @@ func (c *TimingCPU) completeFetch() {
 	if err != nil {
 		core.sys.RequestExit(err.Error(), 255)
 	}
-	core.sys.Tracer().Call(core.fnDecode)
-	in := isa.Decode(w)
-	out, err := core.execute(in)
+	in := core.decode(pc, w)
+	out, err := core.execute(*in)
 	if err != nil {
 		core.sys.RequestExit(err.Error(), 255)
 	}

@@ -62,14 +62,14 @@ func (b *Bus) occupancy(size uint8) sim.Tick {
 // AtomicLatency implements Port. Atomic mode charges latency and occupancy
 // but does not model contention (matching gem5's atomic crossbar).
 func (b *Bus) AtomicLatency(acc Access) sim.Tick {
-	b.sys.Tracer().Call(b.fnForward)
+	b.sys.TraceCall(b.fnForward)
 	b.account(acc)
 	return b.cfg.Latency + b.occupancy(acc.Size) + b.next.AtomicLatency(acc)
 }
 
 // SendTiming implements Port.
 func (b *Bus) SendTiming(acc Access, done func()) {
-	b.sys.Tracer().Call(b.fnForward)
+	b.sys.TraceCall(b.fnForward)
 	b.account(acc)
 	now := b.sys.Now()
 	start := now

@@ -300,10 +300,11 @@ func (c *Cache) victim(addr uint32) *cacheLine {
 	return best
 }
 
-// traceTagProbe models the host-side tag array read for one lookup.
+// traceTagProbe models the host-side tag array read for one lookup. Callers
+// check Tracing first, so an untraced lookup computes no set index for it.
 func (c *Cache) traceTagProbe(addr uint32) {
 	set, _ := c.index(addr)
-	c.sys.Tracer().Data(c.tagHostBase+uint64(set)*uint64(c.cfg.Ways)*16, 16, false)
+	c.sys.TraceData(c.tagHostBase+uint64(set)*uint64(c.cfg.Ways)*16, 16, false)
 }
 
 // fill installs addr's block, evicting the LRU victim. Dirty victims are
@@ -317,7 +318,7 @@ func (c *Cache) fill(addr uint32, dirty bool, atomic bool, excl bool) (wbLatency
 	}
 	if v.valid && v.dirty {
 		c.writebacks.Inc()
-		c.sys.Tracer().Call(c.fnWriteback)
+		c.sys.TraceCall(c.fnWriteback)
 		wb := Access{
 			Addr:  (v.tag<<c.setBits | set) << c.blockShift,
 			Size:  uint8(c.cfg.BlockBytes),
@@ -335,7 +336,7 @@ func (c *Cache) fill(addr uint32, dirty bool, atomic bool, excl bool) (wbLatency
 	v.dirty = dirty
 	v.excl = excl || dirty
 	c.touch(v)
-	c.sys.Tracer().Call(c.fnFill)
+	c.sys.TraceCall(c.fnFill)
 	if c.coh != nil {
 		c.coh.OnFill(blockAlign(addr, c.cfg.BlockBytes), v.excl)
 	}
@@ -348,8 +349,10 @@ func (c *Cache) Accesses() uint64 { return c.accesses.Count() }
 // AtomicLatency implements Port.
 func (c *Cache) AtomicLatency(acc Access) sim.Tick {
 	c.accesses.Inc()
-	c.sys.Tracer().Call(c.fnAccess)
-	c.traceTagProbe(acc.Addr)
+	c.sys.TraceCall(c.fnAccess)
+	if c.sys.Tracing() {
+		c.traceTagProbe(acc.Addr)
+	}
 	if l := c.lookup(acc.Addr); l != nil {
 		c.hits.Inc()
 		c.touch(l)
@@ -384,8 +387,10 @@ func (c *Cache) SendTiming(acc Access, done func()) {
 // sendTiming is the access path shared by fresh demand accesses and
 // MSHR-freed re-probes; only the former count toward the accesses stat.
 func (c *Cache) sendTiming(acc Access, done func()) {
-	c.sys.Tracer().Call(c.fnAccess)
-	c.traceTagProbe(acc.Addr)
+	c.sys.TraceCall(c.fnAccess)
+	if c.sys.Tracing() {
+		c.traceTagProbe(acc.Addr)
+	}
 	if done == nil {
 		done = func() {}
 	}
@@ -636,7 +641,7 @@ func (c *Cache) VisitLines(f func(block uint32, dirty, excl bool)) {
 // writeback and returns its latency in atomic mode.
 func (c *Cache) writebackFor(block uint32, atomic bool) sim.Tick {
 	c.writebacks.Inc()
-	c.sys.Tracer().Call(c.fnWriteback)
+	c.sys.TraceCall(c.fnWriteback)
 	wb := Access{Addr: block, Size: uint8(c.cfg.BlockBytes), Write: true}
 	if atomic {
 		return c.next.AtomicLatency(wb)

@@ -240,7 +240,7 @@ func (d *Directory) takeCopies(e *dirEntry, block uint32, core int, atomic bool)
 // the fetch after the lookup+invalidate latency, unblock the entry when the
 // level below responds (by which time the requester has installed).
 func (d *Directory) start(core int, acc Access, done func()) {
-	d.sys.Tracer().Call(d.fnLookup)
+	d.sys.TraceCall(d.fnLookup)
 	e := d.entry(acc.Addr)
 	e.busy = true
 	lat := d.cfg.LookupLatency + d.process(core, acc, false)
@@ -307,7 +307,7 @@ func (d *Directory) onDropInstall(block uint32) {
 // fetcher's install is dropped and it re-misses, serializing after the
 // upgrade.
 func (d *Directory) upgrade(core int, block uint32, atomic bool) sim.Tick {
-	d.sys.Tracer().Call(d.fnLookup)
+	d.sys.TraceCall(d.fnLookup)
 	e := d.entry(block)
 	d.upgrades.Inc()
 	lat := d.takeCopies(e, block, core, atomic)
@@ -408,7 +408,7 @@ func (p *dirPort) AtomicLatency(acc Access) sim.Tick {
 	if acc.Write {
 		return p.d.next.AtomicLatency(acc)
 	}
-	p.d.sys.Tracer().Call(p.d.fnLookup)
+	p.d.sys.TraceCall(p.d.fnLookup)
 	lat := p.d.cfg.LookupLatency + p.d.process(p.core, acc, true)
 	return lat + p.d.next.AtomicLatency(acc)
 }

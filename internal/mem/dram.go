@@ -100,7 +100,7 @@ func (d *DRAM) RowHitRate() float64 {
 // access updates bank state and returns the device latency (excluding
 // queueing, which only timing mode models).
 func (d *DRAM) access(acc Access) sim.Tick {
-	d.sys.Tracer().Call(d.fnAccess)
+	d.sys.TraceCall(d.fnAccess)
 	if acc.Write {
 		d.writes.Inc()
 	} else {

@@ -84,7 +84,7 @@ func (t *TLB) Translations() uint64 { return t.translations.Count() }
 
 // lookup probes and fills the entry file; returns true on hit.
 func (t *TLB) lookup(addr uint32) bool {
-	t.sys.Tracer().Call(t.fnLookup)
+	t.sys.TraceCall(t.fnLookup)
 	t.translations.Inc()
 	page := uint64(addr / t.cfg.PageBytes)
 	if slot, ok := t.idx.Lookup(page); ok {

@@ -92,15 +92,15 @@ func (w *shardWorkload) start() {
 		poke := NewEvent(fmt.Sprintf("cpu%d.poke", core), w.fnPoke, nil)
 		poke.fire = func() {
 			w.poked++
-			w.sys.Tracer().Call(w.fnPoke)
-			w.sys.Tracer().Data(uint64(core)<<32|uint64(w.sys.Now()), 4, true)
+			w.sys.TraceCall(w.fnPoke)
+			w.sys.TraceData(uint64(core)<<32|uint64(w.sys.Now()), 4, true)
 		}
 		w.pokeEv = append(w.pokeEv, poke)
 
 		tick := NewEventPrio(fmt.Sprintf("cpu%d.tick", core), w.fnCPU, PrioCPUTick, nil)
 		tick.fire = func() {
-			w.sys.Tracer().Call(w.fnCPU)
-			w.sys.Tracer().Data(uint64(w.sys.Now())<<8|uint64(w.issued&0xff), 8, false)
+			w.sys.TraceCall(w.fnCPU)
+			w.sys.TraceData(uint64(w.sys.Now())<<8|uint64(w.issued&0xff), 8, false)
 			if w.issued >= w.maxOps {
 				return
 			}

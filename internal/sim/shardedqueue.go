@@ -105,7 +105,7 @@ func (eng *shardEngine) describe(shard int) string {
 // single-queue run would take them.
 func (eng *shardEngine) post(src *System, e *Event, when Tick) {
 	dst := 1 - src.shard
-	src.tracer.Call(src.fnSchedule)
+	src.TraceCall(src.fnSchedule)
 	if !eng.running {
 		// Construction/startup time: insert directly into the owning queue,
 		// which validates when against its own clock.
@@ -182,7 +182,7 @@ func (eng *shardEngine) dispatchOne(v *System, e *Event) {
 	// Count before firing so an event that requests exit is counted, exactly
 	// as the serial loop counts it.
 	v.serviced++
-	v.tracer.Call(v.fnDispatch)
+	v.TraceCall(v.fnDispatch)
 	v.queue.ServiceOne()
 }
 

@@ -28,6 +28,9 @@ type System struct {
 	stats   *Registry
 	tracer  Tracer
 	rng     *rand.Rand
+	// tracing is false when the tracer is a *NopTracer: every TraceCall
+	// and TraceData is then one predictable branch and no call.
+	tracing bool
 
 	fnDispatch FuncID // host function for the event service loop
 	fnSchedule FuncID // host function for queue insertion
@@ -65,6 +68,8 @@ func NewSystemWith(q Queue, tr Tracer, seed int64) *System {
 		tracer: tr,
 		rng:    rand.New(rand.NewSource(seed)),
 	}
+	_, nop := tr.(*NopTracer)
+	s.tracing = !nop
 	s.fnDispatch = tr.RegisterFunc("EventQueue::serviceOne", 480, FuncHot)
 	s.fnSchedule = tr.RegisterFunc("EventQueue::schedule", 320, FuncHot)
 	return s
@@ -73,8 +78,28 @@ func NewSystemWith(q Queue, tr Tracer, seed int64) *System {
 // Queue returns the system's event queue backend.
 func (s *System) Queue() Queue { return s.queue }
 
-// Tracer returns the host tracer.
+// Tracer returns the host tracer, for construction-time RegisterFunc and
+// AllocData. Run-time annotations go through TraceCall and TraceData.
 func (s *System) Tracer() Tracer { return s.tracer }
+
+// Tracing reports whether anything observes the host trace: false when the
+// tracer is a *NopTracer. A call site whose arguments cost something to
+// compute (a host address, a table lookup) checks it first.
+func (s *System) Tracing() bool { return s.tracing }
+
+// TraceCall records one host invocation of fn, when anything traces.
+func (s *System) TraceCall(fn FuncID) {
+	if s.tracing {
+		s.tracer.Call(fn)
+	}
+}
+
+// TraceData records one host data access, when anything traces.
+func (s *System) TraceData(addr uint64, size uint32, write bool) {
+	if s.tracing {
+		s.tracer.Data(addr, size, write)
+	}
+}
 
 // Stats returns the statistics registry.
 func (s *System) Stats() *Registry { return s.stats }
@@ -124,7 +149,7 @@ func (s *System) Schedule(e *Event, when Tick) {
 		s.eng.post(s, e, when)
 		return
 	}
-	s.tracer.Call(s.fnSchedule)
+	s.TraceCall(s.fnSchedule)
 	s.queue.Schedule(e, when)
 }
 
@@ -160,7 +185,7 @@ func (s *System) Reschedule(e *Event, when Tick) {
 	if s.eng != nil && shardOf(e.domain) != s.shard {
 		panic(fmt.Sprintf("sim: cross-shard Reschedule of %s (domain %s)", e.name, e.domain))
 	}
-	s.tracer.Call(s.fnSchedule)
+	s.TraceCall(s.fnSchedule)
 	s.queue.Reschedule(e, when)
 }
 
@@ -292,12 +317,13 @@ func (s *System) EnableSharding(cfg ShardConfig) {
 		busLook: cfg.BusLookahead,
 		under:   s.tracer,
 	}
-	_, eng.traceOff = s.tracer.(*NopTracer)
+	eng.traceOff = !s.tracing
 	mv := &System{
 		queue:      mq,
 		byName:     s.byName,
 		stats:      s.stats,
 		rng:        s.rng,
+		tracing:    s.tracing,
 		fnDispatch: s.fnDispatch,
 		fnSchedule: s.fnSchedule,
 		prim:       s,
@@ -347,7 +373,7 @@ func (s *System) serviceOneCatching(res *RunResult) (stop bool) {
 			panic(r)
 		}
 	}()
-	s.tracer.Call(s.fnDispatch)
+	s.TraceCall(s.fnDispatch)
 	s.queue.ServiceOne()
 	return false
 }

@@ -23,7 +23,7 @@ func NewFSEnv(sys *sim.System) *FSEnv {
 
 // Ecall implements cpu.Env: deliver a machine-mode trap to the guest kernel.
 func (e *FSEnv) Ecall(c *cpu.Core) {
-	e.sys.Tracer().Call(e.fnTrap)
+	e.sys.TraceCall(e.fnTrap)
 	c.Trap(cpu.CauseEcall, c.PC())
 }
 

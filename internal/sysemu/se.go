@@ -70,7 +70,7 @@ func (e *SEEnv) Stdout() string { return e.stdout.String() }
 
 // Ecall implements cpu.Env.
 func (e *SEEnv) Ecall(c *cpu.Core) {
-	e.sys.Tracer().Call(e.fnSyscall)
+	e.sys.TraceCall(e.fnSyscall)
 	num := c.ReadReg(17) // a7
 	a0 := c.ReadReg(10)
 	a1 := c.ReadReg(11)
