@@ -31,8 +31,8 @@ func digest(t *testing.T, sc core.SessionConfig) string {
 }
 
 func digestOf(res *core.SessionResult) string {
-	return fmt.Sprintf("%s\n%s\n%+v\nfuncs %d text %d called %d", res.Guest.Stats.Dump(), res.Host.String(),
-		res.Host, res.NumFuncs, res.TextBytes, res.CalledFuncs)
+	return fmt.Sprintf("%s\n%s\n%s\nfuncs %d text %d called %d", res.Guest.Stats.Dump(), res.Host.String(),
+		fields(res.Host), res.NumFuncs, res.TextBytes, res.CalledFuncs)
 }
 
 // sharingMatrix is every CPU model x {SE, FS boot-exit, four cores, guest

@@ -76,6 +76,13 @@ func laneSweeps() map[string][]core.SessionConfig {
 	return out
 }
 
+// plainReport is a Report without its String method, so that %v prints its
+// fields rather than the rendered text.
+type plainReport uarch.Report
+
+// fields renders every field of r, each float at full precision.
+func fields(r uarch.Report) string { return fmt.Sprintf("%+v", plainReport(r)) }
+
 // fig14Hosts are Fig. 14's FireSim L1/L2 geometries.
 func fig14Hosts() []uarch.Config {
 	return []uarch.Config{
@@ -101,7 +108,7 @@ func TestLaneIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: host %d alone: %v", name, i, err)
 			}
-			solo[i] = fmt.Sprintf("%+v", res.Host)
+			solo[i] = fields(res.Host)
 		}
 		for _, pipe := range []core.PipelineMode{core.PipelineOff, core.PipelineOn} {
 			swept := append([]core.SessionConfig(nil), cfgs...)
@@ -116,7 +123,7 @@ func TestLaneIdentity(t *testing.T) {
 				t.Fatalf("%s, pipeline %v: %d results for %d hosts", name, pipe, len(res), len(cfgs))
 			}
 			for i, r := range res {
-				if got := fmt.Sprintf("%+v", r.Host); got != solo[i] {
+				if got := fields(r.Host); got != solo[i] {
 					t.Errorf("%s, pipeline %v: lane %d (%s):\n%s\nalone:\n%s", name, pipe, i, cfgs[i].Host.Name, got, solo[i])
 				}
 				if r.Guest != res[0].Guest {
@@ -155,8 +162,8 @@ func TestIntervalLaneIdentity(t *testing.T) {
 		}
 		return out
 	}
-	fields := func(ivr *core.IntervalResult) string {
-		return fmt.Sprintf("%v %v %d %v %v %+v", ivr.Seconds, ivr.SubSeconds, ivr.Insts, ivr.SubInsts, ivr.Completed, ivr.Session.Host)
+	window := func(ivr *core.IntervalResult) string {
+		return fmt.Sprintf("%v %v %d %v %v %s", ivr.Seconds, ivr.SubSeconds, ivr.Insts, ivr.SubInsts, ivr.Completed, fields(ivr.Session.Host))
 	}
 	for name, cfgs := range laneSweeps() {
 		switch name {
@@ -171,7 +178,7 @@ func TestIntervalLaneIdentity(t *testing.T) {
 		for i := range cfgs {
 			alone := measure(cfgs[i : i+1])
 			for w := range windows {
-				if got, want := fields(swept[w][i]), fields(alone[w][0]); got != want {
+				if got, want := window(swept[w][i]), window(alone[w][0]); got != want {
 					t.Errorf("%s: window %d, lane %d:\n%s\nalone:\n%s", name, w, i, got, want)
 				}
 			}
@@ -219,7 +226,7 @@ func TestSweepDrawsAUnitPerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]int{{0, 3}, {1, 5}} {
-		a, b := fmt.Sprintf("%+v", res[pair[0]].Host), fmt.Sprintf("%+v", res[pair[1]].Host)
+		a, b := fields(res[pair[0]].Host), fields(res[pair[1]].Host)
 		if a != b {
 			t.Errorf("members %d and %d share a lane but report differently:\n%s\n%s", pair[0], pair[1], a, b)
 		}

@@ -78,8 +78,8 @@ type Config struct {
 // Validate checks everything NewMachine would panic on and the model's own
 // consistency: the geometry of every cache level, TLB and predictor sizes,
 // and the VIPT constraint the paper leans on, that one L1 way must not
-// exceed the page size. The uop cache needs no check: NewMachine derives a
-// valid geometry from any capacity.
+// exceed the page size. The uop cache's geometry needs no check (NewMachine
+// derives a valid one from any capacity), but a uop cache needs a width.
 func (c *Config) Validate() error {
 	if c.FreqGHz <= 0 || c.PageBytes == 0 {
 		return fmt.Errorf("uarch: %s: frequency and page size required", c.Name)
@@ -119,6 +119,9 @@ func (c *Config) Validate() error {
 	}
 	if c.IssueWidth <= 0 || c.DecodeWidth <= 0 {
 		return fmt.Errorf("uarch: %s: widths required", c.Name)
+	}
+	if c.DSBUops > 0 && c.DSBWidth <= 0 {
+		return fmt.Errorf("uarch: %s: DSB: %d uops need a DSBWidth above 0, not %g", c.Name, c.DSBUops, c.DSBWidth)
 	}
 	if c.MLPOverlap < 0 || c.MLPOverlap >= 1 {
 		return fmt.Errorf("uarch: %s: MLPOverlap must be in [0,1)", c.Name)

@@ -5,12 +5,13 @@ package uarch_test
 // statistic on a 12-way, 128-byte-line, DSB-less or LLC-less geometry
 // unnoticed. This replays one deterministic hostmodel stream into each
 // class, sink call by sink call and through ApplyBatch, requires equal
-// Reports from the two routes and pins an FNV of the rendered Report per
-// host, recorded before the cache layout was rebuilt.
+// Reports from the two routes and pins an FNV of every field of the Report
+// per host.
 
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -82,22 +83,25 @@ func mapStream(m *uarch.Machine) {
 }
 
 // hostClasses pins, per host class, an FNV of the Report the captured
-// stream produces, recorded before the cache layout was rebuilt (PR 12's
-// parent).
+// stream produces, every field at full precision.
 var hostClasses = []struct {
 	cfg  uarch.Config
 	want uint64
 }{
-	{platform.IntelXeon(), 0xfd5d8d79869a167d},
-	{platform.M1Pro(), 0x195744cd12b06b65},       // 12-way, 128 B lines, no DSB
-	{platform.FireSimBase(), 0x327953c53e5c446d}, // no LLC
-	{platform.Contend(platform.IntelXeon(), platform.Scenario{Procs: 4, SMT: true}), 0x479d420836a9a03d},
+	{platform.IntelXeon(), 0xd9ad8eafcfc386eb},
+	{platform.M1Pro(), 0x8695411d20a4fcb7},       // 12-way, 128 B lines, no DSB
+	{platform.FireSimBase(), 0x0fda9e14ce84afdc}, // no LLC
+	{platform.Contend(platform.IntelXeon(), platform.Scenario{Procs: 4, SMT: true}), 0x37a623f9e1f53318},
 }
+
+// plain is a Report without its String method, so that %v prints its
+// fields rather than the rendered text.
+type plain uarch.Report
 
 // reportFNV hashes the rendered text plus every field at full precision.
 func reportFNV(r uarch.Report) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\n%+v", r.String(), r)
+	fmt.Fprintf(h, "%s\n%+v", r.String(), plain(r))
 	return h.Sum64()
 }
 
@@ -106,16 +110,21 @@ func reportFNV(r uarch.Report) uint64 {
 func sinkCalls(m *uarch.Machine, head []ring.Batch, shift uint64) {
 	for i := range head {
 		for _, rec := range head[i].Records() {
-			switch rec.Op {
-			case ring.OpFetch:
-				m.FetchBlock(rec.Addr+shift, rec.A, rec.B)
-			case ring.OpBranch:
-				m.Branch(rec.Addr+shift, rec.Arg+shift,
-					rec.Flags&ring.FlagTaken != 0, rec.Flags&ring.FlagIndirect != 0)
-			case ring.OpData:
-				m.Data(rec.Addr+shift, rec.A, rec.Flags&ring.FlagWrite != 0)
-			}
+			sinkCall(m, &rec, shift)
 		}
+	}
+}
+
+// sinkCall applies rec as its sink call, each address moved by shift.
+func sinkCall(m *uarch.Machine, rec *ring.Record, shift uint64) {
+	switch rec.Op {
+	case ring.OpFetch:
+		m.FetchBlock(rec.Addr+shift, rec.A, rec.B)
+	case ring.OpBranch:
+		m.Branch(rec.Addr+shift, rec.Arg+shift,
+			rec.Flags&ring.FlagTaken != 0, rec.Flags&ring.FlagIndirect != 0)
+	case ring.OpData:
+		m.Data(rec.Addr+shift, rec.A, rec.Flags&ring.FlagWrite != 0)
 	}
 }
 
@@ -144,6 +153,38 @@ func TestReportIdentityPerHostClass(t *testing.T) {
 		}
 		if got := reportFNV(laned.LaneReport(1)); got != tc.want {
 			t.Errorf("%s as lane 1 of 3: Report FNV = %#x, want %#x", tc.cfg.Name, got, tc.want)
+		}
+	}
+}
+
+// TestCyclesIsTheReportsTotal: the profiler reads Cycles at every modeled
+// function entry and exit, and the figures read Report's Cycles; after
+// every record the two must be one pricing of the lane, bit for bit — on a
+// one-host machine, on one without a uop cache (whose DSB slack is 1/0), and
+// on lane 0 of three hosts of other scalars.
+func TestCyclesIsTheReportsTotal(t *testing.T) {
+	head := capturedStream(t)
+	head = head[:len(head)/4]
+	xeon := platform.IntelXeon()
+	for name, m := range map[string]*uarch.Machine{
+		"Xeon":            uarch.NewMachine(xeon),
+		"M1 Pro":          uarch.NewMachine(platform.M1Pro()),
+		"lane 0 of three": uarch.NewLanes(dirtied(xeon, 0), xeon, dirtied(xeon, 1)),
+	} {
+		mapStream(m)
+		reads := 0
+		for i := range head {
+			for _, rec := range head[i].Records() {
+				sinkCall(m, &rec, 0)
+				c, r := m.Cycles(), m.Report().Cycles
+				if math.Float64bits(c) != math.Float64bits(r) || math.IsNaN(c) || math.IsInf(c, 0) {
+					t.Fatalf("%s, record %d: Cycles() = %v, Report().Cycles = %v", name, reads, c, r)
+				}
+				reads++
+			}
+		}
+		if m.Cycles() == 0 {
+			t.Errorf("%s: no cycles after %d records", name, reads)
 		}
 	}
 }
@@ -262,7 +303,7 @@ func TestResetToAnyHostsEqualsNewLanes(t *testing.T) {
 		}
 		out := make([]string, m.Lanes())
 		for i := range out {
-			out[i] = fmt.Sprintf("%+v", m.LaneReport(i))
+			out[i] = fmt.Sprintf("%+v", plain(m.LaneReport(i)))
 		}
 		return out
 	}

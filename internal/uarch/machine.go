@@ -54,14 +54,21 @@ type pageMemo struct {
 	base, span, mask uint64
 }
 
-// Where a line that missed the L1 was found. A lane prices each level with
-// its own latencies; levelStream is a data miss the stream prefetcher had
-// already issued.
+// Where a line that missed the L1 was found: the column of the LLC unit's
+// count of such misses and of a lane's price of one. levelStream is a data
+// miss the stream prefetcher had already issued.
 const (
 	levelL2 = iota
 	levelLLC
 	levelDRAM
 	levelStream
+)
+
+// What missed the L1: the row of the LLC unit's count and of a lane's price.
+const (
+	missFetch = iota
+	missLoad
+	missStore
 )
 
 // Machine is one modeled host machine consuming the hostmodel micro-event
@@ -71,12 +78,11 @@ const (
 // each structure as a Unit shared by every lane whose host has its key
 // (UnitKey): what a cache, the uop cache, the predictor or a translation
 // unit does depends on the stream and that key alone. Per record each
-// distinct unit runs once, and each lane prices its units' outcomes with
-// its own scalars — clock, latencies, widths, MLP — into its own Top-Down
-// account. Each lane sees, in order, the additions its host would see
-// alone, so its Report is bit for bit a one-host machine's (DESIGN §21,
-// §23). Lane 0 is the machine's own host: Config, Report, TimeSeconds and
-// Cycles read it.
+// distinct unit runs once and counts its outcomes; no lane is touched. A
+// lane's Top-Down account is its units' counts times its own prices —
+// clock, latencies, widths, MLP — so it is, bit for bit, what a one-host
+// machine of its host reports (DESIGN §21, §23). Lane 0 is the machine's own
+// host: Config, Report, TimeSeconds and Cycles read it.
 type Machine struct {
 	lanes []lane
 
@@ -85,29 +91,6 @@ type Machine struct {
 	// spare links the units an earlier Reset used and no lane uses now.
 	units [numKinds]*Unit
 	spare *Unit
-
-	uops uint64
-}
-
-// lane is one host of a machine: its config, what is derived from its
-// scalars, its units and its cycle account. The fields the record methods
-// touch come first.
-type lane struct {
-	td TopDown
-
-	// lat prices a miss by the level that served it, in cycles.
-	lat [levelStream + 1]float64
-	// The two divisions FetchBlock would otherwise redo per block, done
-	// once: the same expressions on the same operands, so bit-identical.
-	dsbSlack  float64 // 1/DSBWidth - 1/IssueWidth
-	miteSlack float64 // 1/DecodeWidth - 1/IssueWidth
-	// tlbCost prices a first-level TLB miss the STLB serves (0) or that is
-	// walked (1): STLBCycles, and STLBCycles + WalkCycles.
-	tlbCost [2]float64
-
-	unit [numKinds]*Unit
-
-	cfg Config
 }
 
 // NewMachine builds a host machine model from a validated config.
@@ -142,14 +125,12 @@ func checkLanes(cfgs []Config) {
 	}
 }
 
-// arm gives m one lane per config, each in its initial state, on units in
-// their initial state, and zeroes the uop count. Every unit m holds becomes
-// a spare first; a lane then uses the unit of its key another lane already
-// uses, or a spare, or one from take, or a new one. The lanes of a run with
-// at least as many are reused.
+// arm gives m one lane per config, on units in their initial state. Every
+// unit m holds becomes a spare first; a lane then uses the unit of its key
+// another lane already uses, or a spare, or one from take, or a new one. The
+// lanes of a run with at least as many are reused.
 func (m *Machine) arm(take func(UnitKey) *Unit, cfgs []Config) {
 	m.spareAll()
-	m.uops = 0
 	if cap(m.lanes) < len(cfgs) {
 		m.lanes = make([]lane, len(cfgs))
 	}
@@ -158,13 +139,7 @@ func (m *Machine) arm(take func(UnitKey) *Unit, cfgs []Config) {
 	for i := range m.lanes {
 		l := &m.lanes[i]
 		cfg := &cfgs[i]
-		*l = lane{
-			cfg:       *cfg,
-			dsbSlack:  1/cfg.DSBWidth - 1/cfg.IssueWidth,
-			miteSlack: 1/cfg.DecodeWidth - 1/cfg.IssueWidth,
-			lat:       [...]float64{cfg.L2Cycles, cfg.LLCCycles, cfg.DRAMNanos * cfg.FreqGHz, cfg.L2Cycles * 0.3},
-			tlbCost:   [2]float64{cfg.STLBCycles, cfg.STLBCycles + cfg.WalkCycles},
-		}
+		*l = newLane(cfg)
 		for k := unitKind(0); k < numKinds; k++ {
 			key := keyOf(k, cfg)
 			u := m.units[k]
@@ -191,16 +166,11 @@ func (m *Machine) arm(take func(UnitKey) *Unit, cfgs []Config) {
 				}
 			}
 			l.unit[k] = u
-			switch k {
-			case kindLLC, kindDSB, kindBP, kindXlat:
-				u.lanes = append(u.lanes, l)
-			}
 		}
 	}
 }
 
-// spareAll makes every unit the lanes use a spare, linked to no other unit
-// and no lane.
+// spareAll makes every unit the lanes use a spare, linked to no other unit.
 func (m *Machine) spareAll() {
 	for k := range m.units {
 		for u := m.units[k]; u != nil; {
@@ -242,9 +212,10 @@ func (m *Machine) draw(take func(UnitKey) *Unit, key UnitKey, cfg *Config) *Unit
 // lanes. Every unit a lane uses is in its initial state (caches
 // invalidated, LRU orders and predictor tables re-initialised, TLBs and the
 // BTB emptied, address maps, memos and stream trackers forgotten), every
-// counter and Top-Down account is dropped, and everything derived from the
-// configs is recomputed. Units of keys no host has any more stay with m as
-// spares, so a Reset to hosts m has modeled before allocates no structure.
+// count is dropped, and with them every Top-Down account, and every price
+// is derived from its config again. Units of keys no host has any more stay
+// with m as spares, so a Reset to hosts m has modeled before allocates no
+// structure.
 // Every cfg must validate; Reset panics otherwise, as NewMachine does.
 func (m *Machine) Reset(cfgs ...Config) {
 	checkLanes(cfgs)
@@ -288,16 +259,11 @@ func (m *Machine) MapData(base, end uint64) {
 
 // FetchBlock implements hostmodel.Sink.
 func (m *Machine) FetchBlock(addr uint64, bytes uint32, uops uint32) {
-	// Instruction TLB on the first page touched. It comes first: its
-	// lookups do not wait on the caches', and no other unit reaches
-	// FELatITLB.
+	// Instruction TLB on the first page touched; the STLB on an iTLB miss.
 	for t := m.units[kindXlat]; t != nil; t = t.next {
 		tr := &t.tr
-		if page := tr.pageOf(addr, &tr.fetch); !tr.itlb.access(page) {
-			w := tr.walks(page)
-			for _, l := range t.lanes {
-				l.td.FELatITLB += l.tlbCost[w]
-			}
+		if page := tr.pageOf(addr, &tr.fetch); !tr.itlb.access(page) && !tr.stlb.access(page) {
+			tr.fetchWalks++
 		}
 	}
 
@@ -307,95 +273,58 @@ func (m *Machine) FetchBlock(addr uint64, bytes uint32, uops uint32) {
 		last := (addr + uint64(bytes) - 1) &^ (lineB - 1)
 		for line := first; line <= last; line += lineB {
 			if !u.c.access(line) {
-				u.fetchMiss(line)
+				u.miss(line, missFetch, false)
 			}
 		}
 	}
 
 	// Uop supply: DSB hit streams decoded uops; otherwise the legacy
 	// decode pipeline (MITE) limits bandwidth. Moving between the two
-	// costs a cycle either way (a host without a DSB never moves). Every
-	// lane is below exactly one DSB unit, so its loop does the rest of the
-	// per-block accounting too.
-	m.uops += uint64(uops)
-	n := float64(uops)
+	// costs a cycle either way (a host without a DSB never moves).
 	for d := m.units[kindDSB]; d != nil; d = d.next {
 		fromDSB := d.hasC && d.c.access(addr&^31)
-		switched := fromDSB != d.lastWasDSB
-		d.lastWasDSB = fromDSB
 		if fromDSB {
 			d.uopsDSB += uint64(uops)
+			if !d.lastWasDSB {
+				d.toDSB++
+			}
 		} else {
 			d.uopsMITE += uint64(uops)
-		}
-		for _, l := range d.lanes {
-			if fromDSB {
-				if s := n * l.dsbSlack; s > 0 {
-					l.td.FEBandwidthDSB += s
-				}
-				if switched {
-					l.td.FEBandwidthDSB += 1.0 // MITE→DSB switch penalty
-				}
-			} else {
-				if s := n * l.miteSlack; s > 0 {
-					l.td.FEBandwidthMITE += s
-				}
-				if switched {
-					l.td.FEBandwidthMITE += 1.0 // DSB→MITE switch penalty
-				}
+			if d.lastWasDSB {
+				d.toMITE++
 			}
-			l.td.RetiringCycles += n / l.cfg.IssueWidth
-			// Execution-port contention: a small per-uop core-bound tax.
-			l.td.BECoreCycles += n * 0.005
 		}
+		d.lastWasDSB = fromDSB
 	}
-
 }
 
-// Branch implements hostmodel.Sink.
+// Branch implements hostmodel.Sink. Each predictor counts its mispredicts
+// and its unknown indirect targets (BAClears).
 func (m *Machine) Branch(pc, target uint64, taken, indirect bool) {
-	if indirect {
-		for p := m.units[kindBP]; p != nil; p = p.next {
-			if !p.bp.indirect(pc, target) {
-				// Unknown target: the front end stalls until the branch
-				// unit resolves it (a BAClear), with no wrong-path
-				// execution.
-				for _, l := range p.lanes {
-					l.td.FELatUnknownBranch += l.cfg.BAClearCycles
-				}
-			}
-		}
-		return
-	}
 	for p := m.units[kindBP]; p != nil; p = p.next {
-		if !p.bp.conditional(pc, taken) {
-			// A real misprediction: wasted back-end slots plus the
-			// front-end resteer to refill the pipe, and the machine-clear
-			// share.
-			for _, l := range p.lanes {
-				l.td.BadSpecCycles += l.cfg.MispredictCycles
-				l.td.FELatMispredictResteer += l.cfg.ResteerCycles
-				l.td.FELatClearResteer += 0.2 * l.cfg.ResteerCycles
-			}
+		if indirect {
+			p.bp.indirect(pc, target)
+		} else {
+			p.bp.conditional(pc, taken)
 		}
 	}
 }
 
-// Data implements hostmodel.Sink. A lane's data TLB cost is added before
-// its miss cost, both to BEMemCycles, as a one-host machine adds them.
+// Data implements hostmodel.Sink.
 func (m *Machine) Data(addr uint64, size uint32, write bool) {
 	for t := m.units[kindXlat]; t != nil; t = t.next {
 		tr := &t.tr
-		if page := tr.pageOf(addr, &tr.data); !tr.dtlb.access(page) {
-			w := tr.walks(page)
-			for _, l := range t.lanes {
-				l.td.BEMemCycles += l.tlbCost[w]
-			}
+		if page := tr.pageOf(addr, &tr.data); !tr.dtlb.access(page) && !tr.stlb.access(page) {
+			tr.dataWalks++
 		}
+	}
+	row := missLoad
+	if write {
+		row = missStore
 	}
 	for u := m.units[kindL1D]; u != nil; u = u.next {
 		if line := addr &^ (u.c.geom.LineBytes - 1); !u.c.access(line) {
-			u.dataMiss(line, write)
+			u.miss(line, row, u.streamHit(line))
 		}
 	}
 }
@@ -407,7 +336,11 @@ var _ interface {
 } = (*Machine)(nil)
 
 // Cycles returns the total modeled host cycles so far of the first lane.
-func (m *Machine) Cycles() float64 { return m.lanes[0].td.Total() }
+func (m *Machine) Cycles() float64 {
+	var td TopDown
+	m.lanes[0].account(&td)
+	return td.Total()
+}
 
 // TimeSeconds returns modeled host seconds (the paper's simulation time
 // metric) of the first lane.
@@ -416,5 +349,7 @@ func (m *Machine) TimeSeconds() float64 { return m.LaneTimeSeconds(0) }
 // LaneTimeSeconds returns modeled host seconds of lane i.
 func (m *Machine) LaneTimeSeconds(i int) float64 {
 	l := &m.lanes[i]
-	return l.td.Total() / (l.cfg.FreqGHz * 1e9)
+	var td TopDown
+	l.account(&td)
+	return td.Total() / (l.cfg.FreqGHz * 1e9)
 }

@@ -62,18 +62,20 @@ func (m *Machine) Report() Report { return m.LaneReport(0) }
 // the units it shares with the other lanes.
 func (m *Machine) LaneReport(i int) Report {
 	l := &m.lanes[i]
-	td := &l.td
+	var td TopDown
+	l.account(&td)
 	total := td.Total()
 	if total == 0 {
 		total = 1
 	}
 	l2, llc, dsb, tr := &l.unit[kindL2].c, l.unit[kindLLC], l.unit[kindDSB], &l.unit[kindXlat].tr
+	uops := dsb.uopsDSB + dsb.uopsMITE
 	r := Report{
 		Machine:        l.cfg.Name,
-		TopDown:        *td,
+		TopDown:        td,
 		Cycles:         td.Total(),
 		TimeSeconds:    m.LaneTimeSeconds(i),
-		Uops:           m.uops,
+		Uops:           uops,
 		ICacheMissRate: l.unit[kindL1I].c.MissRate(),
 		DCacheMissRate: l.unit[kindL1D].c.MissRate(),
 		ITLBMissRate:   tr.itlb.MissRate(),
@@ -87,10 +89,10 @@ func (m *Machine) LaneReport(i int) Report {
 		r.LLCOccupancyBytes = l2.OccupancyBytes()
 	}
 	r.BranchMispredictRate = l.unit[kindBP].bp.MispredictRate()
-	r.IPC = float64(m.uops) / r.Cycles
+	r.IPC = float64(uops) / r.Cycles
 	r.StallFrac = 1 - td.RetiringCycles/total
-	if dsb.uopsDSB+dsb.uopsMITE > 0 {
-		r.DSBCoverage = float64(dsb.uopsDSB) / float64(dsb.uopsDSB+dsb.uopsMITE)
+	if uops > 0 {
+		r.DSBCoverage = float64(dsb.uopsDSB) / float64(uops)
 	}
 	if r.TimeSeconds > 0 && l.cfg.PeakDRAMBytesPerSec > 0 {
 		r.DRAMBandwidthUtil = float64(llc.dramBytes) / r.TimeSeconds / l.cfg.PeakDRAMBytesPerSec

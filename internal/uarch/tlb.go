@@ -76,6 +76,9 @@ func (t *tlb) MissRate() float64 {
 // serves both first-level TLBs, so the four are one unit.
 type translation struct {
 	itlb, dtlb, stlb *tlb
+	// The iTLB and dTLB misses the STLB missed too, so that the page was
+	// walked; the STLB served the rest of each TLB's Misses.
+	fetchWalks, dataWalks uint64
 
 	// fetch and data are the regions the previous fetch and the previous
 	// data lookup were answered from: a fetch lands in the text and a data
@@ -209,14 +212,4 @@ func (t *translation) pageOfSlow(addr uint64, memo *pageMemo) uint64 {
 		}
 	}
 	return addr &^ (t.pageBytes - 1)
-}
-
-// walks returns, for a first-level TLB miss on page, 0 when the STLB has it
-// and 1 when it misses too and the page is walked: the index of a lane's
-// price of the miss.
-func (t *translation) walks(page uint64) int {
-	if t.stlb.access(page) {
-		return 0
-	}
-	return 1
 }

@@ -331,6 +331,17 @@ func TestConfigValidation(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("zero width accepted")
 	}
+	// A uop cache that delivers nothing would price every uop it supplies
+	// at 1/0 cycles; a host without one may leave its width at zero.
+	bad = testConfig()
+	bad.DSBWidth = 0
+	if err := bad.Validate(); err == nil || !strings.HasPrefix(err.Error(), "uarch: test: DSB: ") {
+		t.Fatalf("DSB without a width: got %v", err)
+	}
+	bad.DSBUops = 0
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("no DSB and no DSB width: %v", err)
+	}
 	// Bad geometry on any level is an error that names the machine and the
 	// level, not a divide-by-zero in Validate or a bare panic in newCache.
 	for _, tc := range []struct {
@@ -414,8 +425,9 @@ func TestResetForgetsMemos(t *testing.T) {
 	}
 	for i := range m.lanes {
 		l := &m.lanes[i]
-		if l.td != (TopDown{}) {
-			t.Errorf("lane %d: account after Reset: %+v", i, l.td)
+		var td TopDown
+		if l.account(&td); td != (TopDown{}) {
+			t.Errorf("lane %d: account after Reset: %+v", i, td)
 		}
 		for k, u := range l.unit {
 			if c := &u.c; u.hasC && (c.lastBlock != ^uint64(0) || c.Accesses != 0 || c.resident != 0) {

@@ -73,20 +73,19 @@ func keyOf(k unitKind, c *Config) UnitKey {
 }
 
 // Unit is one structure a Machine simulates for every lane whose host has
-// its key: an L1I; an L1D and its stream trackers; an L2; an LLC and the
-// DRAM bytes behind it; a uop cache; a predictor and BTB; or a translation
-// unit. Its input is the record stream and its key, so it computes what the
-// same structure of any of those hosts computes alone. A machine's idle
-// units may be kept (Machine.Release) and handed to another machine
-// (Assemble), which resets them first.
+// its key: an L1I; an L1D and its stream trackers; an L2; an LLC, the DRAM
+// bytes behind it and the L1 misses by the level that served them; a uop
+// cache; a predictor and BTB; or a translation unit. Its input is the record
+// stream and its key, so it computes, and counts, what the same structure of
+// any of those hosts computes alone. A machine's idle units may be kept
+// (Machine.Release) and handed to another machine (Assemble), which resets
+// them first.
 type Unit struct {
 	next *Unit // the next unit of the machine's list of this kind, or of its spares
 
 	// down are the units an L1's or an L2's misses go on to: the L2 units
-	// below an L1, the LLC units below an L2. lanes are the lanes that price
-	// an LLC, DSB, predictor or translation unit's outcomes.
-	down  []*Unit
-	lanes []*lane
+	// below an L1, the LLC units below an L2.
+	down []*Unit
 
 	// The structure, held in the unit so that a record reaches it with
 	// one load less: the cache of an L1I, L1D or L2 unit, and of an LLC or
@@ -101,16 +100,19 @@ type Unit struct {
 	// addresses whose misses are hidden.
 	streams    [16]uint64
 	streamNext int
-	prefetched uint64
 
-	// DSB: which supplied the previous block's uops, and the uop counts.
+	// DSB: which supplied the previous block's uops, the uops each
+	// supplied, and the switches into each.
 	lastWasDSB        bool
 	uopsDSB, uopsMITE uint64
+	toDSB, toMITE     uint64
 
 	// LLC: what a line that misses the last level brings from DRAM, and
-	// the total.
+	// the total; the L1 misses above it, per row (missFetch, missLoad,
+	// missStore) by the level that served them.
 	fillBytes uint64
 	dramBytes uint64
+	misses    [missStore + 1][levelStream + 1]uint64
 
 	// The record methods never read the key, so it comes last.
 	key UnitKey
@@ -178,19 +180,17 @@ func (u *Unit) reset() {
 	// Rebuilt from what survives, so a field added later is zeroed here
 	// without being named.
 	*u = Unit{
-		key: u.key, next: u.next,
-		down: u.down, lanes: u.lanes,
+		key: u.key, next: u.next, down: u.down,
 		c: u.c, hasC: u.hasC, bp: u.bp, tr: u.tr,
 		fillBytes: u.fillBytes,
 	}
 }
 
-// unlink empties the unit's lists, so that an idle unit holds on to no
-// lane or unit of the machine it left.
+// unlink empties the unit's list, so that an idle unit holds on to no unit
+// of the machine it left.
 func (u *Unit) unlink() {
 	clear(u.down)
-	clear(u.lanes)
-	u.down, u.lanes = u.down[:0], u.lanes[:0]
+	u.down = u.down[:0]
 }
 
 // fill resolves a line the L2 above the LLC unit w missed: the LLC has it,
@@ -203,32 +203,10 @@ func (w *Unit) fill(line uint64) int {
 	return levelDRAM
 }
 
-// fetchMiss resolves line, which the L1I unit u missed, in each L2 unit
-// below it, and adds what it cost to the iCache latency of every lane
-// below those.
-func (u *Unit) fetchMiss(line uint64) {
-	for _, v := range u.down {
-		hit := v.c.access(line)
-		for _, w := range v.down {
-			lv := levelL2
-			if !hit {
-				lv = w.fill(line)
-			}
-			for _, l := range w.lanes {
-				l.td.FELatICache += l.lat[lv]
-			}
-		}
-	}
-}
-
-// dataMiss resolves line, which the L1D unit u missed, in each L2 unit
-// below it, and adds what it cost to the memory-bound cycles of every lane
-// below those.
-func (u *Unit) dataMiss(line uint64, write bool) {
-	stream := u.streamHit(line)
-	if stream {
-		u.prefetched++
-	}
+// miss resolves line, which the L1 unit u missed, in each L2 unit below it
+// and each LLC unit below those, which counts it in row by the level that
+// served it: levelStream for a data miss the stream prefetcher had issued.
+func (u *Unit) miss(line uint64, row int, stream bool) {
 	for _, v := range u.down {
 		hit := v.c.access(line)
 		for _, w := range v.down {
@@ -237,19 +215,9 @@ func (u *Unit) dataMiss(line uint64, write bool) {
 				lv = w.fill(line)
 			}
 			if stream {
-				// The stream prefetcher already issued this line: the
-				// demand access pays only a residual L2-ish latency.
 				lv = levelStream
 			}
-			for _, l := range w.lanes {
-				factor := 1 - l.cfg.MLPOverlap
-				if write && lv != levelStream {
-					// Stores retire before the miss completes; only
-					// buffer pressure shows up.
-					factor *= 0.4
-				}
-				l.td.BEMemCycles += l.lat[lv] * factor
-			}
+			w.misses[row][lv]++
 		}
 	}
 }
