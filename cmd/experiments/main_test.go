@@ -109,3 +109,22 @@ func TestReportFileErrorsFailTheRun(t *testing.T) {
 		t.Errorf("-o /dev/full: stdout lost part of the report:\n%s", stdout.String())
 	}
 }
+
+// TestTooManyCoresIsAnError: fig16's 128-core guests used to panic in the
+// coherence directory on a pool worker, which took the process down with
+// exit 2 before any cell could report. Every cell of -cores 128 now ends in
+// an outcome, and the run fails like any run with a failing cell: exit 1 and
+// the lowest failing cell's named error on stderr. (That cell is dotprod_mt
+// at 32 cores, whose checksum fails because the mt kernels keep 16 thread
+// handles; the 128-core guests are refused by core before anything is
+// built, which TestRunGuestErrors checks.)
+func TestTooManyCoresIsAnError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-quick", "-run", "fig16", "-cores", "128", "-j", "2"}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "experiment fig16 failed: fig16 dotprod_mt cores=") {
+		t.Errorf("-cores 128: exit %d, stderr %q; want 1 and fig16's named error", code, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "panic") {
+		t.Errorf("-cores 128 panicked:\n%s", stderr.String())
+	}
+}

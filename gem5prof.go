@@ -237,7 +237,4 @@ var (
 	// RunExperiments regenerates many experiments concurrently on one
 	// bounded worker pool, yielding outcomes in ids order.
 	RunExperiments = experiments.RunMany
-	// ResetExperimentCaches drops per-process measurement caches so
-	// benchmarks re-measure instead of replaying cached reports.
-	ResetExperimentCaches = experiments.ResetCaches
 )

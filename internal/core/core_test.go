@@ -53,6 +53,7 @@ func TestRunGuestErrors(t *testing.T) {
 		{"unknown FS workload", core.GuestConfig{Mode: core.FS, Workload: "nope"}, `unknown workload "nope"`},
 		{"unknown CPU", core.GuestConfig{Workload: "sieve", CPU: "vliw"}, `unknown CPU model "vliw"`},
 		{"SE boot-exit", core.GuestConfig{BootExit: true, Mode: core.SE}, "boot-exit requires FS mode"},
+		{"65 cores", core.GuestConfig{Workload: "dotprod_mt", Cores: 65}, "core: 65 cores: a guest has at most 64"},
 	} {
 		tr := &countingTracer{NopTracer: *sim.NewNopTracer()}
 		_, err := core.BuildGuest(c.cfg, tr)

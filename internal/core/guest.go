@@ -59,7 +59,7 @@ type GuestConfig struct {
 	// core puts a MESI directory controller between the per-core L1 data
 	// caches and the shared L2 and enables the threading syscall surface.
 	// In FS mode every core boots the kernel, which parks the extra harts;
-	// there is no directory and no thread table.
+	// there is no directory and no thread table. At most maxCores.
 	Cores int
 	// MemBytes is guest DRAM size (default 16 MiB, like the paper's small
 	// simulated memories relative to the host).
@@ -93,6 +93,10 @@ type GuestConfig struct {
 	// on every core (gem5's --debug-flags=Exec).
 	ExecTrace io.Writer
 }
+
+// maxCores is the most cores a guest has: the coherence directory keeps one
+// sharer bit per core in a word.
+const maxCores = 64
 
 // threaded reports whether a normalized config is a multicore SE guest: the
 // build with a coherence directory and a thread table.
@@ -220,6 +224,9 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 	// a refused config costs no System, no guest RAM and no tracer arena.
 	if cfg.Mode == SE && cfg.BootExit {
 		return nil, 0, fmt.Errorf("core: boot-exit requires FS mode")
+	}
+	if cfg.Cores > maxCores {
+		return nil, 0, fmt.Errorf("core: %d cores: a guest has at most %d", cfg.Cores, maxCores)
 	}
 	hasApp := !cfg.BootExit
 	spec, ok := workloads.ByName(cfg.Workload)

@@ -8,7 +8,7 @@ import (
 )
 
 // InstBudgetReason is the exit reason reported when an instruction-budgeted
-// run (RunInsts, RunIntervalSession) stops the guest because its budget is
+// run (RunInsts, IntervalRunner.Run) stops the guest because its budget is
 // exhausted rather than because the workload exited.
 const InstBudgetReason = "instruction budget reached"
 
@@ -126,28 +126,14 @@ func (r *IntervalRunner) Close() {
 	}
 }
 
-// RunIntervalSession co-simulates one slice of a guest on a fresh host
-// machine: it builds the session (restoring from ck when non-nil, else
-// running from the start), executes warmup instructions to re-warm
-// microarchitectural state that a checkpoint does not carry, then measures
-// the modeled host time of the next budget instructions. This is the
-// SimPoint leg of the paper's fast-forward→restore flow: cfg.Guest.CPU
-// selects the detailed target model, while the checkpoint itself was taken
-// by the Atomic model. Samplers measuring several windows of the same cell
-// should use one IntervalRunner instead so the machine stays warm across
-// windows.
-func RunIntervalSession(cfg SessionConfig, ck *Checkpoint, warmup, budget uint64) (*IntervalResult, error) {
-	r := NewIntervalRunner([]SessionConfig{cfg})
-	defer r.Close()
-	res, err := r.Run(ck, warmup, budget)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
 // Run measures one interval window on every host of the sweep and returns
-// one result per member, in order; see RunIntervalSession.
+// one result per member, in order: it builds the guest (restoring from ck
+// when non-nil, else running from the start), executes warmup instructions
+// to re-warm microarchitectural state that a checkpoint does not carry, then
+// measures the modeled host time of the next budget instructions. This is
+// the SimPoint leg of the paper's fast-forward→restore flow: the members'
+// Guest.CPU selects the detailed target model, while the checkpoint itself
+// was taken by the Atomic model.
 //
 // Interval sessions always run serially (never pipelined, never sharded;
 // see newExecPlan). The function profiler is rejected outright because its

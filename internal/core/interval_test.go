@@ -99,6 +99,18 @@ func TestRunInsts(t *testing.T) {
 	}
 }
 
+// intervalWindow measures one window of sc on a runner of its own, so on a
+// machine no window ran on before.
+func intervalWindow(sc core.SessionConfig, ck *core.Checkpoint, warmup, budget uint64) (*core.IntervalResult, error) {
+	r := core.NewIntervalRunner([]core.SessionConfig{sc})
+	defer r.Close()
+	res, err := r.Run(ck, warmup, budget)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 // TestRunIntervalSession exercises the sampled-simulation leg end to end:
 // fresh-start and checkpoint-restored intervals must both measure a
 // positive modeled time over exactly the budgeted window.
@@ -107,7 +119,7 @@ func TestRunIntervalSession(t *testing.T) {
 		Guest: core.GuestConfig{CPU: core.Timing, Mode: core.SE, Workload: "sieve", Scale: 1024},
 		Host:  platform.IntelXeon(),
 	}
-	iv, err := core.RunIntervalSession(sc, nil, 200, 1000)
+	iv, err := intervalWindow(sc, nil, 200, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +139,7 @@ func TestRunIntervalSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv2, err := core.RunIntervalSession(sc, ck, 200, 1000)
+	iv2, err := intervalWindow(sc, ck, 200, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +148,7 @@ func TestRunIntervalSession(t *testing.T) {
 	}
 
 	// Determinism: the same interval twice is bit-identical.
-	iv3, err := core.RunIntervalSession(sc, ck, 200, 1000)
+	iv3, err := intervalWindow(sc, ck, 200, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +160,7 @@ func TestRunIntervalSession(t *testing.T) {
 	// The profiler reads are incompatible with interval measurement.
 	bad := sc
 	bad.Profile = true
-	if _, err := core.RunIntervalSession(bad, nil, 0, 100); err == nil {
+	if _, err := intervalWindow(bad, nil, 0, 100); err == nil {
 		t.Fatal("profiled interval session accepted")
 	}
 }
@@ -160,7 +172,7 @@ func TestRunIntervalSessionExitDuringWarmup(t *testing.T) {
 		Guest: core.GuestConfig{CPU: core.Atomic, Mode: core.SE, Workload: "sieve", Scale: 1024},
 		Host:  platform.IntelXeon(),
 	}
-	if _, err := core.RunIntervalSession(sc, nil, 1<<40, 100); err == nil {
+	if _, err := intervalWindow(sc, nil, 1<<40, 100); err == nil {
 		t.Fatal("workload exit inside warmup not reported")
 	}
 }

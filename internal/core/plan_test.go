@@ -95,11 +95,13 @@ func TestPlanOnResults(t *testing.T) {
 	if want := (ExecPlan{Pipelined: true, Sharded: true}); res.Plan != want || res.Guest.Plan != want {
 		t.Errorf("RunSession: plan %v (guest %v), want %v", res.Plan, res.Guest.Plan, want)
 	}
-	ivr, err := RunIntervalSession(sc, nil, 100, 300)
+	r := NewIntervalRunner([]SessionConfig{sc})
+	defer r.Close()
+	ivrs, err := r.Run(nil, 100, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (ExecPlan{}); ivr.Session.Plan != want || ivr.Session.Guest.Plan != want {
+	if want, ivr := (ExecPlan{}), ivrs[0]; ivr.Session.Plan != want || ivr.Session.Guest.Plan != want {
 		t.Errorf("interval session: plan %v (guest %v), want %v", ivr.Session.Plan, ivr.Session.Guest.Plan, want)
 	}
 }

@@ -34,8 +34,9 @@ import (
 // (layouts) or total (a unit reset as it is drawn, an image that is only
 // copied from), so a result stays a pure function of its config whatever
 // ran before, on whatever goroutine — which the goldens and identity tests
-// hold byte for byte. They are not measurement caches, and
-// experiments.ResetCaches leaves them alone. Each holds at most a small
+// hold byte for byte. They are not measurement caches, and they outlive
+// the experiments harness's passes, which keep no measurement between them.
+// Each holds at most a small
 // constant number of entries, least recently used out first, sized to what
 // the figure suite cycles through — eight simulator binaries (the Top-Down
 // set's four CPU models in SE and FS; the sampled figures use six) and the

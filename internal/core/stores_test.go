@@ -315,8 +315,8 @@ func TestInvalidHostConfigsAreErrors(t *testing.T) {
 		{"negative fanout", code(hostmodel.Config{CalleeFanout: -1}), "core: host code: hostmodel: CalleeFanout"},
 	} {
 		for entry, call := range map[string]func() error{
-			"RunSession":         func() error { _, err := core.RunSession(tc.sc); return err },
-			"RunIntervalSession": func() error { _, err := core.RunIntervalSession(tc.sc, nil, 0, 100); return err },
+			"RunSession":     func() error { _, err := core.RunSession(tc.sc); return err },
+			"IntervalRunner": func() error { _, err := intervalWindow(tc.sc, nil, 0, 100); return err },
 		} {
 			err := call()
 			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("ablations", runAblations, ablationDecl)
+	register("ablations", ablationDecl, runAblations)
 }
 
 var ablationDecl = full(ablationCells)
@@ -69,11 +69,8 @@ func ablationCells(opt Options) []core.SessionConfig {
 // runAblations quantifies the design choices DESIGN.md §5 calls out, using
 // the O3/water_nsquared configuration on the Xeon as the probe, normalizing
 // against the baseline.
-func runAblations(opt Options) (*Result, error) {
-	times, err := cellSeconds(opt, ablationDecl)
-	if err != nil {
-		return nil, err
-	}
+func runAblations(_ Options, cells []*cellRun) (*Result, error) {
+	times := secondsOf(cells)
 	base := times[0]
 
 	res := &Result{

@@ -20,10 +20,10 @@ type Options struct {
 	Quick bool
 	// Jobs bounds how many simulation runs execute concurrently (the
 	// harness's -j flag). 0 means GOMAXPROCS; 1 reproduces the sequential
-	// harness. A run is one co-simulation of the pass (pass.go). The
-	// rendered output is byte-identical for every value: every cell's
-	// result is what its session alone returns, and results are collected
-	// in cell order. Runs leave core.GuestConfig.Seed at its default; a
+	// harness. A run is one co-simulation or replay of the pass (pass.go),
+	// or one of fig16's guests. The rendered output is byte-identical for
+	// every value: every cell's result is what its session alone returns,
+	// and results are collected in cell order. Runs leave core.GuestConfig.Seed at its default; a
 	// result does not depend on it, and the field stays only because bench/
 	// sets it.
 	Jobs int
@@ -108,14 +108,15 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
-// generator produces one experiment.
-type generator func(opt Options) (*Result, error)
+// A renderer draws one experiment from the outcomes of its declaration's
+// cells, in declaration order (nil for an experiment that declares none).
+type renderer func(opt Options, cells []*cellRun) (*Result, error)
 
-// experiment is a registered generator and the declaration of the sessions
-// it reads, nil for one that runs none.
+// experiment is a registered declaration of the cells an experiment reads,
+// nil for one that reads none, and the renderer that draws it.
 type experiment struct {
-	gen   generator
-	cells *declaration
+	decl   *declaration
+	render renderer
 }
 
 var (
@@ -123,13 +124,13 @@ var (
 	registry = map[string]experiment{}
 )
 
-// register adds an experiment. cells is the declaration gen asks the pass
-// for, so that a pass can plan it before any experiment runs.
-func register(id string, gen generator, cells *declaration) {
+// register adds an experiment: its declaration, which a pass plans before
+// any experiment runs, and its renderer.
+func register(id string, decl *declaration, render renderer) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}
-	registry[id] = experiment{gen, cells}
+	registry[id] = experiment{decl, render}
 }
 
 // IDs returns all experiment identifiers in presentation order.
@@ -145,8 +146,9 @@ func IDs() []string {
 	return out
 }
 
-// Run executes one experiment by id. Its simulation runs fan out on the
-// options' worker pool (see Options.Jobs).
+// Run executes one experiment by id: the options' pass measures its
+// declaration, its simulation runs fanning out on the worker pool (see
+// Options.Jobs), and its renderer draws the outcomes.
 func Run(id string, opt Options) (*Result, error) {
 	mu.Lock()
 	e, ok := registry[id]
@@ -154,7 +156,12 @@ func Run(id string, opt Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	return e.gen(opt.withRunner(id))
+	opt = opt.withRunner(id)
+	cells, err := opt.pass.measure(e.decl)
+	if err != nil {
+		return nil, err
+	}
+	return e.render(opt, cells)
 }
 
 // geomean returns the geometric mean of vs.

@@ -46,13 +46,18 @@ func TestTables(t *testing.T) {
 	}
 }
 
-// TestTopdownFigures runs the shared Fig. 2-6 set once (cached) and checks
-// the paper's qualitative claims hold in quick mode.
+// TestTopdownFigures renders Figs. 2-6 in one pass, which measures their
+// shared set once, and checks the paper's qualitative claims hold in quick
+// mode.
 func TestTopdownFigures(t *testing.T) {
-	f2, err := Run("fig02", quickOpt)
-	if err != nil {
-		t.Fatal(err)
+	figs := map[string]*Result{}
+	for oc := range RunMany([]string{"fig02", "fig03", "fig04", "fig05", "fig06"}, quickOpt) {
+		if oc.Err != nil {
+			t.Fatalf("%s: %v", oc.ID, oc.Err)
+		}
+		figs[oc.ID] = oc.Res
 	}
+	f2 := figs["fig02"]
 	if len(f2.Rows) != 11 {
 		t.Fatalf("fig02 rows = %d", len(f2.Rows))
 	}
@@ -69,11 +74,8 @@ func TestTopdownFigures(t *testing.T) {
 		t.Errorf("mcf BE = %.1f, want heavy", mcf.Values[3])
 	}
 
-	f6, err := Run("fig06", quickOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// gem5 DSB coverage below x264's.
+	f6 := figs["fig06"]
 	var gem5Max float64
 	for _, row := range f6.Rows[:8] {
 		if row.Values[0] > gem5Max {
@@ -85,34 +87,21 @@ func TestTopdownFigures(t *testing.T) {
 		t.Errorf("gem5 DSB coverage (max %.1f) should be below x264's (%.1f)", gem5Max, x264)
 	}
 
-	f4, err := Run("fig04", quickOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Unknown branches grow with CPU detail (O3 vs Atomic, PARSEC rows).
 	byLabel := map[string]Row{}
-	for _, r := range f4.Rows {
+	for _, r := range figs["fig04"].Rows {
 		byLabel[r.Label] = r
 	}
 	if byLabel["O3_PARSEC"].Values[4] <= byLabel["ATOMIC_PARSEC"].Values[4] {
 		t.Error("unknown-branch share should grow with model detail")
 	}
 
-	f3, err := Run("fig03", quickOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f5, err := Run("fig05", quickOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// MITE dominates gem5's bandwidth-bound cycles.
-	for _, row := range f5.Rows[:8] {
+	for _, row := range figs["fig05"].Rows[:8] {
 		if row.Values[2] < 50 {
 			t.Errorf("%s MITE share %.0f%%, want dominant", row.Label, row.Values[2])
 		}
 	}
-	_ = f3
 }
 
 func TestFig13FrequencyScaling(t *testing.T) {

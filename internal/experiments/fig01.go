@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("fig01", runFig01, fig01Decl)
+	register("fig01", fig01Decl, runFig01)
 }
 
 var fig01Decl = full(fig01Cells)
@@ -122,18 +122,14 @@ func fig01Cells(opt Options) []core.SessionConfig {
 // PARSEC/SPLASH-2x workloads, plus the SMT on/off comparison. The geomeans
 // are folded over the collected times in cell order, so the result is
 // identical at any worker count.
-func runFig01(opt Options) (*Result, error) {
+func runFig01(opt Options, cells []*cellRun) (*Result, error) {
 	res := &Result{
 		ID:    "fig01",
 		Title: "Simulation time normalized to Intel_Xeon (geomean; >1 means faster than Xeon)",
 		Cols:  []string{"M1_Pro-speedup", "M1_Ultra-speedup"},
 	}
 
-	times, err := cellSeconds(opt, fig01Decl)
-	if err != nil {
-		return nil, err
-	}
-
+	times := secondsOf(cells)
 	var smtOn, smtOff []float64
 	i := 0
 	for _, sc := range fig01Scenarios() {

@@ -1,34 +1,45 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"gem5prof/internal/uarch"
+)
 
 func init() {
-	register("table1", runTable1, nil)
-	register("table2", runTable2, nil)
-	register("fig02", runFig02, topdownDecl)
-	register("fig03", runFig03, topdownDecl)
-	register("fig04", runFig04, topdownDecl)
-	register("fig05", runFig05, topdownDecl)
-	register("fig06", runFig06, topdownDecl)
+	register("table1", nil, runTable1)
+	register("table2", nil, runTable2)
+	register("fig02", topdownDecl, runFig02)
+	register("fig03", topdownDecl, runFig03)
+	register("fig04", topdownDecl, runFig04)
+	register("fig05", topdownDecl, runFig05)
+	register("fig06", topdownDecl, runFig06)
+}
+
+// topdownBars pairs each bar of Figs. 2-6 with its report, in bar order.
+func topdownBars(cells []*cellRun) ([]string, []*uarch.Report) {
+	cfgs := topdownConfigs()
+	labels, reports := make([]string, len(cfgs)), make([]*uarch.Report, len(cfgs))
+	for i, cfg := range cfgs {
+		labels[i], reports[i] = cfg.Label, &cells[i].res.Host
+	}
+	return labels, reports
 }
 
 // runFig02 reproduces Fig. 2: Top-Down level-1 breakdown of gem5 (eight
 // configurations) versus three SPEC CPU2017 benchmarks on the Xeon.
-func runFig02(opt Options) (*Result, error) {
-	set, err := runTopdownSet(opt)
-	if err != nil {
-		return nil, err
-	}
+func runFig02(_ Options, cells []*cellRun) (*Result, error) {
+	labels, reports := topdownBars(cells)
 	res := &Result{
 		ID:    "fig02",
 		Title: "Top-Down level-1 cycle breakdown on Intel_Xeon (%)",
 		Cols:  []string{"retiring", "front-end", "bad-spec", "back-end"},
 	}
 	var gem5Retiring, gem5FE, gem5BE []float64
-	for i, rep := range set.reports {
+	for i, rep := range reports {
 		l1 := rep.Level1
 		res.Rows = append(res.Rows, Row{
-			Label:  set.labels[i],
+			Label:  labels[i],
 			Values: []float64{pct(l1.Retiring), pct(l1.FrontEndBound), pct(l1.BadSpeculation), pct(l1.BackEndBound)},
 		})
 		if i < 8 { // gem5 configurations
@@ -47,19 +58,16 @@ func runFig02(opt Options) (*Result, error) {
 
 // runFig03 reproduces Fig. 3: the front-end bound split into latency vs
 // bandwidth.
-func runFig03(opt Options) (*Result, error) {
-	set, err := runTopdownSet(opt)
-	if err != nil {
-		return nil, err
-	}
+func runFig03(_ Options, cells []*cellRun) (*Result, error) {
+	labels, reports := topdownBars(cells)
 	res := &Result{
 		ID:    "fig03",
 		Title: "Front-end bound cycles: latency vs bandwidth on Intel_Xeon (%)",
 		Cols:  []string{"fe-latency", "fe-bandwidth"},
 	}
-	for i, rep := range set.reports {
+	for i, rep := range reports {
 		res.Rows = append(res.Rows, Row{
-			Label:  set.labels[i],
+			Label:  labels[i],
 			Values: []float64{pct(rep.Level1.FELatency), pct(rep.Level1.FEBandwidth)},
 		})
 	}
@@ -71,22 +79,19 @@ func runFig03(opt Options) (*Result, error) {
 }
 
 // runFig04 reproduces Fig. 4: the front-end latency breakdown.
-func runFig04(opt Options) (*Result, error) {
-	set, err := runTopdownSet(opt)
-	if err != nil {
-		return nil, err
-	}
+func runFig04(_ Options, cells []*cellRun) (*Result, error) {
+	labels, reports := topdownBars(cells)
 	res := &Result{
 		ID:    "fig04",
 		Title: "Front-end latency-bound cycle breakdown on Intel_Xeon (%)",
 		Cols:  []string{"icache", "itlb", "mispred-resteer", "clear-resteer", "unknown-branch"},
 	}
 	idx := map[string]int{}
-	for i, rep := range set.reports {
+	for i, rep := range reports {
 		l1 := rep.Level1
-		idx[set.labels[i]] = i
+		idx[labels[i]] = i
 		res.Rows = append(res.Rows, Row{
-			Label: set.labels[i],
+			Label: labels[i],
 			Values: []float64{
 				pct(l1.ICacheMisses), pct(l1.ITLBMisses),
 				pct(l1.MispredictResteer), pct(l1.ClearResteer), pct(l1.UnknownBranches),
@@ -94,14 +99,14 @@ func runFig04(opt Options) (*Result, error) {
 		})
 	}
 	branching := func(label string) float64 {
-		l1 := set.reports[idx[label]].Level1
+		l1 := reports[idx[label]].Level1
 		return pct(l1.MispredictResteer + l1.ClearResteer + l1.UnknownBranches)
 	}
 	icache := func(label string) float64 {
-		return pct(set.reports[idx[label]].Level1.ICacheMisses)
+		return pct(reports[idx[label]].Level1.ICacheMisses)
 	}
 	missRate := func(label string) float64 {
-		return set.reports[idx[label]].ICacheMissRate
+		return reports[idx[label]].ICacheMissRate
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("O3/Minor vs Atomic PARSEC iCache stall-share ratio: %.1fx / %.1fx; L1I miss-rate ratio %.1fx / %.1fx (paper: up to 11x higher iCache misses)",
@@ -116,25 +121,22 @@ func runFig04(opt Options) (*Result, error) {
 
 // runFig05 reproduces Fig. 5: the front-end bandwidth breakdown (MITE vs
 // DSB).
-func runFig05(opt Options) (*Result, error) {
-	set, err := runTopdownSet(opt)
-	if err != nil {
-		return nil, err
-	}
+func runFig05(_ Options, cells []*cellRun) (*Result, error) {
+	labels, reports := topdownBars(cells)
 	res := &Result{
 		ID:    "fig05",
 		Title: "Front-end bandwidth-bound cycle breakdown on Intel_Xeon (%)",
 		Cols:  []string{"MITE", "DSB", "MITE-share-of-bw"},
 	}
 	var gem5MITEShare []float64
-	for i, rep := range set.reports {
+	for i, rep := range reports {
 		l1 := rep.Level1
 		share := 0.0
 		if l1.FEBandwidth > 0 {
 			share = l1.MITE / l1.FEBandwidth
 		}
 		res.Rows = append(res.Rows, Row{
-			Label:  set.labels[i],
+			Label:  labels[i],
 			Values: []float64{pct(l1.MITE), pct(l1.DSB), pct(share)},
 		})
 		if i < 8 {
@@ -149,19 +151,16 @@ func runFig05(opt Options) (*Result, error) {
 }
 
 // runFig06 reproduces Fig. 6: DSB (uop cache) coverage of gem5 vs SPEC.
-func runFig06(opt Options) (*Result, error) {
-	set, err := runTopdownSet(opt)
-	if err != nil {
-		return nil, err
-	}
+func runFig06(_ Options, cells []*cellRun) (*Result, error) {
+	labels, reports := topdownBars(cells)
 	res := &Result{
 		ID:    "fig06",
 		Title: "DSB (uop cache) coverage on Intel_Xeon (%)",
 		Cols:  []string{"dsb-coverage"},
 	}
 	var gem5, specv []float64
-	for i, rep := range set.reports {
-		res.Rows = append(res.Rows, Row{Label: set.labels[i], Values: []float64{pct(rep.DSBCoverage)}})
+	for i, rep := range reports {
+		res.Rows = append(res.Rows, Row{Label: labels[i], Values: []float64{pct(rep.DSBCoverage)}})
 		if i < 8 {
 			gem5 = append(gem5, pct(rep.DSBCoverage))
 		} else {

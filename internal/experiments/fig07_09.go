@@ -9,9 +9,9 @@ import (
 )
 
 func init() {
-	register("fig07", runFig07, platformDecl)
-	register("fig08", runFig08, platformDecl)
-	register("fig09", runFig09, fig09Decl)
+	register("fig07", platformDecl, runFig07)
+	register("fig08", platformDecl, runFig08)
+	register("fig09", fig09Decl, runFig09)
 }
 
 var fig09Decl = full(fig09Cells)
@@ -39,20 +39,16 @@ func platformCells(opt Options) []core.SessionConfig {
 }
 
 // platformSet returns the reports of platformCells keyed [platform][cpu].
-func platformSet(opt Options) (map[string]map[core.CPUModel]uarch.Report, error) {
-	runs, err := sessions(opt, platformDecl)
-	if err != nil {
-		return nil, err
-	}
+func platformSet(cells []*cellRun) map[string]map[core.CPUModel]uarch.Report {
 	out := map[string]map[core.CPUModel]uarch.Report{}
-	for i, r := range runs {
+	for i, r := range cells {
 		host, cpu := platform.TableIIPlatforms()[i/len(fig07CPUs)].Name, fig07CPUs[i%len(fig07CPUs)]
 		if out[host] == nil {
 			out[host] = map[core.CPUModel]uarch.Report{}
 		}
-		out[host][cpu] = r.Host
+		out[host][cpu] = r.res.Host
 	}
-	return out, nil
+	return out
 }
 
 // fig07CPUs are the models the paper profiles on all three platforms.
@@ -60,11 +56,8 @@ var fig07CPUs = []core.CPUModel{core.Atomic, core.Timing, core.O3}
 
 // runFig07 reproduces Fig. 7: IPC and stall percentage of gem5 on the three
 // platforms.
-func runFig07(opt Options) (*Result, error) {
-	set, err := platformSet(opt)
-	if err != nil {
-		return nil, err
-	}
+func runFig07(_ Options, cells []*cellRun) (*Result, error) {
+	set := platformSet(cells)
 	res := &Result{
 		ID:    "fig07",
 		Title: "gem5 IPC (uops/cycle) and stalled-cycle share per platform (water_nsquared)",
@@ -94,11 +87,8 @@ func runFig07(opt Options) (*Result, error) {
 
 // runFig08 reproduces Fig. 8: TLB, L1 cache, and branch prediction
 // performance across the platforms.
-func runFig08(opt Options) (*Result, error) {
-	set, err := platformSet(opt)
-	if err != nil {
-		return nil, err
-	}
+func runFig08(_ Options, cells []*cellRun) (*Result, error) {
+	set := platformSet(cells)
 	res := &Result{
 		ID:    "fig08",
 		Title: "TLB / L1 / branch predictor miss rates per platform (%)",
@@ -160,20 +150,16 @@ func fig09Cells(opt Options) []core.SessionConfig {
 
 // runFig09 reproduces Fig. 9: LLC occupancy and DRAM bandwidth utilization
 // of gem5 per CPU model and mode on the Xeon.
-func runFig09(opt Options) (*Result, error) {
+func runFig09(_ Options, cells []*cellRun) (*Result, error) {
 	res := &Result{
 		ID:    "fig09",
 		Title: "LLC occupancy and DRAM bandwidth utilization on Intel_Xeon",
 		Cols:  []string{"LLC-occupancy-KB", "DRAM-BW-util-%"},
 	}
-	runs, err := sessions(opt, fig09Decl)
-	if err != nil {
-		return nil, err
-	}
 	nCPU := len(core.AllCPUModels)
 	var occs []float64
-	for i, r := range runs {
-		rep, mode, cpu := r.Host, fig09Modes[i/nCPU], core.AllCPUModels[i%nCPU]
+	for i, r := range cells {
+		rep, mode, cpu := r.res.Host, fig09Modes[i/nCPU], core.AllCPUModels[i%nCPU]
 		occKB := float64(rep.LLCOccupancyBytes) / 1024
 		occs = append(occs, occKB)
 		res.Rows = append(res.Rows, Row{

@@ -10,10 +10,10 @@ import (
 )
 
 func init() {
-	register("fig10", runFig10, fig10Decl)
-	register("fig11", runFig11, fig11Decl)
-	register("fig12", runFig12, fig12Decl)
-	register("fig13", runFig13, fig13Decl)
+	register("fig10", fig10Decl, runFig10)
+	register("fig11", fig11Decl, runFig11)
+	register("fig12", fig12Decl, runFig12)
+	register("fig13", fig13Decl, runFig13)
 }
 
 // The sessions of figs 10-13. Figs 10, 12 and 13 read only modeled seconds,
@@ -59,36 +59,19 @@ func hugePageCells(opt Options, modes []uarch.HugePageMode) []core.SessionConfig
 	return cells
 }
 
-// hugePageGrid runs fig10's grid and returns modeled seconds indexed
-// [cpu][mode]. Cells consume only SimSeconds, so the grid samples under
-// -simpoint.
-func hugePageGrid(opt Options) ([][]float64, error) {
-	times, err := cellSeconds(opt, fig10Decl)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(core.AllCPUModels))
-	for ci := range out {
-		out[ci] = times[ci*len(fig10Modes) : (ci+1)*len(fig10Modes)]
-	}
-	return out, nil
-}
-
 // runFig10 reproduces Fig. 10: simulation speedup from backing gem5's code
 // with transparent (THP) and explicit (EHP) huge pages.
-func runFig10(opt Options) (*Result, error) {
+func runFig10(opt Options, cells []*cellRun) (*Result, error) {
 	res := &Result{
 		ID:    "fig10",
 		Title: "Speedup from huge-page code backing on Intel_Xeon (%)",
 		Cols:  []string{"THP-speedup-%", "EHP-speedup-%"},
 	}
-	grid, err := hugePageGrid(opt)
-	if err != nil {
-		return nil, err
-	}
+	times := secondsOf(cells)
 	var best float64
 	for ci, cpu := range core.AllCPUModels {
-		base, thp, ehp := grid[ci][0], grid[ci][1], grid[ci][2]
+		row := times[ci*len(fig10Modes):]
+		base, thp, ehp := row[0], row[1], row[2]
 		thpGain := pct(base/thp - 1)
 		ehpGain := pct(base/ehp - 1)
 		if thpGain > best {
@@ -109,7 +92,7 @@ func runFig10(opt Options) (*Result, error) {
 
 // runFig11 reproduces Fig. 11: iTLB overhead and retiring improvement from
 // THP.
-func runFig11(opt Options) (*Result, error) {
+func runFig11(_ Options, cells []*cellRun) (*Result, error) {
 	res := &Result{
 		ID:    "fig11",
 		Title: "THP effect on iTLB overhead and retiring cycles on Intel_Xeon",
@@ -117,13 +100,9 @@ func runFig11(opt Options) (*Result, error) {
 	}
 	// Full co-simulations: fig11 needs the complete Top-Down report, which
 	// sampling does not reconstruct.
-	runs, err := sessions(opt, fig11Decl)
-	if err != nil {
-		return nil, err
-	}
 	var reductions []float64
 	for ci, cpu := range core.AllCPUModels {
-		base, thp := runs[ci*len(fig11Modes)], runs[ci*len(fig11Modes)+1]
+		base, thp := cells[ci*len(fig11Modes)].res, cells[ci*len(fig11Modes)+1].res
 		reduction := 0.0
 		if b := base.Host.TopDown.FELatITLB; b > 0 {
 			reduction = pct(1 - thp.Host.TopDown.FELatITLB/b)
@@ -163,16 +142,13 @@ func fig12Cells(opt Options) []core.SessionConfig {
 
 // runFig12 reproduces Fig. 12: speedup from compiling gem5 with -O3 (a
 // smaller binary) on each platform.
-func runFig12(opt Options) (*Result, error) {
+func runFig12(opt Options, cells []*cellRun) (*Result, error) {
 	res := &Result{
 		ID:    "fig12",
 		Title: "Speedup from the -O3 build (smaller code) per platform (%)",
 		Cols:  []string{"atomic-%", "o3-%", "mean-%"},
 	}
-	times, err := cellSeconds(opt, fig12Decl)
-	if err != nil {
-		return nil, err
-	}
+	times := secondsOf(cells)
 	for hi, host := range platform.TableIIPlatforms() {
 		var gains []float64
 		for ci := range fig12CPUs {
@@ -212,7 +188,7 @@ func fig13Cells(opt Options) []core.SessionConfig {
 
 // runFig13 reproduces Fig. 13: simulation time versus the Xeon's operating
 // frequency, normalized to 3.1 GHz.
-func runFig13(opt Options) (*Result, error) {
+func runFig13(opt Options, cells []*cellRun) (*Result, error) {
 	res := &Result{
 		ID:    "fig13",
 		Title: "Normalized simulation time vs Intel_Xeon frequency (3.1GHz = 1.0)",
@@ -220,10 +196,7 @@ func runFig13(opt Options) (*Result, error) {
 	}
 	freqs := fig13Freqs
 	baseTime := 0.0
-	times, err := cellSeconds(opt, fig13Decl)
-	if err != nil {
-		return nil, err
-	}
+	times := secondsOf(cells)
 	for i, f := range freqs {
 		if f == 3.1 {
 			baseTime = times[i]

@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	register("fig14", runFig14, fig14Decl)
-	register("fig15", runFig15, fig15Decl)
+	register("fig14", fig14Decl, runFig14)
+	register("fig15", fig15Decl, runFig15)
 }
 
 var (
@@ -58,7 +58,7 @@ func fig14Cells(opt Options) []core.SessionConfig {
 // runFig14 reproduces Fig. 14: gem5 simulation speedup on FireSim with
 // varying host L1/L2 geometry (the Sieve of Eratosthenes workload, SE mode).
 // Each CPU model's seven hosts ride one co-simulation.
-func runFig14(opt Options) (*Result, error) {
+func runFig14(_ Options, cells []*cellRun) (*Result, error) {
 	res := &Result{
 		ID:    "fig14",
 		Title: "gem5-on-FireSim speedup vs host cache configuration (baseline 8KB/2:8KB/2:512KB/8 = 1.0)",
@@ -66,10 +66,7 @@ func runFig14(opt Options) (*Result, error) {
 	}
 	geoms := fig14Geometries()
 	nCPU := len(fig14CPUs)
-	times, err := cellSeconds(opt, fig14Decl)
-	if err != nil {
-		return nil, err
-	}
+	times := secondsOf(cells)
 	for ci, host := range geoms {
 		row := Row{Label: host.Name}
 		for cj := range fig14CPUs {
@@ -109,7 +106,7 @@ func fig15Cells(opt Options) []core.SessionConfig {
 
 // runFig15 reproduces Fig. 15: the CDF of CPU time over the 50 hottest
 // gem5 functions per CPU type, plus the total number of functions called.
-func runFig15(opt Options) (*Result, error) {
+func runFig15(_ Options, cells []*cellRun) (*Result, error) {
 	res := &Result{
 		ID:    "fig15",
 		Title: "Hot-function concentration per CPU model (water_nsquared on Intel_Xeon)",
@@ -121,12 +118,8 @@ func runFig15(opt Options) (*Result, error) {
 	paperCalled := map[core.CPUModel]int{
 		core.Atomic: 1602, core.Timing: 2557, core.Minor: 3957, core.O3: 5209,
 	}
-	runs, err := sessions(opt, fig15Decl)
-	if err != nil {
-		return nil, err
-	}
 	for ci, cpu := range core.AllCPUModels {
-		r := runs[ci]
+		r := cells[ci].res
 		cdf := r.Prof.CDF(50)
 		top1 := pct(cdf[0])
 		top10 := pct(cdf[min(9, len(cdf)-1)])

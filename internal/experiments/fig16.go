@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	register("fig16", runFig16, nil)
+	register("fig16", nil, runFig16)
 }
 
 // fig16Workloads are the mt-suite kernels: same checksum at every core
@@ -35,7 +35,7 @@ func fig16CoreCounts(opt Options) []int {
 // 1 to N cores with MESI directory coherence at the shared L2. The directory
 // transition counts land in the notes so coherence traffic is visible next
 // to the speedup it buys.
-func runFig16(opt Options) (*Result, error) {
+func runFig16(opt Options, _ []*cellRun) (*Result, error) {
 	counts := fig16CoreCounts(opt)
 	scale := 16384
 	if opt.Quick {

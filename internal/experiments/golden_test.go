@@ -22,7 +22,6 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden report 
 func TestGoldenReports(t *testing.T) {
 	for _, id := range []string{"fig02", "fig04", "fig07", "fig08", "fig10", "fig13", "fig16"} {
 		t.Run(id, func(t *testing.T) {
-			ResetCaches()
 			res, err := Run(id, Options{Quick: true, Jobs: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -45,5 +44,4 @@ func TestGoldenReports(t *testing.T) {
 			}
 		})
 	}
-	ResetCaches()
 }

@@ -84,11 +84,10 @@ func TestRunManyOrder(t *testing.T) {
 	}
 }
 
-// renderWithJobs regenerates one experiment from a cold cache under the
-// given worker count and returns the rendered report.
+// renderWithJobs regenerates one experiment under the given worker count
+// and returns the rendered report.
 func renderWithJobs(t *testing.T, id string, jobs int) string {
 	t.Helper()
-	ResetCaches()
 	res, err := Run(id, Options{Quick: true, Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +107,6 @@ func TestParallelDeterminism(t *testing.T) {
 			t.Errorf("%s: -j 1 and -j 8 output differs:\n--- j1 ---\n%s\n--- j8 ---\n%s", id, seq, par)
 		}
 	}
-	// Leave a cold cache for whichever test runs next.
-	ResetCaches()
 }
 
 // TestInvalidHostIsAnOutcomeError: a cell whose host (or code-model) config
@@ -141,13 +138,9 @@ func TestInvalidHostIsAnOutcomeError(t *testing.T) {
 		if id == "test-good-host" {
 			d = seconds(good)
 		}
-		register(id, func(opt Options) (*Result, error) {
-			secs, err := cellSeconds(opt, d)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{ID: id, Rows: []Row{{Label: "s", Values: secs}}}, nil
-		}, d)
+		register(id, d, func(_ Options, cells []*cellRun) (*Result, error) {
+			return &Result{ID: id, Rows: []Row{{Label: "s", Values: secondsOf(cells)}}}, nil
+		})
 		defer func() {
 			mu.Lock()
 			delete(registry, id)

@@ -1,23 +1,25 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
 	"gem5prof/internal/core"
 	"gem5prof/internal/simpoint"
+	"gem5prof/internal/spec"
+	"gem5prof/internal/uarch"
 )
 
-// A declaration is the sessions an experiment reads, in the order it reads
-// them: read whole (full), or only as modeled seconds (seconds), which the
-// pass samples under -simpoint. An experiment registers the declaration it
-// asks the pass for, so the pass can plan it before anything runs; figures
-// that read one measurement share one declaration, which a pass takes once.
+// A declaration is the cells an experiment renders, in the order it reads
+// them: its sessions, read whole (full) or only as modeled seconds
+// (seconds), which the pass samples under -simpoint, then its replays.
+// Figures that render one measurement share one declaration, which a pass
+// measures once.
 type declaration struct {
 	scs     func(Options) []core.SessionConfig
 	seconds bool
+	replays func(Options) []replay
 }
 
 func full(scs func(Options) []core.SessionConfig) *declaration {
@@ -28,124 +30,146 @@ func seconds(scs func(Options) []core.SessionConfig) *declaration {
 	return &declaration{scs: scs, seconds: true}
 }
 
+// A replay is a SPEC profile driven through a host machine with no guest,
+// and so no session (the SPEC bars of Figs. 2-6).
+type replay struct {
+	host   uarch.Config
+	bench  string
+	blocks int
+}
+
 // A pass is one regeneration of a set of experiments — one RunMany, or one
-// Run — and its plan: the cells (sessions) the experiments declare
-// (register) that share a guest, a binary and a mode run as one
+// Run — and the whole of what it measures: newPass plans every cell the
+// experiments declare (register) before anything runs, and an experiment's
+// Run starts its declaration's cells, waits for them and hands them to its
+// renderer. The sessions that share a guest, a binary and a mode ride one
 // co-simulation, whatever their hosts (core.RunSessions,
-// simpoint.RunSampledSweep), and a co-simulation models equal hosts once. So
-// a cell several figures declare runs once. A co-simulation starts on the
-// pool when an experiment first asks for one of its cells, so a figure that
-// finds its measurement cached (the Top-Down set) starts nothing; a
-// declaration nobody registered is planned when it is asked for. Every
-// cell's result is what its session alone returns (DESIGN §21, §22), so how
-// the plan groups cells, and in which order the experiments ask, changes no
-// output byte.
+// simpoint.Analysis.Sweep), and a co-simulation models equal hosts once. So
+// a cell several figures declare runs once, and the sampled co-simulations
+// of one config family share one simpoint.Analysis. A co-simulation starts
+// on the pool when the first experiment that declares one of its cells
+// starts, a replay when its declaration starts. Every cell's result is what
+// its session alone returns (DESIGN §21, §22), so how the plan groups cells,
+// and in which order the experiments start, changes no output byte. Nothing
+// a pass measures outlives it.
 type pass struct {
 	runner *Runner
 	sp     simpoint.Config
 
 	mu    sync.Mutex
 	decls map[*declaration][]*cellRun
-	// open holds the co-simulations not started yet, which a new cell may
-	// join; a started one takes no more.
+	// open holds the runs not started yet.
 	open []*cosimRun
-	// unplanned counts the declarations asked for that the pass's
-	// experiments did not register, and started the co-simulations started;
-	// tests read them.
-	unplanned, started int
-	// dry passes run nothing: get fails with errDry once it has planned
-	// what it was asked for (a test checks declarations with it).
-	dry bool
+	// families holds the SimPoint analysis of each config family the
+	// sampled co-simulations run, keyed by simpoint.ConfigPrefix.
+	families map[string]*family
+	// started counts the runs started; tests read it.
+	started int
 }
 
-var errDry = errors.New("experiments: dry pass")
-
-// cellRun is one cell of a pass. Its outcome is set once the co-simulation
-// it rides closes done.
+// cellRun is one cell of a pass. Its outcome is set once the run it rides
+// closes done: res for a full session, and for a replay a result holding
+// only the host's report, and secs for every cell.
 type cellRun struct {
 	cosim *cosimRun
-	res   *core.SessionResult // full cells
+	res   *core.SessionResult
 	secs  float64
 	err   error
 }
 
-// cosimRun is one co-simulation of a pass: cells of one guest, binary and
-// mode, as sessions and their runs.
+// cosimRun is one run of a pass: a co-simulation — cells of one guest,
+// binary and mode — or one replay.
 type cosimRun struct {
 	scs     []core.SessionConfig
-	sampled bool
+	sampled *family // the sampled co-simulations' analysis
+	replay  *replay
 	cells   []*cellRun
 	done    chan struct{}
+}
+
+// family is one config family's SimPoint analysis, computed by the first of
+// its co-simulations to run.
+type family struct {
+	once sync.Once
+	a    *simpoint.Analysis
+	err  error
 }
 
 // newPass plans the cells the experiments ids declare, taking the
 // experiments in id order so that one set of ids makes one plan in
 // whichever order it was given.
 func newPass(ids []string, opt Options) *pass {
-	p := &pass{runner: opt.runner, sp: opt.simpointConfig(), decls: map[*declaration][]*cellRun{}}
+	p := &pass{runner: opt.runner, sp: opt.simpointConfig(),
+		decls: map[*declaration][]*cellRun{}, families: map[string]*family{}}
 	ids = slices.Clone(ids)
 	slices.Sort(ids)
 	var decls []*declaration
 	mu.Lock()
 	for _, id := range ids {
-		if d := registry[id].cells; d != nil {
+		if d := registry[id].decl; d != nil {
 			decls = append(decls, d)
 		}
 	}
 	mu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, d := range decls {
 		p.plan(d, opt)
 	}
 	return p
 }
 
-// plan returns the runs of d's sessions, planning them now if they are not
-// yet: each cell joins the first open co-simulation that can take it, so the
-// cells of one guest, binary and mode planned before any of them starts —
-// every cell declared by the pass's experiments — ride one. core.CheckSweep
-// validates both members it compares, so a cell that could not run even
-// alone (a host or binary that does not validate) joins none and none joins
-// it: its error stays its own. The caller holds p.mu.
-func (p *pass) plan(d *declaration, opt Options) []*cellRun {
-	if runs, ok := p.decls[d]; ok {
-		return runs
+// plan plans d's cells unless they are planned: each session joins the first
+// open co-simulation that can take it, so the cells of one guest, binary and
+// mode — every such cell the pass's experiments declare — ride one.
+// core.CheckSweep validates both members it compares, so a cell that could
+// not run even alone (a host or binary that does not validate) joins none
+// and none joins it: its error stays its own. Each replay is a run of its
+// own.
+func (p *pass) plan(d *declaration, opt Options) {
+	if _, ok := p.decls[d]; ok {
+		return
 	}
-	scs, sampled := d.scs(opt), d.seconds && opt.SimPoint
-	runs := make([]*cellRun, len(scs))
-	for i, sc := range scs {
+	sampled := d.seconds && opt.SimPoint
+	var runs []*cellRun
+	for _, sc := range d.scs(opt) {
 		r := &cellRun{}
 		for _, cs := range p.open {
-			if cs.sampled == sampled && core.CheckSweep([]core.SessionConfig{cs.scs[0], sc}) == nil {
+			if cs.replay == nil && (cs.sampled != nil) == sampled && core.CheckSweep([]core.SessionConfig{cs.scs[0], sc}) == nil {
 				r.cosim = cs
 				break
 			}
 		}
 		if r.cosim == nil {
-			r.cosim = &cosimRun{sampled: sampled, done: make(chan struct{})}
+			r.cosim = &cosimRun{done: make(chan struct{})}
+			if sampled {
+				key := simpoint.ConfigPrefix(sc.Guest)
+				if p.families[key] == nil {
+					p.families[key] = &family{}
+				}
+				r.cosim.sampled = p.families[key]
+			}
 			p.open = append(p.open, r.cosim)
 		}
 		r.cosim.scs = append(r.cosim.scs, sc)
 		r.cosim.cells = append(r.cosim.cells, r)
-		runs[i] = r
+		runs = append(runs, r)
+	}
+	if d.replays != nil {
+		for _, rp := range d.replays(opt) {
+			r := &cellRun{cosim: &cosimRun{replay: &rp, done: make(chan struct{})}}
+			r.cosim.cells = []*cellRun{r}
+			p.open = append(p.open, r.cosim)
+			runs = append(runs, r)
+		}
 	}
 	p.decls[d] = runs
-	return runs
 }
 
-// start returns the runs of d, submitting to the pool the co-simulations
-// they ride that have not started.
-func (p *pass) start(d *declaration, opt Options) []*cellRun {
+// measure starts the runs d's cells ride that have not started, and returns
+// the cells once every one has its outcome, or the lowest failing cell's
+// error. A nil d measures nothing.
+func (p *pass) measure(d *declaration) ([]*cellRun, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.decls[d]; !ok {
-		p.unplanned++
-	}
-	runs := p.plan(d, opt)
-	if p.dry {
-		return runs
-	}
+	runs := p.decls[d]
 	for _, r := range runs {
 		if i := slices.Index(p.open, r.cosim); i >= 0 {
 			p.open = slices.Delete(p.open, i, i+1)
@@ -154,15 +178,7 @@ func (p *pass) start(d *declaration, opt Options) []*cellRun {
 			p.runner.submit(func() { cs.run(p.sp) })
 		}
 	}
-	return runs
-}
-
-// wait returns runs once every one has its outcome, or the lowest failing
-// cell's error.
-func (p *pass) wait(runs []*cellRun) ([]*cellRun, error) {
-	if p.dry {
-		return nil, errDry
-	}
+	p.mu.Unlock()
 	for _, r := range runs {
 		<-r.cosim.done
 	}
@@ -174,15 +190,24 @@ func (p *pass) wait(runs []*cellRun) ([]*cellRun, error) {
 	return runs, nil
 }
 
-// run executes the co-simulation and sets every cell's outcome.
+// run executes the co-simulation or replay and sets every cell's outcome.
 func (cs *cosimRun) run(sp simpoint.Config) {
 	defer close(cs.done)
+	if cs.replay != nil {
+		r := cs.cells[0]
+		rep, err := cs.replay.run()
+		r.res, r.secs, r.err = &core.SessionResult{Host: rep}, rep.TimeSeconds, err
+		return
+	}
 	var err error
-	if cs.sampled {
+	if f := cs.sampled; f != nil {
+		f.once.Do(func() { f.a, f.err = simpoint.Analyze(cs.scs[0].Guest, sp) })
 		var rs []*simpoint.Result
-		if rs, err = simpoint.RunSampledSweep(cs.scs, sp); err == nil {
-			for i, r := range cs.cells {
-				r.secs = rs[i].Seconds
+		if err = f.err; err == nil {
+			if rs, err = f.a.Sweep(cs.scs); err == nil {
+				for i, r := range cs.cells {
+					r.secs = rs[i].Seconds
+				}
 			}
 		}
 	} else {
@@ -200,6 +225,17 @@ func (cs *cosimRun) run(sp simpoint.Config) {
 	}
 }
 
+// run replays the benchmark on a machine of its host.
+func (rp *replay) run() (uarch.Report, error) {
+	b, err := spec.ByName(rp.bench)
+	if err != nil {
+		return uarch.Report{}, err
+	}
+	var rep uarch.Report
+	err = core.OnMachine(rp.host, func(m *uarch.Machine) { rep = b.Run(m, rp.blocks) })
+	return rep, err
+}
+
 // describe names a session in an error.
 func describe(sc core.SessionConfig) string {
 	what := sc.Guest.Workload
@@ -209,38 +245,15 @@ func describe(sc core.SessionConfig) string {
 	return fmt.Sprintf("%s %s %s on %s", sc.Guest.Mode, sc.Guest.CPU, what, sc.Host.Name)
 }
 
-// sessions runs d's sessions through the options' pass and returns their
-// full results in order. d must not be a seconds declaration.
-func sessions(opt Options, d *declaration) ([]*core.SessionResult, error) {
-	return results(opt.pass.wait(opt.pass.start(d, opt)))
-}
-
-// results returns the full results of runs in order.
-func results(runs []*cellRun, err error) ([]*core.SessionResult, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*core.SessionResult, len(runs))
-	for i, r := range runs {
-		out[i] = r.res
-	}
-	return out, nil
-}
-
-// cellSeconds runs d's sessions through the options' pass and returns their
-// modeled host seconds in order: the full co-simulation normally, or the
-// SimPoint extrapolation when d is a seconds declaration and the harness runs
-// with -simpoint. Only figures whose cells consume nothing but SimSeconds()
-// declare seconds — figures needing full Top-Down detail (fig11) always run
-// full.
-func cellSeconds(opt Options, d *declaration) ([]float64, error) {
-	runs, err := opt.pass.wait(opt.pass.start(d, opt))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(runs))
-	for i, r := range runs {
+// secondsOf returns the cells' modeled host seconds in order: the full
+// co-simulation's, or the SimPoint extrapolation for the cells of a seconds
+// declaration under -simpoint. Only figures whose cells consume nothing but
+// modeled seconds declare seconds; figures needing full Top-Down detail
+// (fig11) declare full.
+func secondsOf(cells []*cellRun) []float64 {
+	out := make([]float64, len(cells))
+	for i, r := range cells {
 		out[i] = r.secs
 	}
-	return out, nil
+	return out
 }

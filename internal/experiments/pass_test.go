@@ -1,45 +1,25 @@
 package experiments
 
 import (
-	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
-
-// TestEveryAskedCellIsDeclared: every declaration an experiment asks the
-// pass for is one it registered, in full and sampled mode, so a pass plans
-// the whole of what it will run before anything runs. A dry pass plans what
-// it is asked for and runs nothing.
-func TestEveryAskedCellIsDeclared(t *testing.T) {
-	defer ResetCaches()
-	for _, simPoint := range []bool{false, true} {
-		for _, id := range IDs() {
-			ResetCaches() // a cached Top-Down set would ask for nothing
-			opt := Options{Quick: true, Jobs: 2, SimPoint: simPoint}.withRunner(id)
-			opt.pass.dry = true
-			if _, err := Run(id, opt); err != nil && !errors.Is(err, errDry) {
-				t.Errorf("%s (simpoint %v): %v", id, simPoint, err)
-			}
-			if n := opt.pass.unplanned; n != 0 {
-				t.Errorf("%s (simpoint %v) asked for %d declarations it did not register", id, simPoint, n)
-			}
-		}
-	}
-}
 
 // TestPassSharesCells: in one pass the cells of one guest, binary and mode
 // ride one co-simulation whatever their hosts, so a cell several figures ask
 // for runs once — and every figure renders the bytes it renders alone.
 // Under -simpoint, figs 10, 12 and 13 ask for 30 sampled cells on six guest
 // and binary pairs (fig12's Xeon base-build cells are also fig10's, and
-// fig13's 3.1 GHz cell is fig10's Timing base cell); fig11 asks for 8 full
-// cells on four.
+// fig13's 3.1 GHz cell is fig10's Timing base cell), all of one config
+// family, so the six share one analysis; fig11 asks for 8 full cells on
+// four. Figs. 2-6 render one Top-Down set: a pass holding all five runs its
+// eight sessions and its three SPEC replays once.
 func TestPassSharesCells(t *testing.T) {
 	ids := []string{"fig10", "fig11", "fig12", "fig13"}
 	opt := Options{Quick: true, Jobs: 2, SimPoint: true}
-	defer ResetCaches()
 	alone := map[string]string{}
 	for _, id := range ids {
-		ResetCaches()
 		res, err := Run(id, opt)
 		if err != nil {
 			t.Fatalf("%s alone: %v", id, err)
@@ -47,7 +27,6 @@ func TestPassSharesCells(t *testing.T) {
 		alone[id] = res.Render()
 	}
 
-	ResetCaches()
 	opt = opt.withRunner(ids...)
 	for oc := range RunMany(ids, opt) {
 		if oc.Err != nil {
@@ -64,9 +43,22 @@ func TestPassSharesCells(t *testing.T) {
 			cosims[r.cosim] = true
 		}
 	}
-	if len(cosims) != 10 || p.started != 10 || p.unplanned != 0 {
-		t.Errorf("pass planned %d co-simulations, started %d, asked for %d undeclared; want 10, 10, 0",
-			len(cosims), p.started, p.unplanned)
+	if len(cosims) != 10 || p.started != 10 {
+		t.Errorf("pass planned %d co-simulations and started %d; want 10, 10", len(cosims), p.started)
+	}
+	families := map[*family]int{}
+	for cs := range cosims {
+		if cs.sampled != nil {
+			families[cs.sampled]++
+		}
+	}
+	if len(families) != 1 || len(p.families) != 1 {
+		t.Errorf("the sampled co-simulations rode %d analyses (%d in the pass), want 1", len(families), len(p.families))
+	}
+	for f, n := range families {
+		if n != 6 || f.a == nil {
+			t.Errorf("an analysis served %d sampled co-simulations (computed: %v), want 6", n, f.a != nil)
+		}
 	}
 	// fig10 is CPU-major over the three backings, fig12 host-major over
 	// (CPU, build), fig13 over the clocks.
@@ -78,5 +70,35 @@ func TestPassSharesCells(t *testing.T) {
 		if twins[0].cosim != twins[1].cosim || twins[0].secs != twins[1].secs {
 			t.Errorf("a cell two figures ask for rode two co-simulations or read differently")
 		}
+	}
+
+	topdown := []string{"fig02", "fig03", "fig04", "fig05", "fig06"}
+	opt = Options{Quick: true, Jobs: 2}.withRunner(topdown...)
+	for oc := range RunMany(topdown, opt) {
+		if oc.Err != nil {
+			t.Fatalf("%s: %v", oc.ID, oc.Err)
+		}
+		if oc.ID != "fig02" && oc.ID != "fig04" {
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", oc.ID+"_quick.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := oc.Res.Render(); got != string(want) {
+			t.Errorf("%s in one pass with %v:\n%s\nalone:\n%s", oc.ID, topdown, got, want)
+		}
+	}
+	p = opt.pass
+	runs, replays := map[*cosimRun]bool{}, 0
+	for _, r := range p.decls[topdownDecl] {
+		if !runs[r.cosim] && r.cosim.replay != nil {
+			replays++
+		}
+		runs[r.cosim] = true
+	}
+	if len(p.decls) != 1 || len(runs) != 11 || replays != 3 || p.started != 11 {
+		t.Errorf("Figs. 2-6 planned %d declarations and %d runs, %d of them replays, and started %d; want 1, 11, 3, 11",
+			len(p.decls), len(runs), replays, p.started)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-
-	"gem5prof/internal/simpoint"
 )
 
 // Runner executes the independent simulation runs of an experiment — and,
@@ -70,8 +68,9 @@ func (r *Runner) submit(fn func()) {
 // returns the results in index order, so the collected slice is identical to
 // what the old sequential loops produced no matter how the pool interleaves
 // the runs. On failure the lowest failing index wins — again deterministic.
-// A nil runner runs inline (sequential, no goroutines). Sessions do not come
-// through here but through the pass (pass.go); this is for the rest.
+// A nil runner runs inline (sequential, no goroutines). Sessions and replays
+// do not come through here but through the pass (pass.go); this is for the
+// rest (fig16's guests).
 func runAll[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if r == nil {
@@ -139,15 +138,6 @@ func RunMany(ids []string, opt Options) <-chan Outcome {
 	return out
 }
 
-// ResetCaches drops the per-process measurement caches (the shared Fig. 2-6
-// Top-Down set and the simpoint analysis memo). Benchmarks and determinism
-// tests call it so that repeated regenerations re-measure instead of
-// replaying the cache. core's construction stores are not measurement
-// caches — they hold no result, only what building a session produces — and
-// stay as they are.
-func ResetCaches() {
-	tdMu.Lock()
-	defer tdMu.Unlock()
-	tdCache = map[bool]*tdSet{}
-	simpoint.ResetMemo()
-}
+// ResetCaches does nothing: a pass keeps what it measures, and nothing a
+// pass measures outlives it. It stays because bench/ calls it.
+func ResetCaches() {}

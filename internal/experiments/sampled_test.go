@@ -89,10 +89,6 @@ func sampledErrorCells() []struct {
 // cross-figure set of sweep cells, the SimPoint extrapolation of modeled
 // host seconds must land within the bound of the full co-simulation.
 func TestSampledFiguresError(t *testing.T) {
-	ResetCaches()
-	defer ResetCaches()
-	full := Options{Quick: true, Jobs: 1}.withRunner()
-	sampled := Options{Quick: true, Jobs: 1, SimPoint: true}.withRunner()
 	worst := 0.0
 	cells := sampledErrorCells()
 	scs := make([]core.SessionConfig, len(cells))
@@ -100,14 +96,18 @@ func TestSampledFiguresError(t *testing.T) {
 		scs[i] = c.sc
 	}
 	d := seconds(func(Options) []core.SessionConfig { return scs })
-	wants, err := cellSeconds(full, d)
-	if err != nil {
-		t.Fatalf("full: %v", err)
+	measure := func(opt Options) []float64 {
+		t.Helper()
+		opt = opt.withRunner()
+		opt.pass.plan(d, opt)
+		runs, err := opt.pass.measure(d)
+		if err != nil {
+			t.Fatalf("simpoint %v: %v", opt.SimPoint, err)
+		}
+		return secondsOf(runs)
 	}
-	gots, err := cellSeconds(sampled, d)
-	if err != nil {
-		t.Fatalf("sampled: %v", err)
-	}
+	wants := measure(Options{Quick: true, Jobs: 1})
+	gots := measure(Options{Quick: true, Jobs: 1, SimPoint: true})
 	for i, c := range cells {
 		want, got := wants[i], gots[i]
 		errPct := 100 * math.Abs(got-want) / want
@@ -138,7 +138,6 @@ func TestGoldenSampledReports(t *testing.T) {
 			path := filepath.Join("testdata", id+"_quick_sampled.golden")
 			var j1 string
 			for _, jobs := range []int{1, 4} {
-				ResetCaches()
 				res, err := Run(id, Options{Quick: true, Jobs: jobs, SimPoint: true})
 				if err != nil {
 					t.Fatalf("jobs=%d: %v", jobs, err)
@@ -169,11 +168,10 @@ func TestGoldenSampledReports(t *testing.T) {
 			}
 		})
 	}
-	ResetCaches()
 }
 
 // TestSampledPassAllocBudget: once the stores are warm, regenerating the
-// sampled figures from cold measurement caches allocates what its windows
+// sampled figures (a pass measures afresh) allocates what its windows
 // touch — not a machine per geometry switch, a layout per fifth binary and a
 // guest L2 per window — and the same whichever figure reaches the pool first,
 // since everything the three figures cycle through stays resident. With the
@@ -188,7 +186,6 @@ func TestSampledPassAllocBudget(t *testing.T) {
 	opt := Options{Quick: true, Jobs: 1, SimPoint: true}
 	pass := func(ids ...string) float64 {
 		t.Helper()
-		ResetCaches()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for out := range RunMany(ids, opt) {
@@ -199,7 +196,6 @@ func TestSampledPassAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 	}
-	defer ResetCaches()
 	pass("fig10", "fig12", "fig13") // fills the stores
 	lo, hi := math.Inf(1), 0.0
 	for _, ids := range [][]string{

@@ -7,7 +7,7 @@ import (
 )
 
 // runTable1 renders Table I from the FireSim host model's parameters.
-func runTable1(opt Options) (*Result, error) {
+func runTable1(Options, []*cellRun) (*Result, error) {
 	return &Result{
 		ID:    "table1",
 		Title: "Base Hardware Configuration on FireSim",
@@ -16,7 +16,7 @@ func runTable1(opt Options) (*Result, error) {
 }
 
 // runTable2 renders Table II from the three platform models.
-func runTable2(opt Options) (*Result, error) {
+func runTable2(Options, []*cellRun) (*Result, error) {
 	return &Result{
 		ID:    "table2",
 		Title: "Evaluation platforms",

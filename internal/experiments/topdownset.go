@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"sync"
-
 	"gem5prof/internal/core"
 	"gem5prof/internal/platform"
-	"gem5prof/internal/spec"
-	"gem5prof/internal/uarch"
 )
 
 // tdConfig is one bar of Figs. 2-6: a gem5 configuration or a SPEC
@@ -50,17 +46,6 @@ func cpuLabel(cpu core.CPUModel) string {
 	return string(cpu)
 }
 
-// tdSet is the shared measurement backing Figs. 2-6.
-type tdSet struct {
-	labels  []string
-	reports []uarch.Report
-}
-
-var (
-	tdMu    sync.Mutex
-	tdCache = map[bool]*tdSet{}
-)
-
 // parsecRepScale returns the water_nsquared scale used as the PARSEC
 // representative (footnote 2 of the paper).
 func parsecRepScale(opt Options) int {
@@ -70,9 +55,10 @@ func parsecRepScale(opt Options) int {
 	return 72
 }
 
-// topdownDecl declares the Top-Down set's sessions for each of the figures
-// that read it.
-var topdownDecl = full(topdownCells)
+// topdownDecl declares the Top-Down set for each of the figures that render
+// it: the gem5 configurations' sessions, then the SPEC replays, which is
+// configuration order.
+var topdownDecl = &declaration{scs: topdownCells, replays: topdownReplays}
 
 // topdownCells are the sessions of the gem5 configurations, in
 // configuration order.
@@ -101,53 +87,18 @@ func topdownCells(opt Options) []core.SessionConfig {
 	return cells
 }
 
-// runTopdownSet measures every Fig. 2-6 configuration once per process and
-// caches the reports. The gem5 sessions go to the pool through the pass,
-// and the SPEC replays after them; reports are collected in configuration
-// order (the gem5 configurations come first), which keeps the cached set
-// identical to the sequential measurement.
-func runTopdownSet(opt Options) (*tdSet, error) {
-	tdMu.Lock()
-	defer tdMu.Unlock()
-	if s, ok := tdCache[opt.Quick]; ok {
-		return s, nil
-	}
-	specBlocks := 600_000
+// topdownReplays are the SPEC benchmarks' replays on the Xeon, in
+// configuration order.
+func topdownReplays(opt Options) []replay {
+	blocks := 600_000
 	if opt.Quick {
-		specBlocks = 150_000
+		blocks = 150_000
 	}
-	cfgs := topdownConfigs()
-	var specs []tdConfig
-	for _, cfg := range cfgs {
+	var out []replay
+	for _, cfg := range topdownConfigs() {
 		if cfg.IsSpec {
-			specs = append(specs, cfg)
+			out = append(out, replay{host: platform.IntelXeon(), bench: cfg.SpecName, blocks: blocks})
 		}
 	}
-	started := opt.pass.start(topdownDecl, opt)
-	specReports, specErr := runAll(opt.runner, len(specs), func(i int) (uarch.Report, error) {
-		p, err := spec.ByName(specs[i].SpecName)
-		if err != nil {
-			return uarch.Report{}, err
-		}
-		var rep uarch.Report
-		err = core.OnMachine(platform.IntelXeon(), func(m *uarch.Machine) { rep = p.Run(m, specBlocks) })
-		return rep, err
-	})
-	runs, err := results(opt.pass.wait(started))
-	if err != nil {
-		return nil, err
-	}
-	if specErr != nil {
-		return nil, specErr
-	}
-	set := &tdSet{reports: make([]uarch.Report, 0, len(cfgs))}
-	for _, r := range runs {
-		set.reports = append(set.reports, r.Host)
-	}
-	set.reports = append(set.reports, specReports...)
-	for _, cfg := range cfgs {
-		set.labels = append(set.labels, cfg.Label)
-	}
-	tdCache[opt.Quick] = set
-	return set, nil
+	return out
 }

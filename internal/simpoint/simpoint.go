@@ -3,7 +3,6 @@ package simpoint
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"gem5prof/internal/ckptcache"
 	"gem5prof/internal/core"
@@ -24,7 +23,7 @@ type Config struct {
 	// MaxK bounds the number of phases (default 6).
 	MaxK int
 	// Cache, when non-nil, persists fast-forward checkpoints across
-	// processes. A nil cache still memoizes within the process. No harness
+	// analyses and processes. No harness
 	// sets it any more (a warm cache measured 0.99x a cold one); it stays
 	// because bench/ compiles against it.
 	Cache *ckptcache.Cache
@@ -109,44 +108,42 @@ func ConfigPrefix(gc core.GuestConfig) string {
 		gc.MemBytes, gc.ClockPeriod, hier, gc.IdealMemory, gc.GuestTLBs, gc.CalendarQueue)
 }
 
-// analysis is the per-(config family, sampling params) work shared by
-// every cell of a sweep: the BBV profile, the clustering, and the restore
-// checkpoints. It is computed once per process (and its checkpoints once
-// per cache lifetime) no matter how many cells or goroutines ask.
-type analysis struct {
-	once   sync.Once
+// Analysis is the work shared by every sampled co-simulation of one config
+// family under one Config: the BBV profile, the clustering and the restore
+// checkpoints. It is read-only once Analyze returns, so any number of
+// Sweeps, concurrent or not, may share one; whoever computes it decides how
+// often it is computed.
+type Analysis struct {
+	prefix string
 	prof   *Profile
 	phases Phases
 	ckpts  []*core.Checkpoint // per cluster; nil for a fresh-start rep
-	err    error
 }
 
-var (
-	memoMu sync.Mutex
-	memo   = map[string]*analysis{}
-)
-
-// ResetMemo drops all memoized profiles and clusterings (test hook; the
-// experiment runner's ResetCaches calls it between figures-in-isolation
-// runs).
-func ResetMemo() {
-	memoMu.Lock()
-	memo = map[string]*analysis{}
-	memoMu.Unlock()
-}
-
-func memoFor(prefix string, cfg Config) *analysis {
-	key := fmt.Sprintf("%s|iv=%d warm=%d k=%d cache=%s",
-		prefix, cfg.IntervalInsts, cfg.WarmupInsts, cfg.MaxK, cfg.Cache.Dir())
-	memoMu.Lock()
-	a, ok := memo[key]
-	if !ok {
-		a = &analysis{}
-		memo[key] = a
+// Analyze profiles gc's config family on the Atomic model, clusters its
+// intervals and acquires one restore checkpoint per phase (from cfg.Cache
+// when it holds them).
+func Analyze(gc core.GuestConfig, cfg Config) (*Analysis, error) {
+	gc = gc.Normalized()
+	if gc.Mode == core.SE && gc.Cores > 1 {
+		return nil, fmt.Errorf("simpoint: sampled mode is single-core only (BBV profiles and checkpoints capture one architectural thread); run the multicore guest full-length")
 	}
-	memoMu.Unlock()
-	return a
+	cfg = cfg.withDefaults()
+	a := &Analysis{prefix: ConfigPrefix(gc)}
+	var err error
+	if a.prof, err = buildProfile(gc, cfg.IntervalInsts, cfg.WarmupInsts, bbvDims); err != nil {
+		return nil, err
+	}
+	a.phases = clusterIntervals(a.prof.Intervals, cfg.MaxK, kmeansSeed)
+	if a.ckpts, err = acquireCheckpoints(gc, a.prefix, cfg, a.prof, a.phases); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
+
+// ResetMemo does nothing: the package keeps no analysis between calls
+// (Analyze returns one to whoever asked). It stays because bench/ calls it.
+func ResetMemo() {}
 
 // RunSampled runs one co-simulation in sampled mode and returns the
 // extrapolated result: RunSampledSweep of one.
@@ -158,35 +155,45 @@ func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
 	return res[0], nil
 }
 
-// RunSampledSweep runs one guest on several hosts in sampled mode and
-// returns one extrapolated result per member, in order. The sweep is what
-// core.RunSessions accepts (core.SweepError otherwise): each representative
-// window is measured once for every host, on the machine of one
-// core.IntervalRunner, and each member's result is what RunSampled of that
-// member alone returns. It is safe
-// for concurrent use; concurrent calls sharing a config family block on one
-// shared analysis, then measure their own representative intervals
-// independently.
+// RunSampledSweep runs one guest on several hosts in sampled mode: Analyze
+// of its guest, then that analysis's Sweep, with a sweep that cannot run
+// refused before anything is analyzed.
 func RunSampledSweep(scs []core.SessionConfig, cfg Config) ([]*Result, error) {
-	if err := core.CheckSweep(scs); err != nil {
+	if err := checkSweep(scs); err != nil {
 		return nil, err
 	}
-	sc := scs[0]
-	if sc.Profile {
-		return nil, fmt.Errorf("simpoint: sampled mode cannot host the function profiler (its report would cover only representative intervals)")
+	a, err := Analyze(scs[0].Guest, cfg)
+	if err != nil {
+		return nil, err
 	}
-	gc := sc.Guest.Normalized()
-	if gc.Mode == core.SE && gc.Cores > 1 {
-		return nil, fmt.Errorf("simpoint: sampled mode is single-core only (BBV profiles and checkpoints capture one architectural thread); run the multicore guest full-length")
-	}
-	cfg = cfg.withDefaults()
-	prefix := ConfigPrefix(gc)
-	a := memoFor(prefix, cfg)
-	a.once.Do(func() { a.compute(gc, prefix, cfg) })
-	if a.err != nil {
-		return nil, a.err
-	}
+	return a.Sweep(scs)
+}
 
+// checkSweep refuses what no analysis can sample: a sweep core.RunSessions
+// would not accept (core.SweepError), and the function profiler.
+func checkSweep(scs []core.SessionConfig) error {
+	if err := core.CheckSweep(scs); err != nil {
+		return err
+	}
+	if scs[0].Profile {
+		return fmt.Errorf("simpoint: sampled mode cannot host the function profiler (its report would cover only representative intervals)")
+	}
+	return nil
+}
+
+// Sweep measures a's representative windows for one guest of a's family on
+// several hosts and returns one extrapolated result per member, in order.
+// The sweep is what core.RunSessions accepts (core.SweepError otherwise):
+// each window is measured once for every host, on the machine of one
+// core.IntervalRunner, and each member's result is what RunSampled of that
+// member alone returns.
+func (a *Analysis) Sweep(scs []core.SessionConfig) ([]*Result, error) {
+	if err := checkSweep(scs); err != nil {
+		return nil, err
+	}
+	if p := ConfigPrefix(scs[0].Guest); p != a.prefix {
+		return nil, fmt.Errorf("simpoint: the guest %s is not of the analyzed family %s", p, a.prefix)
+	}
 	outs := make([]*Result, len(scs))
 	for i := range outs {
 		outs[i] = &Result{
@@ -284,16 +291,6 @@ func steadyRate(ivr *core.IntervalResult, restored bool) float64 {
 		return avg
 	}
 	return steady
-}
-
-// compute runs the shared analysis: profile, cluster, acquire checkpoints.
-func (a *analysis) compute(gc core.GuestConfig, prefix string, cfg Config) {
-	a.prof, a.err = buildProfile(gc, cfg.IntervalInsts, cfg.WarmupInsts, bbvDims)
-	if a.err != nil {
-		return
-	}
-	a.phases = clusterIntervals(a.prof.Intervals, cfg.MaxK, kmeansSeed)
-	a.ckpts, a.err = acquireCheckpoints(gc, prefix, cfg, a.prof, a.phases)
 }
 
 // cacheKey derives the content address of the checkpoint at warmTick.

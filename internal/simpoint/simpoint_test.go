@@ -38,7 +38,6 @@ func testConfig(cache *ckptcache.Cache) simpoint.Config {
 // single-digit CPI error on SPEC, and the short quick-mode workloads here
 // are harder to sample, not easier.
 func TestSampledMatchesFull(t *testing.T) {
-	simpoint.ResetMemo()
 	sc := testSession()
 	full, err := core.RunSession(sc)
 	if err != nil {
@@ -72,13 +71,12 @@ func TestSampledMatchesFull(t *testing.T) {
 	}
 }
 
-// TestSampledDeterministicAcrossCacheStates: a cold in-process memo with
-// an empty disk cache, a warm disk cache, and no disk cache at all must
-// produce bit-identical results — the cache is a pure performance layer.
+// TestSampledDeterministicAcrossCacheStates: an empty disk cache, a warm
+// disk cache, and no disk cache at all must produce bit-identical results —
+// the cache is a pure performance layer.
 func TestSampledDeterministicAcrossCacheStates(t *testing.T) {
 	sc := testSession()
 
-	simpoint.ResetMemo()
 	noCache, err := simpoint.RunSampled(sc, testConfig(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +87,6 @@ func TestSampledDeterministicAcrossCacheStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simpoint.ResetMemo()
 	cold, err := simpoint.RunSampled(sc, testConfig(cache))
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +95,6 @@ func TestSampledDeterministicAcrossCacheStates(t *testing.T) {
 		t.Fatalf("cold cache reported hits: %+v", st)
 	}
 
-	simpoint.ResetMemo() // force re-analysis; checkpoints now come from disk
 	warm, err := simpoint.RunSampled(sc, testConfig(cache))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +117,6 @@ func TestSampledCorruptCacheFallsBack(t *testing.T) {
 	cache, _ := ckptcache.Open(dir)
 	sc := testSession()
 
-	simpoint.ResetMemo()
 	clean, err := simpoint.RunSampled(sc, testConfig(cache))
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +135,6 @@ func TestSampledCorruptCacheFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	simpoint.ResetMemo()
 	recovered, err := simpoint.RunSampled(sc, testConfig(cache))
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +156,6 @@ func TestSampledVersionSkewFallsBack(t *testing.T) {
 	cache, _ := ckptcache.Open(dir)
 	sc := testSession()
 
-	simpoint.ResetMemo()
 	clean, err := simpoint.RunSampled(sc, testConfig(cache))
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +178,6 @@ func TestSampledVersionSkewFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	simpoint.ResetMemo()
 	recovered, err := simpoint.RunSampled(sc, testConfig(cache))
 	if err != nil {
 		t.Fatal(err)
@@ -276,8 +268,8 @@ func TestConfigPrefixExcludesSeedIncludesExecution(t *testing.T) {
 
 // TestSampledSharesAnalysisAcrossShards: the BBV pass, the checkpoints and
 // the interval windows always run on the single event queue, so two sampled
-// runs that differ only in Guest.Shards are the same work: one in-process
-// analysis, one set of on-disk checkpoint keys, one result.
+// runs that differ only in Guest.Shards are the same work: one analysis, one
+// set of on-disk checkpoint keys, one result.
 func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
 	cache, err := ckptcache.Open(t.TempDir())
 	if err != nil {
@@ -287,29 +279,31 @@ func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
 	serial.Guest.Shards = core.ShardSerial
 	sharded.Guest.Shards = 2
 
-	simpoint.ResetMemo()
-	first, err := simpoint.RunSampled(serial, testConfig(cache))
+	a, err := simpoint.Analyze(serial.Guest, testConfig(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := cache.Stats()
 	if cold.Misses == 0 || cold.Hits != 0 {
-		t.Fatalf("cold run should only miss: %+v", cold)
+		t.Fatalf("cold analysis should only miss: %+v", cold)
 	}
-
-	// Same memo entry: the second call neither profiles again nor looks a
-	// checkpoint up.
-	second, err := simpoint.RunSampled(sharded, testConfig(cache))
+	first, err := a.Sweep([]core.SessionConfig{serial})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// One analysis: the serial guest's serves the sharded one, and
+	// sweeping it looks no checkpoint up.
+	second, err := a.Sweep([]core.SessionConfig{sharded})
+	if err != nil {
+		t.Fatalf("the serial guest's analysis refused the sharded guest: %v", err)
+	}
 	if st := cache.Stats(); st != cold {
-		t.Fatalf("Shards split the in-process analysis: cache traffic %+v -> %+v", cold, st)
+		t.Fatalf("sweeping the analysis touched the cache: %+v -> %+v", cold, st)
 	}
 
 	// Same on-disk keys: a fresh analysis for the sharded target finds
 	// every checkpoint the serial one stored.
-	simpoint.ResetMemo()
 	third, err := simpoint.RunSampled(sharded, testConfig(cache))
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +311,15 @@ func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
 	if st := cache.Stats(); st.Hits != cold.Misses || st.Misses != cold.Misses {
 		t.Fatalf("Shards split the checkpoint keys: cold %+v, after re-analysis %+v", cold, st)
 	}
-	if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first, third) {
-		t.Fatalf("results differ across Shards:\nserial  %+v\nsharded %+v\nre-analysed %+v", first, second, third)
+	if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first[0], third) {
+		t.Fatalf("results differ across Shards:\nserial  %+v\nsharded %+v\nre-analysed %+v", first[0], second[0], third)
+	}
+
+	// An analysis measures its own family only.
+	other := testSession()
+	other.Guest.Scale = 2048
+	if _, err := a.Sweep([]core.SessionConfig{other}); err == nil {
+		t.Fatal("an analysis swept a guest of another family")
 	}
 }
 
@@ -332,29 +333,28 @@ func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
 // cells of fig13 do). When every cell built its own, the two allocated the
 // same. The host geometry and the build are this test's own, so nothing that
 // ran before it can have warmed them — not even this test under -count, hence
-// warmRuns; a third cell on another host and build takes the family's one-off
-// analysis (profile, clustering, checkpoints) out of the comparison.
+// warmRuns; the family's one-off analysis (profile, clustering, checkpoints)
+// is computed once, out of the comparison, and a third cell on another host
+// and build warms what every cell of it shares.
 func TestWarmConstructionAllocs(t *testing.T) {
 	warmRuns++
-	simpoint.ResetMemo()
-	defer simpoint.ResetMemo()
-	cfg := simpoint.Config{IntervalInsts: 500, WarmupInsts: 1, MaxK: 3}
+	gc := core.GuestConfig{CPU: core.O3, Mode: core.SE, Workload: "sieve", Scale: 512}
+	a, err := simpoint.Analyze(gc, simpoint.Config{IntervalInsts: 500, WarmupInsts: 1, MaxK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cell := func(host uarch.Config, sizeFactor float64) uint64 {
 		t.Helper()
-		sc := core.SessionConfig{
-			Guest:    core.GuestConfig{CPU: core.O3, Mode: core.SE, Workload: "sieve", Scale: 512},
-			Host:     host,
-			HostCode: hostmodel.Config{SizeFactor: sizeFactor},
-		}
+		sc := core.SessionConfig{Guest: gc, Host: host, HostCode: hostmodel.Config{SizeFactor: sizeFactor}}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := simpoint.RunSampled(sc, cfg); err != nil {
+		if _, err := a.Sweep([]core.SessionConfig{sc}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	cell(platform.M1Pro(), 0.911) // the family's analysis
+	cell(platform.M1Pro(), 0.911)
 
 	host := platform.IntelXeon()
 	host.STLBEntries += warmRuns // structure sizes no other test builds

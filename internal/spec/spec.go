@@ -147,17 +147,3 @@ func (p Profile) Run(m *uarch.Machine, blocks int) uarch.Report {
 	}
 	return m.Report()
 }
-
-// RunAll runs every benchmark on fresh machines built from cfg and returns
-// reports keyed by name.
-func RunAll(cfg uarch.Config, blocks int) map[string]uarch.Report {
-	out := make(map[string]uarch.Report, len(profiles))
-	// Run in sorted-name order: each Run drives a fresh machine, but any
-	// future cross-benchmark state (shared caches, pooled allocations)
-	// must not see map-ordered arrival.
-	for _, name := range Names() {
-		m := uarch.NewMachine(cfg)
-		out[name] = profiles[name].Run(m, blocks)
-	}
-	return out
-}

@@ -27,7 +27,10 @@ func TestCharacterContrast(t *testing.T) {
 	// The paper's reason for picking these three: x264 has the highest
 	// IPC, mcf the lowest (heavily back-end bound), deepsjeng misses the
 	// LLC hard.
-	reports := RunAll(platform.IntelXeon(), 120_000)
+	reports := map[string]uarch.Report{}
+	for _, name := range Names() {
+		reports[name] = profiles[name].Run(uarch.NewMachine(platform.IntelXeon()), 120_000)
+	}
 	x264 := reports["525.x264_r"]
 	mcf := reports["505.mcf_r"]
 	djs := reports["531.deepsjeng_r"]

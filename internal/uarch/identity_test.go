@@ -210,7 +210,8 @@ func dirtied(cfg uarch.Config, k int) uarch.Config {
 // segments beside the class's own page backing, and a foreign data region,
 // fed the stream at shifted addresses and then at its own, so that every
 // cache, TLB, predictor table, stream tracker, counter and lane ends up
-// holding something — and is then Reset for the pinned config alone.
+// holding something — and its units are then released and assembled for
+// the pinned config alone.
 // Replaying the captured stream must give the FNV a fresh machine gives;
 // one surviving line, LRU position, region, memo or lane moves it.
 func TestRecycledMachineIdentity(t *testing.T) {
@@ -247,12 +248,12 @@ func TestRecycledMachineIdentity(t *testing.T) {
 			t.Fatalf("%s: the foreign stream left the machine clean", tc.cfg.Name)
 		}
 
-		m.Reset(tc.cfg)
+		m = uarch.Keeper{}.Reassemble(m, tc.cfg)
 		if got := m.Config(); got != tc.cfg || m.Lanes() != 1 {
-			t.Errorf("%s: Config() after Reset = %+v, %d lanes", tc.cfg.Name, got, m.Lanes())
+			t.Errorf("%s: Config() after reassembly = %+v, %d lanes", tc.cfg.Name, got, m.Lanes())
 		}
 		if r := m.Report(); r.Uops != 0 || r.Cycles != 0 || r.DRAMBytes != 0 || r.LLCOccupancyBytes != 0 {
-			t.Errorf("%s: Reset left counters behind: %+v", tc.cfg.Name, r)
+			t.Errorf("%s: reassembly left counters behind: %+v", tc.cfg.Name, r)
 		}
 		mapStream(m)
 		sinkCalls(m, head, 0)
@@ -262,10 +263,10 @@ func TestRecycledMachineIdentity(t *testing.T) {
 	}
 }
 
-// resetSets are the host sets TestResetToAnyHostsEqualsNewLanes and
-// TestNewMachineAllocs move machines between: one host, then hosts of other
+// hostSets are the host sets TestReassembleToAnyHostsEqualsNewLanes and
+// TestNewMachineAllocs move units between: one host, then hosts of other
 // geometries that share some units and not others, then fewer, then one.
-func resetSets() [][]uarch.Config {
+func hostSets() [][]uarch.Config {
 	xeon := platform.IntelXeon()
 	return [][]uarch.Config{
 		{xeon},
@@ -289,11 +290,11 @@ func fig14Hosts() []uarch.Config {
 	}
 }
 
-// TestResetToAnyHostsEqualsNewLanes: Reset takes any hosts — other
-// geometries, more or fewer of them — and the machine then reports, lane for
-// lane, what NewLanes of those hosts reports; an invalid host is refused as
-// loudly as NewMachine refuses it.
-func TestResetToAnyHostsEqualsNewLanes(t *testing.T) {
+// TestReassembleToAnyHostsEqualsNewLanes: the units a machine releases can
+// be assembled for any hosts — other geometries, more or fewer of them — and
+// the machine then reports, lane for lane, what NewLanes of those hosts
+// reports; an invalid host is refused as loudly as NewMachine refuses it.
+func TestReassembleToAnyHostsEqualsNewLanes(t *testing.T) {
 	head := capturedStream(t)
 	head = head[:len(head)/8]
 	run := func(m *uarch.Machine) []string {
@@ -307,42 +308,49 @@ func TestResetToAnyHostsEqualsNewLanes(t *testing.T) {
 		}
 		return out
 	}
+	k := uarch.Keeper{}
 	var m *uarch.Machine
-	for n, hosts := range resetSets() {
+	for n, hosts := range hostSets() {
 		if m == nil {
 			m = uarch.NewLanes(hosts...)
 		} else {
-			m.Reset(hosts...)
+			m = k.Reassemble(m, hosts...)
 		}
 		got, want := run(m), run(uarch.NewLanes(hosts...))
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("set %d, lane %d (%s): after Reset\n%s\nNewLanes\n%s", n, i, hosts[i].Name, got[i], want[i])
+				t.Errorf("set %d, lane %d (%s): reassembled\n%s\nNewLanes\n%s", n, i, hosts[i].Name, got[i], want[i])
 			}
 		}
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Reset to an invalid host did not panic")
+				t.Error("assembly for an invalid host did not panic")
 			}
 		}()
-		m.Reset(platform.IntelXeon(), uarch.Config{Name: "empty"})
+		k.Reassemble(m, platform.IntelXeon(), uarch.Config{Name: "empty"})
 	}()
 }
 
 // TestNewMachineAllocs: a machine costs its L1s, TLBs, predictor and one
 // index word per L2/LLC set, not its capacity (10 MB and 4.5 MB of key rows
-// when every level was dense); a Reset to as many lanes as the machine ever
-// had allocates nothing; and a Reset to hosts it has modeled before, of
-// however many geometries, allocates no structure.
+// when every level was dense); a machine assembled from the units of one
+// that modeled the same hosts allocates nothing to speak of, however many
+// lanes; and one assembled for hosts whose units were kept, of however many
+// geometries, allocates no structure.
 func TestNewMachineAllocs(t *testing.T) {
+	// What fn allocates, averaged over rounds calls, so that what the
+	// runtime allocates meanwhile is not charged to one call.
 	allocated := func(fn func()) float64 {
+		const rounds = 8
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		fn()
+		for i := 0; i < rounds; i++ {
+			fn()
+		}
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		return float64(after.TotalAlloc-before.TotalAlloc) / rounds / (1 << 20)
 	}
 	for _, tc := range []struct {
 		cfg   uarch.Config
@@ -355,33 +363,35 @@ func TestNewMachineAllocs(t *testing.T) {
 		if mb := allocated(func() { m = uarch.NewMachine(tc.cfg) }); mb > tc.maxMB {
 			t.Errorf("NewMachine(%s) allocated %.2f MB, want at most %.1f", tc.cfg.Name, mb, tc.maxMB)
 		}
-		if mb := allocated(func() { m.Reset(tc.cfg) }); mb > 0.01 {
-			t.Errorf("Reset(%s) allocated %.2f MB", tc.cfg.Name, mb)
+		k := uarch.Keeper{}
+		if mb := allocated(func() { m = k.Reassemble(m, tc.cfg) }); mb > 0.01 {
+			t.Errorf("reassembling %s allocated %.2f MB", tc.cfg.Name, mb)
 		}
-		// A sweep's lanes are built once: a machine that ran six hosts and
-		// then one is re-armed for six again without allocating.
+		// A sweep's units are built once: the units of a machine that ran
+		// six hosts and then one are assembled for six again.
 		six := []uarch.Config{tc.cfg, tc.cfg, tc.cfg, tc.cfg, tc.cfg, tc.cfg}
-		m.Reset(six...)
-		m.Reset(tc.cfg)
-		if mb := allocated(func() { m.Reset(six...) }); mb > 0.01 {
-			t.Errorf("Reset(%s x6) after a sweep of six allocated %.2f MB", tc.cfg.Name, mb)
+		m = k.Reassemble(m, six...)
+		m = k.Reassemble(m, tc.cfg)
+		if mb := allocated(func() { m = k.Reassemble(m, six...) }); mb > 0.01 {
+			t.Errorf("reassembling %s x6 after a sweep of six allocated %.2f MB", tc.cfg.Name, mb)
 		}
 	}
 	// Fig. 14's seven geometries, one host, and the seven again: the units
-	// the first sweep built wait as spares.
-	m := uarch.NewLanes(fig14Hosts()...)
-	m.Reset(platform.IntelXeon())
-	if mb := allocated(func() { m.Reset(fig14Hosts()...) }); mb > 0.01 {
+	// the first sweep built wait in the keeper.
+	k, fig14 := uarch.Keeper{}, fig14Hosts()
+	m := k.Reassemble(uarch.NewLanes(fig14...), platform.IntelXeon())
+	if mb := allocated(func() { m = k.Reassemble(m, fig14...) }); mb > 0.01 {
 		t.Errorf("a second Fig. 14 sweep allocated %.2f MB", mb)
 	}
-	for _, hosts := range append(resetSets(), resetSets()...) {
-		m.Reset(hosts...)
+	sets := hostSets()
+	for _, hosts := range append(sets, sets...) {
+		m = k.Reassemble(m, hosts...)
 	}
 	if mb := allocated(func() {
-		for _, hosts := range resetSets() {
-			m.Reset(hosts...)
+		for _, hosts := range sets {
+			m = k.Reassemble(m, hosts...)
 		}
 	}); mb > 0.01 {
-		t.Errorf("Resets through host sets the machine has modeled allocated %.2f MB", mb)
+		t.Errorf("reassembling for host sets whose units were kept allocated %.2f MB", mb)
 	}
 }

@@ -88,9 +88,7 @@ type Machine struct {
 
 	// units heads, per kind, the list of the units the lanes use, linked
 	// through Unit.next in the order of the first lane that uses each.
-	// spare links the units an earlier Reset used and no lane uses now.
 	units [numKinds]*Unit
-	spare *Unit
 }
 
 // NewMachine builds a host machine model from a validated config.
@@ -104,37 +102,11 @@ func NewLanes(cfgs ...Config) *Machine { return Assemble(nil, cfgs...) }
 // Assemble is NewLanes drawing on a keeper of idle units: each unit the
 // machine needs is taken from take (which returns nil when it has none of
 // that key) before one is built, and reset, so the machine computes what
-// NewLanes(cfgs...) would. A nil take builds every unit.
+// NewLanes(cfgs...) would. A nil take builds every unit. A lane uses the
+// unit of its key another lane already uses, or a drawn one.
 func Assemble(take func(UnitKey) *Unit, cfgs ...Config) *Machine {
 	checkLanes(cfgs)
-	m := &Machine{}
-	m.arm(take, cfgs)
-	return m
-}
-
-// checkLanes panics unless there is at least one config and every config
-// validates.
-func checkLanes(cfgs []Config) {
-	if len(cfgs) == 0 {
-		panic("uarch: a machine needs at least one host")
-	}
-	for i := range cfgs {
-		if err := cfgs[i].Validate(); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// arm gives m one lane per config, on units in their initial state. Every
-// unit m holds becomes a spare first; a lane then uses the unit of its key
-// another lane already uses, or a spare, or one from take, or a new one. The
-// lanes of a run with at least as many are reused.
-func (m *Machine) arm(take func(UnitKey) *Unit, cfgs []Config) {
-	m.spareAll()
-	if cap(m.lanes) < len(cfgs) {
-		m.lanes = make([]lane, len(cfgs))
-	}
-	m.lanes = m.lanes[:len(cfgs)]
+	m := &Machine{lanes: make([]lane, len(cfgs))}
 	var tails [numKinds]*Unit
 	for i := range m.lanes {
 		l := &m.lanes[i]
@@ -147,7 +119,7 @@ func (m *Machine) arm(take func(UnitKey) *Unit, cfgs []Config) {
 				u = u.next
 			}
 			if u == nil {
-				u = m.draw(take, key, cfg)
+				u = draw(take, key, cfg)
 				if tails[k] == nil {
 					m.units[k] = u
 				} else {
@@ -168,71 +140,50 @@ func (m *Machine) arm(take func(UnitKey) *Unit, cfgs []Config) {
 			l.unit[k] = u
 		}
 	}
+	return m
 }
 
-// spareAll makes every unit the lanes use a spare, linked to no other unit.
-func (m *Machine) spareAll() {
+// checkLanes panics unless there is at least one config and every config
+// validates.
+func checkLanes(cfgs []Config) {
+	if len(cfgs) == 0 {
+		panic("uarch: a machine needs at least one host")
+	}
+	for i := range cfgs {
+		if err := cfgs[i].Validate(); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// draw returns a unit of key, reset and linked to nothing: one from take,
+// or a new one built for cfg.
+func draw(take func(UnitKey) *Unit, key UnitKey, cfg *Config) *Unit {
+	var u *Unit
+	if take != nil {
+		u = take(key)
+	}
+	if u == nil {
+		return newUnit(key, cfg)
+	}
+	u.reset()
+	return u
+}
+
+// Release hands every unit m holds to put, linked to no other unit, and
+// leaves m with none and no lanes: m must not be used again.
+func (m *Machine) Release(put func(*Unit)) {
 	for k := range m.units {
 		for u := m.units[k]; u != nil; {
 			next := u.next
 			u.unlink()
-			u.next, m.spare = m.spare, u
+			u.next = nil
+			put(u)
 			u = next
 		}
 		m.units[k] = nil
 	}
-}
-
-// draw returns a unit of key, reset and linked to nothing: a spare, one
-// from take, or a new one built for cfg.
-func (m *Machine) draw(take func(UnitKey) *Unit, key UnitKey, cfg *Config) *Unit {
-	var u *Unit
-	for at := &m.spare; *at != nil; at = &(*at).next {
-		if (*at).key == key {
-			u = *at
-			*at = u.next
-			break
-		}
-	}
-	if u == nil && take != nil {
-		u = take(key)
-	}
-	if u == nil {
-		u = newUnit(key, cfg)
-	} else {
-		u.reset()
-	}
-	u.next = nil
-	return u
-}
-
-// Reset re-arms m in place for the hosts cfgs, whatever they are, one lane
-// each: afterwards m computes, report for report and lane for lane, what
-// NewLanes(cfgs...) would, whatever it ran before and with however many
-// lanes. Every unit a lane uses is in its initial state (caches
-// invalidated, LRU orders and predictor tables re-initialised, TLBs and the
-// BTB emptied, address maps, memos and stream trackers forgotten), every
-// count is dropped, and with them every Top-Down account, and every price
-// is derived from its config again. Units of keys no host has any more stay
-// with m as spares, so a Reset to hosts m has modeled before allocates no
-// structure.
-// Every cfg must validate; Reset panics otherwise, as NewMachine does.
-func (m *Machine) Reset(cfgs ...Config) {
-	checkLanes(cfgs)
-	m.arm(nil, cfgs)
-}
-
-// Release hands every unit m holds, in use or spare, to put, and leaves m
-// with none and no lanes: m must not be used again until a Reset.
-func (m *Machine) Release(put func(*Unit)) {
-	m.spareAll()
-	for u := m.spare; u != nil; {
-		next := u.next
-		u.next = nil
-		put(u)
-		u = next
-	}
-	m.spare, m.lanes = nil, nil
+	m.lanes = nil
 }
 
 // Config returns the configuration of the machine's first lane.

@@ -7,6 +7,31 @@ import (
 	"testing/quick"
 )
 
+// Keeper holds released units by key, as core's unit store does: the tests
+// move a machine's units to other hosts through Release and
+// Assemble(keeper.Take, ...).
+type Keeper map[UnitKey][]*Unit
+
+// Put keeps u.
+func (k Keeper) Put(u *Unit) { k[u.key] = append(k[u.key], u) }
+
+// Take returns a kept unit of key, the last one kept, or nil.
+func (k Keeper) Take(key UnitKey) *Unit {
+	us := k[key]
+	if len(us) == 0 {
+		return nil
+	}
+	k[key] = us[:len(us)-1]
+	return us[len(us)-1]
+}
+
+// Reassemble releases m's units to k and assembles a machine for cfgs from
+// them.
+func (k Keeper) Reassemble(m *Machine, cfgs ...Config) *Machine {
+	m.Release(k.Put)
+	return Assemble(k.Take, cfgs...)
+}
+
 func testConfig() Config {
 	return Config{
 		Name:          "test",
@@ -396,12 +421,13 @@ func TestHugePageModeString(t *testing.T) {
 }
 
 // TestResetForgetsMemos covers what TestRecycledMachineIdentity cannot see:
-// a same-page memo that survives Reset answers one access that should have
-// missed, the page then misses on its next use instead, and every count
-// comes out the same. So look at the memos (and the address maps) directly,
-// in every unit and every lane: the machine runs three hosts of two
-// translation keys, is Reset for one and then for two, so the second
-// lane's units come back from the spares.
+// a same-page memo that survives a unit's reset answers one access that
+// should have missed, the page then misses on its next use instead, and
+// every count comes out the same. So look at the memos (and the address
+// maps) directly, in every unit and every lane: the machine runs three hosts
+// of two translation keys, its units are released and assembled for one and
+// then for two, so the second lane's units come back from the keeper after
+// a machine that did not use them.
 func TestResetForgetsMemos(t *testing.T) {
 	cfg := testConfig()
 	thp := cfg
@@ -416,10 +442,11 @@ func TestResetForgetsMemos(t *testing.T) {
 			m.Data(0x7000_0000+i*520, 8, i%3 == 0)
 		}
 	}
+	k := Keeper{}
 	run()
-	m.Reset(cfg)
+	m = k.Reassemble(m, cfg)
 	run()
-	m.Reset(cfg, thp)
+	m = k.Reassemble(m, cfg, thp)
 	if m.Lanes() != 2 {
 		t.Fatalf("%d lanes after Reset for two hosts", m.Lanes())
 	}

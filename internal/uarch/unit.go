@@ -81,7 +81,7 @@ func keyOf(k unitKind, c *Config) UnitKey {
 // (Machine.Release) and handed to another machine (Assemble), which resets
 // them first.
 type Unit struct {
-	next *Unit // the next unit of the machine's list of this kind, or of its spares
+	next *Unit // the next unit of the machine's list of this kind
 
 	// down are the units an L1's or an L2's misses go on to: the L2 units
 	// below an L1, the LLC units below an L2.
