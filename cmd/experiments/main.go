@@ -3,7 +3,7 @@
 // Usage:
 //
 //	experiments [-quick] [-run table1,fig01,...|all] [-j N] [-cores N]
-//	            [-simpoint] [-simpoint-interval N] [-o out.txt]
+//	            [-simpoint] [-o out.txt]
 //	            [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -cores caps the multicore guest scaling sweep (fig16): each cell builds
@@ -14,9 +14,11 @@
 // sampled simulation (see DESIGN.md §12): profile once on the Atomic model,
 // cluster the basic-block vectors into phases, then simulate only one
 // representative interval per phase on the detailed model and extrapolate by
-// cluster weight. Sampled figures carry a note documenting the mode and its
-// error bound; figures that need full microarchitectural detail (fig11's
-// Top-Down breakdown) always run full.
+// cluster weight. The intervals are 500 committed instructions, the one
+// length the documented error bound was measured at, so no flag changes
+// them. Sampled figures carry a note documenting the mode and its error
+// bound; figures that need full microarchitectural detail (fig11's Top-Down
+// breakdown) always run full.
 //
 // -cpuprofile and -memprofile write pprof profiles of the harness itself
 // (the tool the paper applies to gem5, applied to our reproduction of it),
@@ -71,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulation runs (output is identical for any value)")
 	cores := fs.Int("cores", 0, "cap the multicore scaling sweep (fig16) at this guest core count (0 = default 1/2/4)")
 	simPoint := fs.Bool("simpoint", false, "sample the sweep figures (10, 12, 13) via SimPoint-style phase-representative intervals")
-	simPointInterval := fs.Uint64("simpoint-interval", 0, "override the SimPoint profiling interval in committed instructions (0 = harness default)")
 	outPath := fs.String("o", "", "also write the report to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the harness to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -128,12 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		file = &reportFile{w: f}
 	}
 
-	opt := experiments.Options{
-		Quick: *quick, Jobs: *jobs,
-		Cores:            *cores,
-		SimPoint:         *simPoint,
-		SimPointInterval: *simPointInterval,
-	}
+	opt := experiments.Options{Quick: *quick, Jobs: *jobs, Cores: *cores, SimPoint: *simPoint}
 	start := time.Now()
 	failed := 0
 	// Outcomes arrive in ids order (not completion order), so the report

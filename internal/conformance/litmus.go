@@ -5,12 +5,8 @@ import (
 	"math/rand"
 	"sort"
 
-	"gem5prof/internal/cpu"
-	"gem5prof/internal/guest"
 	"gem5prof/internal/isa"
-	"gem5prof/internal/mem"
 	"gem5prof/internal/sim"
-	"gem5prof/internal/sysemu"
 )
 
 // The litmus suite checks the multicore guest's memory model. The simulator
@@ -283,73 +279,36 @@ func RunLitmus(lt *LitmusTest, model string, cores int) (*LitmusResult, error) {
 }
 
 // RunLitmusSharded is RunLitmus with the choice of the sharded event queue
-// (DRAM on a worker shard); the result must be identical either way (the
-// battery diffs it against the serial run).
+// (DRAM on a worker shard; an Atomic rig runs serially, see RunModelSharded);
+// the result must be identical either way (the battery diffs it against the
+// serial run).
 func RunLitmusSharded(lt *LitmusTest, model string, cores int, sharded bool) (*LitmusResult, error) {
 	if cores < len(lt.Threads) {
 		return nil, fmt.Errorf("conformance: litmus %s needs %d cores, got %d", lt.Name, len(lt.Threads), cores)
-	}
-	newCPU, err := cpu.Model(model)
-	if err != nil {
-		return nil, fmt.Errorf("conformance: %w", err)
 	}
 	prog, err := isa.Assemble(lt.Src)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: litmus %s: assemble: %w", lt.Name, err)
 	}
-	sys := sim.NewSystem(7)
-	gm := guest.NewMemory(memBytes)
-	if err := gm.Load(prog); err != nil {
+	g, err := buildRig(model, cores, true, sharded, prog)
+	if err != nil {
 		return nil, err
 	}
-	se := sysemu.NewSEEnv(sys, gm, 0x0040_0000, 0x0080_0000)
-	hcfg := mem.DefaultHierarchyConfig("sys")
-	hcfg.Directory = true
-	if sharded {
-		sys.EnableSharding(sim.ShardConfig{
-			Quantum:      sim.QuantumFor(hcfg.DRAM.RowHitLatency),
-			BusLookahead: sim.QuantumFor(hcfg.Bus.Latency),
-		})
-	}
-	hier := mem.NewMultiHierarchy(sys, hcfg, cores)
-	cpus := make([]cpu.CPU, cores)
-	for i := 0; i < cores; i++ {
-		cfg := cpu.Config{
-			Name:   fmt.Sprintf("cpu%d", i),
-			Mem:    memAdapter{gm},
-			Env:    se,
-			HartID: uint32(i),
-			IPort:  hier.IPort(i),
-			DPort:  hier.DPort(i),
-		}
-		cpus[i] = newCPU(sys, cfg)
-	}
-	cores32 := make([]*cpu.Core, cores)
-	for i, c := range cpus {
-		cores32[i] = c.Core()
-	}
-	se.AttachCores(cores32)
-	for _, c := range cores32[1:] {
-		c.Park()
-	}
-	for _, c := range cpus {
-		c.Start(prog.Entry)
-	}
-	res := sys.Run(runTimeout, eventLimit)
+	res := g.Sys.Run(runTimeout, eventLimit)
 	if res.Status != sim.ExitRequested {
 		return nil, fmt.Errorf("conformance: litmus %s on %s did not exit: %v after %d events (reason %q)",
 			lt.Name, model, res.Status, res.Events, res.ExitReason)
 	}
-	out := &LitmusResult{Outcome: uint32(res.ExitCode), Ticks: sys.Now(), Stats: sys.Stats()}
+	out := &LitmusResult{Outcome: uint32(res.ExitCode), Ticks: g.Sys.Now(), Stats: g.Sys.Stats()}
 	if !lt.Allowed[out.Outcome] {
 		out.Violations = append(out.Violations, fmt.Sprintf(
 			"litmus %s on %s cores=%d: outcome %#x outside the SC-allowed set %#x",
 			lt.Name, model, cores, out.Outcome, lt.AllowedList()))
 	}
-	for _, v := range CheckStats(sys.Stats(), model == "atomic") {
+	for _, v := range CheckStats(out.Stats, model == "atomic") {
 		out.Violations = append(out.Violations, fmt.Sprintf("litmus %s on %s cores=%d: %s", lt.Name, model, cores, v))
 	}
-	for _, v := range hier.Dir.Audit() {
+	for _, v := range g.Hier.Dir.Audit() {
 		out.Violations = append(out.Violations, fmt.Sprintf("litmus %s on %s cores=%d: %s", lt.Name, model, cores, v))
 	}
 	return out, nil

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 
+	"gem5prof/internal/core"
 	"gem5prof/internal/cpu"
 	"gem5prof/internal/guest"
 	"gem5prof/internal/isa"
-	"gem5prof/internal/mem"
 	"gem5prof/internal/sim"
 )
 
@@ -25,7 +25,8 @@ const (
 	refMaxSteps = 5_000_000
 )
 
-// memBytes is the guest memory size of every conformance rig.
+// memBytes is the guest memory size of the reference interpreter: the 16 MiB
+// core gives every guest.
 const memBytes = 16 << 20
 
 // Result is the observable outcome of running one program on one
@@ -80,27 +81,6 @@ func (h *traceHash) mix(pc uint32, in isa.Inst) {
 	*h = traceHash(v)
 }
 
-// exitEnv terminates the simulation on ecall/ebreak with a0 as the exit
-// code, mirroring the bare-metal SE exit convention of the cpu tests.
-type exitEnv struct{ sys *sim.System }
-
-func (e *exitEnv) Ecall(c *cpu.Core) {
-	c.Halt()
-	e.sys.RequestExit("ecall exit", int(c.ReadReg(10)))
-}
-
-func (e *exitEnv) Ebreak(c *cpu.Core) {
-	c.Halt()
-	e.sys.RequestExit("ebreak exit", int(c.ReadReg(10)))
-}
-
-// memAdapter exposes guest.Memory as cpu.FuncMem.
-type memAdapter struct{ m *guest.Memory }
-
-func (a memAdapter) Read(addr uint32, size int) (uint64, error)  { return a.m.Read(addr, size) }
-func (a memAdapter) Write(addr uint32, size int, v uint64) error { return a.m.Write(addr, size, v) }
-func (a memAdapter) HostAddr(addr uint32) uint64                 { return a.m.HostAddr(addr) }
-
 // RunModel executes prog on one CPU model (with or without the cache
 // hierarchy) and captures its Result. commit, when non-nil, additionally
 // observes every committed (pc, inst) pair.
@@ -109,43 +89,26 @@ func RunModel(model string, prog *isa.Program, caches bool, commit func(pc uint3
 }
 
 // RunModelSharded is RunModel with the choice of the sharded event queue
-// (DRAM on a worker shard). A cache-less rig has no memory domain to shard,
-// so it stays serial regardless. Every field of the Result — architectural
-// state, trace hash, ticks, statistics — must be identical either way; the
-// sharded differential suites diff it against the serial run over the whole
-// conformance corpus.
+// (DRAM on a worker shard). The rig is a product guest running prog
+// (core.BuildProgram), so it resolves its plan as every guest does: an
+// Atomic or cache-less rig has no DRAM events to shard and runs serially.
+// Every field of the Result — architectural state, trace hash, ticks,
+// statistics — must be identical either way; the sharded differential
+// suites diff it against the serial run over the whole conformance corpus.
 func RunModelSharded(model string, prog *isa.Program, caches, sharded bool, commit func(pc uint32, in isa.Inst)) (*Result, error) {
-	newCPU, err := cpu.Model(model)
+	g, err := buildRig(model, 1, caches, sharded, prog)
 	if err != nil {
-		return nil, fmt.Errorf("conformance: %w", err)
-	}
-	sys := sim.NewSystem(7)
-	gm := guest.NewMemory(memBytes)
-	if err := gm.Load(prog); err != nil {
 		return nil, err
 	}
-	cfg := cpu.Config{Name: "cpu0", Mem: memAdapter{gm}, Env: &exitEnv{sys}}
-	if caches {
-		hcfg := mem.DefaultHierarchyConfig("sys")
-		if sharded {
-			sys.EnableSharding(sim.ShardConfig{
-				Quantum:      sim.QuantumFor(hcfg.DRAM.RowHitLatency),
-				BusLookahead: sim.QuantumFor(hcfg.Bus.Latency),
-			})
-		}
-		hier := mem.NewHierarchy(sys, hcfg)
-		cfg.IPort, cfg.DPort = hier.L1I, hier.L1D
-	}
-	c := newCPU(sys, cfg)
+	c := g.CPUs[0].Core()
 	h := newTraceHash()
-	c.Core().SetCommitHook(func(pc uint32, in isa.Inst) {
+	c.SetCommitHook(func(pc uint32, in isa.Inst) {
 		h.mix(pc, in)
 		if commit != nil {
 			commit(pc, in)
 		}
 	})
-	c.Start(prog.Entry)
-	res := sys.Run(runTimeout, eventLimit)
+	res := g.Sys.Run(runTimeout, eventLimit)
 	if res.Status != sim.ExitRequested {
 		return nil, fmt.Errorf("conformance: %s did not exit: %v after %d events (reason %q)",
 			model, res.Status, res.Events, res.ExitReason)
@@ -153,17 +116,32 @@ func RunModelSharded(model string, prog *isa.Program, caches, sharded bool, comm
 	out := &Result{
 		Model:     model,
 		ExitCode:  uint32(res.ExitCode),
-		Retired:   c.Core().CommittedInsts(),
-		MemSum:    gm.Checksum(),
+		Retired:   c.CommittedInsts(),
+		MemSum:    g.Mem.Checksum(),
 		TraceHash: uint64(h),
 		Ticks:     res.Now,
-		Stats:     sys.Stats(),
+		Stats:     g.Sys.Stats(),
 	}
 	for r := uint8(0); r < 32; r++ {
-		out.Regs[r] = c.Core().ReadReg(r)
-		out.FRegs[r] = math.Float64bits(c.Core().ReadFReg(r))
+		out.Regs[r] = c.ReadReg(r)
+		out.FRegs[r] = math.Float64bits(c.ReadFReg(r))
 	}
 	return out, nil
+}
+
+// buildRig builds the SE guest every conformance run executes prog on: model
+// on cores cores, with the cache hierarchy or ideal memory, asking for the
+// sharded engine or not.
+func buildRig(model string, cores int, caches, sharded bool, prog *isa.Program) (*core.GuestSystem, error) {
+	cfg := core.GuestConfig{CPU: core.CPUModel(model), Cores: cores, IdealMemory: !caches}
+	if sharded {
+		cfg.Shards = 2
+	}
+	g, err := core.BuildProgram(cfg, prog)
+	if err != nil {
+		return nil, fmt.Errorf("conformance: %w", err)
+	}
+	return g, nil
 }
 
 // refCtx is a bare interpreter context over real guest memory: the oracle

@@ -168,7 +168,7 @@ func restoreGuest(cfg GuestConfig, plan ExecPlan, ck *Checkpoint, tracer sim.Tra
 	if cfg.Mode == "" {
 		cfg.Mode = ck.Mode
 	}
-	g, _, err := buildGuest(cfg, plan, tracer)
+	g, _, err := buildGuest(cfg, nil, plan, tracer)
 	if err != nil {
 		return nil, err
 	}

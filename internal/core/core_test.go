@@ -7,6 +7,7 @@ import (
 
 	"gem5prof/internal/core"
 	"gem5prof/internal/hostmodel"
+	"gem5prof/internal/isa"
 	"gem5prof/internal/platform"
 	"gem5prof/internal/sim"
 )
@@ -74,6 +75,37 @@ func TestRunGuestErrors(t *testing.T) {
 	}
 	if tr.funcs == 0 || tr.allocs == 0 {
 		t.Errorf("accepted build made %d RegisterFunc and %d AllocData calls", tr.funcs, tr.allocs)
+	}
+
+	// A caller's program runs in SE mode in place of a workload.
+	prog, err := isa.Assemble("\t.org 0x1000\n_start:\n\tli a0, 7\n\tebreak\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  core.GuestConfig
+		want string
+	}{
+		{"program beside a workload", core.GuestConfig{Workload: "sieve"}, `core: a program guest names no workload, got "sieve"`},
+		{"FS program", core.GuestConfig{Mode: core.FS}, "core: a program guest runs in SE mode, not fs"},
+		{"boot-exit program", core.GuestConfig{BootExit: true}, "core: boot-exit requires FS mode"},
+		{"FS boot-exit program", core.GuestConfig{Mode: core.FS, BootExit: true}, "core: a program guest runs in SE mode, not fs"},
+	} {
+		if _, err := core.BuildProgram(c.cfg, prog); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+	core.DropStores()
+	g, err := core.BuildProgram(core.GuestConfig{CPU: core.O3}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := g.Run(); err != nil || res.ExitCode != 7 || !res.ChecksumOK || res.Expected != 0 {
+		t.Errorf("program guest: %+v, %v; want exit 7 with no reference checksum", res, err)
+	}
+	if _, _, n := core.StoreLens(); n != 0 {
+		t.Errorf("a program guest left %d images in the store", n)
 	}
 }
 

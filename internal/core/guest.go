@@ -61,13 +61,6 @@ type GuestConfig struct {
 	// In FS mode every core boots the kernel, which parks the extra harts;
 	// there is no directory and no thread table. At most maxCores.
 	Cores int
-	// MemBytes is guest DRAM size (default 16 MiB, like the paper's small
-	// simulated memories relative to the host).
-	MemBytes uint32
-	// ClockPeriod is the guest clock (default 1 GHz).
-	ClockPeriod sim.Tick
-	// Hierarchy overrides the guest cache hierarchy (nil = defaults).
-	Hierarchy *mem.HierarchyConfig
 	// IdealMemory disables the cache model (ideal 1-cycle memory).
 	IdealMemory bool
 	// GuestTLBs inserts guest instruction/data TLBs in front of the L1s
@@ -94,9 +87,16 @@ type GuestConfig struct {
 	ExecTrace io.Writer
 }
 
-// maxCores is the most cores a guest has: the coherence directory keeps one
-// sharer bit per core in a word.
-const maxCores = 64
+// Every guest has the same machine around its cores: memBytes of DRAM (like
+// the paper's small simulated memories relative to the host), a 1 GHz clock,
+// and mem.DefaultHierarchyConfig's caches unless IdealMemory. maxCores is the
+// most cores a guest has: the coherence directory keeps one sharer bit per
+// core in a word.
+const (
+	memBytes    = 16 << 20
+	clockPeriod = sim.Nanosecond
+	maxCores    = 64
+)
 
 // threaded reports whether a normalized config is a multicore SE guest: the
 // build with a coherence directory and a thread table.
@@ -118,12 +118,6 @@ func (c *GuestConfig) withDefaults() GuestConfig {
 	}
 	if out.Cores <= 0 {
 		out.Cores = 1
-	}
-	if out.MemBytes == 0 {
-		out.MemBytes = 16 * 1024 * 1024
-	}
-	if out.ClockPeriod == 0 {
-		out.ClockPeriod = sim.Nanosecond
 	}
 	if out.Seed == 0 {
 		out.Seed = 42
@@ -176,12 +170,21 @@ type GuestSystem struct {
 // (use sim.NewNopTracer() for pure guest runs), with every CPU started at
 // the workload entry point.
 func BuildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, error) {
-	return startGuest(cfg, newExecPlan(SessionConfig{Guest: cfg, Pipeline: PipelineOff}, false), tracer)
+	return startGuest(cfg, nil, newExecPlan(SessionConfig{Guest: cfg, Pipeline: PipelineOff}, false), tracer)
 }
 
-// startGuest is BuildGuest under an already resolved plan.
-func startGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem, error) {
-	g, entry, err := buildGuest(cfg, plan, tracer)
+// BuildProgram is BuildGuest for the caller's SE program in place of a
+// registered workload, with no host tracing: cfg names no workload, and the
+// guest has no reference checksum. prog is predecoded for this guest alone,
+// not kept in the images store.
+func BuildProgram(cfg GuestConfig, prog *isa.Program) (*GuestSystem, error) {
+	return startGuest(cfg, prog, newExecPlan(SessionConfig{Guest: cfg, Pipeline: PipelineOff}, false), sim.NewNopTracer())
+}
+
+// startGuest is BuildGuest (or, for a non-nil prog, BuildProgram) under an
+// already resolved plan.
+func startGuest(cfg GuestConfig, prog *isa.Program, plan ExecPlan, tracer sim.Tracer) (*GuestSystem, error) {
+	g, entry, err := buildGuest(cfg, prog, plan, tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -215,9 +218,9 @@ func loadWorkload(spec workloads.Spec, scale int, ram *guest.Memory) (img image,
 }
 
 // buildGuest constructs the system without starting the CPUs, returning the
-// workload entry point. restoreGuest starts them at checkpointed PCs
-// instead.
-func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem, uint32, error) {
+// entry point of prog, or of the workload when prog is nil. restoreGuest
+// starts them at checkpointed PCs instead.
+func buildGuest(cfg GuestConfig, prog *isa.Program, plan ExecPlan, tracer sim.Tracer) (*GuestSystem, uint32, error) {
 	cfg = cfg.withDefaults()
 
 	// What a config can name wrongly is rejected before anything is built:
@@ -228,9 +231,13 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 	if cfg.Cores > maxCores {
 		return nil, 0, fmt.Errorf("core: %d cores: a guest has at most %d", cfg.Cores, maxCores)
 	}
-	hasApp := !cfg.BootExit
 	spec, ok := workloads.ByName(cfg.Workload)
-	if hasApp && !ok {
+	switch {
+	case prog != nil && cfg.Mode != SE:
+		return nil, 0, fmt.Errorf("core: a program guest runs in SE mode, not %s", cfg.Mode)
+	case prog != nil && cfg.Workload != "":
+		return nil, 0, fmt.Errorf("core: a program guest names no workload, got %q", cfg.Workload)
+	case prog == nil && !cfg.BootExit && !ok:
 		return nil, 0, fmt.Errorf("core: unknown workload %q", cfg.Workload)
 	}
 	newCPU, err := cpu.Model(string(cfg.CPU))
@@ -240,24 +247,33 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 
 	newQueue := func() sim.Queue {
 		if plan.Calendar {
-			return sim.NewCalendarQueue(1024, sim.Tick(cfg.ClockPeriod))
+			return sim.NewCalendarQueue(1024, clockPeriod)
 		}
 		return sim.NewHeapQueue()
 	}
 	sys := sim.NewSystemWith(newQueue(), tracer, cfg.Seed)
-	ram := guest.NewMemory(cfg.MemBytes)
-	ram.SetHostBase(tracer.AllocData("guest.ram", uint64(cfg.MemBytes)))
+	ram := guest.NewMemory(memBytes)
+	ram.SetHostBase(tracer.AllocData("guest.ram", memBytes))
 
 	g := &GuestSystem{Cfg: cfg, Sys: sys, Mem: ram, plan: plan}
 
-	// Load the workload image and, in FS mode, the kernel that enters it.
+	// Load the program or workload image and, in FS mode, the kernel that
+	// enters it.
 	var entry uint32
 	var img image
-	if hasApp {
-		if img, err = loadWorkload(spec, cfg.Scale, ram); err != nil {
-			return nil, 0, err
-		}
-		entry, g.expect, g.hasRef = img.prog.Entry, img.expect, true
+	switch {
+	case prog != nil:
+		img = image{prog: prog, dec: isa.Predecode(prog)}
+		err = ram.Load(prog)
+	case !cfg.BootExit:
+		img, err = loadWorkload(spec, cfg.Scale, ram)
+		g.expect, g.hasRef = img.expect, true
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	if img.prog != nil {
+		entry = img.prog.Entry
 	}
 	if cfg.Mode != SE {
 		kcfg := workloads.DefaultKernelConfig()
@@ -298,27 +314,15 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 	// undercut it, which is what makes the barrier conservative.
 	if !cfg.IdealMemory {
 		hcfg := mem.DefaultHierarchyConfig("sys")
-		if cfg.Hierarchy != nil {
-			hcfg = *cfg.Hierarchy
-		}
-		if cfg.GuestTLBs {
-			hcfg.GuestTLBs = true
-		}
-		if cfg.threaded() {
-			hcfg.Directory = true
-		}
+		hcfg.GuestTLBs = cfg.GuestTLBs
+		hcfg.Directory = cfg.threaded()
 		if plan.Sharded {
 			// The only CPU-side events that land on the memory shard are
 			// the bus's forward events, scheduled at least the bus latency
-			// in the future — the cpu→mem floor. A zero-latency bus
-			// override leaves the edge unfloored (safe, just conservative).
-			busLook := sim.Tick(0)
-			if hcfg.Bus.Latency > 0 {
-				busLook = sim.QuantumFor(hcfg.Bus.Latency)
-			}
+			// in the future — the cpu→mem floor.
 			sys.EnableSharding(sim.ShardConfig{
 				Quantum:      sim.QuantumFor(hcfg.DRAM.RowHitLatency),
-				BusLookahead: busLook,
+				BusLookahead: sim.QuantumFor(hcfg.Bus.Latency),
 				NewQueue:     newQueue,
 			})
 		}
@@ -329,7 +333,7 @@ func buildGuest(cfg GuestConfig, plan ExecPlan, tracer sim.Tracer) (*GuestSystem
 	for i := 0; i < cfg.Cores; i++ {
 		ccfg := cpu.Config{
 			Name:        fmt.Sprintf("cpu%d", i),
-			ClockPeriod: cfg.ClockPeriod,
+			ClockPeriod: clockPeriod,
 			Mem:         fmem,
 			Env:         env,
 			HartID:      uint32(i),

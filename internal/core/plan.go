@@ -40,8 +40,9 @@ func (p ExecPlan) String() string {
 
 // newExecPlan resolves the plan of one run; nothing else decides whether a
 // run is pipelined or sharded or which queue backend it uses. A bare guest
-// (BuildGuest, RestoreGuest) is a session with no host side: its callers
-// pass PipelineOff. interval marks an IntervalRunner window. The rules:
+// (BuildGuest, BuildProgram, RestoreGuest) is a session with no host side:
+// its callers pass PipelineOff. interval marks an IntervalRunner window. The
+// rules:
 //
 //   - Profile and interval sessions run serially on one goroutine: the
 //     function profiler (at every function entry/exit) and the interval

@@ -209,7 +209,7 @@ func (cs *cosim) build(gc GuestConfig, ck *Checkpoint) error {
 	if ck != nil {
 		cs.guest, err = restoreGuest(gc, cs.plan, ck, cs.cm)
 	} else {
-		cs.guest, err = startGuest(gc, cs.plan, cs.cm)
+		cs.guest, err = startGuest(gc, nil, cs.plan, cs.cm)
 	}
 	if err != nil {
 		return err

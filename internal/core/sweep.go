@@ -78,16 +78,14 @@ func sweepHosts(cfgs []SessionConfig) ([]uarch.Config, error) {
 }
 
 // sameGuest reports whether two guest configs build the same guest: equal
-// field for field, the hierarchy overrides deeply, with the exec-trace
-// writer the same one (a writer that cannot be compared is never the same
-// as another).
+// field for field, with the exec-trace writer the same one (a writer that
+// cannot be compared is never the same as another).
 func sameGuest(a, b GuestConfig) bool {
 	if !sameWriter(a.ExecTrace, b.ExecTrace) {
 		return false
 	}
-	ha, hb := a.Hierarchy, b.Hierarchy
-	a.ExecTrace, b.ExecTrace, a.Hierarchy, b.Hierarchy = nil, nil, nil, nil
-	return a == b && (ha == hb || ha != nil && hb != nil && reflect.DeepEqual(*ha, *hb))
+	a.ExecTrace, b.ExecTrace = nil, nil
+	return a == b
 }
 
 func sameWriter(a, b io.Writer) bool {

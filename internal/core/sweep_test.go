@@ -8,7 +8,6 @@ import (
 
 	"gem5prof/internal/core"
 	"gem5prof/internal/hostmodel"
-	"gem5prof/internal/mem"
 	"gem5prof/internal/platform"
 	"gem5prof/internal/sim"
 	"gem5prof/internal/simpoint"
@@ -249,11 +248,6 @@ func TestSweepRejections(t *testing.T) {
 	}{
 		{"Guest", func(sc *core.SessionConfig) { sc.Guest.CPU = core.O3 }},
 		{"Guest", func(sc *core.SessionConfig) { sc.Guest.ExecTrace = io.Discard }},
-		{"Guest", func(sc *core.SessionConfig) {
-			h := mem.DefaultHierarchyConfig("sys")
-			h.L2.Ways = 4
-			sc.Guest.Hierarchy = &h
-		}},
 		{"HostCode", func(sc *core.SessionConfig) { sc.HostCode = hostmodel.Config{SizeFactor: 0.97} }},
 		{"HostCode", func(sc *core.SessionConfig) { sc.HostCode.TextSlots = 2 }},
 		{"Pipeline", func(sc *core.SessionConfig) { sc.Pipeline = core.PipelineOn }},
@@ -282,21 +276,18 @@ func TestSweepRejections(t *testing.T) {
 			t.Errorf("rejected sweep (%s) drew a unit", tc.field)
 		}
 	}
-	// One profiled host is a sweep of one, same-writer exec traces are one
-	// guest, and so are equal hierarchy overrides behind two pointers.
+	// One profiled host is a sweep of one, and same-writer exec traces are
+	// one guest.
 	profiled := base
 	profiled.Profile = true
 	traced := base
 	traced.Guest.ExecTrace = io.Discard
-	h1, h2 := mem.DefaultHierarchyConfig("sys"), mem.DefaultHierarchyConfig("sys")
-	hier1, hier2 := base, base
-	hier1.Guest.Hierarchy, hier2.Guest.Hierarchy = &h1, &h2
 	hostSide := []core.SessionConfig{base, base, base, base, base}
 	hostSide[1].Host = platform.M1Pro()
 	hostSide[2].Host.DSBUops = 0
 	hostSide[3].Scenario = platform.Scenario{Procs: 4}
 	hostSide[4].HostCode = hostmodel.DefaultConfig()
-	for _, cfgs := range [][]core.SessionConfig{{profiled}, {traced, traced}, {hier1, hier2}, hostSide} {
+	for _, cfgs := range [][]core.SessionConfig{{profiled}, {traced, traced}, hostSide} {
 		if err := core.CheckSweep(cfgs); err != nil {
 			t.Errorf("%d members: %v", len(cfgs), err)
 		}

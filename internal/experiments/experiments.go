@@ -20,12 +20,12 @@ type Options struct {
 	Quick bool
 	// Jobs bounds how many simulation runs execute concurrently (the
 	// harness's -j flag). 0 means GOMAXPROCS; 1 reproduces the sequential
-	// harness. A run is one co-simulation or replay of the pass (pass.go),
-	// or one of fig16's guests. The rendered output is byte-identical for
-	// every value: every cell's result is what its session alone returns,
-	// and results are collected in cell order. Runs leave core.GuestConfig.Seed at its default; a
-	// result does not depend on it, and the field stays only because bench/
-	// sets it.
+	// harness. A run is one co-simulation, replay or bare guest of the pass
+	// (pass.go). The rendered output is byte-identical for every value:
+	// every cell's result is what its session or guest alone returns, and
+	// results are collected in cell order. Runs leave core.GuestConfig.Seed
+	// at its default; a result does not depend on it, and the field stays
+	// only because bench/ sets it.
 	Jobs int
 
 	// Cores caps the multicore scaling sweep (fig16) at the given guest
@@ -40,9 +40,6 @@ type Options struct {
 	// extrapolate. Output stays byte-identical at any -j; the sampled
 	// figures carry a note documenting the mode and its error bound.
 	SimPoint bool
-	// SimPointInterval overrides the profiling interval in committed
-	// instructions (0 = the harness default).
-	SimPointInterval uint64
 
 	// runner is the shared worker pool, created lazily from Jobs. RunMany
 	// installs one runner across all its experiments so Jobs bounds the

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	register("fig16", nil, runFig16)
+	register("fig16", &declaration{guests: fig16Guests}, runFig16)
 }
 
 // fig16Workloads are the mt-suite kernels: same checksum at every core
@@ -30,17 +30,35 @@ func fig16CoreCounts(opt Options) []int {
 	return counts
 }
 
+// fig16Guests are the figure's cells, workload by workload, each at every
+// core count in fig16CoreCounts' order.
+func fig16Guests(opt Options) []bareGuest {
+	scale := 16384
+	if opt.Quick {
+		scale = 2048
+	}
+	var out []bareGuest
+	for _, wl := range fig16Workloads {
+		for _, cores := range fig16CoreCounts(opt) {
+			out = append(out, bareGuest{
+				label: fmt.Sprintf("fig16 %s cores=%d", wl, cores),
+				cfg: core.GuestConfig{
+					CPU: core.Timing, Mode: core.SE, Workload: wl, Scale: scale,
+					Cores: cores,
+				},
+			})
+		}
+	}
+	return out
+}
+
 // runFig16 extends the paper's evaluation to the multicore guest: simulated
 // speedup of the mt kernels on the Timing model as the SE guest grows from
 // 1 to N cores with MESI directory coherence at the shared L2. The directory
 // transition counts land in the notes so coherence traffic is visible next
 // to the speedup it buys.
-func runFig16(opt Options, _ []*cellRun) (*Result, error) {
+func runFig16(opt Options, cells []*cellRun) (*Result, error) {
 	counts := fig16CoreCounts(opt)
-	scale := 16384
-	if opt.Quick {
-		scale = 2048
-	}
 	res := &Result{
 		ID:    "fig16",
 		Title: "Multicore guest scaling, Timing model with directory coherence (1-core ticks = 1.0)",
@@ -48,50 +66,24 @@ func runFig16(opt Options, _ []*cellRun) (*Result, error) {
 	for _, c := range counts {
 		res.Cols = append(res.Cols, fmt.Sprintf("%d-core", c))
 	}
-	type cell struct {
-		ticks  float64
-		invals float64
-		getS   float64
-		getM   float64
-	}
 	nc := len(counts)
-	cells, err := runAll(opt.runner, len(fig16Workloads)*nc, func(i int) (cell, error) {
-		wl, cores := fig16Workloads[i/nc], counts[i%nc]
-		r, err := core.RunGuest(core.GuestConfig{
-			CPU: core.Timing, Mode: core.SE, Workload: wl, Scale: scale,
-			Cores: cores,
-		})
-		if err != nil {
-			return cell{}, fmt.Errorf("fig16 %s cores=%d: %w", wl, cores, err)
-		}
-		if !r.ChecksumOK {
-			return cell{}, fmt.Errorf("fig16 %s cores=%d: checksum mismatch (got %#x want %#x)",
-				wl, cores, r.ExitCode, r.Expected)
-		}
-		out := cell{ticks: float64(r.SimTicks)}
-		if cores > 1 {
-			// A 1-core guest builds the exact pre-multicore machine:
-			// no directory, so no sys.dir.* stats to read.
-			out.invals = r.Stats.Get("sys.dir.invals")
-			out.getS = r.Stats.Get("sys.dir.getS")
-			out.getM = r.Stats.Get("sys.dir.getM")
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	for wi, wl := range fig16Workloads {
-		base := cells[wi*nc].ticks
+		base := float64(cells[wi*nc].guest.SimTicks)
 		row := Row{Label: wl}
 		for ci := range counts {
-			row.Values = append(row.Values, base/cells[wi*nc+ci].ticks)
+			row.Values = append(row.Values, base/float64(cells[wi*nc+ci].guest.SimTicks))
 		}
 		res.Rows = append(res.Rows, row)
-		top := cells[wi*nc+nc-1]
+		var getS, getM, invals float64
+		if counts[nc-1] > 1 {
+			// A 1-core guest builds the exact pre-multicore machine:
+			// no directory, so no sys.dir.* stats to read.
+			top := cells[wi*nc+nc-1].guest.Stats
+			getS, getM, invals = top.Get("sys.dir.getS"), top.Get("sys.dir.getM"), top.Get("sys.dir.invals")
+		}
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%s at %d cores: %.2fx, directory getS/getM/invals = %.0f/%.0f/%.0f",
-			wl, counts[nc-1], row.Values[nc-1], top.getS, top.getM, top.invals))
+			wl, counts[nc-1], row.Values[nc-1], getS, getM, invals))
 	}
 	res.Notes = append(res.Notes,
 		"scaling is sublinear: the serial generate/join phases and coherence misses on shared blocks bound it (the guest-side mirror of the paper's host-side contention findings)")

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -11,52 +13,87 @@ import (
 	"gem5prof/internal/uarch"
 )
 
-// TestRunAllOrderAndBound checks the submit/collect primitive: results come
-// back in index order regardless of completion order, the pool admits at
-// most Workers() concurrent cells, and the lowest failing index wins.
-func TestRunAllOrderAndBound(t *testing.T) {
+// TestPassOrderAndBound checks the pass's pool and collection: the pool
+// admits at most Workers() concurrent runs, a declaration's cells come back
+// in declaration order whatever order their runs complete in, and the lowest
+// failing cell's error wins.
+func TestPassOrderAndBound(t *testing.T) {
 	r := NewRunner(3)
 	if r.Workers() != 3 {
 		t.Fatalf("workers = %d", r.Workers())
 	}
 	var inFlight, maxInFlight atomic.Int64
-	got, err := runAll(r, 64, func(i int) (int, error) {
-		n := inFlight.Add(1)
-		for {
-			m := maxInFlight.Load()
-			if n <= m || maxInFlight.CompareAndSwap(m, n) {
-				break
+	var wg sync.WaitGroup
+	wg.Add(64)
+	for range 64 {
+		r.submit(func() {
+			defer wg.Done()
+			n := inFlight.Add(1)
+			for {
+				m := maxInFlight.Load()
+				if n <= m || maxInFlight.CompareAndSwap(m, n) {
+					break
+				}
 			}
+			runtime.Gosched()
+			inFlight.Add(-1)
+		})
+	}
+	wg.Wait()
+	if m := maxInFlight.Load(); m > 3 {
+		t.Fatalf("pool admitted %d concurrent runs, want <= 3", m)
+	}
+
+	// Bare guests: sieve at four scales, then four unknown workloads.
+	var cfgs []core.GuestConfig
+	for i := range 8 {
+		cfg := core.GuestConfig{Workload: "sieve", Scale: 64 << i}
+		if i >= 4 {
+			cfg.Workload = "nope"
 		}
-		defer inFlight.Add(-1)
-		return i * i, nil
-	})
+		cfgs = append(cfgs, cfg)
+	}
+	guests := func(cfgs []core.GuestConfig) *declaration {
+		return &declaration{guests: func(Options) []bareGuest {
+			var out []bareGuest
+			for i, cfg := range cfgs {
+				out = append(out, bareGuest{label: fmt.Sprintf("cell %d", i), cfg: cfg})
+			}
+			return out
+		}}
+	}
+	measure := func(cfgs []core.GuestConfig) ([]*cellRun, error) {
+		d := guests(cfgs)
+		opt := Options{Jobs: 3}.withRunner()
+		opt.pass.plan(d, opt)
+		return opt.pass.measure(d)
+	}
+	cells, err := measure(cfgs[:4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("got[%d] = %d", i, v)
+	for i, c := range cells {
+		alone, err := core.RunGuest(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.guest.Insts != alone.Insts || c.guest.SimTicks != alone.SimTicks {
+			t.Errorf("cell %d: %d insts in %d ticks, alone %d in %d", i, c.guest.Insts, c.guest.SimTicks, alone.Insts, alone.SimTicks)
 		}
 	}
-	if m := maxInFlight.Load(); m > 3 {
-		t.Fatalf("pool admitted %d concurrent cells, want <= 3", m)
+	if _, err := measure(cfgs); err == nil || err.Error() != `cell 4: core: unknown workload "nope"` {
+		t.Fatalf("err = %v, want the lowest failing cell's", err)
 	}
 
-	_, err = runAll(r, 8, func(i int) (int, error) {
-		if i >= 4 {
-			return 0, fmt.Errorf("cell %d failed", i)
-		}
-		return i, nil
-	})
-	if err == nil || err.Error() != "cell 4 failed" {
-		t.Fatalf("err = %v, want lowest failing cell", err)
-	}
-
-	// nil runner runs inline.
-	got, err = runAll(nil, 3, func(i int) (int, error) { return i, nil })
-	if err != nil || len(got) != 3 {
-		t.Fatalf("inline runAll: %v %v", got, err)
+	// A session planned after a bare guest of its guest rides a
+	// co-simulation of its own.
+	opt := Options{Jobs: 1}.withRunner()
+	opt.pass.plan(guests(cfgs[:1]), opt)
+	opt.pass.plan(full(func(Options) []core.SessionConfig {
+		return []core.SessionConfig{{Guest: cfgs[0], Host: platform.IntelXeon()}}
+	}), opt)
+	if n := len(opt.pass.open); n != 2 {
+		t.Errorf("a bare guest and a session of one guest planned %d runs, want 2", n)
 	}
 }
 

@@ -13,13 +13,14 @@ import (
 
 // A declaration is the cells an experiment renders, in the order it reads
 // them: its sessions, read whole (full) or only as modeled seconds
-// (seconds), which the pass samples under -simpoint, then its replays.
-// Figures that render one measurement share one declaration, which a pass
-// measures once.
+// (seconds), which the pass samples under -simpoint, then its replays, then
+// its bare guests. Figures that render one measurement share one
+// declaration, which a pass measures once.
 type declaration struct {
 	scs     func(Options) []core.SessionConfig
 	seconds bool
 	replays func(Options) []replay
+	guests  func(Options) []bareGuest
 }
 
 func full(scs func(Options) []core.SessionConfig) *declaration {
@@ -36,6 +37,13 @@ type replay struct {
 	host   uarch.Config
 	bench  string
 	blocks int
+}
+
+// A bareGuest is a guest run with no host, and so no session (Fig. 16's
+// cells). A workload checksum that fails is its error, which label names.
+type bareGuest struct {
+	label string
+	cfg   core.GuestConfig
 }
 
 // A pass is one regeneration of a set of experiments — one RunMany, or one
@@ -69,20 +77,23 @@ type pass struct {
 
 // cellRun is one cell of a pass. Its outcome is set once the run it rides
 // closes done: res for a full session, and for a replay a result holding
-// only the host's report, and secs for every cell.
+// only the host's report, and secs for every session and replay; guest for
+// a bare guest.
 type cellRun struct {
 	cosim *cosimRun
 	res   *core.SessionResult
 	secs  float64
+	guest *core.GuestResult
 	err   error
 }
 
 // cosimRun is one run of a pass: a co-simulation — cells of one guest,
-// binary and mode — or one replay.
+// binary and mode — or one replay or bare guest.
 type cosimRun struct {
 	scs     []core.SessionConfig
 	sampled *family // the sampled co-simulations' analysis
 	replay  *replay
+	guest   *bareGuest
 	cells   []*cellRun
 	done    chan struct{}
 }
@@ -99,7 +110,7 @@ type family struct {
 // experiments in id order so that one set of ids makes one plan in
 // whichever order it was given.
 func newPass(ids []string, opt Options) *pass {
-	p := &pass{runner: opt.runner, sp: opt.simpointConfig(),
+	p := &pass{runner: opt.runner, sp: simpointConfig(),
 		decls: map[*declaration][]*cellRun{}, families: map[string]*family{}}
 	ids = slices.Clone(ids)
 	slices.Sort(ids)
@@ -122,18 +133,18 @@ func newPass(ids []string, opt Options) *pass {
 // mode — every such cell the pass's experiments declare — ride one.
 // core.CheckSweep validates both members it compares, so a cell that could
 // not run even alone (a host or binary that does not validate) joins none
-// and none joins it: its error stays its own. Each replay is a run of its
-// own.
+// and none joins it: its error stays its own. Each replay and bare guest is
+// a run of its own.
 func (p *pass) plan(d *declaration, opt Options) {
 	if _, ok := p.decls[d]; ok {
 		return
 	}
 	sampled := d.seconds && opt.SimPoint
 	var runs []*cellRun
-	for _, sc := range d.scs(opt) {
+	for _, sc := range declared(d.scs, opt) {
 		r := &cellRun{}
 		for _, cs := range p.open {
-			if cs.replay == nil && (cs.sampled != nil) == sampled && core.CheckSweep([]core.SessionConfig{cs.scs[0], sc}) == nil {
+			if len(cs.scs) > 0 && (cs.sampled != nil) == sampled && core.CheckSweep([]core.SessionConfig{cs.scs[0], sc}) == nil {
 				r.cosim = cs
 				break
 			}
@@ -153,15 +164,29 @@ func (p *pass) plan(d *declaration, opt Options) {
 		r.cosim.cells = append(r.cosim.cells, r)
 		runs = append(runs, r)
 	}
-	if d.replays != nil {
-		for _, rp := range d.replays(opt) {
-			r := &cellRun{cosim: &cosimRun{replay: &rp, done: make(chan struct{})}}
-			r.cosim.cells = []*cellRun{r}
-			p.open = append(p.open, r.cosim)
-			runs = append(runs, r)
-		}
+	var solos []*cosimRun
+	for _, rp := range declared(d.replays, opt) {
+		solos = append(solos, &cosimRun{replay: &rp})
+	}
+	for _, g := range declared(d.guests, opt) {
+		solos = append(solos, &cosimRun{guest: &g})
+	}
+	for _, cs := range solos {
+		r := &cellRun{cosim: cs}
+		cs.cells, cs.done = []*cellRun{r}, make(chan struct{})
+		p.open = append(p.open, cs)
+		runs = append(runs, r)
 	}
 	p.decls[d] = runs
+}
+
+// declared returns the cells of one kind a declaration declares, none if it
+// declares no cells of that kind.
+func declared[T any](cells func(Options) []T, opt Options) []T {
+	if cells == nil {
+		return nil
+	}
+	return cells(opt)
 }
 
 // measure starts the runs d's cells ride that have not started, and returns
@@ -190,13 +215,19 @@ func (p *pass) measure(d *declaration) ([]*cellRun, error) {
 	return runs, nil
 }
 
-// run executes the co-simulation or replay and sets every cell's outcome.
+// run executes the co-simulation, replay or bare guest and sets every
+// cell's outcome.
 func (cs *cosimRun) run(sp simpoint.Config) {
 	defer close(cs.done)
 	if cs.replay != nil {
 		r := cs.cells[0]
 		rep, err := cs.replay.run()
 		r.res, r.secs, r.err = &core.SessionResult{Host: rep}, rep.TimeSeconds, err
+		return
+	}
+	if cs.guest != nil {
+		r := cs.cells[0]
+		r.guest, r.err = cs.guest.run()
 		return
 	}
 	var err error
@@ -234,6 +265,18 @@ func (rp *replay) run() (uarch.Report, error) {
 	var rep uarch.Report
 	err = core.OnMachine(rp.host, func(m *uarch.Machine) { rep = b.Run(m, rp.blocks) })
 	return rep, err
+}
+
+// run runs the guest and checks its workload's checksum.
+func (bg *bareGuest) run() (*core.GuestResult, error) {
+	r, err := core.RunGuest(bg.cfg)
+	if err == nil && !r.ChecksumOK {
+		err = fmt.Errorf("checksum mismatch (got %#x want %#x)", r.ExitCode, r.Expected)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", bg.label, err)
+	}
+	return r, nil
 }
 
 // describe names a session in an error.

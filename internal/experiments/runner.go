@@ -6,7 +6,6 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // Runner executes the independent simulation runs of an experiment — and,
@@ -62,43 +61,6 @@ func (r *Runner) submit(fn func()) {
 			pprof.Labels("cosim-stage", "experiment-worker"),
 			func(context.Context) { fn() })
 	}()
-}
-
-// runAll executes fn(i) for every cell i in [0,n) on the runner's pool and
-// returns the results in index order, so the collected slice is identical to
-// what the old sequential loops produced no matter how the pool interleaves
-// the runs. On failure the lowest failing index wins — again deterministic.
-// A nil runner runs inline (sequential, no goroutines). Sessions and replays
-// do not come through here but through the pass (pass.go); this is for the
-// rest (fig16's guests).
-func runAll[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if r == nil {
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		r.submit(func() {
-			defer wg.Done()
-			out[i], errs[i] = fn(i)
-		})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Outcome is one experiment's result from RunMany.

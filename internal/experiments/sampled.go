@@ -23,11 +23,11 @@ const sampledErrorBoundPct = 25.0
 // and warmup lengths trade error against speed: warmup only needs to
 // re-warm the guest's own caches, because the sampler keeps the modeled
 // host machine warm across windows (core.IntervalRunner) and projects the
-// residual transient out (simpoint.steadyRate). These defaults keep the
+// residual transient out (simpoint.steadyRate). These lengths keep the
 // quick-suite per-cell error inside sampledErrorBoundPct while clearing
 // the >=10x wall-clock target (simpoint.speedup_x in bench/).
-func (o Options) simpointConfig() simpoint.Config {
-	cfg := simpoint.Config{
+func simpointConfig() simpoint.Config {
+	return simpoint.Config{
 		// WarmupInsts 1 means effectively no warmup: the runner's
 		// machine reuse plus the steady-rate extrapolation replace it
 		// (Config.WarmupInsts == 0 would select the package default).
@@ -35,11 +35,6 @@ func (o Options) simpointConfig() simpoint.Config {
 		WarmupInsts:   1,
 		MaxK:          3,
 	}
-	if o.SimPointInterval != 0 {
-		cfg.IntervalInsts = o.SimPointInterval
-		cfg.WarmupInsts = 0 // re-derive from the interval
-	}
-	return cfg
 }
 
 // sampledNote documents a figure's sampled provenance in its rendered
@@ -48,7 +43,7 @@ func sampledNote(opt Options, res *Result) {
 	if !opt.SimPoint {
 		return
 	}
-	cfg := opt.simpointConfig()
+	cfg := simpointConfig()
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"sampled via simpoint (interval %d insts, warmup %d, <=%d phases); documented error bound %.0f%% vs full simulation",
 		cfg.IntervalInsts, cfg.WarmupInsts, cfg.MaxK, sampledErrorBoundPct))

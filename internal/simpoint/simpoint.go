@@ -99,13 +99,9 @@ type Result struct {
 // same whatever the target asks for.
 func ConfigPrefix(gc core.GuestConfig) string {
 	gc = gc.Normalized()
-	hier := "default"
-	if gc.Hierarchy != nil {
-		hier = fmt.Sprintf("%+v", *gc.Hierarchy)
-	}
-	return fmt.Sprintf("mode=%s workload=%s scale=%d bootexit=%v bootkbs=%d ncpu=%d mem=%d clk=%d hier=%s ideal=%v gtlb=%v calq=%v",
+	return fmt.Sprintf("mode=%s workload=%s scale=%d bootexit=%v bootkbs=%d ncpu=%d ideal=%v gtlb=%v calq=%v",
 		gc.Mode, gc.Workload, gc.Scale, gc.BootExit, gc.BootKBs, gc.Cores,
-		gc.MemBytes, gc.ClockPeriod, hier, gc.IdealMemory, gc.GuestTLBs, gc.CalendarQueue)
+		gc.IdealMemory, gc.GuestTLBs, gc.CalendarQueue)
 }
 
 // Analysis is the work shared by every sampled co-simulation of one config

@@ -259,7 +259,6 @@ func TestConfigPrefixExcludesSeedIncludesExecution(t *testing.T) {
 	}
 	// Zero fields and their spelled-out defaults share a prefix.
 	e := testGuest()
-	e.MemBytes = 16 * 1024 * 1024
 	e.Cores = 1
 	if simpoint.ConfigPrefix(a) != simpoint.ConfigPrefix(e) {
 		t.Fatal("prefix distinguishes defaulted and explicit fields")
