@@ -175,7 +175,8 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) ([]*Interval
 	reached := 0
 	markAt := func(i int) {
 		for l := 0; l < members; l++ {
-			times[i*members+l] = cs.laneSeconds(l)
+			_, host := cs.counts(l)
+			times[i*members+l] = host.TimeSeconds
 		}
 		reached = i + 1
 	}
@@ -198,7 +199,7 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) ([]*Interval
 	out := make([]*IntervalResult, members)
 	for l := range out {
 		at := func(i int) float64 { return times[i*members+l] }
-		end := cs.laneSeconds(l)
+		end := sessions[l].SimSeconds()
 		var subSecs []float64
 		var subInsts []uint64
 		for i := 1; i < reached; i++ {

@@ -111,10 +111,10 @@ func intervalWindow(sc core.SessionConfig, ck *core.Checkpoint, warmup, budget u
 	return res[0], nil
 }
 
-// TestRunIntervalSession exercises the sampled-simulation leg end to end:
+// TestIntervalRunner exercises the sampled-simulation leg end to end:
 // fresh-start and checkpoint-restored intervals must both measure a
 // positive modeled time over exactly the budgeted window.
-func TestRunIntervalSession(t *testing.T) {
+func TestIntervalRunner(t *testing.T) {
 	sc := core.SessionConfig{
 		Guest: core.GuestConfig{CPU: core.Timing, Mode: core.SE, Workload: "sieve", Scale: 1024},
 		Host:  platform.IntelXeon(),
@@ -165,9 +165,9 @@ func TestRunIntervalSession(t *testing.T) {
 	}
 }
 
-// TestRunIntervalSessionExitDuringWarmup: a warmup longer than the whole
+// TestIntervalRunnerExitDuringWarmup: a warmup longer than the whole
 // workload must surface as an error, not a zero-length measurement.
-func TestRunIntervalSessionExitDuringWarmup(t *testing.T) {
+func TestIntervalRunnerExitDuringWarmup(t *testing.T) {
 	sc := core.SessionConfig{
 		Guest: core.GuestConfig{CPU: core.Atomic, Mode: core.SE, Workload: "sieve", Scale: 1024},
 		Host:  platform.IntelXeon(),

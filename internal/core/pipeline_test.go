@@ -7,22 +7,15 @@ import (
 	"testing"
 
 	"gem5prof/internal/platform"
-	"gem5prof/internal/uarch"
 )
 
-// plain is a Report without its String method, so that %v prints its
-// fields rather than the rendered text.
-type plain uarch.Report
-
-// fullStatDump renders every modeled statistic of a session at full float64
-// precision: the complete host report struct (Top-Down cycle components,
-// miss rates, occupancy, DRAM traffic — %v of a plain prints floats with the
-// shortest round-trippable representation, so a single ULP of drift shows), the
-// code-model summary, and the entire guest stats registry. Any divergence
-// between two runs makes the dumps byte-unequal.
+// fullStatDump renders every modeled statistic of a session: the host's
+// counts, every one an integer (its report is their price), the code-model
+// summary, and the entire guest stats registry. Any divergence between two
+// runs makes the dumps byte-unequal.
 func fullStatDump(r *SessionResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "host %+v\n", plain(r.Host))
+	fmt.Fprintf(&b, "host %+v\n", r.Counts)
 	fmt.Fprintf(&b, "code text=%d funcs=%d called=%d\n", r.TextBytes, r.NumFuncs, r.CalledFuncs)
 	fmt.Fprintf(&b, "guest ticks=%d insts=%d exit=%d reason=%q events=%d checksum=%v\n",
 		r.Guest.SimTicks, r.Guest.Insts, r.Guest.ExitCode, r.Guest.ExitReason,

@@ -93,9 +93,10 @@ type SessionResult struct {
 	// results of one RunSessions call share it, since their hosts ran one
 	// guest: it is read-only.
 	Guest *GuestResult
-	// Host is the host machine's profile; Host.TimeSeconds is the paper's
-	// "simulation time (host seconds)" metric.
-	Host uarch.Report
+	// Host is the price of Counts, what the host machine's units counted;
+	// Host.TimeSeconds is the paper's "simulation time (host seconds)" metric.
+	Host   uarch.Report
+	Counts uarch.Counts
 	// Prof is the function profiler when SessionConfig.Profile was set.
 	Prof *profiler.Profiler
 	// Code summarizes the synthetic simulator binary.
@@ -119,9 +120,10 @@ func (r *SessionResult) SimSeconds() float64 { return r.Host.TimeSeconds }
 type cosim struct {
 	plan ExecPlan
 	// lanes[i] is the lane member i is modeled on; members whose contended
-	// hosts are equal share one.
+	// hosts are equal share one. hosts[l] is lane l's contended host.
 	machine  *uarch.Machine
 	lanes    []int
+	hosts    []uarch.Config
 	cm       *hostmodel.CodeModel
 	hostCode hostmodel.Config // normalised
 	prof     *profiler.Profiler
@@ -167,7 +169,7 @@ func newCosim(cfgs []SessionConfig, interval bool) (*cosim, error) {
 		return nil, fmt.Errorf("core: interval sessions do not support the function profiler")
 	}
 	distinct, lanes := assignLanes(hosts)
-	cs := &cosim{plan: newExecPlan(cfg, interval), lanes: lanes, hostCode: cfg.HostCode.Normalized()}
+	cs := &cosim{plan: newExecPlan(cfg, interval), lanes: lanes, hosts: distinct, hostCode: cfg.HostCode.Normalized()}
 	cs.machine = acquireMachine(distinct...)
 
 	// Pipelined mode interposes a batch encoder between the code model and
@@ -190,9 +192,12 @@ func newCosim(cfgs []SessionConfig, interval bool) (*cosim, error) {
 	return cs, nil
 }
 
-// laneSeconds returns the modeled host seconds of member i so far.
-func (cs *cosim) laneSeconds(i int) float64 {
-	return cs.machine.LaneTimeSeconds(cs.lanes[i])
+// counts returns what member i's units have counted so far, and their
+// price.
+func (cs *cosim) counts(i int) (uarch.Counts, uarch.Report) {
+	l := cs.lanes[i]
+	c := cs.machine.Counts(l)
+	return c, uarch.Price(&cs.hosts[l], &c)
 }
 
 // build constructs the guest onto the code model's tracer (from ck when
@@ -269,10 +274,12 @@ func (cs *cosim) run(runGuest func() (*GuestResult, error)) (gres *GuestResult, 
 // sweep order. They share gres.
 func (cs *cosim) results(gres *GuestResult) []*SessionResult {
 	out := make([]*SessionResult, len(cs.lanes))
-	for i, l := range cs.lanes {
+	for i := range cs.lanes {
+		c, r := cs.counts(i)
 		out[i] = &SessionResult{
 			Guest:       gres,
-			Host:        cs.machine.LaneReport(l),
+			Counts:      c,
+			Host:        r,
 			Prof:        cs.prof,
 			TextBytes:   cs.cm.TextBytes(),
 			NumFuncs:    cs.cm.NumFuncs(),

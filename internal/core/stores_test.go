@@ -16,8 +16,8 @@ import (
 )
 
 // digest is everything of a session result that the stores could move if
-// reuse were wrong: every guest statistic, the host report in its rendered
-// form and at full precision, and the summary of the synthetic binary.
+// reuse were wrong: every guest statistic, the host's counts and its report
+// in rendered form, and the summary of the synthetic binary.
 func digest(t *testing.T, sc core.SessionConfig) string {
 	t.Helper()
 	res, err := core.RunSession(sc)
@@ -31,8 +31,8 @@ func digest(t *testing.T, sc core.SessionConfig) string {
 }
 
 func digestOf(res *core.SessionResult) string {
-	return fmt.Sprintf("%s\n%s\n%s\nfuncs %d text %d called %d", res.Guest.Stats.Dump(), res.Host.String(),
-		fields(res.Host), res.NumFuncs, res.TextBytes, res.CalledFuncs)
+	return fmt.Sprintf("%s\n%s\n%+v\nfuncs %d text %d called %d", res.Guest.Stats.Dump(), res.Host.String(),
+		res.Counts, res.NumFuncs, res.TextBytes, res.CalledFuncs)
 }
 
 // sharingMatrix is every CPU model x {SE, FS boot-exit, four cores, guest

@@ -75,13 +75,6 @@ func laneSweeps() map[string][]core.SessionConfig {
 	return out
 }
 
-// plainReport is a Report without its String method, so that %v prints its
-// fields rather than the rendered text.
-type plainReport uarch.Report
-
-// fields renders every field of r, each float at full precision.
-func fields(r uarch.Report) string { return fmt.Sprintf("%+v", plainReport(r)) }
-
 // fig14Hosts are Fig. 14's FireSim L1/L2 geometries.
 func fig14Hosts() []uarch.Config {
 	return []uarch.Config{
@@ -95,19 +88,19 @@ func fig14Hosts() []uarch.Config {
 	}
 }
 
-// TestLaneIdentity: every lane of a sweep reports, field for field and to
-// the last bit of every float, what RunSession of its host alone reports —
+// TestLaneIdentity: every lane of a sweep counts what RunSession of its
+// host alone counts, and so, Price being pure, reports what it reports —
 // serial and pipelined, since the pipelined consumer feeds the laned
 // machine — and the lanes share the one guest they ran.
 func TestLaneIdentity(t *testing.T) {
 	for name, cfgs := range laneSweeps() {
-		solo := make([]string, len(cfgs))
+		solo := make([]uarch.Counts, len(cfgs))
 		for i, sc := range cfgs {
 			res, err := core.RunSession(sc)
 			if err != nil {
 				t.Fatalf("%s: host %d alone: %v", name, i, err)
 			}
-			solo[i] = fields(res.Host)
+			solo[i] = res.Counts
 		}
 		for _, pipe := range []core.PipelineMode{core.PipelineOff, core.PipelineOn} {
 			swept := append([]core.SessionConfig(nil), cfgs...)
@@ -122,8 +115,8 @@ func TestLaneIdentity(t *testing.T) {
 				t.Fatalf("%s, pipeline %v: %d results for %d hosts", name, pipe, len(res), len(cfgs))
 			}
 			for i, r := range res {
-				if got := fields(r.Host); got != solo[i] {
-					t.Errorf("%s, pipeline %v: lane %d (%s):\n%s\nalone:\n%s", name, pipe, i, cfgs[i].Host.Name, got, solo[i])
+				if r.Counts != solo[i] {
+					t.Errorf("%s, pipeline %v: lane %d (%s):\n%+v\nalone:\n%+v", name, pipe, i, cfgs[i].Host.Name, r.Counts, solo[i])
 				}
 				if r.Guest != res[0].Guest {
 					t.Errorf("%s, pipeline %v: lane %d has a guest result of its own", name, pipe, i)
@@ -161,8 +154,8 @@ func TestIntervalLaneIdentity(t *testing.T) {
 		}
 		return out
 	}
-	window := func(ivr *core.IntervalResult) string {
-		return fmt.Sprintf("%v %v %d %v %v %s", ivr.Seconds, ivr.SubSeconds, ivr.Insts, ivr.SubInsts, ivr.Completed, fields(ivr.Session.Host))
+	clock := func(ivr *core.IntervalResult) string {
+		return fmt.Sprintf("%v %v %d %v %v", ivr.Seconds, ivr.SubSeconds, ivr.Insts, ivr.SubInsts, ivr.Completed)
 	}
 	for name, cfgs := range laneSweeps() {
 		switch name {
@@ -177,8 +170,10 @@ func TestIntervalLaneIdentity(t *testing.T) {
 		for i := range cfgs {
 			alone := measure(cfgs[i : i+1])
 			for w := range windows {
-				if got, want := window(swept[w][i]), window(alone[w][0]); got != want {
-					t.Errorf("%s: window %d, lane %d:\n%s\nalone:\n%s", name, w, i, got, want)
+				got, want := swept[w][i], alone[w][0]
+				if clock(got) != clock(want) || got.Session.Counts != want.Session.Counts {
+					t.Errorf("%s: window %d, lane %d:\n%s %+v\nalone:\n%s %+v", name, w, i,
+						clock(got), got.Session.Counts, clock(want), want.Session.Counts)
 				}
 			}
 		}
@@ -192,7 +187,7 @@ func TestIntervalLaneIdentity(t *testing.T) {
 // for each of the seven (L1I, L1D, L2) — and a second sweep draws the same
 // units again instead of building more. Members whose contended hosts are
 // equal (asked for twice, or with a scenario that contends nothing) share a
-// lane and report alike.
+// lane and count alike.
 func TestSweepDrawsAUnitPerKey(t *testing.T) {
 	gc := core.GuestConfig{CPU: core.O3, Mode: core.SE, Workload: "sieve", Scale: 256}
 	var cfgs []core.SessionConfig
@@ -225,9 +220,8 @@ func TestSweepDrawsAUnitPerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]int{{0, 3}, {1, 5}} {
-		a, b := fields(res[pair[0]].Host), fields(res[pair[1]].Host)
-		if a != b {
-			t.Errorf("members %d and %d share a lane but report differently:\n%s\n%s", pair[0], pair[1], a, b)
+		if a, b := res[pair[0]].Counts, res[pair[1]].Counts; a != b {
+			t.Errorf("members %d and %d share a lane but count differently:\n%+v\n%+v", pair[0], pair[1], a, b)
 		}
 	}
 }

@@ -241,9 +241,6 @@ func (c *Core) Name() string { return c.name }
 // System returns the owning system.
 func (c *Core) System() *sim.System { return c.sys }
 
-// Clock returns the clock period in ticks.
-func (c *Core) Clock() sim.Tick { return c.clock }
-
 // Decoded returns the predecoded program the core fetches through, nil when
 // it decodes every word it fetches.
 func (c *Core) Decoded() *isa.Decoded { return c.cfg.Decoded }

@@ -76,9 +76,8 @@ type pass struct {
 }
 
 // cellRun is one cell of a pass. Its outcome is set once the run it rides
-// closes done: res for a full session, and for a replay a result holding
-// only the host's report, and secs for every session and replay; guest for
-// a bare guest.
+// closes done: res for a full session and, of the host alone, for a replay,
+// and secs for every session and replay; guest for a bare guest.
 type cellRun struct {
 	cosim *cosimRun
 	res   *core.SessionResult
@@ -221,8 +220,9 @@ func (cs *cosimRun) run(sp simpoint.Config) {
 	defer close(cs.done)
 	if cs.replay != nil {
 		r := cs.cells[0]
-		rep, err := cs.replay.run()
-		r.res, r.secs, r.err = &core.SessionResult{Host: rep}, rep.TimeSeconds, err
+		if r.res, r.err = cs.replay.run(); r.err == nil {
+			r.secs = r.res.SimSeconds()
+		}
 		return
 	}
 	if cs.guest != nil {
@@ -256,15 +256,19 @@ func (cs *cosimRun) run(sp simpoint.Config) {
 	}
 }
 
-// run replays the benchmark on a machine of its host.
-func (rp *replay) run() (uarch.Report, error) {
+// run replays the benchmark on a machine of its host: a result of what its
+// units counted, and their price.
+func (rp *replay) run() (*core.SessionResult, error) {
 	b, err := spec.ByName(rp.bench)
 	if err != nil {
-		return uarch.Report{}, err
+		return nil, err
 	}
-	var rep uarch.Report
-	err = core.OnMachine(rp.host, func(m *uarch.Machine) { rep = b.Run(m, rp.blocks) })
-	return rep, err
+	res := &core.SessionResult{}
+	if err := core.OnMachine(rp.host, func(m *uarch.Machine) { res.Counts = b.Run(m, rp.blocks) }); err != nil {
+		return nil, err
+	}
+	res.Host = uarch.Price(&rp.host, &res.Counts)
+	return res, nil
 }
 
 // run runs the guest and checks its workload's checksum.

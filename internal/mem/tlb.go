@@ -79,9 +79,6 @@ func (t *TLB) MissRate() float64 {
 	return float64(t.misses.Count()) / float64(total)
 }
 
-// Translations returns the total lookup count.
-func (t *TLB) Translations() uint64 { return t.translations.Count() }
-
 // lookup probes and fills the entry file; returns true on hit.
 func (t *TLB) lookup(addr uint32) bool {
 	t.sys.TraceCall(t.fnLookup)

@@ -212,9 +212,6 @@ func (r *Ring) Close() {
 	})
 }
 
-// Closed reports whether Close has been called.
-func (r *Ring) Closed() bool { return r.closed.Load() }
-
 // Acquire returns the oldest published batch, blocking while the ring is
 // empty. It returns nil when the ring is closed and fully drained, or when
 // the consumer side has aborted. The caller owns the batch until Release.

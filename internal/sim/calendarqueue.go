@@ -19,7 +19,6 @@ type CalendarQueue struct {
 	buckets [][]*Event
 	over    []*Event
 	size    int
-	fired   uint64
 }
 
 // NewCalendarQueue returns a calendar queue with nb buckets of the given
@@ -39,9 +38,6 @@ func (q *CalendarQueue) Len() int { return q.size }
 
 // Empty implements Queue.
 func (q *CalendarQueue) Empty() bool { return q.size == 0 }
-
-// Fired returns the total number of events serviced.
-func (q *CalendarQueue) Fired() uint64 { return q.fired }
 
 func (q *CalendarQueue) horizon() Tick {
 	return q.base + Tick(len(q.buckets))*q.width
@@ -139,7 +135,6 @@ func (q *CalendarQueue) ServiceOne() bool {
 	q.beginDispatch(e)
 	q.Deschedule(e)
 	q.now = e.when
-	q.fired++
 	e.fire()
 	q.put(e)
 	return true

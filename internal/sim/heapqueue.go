@@ -8,10 +8,9 @@ import "fmt"
 type HeapQueue struct {
 	stamper
 	oneShots
-	now   Tick
-	seq   uint64
-	heap  []*Event
-	fired uint64
+	now  Tick
+	seq  uint64
+	heap []*Event
 }
 
 // NewHeapQueue returns an empty heap-backed event queue at tick 0.
@@ -25,9 +24,6 @@ func (q *HeapQueue) Len() int { return len(q.heap) }
 
 // Empty implements Queue.
 func (q *HeapQueue) Empty() bool { return len(q.heap) == 0 }
-
-// Fired returns the total number of events serviced.
-func (q *HeapQueue) Fired() uint64 { return q.fired }
 
 // Schedule implements Queue.
 func (q *HeapQueue) Schedule(e *Event, when Tick) {
@@ -89,7 +85,6 @@ func (q *HeapQueue) ServiceOne() bool {
 	q.remove(0)
 	e.pos = -1
 	q.now = e.when
-	q.fired++
 	e.fire()
 	q.put(e)
 	return true

@@ -92,8 +92,8 @@ func ByName(name string) (Profile, error) {
 }
 
 // Run replays blocks fetch blocks of the profile into the machine and
-// returns its report. The stream is deterministic.
-func (p Profile) Run(m *uarch.Machine, blocks int) uarch.Report {
+// returns what its first lane's units counted. The stream is deterministic.
+func (p Profile) Run(m *uarch.Machine, blocks int) uarch.Counts {
 	const (
 		textBase = uint64(0x40_0000)
 		dataBase = uint64(0x7f00_0000_0000)
@@ -145,5 +145,5 @@ func (p Profile) Run(m *uarch.Machine, blocks int) uarch.Report {
 			m.Data(addr, 8, write)
 		}
 	}
-	return m.Report()
+	return m.Counts(0)
 }

@@ -23,13 +23,19 @@ func TestNamesAndLookup(t *testing.T) {
 	}
 }
 
+// price is the report of p's replay of blocks blocks on a machine of host.
+func price(p Profile, host uarch.Config, blocks int) uarch.Report {
+	c := p.Run(uarch.NewMachine(host), blocks)
+	return uarch.Price(&host, &c)
+}
+
 func TestCharacterContrast(t *testing.T) {
 	// The paper's reason for picking these three: x264 has the highest
 	// IPC, mcf the lowest (heavily back-end bound), deepsjeng misses the
 	// LLC hard.
 	reports := map[string]uarch.Report{}
 	for _, name := range Names() {
-		reports[name] = profiles[name].Run(uarch.NewMachine(platform.IntelXeon()), 120_000)
+		reports[name] = price(profiles[name], platform.IntelXeon(), 120_000)
 	}
 	x264 := reports["525.x264_r"]
 	mcf := reports["505.mcf_r"]
@@ -56,17 +62,17 @@ func TestCharacterContrast(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	p, _ := ByName("505.mcf_r")
-	r1 := p.Run(uarch.NewMachine(platform.IntelXeon()), 50_000)
-	r2 := p.Run(uarch.NewMachine(platform.IntelXeon()), 50_000)
-	if r1.Cycles != r2.Cycles || r1.Uops != r2.Uops {
-		t.Fatal("nondeterministic")
+	c1 := p.Run(uarch.NewMachine(platform.IntelXeon()), 50_000)
+	c2 := p.Run(uarch.NewMachine(platform.IntelXeon()), 50_000)
+	if c1 != c2 {
+		t.Fatalf("nondeterministic:\n%+v\n%+v", c1, c2)
 	}
 }
 
 func TestRunOnM1(t *testing.T) {
 	// The generators must run on hosts without a uop cache.
 	p, _ := ByName("525.x264_r")
-	r := p.Run(uarch.NewMachine(platform.M1Pro()), 50_000)
+	r := price(p, platform.M1Pro(), 50_000)
 	if r.Cycles <= 0 {
 		t.Fatal("no cycles")
 	}

@@ -151,40 +151,90 @@ func TestReportIdentityPerHostClass(t *testing.T) {
 		for i := range head {
 			laned.ApplyBatch(&head[i])
 		}
-		if got := reportFNV(laned.LaneReport(1)); got != tc.want {
+		c := laned.Counts(1)
+		if got := reportFNV(uarch.Price(&tc.cfg, &c)); got != tc.want {
 			t.Errorf("%s as lane 1 of 3: Report FNV = %#x, want %#x", tc.cfg.Name, got, tc.want)
 		}
 	}
 }
 
 // TestCyclesIsTheReportsTotal: the profiler reads Cycles at every modeled
-// function entry and exit, and the figures read Report's Cycles; after
-// every record the two must be one pricing of the lane, bit for bit — on a
-// one-host machine, on one without a uop cache (whose DSB slack is 1/0), and
-// on lane 0 of three hosts of other scalars.
+// function entry and exit, from the live units, and the figures read the
+// Cycles of Price of a snapshot of the counts; after every record the two
+// must be one pricing of the lane, bit for bit — on a one-host machine, on
+// one without a uop cache (whose DSB slack is 1/0), and on lane 0 of three
+// hosts of other scalars.
 func TestCyclesIsTheReportsTotal(t *testing.T) {
 	head := capturedStream(t)
 	head = head[:len(head)/4]
 	xeon := platform.IntelXeon()
-	for name, m := range map[string]*uarch.Machine{
-		"Xeon":            uarch.NewMachine(xeon),
-		"M1 Pro":          uarch.NewMachine(platform.M1Pro()),
-		"lane 0 of three": uarch.NewLanes(dirtied(xeon, 0), xeon, dirtied(xeon, 1)),
+	m1 := platform.M1Pro()
+	for _, tc := range []struct {
+		name string
+		cfg  uarch.Config // lane 0's
+		m    *uarch.Machine
+	}{
+		{"Xeon", xeon, uarch.NewMachine(xeon)},
+		{"M1 Pro", m1, uarch.NewMachine(m1)},
+		{"lane 0 of three", dirtied(xeon, 0), uarch.NewLanes(dirtied(xeon, 0), xeon, dirtied(xeon, 1))},
 	} {
+		name, m := tc.name, tc.m
 		mapStream(m)
 		reads := 0
 		for i := range head {
 			for _, rec := range head[i].Records() {
 				sinkCall(m, &rec, 0)
-				c, r := m.Cycles(), m.Report().Cycles
+				counts := m.Counts(0)
+				c, r := m.Cycles(), uarch.Price(&tc.cfg, &counts).Cycles
 				if math.Float64bits(c) != math.Float64bits(r) || math.IsNaN(c) || math.IsInf(c, 0) {
-					t.Fatalf("%s, record %d: Cycles() = %v, Report().Cycles = %v", name, reads, c, r)
+					t.Fatalf("%s, record %d: Cycles() = %v, Price(...).Cycles = %v", name, reads, c, r)
 				}
 				reads++
 			}
 		}
 		if m.Cycles() == 0 {
 			t.Errorf("%s: no cycles after %d records", name, reads)
+		}
+	}
+}
+
+// TestEmptyAccountPricesToZero: a machine that has counted nothing has no
+// cycles, and so no IPC and no stall — not a NaN IPC over a full stall.
+func TestEmptyAccountPricesToZero(t *testing.T) {
+	for _, tc := range hostClasses {
+		want := uarch.Report{Machine: tc.cfg.Name}
+		if got := uarch.Price(&tc.cfg, &uarch.Counts{}); got != want {
+			t.Errorf("%s: Price of no counts = %+v, want %+v", tc.cfg.Name, plain(got), plain(want))
+		}
+		if got := uarch.NewMachine(tc.cfg).Report(); got != want {
+			t.Errorf("%s: Report of a new machine = %+v, want %+v", tc.cfg.Name, plain(got), plain(want))
+		}
+	}
+}
+
+// TestPriceIsPure: the counts are the measurement and a Report their price.
+// Pricing one Counts twice gives one Report, and each lane of a machine of
+// every host class counts what a machine of its host alone counts.
+func TestPriceIsPure(t *testing.T) {
+	head := capturedStream(t)
+	head = head[:len(head)/4]
+	var hosts []uarch.Config
+	for _, tc := range hostClasses {
+		hosts = append(hosts, tc.cfg)
+	}
+	laned := uarch.NewLanes(hosts...)
+	mapStream(laned)
+	sinkCalls(laned, head, 0)
+	for i, h := range hosts {
+		solo := uarch.NewMachine(h)
+		mapStream(solo)
+		sinkCalls(solo, head, 0)
+		c := laned.Counts(i)
+		if want := solo.Counts(0); c != want {
+			t.Errorf("%s as lane %d: counts\n%+v\nalone\n%+v", h.Name, i, c, want)
+		}
+		if a, b := uarch.Price(&h, &c), uarch.Price(&h, &c); a != b || a.Cycles == 0 {
+			t.Errorf("%s: two prices of one Counts:\n%+v\n%+v", h.Name, plain(a), plain(b))
 		}
 	}
 }
@@ -249,11 +299,8 @@ func TestRecycledMachineIdentity(t *testing.T) {
 		}
 
 		m = uarch.Keeper{}.Reassemble(m, tc.cfg)
-		if got := m.Config(); got != tc.cfg || m.Lanes() != 1 {
-			t.Errorf("%s: Config() after reassembly = %+v, %d lanes", tc.cfg.Name, got, m.Lanes())
-		}
-		if r := m.Report(); r.Uops != 0 || r.Cycles != 0 || r.DRAMBytes != 0 || r.LLCOccupancyBytes != 0 {
-			t.Errorf("%s: reassembly left counters behind: %+v", tc.cfg.Name, r)
+		if c, r := m.Counts(0), m.Report(); c != (uarch.Counts{}) || r != (uarch.Report{Machine: tc.cfg.Name}) {
+			t.Errorf("%s: reassembly left counts behind, or another host: %+v, %+v", tc.cfg.Name, c, plain(r))
 		}
 		mapStream(m)
 		sinkCalls(m, head, 0)
@@ -292,19 +339,19 @@ func fig14Hosts() []uarch.Config {
 
 // TestReassembleToAnyHostsEqualsNewLanes: the units a machine releases can
 // be assembled for any hosts — other geometries, more or fewer of them — and
-// the machine then reports, lane for lane, what NewLanes of those hosts
-// reports; an invalid host is refused as loudly as NewMachine refuses it.
+// the machine then counts, lane for lane, what NewLanes of those hosts
+// counts; an invalid host is refused as loudly as NewMachine refuses it.
 func TestReassembleToAnyHostsEqualsNewLanes(t *testing.T) {
 	head := capturedStream(t)
 	head = head[:len(head)/8]
-	run := func(m *uarch.Machine) []string {
+	run := func(m *uarch.Machine, lanes int) []uarch.Counts {
 		mapStream(m)
 		for i := range head {
 			m.ApplyBatch(&head[i])
 		}
-		out := make([]string, m.Lanes())
+		out := make([]uarch.Counts, lanes)
 		for i := range out {
-			out[i] = fmt.Sprintf("%+v", plain(m.LaneReport(i)))
+			out[i] = m.Counts(i)
 		}
 		return out
 	}
@@ -316,10 +363,10 @@ func TestReassembleToAnyHostsEqualsNewLanes(t *testing.T) {
 		} else {
 			m = k.Reassemble(m, hosts...)
 		}
-		got, want := run(m), run(uarch.NewLanes(hosts...))
+		got, want := run(m, len(hosts)), run(uarch.NewLanes(hosts...), len(hosts))
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("set %d, lane %d (%s): reassembled\n%s\nNewLanes\n%s", n, i, hosts[i].Name, got[i], want[i])
+				t.Errorf("set %d, lane %d (%s): reassembled\n%+v\nNewLanes\n%+v", n, i, hosts[i].Name, got[i], want[i])
 			}
 		}
 	}

@@ -1,46 +1,5 @@
 package uarch
 
-// TopDown is the level-1/level-2 cycle accounting of the VTune Top-Down
-// method: every modeled cycle lands in exactly one bucket.
-type TopDown struct {
-	RetiringCycles float64
-
-	// Front-end bandwidth.
-	FEBandwidthMITE float64
-	FEBandwidthDSB  float64
-	// Front-end latency.
-	FELatICache            float64
-	FELatITLB              float64
-	FELatMispredictResteer float64
-	FELatClearResteer      float64
-	FELatUnknownBranch     float64
-
-	BadSpecCycles float64
-
-	BEMemCycles  float64
-	BECoreCycles float64
-}
-
-// FEBandwidth returns the total front-end bandwidth-bound cycles.
-func (t *TopDown) FEBandwidth() float64 { return t.FEBandwidthMITE + t.FEBandwidthDSB }
-
-// FELatency returns the total front-end latency-bound cycles.
-func (t *TopDown) FELatency() float64 {
-	return t.FELatICache + t.FELatITLB + t.FELatMispredictResteer +
-		t.FELatClearResteer + t.FELatUnknownBranch
-}
-
-// FrontEndBound returns all front-end-bound cycles.
-func (t *TopDown) FrontEndBound() float64 { return t.FEBandwidth() + t.FELatency() }
-
-// BackEndBound returns all back-end-bound cycles.
-func (t *TopDown) BackEndBound() float64 { return t.BEMemCycles + t.BECoreCycles }
-
-// Total returns all modeled cycles.
-func (t *TopDown) Total() float64 {
-	return t.RetiringCycles + t.FrontEndBound() + t.BadSpecCycles + t.BackEndBound()
-}
-
 // pageRegion maps an address range to a page size.
 type pageRegion struct {
 	base, end uint64
@@ -82,7 +41,7 @@ const (
 // lane's Top-Down account is its units' counts times its own prices —
 // clock, latencies, widths, MLP — so it is, bit for bit, what a one-host
 // machine of its host reports (DESIGN §21, §23). Lane 0 is the machine's own
-// host: Config, Report, TimeSeconds and Cycles read it.
+// host: Report and Cycles read it; Counts reads any lane.
 type Machine struct {
 	lanes []lane
 
@@ -186,12 +145,6 @@ func (m *Machine) Release(put func(*Unit)) {
 	m.lanes = nil
 }
 
-// Config returns the configuration of the machine's first lane.
-func (m *Machine) Config() Config { return m.lanes[0].cfg }
-
-// Lanes returns how many hosts the machine models.
-func (m *Machine) Lanes() int { return len(m.lanes) }
-
 // MapText registers the simulator's code segment, applying each
 // translation unit's huge-page mode.
 func (m *Machine) MapText(base, end uint64) {
@@ -214,7 +167,7 @@ func (m *Machine) FetchBlock(addr uint64, bytes uint32, uops uint32) {
 	for t := m.units[kindXlat]; t != nil; t = t.next {
 		tr := &t.tr
 		if page := tr.pageOf(addr, &tr.fetch); !tr.itlb.access(page) && !tr.stlb.access(page) {
-			tr.fetchWalks++
+			tr.itlb.Walks++
 		}
 	}
 
@@ -235,14 +188,14 @@ func (m *Machine) FetchBlock(addr uint64, bytes uint32, uops uint32) {
 	for d := m.units[kindDSB]; d != nil; d = d.next {
 		fromDSB := d.hasC && d.c.access(addr&^31)
 		if fromDSB {
-			d.uopsDSB += uint64(uops)
+			d.dsb.UopsDSB += uint64(uops)
 			if !d.lastWasDSB {
-				d.toDSB++
+				d.dsb.ToDSB++
 			}
 		} else {
-			d.uopsMITE += uint64(uops)
+			d.dsb.UopsMITE += uint64(uops)
 			if d.lastWasDSB {
-				d.toMITE++
+				d.dsb.ToMITE++
 			}
 		}
 		d.lastWasDSB = fromDSB
@@ -266,7 +219,7 @@ func (m *Machine) Data(addr uint64, size uint32, write bool) {
 	for t := m.units[kindXlat]; t != nil; t = t.next {
 		tr := &t.tr
 		if page := tr.pageOf(addr, &tr.data); !tr.dtlb.access(page) && !tr.stlb.access(page) {
-			tr.dataWalks++
+			tr.dtlb.Walks++
 		}
 	}
 	row := missLoad
@@ -280,27 +233,34 @@ func (m *Machine) Data(addr uint64, size uint32, write bool) {
 	}
 }
 
-var _ interface {
-	FetchBlock(addr uint64, bytes uint32, uops uint32)
-	Branch(pc, target uint64, taken, indirect bool)
-	Data(addr uint64, size uint32, write bool)
-} = (*Machine)(nil)
+// Counts returns what the units of lane i have counted so far.
+func (m *Machine) Counts(i int) Counts {
+	u := &m.lanes[i].unit
+	c := Counts{
+		L1I: u[kindL1I].c.CacheCounts, L1D: u[kindL1D].c.CacheCounts, L2: u[kindL2].c.CacheCounts,
+		ITLB: u[kindXlat].tr.itlb.TLBCounts, DTLB: u[kindXlat].tr.dtlb.TLBCounts,
+		LLC: u[kindLLC].llc, DSB: u[kindDSB].dsb, Branch: u[kindBP].bp.BranchCounts,
+		OccupancyBytes: u[kindL2].c.OccupancyBytes(),
+	}
+	if u[kindLLC].hasC {
+		c.OccupancyBytes = u[kindLLC].c.OccupancyBytes()
+	}
+	return c
+}
 
-// Cycles returns the total modeled host cycles so far of the first lane.
+// Cycles returns the total modeled host cycles so far of the first lane:
+// its Report's Cycles, priced from its live units' counts without a copy.
 func (m *Machine) Cycles() float64 {
+	l := &m.lanes[0]
+	u := &l.unit
 	var td TopDown
-	m.lanes[0].account(&td)
+	l.account(&td, &u[kindDSB].dsb, &u[kindLLC].llc, &u[kindBP].bp.BranchCounts,
+		&u[kindXlat].tr.itlb.TLBCounts, &u[kindXlat].tr.dtlb.TLBCounts)
 	return td.Total()
 }
 
-// TimeSeconds returns modeled host seconds (the paper's simulation time
-// metric) of the first lane.
-func (m *Machine) TimeSeconds() float64 { return m.LaneTimeSeconds(0) }
-
-// LaneTimeSeconds returns modeled host seconds of lane i.
-func (m *Machine) LaneTimeSeconds(i int) float64 {
-	l := &m.lanes[i]
-	var td TopDown
-	l.account(&td)
-	return td.Total() / (l.cfg.FreqGHz * 1e9)
+// Report prices the counts of the machine's first lane.
+func (m *Machine) Report() Report {
+	c := m.Counts(0)
+	return Price(&m.lanes[0].cfg, &c)
 }

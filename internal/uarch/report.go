@@ -28,8 +28,46 @@ type Breakdown struct {
 	DSB  float64
 }
 
-// Report is a snapshot of one machine's counters and cycle accounting; one
-// Report backs every per-configuration bar in the paper's figures.
+// Counts are what one host's units have counted: the measurement, of which
+// a Report is the price (Price). Every field is an integer, so two Counts
+// are one measurement exactly when they are ==.
+type Counts struct {
+	L1I, L1D, L2 CacheCounts
+	ITLB, DTLB   TLBCounts
+	LLC          LLCCounts
+	DSB          DSBCounts
+	Branch       BranchCounts
+	// OccupancyBytes are the bytes resident in the LLC, or in the L2 of a
+	// host without one.
+	OccupancyBytes uint64
+}
+
+// CacheCounts are a cache's lookups and the misses among them.
+type CacheCounts struct{ Accesses, Misses uint64 }
+
+// TLBCounts are a first-level TLB's lookups, the misses among them, and the
+// misses the STLB missed too, whose page was walked.
+type TLBCounts struct{ Accesses, Misses, Walks uint64 }
+
+// LLCCounts are the bytes DRAM supplied, and the L1 misses above the LLC by
+// row (fetch, load, store) and by what served them (the L2, the LLC, DRAM,
+// or the stream prefetcher, for a data miss it had issued).
+type LLCCounts struct {
+	DRAMBytes uint64
+	Misses    [missStore + 1][levelStream + 1]uint64
+}
+
+// DSBCounts are the uops the DSB and the legacy decoders (MITE) supplied,
+// and the switches into each.
+type DSBCounts struct{ UopsDSB, UopsMITE, ToDSB, ToMITE uint64 }
+
+// BranchCounts are the predictor's lookups, its mispredicts, and the unknown
+// indirect targets (BAClears) among them.
+type BranchCounts struct{ Lookups, Mispredicts, IndirectClears uint64 }
+
+// Report is the price of one host's Counts: its cycle accounting, rates and
+// traffic. One Report backs every per-configuration bar in the paper's
+// figures.
 type Report struct {
 	Machine string
 	TopDown TopDown
@@ -53,66 +91,6 @@ type Report struct {
 	LLCOccupancyBytes uint64
 	DRAMBytes         uint64
 	DRAMBandwidthUtil float64
-}
-
-// Report captures the current state of the machine's first lane.
-func (m *Machine) Report() Report { return m.LaneReport(0) }
-
-// LaneReport captures the current state of lane i: its host's account over
-// the units it shares with the other lanes.
-func (m *Machine) LaneReport(i int) Report {
-	l := &m.lanes[i]
-	var td TopDown
-	l.account(&td)
-	total := td.Total()
-	if total == 0 {
-		total = 1
-	}
-	l2, llc, dsb, tr := &l.unit[kindL2].c, l.unit[kindLLC], l.unit[kindDSB], &l.unit[kindXlat].tr
-	uops := dsb.uopsDSB + dsb.uopsMITE
-	r := Report{
-		Machine:        l.cfg.Name,
-		TopDown:        td,
-		Cycles:         td.Total(),
-		TimeSeconds:    m.LaneTimeSeconds(i),
-		Uops:           uops,
-		ICacheMissRate: l.unit[kindL1I].c.MissRate(),
-		DCacheMissRate: l.unit[kindL1D].c.MissRate(),
-		ITLBMissRate:   tr.itlb.MissRate(),
-		DTLBMissRate:   tr.dtlb.MissRate(),
-		L2MissRate:     l2.MissRate(),
-		DRAMBytes:      llc.dramBytes,
-	}
-	if llc.hasC {
-		r.LLCOccupancyBytes = llc.c.OccupancyBytes()
-	} else {
-		r.LLCOccupancyBytes = l2.OccupancyBytes()
-	}
-	r.BranchMispredictRate = l.unit[kindBP].bp.MispredictRate()
-	r.IPC = float64(uops) / r.Cycles
-	r.StallFrac = 1 - td.RetiringCycles/total
-	if uops > 0 {
-		r.DSBCoverage = float64(dsb.uopsDSB) / float64(uops)
-	}
-	if r.TimeSeconds > 0 && l.cfg.PeakDRAMBytesPerSec > 0 {
-		r.DRAMBandwidthUtil = float64(llc.dramBytes) / r.TimeSeconds / l.cfg.PeakDRAMBytesPerSec
-	}
-	r.Level1 = Breakdown{
-		Retiring:          td.RetiringCycles / total,
-		FrontEndBound:     td.FrontEndBound() / total,
-		BadSpeculation:    td.BadSpecCycles / total,
-		BackEndBound:      td.BackEndBound() / total,
-		FELatency:         td.FELatency() / total,
-		FEBandwidth:       td.FEBandwidth() / total,
-		ICacheMisses:      td.FELatICache / total,
-		ITLBMisses:        td.FELatITLB / total,
-		MispredictResteer: td.FELatMispredictResteer / total,
-		ClearResteer:      td.FELatClearResteer / total,
-		UnknownBranches:   td.FELatUnknownBranch / total,
-		MITE:              td.FEBandwidthMITE / total,
-		DSB:               td.FEBandwidthDSB / total,
-	}
-	return r
 }
 
 // String renders the report in a VTune-summary-like layout.

@@ -80,8 +80,7 @@ type cache struct {
 	// is all ones, which no address shifted right by lineBits >= 1 equals.
 	lastBlock uint64
 
-	Accesses uint64
-	Misses   uint64
+	CacheCounts
 	resident uint64 // valid line count for occupancy
 
 	// evictedTag/evictedOK record the most recent eviction of a valid
@@ -257,14 +256,6 @@ func (c *cache) probe(addr uint64) bool {
 // OccupancyBytes returns resident lines times the line size.
 func (c *cache) OccupancyBytes() uint64 { return c.resident * c.geom.LineBytes }
 
-// MissRate returns misses/accesses.
-func (c *cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
 // gshare is a tournament direction predictor (per-PC bimodal + global
 // history gshare + a choice table) with a BTB for indirect targets, loosely
 // modeling the Xeon's and M1's front-end predictors.
@@ -281,9 +272,7 @@ type gshare struct {
 	}
 	btbMask uint64
 
-	Lookups        uint64
-	Mispredicts    uint64
-	IndirectClears uint64 // BAClears: unknown indirect targets
+	BranchCounts
 }
 
 func newGshare(tableEntries, btbEntries int) *gshare {
@@ -370,14 +359,6 @@ func (g *gshare) indirect(pc, target uint64) bool {
 	e.target = target
 	e.valid = true
 	return hit
-}
-
-// MispredictRate returns mispredicts/lookups.
-func (g *gshare) MispredictRate() float64 {
-	if g.Lookups == 0 {
-		return 0
-	}
-	return float64(g.Mispredicts) / float64(g.Lookups)
 }
 
 func b2u64(b bool) uint64 {

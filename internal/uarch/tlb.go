@@ -16,10 +16,9 @@ import (
 // stack); lastPage answers those without hashing, exactly, because that
 // page is resident and already the MRU entry.
 type tlb struct {
-	idx      *lruidx.Index
-	lastPage uint64 // page of the previous access; all ones (no page's base) before it
-	Accesses uint64
-	Misses   uint64
+	idx       *lruidx.Index
+	lastPage  uint64 // page of the previous access; all ones (no page's base) before it
+	TLBCounts        // Walks is kept for a first-level TLB (see translation)
 
 	// evictedPage/evictedOK record the most recent eviction; written only
 	// on the eviction path, read by the differential tests.
@@ -62,23 +61,14 @@ func (t *tlb) lookup(page uint64) bool {
 	return false
 }
 
-// MissRate returns misses/accesses.
-func (t *tlb) MissRate() float64 {
-	if t.Accesses == 0 {
-		return 0
-	}
-	return float64(t.Misses) / float64(t.Accesses)
-}
-
 // translation is a translation unit: an address map and the iTLB, dTLB and
 // STLB it feeds. The page an address lies in depends on the page sizes and
 // the huge-page backing, so the TLBs' hits and victims do; and the STLB
 // serves both first-level TLBs, so the four are one unit.
 type translation struct {
+	// The STLB backs the iTLB and the dTLB. A miss in both is a page walk,
+	// which the Machine counts in the first-level TLB's Walks.
 	itlb, dtlb, stlb *tlb
-	// The iTLB and dTLB misses the STLB missed too, so that the page was
-	// walked; the STLB served the rest of each TLB's Misses.
-	fetchWalks, dataWalks uint64
 
 	// fetch and data are the regions the previous fetch and the previous
 	// data lookup were answered from: a fetch lands in the text and a data

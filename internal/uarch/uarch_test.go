@@ -80,7 +80,7 @@ func TestCacheHitMissLRU(t *testing.T) {
 	if !c.access(1024) {
 		t.Fatal("MRU line evicted")
 	}
-	if c.OccupancyBytes() == 0 || c.MissRate() == 0 {
+	if c.OccupancyBytes() == 0 || c.Misses == 0 {
 		t.Fatal("accounting empty")
 	}
 	if !c.probe(512) || c.probe(0xdeadbe00) {
@@ -147,8 +147,8 @@ func TestTLB(t *testing.T) {
 	if tl.access(2) {
 		t.Fatal("LRU page survived")
 	}
-	if tl.MissRate() <= 0 || tl.MissRate() > 1 {
-		t.Fatalf("miss rate %v", tl.MissRate())
+	if tl.Misses == 0 || tl.Misses > tl.Accesses {
+		t.Fatalf("%d misses of %d accesses", tl.Misses, tl.Accesses)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestGsharePredictorLearns(t *testing.T) {
 	if g.indirect(0x2000, 0x4000) {
 		t.Fatal("changed target should miss")
 	}
-	if g.IndirectClears == 0 || g.MispredictRate() <= 0 {
+	if g.IndirectClears == 0 || g.Mispredicts == 0 {
 		t.Fatal("accounting empty")
 	}
 }
@@ -447,14 +447,13 @@ func TestResetForgetsMemos(t *testing.T) {
 	m = k.Reassemble(m, cfg)
 	run()
 	m = k.Reassemble(m, cfg, thp)
-	if m.Lanes() != 2 {
-		t.Fatalf("%d lanes after Reset for two hosts", m.Lanes())
+	if len(m.lanes) != 2 {
+		t.Fatalf("%d lanes after Reset for two hosts", len(m.lanes))
 	}
 	for i := range m.lanes {
 		l := &m.lanes[i]
-		var td TopDown
-		if l.account(&td); td != (TopDown{}) {
-			t.Errorf("lane %d: account after Reset: %+v", i, td)
+		if c := m.Counts(i); c != (Counts{}) {
+			t.Errorf("lane %d: counts after Reset: %+v", i, c)
 		}
 		for k, u := range l.unit {
 			if c := &u.c; u.hasC && (c.lastBlock != ^uint64(0) || c.Accesses != 0 || c.resident != 0) {

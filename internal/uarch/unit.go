@@ -101,18 +101,14 @@ type Unit struct {
 	streams    [16]uint64
 	streamNext int
 
-	// DSB: which supplied the previous block's uops, the uops each
-	// supplied, and the switches into each.
-	lastWasDSB        bool
-	uopsDSB, uopsMITE uint64
-	toDSB, toMITE     uint64
+	// DSB: which supplied the previous block's uops, and the counts.
+	lastWasDSB bool
+	dsb        DSBCounts
 
 	// LLC: what a line that misses the last level brings from DRAM, and
-	// the total; the L1 misses above it, per row (missFetch, missLoad,
-	// missStore) by the level that served them.
+	// the counts.
 	fillBytes uint64
-	dramBytes uint64
-	misses    [missStore + 1][levelStream + 1]uint64
+	llc       LLCCounts
 
 	// The record methods never read the key, so it comes last.
 	key UnitKey
@@ -199,7 +195,7 @@ func (w *Unit) fill(line uint64) int {
 	if w.hasC && w.c.access(line) {
 		return levelLLC
 	}
-	w.dramBytes += w.fillBytes
+	w.llc.DRAMBytes += w.fillBytes
 	return levelDRAM
 }
 
@@ -217,7 +213,7 @@ func (u *Unit) miss(line uint64, row int, stream bool) {
 			if stream {
 				lv = levelStream
 			}
-			w.misses[row][lv]++
+			w.llc.Misses[row][lv]++
 		}
 	}
 }
