@@ -1,12 +1,13 @@
 package uarch
 
-// Differential tests: the cache and the O(1) exact-LRU TLB must be
-// indistinguishable from the naive implementations they replaced —
-// hit-for-hit, miss-for-miss, and victim-for-victim — on randomized and
-// on traffic-shaped access streams. The naive models below are verbatim
-// ports of the first structures (slice-of-slices sets of {tag, valid,
-// lru} lines with a per-access popcount; scan-based fully-associative
-// LRU entry file).
+// Differential tests: the cache, the O(1) exact-LRU TLB and the table-driven
+// predictor must be indistinguishable from the naive implementations they
+// replaced — hit-for-hit, miss-for-miss, victim-for-victim and
+// counter-for-counter — on randomized and on traffic-shaped streams. The
+// naive models below are verbatim ports of the first structures
+// (slice-of-slices sets of {tag, valid, lru} lines with a per-access
+// popcount; scan-based fully-associative LRU entry file; a predictor that
+// trains its counters through a chain of ifs).
 
 import (
 	"math/rand"
@@ -405,4 +406,233 @@ func TestPageOfMemoization(t *testing.T) {
 	if tr.fetch != (pageMemo{}) || tr.data != (pageMemo{}) {
 		t.Fatalf("a memo filled on the overlapping-region scan: fetch %+v, data %+v", tr.fetch, tr.data)
 	}
+}
+
+// naiveGshare is the predictor as first written: each counter trained by
+// ifs on the outcome, the choice toward whichever component was right.
+type naiveGshare struct {
+	bimodal, global, choice []uint8
+	mask, history           uint64
+
+	btb []struct {
+		tag, target uint64
+		valid       bool
+	}
+	btbMask uint64
+
+	BranchCounts
+}
+
+func newNaiveGshare(tableEntries, btbEntries int) *naiveGshare {
+	g := &naiveGshare{
+		bimodal: make([]uint8, tableEntries),
+		global:  make([]uint8, tableEntries),
+		choice:  make([]uint8, tableEntries),
+		mask:    uint64(tableEntries - 1),
+		btbMask: uint64(btbEntries - 1),
+	}
+	g.btb = make([]struct {
+		tag, target uint64
+		valid       bool
+	}, btbEntries)
+	for i := range g.bimodal {
+		g.bimodal[i] = 2
+		g.global[i] = 2
+		g.choice[i] = 1
+	}
+	return g
+}
+
+func (g *naiveGshare) conditional(pc uint64, taken bool) bool {
+	g.Lookups++
+	bi := (pc >> 1) & g.mask
+	gi := (pc>>1 ^ g.history) & g.mask
+	bPred := g.bimodal[bi] >= 2
+	gPred := g.global[gi] >= 2
+	pred := bPred
+	if g.choice[bi] >= 2 {
+		pred = gPred
+	}
+	// Train the choice table toward whichever component was right.
+	if gPred == taken && bPred != taken && g.choice[bi] < 3 {
+		g.choice[bi]++
+	} else if bPred == taken && gPred != taken && g.choice[bi] > 0 {
+		g.choice[bi]--
+	}
+	train := func(t []uint8, i uint64) {
+		if taken {
+			if t[i] < 3 {
+				t[i]++
+			}
+		} else if t[i] > 0 {
+			t[i]--
+		}
+	}
+	train(g.bimodal, bi)
+	train(g.global, gi)
+	g.history = g.history<<1 | b2u64(taken)
+	correct := pred == taken
+	if !correct {
+		g.Mispredicts++
+	}
+	return correct
+}
+
+func (g *naiveGshare) indirect(pc, target uint64) bool {
+	g.Lookups++
+	idx := (pc >> 1) & g.btbMask
+	e := &g.btb[idx]
+	hit := e.valid && e.tag == pc && e.target == target
+	if !hit {
+		g.IndirectClears++
+		g.Mispredicts++
+	}
+	e.tag = pc
+	e.target = target
+	e.valid = true
+	return hit
+}
+
+// TestPredictorTablesExhaustive puts every counter state and outcome through
+// the naive predictor's ifs, on a one-entry table where the bimodal, global
+// and choice counters of a branch are the tables' only entries: satNext's 8
+// cases, and choiceNext's 16, each reached with the branch taken and not.
+func TestPredictorTablesExhaustive(t *testing.T) {
+	for c := uint8(0); c < 4; c++ {
+		for _, taken := range []bool{false, true} {
+			n := newNaiveGshare(1, 1)
+			n.bimodal[0], n.global[0] = c, c
+			n.conditional(0, taken)
+			if want := satNext[c][b2u8(taken)]; n.bimodal[0] != want || n.global[0] != want {
+				t.Errorf("counter %d, taken=%v: ifs give %d and %d, satNext %d", c, taken, n.bimodal[0], n.global[0], want)
+			}
+		}
+	}
+	for c := uint8(0); c < 4; c++ {
+		for bw := uint8(0); bw < 2; bw++ {
+			for gw := uint8(0); gw < 2; gw++ {
+				for tk := uint8(0); tk < 2; tk++ {
+					// A counter of 3 predicts taken and one of 0 not.
+					n := newNaiveGshare(1, 1)
+					n.choice[0] = c
+					n.bimodal[0], n.global[0] = 3*(tk^bw), 3*(tk^gw)
+					n.conditional(0, tk == 1)
+					if want := choiceNext[c][bw][gw]; n.choice[0] != want {
+						t.Errorf("choice %d, bimodal wrong %d, global wrong %d, taken %d: ifs give %d, choiceNext %d",
+							c, bw, gw, tk, n.choice[0], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// branchOp is one record of a predictor stream.
+type branchOp struct {
+	pc, target      uint64
+	taken, indirect bool
+}
+
+// CheckGshare drives a new predictor of the given sizes and the naive one
+// over ops, and compares on every record the prediction, the counts, the
+// history, the counters the record read and the BTB entry it wrote, and at
+// the end every table and every BTB entry. It is exported for the external
+// tests, which drive it with every platform's sizes.
+func CheckGshare(t testing.TB, tableEntries, btbEntries int, ops []branchOp) {
+	t.Helper()
+	g := newGshare(tableEntries, btbEntries)
+	ref := newNaiveGshare(tableEntries, btbEntries)
+	for i, op := range ops {
+		var got, want bool
+		bi := (op.pc >> 1) & g.mask
+		gi := (op.pc>>1 ^ g.history) & g.mask
+		if op.indirect {
+			got, want = g.indirect(op.pc, op.target), ref.indirect(op.pc, op.target)
+		} else {
+			got, want = g.conditional(op.pc, op.taken), ref.conditional(op.pc, op.taken)
+		}
+		e, re := g.btb[(op.pc>>1)&g.btbMask], ref.btb[(op.pc>>1)&ref.btbMask]
+		if got != want || g.BranchCounts != ref.BranchCounts || g.history != ref.history ||
+			g.bimodal[bi] != ref.bimodal[bi] || g.global[gi] != ref.global[gi] || g.choice[bi] != ref.choice[bi] ||
+			e != re {
+			t.Fatalf("%d/%d entries, record %d %+v: got correct=%v %+v history %#x counters %d %d %d btb %+v; "+
+				"want correct=%v %+v history %#x counters %d %d %d btb %+v",
+				tableEntries, btbEntries, i, op, got, g.BranchCounts, g.history, g.bimodal[bi], g.global[gi], g.choice[bi], e,
+				want, ref.BranchCounts, ref.history, ref.bimodal[bi], ref.global[gi], ref.choice[bi], re)
+		}
+	}
+	for i := range g.bimodal {
+		if g.bimodal[i] != ref.bimodal[i] || g.global[i] != ref.global[i] || g.choice[i] != ref.choice[i] {
+			t.Fatalf("%d/%d entries: entry %d is %d %d %d, want %d %d %d", tableEntries, btbEntries, i,
+				g.bimodal[i], g.global[i], g.choice[i], ref.bimodal[i], ref.global[i], ref.choice[i])
+		}
+	}
+	for i := range g.btb {
+		if g.btb[i] != ref.btb[i] {
+			t.Fatalf("%d/%d entries: BTB entry %d is %+v, want %+v", tableEntries, btbEntries, i, g.btb[i], ref.btb[i])
+		}
+	}
+}
+
+// BranchStream returns n seeded predictor records shaped like a program's:
+// a few hot branches, each biased its own way, that alias in small tables;
+// branches of random direction at random PCs; and indirect branches that
+// mostly keep a target, sometimes change it, and share BTB entries. It is
+// exported with CheckGshare.
+func BranchStream(seed int64, n int) []branchOp {
+	rng := rand.New(rand.NewSource(seed))
+	hot := make([]uint64, 32)
+	bias := make([]int, len(hot))
+	for i := range hot {
+		hot[i] = 0x40_0000 + rng.Uint64()%(1<<20)
+		bias[i] = rng.Intn(11) // taken in bias/10 of its runs
+	}
+	ops := make([]branchOp, n)
+	for i := range ops {
+		switch r := rng.Intn(16); {
+		case r < 10:
+			h := rng.Intn(len(hot))
+			ops[i] = branchOp{pc: hot[h], taken: rng.Intn(10) < bias[h]}
+		case r < 13:
+			ops[i] = branchOp{pc: rng.Uint64() % (1 << 24), taken: rng.Intn(2) == 0}
+		default:
+			ops[i] = branchOp{pc: hot[rng.Intn(4)] + 0x1000*uint64(rng.Intn(3)),
+				target: 0x50_0000 + 0x40*uint64(rng.Intn(3)), indirect: true}
+		}
+	}
+	return ops
+}
+
+// TestGshareDifferential covers the small tables, where every branch
+// aliases; TestPlatformPredictorsDifferential runs the platforms' sizes.
+func TestGshareDifferential(t *testing.T) {
+	for i, sz := range [][2]int{{1, 1}, {2, 1}, {16, 4}, {256, 64}, {4096, 1024}} {
+		CheckGshare(t, sz[0], sz[1], BranchStream(int64(i)+11, 100000))
+	}
+}
+
+// FuzzGshareEquivalence takes the table sizes from the first byte (1 to 16
+// entries, a BTB of 1 to 8) and a record per following byte: with the top
+// bit set an indirect branch, its pc from bits 3-6 and its target from bits
+// 0-2; else a conditional branch, its pc from bits 1-6 and its direction
+// from bit 0.
+func FuzzGshareEquivalence(f *testing.F) {
+	f.Add([]byte{0x24, 1, 1, 1, 0, 0, 0, 0x81, 0x81, 0x82, 0x89})
+	f.Add([]byte{0x00, 0, 1, 0, 1, 0, 1, 0x80, 0x80})
+	f.Add([]byte{0x34, 2, 3, 5, 7, 3, 2, 0x91, 0xa1, 0x91, 0xa1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		tableEntries, btbEntries := 1<<(data[0]&7%5), 1<<(data[0]>>4&3)
+		ops := make([]branchOp, 0, len(data)-1)
+		for _, b := range data[1:] {
+			if b&0x80 != 0 {
+				ops = append(ops, branchOp{pc: uint64(b>>3&15) << 1, target: uint64(b & 7), indirect: true})
+			} else {
+				ops = append(ops, branchOp{pc: uint64(b>>1&63) << 1, taken: b&1 != 0})
+			}
+		}
+		CheckGshare(t, tableEntries, btbEntries, ops)
+	})
 }

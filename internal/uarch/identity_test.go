@@ -442,3 +442,20 @@ func TestNewMachineAllocs(t *testing.T) {
 		t.Errorf("reassembling for host sets whose units were kept allocated %.2f MB", mb)
 	}
 }
+
+// TestPlatformPredictorsDifferential runs the predictor differential with the
+// table and BTB sizes of every platform, each distinct pair once, named by
+// them.
+func TestPlatformPredictorsDifferential(t *testing.T) {
+	seen := map[[2]int]bool{}
+	for _, h := range append(platform.TableIIPlatforms(), platform.FireSimBase()) {
+		sz := [2]int{h.BPTableEntries, h.BTBEntries}
+		if seen[sz] {
+			continue
+		}
+		seen[sz] = true
+		t.Run(fmt.Sprintf("%d_%d", sz[0], sz[1]), func(t *testing.T) {
+			uarch.CheckGshare(t, sz[0], sz[1], uarch.BranchStream(int64(sz[0]^sz[1]), 300000))
+		})
+	}
+}

@@ -184,21 +184,16 @@ func (m *Machine) FetchBlock(addr uint64, bytes uint32, uops uint32) {
 
 	// Uop supply: DSB hit streams decoded uops; otherwise the legacy
 	// decode pipeline (MITE) limits bandwidth. Moving between the two
-	// costs a cycle either way (a host without a DSB never moves).
+	// costs a cycle either way (a host without a DSB never moves). Counted
+	// by arithmetic on the hit bit, which is as noisy as the modeled
+	// program's code layout: a host branch on it would mispredict.
 	for d := m.units[kindDSB]; d != nil; d = d.next {
-		fromDSB := d.hasC && d.c.access(addr&^31)
-		if fromDSB {
-			d.dsb.UopsDSB += uint64(uops)
-			if !d.lastWasDSB {
-				d.dsb.ToDSB++
-			}
-		} else {
-			d.dsb.UopsMITE += uint64(uops)
-			if d.lastWasDSB {
-				d.dsb.ToMITE++
-			}
-		}
-		d.lastWasDSB = fromDSB
+		hit := b2u64(d.hasC && d.c.access(addr&^31))
+		d.dsb.UopsDSB += uint64(uops) * hit
+		d.dsb.UopsMITE += uint64(uops) * (1 - hit)
+		d.dsb.ToDSB += hit &^ d.lastDSB
+		d.dsb.ToMITE += d.lastDSB &^ hit
+		d.lastDSB = hit
 	}
 }
 

@@ -307,61 +307,59 @@ func (g *gshare) reset() {
 	clear(g.btb)
 }
 
+// satNext[c][t] is a 2-bit saturating counter c after an outcome t (1 for
+// taken): one step toward 3 when taken, toward 0 when not.
+var satNext = [4][2]uint8{{0, 1}, {0, 2}, {1, 3}, {2, 3}}
+
+// choiceNext[c][bw][gw] is the choice counter c after a branch that bimodal
+// mispredicted when bw is 1 and global when gw is 1: one step toward global
+// (3) when bimodal alone was wrong, toward bimodal (0) when global alone was,
+// and unmoved when both or neither were.
+var choiceNext = [4][2][2]uint8{
+	{{0, 0}, {1, 0}},
+	{{1, 0}, {2, 1}},
+	{{2, 1}, {3, 2}},
+	{{3, 2}, {3, 3}},
+}
+
 // conditional predicts and trains one conditional branch; returns true when
-// the prediction was correct.
+// the prediction was correct. It takes no branch on the modeled branch's
+// outcome: the counters move by table and the prediction is picked by
+// arithmetic, since the outcome is the modeled program's noise and a host
+// branch on it mispredicts as often as the model does (DESIGN §25).
 func (g *gshare) conditional(pc uint64, taken bool) bool {
 	g.Lookups++
+	t := b2u8(taken)
 	bi := (pc >> 1) & g.mask
 	gi := (pc>>1 ^ g.history) & g.mask
-	bPred := g.bimodal[bi] >= 2
-	gPred := g.global[gi] >= 2
-	pred := bPred
-	if g.choice[bi] >= 2 {
-		pred = gPred
-	}
-	// Train the choice table toward whichever component was right.
-	if gPred == taken && bPred != taken && g.choice[bi] < 3 {
-		g.choice[bi]++
-	} else if bPred == taken && gPred != taken && g.choice[bi] > 0 {
-		g.choice[bi]--
-	}
-	train := func(t []uint8, i uint64) {
-		if taken {
-			if t[i] < 3 {
-				t[i]++
-			}
-		} else if t[i] > 0 {
-			t[i]--
-		}
-	}
-	train(g.bimodal, bi)
-	train(g.global, gi)
-	g.history = g.history<<1 | b2u64(taken)
-	correct := pred == taken
-	if !correct {
-		g.Mispredicts++
-	}
-	return correct
+	// Counters stay in 0..3: the masks change no value and spare the tables
+	// their bounds checks.
+	b, gl, ch := g.bimodal[bi]&3, g.global[gi]&3, g.choice[bi]&3
+	bPred, gPred := b>>1, gl>>1
+	miss := bPred ^ (bPred^gPred)&(ch>>1) ^ t
+	g.choice[bi] = choiceNext[ch][bPred^t][gPred^t]
+	g.bimodal[bi] = satNext[b][t]
+	g.global[gi] = satNext[gl][t]
+	g.history = g.history<<1 | uint64(t)
+	g.Mispredicts += uint64(miss)
+	return miss == 0
 }
 
 // indirect predicts and trains one indirect branch; returns true when the
 // BTB had the right target.
 func (g *gshare) indirect(pc, target uint64) bool {
 	g.Lookups++
-	idx := (pc >> 1) & g.btbMask
-	e := &g.btb[idx]
-	hit := e.valid && e.tag == pc && e.target == target
-	if !hit {
-		g.IndirectClears++
-		g.Mispredicts++
-	}
-	e.tag = pc
-	e.target = target
-	e.valid = true
-	return hit
+	e := &g.btb[(pc>>1)&g.btbMask]
+	miss := b2u64(!e.valid) | b2u64(e.tag != pc) | b2u64(e.target != target)
+	g.IndirectClears += miss
+	g.Mispredicts += miss
+	e.tag, e.target, e.valid = pc, target, true
+	return miss == 0
 }
 
-func b2u64(b bool) uint64 {
+func b2u64(b bool) uint64 { return uint64(b2u8(b)) }
+
+func b2u8(b bool) uint8 {
 	if b {
 		return 1
 	}

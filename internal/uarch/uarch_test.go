@@ -165,18 +165,68 @@ func TestGsharePredictorLearns(t *testing.T) {
 	if g.Mispredicts != before {
 		t.Fatalf("biased branch still mispredicting (%d new)", g.Mispredicts-before)
 	}
-	// Indirect: first sight misses, stable target then hits.
-	if g.indirect(0x2000, 0x3000) {
-		t.Fatal("cold BTB hit")
+}
+
+// TestUopSupplyAccounting runs one fetch sequence through the DSB unit —
+// MITE while cold, then DSB, MITE, DSB — and checks the uop split and the
+// switches exactly; a host without a DSB counts every uop as MITE and never
+// switches.
+func TestUopSupplyAccounting(t *testing.T) {
+	const a, b = 0x40_1000, 0x40_2000 // two 32-byte windows
+	fetch := []struct {
+		addr uint64
+		uops uint32
+	}{{a, 3}, {a, 5}, {b, 7}, {a, 11}}
+	for _, tc := range []struct {
+		dsbUops int
+		want    DSBCounts
+	}{
+		{1536, DSBCounts{UopsDSB: 5 + 11, UopsMITE: 3 + 7, ToDSB: 2, ToMITE: 1}},
+		{0, DSBCounts{UopsMITE: 3 + 5 + 7 + 11}},
+	} {
+		cfg := testConfig()
+		cfg.DSBUops = tc.dsbUops
+		if tc.dsbUops == 0 {
+			cfg.DSBWidth = 0
+		}
+		m := NewMachine(cfg)
+		for _, f := range fetch {
+			m.FetchBlock(f.addr, 16, f.uops)
+		}
+		if got := m.Counts(0).DSB; got != tc.want {
+			t.Errorf("DSBUops %d: %+v, want %+v", tc.dsbUops, got, tc.want)
+		}
 	}
-	if !g.indirect(0x2000, 0x3000) {
-		t.Fatal("warm BTB miss")
-	}
-	if g.indirect(0x2000, 0x4000) {
-		t.Fatal("changed target should miss")
-	}
-	if g.IndirectClears == 0 || g.Mispredicts == 0 {
-		t.Fatal("accounting empty")
+}
+
+// TestBTBAccounting: an indirect branch that finds its BTB entry invalid
+// (even one whose zero tag and target are its own), holding another pc, or
+// holding another target counts one clear and one mispredict; one that finds
+// its own pc and target counts neither.
+func TestBTBAccounting(t *testing.T) {
+	g := newGshare(1024, 256)
+	const pc, alias = 0x2002, 0x2002 + 256<<1 // one BTB entry, not pc 0's
+	for i, step := range []struct {
+		name       string
+		pc, target uint64
+		hit        bool
+	}{
+		{"invalid entry", 0, 0, false},
+		{"hit", 0, 0, true},
+		{"invalid entry", pc, 0x3000, false},
+		{"hit", pc, 0x3000, true},
+		{"target mismatch", pc, 0x4000, false},
+		{"hit", pc, 0x4000, true},
+		{"tag mismatch", alias, 0x4000, false},
+		{"hit", alias, 0x4000, true},
+	} {
+		before := g.BranchCounts
+		miss := b2u64(!step.hit)
+		want := BranchCounts{Lookups: before.Lookups + 1, Mispredicts: before.Mispredicts + miss,
+			IndirectClears: before.IndirectClears + miss}
+		if hit := g.indirect(step.pc, step.target); hit != step.hit || g.BranchCounts != want {
+			t.Errorf("step %d (%s): hit=%v, counts %+v; want hit=%v, %+v", i, step.name, hit, g.BranchCounts, step.hit, want)
+		}
 	}
 }
 
@@ -420,7 +470,7 @@ func TestHugePageModeString(t *testing.T) {
 	}
 }
 
-// TestResetForgetsMemos covers what TestRecycledMachineIdentity cannot see:
+// TestReassemblyForgetsMemos covers what TestRecycledMachineIdentity cannot see:
 // a same-page memo that survives a unit's reset answers one access that
 // should have missed, the page then misses on its next use instead, and
 // every count comes out the same. So look at the memos (and the address
@@ -428,7 +478,7 @@ func TestHugePageModeString(t *testing.T) {
 // of two translation keys, its units are released and assembled for one and
 // then for two, so the second lane's units come back from the keeper after
 // a machine that did not use them.
-func TestResetForgetsMemos(t *testing.T) {
+func TestReassemblyForgetsMemos(t *testing.T) {
 	cfg := testConfig()
 	thp := cfg
 	thp.HugePages, thp.THPCoverage = PagesTHP, 0.5
@@ -448,29 +498,29 @@ func TestResetForgetsMemos(t *testing.T) {
 	run()
 	m = k.Reassemble(m, cfg, thp)
 	if len(m.lanes) != 2 {
-		t.Fatalf("%d lanes after Reset for two hosts", len(m.lanes))
+		t.Fatalf("%d lanes after reassembly for two hosts", len(m.lanes))
 	}
 	for i := range m.lanes {
 		l := &m.lanes[i]
 		if c := m.Counts(i); c != (Counts{}) {
-			t.Errorf("lane %d: counts after Reset: %+v", i, c)
+			t.Errorf("lane %d: counts after reassembly: %+v", i, c)
 		}
 		for k, u := range l.unit {
 			if c := &u.c; u.hasC && (c.lastBlock != ^uint64(0) || c.Accesses != 0 || c.resident != 0) {
-				t.Errorf("lane %d: %s after Reset: lastBlock %#x, %d accesses, %d resident", i, u.key.Kind(), c.lastBlock, c.Accesses, c.resident)
+				t.Errorf("lane %d: %s after reassembly: lastBlock %#x, %d accesses, %d resident", i, u.key.Kind(), c.lastBlock, c.Accesses, c.resident)
 			}
 			if unitKind(k) == kindL1D && (u.streams != [16]uint64{} || u.streamNext != 0) {
-				t.Errorf("lane %d: stream trackers after Reset: %v, next %d", i, u.streams, u.streamNext)
+				t.Errorf("lane %d: stream trackers after reassembly: %v, next %d", i, u.streams, u.streamNext)
 			}
 		}
 		tr := &l.unit[kindXlat].tr
 		for name, tb := range map[string]*tlb{"itlb": tr.itlb, "dtlb": tr.dtlb, "stlb": tr.stlb} {
 			if tb.lastPage != ^uint64(0) || tb.Accesses != 0 || tb.idx.Len() != 0 {
-				t.Errorf("lane %d: %s after Reset: lastPage %#x, %d accesses, %d resident", i, name, tb.lastPage, tb.Accesses, tb.idx.Len())
+				t.Errorf("lane %d: %s after reassembly: lastPage %#x, %d accesses, %d resident", i, name, tb.lastPage, tb.Accesses, tb.idx.Len())
 			}
 		}
 		if len(tr.regions) != 0 || len(tr.sorted) != 0 || tr.overlapped || tr.fetch != (pageMemo{}) || tr.data != (pageMemo{}) {
-			t.Errorf("lane %d: address map after Reset: %d regions, %d sorted, overlapped=%v, memos %+v %+v",
+			t.Errorf("lane %d: address map after reassembly: %d regions, %d sorted, overlapped=%v, memos %+v %+v",
 				i, len(tr.regions), len(tr.sorted), tr.overlapped, tr.fetch, tr.data)
 		}
 	}

@@ -101,9 +101,10 @@ type Unit struct {
 	streams    [16]uint64
 	streamNext int
 
-	// DSB: which supplied the previous block's uops, and the counts.
-	lastWasDSB bool
-	dsb        DSBCounts
+	// DSB: which supplied the previous block's uops (1 for the DSB), and
+	// the counts.
+	lastDSB uint64
+	dsb     DSBCounts
 
 	// LLC: what a line that misses the last level brings from DRAM, and
 	// the counts.
