@@ -5,6 +5,7 @@ import (
 
 	"gem5prof/internal/isa"
 	"gem5prof/internal/sim"
+	"gem5prof/internal/uarch"
 )
 
 // InstBudgetReason is the exit reason reported when an instruction-budgeted
@@ -65,13 +66,11 @@ func (g *GuestSystem) RunInsts(budget uint64) (*GuestResult, error) {
 // IntervalResult is one measured interval of a sampled co-simulation, on
 // one host of the runner's sweep.
 type IntervalResult struct {
-	// Session carries the full session state (guest result, host report)
-	// of this lane, for callers that want more than the headline numbers:
-	// one per lane, sharing the window's read-only GuestResult. Its Host
-	// report covers warmup and the measured window together — cumulative
-	// across windows when the IntervalRunner's machine is reused; Seconds
-	// below covers this window alone.
-	Session *SessionResult
+	// Counts are the lane's host counts at the window's end. They cover
+	// warmup and the measured window together, cumulative across windows
+	// when the IntervalRunner's machine is reused; Seconds below covers
+	// this window alone.
+	Counts uarch.Counts
 	// Seconds is the modeled host time spent inside the measured window
 	// (warmup excluded).
 	Seconds float64
@@ -117,7 +116,7 @@ func NewIntervalRunner(cfgs []SessionConfig) *IntervalRunner {
 }
 
 // Close gives the runner's machine back for other sessions to reuse. Every
-// IntervalResult already returned stays valid (its Report is a copy); a Run
+// IntervalResult already returned stays valid (its Counts are a copy); a Run
 // after Close starts over on a cold machine.
 func (r *IntervalRunner) Close() {
 	if r.cs != nil {
@@ -195,11 +194,11 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) ([]*Interval
 		return nil, fmt.Errorf("core: workload exited after %d instructions, before the measured window (warmup %d)",
 			executed, warmup)
 	}
-	sessions := cs.results(gres)
 	out := make([]*IntervalResult, members)
 	for l := range out {
 		at := func(i int) float64 { return times[i*members+l] }
-		end := sessions[l].SimSeconds()
+		counts, host := cs.counts(l)
+		end := host.TimeSeconds
 		var subSecs []float64
 		var subInsts []uint64
 		for i := 1; i < reached; i++ {
@@ -211,7 +210,7 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) ([]*Interval
 			subInsts = append(subInsts, executed-bounds[reached-1])
 		}
 		out[l] = &IntervalResult{
-			Session:    sessions[l],
+			Counts:     counts,
 			Seconds:    end - at(0),
 			Insts:      executed - warmup,
 			SubSeconds: subSecs,

@@ -9,6 +9,7 @@ import (
 	"gem5prof/internal/core"
 	"gem5prof/internal/platform"
 	"gem5prof/internal/sim"
+	"gem5prof/internal/uarch"
 )
 
 // TestRunForOverflowClamp pins the satellite bugfix: a delta that would
@@ -129,8 +130,8 @@ func TestIntervalRunner(t *testing.T) {
 	if iv.Seconds <= 0 {
 		t.Fatalf("measured window has non-positive modeled time: %g", iv.Seconds)
 	}
-	if iv.Session == nil || iv.Session.Guest.ExitReason != core.InstBudgetReason {
-		t.Fatalf("unexpected session state: %+v", iv.Session)
+	if iv.Counts == (uarch.Counts{}) {
+		t.Fatal("the window's lane counted nothing")
 	}
 
 	// Restored variant: checkpoint with Atomic, measure under Timing.

@@ -101,7 +101,7 @@ func TestPlanOnResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, ivr := (ExecPlan{}), ivrs[0]; ivr.Session.Plan != want || ivr.Session.Guest.Plan != want {
-		t.Errorf("interval session: plan %v (guest %v), want %v", ivr.Session.Plan, ivr.Session.Guest.Plan, want)
+	if want := (ExecPlan{}); len(ivrs) != 1 || r.cs.plan != want || r.cs.guest.plan != want {
+		t.Errorf("interval session: plan %v (guest %v), want %v", r.cs.plan, r.cs.guest.plan, want)
 	}
 }

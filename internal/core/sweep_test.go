@@ -171,9 +171,9 @@ func TestIntervalLaneIdentity(t *testing.T) {
 			alone := measure(cfgs[i : i+1])
 			for w := range windows {
 				got, want := swept[w][i], alone[w][0]
-				if clock(got) != clock(want) || got.Session.Counts != want.Session.Counts {
+				if clock(got) != clock(want) || got.Counts != want.Counts {
 					t.Errorf("%s: window %d, lane %d:\n%s %+v\nalone:\n%s %+v", name, w, i,
-						clock(got), got.Session.Counts, clock(want), want.Session.Counts)
+						clock(got), got.Counts, clock(want), want.Counts)
 				}
 			}
 		}

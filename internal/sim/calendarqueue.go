@@ -140,6 +140,27 @@ func (q *CalendarQueue) ServiceOne() bool {
 	return true
 }
 
+func (q *CalendarQueue) clock() *Tick { return &q.now }
+
+// drain is HeapQueue.drain over this backend; each copy calls its own
+// queue's methods directly.
+func (q *CalendarQueue) drain(s *System, limit Tick, budget uint64) ExitStatus {
+	for {
+		if q.Empty() {
+			return ExitQueueEmpty
+		}
+		if q.NextTick() > limit {
+			return ExitLimit
+		}
+		if s.serviced >= budget {
+			return ExitEventLimit
+		}
+		s.TraceCall(s.fnDispatch)
+		q.ServiceOne()
+		s.serviced++
+	}
+}
+
 // peek advances buckets as needed and returns the earliest event without
 // removing it, or nil if the queue is empty.
 func (q *CalendarQueue) peek() *Event {

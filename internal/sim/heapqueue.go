@@ -90,6 +90,25 @@ func (q *HeapQueue) ServiceOne() bool {
 	return true
 }
 
+func (q *HeapQueue) clock() *Tick { return &q.now }
+
+func (q *HeapQueue) drain(s *System, limit Tick, budget uint64) ExitStatus {
+	for {
+		if q.Empty() {
+			return ExitQueueEmpty
+		}
+		if q.NextTick() > limit {
+			return ExitLimit
+		}
+		if s.serviced >= budget {
+			return ExitEventLimit
+		}
+		s.TraceCall(s.fnDispatch)
+		q.ServiceOne()
+		s.serviced++
+	}
+}
+
 func (q *HeapQueue) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -192,6 +192,16 @@ type Queue interface {
 	Len() int
 	// pool returns the queue's one-shot free list (embed oneShots).
 	pool() *oneShots
+	// clock returns the cell holding the queue's current time. A System
+	// keeps it, and the free list, from construction on, so that Now,
+	// ScheduleIn and OneShot make no call through this interface.
+	clock() *Tick
+	// drain is System.Run's loop over this queue, with direct calls to its
+	// own Empty, NextTick and ServiceOne: it fires events, counting each in
+	// s.serviced once it returns, until the queue empties, the next event
+	// lies past limit, or s.serviced reaches budget, and reports which. A
+	// RequestExit unwinds out of it to Run, which recovers it once per run.
+	drain(s *System, limit Tick, budget uint64) ExitStatus
 }
 
 // maxFreeOneShots bounds a queue's free list: events cross the shard mailbox

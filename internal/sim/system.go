@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -22,7 +23,12 @@ type Startable interface {
 // every SimObject of one simulated machine. It is the root object handed to
 // all components.
 type System struct {
-	queue   Queue
+	queue Queue
+	// now and free are the queue's clock and one-shot free list, taken
+	// once at construction: reading the time and drawing a one-shot make
+	// no call through the Queue interface.
+	now     *Tick
+	free    *oneShots
 	objects []SimObject
 	byName  map[string]SimObject
 	stats   *Registry
@@ -63,6 +69,8 @@ func NewSystem(seed int64) *System {
 func NewSystemWith(q Queue, tr Tracer, seed int64) *System {
 	s := &System{
 		queue:  q,
+		now:    q.clock(),
+		free:   q.pool(),
 		byName: make(map[string]SimObject),
 		stats:  NewRegistry(),
 		tracer: tr,
@@ -108,7 +116,7 @@ func (s *System) Stats() *Registry { return s.stats }
 func (s *System) Rand() *rand.Rand { return s.rng }
 
 // Now returns the current simulation time.
-func (s *System) Now() Tick { return s.queue.Now() }
+func (s *System) Now() Tick { return *s.now }
 
 // EventsServiced returns the number of events fired so far, summed over
 // both shards. Each shard's counter has a single writer and the sum is read
@@ -155,7 +163,7 @@ func (s *System) Schedule(e *Event, when Tick) {
 
 // ScheduleIn inserts e delta ticks in the future.
 func (s *System) ScheduleIn(e *Event, delta Tick) {
-	s.Schedule(e, s.queue.Now()+delta)
+	s.Schedule(e, *s.now+delta)
 }
 
 // OneShot fires fire once, delay ticks from now, on domain d's shard. No
@@ -166,7 +174,7 @@ func (s *System) ScheduleIn(e *Event, delta Tick) {
 // one this goroutine may touch — also when it crosses to the other shard,
 // where the traffic coming back draws on the list it retires to in turn.
 func (s *System) OneShot(name string, fn FuncID, d Domain, delay Tick, fire func()) {
-	s.Schedule(s.queue.pool().get(name, fn, d, fire), s.queue.Now()+delay)
+	s.Schedule(s.free.get(name, fn, d, fire), *s.now+delay)
 }
 
 // Deschedule removes a scheduled event. Under sharding an event owned by the
@@ -254,7 +262,11 @@ type RunResult struct {
 // maxEvents events have fired (0 = unlimited), or a component requests exit.
 // With sharding enabled the run executes on two queues in parallel; results
 // are bit-identical to the serial run (see shardedqueue.go).
-func (s *System) Run(limit Tick, maxEvents uint64) RunResult {
+//
+// Serially the queue drains itself (Queue.drain), and a RequestExit unwinds
+// out of that loop to here: it is recovered once per Run, not per event.
+// The exiting event counts, as every event that fired does.
+func (s *System) Run(limit Tick, maxEvents uint64) (res RunResult) {
 	if s.eng != nil {
 		if s.prim != nil {
 			panic("sim: Run on a domain view")
@@ -262,28 +274,26 @@ func (s *System) Run(limit Tick, maxEvents uint64) RunResult {
 		return s.eng.run(s, limit, maxEvents)
 	}
 	s.startup()
-	res := RunResult{Status: ExitQueueEmpty}
-	for {
-		if s.queue.Empty() {
-			res.Status = ExitQueueEmpty
-			break
-		}
-		if s.queue.NextTick() > limit {
-			res.Status = ExitLimit
-			break
-		}
-		if maxEvents > 0 && res.Events >= maxEvents {
-			res.Status = ExitEventLimit
-			break
-		}
-		stop := s.serviceOneCatching(&res)
-		res.Events++
-		s.serviced++
-		if stop {
-			break
-		}
+	start := s.serviced
+	budget := uint64(math.MaxUint64)
+	if maxEvents > 0 && maxEvents < budget-start {
+		budget = start + maxEvents
 	}
-	res.Now = s.queue.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			ex, ok := r.(*exitRequest)
+			if !ok {
+				panic(r)
+			}
+			s.serviced++ // the exiting event fired, but drain did not count it
+			res.Status = ExitRequested
+			res.ExitReason = ex.reason
+			res.ExitCode = ex.code
+		}
+		res.Events = s.serviced - start
+		res.Now = *s.now
+	}()
+	res.Status = s.queue.drain(s, limit, budget)
 	return res
 }
 
@@ -320,6 +330,8 @@ func (s *System) EnableSharding(cfg ShardConfig) {
 	eng.traceOff = !s.tracing
 	mv := &System{
 		queue:      mq,
+		now:        mq.clock(),
+		free:       mq.pool(),
 		byName:     s.byName,
 		stats:      s.stats,
 		rng:        s.rng,
@@ -356,24 +368,4 @@ func (s *System) DomainView(d Domain) *System {
 		return r
 	}
 	return r.eng.views[shardOf(d)]
-}
-
-// serviceOneCatching fires one event, translating RequestExit panics into a
-// clean stop. Returns true when the run should stop.
-func (s *System) serviceOneCatching(res *RunResult) (stop bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ex, ok := r.(*exitRequest); ok {
-				res.Status = ExitRequested
-				res.ExitReason = ex.reason
-				res.ExitCode = ex.code
-				stop = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	s.TraceCall(s.fnDispatch)
-	s.queue.ServiceOne()
-	return false
 }

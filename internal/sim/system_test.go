@@ -78,14 +78,29 @@ func TestSystemEventLimit(t *testing.T) {
 
 func TestSystemRequestExit(t *testing.T) {
 	sys := NewSystem(1)
+	var nextAt Tick
+	sys.Schedule(NewEvent("warm", 0, func() {}), 50)
 	e := NewEvent("boom", 0, func() { sys.RequestExit("m5 exit", 42) })
 	sys.Schedule(e, 123)
+	sys.Schedule(NewEvent("next", 0, func() { nextAt = sys.Now() }), 200)
 	res := sys.Run(MaxTick, 0)
 	if res.Status != ExitRequested || res.ExitCode != 42 || res.ExitReason != "m5 exit" {
 		t.Fatalf("res = %+v", res)
 	}
 	if res.Now != 123 {
 		t.Fatalf("Now = %d", res.Now)
+	}
+	// The exiting event fired, so it counts.
+	if res.Events != 2 || sys.EventsServiced() != 2 {
+		t.Fatalf("Events = %d, EventsServiced = %d, want 2 and 2", res.Events, sys.EventsServiced())
+	}
+	// A second Run resumes with the next pending event, at its tick.
+	res = sys.Run(MaxTick, 0)
+	if res.Status != ExitQueueEmpty || res.Events != 1 || res.Now != 200 || nextAt != 200 {
+		t.Fatalf("second run: res = %+v, next fired at %d", res, nextAt)
+	}
+	if sys.EventsServiced() != 3 {
+		t.Fatalf("EventsServiced = %d after the second run, want 3", sys.EventsServiced())
 	}
 }
 
