@@ -34,7 +34,7 @@ func TestPublicSurface(t *testing.T) {
 		t.Fatal("no host time")
 	}
 	// The result says how it ran; with every knob at its default that is
-	// serial on one heap queue.
+	// serial on one HeapQueue.
 	if sess.Plan != (gem5prof.ExecPlan{}) || sess.Guest.Plan != sess.Plan {
 		t.Fatalf("default session ran under %v (guest %v)", sess.Plan, sess.Guest.Plan)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gem5prof/internal/isa"
 	"gem5prof/internal/sim"
@@ -104,8 +105,9 @@ type IntervalResult struct {
 // construction; a runner must not be shared across goroutines. Close it
 // when the last window has been measured.
 type IntervalRunner struct {
-	cfgs []SessionConfig
-	cs   *cosim
+	cfgs  []SessionConfig
+	cs    *cosim
+	marks []uarch.Counts // each member's counts at each mark of a Run
 }
 
 // NewIntervalRunner returns a runner for one sweep of session
@@ -165,17 +167,18 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) ([]*Interval
 
 	// Clock-read boundaries: the warmup→measure edge, plus interior marks
 	// at thirds of the budget that delimit the sub-windows. Every member's
-	// clock is read at each, into times[mark*members+member].
+	// counts are kept at each, into marks[mark*members+member], and priced
+	// once the run is over.
 	bounds := []uint64{warmup}
 	if sub := budget / 3; sub > 0 {
 		bounds = append(bounds, warmup+sub, warmup+2*sub)
 	}
-	times := make([]float64, len(bounds)*members)
+	r.marks = slices.Grow(r.marks[:0], len(bounds)*members)[:len(bounds)*members]
+	marks := r.marks
 	reached := 0
 	markAt := func(i int) {
 		for l := 0; l < members; l++ {
-			_, host := cs.counts(l)
-			times[i*members+l] = host.TimeSeconds
+			marks[i*members+l] = cs.machine.Counts(cs.lanes[l])
 		}
 		reached = i + 1
 	}
@@ -195,23 +198,26 @@ func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) ([]*Interval
 			executed, warmup)
 	}
 	out := make([]*IntervalResult, members)
+	var at [3]float64 // one member's clock at each of the (at most three) marks
 	for l := range out {
-		at := func(i int) float64 { return times[i*members+l] }
-		counts, host := cs.counts(l)
-		end := host.TimeSeconds
+		host := &cs.hosts[cs.lanes[l]]
+		for i := range reached {
+			at[i] = uarch.Price(host, &marks[i*members+l]).TimeSeconds
+		}
+		counts, end := cs.counts(l)
 		var subSecs []float64
 		var subInsts []uint64
 		for i := 1; i < reached; i++ {
-			subSecs = append(subSecs, at(i)-at(i-1))
+			subSecs = append(subSecs, at[i]-at[i-1])
 			subInsts = append(subInsts, bounds[i]-bounds[i-1])
 		}
 		if executed > bounds[reached-1] { // close the final (possibly partial) sub-window
-			subSecs = append(subSecs, end-at(reached-1))
+			subSecs = append(subSecs, end.TimeSeconds-at[reached-1])
 			subInsts = append(subInsts, executed-bounds[reached-1])
 		}
 		out[l] = &IntervalResult{
 			Counts:     counts,
-			Seconds:    end - at(0),
+			Seconds:    end.TimeSeconds - at[0],
 			Insts:      executed - warmup,
 			SubSeconds: subSecs,
 			SubInsts:   subInsts,

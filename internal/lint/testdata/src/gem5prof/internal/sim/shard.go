@@ -6,7 +6,7 @@ type Queue interface {
 	Reschedule(e *Event, when Tick)
 }
 
-// HeapQueue is the binary-heap backend.
+// HeapQueue is the default backend.
 type HeapQueue struct{}
 
 // Schedule enqueues e at absolute tick when.

@@ -95,6 +95,6 @@ type ShardConfig struct {
 	// the edge.
 	BusLookahead Tick
 	// NewQueue builds the memory shard's event queue; it should match the
-	// primary queue's backend (heap or calendar). Nil means a heap queue.
+	// primary queue's backend (HeapQueue or calendar). Nil means a HeapQueue.
 	NewQueue func() Queue
 }

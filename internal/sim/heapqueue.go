@@ -2,28 +2,38 @@ package sim
 
 import "fmt"
 
-// HeapQueue is the default event queue: a binary min-heap ordered by
-// (tick, priority, provenance stamp, insertion sequence). All operations are
-// O(log n).
+// HeapQueue is the default event queue: a deque of the pending events,
+// sorted earliest first by (tick, priority, provenance stamp, insertion
+// sequence). That order is strict and total, so the events fire in the
+// order the binary heap this type used to be fired them; the name stayed
+// with the type because the benchmark module compiles against it. Popping
+// the earliest event is O(1), and so is an insertion at either end, which
+// is where nearly all of a guest's insertions land (DESIGN.md §27); an
+// insertion or removal in between binary-searches its place and shifts the
+// shorter side.
 type HeapQueue struct {
 	stamper
 	oneShots
-	now  Tick
-	seq  uint64
-	heap []*Event
+	now Tick
+	seq uint64
+	// ring holds the n pending events in order, the k-th at
+	// ring[(head+k)&(len(ring)-1)]; its length is zero or a power of two,
+	// and every slot not holding a pending event is nil.
+	ring    []*Event
+	head, n int
 }
 
-// NewHeapQueue returns an empty heap-backed event queue at tick 0.
+// NewHeapQueue returns an empty event queue at tick 0.
 func NewHeapQueue() *HeapQueue { return &HeapQueue{} }
 
 // Now implements Queue.
 func (q *HeapQueue) Now() Tick { return q.now }
 
 // Len implements Queue.
-func (q *HeapQueue) Len() int { return len(q.heap) }
+func (q *HeapQueue) Len() int { return q.n }
 
 // Empty implements Queue.
-func (q *HeapQueue) Empty() bool { return len(q.heap) == 0 }
+func (q *HeapQueue) Empty() bool { return q.n == 0 }
 
 // Schedule implements Queue.
 func (q *HeapQueue) Schedule(e *Event, when Tick) {
@@ -37,9 +47,22 @@ func (q *HeapQueue) Schedule(e *Event, when Tick) {
 	e.seq = q.seq
 	q.seq++
 	q.stampFor(e, q.now)
-	e.pos = len(q.heap)
-	q.heap = append(q.heap, e)
-	q.up(e.pos)
+	e.pos = 0
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	mask := len(q.ring) - 1
+	switch {
+	case q.n == 0 || !e.before(q.ring[(q.head+q.n-1)&mask]):
+		q.ring[(q.head+q.n)&mask] = e
+	case e.before(q.ring[q.head]):
+		q.head = (q.head - 1) & mask
+		q.ring[q.head] = e
+	default:
+		q.insert(q.search(e), e)
+		return
+	}
+	q.n++
 }
 
 // Deschedule implements Queue.
@@ -47,7 +70,11 @@ func (q *HeapQueue) Deschedule(e *Event) {
 	if e.pos < 0 {
 		panic(fmt.Sprintf("sim: descheduling unscheduled event %s", e.name))
 	}
-	q.remove(e.pos)
+	k := q.search(e)
+	if k == q.n || q.at(k) != e {
+		panic(fmt.Sprintf("sim: event %s not found in its queue%s", e.name, q.context()))
+	}
+	q.remove(k)
 	e.pos = -1
 }
 
@@ -61,28 +88,30 @@ func (q *HeapQueue) Reschedule(e *Event, when Tick) {
 
 // NextTick implements Queue.
 func (q *HeapQueue) NextTick() Tick {
-	if len(q.heap) == 0 {
+	if q.n == 0 {
 		panic("sim: NextTick on empty queue")
 	}
-	return q.heap[0].when
+	return q.ring[q.head].when
 }
 
 // Peek implements Queue.
 func (q *HeapQueue) Peek() *Event {
-	if len(q.heap) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return q.heap[0]
+	return q.ring[q.head]
 }
 
 // ServiceOne implements Queue.
 func (q *HeapQueue) ServiceOne() bool {
-	if len(q.heap) == 0 {
+	if q.n == 0 {
 		return false
 	}
-	e := q.heap[0]
+	e := q.ring[q.head]
 	q.beginDispatch(e)
-	q.remove(0)
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
 	e.pos = -1
 	q.now = e.when
 	e.fire()
@@ -109,49 +138,92 @@ func (q *HeapQueue) drain(s *System, limit Tick, budget uint64) ExitStatus {
 	}
 }
 
-func (q *HeapQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.heap[i].before(q.heap[parent]) {
-			break
+// at returns the k-th pending event.
+func (q *HeapQueue) at(k int) *Event { return q.ring[(q.head+k)&(len(q.ring)-1)] }
+
+// search returns the number of pending events that come before e: where e
+// belongs if it is not queued, and e's own place if it is.
+func (q *HeapQueue) search(e *Event) int {
+	lo, hi := 0, q.n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if q.at(m).before(e) {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		q.swap(i, parent)
-		i = parent
 	}
+	return lo
 }
 
-func (q *HeapQueue) down(i int) {
-	n := len(q.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && q.heap[l].before(q.heap[small]) {
-			small = l
-		}
-		if r < n && q.heap[r].before(q.heap[small]) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		q.swap(i, small)
-		i = small
+// insert places e k-th, 0 < k < n, moving the events on the shorter side
+// of that place one slot outwards. The ring has a free slot.
+func (q *HeapQueue) insert(k int, e *Event) {
+	mask := len(q.ring) - 1
+	if k < q.n-k {
+		q.earlier(q.head, k)
+		q.head = (q.head - 1) & mask
+	} else {
+		q.later((q.head+k)&mask, q.n-k)
 	}
+	q.ring[(q.head+k)&mask] = e
+	q.n++
 }
 
-func (q *HeapQueue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].pos = i
-	q.heap[j].pos = j
+// remove takes out the k-th pending event, closing the gap from the shorter
+// side.
+func (q *HeapQueue) remove(k int) {
+	mask := len(q.ring) - 1
+	if k < q.n-1-k {
+		q.later(q.head, k)
+		q.ring[q.head] = nil
+		q.head = (q.head + 1) & mask
+	} else {
+		q.earlier((q.head+k+1)&mask, q.n-1-k)
+		q.ring[(q.head+q.n-1)&mask] = nil
+	}
+	q.n--
 }
 
-func (q *HeapQueue) remove(i int) {
-	n := len(q.heap) - 1
-	q.swap(i, n)
-	q.heap[n] = nil
-	q.heap = q.heap[:n]
-	if i < n {
-		q.up(i)
-		q.down(i)
+// later moves the m events in the ring from slot p on one slot later, and
+// earlier one slot earlier, each in at most three block moves: the part
+// before the ring's end, the event that crosses it, and the part after.
+func (q *HeapQueue) later(p, m int) {
+	r := q.ring
+	if p+m < len(r) {
+		copy(r[p+1:], r[p:p+m])
+		return
 	}
+	w := p + m - len(r) // events at the start of the ring
+	copy(r[1:], r[:w])
+	r[0] = r[len(r)-1]
+	copy(r[p+1:], r[p:len(r)-1])
+}
+
+func (q *HeapQueue) earlier(p, m int) {
+	r := q.ring
+	if m == 0 {
+		return
+	}
+	if p > 0 && p+m <= len(r) {
+		copy(r[p-1:], r[p:p+m])
+		return
+	}
+	if p == 0 {
+		p = len(r)
+	}
+	w := p + m - len(r) // events at the start of the ring
+	copy(r[p-1:], r[p:])
+	r[len(r)-1] = r[0]
+	copy(r, r[1:w])
+}
+
+// grow doubles the ring, unwrapping the pending events to its start. It
+// starts at one slot, so that a queue allocates what the depth of its
+// traffic needs and no more, as the heap's append did.
+func (q *HeapQueue) grow() {
+	ring := make([]*Event, max(2*len(q.ring), 1))
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
 }

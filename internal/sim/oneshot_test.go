@@ -7,8 +7,9 @@ import (
 
 func queueBackends() map[string]func() Queue {
 	return map[string]func() Queue{
-		"heap":     func() Queue { return NewHeapQueue() },
-		"calendar": func() Queue { return NewCalendarQueue(256, 1000) },
+		"heap":      func() Queue { return NewHeapQueue() },
+		"naiveHeap": func() Queue { return newNaiveHeap() },
+		"calendar":  func() Queue { return NewCalendarQueue(256, 1000) },
 	}
 }
 

@@ -1,9 +1,15 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// streamEvents is the number of persistent events a stream draws from, one
+// per value of an index byte, so that a stream can queue far more than 64
+// of them at once.
+const streamEvents = 256
 
 // queueStream replays one fuzz-generated op stream against a queue. Each
 // fired event consumes one follow-on op from the same stream, so schedules,
@@ -16,8 +22,9 @@ type queueStream struct {
 	events []*Event
 	posted int // one-shots posted so far; the next one's id is 1000+posted
 	log    []firedRec
-	check  func() error // structural invariant, nil for the heap
+	check  func() error // structural invariant, or nil
 	err    error
+	depth  int // the most events queued at once
 }
 
 type firedRec struct {
@@ -81,6 +88,12 @@ func (s *queueStream) perform(op byte) {
 			_ = s.q.NextTick()
 		}
 	}
+	s.after()
+}
+
+// after notes the queue's depth and checks its invariant after a step.
+func (s *queueStream) after() {
+	s.depth = max(s.depth, s.q.Len())
 	if s.check != nil && s.err == nil {
 		s.err = s.check()
 	}
@@ -98,9 +111,7 @@ func (s *queueStream) oneShot() {
 	id := 1000 + s.posted
 	s.posted++
 	s.q.Schedule(s.q.pool().get("o", 0, DomainCPU, func() { s.fired(id) }), s.q.Now()+Tick(d))
-	if s.check != nil && s.err == nil {
-		s.err = s.check()
-	}
+	s.after()
 }
 
 // fired is every event's callback: log, then one follow-on op.
@@ -115,11 +126,13 @@ func (s *queueStream) fired(id int) {
 	}
 }
 
-// run replays the whole stream, then drains the queue.
+// run replays the whole stream, then drains the queue. The events' priorities
+// cycle through five values, so that same-tick events are ordered by
+// priority as well as by insertion.
 func (s *queueStream) run() {
 	for i := range s.events {
 		id := i
-		s.events[i] = NewEvent("f", 0, func() { s.fired(id) })
+		s.events[i] = NewEventPrio("f", 0, i%5-2, func() { s.fired(id) })
 	}
 	for {
 		op, ok := s.next()
@@ -132,29 +145,66 @@ func (s *queueStream) run() {
 			s.oneShot()
 		} else {
 			s.q.ServiceOne()
-			if s.check != nil && s.err == nil {
-				s.err = s.check()
-			}
+			s.after()
 		}
 	}
 	for n := 0; n < 1<<16 && s.q.ServiceOne(); n++ {
-		if s.check != nil && s.err == nil {
-			s.err = s.check()
-		}
+		s.after()
 	}
 }
 
 func replay(q Queue, data []byte, check func() error) *queueStream {
-	s := &queueStream{q: q, data: data, events: make([]*Event, 12), check: check}
+	s := &queueStream{q: q, data: data, events: make([]*Event, streamEvents), check: check}
 	s.run()
 	return s
 }
 
-// FuzzQueueEquivalence drives HeapQueue and CalendarQueue with the same
-// schedule/deschedule/reschedule/peek stream and asserts an identical fire
-// order, plus the calendar queue's structural invariant after every step.
-// The geometry (8 buckets x 16 ticks) is small so near-future schedules slide
-// the window and far ones overflow and jump it.
+// deepStream returns a stream that first schedules n distinct events, then
+// continues with random ops (services, deschedules and reschedules, from
+// the main loop and from the callbacks of the events it fires), so that
+// the queue holds n or more events while it is mixed.
+func deepStream(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var b []byte
+	for i := 0; i < n; i++ {
+		b = append(b, 0, byte(i), byte(rng.Intn(256)))
+	}
+	tail := make([]byte, 8*n)
+	rng.Read(tail)
+	return append(b, tail...)
+}
+
+// checkDeque is the deque's structural invariant: the pending events are
+// sorted by before, each is marked scheduled and is found by its own key
+// (where Deschedule looks for it), and every other slot of the ring is nil.
+func checkDeque(q *HeapQueue) error {
+	if len(q.ring)&(len(q.ring)-1) != 0 || q.n > len(q.ring) {
+		return fmt.Errorf("deque: %d events in a ring of %d slots", q.n, len(q.ring))
+	}
+	for k := 0; k < len(q.ring); k++ {
+		e := q.at(k)
+		switch {
+		case k >= q.n:
+			if e != nil {
+				return fmt.Errorf("deque: free slot %d holds %s", k, e.name)
+			}
+		case e == nil || e.pos < 0:
+			return fmt.Errorf("deque: slot %d of %d holds no scheduled event", k, q.n)
+		case k > 0 && !q.at(k-1).before(e):
+			return fmt.Errorf("deque: %v at %d does not come before %v at %d", q.at(k-1), k-1, e, k)
+		case q.search(e) != k:
+			return fmt.Errorf("deque: %v at %d is searched for at %d", e, k, q.search(e))
+		}
+	}
+	return nil
+}
+
+// FuzzQueueEquivalence drives the deque (HeapQueue), naiveHeap (the binary
+// heap it replaced) and CalendarQueue with the same schedule/deschedule/
+// reschedule/peek stream and asserts an identical fire order, plus the
+// deque's and the calendar queue's structural invariants at the end.
+// The calendar's geometry (8 buckets x 16 ticks) is small so near-future
+// schedules slide the window and far ones overflow and jump it.
 func FuzzQueueEquivalence(f *testing.F) {
 	// Window-jump regression (TestCalendarScheduleAfterWindowJump as a
 	// stream): far schedule, NextTick jump, schedule at Now(), drain.
@@ -191,27 +241,39 @@ func FuzzQueueEquivalence(f *testing.F) {
 		rng.Read(buf)
 		f.Add(buf)
 	}
+	// Queues deeper than 64 events.
+	f.Add(deepStream(1, 100))
+	f.Add(deepStream(2, 200))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := replay(NewHeapQueue(), data, nil)
+		h := replay(newNaiveHeap(), data, nil)
+		d := replay(NewHeapQueue(), data, nil)
 		c := replay(NewCalendarQueue(8, 16), data, nil)
-		cal := c.q.(*CalendarQueue)
-		if err := cal.checkInvariant(); err != nil {
+		if err := checkDeque(d.q.(*HeapQueue)); err != nil {
+			t.Fatalf("deque invariant: %v", err)
+		}
+		if err := c.q.(*CalendarQueue).checkInvariant(); err != nil {
 			t.Fatalf("calendar invariant: %v", err)
 		}
-		if len(h.log) != len(c.log) {
-			t.Fatalf("heap fired %d events, calendar fired %d", len(h.log), len(c.log))
-		}
-		for i := range h.log {
-			if h.log[i] != c.log[i] {
-				t.Fatalf("divergence at %d: heap %+v, calendar %+v", i, h.log[i], c.log[i])
+		for _, o := range []struct {
+			name string
+			s    *queueStream
+		}{{"deque", d}, {"calendar", c}} {
+			if len(o.s.log) != len(h.log) {
+				t.Fatalf("naiveHeap fired %d events, %s %d", len(h.log), o.name, len(o.s.log))
+			}
+			for i := range h.log {
+				if o.s.log[i] != h.log[i] {
+					t.Fatalf("divergence at %d: naiveHeap %+v, %s %+v", i, h.log[i], o.name, o.s.log[i])
+				}
 			}
 		}
 	})
 }
 
-// TestFuzzInvariantChecked replays the regression seeds with the per-step
-// invariant check enabled (the fuzz body checks only at the end to keep the
-// fuzzing loop fast).
+// TestFuzzInvariantChecked replays the regression seeds and two deep streams
+// with the per-step invariant checks of the calendar queue and the deque
+// enabled (the fuzz body checks only at the end to keep the fuzzing loop
+// fast), and pins that the deep streams do queue more than 64 events.
 func TestFuzzInvariantChecked(t *testing.T) {
 	seeds := [][]byte{
 		{4, 0, 0xff, 0xff, 5, 0, 1, 0, 6, 6},
@@ -219,11 +281,19 @@ func TestFuzzInvariantChecked(t *testing.T) {
 		{0, 0, 50, 1, 1, 60, 3, 0, 10, 6, 2, 1, 4, 2, 1, 100, 6, 5, 0, 3, 0, 6, 6},
 		{7, 3, 7, 3, 0, 0, 3, 6, 7, 0, 6, 7, 5, 6, 6, 6, 6},
 	}
-	for i, data := range seeds {
-		q := NewCalendarQueue(8, 16)
-		s := replay(q, data, q.checkInvariant)
+	deep := [][]byte{deepStream(1, 100), deepStream(2, 200)}
+	for i, data := range append(seeds, deep...) {
+		c := NewCalendarQueue(8, 16)
+		if s := replay(c, data, c.checkInvariant); s.err != nil {
+			t.Errorf("seed %d: calendar invariant violated: %v", i, s.err)
+		}
+		d := NewHeapQueue()
+		s := replay(d, data, func() error { return checkDeque(d) })
 		if s.err != nil {
-			t.Errorf("seed %d: invariant violated: %v", i, s.err)
+			t.Errorf("seed %d: deque invariant violated: %v", i, s.err)
+		}
+		if i >= len(seeds) && s.depth <= 64 {
+			t.Errorf("seed %d: the deep stream queued at most %d events", i, s.depth)
 		}
 	}
 }

@@ -1,14 +1,16 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func backends() map[string]func() Queue {
 	return map[string]func() Queue{
-		"heap":     func() Queue { return NewHeapQueue() },
-		"calendar": func() Queue { return NewCalendarQueue(16, 100) },
+		"heap":      func() Queue { return NewHeapQueue() },
+		"naiveHeap": func() Queue { return newNaiveHeap() },
+		"calendar":  func() Queue { return NewCalendarQueue(16, 100) },
 	}
 }
 
@@ -160,8 +162,9 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestQueueEquivalence property-checks that the calendar queue services any
-// schedule in exactly the same order as the heap queue.
+// TestQueueEquivalence property-checks that the deque and the calendar
+// queue service any schedule in exactly the order of naiveHeap, the binary
+// heap the deque replaced.
 func TestQueueEquivalence(t *testing.T) {
 	run := func(q Queue, ticks []uint16, prios []int8) []int {
 		var order []int
@@ -178,17 +181,9 @@ func TestQueueEquivalence(t *testing.T) {
 		return order
 	}
 	f := func(ticks []uint16, prios []int8) bool {
-		h := run(NewHeapQueue(), ticks, prios)
-		c := run(NewCalendarQueue(8, 37), ticks, prios)
-		if len(h) != len(c) {
-			return false
-		}
-		for i := range h {
-			if h[i] != c[i] {
-				return false
-			}
-		}
-		return true
+		h := run(newNaiveHeap(), ticks, prios)
+		return slices.Equal(run(NewHeapQueue(), ticks, prios), h) &&
+			slices.Equal(run(NewCalendarQueue(8, 37), ticks, prios), h)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

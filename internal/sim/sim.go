@@ -91,7 +91,7 @@ type Event struct {
 
 	when     Tick
 	seq      uint64
-	pos      int // index in the owning heap, -1 when unscheduled
+	pos      int // -1 when unscheduled; the calendar queue's bucket, 0 in a HeapQueue
 	stamp    schedStamp
 	stampSet bool // next insertion keeps the pre-assigned stamp (mailbox post)
 	oneShot  bool // recycled by the queue that fires it (see oneShots)
@@ -166,7 +166,8 @@ func (e *Event) before(o *Event) bool {
 }
 
 // Queue is the scheduling backend interface. Two implementations exist: the
-// default binary-heap queue and a calendar queue (see DESIGN.md ablation A5).
+// default HeapQueue, a sorted deque (DESIGN.md §27), and a calendar queue
+// (see DESIGN.md ablation A5).
 type Queue interface {
 	// Now returns the current simulation time.
 	Now() Tick

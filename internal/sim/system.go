@@ -59,7 +59,7 @@ func (s *System) root() *System {
 	return s
 }
 
-// NewSystem returns a System with a heap event queue, a NopTracer, and a
+// NewSystem returns a System with a HeapQueue, a NopTracer, and a
 // deterministic RNG seeded with seed.
 func NewSystem(seed int64) *System {
 	return NewSystemWith(NewHeapQueue(), NewNopTracer(), seed)
