@@ -31,10 +31,10 @@ import (
 // Key identifies one checkpoint: which workload was fast-forwarded, under
 // which execution-relevant guest config, in which serialization format, up
 // to which guest tick. Anything that can change the bytes a fast-forward
-// produces MUST be part of the key; anything that cannot (the RNG seed —
-// pinned by TestCheckpointSeedInvariance — or the host platform, which the
-// guest never observes) deliberately is not, so config families share
-// entries.
+// produces MUST be part of the key; anything that cannot (the guest seed,
+// which nothing reads — pinned by TestCheckpointSeedInvariance — or the
+// host platform, which the guest never observes) deliberately is not, so
+// config families share entries.
 type Key struct {
 	// Workload names the guest program (including its scale), e.g.
 	// "sieve@1024".

@@ -62,11 +62,17 @@ func TestTimingPathAllocs(t *testing.T) {
 // been built: a second build and run of the guest_atomic benchmark's config
 // (sieve at scale 32768 on the Atomic CPU, untraced) allocates no decode
 // table, because the words are decoded once per (workload, scale) into the
-// images store. Before predecoding it allocated 158 616 bytes; with it,
-// 158 768-159 008 (go1.24 on linux/amd64). The bound is 2% over the former.
-// Allocation sizes follow the runtime's maps and size classes, so another
-// Go release only logs its figure.
+// images store, and no random source, because a System draws no random
+// numbers. With a seeded source per guest it allocated 158 752-159 008
+// bytes; without, 151 736-151 880 (go1.24 on linux/amd64). The bound is 2%
+// over the latter, below the former. Allocation sizes follow the runtime's
+// maps and size classes, so another Go release only logs its figure, and
+// the race detector's instrumentation allocates more, so a race build skips
+// the test.
 func TestGuestAtomicRebuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	gc := core.GuestConfig{CPU: core.Atomic, Mode: core.SE, Workload: "sieve", Scale: 32768, Seed: 42}
 	run := func() uint64 {
 		t.Helper()
@@ -85,8 +91,8 @@ func TestGuestAtomicRebuildAllocs(t *testing.T) {
 	run() // assembles and predecodes the image, if nothing has yet
 	got := run()
 	t.Logf("second build and run: %d bytes (%s)", got, runtime.Version())
-	const parent = 158_616
-	if strings.HasPrefix(runtime.Version(), "go1.24") && float64(got) > 1.02*parent {
-		t.Errorf("second build and run allocated %d bytes, want at most %.0f (2%% over %d)", got, 1.02*parent, parent)
+	const pinned = 151_736
+	if strings.HasPrefix(runtime.Version(), "go1.24") && float64(got) > 1.02*pinned {
+		t.Errorf("second build and run allocated %d bytes, want at most %.0f (2%% over %d)", got, 1.02*pinned, pinned)
 	}
 }

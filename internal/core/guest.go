@@ -66,13 +66,11 @@ type GuestConfig struct {
 	// GuestTLBs inserts guest instruction/data TLBs in front of the L1s
 	// (gem5's ARM FS configuration).
 	GuestTLBs bool
-	// Seed seeds the System's RNG (sim.NewSystemWith), and nothing else:
-	// no model draws from that RNG, so a guest or session result is a pure
-	// function of its config minus Seed and ExecTrace. simpoint.ConfigPrefix
-	// leaves both out of the checkpoint key for that reason and
-	// TestCheckpointSeedInvariance pins it. No experiment sets it; it
-	// stays because bench/ sets it, and a model that ever needs
-	// variation must take it from here, never from the host.
+	// Seed is read by nothing: no model draws random numbers, so a guest or
+	// session result is a pure function of its config minus Seed and
+	// ExecTrace. simpoint.ConfigPrefix leaves both out of the checkpoint key
+	// for that reason and TestCheckpointSeedInvariance pins it. No
+	// experiment sets it; the field remains only because bench/ sets it.
 	Seed int64
 	// CalendarQueue selects the calendar event-queue backend instead of
 	// the heap (bit-identical results; TestCalendarQueueMatchesHeap). No
@@ -88,14 +86,13 @@ type GuestConfig struct {
 }
 
 // Every guest has the same machine around its cores: memBytes of DRAM (like
-// the paper's small simulated memories relative to the host), a 1 GHz clock,
-// and mem.DefaultHierarchyConfig's caches unless IdealMemory. maxCores is the
-// most cores a guest has: the coherence directory keeps one sharer bit per
-// core in a word.
+// the paper's small simulated memories relative to the host), cpu.ClockPeriod's
+// 1 GHz clock, and mem.DefaultHierarchyConfig's caches unless IdealMemory.
+// maxCores is the most cores a guest has: the coherence directory keeps one
+// sharer bit per core in a word.
 const (
-	memBytes    = 16 << 20
-	clockPeriod = sim.Nanosecond
-	maxCores    = 64
+	memBytes = 16 << 20
+	maxCores = 64
 )
 
 // threaded reports whether a normalized config is a multicore SE guest: the
@@ -118,9 +115,6 @@ func (c *GuestConfig) withDefaults() GuestConfig {
 	}
 	if out.Cores <= 0 {
 		out.Cores = 1
-	}
-	if out.Seed == 0 {
-		out.Seed = 42
 	}
 	return out
 }
@@ -247,11 +241,11 @@ func buildGuest(cfg GuestConfig, prog *isa.Program, plan ExecPlan, tracer sim.Tr
 
 	newQueue := func() sim.Queue {
 		if plan.Calendar {
-			return sim.NewCalendarQueue(1024, clockPeriod)
+			return sim.NewCalendarQueue(1024, cpu.ClockPeriod)
 		}
 		return sim.NewHeapQueue()
 	}
-	sys := sim.NewSystemWith(newQueue(), tracer, cfg.Seed)
+	sys := sim.NewSystemWith(newQueue(), tracer)
 	ram := guest.NewMemory(memBytes)
 	ram.SetHostBase(tracer.AllocData("guest.ram", memBytes))
 
@@ -332,13 +326,12 @@ func buildGuest(cfg GuestConfig, prog *isa.Program, plan ExecPlan, tracer sim.Tr
 	// CPUs.
 	for i := 0; i < cfg.Cores; i++ {
 		ccfg := cpu.Config{
-			Name:        fmt.Sprintf("cpu%d", i),
-			ClockPeriod: clockPeriod,
-			Mem:         fmem,
-			Env:         env,
-			HartID:      uint32(i),
-			ExecTrace:   cfg.ExecTrace,
-			Decoded:     img.dec,
+			Name:      fmt.Sprintf("cpu%d", i),
+			Mem:       fmem,
+			Env:       env,
+			HartID:    uint32(i),
+			ExecTrace: cfg.ExecTrace,
+			Decoded:   img.dec,
 		}
 		if g.Hier != nil {
 			ccfg.IPort = g.Hier.IPort(i)

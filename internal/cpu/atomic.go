@@ -30,7 +30,7 @@ func NewAtomicCPU(sys *sim.System, cfg Config) *AtomicCPU {
 		// its Start event until it first fires, and a spawn can unpark it
 		// within the spawner's same-tick batch.
 		if !c.tick.Scheduled() {
-			sys.ScheduleIn(c.tick, c.core.clock)
+			sys.ScheduleIn(c.tick, ClockPeriod)
 		}
 	}
 	sys.Register(c)
@@ -99,5 +99,5 @@ func (c *AtomicCPU) doTick() {
 			return
 		}
 	}
-	core.sys.ScheduleIn(c.tick, sim.Tick(c.batch)*core.clock)
+	core.sys.ScheduleIn(c.tick, sim.Tick(c.batch)*ClockPeriod)
 }

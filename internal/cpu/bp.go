@@ -52,32 +52,24 @@ type TournamentBP struct {
 	btbMisses   *sim.Counter
 }
 
-// TournamentConfig sizes a TournamentBP.
-type TournamentConfig struct {
-	LocalEntries  int
-	GlobalEntries int
-	BTBEntries    int
-	RASDepth      int
-}
-
-// DefaultTournamentConfig mirrors the paper's FireSim configuration
-// (TournamentBP with a 4096-entry BTB).
-func DefaultTournamentConfig() TournamentConfig {
-	return TournamentConfig{LocalEntries: 2048, GlobalEntries: 8192, BTBEntries: 4096, RASDepth: 16}
-}
+// The tournament predictor's geometry, the paper's FireSim configuration
+// (TournamentBP with a 4096-entry BTB). The table sizes are powers of two.
+const (
+	bpLocalEntries  = 2048
+	bpGlobalEntries = 8192
+	bpBTBEntries    = 4096
+	bpRASDepth      = 16
+)
 
 // NewTournamentBP builds a tournament predictor, registering its statistics
 // under prefix.
-func NewTournamentBP(st *sim.Registry, prefix string, cfg TournamentConfig) *TournamentBP {
-	if cfg.LocalEntries <= 0 || cfg.GlobalEntries <= 0 || cfg.BTBEntries <= 0 {
-		panic("cpu: bad tournament predictor config")
-	}
+func NewTournamentBP(st *sim.Registry, prefix string) *TournamentBP {
 	b := &TournamentBP{
-		local:  make([]counter2, cfg.LocalEntries),
-		global: make([]counter2, cfg.GlobalEntries),
-		choice: make([]counter2, cfg.GlobalEntries),
-		btb:    make([]btbEntry, cfg.BTBEntries),
-		ras:    make([]uint32, 0, cfg.RASDepth),
+		local:  make([]counter2, bpLocalEntries),
+		global: make([]counter2, bpGlobalEntries),
+		choice: make([]counter2, bpGlobalEntries),
+		btb:    make([]btbEntry, bpBTBEntries),
+		ras:    make([]uint32, 0, bpRASDepth),
 	}
 	// Weakly taken initial state converges faster on loopy code.
 	for i := range b.local {

@@ -60,11 +60,12 @@ const (
 	CauseExternalIntr   = 0x8000_000B
 )
 
+// ClockPeriod is every guest core's clock period: 1 GHz.
+const ClockPeriod = sim.Nanosecond
+
 // Config carries the construction parameters shared by all CPU models.
 type Config struct {
 	Name string
-	// ClockPeriod is the guest clock period in ticks (1000 = 1 GHz).
-	ClockPeriod sim.Tick
 	// Mem is the functional memory (possibly MMIO-wrapped).
 	Mem FuncMem
 	// Env handles ecall/ebreak. Required.
@@ -87,9 +88,6 @@ func (c *Config) fill(sys *sim.System) {
 	if c.Name == "" {
 		panic("cpu: config needs a name")
 	}
-	if c.ClockPeriod == 0 {
-		c.ClockPeriod = sim.Nanosecond // 1 GHz
-	}
 	if c.Mem == nil {
 		panic("cpu: config needs functional memory")
 	}
@@ -97,10 +95,10 @@ func (c *Config) fill(sys *sim.System) {
 		panic("cpu: config needs an environment")
 	}
 	if c.IPort == nil {
-		c.IPort = IdealPort{Sys: sys, Latency: c.ClockPeriod}
+		c.IPort = IdealPort{Sys: sys, Latency: ClockPeriod}
 	}
 	if c.DPort == nil {
-		c.DPort = IdealPort{Sys: sys, Latency: c.ClockPeriod}
+		c.DPort = IdealPort{Sys: sys, Latency: ClockPeriod}
 	}
 }
 
@@ -123,12 +121,11 @@ func (p IdealPort) AtomicLatency(acc mem.Access) sim.Tick { return p.Latency }
 // Core is the architectural state and bookkeeping shared by all CPU models.
 // It implements isa.Context.
 type Core struct {
-	name  string
-	sys   *sim.System
-	cfg   Config
-	fmem  FuncMem
-	env   Env
-	clock sim.Tick
+	name string
+	sys  *sim.System
+	cfg  Config
+	fmem FuncMem
+	env  Env
 
 	regs  [32]uint32
 	fregs [32]float64
@@ -182,13 +179,12 @@ type Core struct {
 func newCore(sys *sim.System, code hostCode, cfg Config) *Core {
 	cfg.fill(sys)
 	c := &Core{
-		name:  cfg.Name,
-		sys:   sys,
-		cfg:   cfg,
-		fmem:  cfg.Mem,
-		env:   cfg.Env,
-		clock: cfg.ClockPeriod,
-		csrs:  make(map[uint32]uint32),
+		name: cfg.Name,
+		sys:  sys,
+		cfg:  cfg,
+		fmem: cfg.Mem,
+		env:  cfg.Env,
+		csrs: make(map[uint32]uint32),
 	}
 	c.csrs[CSRHartID] = cfg.HartID
 	st := sys.Stats()
@@ -202,10 +198,10 @@ func newCore(sys *sim.System, code hostCode, cfg Config) *Core {
 	sz := func(base int) int { return int(float64(base) * code.sizeFactor) }
 
 	tr := sys.Tracer()
-	c.fnFetch = tr.RegisterFunc(model+"::fetch", sz(2200), sim.FuncVirtual|sim.FuncHot)
-	c.fnDecode = tr.RegisterFunc(model+"::decodeInst", sz(3800), sim.FuncVirtual|sim.FuncHot)
-	c.fnAdvance = tr.RegisterFunc(model+"::advancePC", sz(900), sim.FuncVirtual|sim.FuncHot)
-	c.fnTrap = tr.RegisterFunc(model+"::trap", sz(2600), sim.FuncVirtual|sim.FuncCold)
+	c.fnFetch = tr.RegisterFunc(model+"::fetch", sz(2200), sim.FuncVirtual)
+	c.fnDecode = tr.RegisterFunc(model+"::decodeInst", sz(3800), sim.FuncVirtual)
+	c.fnAdvance = tr.RegisterFunc(model+"::advancePC", sz(900), sim.FuncVirtual)
+	c.fnTrap = tr.RegisterFunc(model+"::trap", sz(2600), sim.FuncVirtual)
 	classSizes := [...]struct {
 		cls  isa.Class
 		size int
@@ -229,7 +225,7 @@ func newCore(sys *sim.System, code hostCode, cfg Config) *Core {
 	for i := 0; i < code.libFuncs; i++ {
 		size := 180 + (i*137)%900
 		c.libFns = append(c.libFns,
-			tr.RegisterFunc(fmt.Sprintf("%s::lib%d", model, i), size, sim.FuncVirtual|sim.FuncCold))
+			tr.RegisterFunc(fmt.Sprintf("%s::lib%d", model, i), size, sim.FuncVirtual))
 	}
 	c.libStride = code.libStride
 	return c
@@ -251,7 +247,7 @@ func (c *Core) CommittedInsts() uint64 { return c.numInsts.Count() }
 // cycleIPC returns committed instructions per elapsed clock cycle,
 // stalls included.
 func (c *Core) cycleIPC() float64 {
-	elapsed := c.sys.Now() / c.clock
+	elapsed := c.sys.Now() / ClockPeriod
 	if elapsed == 0 {
 		return 0
 	}
@@ -399,7 +395,7 @@ func (c *Core) WriteMem(addr uint32, size int, v uint64) error {
 func (c *Core) ReadCSR(num uint32) uint32 {
 	switch num {
 	case CSRCycle:
-		return uint32(c.sys.Now() / c.clock)
+		return uint32(c.sys.Now() / ClockPeriod)
 	case CSRInstret:
 		return uint32(c.numInsts.Count())
 	}
@@ -571,7 +567,7 @@ var (
 var models = map[string]Constructor{
 	"atomic": func(sys *sim.System, cfg Config) CPU { return NewAtomicCPU(sys, cfg) },
 	"timing": func(sys *sim.System, cfg Config) CPU { return NewTimingCPU(sys, cfg) },
-	"minor":  func(sys *sim.System, cfg Config) CPU { return NewMinorCPU(sys, cfg, DefaultMinorConfig()) },
+	"minor":  func(sys *sim.System, cfg Config) CPU { return NewMinorCPU(sys, cfg) },
 	"o3":     func(sys *sim.System, cfg Config) CPU { return NewO3CPU(sys, cfg, DefaultO3Config()) },
 }
 

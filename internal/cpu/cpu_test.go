@@ -453,7 +453,7 @@ func TestHaltStopsScheduling(t *testing.T) {
 
 func TestTournamentBPDirectionLearning(t *testing.T) {
 	st := sim.NewRegistry()
-	bp := NewTournamentBP(st, "bp", DefaultTournamentConfig())
+	bp := NewTournamentBP(st, "bp")
 	br := isa.Inst{Op: isa.OpBne, Rs1: 1, Rs2: 2, Imm: -4}
 	pc := uint32(0x1000)
 	// Train: always taken.

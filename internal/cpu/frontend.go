@@ -82,7 +82,7 @@ func (f *frontEnd) schedule() {
 	if f.core.halted || f.tick.Scheduled() {
 		return
 	}
-	f.core.sys.ScheduleIn(f.tick, f.core.clock)
+	f.core.sys.ScheduleIn(f.tick, ClockPeriod)
 }
 
 // scheduleAt arms the pipeline tick at an absolute tick, moving it earlier

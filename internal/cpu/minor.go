@@ -6,41 +6,22 @@ import (
 	"gem5prof/internal/sim"
 )
 
-// MinorConfig sets the geometry of the in-order pipeline.
-type MinorConfig struct {
-	// FetchBytes is the width of one instruction-cache fetch.
-	FetchBytes uint32
-	// IssueWidth is the maximum instructions issued per cycle.
-	IssueWidth int
-	// BufferDepth bounds the decoded-instruction queue.
-	BufferDepth int
-	// MispredictPenalty is the redirect bubble in cycles.
-	MispredictPenalty int
-	// BP sizes the branch predictor.
-	BP TournamentConfig
-}
-
-// DefaultMinorConfig mirrors gem5's MinorCPU defaults: 2-wide with a
+// The in-order pipeline's geometry, gem5's MinorCPU defaults: 2-wide with a
 // 4-stage front end.
-func DefaultMinorConfig() MinorConfig {
-	return MinorConfig{
-		FetchBytes:        64,
-		IssueWidth:        2,
-		BufferDepth:       16,
-		MispredictPenalty: 4,
-		BP:                DefaultTournamentConfig(),
-	}
-}
+const (
+	minorFetchBytes        = 64 // width of one instruction-cache fetch
+	minorIssueWidth        = 2  // instructions issued per cycle at most
+	minorBufferDepth       = 16 // bound of the decoded-instruction queue
+	minorMispredictPenalty = 4  // redirect bubble in cycles
+)
 
 // MinorCPU is the in-order pipelined model: strict in-order issue, a
 // scoreboard for register hazards, branch prediction with redirect
 // penalties, and timing memory accesses.
 type MinorCPU struct {
 	frontEnd
-	mcfg MinorConfig
 
-	regReadyAt    [isa.NumArchRegs]sim.Tick
-	outstandingLd int
+	regReadyAt [isa.NumArchRegs]sim.Tick
 
 	// Host-model stage functions beyond the common core set.
 	fnIssue sim.FuncID
@@ -52,13 +33,10 @@ type MinorCPU struct {
 }
 
 // NewMinorCPU builds a Minor in-order CPU.
-func NewMinorCPU(sys *sim.System, cfg Config, mcfg MinorConfig) *MinorCPU {
-	if mcfg.IssueWidth <= 0 || mcfg.BufferDepth <= 0 || mcfg.FetchBytes == 0 {
-		panic("cpu: bad minor config")
-	}
-	c := &MinorCPU{mcfg: mcfg}
+func NewMinorCPU(sys *sim.System, cfg Config) *MinorCPU {
+	c := &MinorCPU{}
 	core := newCore(sys, minorCode, cfg)
-	bp := NewTournamentBP(sys.Stats(), cfg.Name, mcfg.BP)
+	bp := NewTournamentBP(sys.Stats(), cfg.Name)
 	tr := sys.Tracer()
 	fetch2 := tr.RegisterFunc("MinorCPU::Fetch2::evaluate", 4200, sim.FuncVirtual|sim.FuncPoly)
 	c.fnIssue = tr.RegisterFunc("MinorCPU::Execute::issue", 5100, sim.FuncVirtual|sim.FuncPoly)
@@ -71,9 +49,9 @@ func NewMinorCPU(sys *sim.System, cfg Config, mcfg MinorConfig) *MinorCPU {
 		core:       core,
 		bp:         bp,
 		tick:       sim.NewEventPrio(cfg.Name+".tick", c.fnIssue, sim.PrioCPUTick, c.evaluate),
-		fetchBytes: mcfg.FetchBytes,
-		depth:      mcfg.BufferDepth,
-		penalty:    sim.Tick(mcfg.MispredictPenalty) * core.clock,
+		fetchBytes: minorFetchBytes,
+		depth:      minorBufferDepth,
+		penalty:    minorMispredictPenalty * ClockPeriod,
 		perInst:    fetch2,
 		rearm:      true,
 		squashes:   st.Counter(cfg.Name+".squashes", "pipeline squashes (mispredicts + traps)"),
@@ -101,7 +79,7 @@ func (c *MinorCPU) evaluate() {
 	// Execute stage: in-order issue of up to IssueWidth ready instructions.
 	issued := 0
 	blockedUntil := sim.Tick(0)
-	for issued < c.mcfg.IssueWidth && now >= c.stallUntil && len(c.buffer) > 0 {
+	for issued < minorIssueWidth && now >= c.stallUntil && len(c.buffer) > 0 {
 		mi := c.buffer[0]
 		if mi.pc != core.pc {
 			// Stale wrong-path instruction (post-redirect); drop it.
@@ -203,7 +181,7 @@ func (c *MinorCPU) issueOne(mi decodedInst, now sim.Tick) bool {
 
 	// Register result latency.
 	if d := in.Dest(); d != isa.InvalidReg {
-		c.regReadyAt[d] = now + sim.Tick(fuLatency(in.Class()))*core.clock
+		c.regReadyAt[d] = now + sim.Tick(fuLatency(in.Class()))*ClockPeriod
 	}
 
 	// Memory timing.
@@ -212,12 +190,10 @@ func (c *MinorCPU) issueOne(mi decodedInst, now sim.Tick) bool {
 		acc := mem.Access{Addr: out.MemAddr, Size: uint8(in.MemSize()), Write: in.IsStore()}
 		if in.IsLoad() {
 			d := in.Dest()
-			c.outstandingLd++
 			if d != isa.InvalidReg {
 				c.regReadyAt[d] = sim.MaxTick // unknown until response
 			}
 			core.cfg.DPort.SendTiming(acc, func() {
-				c.outstandingLd--
 				if d != isa.InvalidReg {
 					c.regReadyAt[d] = core.sys.Now()
 				}

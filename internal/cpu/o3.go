@@ -7,8 +7,8 @@ import (
 )
 
 // O3Config sets the geometry of the out-of-order core. Defaults follow the
-// paper's Table I (8-wide, 192-entry ROB, 64-entry IQ, 32/32 LQ/SQ,
-// tournament predictor with a 4096-entry BTB).
+// paper's Table I (8-wide, 192-entry ROB, 64-entry IQ, 32/32 LQ/SQ); the
+// tournament predictor is the one every model shares.
 type O3Config struct {
 	Width             int // fetch/rename/issue/commit width
 	ROBEntries        int
@@ -17,7 +17,6 @@ type O3Config struct {
 	SQEntries         int
 	FetchBytes        uint32
 	MispredictPenalty int
-	BP                TournamentConfig
 }
 
 // DefaultO3Config returns the Table I configuration.
@@ -30,13 +29,11 @@ func DefaultO3Config() O3Config {
 		SQEntries:         32,
 		FetchBytes:        64,
 		MispredictPenalty: 10,
-		BP:                DefaultTournamentConfig(),
 	}
 }
 
 type robEntry struct {
 	seq      uint64
-	pc       uint32
 	in       isa.Inst
 	deps     [3]uint64 // producer sequence numbers (0 = none)
 	numDeps  int
@@ -44,8 +41,6 @@ type robEntry struct {
 	complete bool
 	doneAt   sim.Tick
 	memAddr  uint32
-	hasMem   bool
-	mispred  bool
 }
 
 // O3CPU is the out-of-order model. Instructions execute architecturally in
@@ -88,13 +83,13 @@ func NewO3CPU(sys *sim.System, cfg Config, ocfg O3Config) *O3CPU {
 	}
 	c := &O3CPU{ocfg: ocfg, rob: make([]robEntry, ocfg.ROBEntries), headSeq: 1, nextSeq: 1}
 	core := newCore(sys, o3Code, cfg)
-	bp := NewTournamentBP(sys.Stats(), cfg.Name, ocfg.BP)
+	bp := NewTournamentBP(sys.Stats(), cfg.Name)
 	tr := sys.Tracer()
 	c.fnRename = tr.RegisterFunc("O3CPU::Rename::renameInsts", 6200, sim.FuncVirtual|sim.FuncPoly)
 	c.fnIEW = tr.RegisterFunc("O3CPU::IEW::executeInsts", 7400, sim.FuncVirtual|sim.FuncPoly)
 	c.fnCommit = tr.RegisterFunc("O3CPU::Commit::commitInsts", 5800, sim.FuncVirtual|sim.FuncPoly)
 	c.fnLSQ = tr.RegisterFunc("O3CPU::LSQUnit::executeLoad", 4600, sim.FuncVirtual|sim.FuncPoly)
-	c.fnROB = tr.RegisterFunc("O3CPU::ROB::insertInst", 2800, sim.FuncVirtual|sim.FuncHot)
+	c.fnROB = tr.RegisterFunc("O3CPU::ROB::insertInst", 2800, sim.FuncVirtual)
 	st := sys.Stats()
 	c.numCycles = st.Counter(cfg.Name+".numCycles", "pipeline cycles evaluated")
 	c.robFullStall = st.Counter(cfg.Name+".robFullStalls", "dispatch stalls: ROB full")
@@ -106,7 +101,7 @@ func NewO3CPU(sys *sim.System, cfg Config, ocfg O3Config) *O3CPU {
 		tick:       sim.NewEventPrio(cfg.Name+".tick", c.fnIEW, sim.PrioCPUTick, c.evaluate),
 		fetchBytes: ocfg.FetchBytes,
 		depth:      4 * ocfg.Width,
-		penalty:    sim.Tick(ocfg.MispredictPenalty) * core.clock,
+		penalty:    sim.Tick(ocfg.MispredictPenalty) * ClockPeriod,
 		squashes:   st.Counter(cfg.Name+".squashes", "front-end squashes"),
 	})
 	sys.Register(c)
@@ -136,7 +131,7 @@ func (c *O3CPU) evaluate() {
 	if core.waiting {
 		return // WFI drain; wakeup() re-arms
 	}
-	if !c.dispatch(now) {
+	if !c.dispatch() {
 		return // fault terminated the run
 	}
 	c.tryFetch()
@@ -209,7 +204,7 @@ func (c *O3CPU) issue(now sim.Tick) {
 			continue
 		}
 		e.complete = true
-		e.doneAt = now + sim.Tick(fuLatency(e.in.Class()))*core.clock
+		e.doneAt = now + sim.Tick(fuLatency(e.in.Class()))*ClockPeriod
 		c.resolved(e)
 	}
 }
@@ -238,7 +233,7 @@ func (c *O3CPU) depsReady(e *robEntry, now sim.Tick) bool {
 
 // dispatch renames and architecturally executes instructions in program
 // order. Returns false if a fault ended the simulation.
-func (c *O3CPU) dispatch(now sim.Tick) bool {
+func (c *O3CPU) dispatch() bool {
 	core := c.core
 	for n := 0; n < c.ocfg.Width && len(c.buffer) > 0; n++ {
 		if core.waiting {
@@ -295,7 +290,7 @@ func (c *O3CPU) dispatch(now sim.Tick) bool {
 		c.inROB++
 		c.unissued++
 		e := c.entry(seq)
-		*e = robEntry{seq: seq, pc: pc, in: mi.in}
+		*e = robEntry{seq: seq, in: mi.in}
 		var srcs [3]isa.RegID
 		for _, r := range mi.in.Srcs(srcs[:0]) {
 			if p := c.renameTo[r]; p != 0 && c.live(p) {
@@ -307,7 +302,6 @@ func (c *O3CPU) dispatch(now sim.Tick) bool {
 			c.renameTo[d] = seq
 		}
 		if out.HasMem {
-			e.hasMem = true
 			e.memAddr = out.MemAddr
 			if mi.in.IsLoad() {
 				c.lqUsed++
@@ -324,13 +318,11 @@ func (c *O3CPU) dispatch(now sim.Tick) bool {
 		}
 		if redirected {
 			// Trap/environment redirect: refetch immediately after resolve.
-			e.mispred = true
 			c.squash(realNext, seq)
 			return true
 		}
 		if mi.predNext != realNext {
 			c.bp.RecordMispredict()
-			e.mispred = true
 			c.squash(realNext, seq)
 			return true
 		}

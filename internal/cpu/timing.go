@@ -25,8 +25,6 @@ type TimingCPU struct {
 	numCycles  *sim.Counter
 	fetchStall *sim.Counter
 	dataStall  *sim.Counter
-
-	lastActive sim.Tick
 }
 
 // NewTimingCPU builds a TimingSimpleCPU.
@@ -43,7 +41,7 @@ func NewTimingCPU(sys *sim.System, cfg Config) *TimingCPU {
 		// its Start event until it first fires, and a spawn can unpark it
 		// within the spawner's same-tick batch.
 		if !c.fetchEv.Scheduled() {
-			sys.ScheduleIn(c.fetchEv, c.core.clock)
+			sys.ScheduleIn(c.fetchEv, ClockPeriod)
 		}
 	}
 	sys.Register(c)
@@ -124,5 +122,5 @@ func (c *TimingCPU) instDone() {
 	if core.halted || core.waiting {
 		return
 	}
-	core.sys.ScheduleIn(c.fetchEv, core.clock)
+	core.sys.ScheduleIn(c.fetchEv, ClockPeriod)
 }

@@ -24,8 +24,8 @@ type Options struct {
 	// (pass.go). The rendered output is byte-identical for every value:
 	// every cell's result is what its session or guest alone returns, and
 	// results are collected in cell order. Runs leave core.GuestConfig.Seed
-	// at its default; a result does not depend on it, and the field stays
-	// only because bench/ sets it.
+	// zero; nothing reads it, and the field stays only because bench/ sets
+	// it.
 	Jobs int
 
 	// Cores caps the multicore scaling sweep (fig16) at the given guest

@@ -70,8 +70,6 @@ type Config struct {
 	CalleeFanout int
 	// CalleesPerCall is how many helpers one invocation actually calls.
 	CalleesPerCall int
-	// BytesPerUop converts code bytes to decoded micro-ops.
-	BytesPerUop float64
 }
 
 // DefaultConfig mirrors a gem5.opt-like binary layout: a 128MB text arena
@@ -87,7 +85,6 @@ func DefaultConfig() Config {
 		SizeFactor:     1.0,
 		CalleeFanout:   12,
 		CalleesPerCall: 2,
-		BytesPerUop:    3.6,
 	}
 }
 
@@ -128,9 +125,6 @@ func (c Config) Normalized() Config {
 	if c.CalleesPerCall == 0 {
 		c.CalleesPerCall = d.CalleesPerCall
 	}
-	if c.BytesPerUop == 0 {
-		c.BytesPerUop = d.BytesPerUop
-	}
 	return c
 }
 
@@ -145,9 +139,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hostmodel: TextSlots must be a power of two (got %d)", c.TextSlots)
 	case c.SlotBytes < 128 || c.SlotBytes&(c.SlotBytes-1) != 0:
 		return fmt.Errorf("hostmodel: SlotBytes must be a power of two >= 128 (got %d)", c.SlotBytes)
-	case !(c.SizeFactor > 0) || !(c.DynFactor > 0) || !(c.BytesPerUop > 0):
-		return fmt.Errorf("hostmodel: SizeFactor, DynFactor and BytesPerUop must not be negative (got %g, %g, %g)",
-			c.SizeFactor, c.DynFactor, c.BytesPerUop)
+	case !(c.SizeFactor > 0) || !(c.DynFactor > 0):
+		return fmt.Errorf("hostmodel: SizeFactor and DynFactor must not be negative (got %g, %g)",
+			c.SizeFactor, c.DynFactor)
 	case c.CalleeFanout < 0 || c.CalleesPerCall < 0:
 		return fmt.Errorf("hostmodel: CalleeFanout and CalleesPerCall must not be negative (got %d, %d)",
 			c.CalleeFanout, c.CalleesPerCall)
@@ -187,9 +181,6 @@ type fnLayout struct {
 	// helpers is how many helper callees follow a primary: place lays them
 	// out right behind it, so they are the functions fn+1 … fn+helpers.
 	helpers uint32
-	// polymorphic marks virtual functions whose indirect call sites flip
-	// between targets (distinct dynamic types), defeating the BTB.
-	polymorphic bool
 }
 
 // fnRun is one function's dynamic state in one code model.
@@ -343,6 +334,10 @@ func (m *CodeModel) CalledFuncs() int {
 	return n
 }
 
+// bytesPerUop is how many bytes of host machine code decode to one micro-op
+// in a synthetic basic block.
+const bytesPerUop = 3.6
+
 // buildTraces precomputes three alternative dynamic paths through the
 // function: basic blocks of 16-48 bytes, each ending in a branch, some with
 // a call site. uopScale decouples dynamic work from static size (the -O3
@@ -374,7 +369,7 @@ func (f *fnLayout) buildTraces(seed uint64, uopScale float64, scratch []traceSte
 			step := traceStep{
 				addr:  f.addr + pos,
 				bytes: blk,
-				uops:  1 + uint32(float64(blk)/3.6*uopScale),
+				uops:  1 + uint32(float64(blk)/bytesPerUop*uopScale),
 				// Branch to a point further into the function (or the next
 				// block when not taken).
 				brTarget: f.addr + pos + uint64(blk) + uint64(rng>>40&0xFF),
@@ -485,7 +480,7 @@ func (m *CodeModel) call(fn sim.FuncID, depth int) {
 		if st.brTarget != 0 {
 			taken := st.brTakenPat>>(pat%8)&1 == 1
 			target := st.brTarget
-			if st.indirect && f.polymorphic {
+			if st.indirect && f.flags&sim.FuncPoly != 0 {
 				// Megamorphic call site: rotate across dynamic types.
 				target += uint64(pat&3) * 192
 			}

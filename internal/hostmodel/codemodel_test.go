@@ -84,6 +84,24 @@ func TestVirtualFunctionsEmitIndirectBranches(t *testing.T) {
 	}
 }
 
+// TestEveryFuncFlagChangesTheStream: adding any flag bit, up to FuncPoly,
+// the last one declared, to a function's registration changes what the code
+// model emits for it: its helpers, its indirect branches or their targets. A
+// flag that changed nothing would be an input only in name.
+func TestEveryFuncFlagChangesTheStream(t *testing.T) {
+	emit := func(flags sim.FuncFlags) string {
+		return fmt.Sprint(private(DefaultConfig(), []reg{{"Flagged::f", 2000, flags}}))
+	}
+	for b := sim.FuncFlags(1); b != 0 && b <= sim.FuncPoly; b <<= 1 {
+		// Only an indirect branch can rotate targets, so every flag but
+		// FuncVirtual itself is added to a virtual function.
+		base := sim.FuncVirtual &^ b
+		if emit(base) == emit(base|b) {
+			t.Errorf("flag %#x changes nothing the code model emits", b)
+		}
+	}
+}
+
 func TestLayoutScattersAndDoesNotOverlap(t *testing.T) {
 	m := New(DefaultConfig(), &recordSink{})
 	type span struct{ lo, hi uint64 }
@@ -141,7 +159,7 @@ func TestDeterministicStream(t *testing.T) {
 		sink := &recordSink{}
 		m := New(DefaultConfig(), sink)
 		a := m.RegisterFunc("a", 1500, sim.FuncVirtual)
-		b := m.RegisterFunc("b", 900, sim.FuncHot)
+		b := m.RegisterFunc("b", 900, 0)
 		for i := 0; i < 100; i++ {
 			m.Call(a)
 			m.Call(b)

@@ -198,9 +198,8 @@ func (m *CodeModel) place(name string, codeBytes int, flags sim.FuncFlags) sim.F
 		// flattens gem5's hot-function CDF for detailed CPU models.
 		helperSize := 90 + codeBytes/20 + int(h>>uint(i%24)&0x7F)
 		// Helpers are direct-called leaves: no indirect branches.
-		hflags := (flags &^ (sim.FuncVirtual | sim.FuncPoly)) | sim.FuncLeaf
 		m.nameBuf = helperName(m.nameBuf[:0], name, i)
-		m.placeOne("", id, hashName(m.nameBuf), helperSize, hflags)
+		m.placeOne("", id, hashName(m.nameBuf), helperSize, sim.FuncLeaf)
 	}
 	m.lay.funcs[id].helpers = uint32(fanout)
 	m.cur.nfuncs = len(m.lay.funcs)
@@ -217,12 +216,11 @@ func (m *CodeModel) placeOne(name string, owner sim.FuncID, seed uint64, codeByt
 	}
 	id := sim.FuncID(len(m.lay.funcs))
 	f := fnLayout{
-		name:        name,
-		owner:       owner,
-		addr:        m.placeFunc(size),
-		size:        size,
-		flags:       flags,
-		polymorphic: flags&sim.FuncPoly != 0,
+		name:  name,
+		owner: owner,
+		addr:  m.placeFunc(size),
+		size:  size,
+		flags: flags,
 	}
 	m.scratch = f.buildTraces(seed, m.cfg.DynFactor/m.cfg.SizeFactor, m.scratch)
 	if len(m.lay.funcs) == cap(m.lay.funcs) {

@@ -3,6 +3,7 @@ package hostmodel
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -22,16 +23,16 @@ type reg struct {
 // several cores register again (the repeats dedup to the first).
 func guestLike(mode string, cores int) []reg {
 	seq := []reg{
-		{"EventQueue::serviceOne", 480, sim.FuncHot},
-		{"EventQueue::schedule", 320, sim.FuncHot},
-		{mode + "Workload::syscall", 5200, sim.FuncVirtual | sim.FuncCold},
-		{"sys.l1d::access", 1400, sim.FuncVirtual | sim.FuncHot},
-		{"sys.l2::access", 1400, sim.FuncVirtual | sim.FuncHot},
+		{"EventQueue::serviceOne", 480, 0},
+		{"EventQueue::schedule", 320, 0},
+		{mode + "Workload::syscall", 5200, sim.FuncVirtual},
+		{"sys.l1d::access", 1400, sim.FuncVirtual},
+		{"sys.l2::access", 1400, sim.FuncVirtual},
 		{"sys.mem::recvAtomic", 1600, sim.FuncVirtual},
 	}
 	for c := 0; c < cores; c++ {
 		seq = append(seq,
-			reg{"CPU::fetch", 2200, sim.FuncVirtual | sim.FuncHot},
+			reg{"CPU::fetch", 2200, sim.FuncVirtual},
 			reg{"CPU::execute<IntAlu>", 1900, sim.FuncVirtual | sim.FuncPoly},
 			reg{"CPU::tick", 40, sim.FuncLeaf},
 		)
@@ -331,7 +332,7 @@ func TestConcurrentFollowers(t *testing.T) {
 func TestConfigNormalizedAndValidate(t *testing.T) {
 	def := DefaultConfig()
 	def.DynFactor = 1
-	for _, c := range []Config{{}, {SizeFactor: 1}, DefaultConfig(), {TextSlots: 8192, BytesPerUop: 3.6}} {
+	for _, c := range []Config{{}, {SizeFactor: 1}, DefaultConfig(), {TextSlots: 8192, CalleesPerCall: 2}} {
 		if got := c.Normalized(); got != def {
 			t.Errorf("%+v normalises to %+v, want %+v", c, got, def)
 		}
@@ -365,6 +366,40 @@ func TestConfigNormalizedAndValidate(t *testing.T) {
 			t.Errorf("%+v: unexpected %v", tc.cfg, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%+v: got %v, want an error containing %q", tc.cfg, err, tc.want)
+		}
+	}
+}
+
+// TestEveryConfigFieldChangesTheBinary: each field of a normalised Config,
+// changed alone to another valid value, changes what a client of the code
+// model can see: the emitted records, the layout, or the heap. A field that
+// changed none of them would be a knob wired to nothing.
+func TestEveryConfigFieldChangesTheBinary(t *testing.T) {
+	seq := guestLike("SE", 2)
+	def := DefaultConfig().Normalized()
+	base := fmt.Sprint(private(def, seq))
+	v := reflect.ValueOf(&def).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		cfg := def
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		// Doubling keeps the power-of-two fields powers of two; a quarter
+		// less keeps the factors positive.
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(2 * f.Int())
+		case reflect.Uint64:
+			f.SetUint(2 * f.Uint())
+		case reflect.Float64:
+			f.SetFloat(0.75 * f.Float())
+		default:
+			t.Fatalf("field %s: no perturbation for kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("field %s: perturbed config invalid: %v", v.Type().Field(i).Name, err)
+		}
+		if fmt.Sprint(private(cfg, seq)) == base {
+			t.Errorf("field %s: changing it from %v to %v changes nothing the code model emits",
+				v.Type().Field(i).Name, v.Field(i), f)
 		}
 	}
 }

@@ -128,7 +128,7 @@ func Assemble(src string) (*Program, error) {
 		}
 
 		if strings.HasPrefix(mnem, ".") {
-			it, newLoc, newBase, err := directive(line, mnem, args, rest, loc, base, baseSet)
+			it, newLoc, newBase, err := directive(line, mnem, args, rest, loc, baseSet)
 			if err != nil {
 				return nil, err
 			}
@@ -200,7 +200,7 @@ func Assemble(src string) (*Program, error) {
 }
 
 // directive handles one dot-directive in pass 1.
-func directive(line int, mnem string, args []string, rest string, loc, base uint32, baseSet bool) (item, uint32, uint32, error) {
+func directive(line int, mnem string, args []string, rest string, loc uint32, baseSet bool) (item, uint32, uint32, error) {
 	fail := func(format string, fargs ...any) (item, uint32, uint32, error) {
 		return item{}, 0, 0, &asmError{line: line, msg: fmt.Sprintf(format, fargs...)}
 	}
@@ -407,7 +407,7 @@ func encodeStmt(it item, labels map[string]uint32) ([]Word, error) {
 	case FmtR:
 		err = parseFmtR(&in, it.args)
 	case FmtI:
-		err = parseFmtI(&in, it.args, it.addr, labels)
+		err = parseFmtI(&in, it.args)
 	case FmtS:
 		err = parseFmtS(&in, it.args)
 	case FmtB:
@@ -464,7 +464,7 @@ func parseFmtR(in *Inst, args []string) error {
 	return nil
 }
 
-func parseFmtI(in *Inst, args []string, addr uint32, labels map[string]uint32) error {
+func parseFmtI(in *Inst, args []string) error {
 	info := &opTable[in.Op]
 	switch {
 	case info.isLoad, in.Op == OpJalr:

@@ -169,19 +169,18 @@ type opInfo struct {
 	format Format
 	class  Class
 
-	readsRs1  bool
-	readsRs2  bool
-	writesRd  bool
-	fpRs1     bool // rs1 names an f register
-	fpRs2     bool
-	fpRd      bool
-	isLoad    bool
-	isStore   bool
-	isBranch  bool // conditional control flow
-	isJump    bool // unconditional control flow
-	isSystem  bool
-	memSize   uint8 // bytes moved for loads/stores
-	memSigned bool
+	readsRs1 bool
+	readsRs2 bool
+	writesRd bool
+	fpRs1    bool // rs1 names an f register
+	fpRs2    bool
+	fpRd     bool
+	isLoad   bool
+	isStore  bool
+	isBranch bool // conditional control flow
+	isJump   bool // unconditional control flow
+	isSystem bool
+	memSize  uint8 // bytes moved for loads/stores
 }
 
 var opTable = [opCount]opInfo{
@@ -217,9 +216,9 @@ var opTable = [opCount]opInfo{
 	OpLui:   {name: "lui", format: FmtU, class: ClassIntAlu, writesRd: true},
 	OpAuipc: {name: "auipc", format: FmtU, class: ClassIntAlu, writesRd: true},
 
-	OpLb:  {name: "lb", format: FmtI, class: ClassMemRead, readsRs1: true, writesRd: true, isLoad: true, memSize: 1, memSigned: true},
+	OpLb:  {name: "lb", format: FmtI, class: ClassMemRead, readsRs1: true, writesRd: true, isLoad: true, memSize: 1},
 	OpLbu: {name: "lbu", format: FmtI, class: ClassMemRead, readsRs1: true, writesRd: true, isLoad: true, memSize: 1},
-	OpLh:  {name: "lh", format: FmtI, class: ClassMemRead, readsRs1: true, writesRd: true, isLoad: true, memSize: 2, memSigned: true},
+	OpLh:  {name: "lh", format: FmtI, class: ClassMemRead, readsRs1: true, writesRd: true, isLoad: true, memSize: 2},
 	OpLhu: {name: "lhu", format: FmtI, class: ClassMemRead, readsRs1: true, writesRd: true, isLoad: true, memSize: 2},
 	OpLw:  {name: "lw", format: FmtI, class: ClassMemRead, readsRs1: true, writesRd: true, isLoad: true, memSize: 4},
 	OpSb:  {name: "sb", format: FmtS, class: ClassMemWrite, readsRs1: true, readsRs2: true, isStore: true, memSize: 1},

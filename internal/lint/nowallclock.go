@@ -7,8 +7,8 @@ import (
 // NoWallClock forbids host entropy inside the simulator core
 // (gem5prof/internal/...): wall-clock time, the global math/rand state,
 // and the process environment. A guest or session result is a pure
-// function of its config (minus Seed and ExecTrace: no model draws from
-// sim.System's seeded RNG today) — that is what makes a run replayable
+// function of its config (minus Seed, which nothing reads, and ExecTrace) —
+// that is what makes a run replayable
 // bit-for-bit on any host and what the golden fixtures, the conformance
 // campaigns, and the pipelined-equals-serial differential all rest on.
 // Banning the sources outright means no flow from them into a stat, trace,

@@ -42,7 +42,7 @@ func NewBus(sys *sim.System, cfg BusConfig, next Port) *Bus {
 	if ds, ok := next.(DomainSource); ok {
 		b.fwdDomain = ds.EventDomain()
 	}
-	b.fnForward = sys.Tracer().RegisterFunc(cfg.Name+"::recvTimingReq", 800, sim.FuncVirtual|sim.FuncHot)
+	b.fnForward = sys.Tracer().RegisterFunc(cfg.Name+"::recvTimingReq", 800, sim.FuncVirtual)
 	st := sys.Stats()
 	b.transactions = st.Counter(cfg.Name+".transactions", "bus transactions")
 	b.bytesMoved = st.Counter(cfg.Name+".bytes", "bytes transferred")

@@ -19,12 +19,6 @@ type CacheConfig struct {
 	ResponseLatency sim.Tick
 	// MSHRs bounds outstanding distinct misses; further misses queue.
 	MSHRs int
-	// NextLine enables a next-line prefetcher on misses.
-	NextLine bool
-	// Stride enables a constant-stride prefetcher (detects the demand
-	// stream's block stride and runs one block ahead). Mutually exclusive
-	// with NextLine.
-	Stride bool
 }
 
 func (c *CacheConfig) validate() {
@@ -37,8 +31,6 @@ func (c *CacheConfig) validate() {
 		panic(fmt.Sprintf("mem: cache %s: size %d not divisible by ways*block", c.Name, c.SizeBytes))
 	case c.MSHRs <= 0:
 		panic(fmt.Sprintf("mem: cache %s: need at least one MSHR", c.Name))
-	case c.NextLine && c.Stride:
-		panic(fmt.Sprintf("mem: cache %s: NextLine and Stride are exclusive", c.Name))
 	}
 	sets := c.SizeBytes / (uint32(c.Ways) * c.BlockBytes)
 	if sets&(sets-1) != 0 {
@@ -61,7 +53,6 @@ type mshr struct {
 	blockAddr uint32
 	write     bool // any coalesced writer
 	waiters   []func()
-	prefetch  bool
 	// fillExcl records that the directory granted exclusive ownership for
 	// the outstanding fetch, so the fill installs the line with excl set.
 	fillExcl bool
@@ -125,11 +116,6 @@ type Cache struct {
 	nameMissFwd string
 	nameFill    string
 
-	// Stride-prefetcher state: last demand block, last delta, confidence.
-	strideLast  uint32
-	strideDelta int32
-	strideConf  int
-
 	// Host model attribution.
 	fnAccess    sim.FuncID
 	fnFill      sim.FuncID
@@ -146,7 +132,6 @@ type Cache struct {
 	misses     *sim.Counter
 	mshrHits   *sim.Counter
 	writebacks *sim.Counter
-	prefetches *sim.Counter
 }
 
 // rowChunk is how many rows a row-indexed cache allocates at a time (4 KB of
@@ -188,7 +173,7 @@ func newCache(sys *sim.System, cfg CacheConfig, next Port, rowIndexed bool) *Cac
 		c.lines = make([]cacheLine, numSets*c.ways)
 	}
 	tr := sys.Tracer()
-	c.fnAccess = tr.RegisterFunc(cfg.Name+"::access", 1400, sim.FuncVirtual|sim.FuncHot)
+	c.fnAccess = tr.RegisterFunc(cfg.Name+"::access", 1400, sim.FuncVirtual)
 	c.fnFill = tr.RegisterFunc(cfg.Name+"::handleFill", 1100, sim.FuncVirtual)
 	c.fnWriteback = tr.RegisterFunc(cfg.Name+"::writebackBlk", 700, sim.FuncVirtual)
 	c.tagHostBase = tr.AllocData(cfg.Name+".tags", uint64(numSets)*uint64(cfg.Ways)*16)
@@ -198,7 +183,6 @@ func newCache(sys *sim.System, cfg CacheConfig, next Port, rowIndexed bool) *Cac
 	c.misses = st.Counter(cfg.Name+".misses", "demand misses")
 	c.mshrHits = st.Counter(cfg.Name+".mshrHits", "misses coalesced into an MSHR")
 	c.writebacks = st.Counter(cfg.Name+".writebacks", "dirty blocks written back")
-	c.prefetches = st.Counter(cfg.Name+".prefetches", "prefetch fills issued")
 	sys.Register(c)
 	return c
 }
@@ -417,18 +401,10 @@ func (c *Cache) sendTiming(acc Access, done func()) {
 func (c *Cache) startMiss(acc Access, done func()) {
 	block := blockAlign(acc.Addr, c.cfg.BlockBytes)
 	if m, ok := c.mshrs[block]; ok {
-		// Coalesce into the outstanding miss. Each coalesced access
-		// resolves as exactly one of mshrHits or misses: a demand access
-		// hitting a prefetch MSHR promotes it and counts as the demand
-		// miss the prefetch hid.
+		// Coalesce into the outstanding miss.
 		m.write = m.write || acc.Write
 		m.waiters = append(m.waiters, done)
-		if m.prefetch {
-			m.prefetch = false
-			c.misses.Inc()
-		} else {
-			c.mshrHits.Inc()
-		}
+		c.mshrHits.Inc()
 		return
 	}
 	if len(c.mshrs) >= c.cfg.MSHRs {
@@ -437,10 +413,10 @@ func (c *Cache) startMiss(acc Access, done func()) {
 		return
 	}
 	c.misses.Inc()
-	c.allocMSHR(acc, done, false)
+	c.allocMSHR(acc, done)
 }
 
-func (c *Cache) allocMSHR(acc Access, done func(), prefetch bool) {
+func (c *Cache) allocMSHR(acc Access, done func()) {
 	block := blockAlign(acc.Addr, c.cfg.BlockBytes)
 	var m *mshr
 	if n := len(c.freeMSHRs); n > 0 {
@@ -451,59 +427,11 @@ func (c *Cache) allocMSHR(acc Access, done func(), prefetch bool) {
 		m.filled = func() { c.handleFill(m) }
 		m.forward = func() { c.next.SendTiming(m.fetch, m.filled) }
 	}
-	m.blockAddr, m.write, m.prefetch = block, acc.Write, prefetch
-	if done != nil {
-		m.waiters = append(m.waiters, done)
-	}
+	m.blockAddr, m.write = block, acc.Write
+	m.waiters = append(m.waiters, done)
 	c.mshrs[block] = m
 	m.fetch = Access{Addr: block, Size: uint8(c.cfg.BlockBytes), Inst: acc.Inst, Excl: acc.Write}
 	c.sys.OneShot(c.nameMissFwd, c.fnAccess, sim.DomainCPU, c.cfg.HitLatency, m.forward)
-	if !prefetch {
-		switch {
-		case c.cfg.NextLine:
-			c.maybePrefetch(block+c.cfg.BlockBytes, acc.Inst)
-		case c.cfg.Stride:
-			if target, ok := c.observeStride(block); ok {
-				c.maybePrefetch(target, acc.Inst)
-			}
-		}
-	}
-}
-
-// observeStride trains the stride detector on a demand miss block and
-// returns a prefetch target once the stride repeats.
-func (c *Cache) observeStride(block uint32) (uint32, bool) {
-	delta := int32(block) - int32(c.strideLast)
-	if delta != 0 && delta == c.strideDelta {
-		if c.strideConf < 4 {
-			c.strideConf++
-		}
-	} else {
-		c.strideDelta = delta
-		c.strideConf = 0
-	}
-	c.strideLast = block
-	if c.strideConf >= 1 {
-		return uint32(int32(block) + c.strideDelta), true
-	}
-	return 0, false
-}
-
-// maybePrefetch issues a next-line prefetch when the block is absent and an
-// MSHR is available.
-func (c *Cache) maybePrefetch(addr uint32, inst bool) {
-	if c.lookup(addr) != nil {
-		return
-	}
-	block := blockAlign(addr, c.cfg.BlockBytes)
-	if _, ok := c.mshrs[block]; ok {
-		return
-	}
-	if len(c.mshrs) >= c.cfg.MSHRs {
-		return
-	}
-	c.prefetches.Inc()
-	c.allocMSHR(Access{Addr: block, Size: uint8(c.cfg.BlockBytes), Inst: inst}, nil, true)
 }
 
 func (c *Cache) handleFill(m *mshr) {

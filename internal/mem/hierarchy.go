@@ -5,12 +5,11 @@ import "gem5prof/internal/sim"
 // HierarchyConfig describes a classic two-level guest memory system:
 // split L1 caches per CPU, a shared bus, a unified L2, and DRAM.
 type HierarchyConfig struct {
-	Prefix string
-	L1I    CacheConfig
-	L1D    CacheConfig
-	L2     CacheConfig
-	Bus    BusConfig
-	DRAM   DRAMConfig
+	L1I  CacheConfig
+	L1D  CacheConfig
+	L2   CacheConfig
+	Bus  BusConfig
+	DRAM DRAMConfig
 	// GuestTLBs inserts per-core instruction and data TLBs in front of the
 	// L1s (gem5's ARM FS configuration). Off by default so the baseline
 	// matches the classic SE-mode memory system.
@@ -29,7 +28,6 @@ type HierarchyConfig struct {
 // simulations: 32KB 2-way L1s, a 1MB 8-way L2, and DDR4 DRAM.
 func DefaultHierarchyConfig(prefix string) HierarchyConfig {
 	return HierarchyConfig{
-		Prefix: prefix,
 		L1I: CacheConfig{
 			Name:            prefix + ".l1i",
 			SizeBytes:       32 * 1024,

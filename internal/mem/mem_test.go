@@ -188,26 +188,6 @@ func TestCacheNilDoneWriteback(t *testing.T) {
 	sys.Run(sim.MaxTick, 0) // must not panic
 }
 
-func TestCachePrefetcher(t *testing.T) {
-	sys := sim.NewSystem(1)
-	stub := &stubPort{sys: sys, latency: 100}
-	cfg := testCacheCfg("l1p")
-	cfg.NextLine = true
-	cfg.MSHRs = 4
-	c := NewCache(sys, cfg, stub)
-	c.SendTiming(Access{Addr: 0x0, Size: 4}, func() {})
-	sys.Run(sim.MaxTick, 0)
-	if c.prefetches.Count() != 1 {
-		t.Fatalf("prefetches = %d", c.prefetches.Count())
-	}
-	// The next line should now hit without a new miss.
-	before := c.Misses()
-	lat := c.AtomicLatency(Access{Addr: 0x40, Size: 4})
-	if lat != 10 || c.Misses() != before {
-		t.Fatalf("prefetched line missed (lat=%d)", lat)
-	}
-}
-
 func TestCacheConfigValidation(t *testing.T) {
 	sys := sim.NewSystem(1)
 	stub := &stubPort{sys: sys}

@@ -24,7 +24,7 @@ func TestOneShotRecycle(t *testing.T) {
 		// new one must not be the event that is still firing, and however
 		// long the chain runs it only ever needs the two.
 		t.Run(name+"/same-tick chain", func(t *testing.T) {
-			sys := NewSystemWith(newQ(), NewNopTracer(), 1)
+			sys := NewSystemWith(newQ(), NewNopTracer())
 			q := sys.Queue()
 			seen := map[*Event]bool{}
 			var firing *Event
@@ -56,7 +56,7 @@ func TestOneShotRecycle(t *testing.T) {
 		// of outstanding ones (k queued or firing, plus the one being posted
 		// from inside a callback), not the number of fires.
 		t.Run(name+"/high-water mark", func(t *testing.T) {
-			sys := NewSystemWith(newQ(), NewNopTracer(), 1)
+			sys := NewSystemWith(newQ(), NewNopTracer())
 			q := sys.Queue()
 			const k, rounds = 7, 200
 			fired := 0
@@ -89,7 +89,7 @@ func TestOneShotRecycle(t *testing.T) {
 		// the memory shard's worker and retire there; the sender's list never
 		// sees them again.
 		t.Run(name+"/cross-shard retire", func(t *testing.T) {
-			sys := NewSystemWith(newQ(), NewNopTracer(), 1)
+			sys := NewSystemWith(newQ(), NewNopTracer())
 			sys.EnableSharding(ShardConfig{Quantum: QuantumFor(testQuantum), NewQueue: newQ})
 			msys := sys.DomainView(DomainMem)
 			const m = 5

@@ -224,7 +224,7 @@ func FuzzRunEquivalence(f *testing.F) {
 		var refTrace []string
 		for _, v := range variants {
 			tr := &seqTracer{}
-			p := &runProgram{sys: NewSystemWith(v.newQ(), tr, 1), run: v.run, data: data, events: make([]*Event, 8)}
+			p := &runProgram{sys: NewSystemWith(v.newQ(), tr), run: v.run, data: data, events: make([]*Event, 8)}
 			p.play()
 			if ref == nil {
 				ref, refTrace = p, tr.log

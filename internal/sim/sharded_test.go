@@ -77,9 +77,9 @@ func newShardWorkload(sys *System, cores int, seed uint64, maxOps, exitAt int) *
 		exitAt: exitAt,
 	}
 	tr := sys.Tracer()
-	w.fnCPU = tr.RegisterFunc("test::cpuTick", 100, FuncHot)
+	w.fnCPU = tr.RegisterFunc("test::cpuTick", 100, 0)
 	w.fnMem = tr.RegisterFunc("test::memAccess", 200, 0)
-	w.fnResp = tr.RegisterFunc("test::resp", 50, FuncHot)
+	w.fnResp = tr.RegisterFunc("test::resp", 50, 0)
 	w.fnPoke = tr.RegisterFunc("test::poke", 30, 0)
 	return w
 }
@@ -189,7 +189,7 @@ func (c shardRun) run() shardRunOut {
 		return NewHeapQueue()
 	}
 	tr := &seqTracer{}
-	sys := NewSystemWith(newQ(), tr, 42)
+	sys := NewSystemWith(newQ(), tr)
 	if c.sharded {
 		q := c.quantum
 		if q == 0 {
@@ -390,7 +390,7 @@ func TestShardedDomainViewIdentity(t *testing.T) {
 	if sys.DomainView(DomainDev) != sys || sys.DomainView(DomainCPU) != sys {
 		t.Fatal("cpu/dev domains should fuse onto the root shard")
 	}
-	if mv.Stats() != sys.Stats() || mv.Rand() != sys.Rand() {
+	if mv.Stats() != sys.Stats() {
 		t.Fatal("views must share registry state")
 	}
 	mv.Register(named("behind-the-bus"))

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // SimObject is any named component of the simulated system. Mirroring gem5,
@@ -33,7 +32,6 @@ type System struct {
 	byName  map[string]SimObject
 	stats   *Registry
 	tracer  Tracer
-	rng     *rand.Rand
 	// tracing is false when the tracer is a *NopTracer: every TraceCall
 	// and TraceData is then one predictable branch and no call.
 	tracing bool
@@ -59,14 +57,15 @@ func (s *System) root() *System {
 	return s
 }
 
-// NewSystem returns a System with a HeapQueue, a NopTracer, and a
-// deterministic RNG seeded with seed.
+// NewSystem returns a System with a HeapQueue and a NopTracer. Nothing reads
+// seed: a System draws no random numbers. The parameter remains only because
+// bench/ compiles against this signature.
 func NewSystem(seed int64) *System {
-	return NewSystemWith(NewHeapQueue(), NewNopTracer(), seed)
+	return NewSystemWith(NewHeapQueue(), NewNopTracer())
 }
 
 // NewSystemWith returns a System using the provided queue backend and tracer.
-func NewSystemWith(q Queue, tr Tracer, seed int64) *System {
+func NewSystemWith(q Queue, tr Tracer) *System {
 	s := &System{
 		queue:  q,
 		now:    q.clock(),
@@ -74,12 +73,11 @@ func NewSystemWith(q Queue, tr Tracer, seed int64) *System {
 		byName: make(map[string]SimObject),
 		stats:  NewRegistry(),
 		tracer: tr,
-		rng:    rand.New(rand.NewSource(seed)),
 	}
 	_, nop := tr.(*NopTracer)
 	s.tracing = !nop
-	s.fnDispatch = tr.RegisterFunc("EventQueue::serviceOne", 480, FuncHot)
-	s.fnSchedule = tr.RegisterFunc("EventQueue::schedule", 320, FuncHot)
+	s.fnDispatch = tr.RegisterFunc("EventQueue::serviceOne", 480, 0)
+	s.fnSchedule = tr.RegisterFunc("EventQueue::schedule", 320, 0)
 	return s
 }
 
@@ -111,9 +109,6 @@ func (s *System) TraceData(addr uint64, size uint32, write bool) {
 
 // Stats returns the statistics registry.
 func (s *System) Stats() *Registry { return s.stats }
-
-// Rand returns the system's deterministic random source.
-func (s *System) Rand() *rand.Rand { return s.rng }
 
 // Now returns the current simulation time.
 func (s *System) Now() Tick { return *s.now }
@@ -334,7 +329,6 @@ func (s *System) EnableSharding(cfg ShardConfig) {
 		free:       mq.pool(),
 		byName:     s.byName,
 		stats:      s.stats,
-		rng:        s.rng,
 		tracing:    s.tracing,
 		fnDispatch: s.fnDispatch,
 		fnSchedule: s.fnSchedule,
@@ -361,7 +355,7 @@ func (s *System) Sharded() bool { return s.root().eng != nil }
 // components constructed against it schedule and read time on that domain's
 // shard. Without sharding, and for every domain but DomainMem, it returns
 // the root System itself. Views share the root's object registry,
-// statistics, RNG, and tracer identity.
+// statistics and tracer identity.
 func (s *System) DomainView(d Domain) *System {
 	r := s.root()
 	if r.eng == nil {

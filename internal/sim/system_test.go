@@ -203,7 +203,7 @@ func TestHistogram(t *testing.T) {
 func TestNopTracer(t *testing.T) {
 	tr := NewNopTracer()
 	a := tr.RegisterFunc("f", 100, 0)
-	b := tr.RegisterFunc("g", 100, FuncHot)
+	b := tr.RegisterFunc("g", 100, 0)
 	if a == b || a == 0 {
 		t.Fatalf("ids a=%d b=%d", a, b)
 	}

@@ -6,23 +6,21 @@ package sim
 type FuncID uint32
 
 // FuncFlags describe properties of a registered simulator function that
-// matter to the host model.
+// change the host code model's stream: each flag changes a registered
+// function's traces or helpers (TestEveryFuncFlagChangesTheStream in
+// internal/hostmodel). Flags the model would not read do not exist.
 type FuncFlags uint8
 
 const (
-	// FuncVirtual marks a function reached through virtual dispatch
-	// (an indirect call/branch on the host).
+	// FuncVirtual marks a function reached through virtual dispatch: its
+	// entry block ends in an indirect branch on the host.
 	FuncVirtual FuncFlags = 1 << iota
-	// FuncHot marks a small function expected to be called in tight
-	// succession (eligible for uop-cache residency).
-	FuncHot
-	// FuncLeaf marks a function that calls no further simulator functions.
+	// FuncLeaf marks a function that calls no further simulator functions:
+	// it gets no helper callees.
 	FuncLeaf
-	// FuncCold marks a function on a rarely executed path (error handling,
-	// configuration); it shares code pages with other cold code.
-	FuncCold
 	// FuncPoly marks a megamorphic virtual call site: many dynamic types
-	// flow through it, so its indirect branches defeat the host BTB.
+	// flow through it, so its indirect branches rotate targets and defeat
+	// the host BTB.
 	FuncPoly
 )
 

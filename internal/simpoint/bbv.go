@@ -59,7 +59,6 @@ type Profile struct {
 type bbvBuilder struct {
 	sys      *sim.System
 	interval uint64
-	warmup   uint64
 	dims     int
 
 	n        uint64 // committed instructions so far
@@ -77,7 +76,7 @@ type bbvBuilder struct {
 
 func newBBVBuilder(sys *sim.System, interval, warmup uint64, dims int) *bbvBuilder {
 	return &bbvBuilder{
-		sys: sys, interval: interval, warmup: warmup, dims: dims,
+		sys: sys, interval: interval, dims: dims,
 		counts:   make(map[uint32]uint64),
 		nextWarm: interval - warmup,
 		nextEnd:  interval,

@@ -87,9 +87,8 @@ type Result struct {
 }
 
 // ConfigPrefix renders every GuestConfig field that can alter guest
-// execution into a canonical string. It deliberately excludes Seed (the
-// guest never consumes the system RNG — pinned by
-// TestCheckpointSeedInvariance), ExecTrace (observation only), and CPU
+// execution into a canonical string. It deliberately excludes Seed (nothing
+// reads it — pinned by TestCheckpointSeedInvariance), ExecTrace (observation only), and CPU
 // (instruction streams are model-invariant; the profile and checkpoints
 // always come from the Atomic model regardless of the measured target).
 //

@@ -17,7 +17,7 @@ type FSEnv struct {
 func NewFSEnv(sys *sim.System) *FSEnv {
 	return &FSEnv{
 		sys:    sys,
-		fnTrap: sys.Tracer().RegisterFunc("FSWorkload::deliverTrap", 3100, sim.FuncVirtual|sim.FuncCold),
+		fnTrap: sys.Tracer().RegisterFunc("FSWorkload::deliverTrap", 3100, sim.FuncVirtual),
 	}
 }
 

@@ -57,7 +57,7 @@ func NewSEEnv(sys *sim.System, m *guest.Memory, brkBase, mmapBase uint32) *SEEnv
 		mmapAt: mmapBase,
 		stdin:  bytes.NewReader(nil),
 	}
-	e.fnSyscall = sys.Tracer().RegisterFunc("SEWorkload::syscall", 5200, sim.FuncVirtual|sim.FuncCold)
+	e.fnSyscall = sys.Tracer().RegisterFunc("SEWorkload::syscall", 5200, sim.FuncVirtual)
 	e.numWrites = sys.Stats().Counter("se.syscallWrites", "bytes written via sys_write")
 	return e
 }

@@ -20,8 +20,6 @@ type KernelConfig struct {
 	// BootKBs is how many kilobytes of "page tables" boot zeroes (the
 	// dominant boot work; scales boot length).
 	BootKBs int
-	// Jiffies is how many timer ticks boot waits for while "calibrating".
-	Jiffies int
 	// Harts is the number of CPUs; secondary harts park in WFI loops.
 	Harts int
 }
@@ -29,8 +27,11 @@ type KernelConfig struct {
 // DefaultKernelConfig returns the boot configuration used by the
 // experiments: a scaled-down analogue of the paper's Linux 5.4 boot.
 func DefaultKernelConfig() KernelConfig {
-	return KernelConfig{BootKBs: 32, Jiffies: 4, Harts: 1}
+	return KernelConfig{BootKBs: 32, Harts: 1}
 }
+
+// jiffies is how many timer ticks boot waits for while "calibrating".
+const jiffies = 4
 
 // BuildKernel assembles the FS mini-kernel. The kernel:
 //   - parks secondary harts,
@@ -43,9 +44,6 @@ func DefaultKernelConfig() KernelConfig {
 func BuildKernel(cfg KernelConfig) (*isa.Program, error) {
 	if cfg.BootKBs <= 0 {
 		cfg.BootKBs = 32
-	}
-	if cfg.Jiffies <= 0 {
-		cfg.Jiffies = 4
 	}
 	appCall := `
 	# Boot-Exit: no init app.
@@ -209,11 +207,11 @@ boot_mem:
 		sysemu.UARTBase,
 		cfg.BootKBs*1024/4,
 		sysemu.UARTBase+4,
-		cfg.Jiffies,
+		jiffies,
 		appCall,
 		sysemu.PoweroffBase,
 		sysemu.TimerBase,
-		cfg.Jiffies,
+		jiffies,
 		sysemu.TimerBase,
 		sysemu.PoweroffBase,
 		sysemu.UARTBase,
