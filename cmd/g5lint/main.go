@@ -11,8 +11,8 @@
 // one `go list -export` builds the dependencies' export data, and each
 // matched package is type-checked from its non-test files against it.
 //
-// Analyzers: detmap, nowallclock, pastsched, atomicring, statreg,
-// sinkdiscipline, shardpost — each looks at one function at a time; see
+// Six analyzers: detmap, nowallclock, pastsched, atomicring, statreg and
+// sinkdiscipline — each looks at one function at a time; see
 // internal/lint for what each enforces and for the //lint:deterministic
 // and //lint:allow escape hatches.
 //

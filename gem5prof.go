@@ -119,12 +119,8 @@ type (
 	// execution of one co-simulation; statistics are bit-identical either
 	// way (DESIGN.md §10).
 	PipelineMode = core.PipelineMode
-	// ShardMode is the type of GuestConfig.Shards: 2 or more runs the guest
-	// on the sharded event-queue engine (DRAM on a worker shard);
-	// statistics are bit-identical either way (DESIGN.md §13).
-	ShardMode = core.ShardMode
-	// ExecPlan is how one run executed — pipelined, sharded, queue backend
-	// — resolved once per run and reported on GuestResult.Plan and
+	// ExecPlan is how one run executed — pipelined or not, queue backend —
+	// resolved once per run and reported on GuestResult.Plan and
 	// SessionResult.Plan, never in a report (DESIGN.md §19).
 	ExecPlan = core.ExecPlan
 )
@@ -145,10 +141,6 @@ const (
 	// PipelineOn forces the pipelined path.
 	PipelineOn = core.PipelineOn
 )
-
-// ShardSerial is the GuestConfig.Shards value for the single-queue path
-// (as is the zero value).
-const ShardSerial = core.ShardSerial
 
 // RunSession runs one co-simulation: the guest simulator executing on a
 // modeled host platform.

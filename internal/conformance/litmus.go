@@ -275,14 +275,6 @@ func (r *LitmusResult) OK() bool { return len(r.Violations) == 0 }
 // the observed outcome against the SC set, the coherence stat invariants,
 // and the directory's structural audit.
 func RunLitmus(lt *LitmusTest, model string, cores int) (*LitmusResult, error) {
-	return RunLitmusSharded(lt, model, cores, false)
-}
-
-// RunLitmusSharded is RunLitmus with the choice of the sharded event queue
-// (DRAM on a worker shard; an Atomic rig runs serially, see RunModelSharded);
-// the result must be identical either way (the battery diffs it against the
-// serial run).
-func RunLitmusSharded(lt *LitmusTest, model string, cores int, sharded bool) (*LitmusResult, error) {
 	if cores < len(lt.Threads) {
 		return nil, fmt.Errorf("conformance: litmus %s needs %d cores, got %d", lt.Name, len(lt.Threads), cores)
 	}
@@ -290,7 +282,7 @@ func RunLitmusSharded(lt *LitmusTest, model string, cores int, sharded bool) (*L
 	if err != nil {
 		return nil, fmt.Errorf("conformance: litmus %s: assemble: %w", lt.Name, err)
 	}
-	g, err := buildRig(model, cores, true, sharded, prog)
+	g, err := buildRig(model, cores, true, prog)
 	if err != nil {
 		return nil, err
 	}

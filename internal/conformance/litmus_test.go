@@ -126,11 +126,10 @@ func TestLitmusBattery(t *testing.T) {
 	}
 }
 
-// TestLitmusDeterministicAndSharded pins the multicore determinism
-// contract on the litmus rig: repeated runs are bit-identical (outcome,
-// ticks, and the full statistics dump), and a sharded event queue changes
-// none of it.
-func TestLitmusDeterministicAndSharded(t *testing.T) {
+// TestLitmusDeterministic pins the multicore determinism contract on the
+// litmus rig: repeated runs are bit-identical (outcome, ticks, and the full
+// statistics dump).
+func TestLitmusDeterministic(t *testing.T) {
 	for _, seed := range []int64{3, 17, 64} {
 		for _, cores := range []int{2, 4} {
 			lt := GenLitmus(seed, cores)
@@ -143,19 +142,13 @@ func TestLitmusDeterministicAndSharded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sharded, err := RunLitmusSharded(lt, model, cores, true)
-				if err != nil {
-					t.Fatal(err)
+				if again.Outcome != serial.Outcome || again.Ticks != serial.Ticks {
+					t.Errorf("seed %d cores=%d %s: rerun outcome/ticks %#x@%d != first %#x@%d",
+						seed, cores, model, again.Outcome, again.Ticks, serial.Outcome, serial.Ticks)
 				}
-				for run, r := range map[string]*LitmusResult{"rerun": again, "sharded": sharded} {
-					if r.Outcome != serial.Outcome || r.Ticks != serial.Ticks {
-						t.Errorf("seed %d cores=%d %s %s: outcome/ticks %#x@%d != serial %#x@%d",
-							seed, cores, model, run, r.Outcome, r.Ticks, serial.Outcome, serial.Ticks)
-					}
-					if d, s := litStatDump(r), litStatDump(serial); d != s {
-						t.Errorf("seed %d cores=%d %s %s: stats diverge: %s",
-							seed, cores, model, run, firstStatDiff(d, s))
-					}
+				if d, s := litStatDump(again), litStatDump(serial); d != s {
+					t.Errorf("seed %d cores=%d %s: rerun stats diverge: %s",
+						seed, cores, model, firstStatDiff(d, s))
 				}
 			}
 		}
@@ -225,4 +218,16 @@ func TestLitmusReproReplay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// firstStatDiff returns the first differing line pair of two stat dumps.
+func firstStatDiff(got, want string) string {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	n := min(len(gl), len(wl))
+	for i := 0; i < n; i++ {
+		if gl[i] != wl[i] {
+			return fmt.Sprintf("%q (first run %q)", gl[i], wl[i])
+		}
+	}
+	return fmt.Sprintf("dump length %d vs %d", len(gl), len(wl))
 }

@@ -83,20 +83,10 @@ func (h *traceHash) mix(pc uint32, in isa.Inst) {
 
 // RunModel executes prog on one CPU model (with or without the cache
 // hierarchy) and captures its Result. commit, when non-nil, additionally
-// observes every committed (pc, inst) pair.
+// observes every committed (pc, inst) pair. The rig is a product guest
+// running prog (core.BuildProgram).
 func RunModel(model string, prog *isa.Program, caches bool, commit func(pc uint32, in isa.Inst)) (*Result, error) {
-	return RunModelSharded(model, prog, caches, false, commit)
-}
-
-// RunModelSharded is RunModel with the choice of the sharded event queue
-// (DRAM on a worker shard). The rig is a product guest running prog
-// (core.BuildProgram), so it resolves its plan as every guest does: an
-// Atomic or cache-less rig has no DRAM events to shard and runs serially.
-// Every field of the Result — architectural state, trace hash, ticks,
-// statistics — must be identical either way; the sharded differential
-// suites diff it against the serial run over the whole conformance corpus.
-func RunModelSharded(model string, prog *isa.Program, caches, sharded bool, commit func(pc uint32, in isa.Inst)) (*Result, error) {
-	g, err := buildRig(model, 1, caches, sharded, prog)
+	g, err := buildRig(model, 1, caches, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -130,13 +120,9 @@ func RunModelSharded(model string, prog *isa.Program, caches, sharded bool, comm
 }
 
 // buildRig builds the SE guest every conformance run executes prog on: model
-// on cores cores, with the cache hierarchy or ideal memory, asking for the
-// sharded engine or not.
-func buildRig(model string, cores int, caches, sharded bool, prog *isa.Program) (*core.GuestSystem, error) {
+// on cores cores, with the cache hierarchy or ideal memory.
+func buildRig(model string, cores int, caches bool, prog *isa.Program) (*core.GuestSystem, error) {
 	cfg := core.GuestConfig{CPU: core.CPUModel(model), Cores: cores, IdealMemory: !caches}
-	if sharded {
-		cfg.Shards = 2
-	}
 	g, err := core.BuildProgram(cfg, prog)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: %w", err)

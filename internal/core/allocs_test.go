@@ -15,22 +15,20 @@ import (
 // may allocate fewer than 0.02 objects per serviced event. With an event per
 // cache hit and a closure per access it allocated 1.07. What is left is the
 // closures of the miss path (the bus, the directory, the TLBs), a few per
-// thousand events. Every queue arrangement must get there, because each
-// backend recycles one-shot events itself.
+// thousand events. Both queue backends must get there, because each
+// recycles one-shot events itself.
 func TestTimingPathAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		calendar bool
-		shards   core.ShardMode
 	}{
-		{"heap", false, core.ShardSerial},
-		{"calendar", true, core.ShardSerial},
-		{"sharded", false, 2},
+		{"heap", false},
+		{"calendar", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := core.BuildGuest(core.GuestConfig{
 				CPU: core.Timing, Workload: "matmul_mt", Cores: 4,
-				CalendarQueue: tc.calendar, Shards: tc.shards,
+				CalendarQueue: tc.calendar,
 			}, sim.NewNopTracer())
 			if err != nil {
 				t.Fatal(err)

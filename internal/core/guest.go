@@ -76,9 +76,9 @@ type GuestConfig struct {
 	// the heap (bit-identical results; TestCalendarQueueMatchesHeap). No
 	// harness sets it; it stays because bench/ compiles against it.
 	CalendarQueue bool
-	// Shards of 2 or more selects the sharded event-queue engine
-	// (bit-identical results; see ShardMode). No harness sets it; it stays
-	// because bench/ compiles against it.
+	// Shards is read by nothing: every guest runs on one event queue
+	// (DESIGN.md §15). No experiment sets it; the field remains only
+	// because bench/ sets it.
 	Shards ShardMode
 	// ExecTrace, when non-nil, receives one line per committed instruction
 	// on every core (gem5's --debug-flags=Exec).
@@ -239,13 +239,11 @@ func buildGuest(cfg GuestConfig, prog *isa.Program, plan ExecPlan, tracer sim.Tr
 		return nil, 0, fmt.Errorf("core: %w", err)
 	}
 
-	newQueue := func() sim.Queue {
-		if plan.Calendar {
-			return sim.NewCalendarQueue(1024, cpu.ClockPeriod)
-		}
-		return sim.NewHeapQueue()
+	var queue sim.Queue = sim.NewHeapQueue()
+	if plan.Calendar {
+		queue = sim.NewCalendarQueue(1024, cpu.ClockPeriod)
 	}
-	sys := sim.NewSystemWith(newQueue(), tracer)
+	sys := sim.NewSystemWith(queue, tracer)
 	ram := guest.NewMemory(memBytes)
 	ram.SetHostBase(tracer.AllocData("guest.ram", memBytes))
 
@@ -302,24 +300,11 @@ func buildGuest(cfg GuestConfig, prog *isa.Program, plan ExecPlan, tracer sim.Tr
 		fmem = g.FS.Mem
 	}
 
-	// Memory system. Sharding must be enabled before the hierarchy is built
-	// so the DRAM controller constructs against the memory shard's view; the
-	// quantum is the DRAM row-hit latency — no cross-domain response can
-	// undercut it, which is what makes the barrier conservative.
+	// Memory system.
 	if !cfg.IdealMemory {
 		hcfg := mem.DefaultHierarchyConfig("sys")
 		hcfg.GuestTLBs = cfg.GuestTLBs
 		hcfg.Directory = cfg.threaded()
-		if plan.Sharded {
-			// The only CPU-side events that land on the memory shard are
-			// the bus's forward events, scheduled at least the bus latency
-			// in the future — the cpu→mem floor.
-			sys.EnableSharding(sim.ShardConfig{
-				Quantum:      sim.QuantumFor(hcfg.DRAM.RowHitLatency),
-				BusLookahead: sim.QuantumFor(hcfg.Bus.Latency),
-				NewQueue:     newQueue,
-			})
-		}
 		g.Hier = mem.NewMultiHierarchy(sys, hcfg, cfg.Cores)
 	}
 

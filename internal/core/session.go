@@ -319,9 +319,8 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 // resets completely, an image it copies from — cannot carry anything from
 // one session into another. The parallel experiment runner relies on this.
 // In pipelined mode each call adds one consumer goroutine for the duration
-// of its run, and a sharded guest adds one shard worker plus one trace
-// replayer, so a harness admitting Jobs concurrent calls runs at most
-// Jobs x (1 + pipeline + 2 x sharded) simulation goroutines.
+// of its run, so a harness admitting Jobs concurrent calls runs at most
+// Jobs x (1 + pipeline) simulation goroutines.
 func RunSessions(cfgs []SessionConfig) ([]*SessionResult, error) {
 	cs, err := newCosim(cfgs, false)
 	if err != nil {

@@ -79,12 +79,15 @@ func sweepHosts(cfgs []SessionConfig) ([]uarch.Config, error) {
 
 // sameGuest reports whether two guest configs build the same guest: equal
 // field for field, with the exec-trace writer the same one (a writer that
-// cannot be compared is never the same as another).
+// cannot be compared is never the same as another). Seed and Shards are left
+// out: nothing reads them.
 func sameGuest(a, b GuestConfig) bool {
 	if !sameWriter(a.ExecTrace, b.ExecTrace) {
 		return false
 	}
 	a.ExecTrace, b.ExecTrace = nil, nil
+	a.Seed, b.Seed = 0, 0
+	a.Shards, b.Shards = 0, 0
 	return a == b
 }
 

@@ -230,7 +230,7 @@ func TestSweepDrawsAUnitPerKey(t *testing.T) {
 // *SweepError naming the field and the two members, from every entry point
 // that takes a sweep, before a machine is drawn — never a panic. Members
 // that differ only on the host side (host, scenario, a spelled-out default
-// binary) are one sweep.
+// binary) or in the inert Seed and Shards are one sweep.
 func TestSweepRejections(t *testing.T) {
 	base := core.SessionConfig{
 		Guest: core.GuestConfig{CPU: core.Timing, Mode: core.SE, Workload: "sieve", Scale: 256},
@@ -281,7 +281,12 @@ func TestSweepRejections(t *testing.T) {
 	hostSide[2].Host.DSBUops = 0
 	hostSide[3].Scenario = platform.Scenario{Procs: 4}
 	hostSide[4].HostCode = hostmodel.DefaultConfig()
-	for _, cfgs := range [][]core.SessionConfig{{profiled}, {traced, traced}, hostSide} {
+	// Seed and Shards are read by nothing, so members that differ only in
+	// them build one guest.
+	inert := []core.SessionConfig{base, base, base}
+	inert[1].Guest.Seed = 7
+	inert[2].Guest.Shards = 2
+	for _, cfgs := range [][]core.SessionConfig{{profiled}, {traced, traced}, hostSide, inert} {
 		if err := core.CheckSweep(cfgs); err != nil {
 			t.Errorf("%d members: %v", len(cfgs), err)
 		}

@@ -24,16 +24,12 @@ func (q *quietTracer) Data(uint64, uint32, bool) { q.data++ }
 // every trace call and the arguments computed for it. Nothing the guest
 // reports may depend on that: each config runs once untraced and once on a
 // do-nothing tracer of another type, and the statistics, instructions,
-// events and exit state must be byte-equal. A sharded guest must also tell
-// the quiet tracer exactly what its serial run tells it, which it does only
-// if the memory shard's view traces when the root does.
+// events and exit state must be byte-equal.
 func TestUntracedGuestMatchesTraced(t *testing.T) {
 	se := func(cpu core.CPUModel) core.GuestConfig {
 		return core.GuestConfig{CPU: cpu, Mode: core.SE, Workload: "sieve", Scale: 256}
 	}
 	mt := core.GuestConfig{CPU: core.Timing, Mode: core.SE, Workload: "matmul_mt", Scale: 64, Cores: 4}
-	mt2 := mt
-	mt2.Shards = 2
 	cells := []struct {
 		name string
 		gc   core.GuestConfig
@@ -43,7 +39,6 @@ func TestUntracedGuestMatchesTraced(t *testing.T) {
 		{"minor", se(core.Minor)},
 		{"o3", se(core.O3)},
 		{"matmul_mt4", mt},
-		{"matmul_mt4_shards2", mt2},
 		{"fs_boot_exit", core.GuestConfig{CPU: core.Timing, Mode: core.FS, BootExit: true, BootKBs: 1}},
 	}
 	for _, c := range cells {
@@ -82,16 +77,6 @@ func TestUntracedGuestMatchesTraced(t *testing.T) {
 			}
 			if quiet.calls == 0 || quiet.data == 0 {
 				t.Fatalf("the traced run told its tracer %d calls and %d data accesses", quiet.calls, quiet.data)
-			}
-			if c.gc.Shards != core.ShardSerial {
-				serial := c.gc
-				serial.Shards = core.ShardSerial
-				want := &quietTracer{NopTracer: sim.NewNopTracer()}
-				run(serial, want, true)
-				if quiet.calls != want.calls || quiet.data != want.data {
-					t.Fatalf("sharded run traced %d calls and %d data accesses, serial %d and %d",
-						quiet.calls, quiet.data, want.calls, want.data)
-				}
 			}
 		})
 	}

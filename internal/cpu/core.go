@@ -111,7 +111,7 @@ type IdealPort struct {
 // SendTiming implements mem.Port.
 func (p IdealPort) SendTiming(acc mem.Access, done func()) {
 	if done != nil {
-		p.Sys.OneShot("ideal.resp", 0, sim.DomainCPU, p.Latency, done)
+		p.Sys.OneShot("ideal.resp", 0, p.Latency, done)
 	}
 }
 

@@ -9,6 +9,5 @@ func All() []*Analyzer {
 		AtomicRing,
 		StatReg,
 		SinkDiscipline,
-		ShardPost,
 	}
 }

@@ -7,20 +7,19 @@ import (
 // NoWallClock forbids host entropy inside the simulator core
 // (gem5prof/internal/...): wall-clock time, the global math/rand state,
 // and the process environment. A guest or session result is a pure
-// function of its config (minus Seed, which nothing reads, and ExecTrace) —
-// that is what makes a run replayable
-// bit-for-bit on any host and what the golden fixtures, the conformance
-// campaigns, and the pipelined-equals-serial differential all rest on.
-// Banning the sources outright means no flow from them into a stat, trace,
-// checkpoint or report can exist. A model that needs variation takes it
-// from an explicitly seeded generator fed by GuestConfig.Seed and from the
-// event queue's Tick domain. Command binaries under cmd/ may time
+// function of its config and of sim ticks — that is what makes a run
+// replayable bit-for-bit on any host and what the golden fixtures, the
+// conformance campaigns, and the pipelined-equals-serial differential all
+// rest on. Banning the sources outright means no flow from them into a
+// stat, trace, checkpoint or report can exist. A model that needs variation
+// derives it from its config (a generator seeded from a config field) and
+// the event queue's Tick domain. Command binaries under cmd/ may time
 // themselves (cmd/experiments' own test checks that its report does not
 // carry that time); the model may not.
 var NoWallClock = &Analyzer{
 	Name: "nowallclock",
 	Doc: "forbid time.Now/global math-rand/os.Getenv-style host entropy in internal " +
-		"simulator packages; variation must come from the config's seed",
+		"simulator packages; a result must be a pure function of its config and sim ticks",
 	Run: runNoWallClock,
 }
 
@@ -77,12 +76,12 @@ func runNoWallClock(pass *Pass) error {
 		path, name := fn.Pkg().Path(), fn.Name()
 		if kind, ok := bannedFuncs[path][name]; ok {
 			pass.Reportf(call.Pos(),
-				"%s.%s injects %s into the simulator; derive variation from GuestConfig.Seed and sim ticks", path, name, kind)
+				"%s.%s injects %s into the simulator; a result must be a pure function of its config and sim ticks", path, name, kind)
 			return true
 		}
 		if (path == "math/rand" || path == "math/rand/v2") && !randConstructors[name] {
 			pass.Reportf(call.Pos(),
-				"global %s.%s draws from host-seeded shared state; use a rand.New(rand.NewSource(seed)) fed from GuestConfig.Seed", path, name)
+				"global %s.%s draws from host-seeded shared state; a result must be a pure function of its config and sim ticks — seed a rand.New(rand.NewSource(seed)) from the config", path, name)
 		}
 		return true
 	})

@@ -94,7 +94,7 @@ func checkSchedFunc(pass *Pass, fd *ast.FuncDecl) {
 // points: argument i of a call with exactly of arguments.
 var delayArg = map[string]struct{ i, of int }{
 	"ScheduleIn": {1, 2},
-	"OneShot":    {3, 5},
+	"OneShot":    {2, 4},
 }
 
 // absoluteTick reports whether e is an absolute tick where a delay belongs:

@@ -57,8 +57,8 @@ func BadField(sys *sim.System, e *sim.Event, w *waiter) {
 // GoodDelay passes latencies, and a difference of ticks, as delays.
 func GoodDelay(sys *sim.System, e *sim.Event, w *waiter, lat sim.Tick) {
 	sys.ScheduleIn(e, lat)
-	sys.OneShot("resp", 0, sim.DomainCPU, lat+5, func() {})
-	sys.OneShot("wake", 0, sim.DomainCPU, w.when-sys.Now(), func() {})
+	sys.OneShot("resp", 0, lat+5, func() {})
+	sys.OneShot("wake", 0, w.when-sys.Now(), func() {})
 }
 
 // BadDelay passes an absolute tick where the delay belongs: the event
@@ -66,7 +66,7 @@ func GoodDelay(sys *sim.System, e *sim.Event, w *waiter, lat sim.Tick) {
 func BadDelay(sys *sim.System, e *sim.Event, lat sim.Tick) {
 	sys.ScheduleIn(e, sys.Now()+lat) // want `ScheduleIn delay argument is an absolute tick`
 	when := sys.Now() + lat
-	sys.OneShot("resp", 0, sim.DomainCPU, when, func() {}) // want `OneShot delay argument is an absolute tick`
+	sys.OneShot("resp", 0, when, func() {}) // want `OneShot delay argument is an absolute tick`
 }
 
 // Allowed waives an absolute tick with an annotation.

@@ -11,10 +11,7 @@ type Tick uint64
 type Event struct{ Name string }
 
 // System owns the event queue.
-type System struct {
-	now  Tick
-	last Domain
-}
+type System struct{ now Tick }
 
 // Now returns the current simulated time.
 func (s *System) Now() Tick { return s.now }
@@ -28,10 +25,8 @@ func (s *System) Reschedule(e *Event, when Tick) {}
 // ScheduleIn enqueues e delta ticks from now.
 func (s *System) ScheduleIn(e *Event, delta Tick) {}
 
-// OneShot fires fire once, delay ticks from now, on domain d's shard.
-func (s *System) OneShot(name string, fn int, d Domain, delay Tick, fire func()) {
-	s.last = d
-}
+// OneShot fires fire once, delay ticks from now.
+func (s *System) OneShot(name string, fn int, delay Tick, fire func()) {}
 
 // Scalar is a settable stat.
 type Scalar struct{ v float64 }

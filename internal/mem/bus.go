@@ -18,10 +18,6 @@ type Bus struct {
 	sys  *sim.System
 	cfg  BusConfig
 	next Port
-	// fwdDomain is the simulation domain of the downstream port: the bus's
-	// forward events are tagged with it so that, under sharded execution,
-	// delivery to a memory-domain device fires on the memory shard.
-	fwdDomain sim.Domain
 
 	busyUntil sim.Tick
 
@@ -39,9 +35,6 @@ func NewBus(sys *sim.System, cfg BusConfig, next Port) *Bus {
 		panic("mem: bus needs a downstream port")
 	}
 	b := &Bus{sys: sys, cfg: cfg, next: next, nameFwd: cfg.Name + ".fwd"}
-	if ds, ok := next.(DomainSource); ok {
-		b.fwdDomain = ds.EventDomain()
-	}
 	b.fnForward = sys.Tracer().RegisterFunc(cfg.Name+"::recvTimingReq", 800, sim.FuncVirtual)
 	st := sys.Stats()
 	b.transactions = st.Counter(cfg.Name+".transactions", "bus transactions")
@@ -79,7 +72,7 @@ func (b *Bus) SendTiming(acc Access, done func()) {
 	b.waitTicks.Addn(uint64(start - now))
 	b.busyUntil = start + b.occupancy(acc.Size)
 	delay := (start - now) + b.cfg.Latency + b.occupancy(acc.Size)
-	b.sys.OneShot(b.nameFwd, b.fnForward, b.fwdDomain, delay, func() {
+	b.sys.OneShot(b.nameFwd, b.fnForward, delay, func() {
 		b.next.SendTiming(acc, done)
 	})
 }

@@ -392,7 +392,7 @@ func (c *Cache) sendTiming(acc Access, done func()) {
 			}
 			l.dirty = true
 		}
-		c.sys.OneShot(c.nameHitResp, c.fnAccess, sim.DomainCPU, lat, done)
+		c.sys.OneShot(c.nameHitResp, c.fnAccess, lat, done)
 		return
 	}
 	c.startMiss(acc, done)
@@ -431,7 +431,7 @@ func (c *Cache) allocMSHR(acc Access, done func()) {
 	m.waiters = append(m.waiters, done)
 	c.mshrs[block] = m
 	m.fetch = Access{Addr: block, Size: uint8(c.cfg.BlockBytes), Inst: acc.Inst, Excl: acc.Write}
-	c.sys.OneShot(c.nameMissFwd, c.fnAccess, sim.DomainCPU, c.cfg.HitLatency, m.forward)
+	c.sys.OneShot(c.nameMissFwd, c.fnAccess, c.cfg.HitLatency, m.forward)
 }
 
 func (c *Cache) handleFill(m *mshr) {
@@ -454,7 +454,7 @@ func (c *Cache) handleFill(m *mshr) {
 		c.fill(m.blockAddr, m.write, false, m.fillExcl)
 	}
 	for i, w := range m.waiters {
-		c.sys.OneShot(c.nameFill, c.fnFill, sim.DomainCPU, respLat, w)
+		c.sys.OneShot(c.nameFill, c.fnFill, respLat, w)
 		m.waiters[i] = nil
 	}
 	// Nothing refers to m any more: clear it for the next miss (which the

@@ -244,7 +244,7 @@ func (d *Directory) start(core int, acc Access, done func()) {
 	e := d.entry(acc.Addr)
 	e.busy = true
 	lat := d.cfg.LookupLatency + d.process(core, acc, false)
-	d.sys.OneShot(d.nameFwd, d.fnLookup, sim.DomainCPU, lat, func() {
+	d.sys.OneShot(d.nameFwd, d.fnLookup, lat, func() {
 		d.next.SendTiming(acc, func() {
 			e.busy = false
 			done()

@@ -90,13 +90,10 @@ type Hierarchy struct {
 	DRAM *DRAM
 }
 
-// NewHierarchy builds the memory system bottom-up in sys. The DRAM
-// controller is constructed against the memory domain's view so that, when
-// sharding is enabled, its events run on the memory shard; everything above
-// the bus stays on the CPU shard.
+// NewHierarchy builds the memory system bottom-up in sys.
 func NewHierarchy(sys *sim.System, cfg HierarchyConfig) *Hierarchy {
 	h := &Hierarchy{}
-	h.DRAM = NewDRAM(sys.DomainView(sim.DomainMem), cfg.DRAM)
+	h.DRAM = NewDRAM(sys, cfg.DRAM)
 	h.Bus = NewBus(sys, cfg.Bus, h.DRAM)
 	h.L2 = newCache(sys, cfg.L2, h.Bus, true)
 	h.L1I = NewCache(sys, cfg.L1I, h.L2)

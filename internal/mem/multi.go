@@ -45,7 +45,7 @@ func NewMultiHierarchy(sys *sim.System, cfg HierarchyConfig, n int) *MultiHierar
 		panic("mem: hierarchy needs at least one core")
 	}
 	h := &MultiHierarchy{}
-	h.DRAM = NewDRAM(sys.DomainView(sim.DomainMem), cfg.DRAM)
+	h.DRAM = NewDRAM(sys, cfg.DRAM)
 	h.Bus = NewBus(sys, cfg.Bus, h.DRAM)
 	h.L2 = newCache(sys, cfg.L2, h.Bus, true)
 	if cfg.Directory && n > 1 {

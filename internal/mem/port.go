@@ -36,15 +36,5 @@ type Port interface {
 	AtomicLatency(acc Access) sim.Tick
 }
 
-// DomainSource is optionally implemented by Ports whose timing callbacks must
-// execute on a specific simulation domain's shard (see sim.ShardConfig). A
-// port in front of such a component tags the event that delivers the request
-// with this domain so that, under sharded execution, the callback fires on
-// the owning shard's queue. Ports that do not implement it stay on the
-// default (CPU) domain.
-type DomainSource interface {
-	EventDomain() sim.Domain
-}
-
 // blockAlign returns addr rounded down to a multiple of block.
 func blockAlign(addr uint32, block uint32) uint32 { return addr &^ (block - 1) }

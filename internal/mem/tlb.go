@@ -110,7 +110,7 @@ func (t *TLB) SendTiming(acc Access, done func()) {
 		return
 	}
 	// Table walk, then the access proceeds.
-	t.sys.OneShot(t.nameWalk, t.fnLookup, sim.DomainCPU, t.cfg.MissLatency, func() {
+	t.sys.OneShot(t.nameWalk, t.fnLookup, t.cfg.MissLatency, func() {
 		t.next.SendTiming(acc, done)
 	})
 }

@@ -9,7 +9,6 @@ const overflowPos = 1 << 30
 // (a ladder/calendar queue). It exists to support the event-queue ablation
 // (DESIGN.md A5); behaviour is identical to HeapQueue.
 type CalendarQueue struct {
-	stamper
 	oneShots
 	now     Tick
 	seq     uint64
@@ -46,15 +45,14 @@ func (q *CalendarQueue) horizon() Tick {
 // Schedule implements Queue.
 func (q *CalendarQueue) Schedule(e *Event, when Tick) {
 	if e.pos >= 0 {
-		panic(fmt.Sprintf("sim: event %s scheduled twice%s", e.name, q.context()))
+		panic(fmt.Sprintf("sim: event %s scheduled twice", e.name))
 	}
 	if when < q.now {
-		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d%s", e.name, when, q.now, q.context()))
+		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d", e.name, when, q.now))
 	}
 	e.when = when
 	e.seq = q.seq
 	q.seq++
-	q.stampFor(e, q.now)
 	q.size++
 	if when >= q.horizon() {
 		e.pos = overflowPos
@@ -129,10 +127,9 @@ func (q *CalendarQueue) ServiceOne() bool {
 		// Guards Now() monotonicity against filing bugs: peek's window
 		// slide/jump rewrites q.base/q.cur without consulting q.now, so a
 		// mis-bucketed event would surface here as time running backwards.
-		panic(fmt.Sprintf("sim: calendar queue time ran backwards: event %s at %d, now %d%s",
-			e.name, e.when, q.now, q.context()))
+		panic(fmt.Sprintf("sim: calendar queue time ran backwards: event %s at %d, now %d",
+			e.name, e.when, q.now))
 	}
-	q.beginDispatch(e)
 	q.Deschedule(e)
 	q.now = e.when
 	e.fire()

@@ -3,16 +3,15 @@ package sim
 import "fmt"
 
 // HeapQueue is the default event queue: a deque of the pending events,
-// sorted earliest first by (tick, priority, provenance stamp, insertion
-// sequence). That order is strict and total, so the events fire in the
-// order the binary heap this type used to be fired them; the name stayed
+// sorted earliest first by (tick, priority, insertion sequence). That order
+// is strict and total, so the events fire in the order the binary heap this
+// type used to be fired them; the name stayed
 // with the type because the benchmark module compiles against it. Popping
 // the earliest event is O(1), and so is an insertion at either end, which
 // is where nearly all of a guest's insertions land (DESIGN.md §27); an
 // insertion or removal in between binary-searches its place and shifts the
 // shorter side.
 type HeapQueue struct {
-	stamper
 	oneShots
 	now Tick
 	seq uint64
@@ -38,15 +37,14 @@ func (q *HeapQueue) Empty() bool { return q.n == 0 }
 // Schedule implements Queue.
 func (q *HeapQueue) Schedule(e *Event, when Tick) {
 	if e.pos >= 0 {
-		panic(fmt.Sprintf("sim: event %s scheduled twice%s", e.name, q.context()))
+		panic(fmt.Sprintf("sim: event %s scheduled twice", e.name))
 	}
 	if when < q.now {
-		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d%s", e.name, when, q.now, q.context()))
+		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d", e.name, when, q.now))
 	}
 	e.when = when
 	e.seq = q.seq
 	q.seq++
-	q.stampFor(e, q.now)
 	e.pos = 0
 	if q.n == len(q.ring) {
 		q.grow()
@@ -72,7 +70,7 @@ func (q *HeapQueue) Deschedule(e *Event) {
 	}
 	k := q.search(e)
 	if k == q.n || q.at(k) != e {
-		panic(fmt.Sprintf("sim: event %s not found in its queue%s", e.name, q.context()))
+		panic(fmt.Sprintf("sim: event %s not found in its queue", e.name))
 	}
 	q.remove(k)
 	e.pos = -1
@@ -108,7 +106,6 @@ func (q *HeapQueue) ServiceOne() bool {
 		return false
 	}
 	e := q.ring[q.head]
-	q.beginDispatch(e)
 	q.ring[q.head] = nil
 	q.head = (q.head + 1) & (len(q.ring) - 1)
 	q.n--

@@ -7,9 +7,8 @@ import "fmt"
 // held to: TestQueueEquivalence, the backend tables of queue_test.go and
 // TestOneShotRecycle, and FuzzQueueEquivalence run both on the same traffic
 // and require the same fire order. It is ordered by (tick, priority,
-// provenance stamp, insertion sequence). All operations are O(log n).
+// insertion sequence). All operations are O(log n).
 type naiveHeap struct {
-	stamper
 	oneShots
 	now  Tick
 	seq  uint64
@@ -31,15 +30,14 @@ func (q *naiveHeap) Empty() bool { return len(q.heap) == 0 }
 // Schedule implements Queue.
 func (q *naiveHeap) Schedule(e *Event, when Tick) {
 	if e.pos >= 0 {
-		panic(fmt.Sprintf("sim: event %s scheduled twice%s", e.name, q.context()))
+		panic(fmt.Sprintf("sim: event %s scheduled twice", e.name))
 	}
 	if when < q.now {
-		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d%s", e.name, when, q.now, q.context()))
+		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d", e.name, when, q.now))
 	}
 	e.when = when
 	e.seq = q.seq
 	q.seq++
-	q.stampFor(e, q.now)
 	e.pos = len(q.heap)
 	q.heap = append(q.heap, e)
 	q.up(e.pos)
@@ -84,7 +82,6 @@ func (q *naiveHeap) ServiceOne() bool {
 		return false
 	}
 	e := q.heap[0]
-	q.beginDispatch(e)
 	q.remove(0)
 	e.pos = -1
 	q.now = e.when

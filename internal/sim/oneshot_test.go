@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -15,7 +16,7 @@ func queueBackends() map[string]func() Queue {
 
 // TestOneShotRecycle pins the lifetime rule of one-shot events: the queue
 // that fires one takes it back only after its callback returned, so recycling
-// is invisible to every caller, serial and sharded.
+// is invisible to every caller.
 func TestOneShotRecycle(t *testing.T) {
 	for name, newQ := range queueBackends() {
 		newQ := newQ
@@ -36,12 +37,12 @@ func TestOneShotRecycle(t *testing.T) {
 				if fired == n {
 					return
 				}
-				sys.OneShot("link", 0, DomainCPU, 0, link)
+				sys.OneShot("link", 0, 0, link)
 				if q.Peek() == firing {
 					t.Fatalf("fire %d: the new one-shot is the event still firing", fired)
 				}
 			}
-			sys.OneShot("link", 0, DomainCPU, 0, link)
+			sys.OneShot("link", 0, 0, link)
 			for !q.Empty() {
 				firing = q.Peek()
 				seen[firing] = true
@@ -67,10 +68,10 @@ func TestOneShotRecycle(t *testing.T) {
 				again = func() {
 					fired++
 					if left--; left > 0 {
-						sys.OneShot("chain", 0, DomainCPU, delay, again)
+						sys.OneShot("chain", 0, delay, again)
 					}
 				}
-				sys.OneShot("chain", 0, DomainCPU, delay, again)
+				sys.OneShot("chain", 0, delay, again)
 			}
 			seen := map[*Event]bool{}
 			for !q.Empty() {
@@ -84,49 +85,129 @@ func TestOneShotRecycle(t *testing.T) {
 				t.Fatalf("%d events on the free list after the drain, want %d", free, k+1)
 			}
 		})
-
-		// Across the mailbox: events drawn from the coordinator's list fire on
-		// the memory shard's worker and retire there; the sender's list never
-		// sees them again.
-		t.Run(name+"/cross-shard retire", func(t *testing.T) {
-			sys := NewSystemWith(newQ(), NewNopTracer())
-			sys.EnableSharding(ShardConfig{Quantum: QuantumFor(testQuantum), NewQueue: newQ})
-			msys := sys.DomainView(DomainMem)
-			const m = 5
-			fired := 0
-			sys.Schedule(NewEvent("start", 0, func() {
-				for i := 0; i < m; i++ {
-					sys.OneShot("to-mem", 0, DomainMem, testQuantum+Tick(i), func() { fired++ })
-				}
-			}), 1000)
-			sys.Run(MaxTick, 0)
-			if fired != m {
-				t.Fatalf("%d of %d cross-shard one-shots fired", fired, m)
-			}
-			if got := len(msys.Queue().pool().free); got != m {
-				t.Errorf("receiving shard's free list holds %d events, want %d", got, m)
-			}
-			if got := len(sys.Queue().pool().free); got != 0 {
-				t.Errorf("sending shard's free list holds %d events, want 0", got)
-			}
-		})
 	}
 
-	// Invisible: the two-domain workload issuing every access and response
-	// through OneShot produces the trace, the event count and the result of
-	// the same workload allocating a fresh event each time, serial and
-	// sharded, on both queues.
+	// Invisible: a workload issuing every access and response through
+	// OneShot produces the trace, the event count and the result of the same
+	// workload allocating a fresh event each time, on both queues.
 	t.Run("same trace as fresh events", func(t *testing.T) {
-		c := shardRun{seed: 3, maxOps: 400}
+		c := accessRun{seed: 3, maxOps: 400, cores: 4}
 		want := c.run()
 		c.oneShot = true
-		for _, c.sharded = range []bool{false, true} {
-			for _, c.calendar = range []bool{false, true} {
-				if got := c.run(); !reflect.DeepEqual(got, want) {
-					t.Errorf("sharded=%v calendar=%v: one-shot run differs from the fresh-event serial run (%d vs %d records, result %+v vs %+v)",
-						c.sharded, c.calendar, len(got.log), len(want.log), got.res, want.res)
-				}
+		for _, c.calendar = range []bool{false, true} {
+			if got := c.run(); !reflect.DeepEqual(got, want) {
+				t.Errorf("calendar=%v: one-shot run differs from the fresh-event run (%d vs %d records, result %+v vs %+v)",
+					c.calendar, len(got.log), len(want.log), got.res, want.res)
 			}
 		}
 	})
+}
+
+// seqTracer records the exact sequence of Call/Data records it receives.
+type seqTracer struct {
+	NopTracer
+	log []string
+}
+
+func (t *seqTracer) Call(fn FuncID) { t.log = append(t.log, fmt.Sprintf("C%d", fn)) }
+func (t *seqTracer) Data(addr uint64, size uint32, write bool) {
+	t.log = append(t.log, fmt.Sprintf("D%x/%d/%v", addr, size, write))
+}
+
+// splitmix is a tiny deterministic PRNG for workload generation.
+type splitmix uint64
+
+func (s *splitmix) next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4b289
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// accessRun drives a synthetic system shaped like a guest's: one tick chain
+// per core, each issuing memory accesses that respond some cycles later,
+// and cross-core pokes (Reschedules of a sibling's event, some at the very
+// same tick). oneShot issues the accesses and responses through
+// System.OneShot instead of a fresh event each.
+type accessRun struct {
+	calendar bool
+	oneShot  bool
+	cores    int
+	seed     uint64
+	maxOps   int
+}
+
+type accessRunOut struct {
+	res     RunResult
+	log     []string
+	evServ  uint64
+	retired uint64
+}
+
+func (c accessRun) run() accessRunOut {
+	var q Queue = NewHeapQueue()
+	if c.calendar {
+		q = NewCalendarQueue(256, 1000)
+	}
+	tr := &seqTracer{}
+	sys := NewSystemWith(q, tr)
+	fnCPU := tr.RegisterFunc("test::cpuTick", 100, 0)
+	fnMem := tr.RegisterFunc("test::memAccess", 200, 0)
+	fnResp := tr.RegisterFunc("test::resp", 50, 0)
+	fnPoke := tr.RegisterFunc("test::poke", 30, 0)
+	rng := splitmix(c.seed)
+	var issued int
+	var retired uint64
+	post := func(name string, fn FuncID, d Tick, fire func()) {
+		if c.oneShot {
+			sys.OneShot(name, fn, d, fire)
+			return
+		}
+		sys.ScheduleIn(NewEvent(name, fn, fire), d)
+	}
+	resp := func(id int) {
+		sys.TraceCall(fnResp)
+		sys.TraceData(uint64(sys.Now())<<8|uint64(id&0xff), 8, false)
+		retired++
+	}
+	access := func(id int) {
+		sys.TraceCall(fnMem)
+		sys.TraceData(uint64(sys.Now())<<8|uint64(id&0xff), 64, true)
+		h := splitmix(uint64(id) * 0x5851f42d4c957f2d)
+		post("mem.resp", fnResp, 16000+Tick(1000*(h.next()%8)), func() { resp(id) })
+	}
+	pokes := make([]*Event, c.cores)
+	for i := range pokes {
+		core := i
+		pokes[i] = NewEvent(fmt.Sprintf("cpu%d.poke", core), fnPoke, func() {
+			retired++
+			sys.TraceCall(fnPoke)
+			sys.TraceData(uint64(core)<<32|uint64(sys.Now()), 4, true)
+		})
+	}
+	for i := 0; i < c.cores; i++ {
+		core := i
+		tick := NewEventPrio(fmt.Sprintf("cpu%d.tick", core), fnCPU, PrioCPUTick, nil)
+		tick.fire = func() {
+			sys.TraceCall(fnCPU)
+			sys.TraceData(uint64(sys.Now())<<8|uint64(issued&0xff), 8, false)
+			if issued >= c.maxOps {
+				return
+			}
+			issued++
+			id := issued
+			r := rng.next()
+			// Delays are whole cycles, so same-tick collisions happen.
+			post("mem.acc", fnMem, 1000*Tick(1+r%40), func() { access(id) })
+			if c.cores > 1 && r%3 == 0 {
+				sib := (core + 1 + int(r>>8)%(c.cores-1)) % c.cores
+				sys.Reschedule(pokes[sib], sys.Now()+Tick(1000*(r>>16%3)))
+			}
+			sys.ScheduleIn(tick, 1000)
+		}
+		sys.Schedule(tick, Tick(1000*(1+core)))
+	}
+	res := sys.Run(MaxTick, 0)
+	return accessRunOut{res: res, log: tr.log, evServ: sys.EventsServiced(), retired: retired}
 }

@@ -110,7 +110,7 @@ func (s *queueStream) oneShot() {
 	}
 	id := 1000 + s.posted
 	s.posted++
-	s.q.Schedule(s.q.pool().get("o", 0, DomainCPU, func() { s.fired(id) }), s.q.Now()+Tick(d))
+	s.q.Schedule(s.q.pool().get("o", 0, func() { s.fired(id) }), s.q.Now()+Tick(d))
 	s.after()
 }
 

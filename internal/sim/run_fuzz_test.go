@@ -109,7 +109,7 @@ func (p *runProgram) perform(op byte, inEvent bool) {
 	case 4: // one-shot
 		id := 1000 + p.posted
 		p.posted++
-		s.OneShot("o", 0, DomainCPU, Tick(p.next()), func() { p.fire(id) })
+		s.OneShot("o", 0, Tick(p.next()), func() { p.fire(id) })
 	case 5: // schedule far, past the calendar's window
 		e := p.events[int(p.next())%len(p.events)]
 		d := Tick(p.next())<<8 | Tick(p.next())

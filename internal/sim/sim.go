@@ -41,41 +41,6 @@ const (
 	PrioMaximum      = 100
 )
 
-// schedStamp records the scheduling provenance of an event: when it was
-// inserted and by whom. The stamp extends the queue ordering key so that the
-// relative order of same-(tick, priority) events is decided by information
-// that is identical whether the simulation runs on one event queue or on
-// sharded per-domain queues (see ShardConfig): the insertion tick, the
-// identity of the dispatching event (its priority and own insertion tick),
-// and the insertion's index within that dispatch class. Within a single
-// queue the stamp is provably monotone in insertion order (each field is
-// nondecreasing along seq), so adding it to the comparator refines nothing:
-// serial event order — and therefore every stat, trace, and report — is
-// bit-identical to the pre-stamp ordering.
-type schedStamp struct {
-	at    Tick   // queue time at insertion
-	pPrio int    // priority of the dispatching event (0 outside dispatch)
-	pAt   Tick   // insertion tick of the dispatching event
-	pIdx  uint32 // insertion index within the (at, pPrio, pAt) dispatch class
-}
-
-// less orders stamps lexicographically.
-func (s schedStamp) less(o schedStamp) (bool, bool) {
-	if s.at != o.at {
-		return s.at < o.at, true
-	}
-	if s.pPrio != o.pPrio {
-		return s.pPrio < o.pPrio, true
-	}
-	if s.pAt != o.pAt {
-		return s.pAt < o.pAt, true
-	}
-	if s.pIdx != o.pIdx {
-		return s.pIdx < o.pIdx, true
-	}
-	return false, false
-}
-
 // Event is a schedulable callback, with one of two lifetimes. A persistent
 // event (NewEvent, NewEventPrio) is created once by the SimObject that owns
 // it and may be scheduled, descheduled, and rescheduled many times, but never
@@ -83,18 +48,15 @@ func (s schedStamp) less(o schedStamp) (bool, bool) {
 // the queue that will fire it: no caller holds it, and once its callback
 // returns the queue reuses it (DESIGN.md §18).
 type Event struct {
-	name   string
-	prio   int
-	fire   func()
-	fn     FuncID // host-model function attributed to this event's work
-	domain Domain // owning shard domain under sharded execution
+	name string
+	prio int
+	fire func()
+	fn   FuncID // host-model function attributed to this event's work
 
-	when     Tick
-	seq      uint64
-	pos      int // -1 when unscheduled; the calendar queue's bucket, 0 in a HeapQueue
-	stamp    schedStamp
-	stampSet bool // next insertion keeps the pre-assigned stamp (mailbox post)
-	oneShot  bool // recycled by the queue that fires it (see oneShots)
+	when    Tick
+	seq     uint64
+	pos     int  // -1 when unscheduled; the calendar queue's bucket, 0 in a HeapQueue
+	oneShot bool // recycled by the queue that fires it (see oneShots)
 }
 
 // NewEvent returns a persistent event with the given debug name,
@@ -109,22 +71,6 @@ func NewEvent(name string, fn FuncID, fire func()) *Event {
 func NewEventPrio(name string, fn FuncID, prio int, fire func()) *Event {
 	return &Event{name: name, prio: prio, fire: fire, fn: fn, pos: -1}
 }
-
-// SetDomain assigns the event to a simulation domain and returns the event
-// for chaining. Events default to DomainCPU; only events whose callback must
-// execute on another domain's shard (the DRAM side of the memory bus) are
-// tagged. The tag is inert unless sharded execution is enabled. It panics if
-// the event is currently scheduled.
-func (e *Event) SetDomain(d Domain) *Event {
-	if e.pos >= 0 {
-		panic(fmt.Sprintf("sim: SetDomain on scheduled event %s", e.name))
-	}
-	e.domain = d
-	return e
-}
-
-// Domain returns the event's simulation domain.
-func (e *Event) Domain() Domain { return e.domain }
 
 // Name returns the event's debug name.
 func (e *Event) Name() string { return e.name }
@@ -147,20 +93,13 @@ func (e *Event) String() string {
 }
 
 // before reports whether e must fire before o: earlier tick first, then lower
-// priority, then the scheduling provenance stamp, then earlier insertion
-// (seq) for stability. The stamp is redundant within one queue (it is
-// monotone in seq, see schedStamp) but makes the order of same-(tick,
-// priority) events from different shards match the single-queue order
-// without a shared insertion counter.
+// priority, then earlier insertion (seq) for stability.
 func (e *Event) before(o *Event) bool {
 	if e.when != o.when {
 		return e.when < o.when
 	}
 	if e.prio != o.prio {
 		return e.prio < o.prio
-	}
-	if less, decided := e.stamp.less(o.stamp); decided {
-		return less
 	}
 	return e.seq < o.seq
 }
@@ -205,29 +144,26 @@ type Queue interface {
 	drain(s *System, limit Tick, budget uint64) ExitStatus
 }
 
-// maxFreeOneShots bounds a queue's free list: events cross the shard mailbox
-// in unequal numbers (a writeback goes to the memory shard and is never
-// answered), and the receiving list must not grow for as long as a guest runs.
+// maxFreeOneShots bounds a queue's free list, so that a burst of
+// outstanding one-shots does not keep its events for as long as a guest runs.
 const maxFreeOneShots = 1024
 
 // oneShots is the free list of one-shot events embedded by every Queue
-// implementation. ServiceOne puts an event back on the queue that fired it,
-// after its callback returned; System.OneShot gets one from the queue the
-// calling goroutine executes. Each list therefore has one goroutine as owner
-// and needs no lock, sharded or not.
+// implementation. ServiceOne puts an event back after its callback
+// returned, and System.OneShot gets one from it.
 type oneShots struct{ free []*Event }
 
 func (p *oneShots) pool() *oneShots { return p }
 
 // get returns a one-shot event, recycled when the list has one.
-func (p *oneShots) get(name string, fn FuncID, d Domain, fire func()) *Event {
+func (p *oneShots) get(name string, fn FuncID, fire func()) *Event {
 	n := len(p.free)
 	if n == 0 {
-		return &Event{name: name, fire: fire, fn: fn, domain: d, pos: -1, oneShot: true}
+		return &Event{name: name, fire: fire, fn: fn, pos: -1, oneShot: true}
 	}
 	e := p.free[n-1]
 	p.free = p.free[:n-1]
-	e.name, e.fire, e.fn, e.domain = name, fire, fn, d
+	e.name, e.fire, e.fn = name, fire, fn
 	return e
 }
 
@@ -239,59 +175,3 @@ func (p *oneShots) put(e *Event) {
 		p.free = append(p.free, e)
 	}
 }
-
-// stamper is the shared scheduling-provenance bookkeeping embedded by every
-// Queue implementation: it assigns each inserted event its schedStamp and
-// tracks the dispatch class of the event currently firing.
-type stamper struct {
-	dispWhen Tick // tick of the event being dispatched
-	dispPrio int  // priority of the event being dispatched
-	dispAt   Tick // insertion tick of the event being dispatched
-	dispIdx  uint32
-	// panicCtx, when set, is appended to queue panic messages (sharded
-	// execution installs a shard/window description here).
-	panicCtx func() string
-}
-
-// stampFor assigns e its insertion stamp unless a pre-assigned stamp (a
-// cross-shard mailbox post carrying the poster's provenance) is pending.
-func (st *stamper) stampFor(e *Event, now Tick) {
-	if e.stampSet {
-		e.stampSet = false
-		return
-	}
-	e.stamp = st.takeStamp(now)
-}
-
-// takeStamp mints the next insertion stamp for the current dispatch context.
-// Cross-shard posts consume a stamp from the posting queue exactly like a
-// local insertion would, so local and remote children of one dispatch share
-// a single index sequence — the same order a single queue would produce.
-func (st *stamper) takeStamp(now Tick) schedStamp {
-	s := schedStamp{at: now, pPrio: st.dispPrio, pAt: st.dispAt, pIdx: st.dispIdx}
-	st.dispIdx++
-	return s
-}
-
-// beginDispatch notes the event about to fire. Insertion indices keep
-// counting across consecutive dispatches of the same (tick, priority,
-// insertion-tick) class — such dispatches pop adjacently, since the class is
-// a key prefix under the lexicographic comparator — so children of
-// equal-stamped parents still sort in overall insertion order.
-func (st *stamper) beginDispatch(e *Event) {
-	if e.when != st.dispWhen || e.prio != st.dispPrio || e.stamp.at != st.dispAt {
-		st.dispWhen, st.dispPrio, st.dispAt = e.when, e.prio, e.stamp.at
-		st.dispIdx = 0
-	}
-}
-
-// context renders the installed panic context, or "".
-func (st *stamper) context() string {
-	if st.panicCtx == nil {
-		return ""
-	}
-	return " [" + st.panicCtx() + "]"
-}
-
-// SetPanicContext installs a description appended to queue panic messages.
-func (st *stamper) SetPanicContext(fn func() string) { st.panicCtx = fn }

@@ -40,21 +40,6 @@ type System struct {
 	fnSchedule FuncID // host function for queue insertion
 	serviced   uint64
 	started    bool
-
-	// Sharded execution (see EnableSharding). prim points at the root System
-	// from a domain view (nil on the root); shard is this view's shard index;
-	// eng is non-nil on the root and every view once sharding is enabled.
-	prim  *System
-	shard int
-	eng   *shardEngine
-}
-
-// root returns the primary System (itself, unless s is a domain view).
-func (s *System) root() *System {
-	if s.prim != nil {
-		return s.prim
-	}
-	return s
 }
 
 // NewSystem returns a System with a HeapQueue and a NopTracer. Nothing reads
@@ -113,45 +98,28 @@ func (s *System) Stats() *Registry { return s.stats }
 // Now returns the current simulation time.
 func (s *System) Now() Tick { return *s.now }
 
-// EventsServiced returns the number of events fired so far, summed over
-// both shards. Each shard's counter has a single writer and the sum is read
-// between runs, so the aggregate is deterministic.
-func (s *System) EventsServiced() uint64 {
-	r := s.root()
-	n := r.serviced
-	if r.eng != nil {
-		n += r.eng.views[shardMem].serviced
-	}
-	return n
-}
+// EventsServiced returns the number of events fired so far.
+func (s *System) EventsServiced() uint64 { return s.serviced }
 
-// Register adds a SimObject. Names must be unique within the system; views
-// and the root share one namespace and registration order.
+// Register adds a SimObject. Names must be unique within the system.
 func (s *System) Register(obj SimObject) {
-	r := s.root()
 	name := obj.Name()
-	if _, dup := r.byName[name]; dup {
+	if _, dup := s.byName[name]; dup {
 		panic(fmt.Sprintf("sim: duplicate SimObject name %q", name))
 	}
-	r.byName[name] = obj
-	r.objects = append(r.objects, obj)
+	s.byName[name] = obj
+	s.objects = append(s.objects, obj)
 }
 
 // Object returns the SimObject with the given name, or nil.
-func (s *System) Object(name string) SimObject { return s.root().byName[name] }
+func (s *System) Object(name string) SimObject { return s.byName[name] }
 
 // Objects returns all registered SimObjects in registration order.
-func (s *System) Objects() []SimObject { return s.root().objects }
+func (s *System) Objects() []SimObject { return s.objects }
 
 // Schedule inserts e at absolute tick when, attributing the queue work to
-// the host model. Under sharded execution an event whose domain lives on
-// another shard is routed through the engine's mailbox instead of the local
-// queue (see shardEngine.post).
+// the host model.
 func (s *System) Schedule(e *Event, when Tick) {
-	if s.eng != nil && shardOf(e.domain) != s.shard {
-		s.eng.post(s, e, when)
-		return
-	}
 	s.TraceCall(s.fnSchedule)
 	s.queue.Schedule(e, when)
 }
@@ -161,33 +129,19 @@ func (s *System) ScheduleIn(e *Event, delta Tick) {
 	s.Schedule(e, *s.now+delta)
 }
 
-// OneShot fires fire once, delay ticks from now, on domain d's shard. No
-// handle is returned, so a one-shot can be neither descheduled nor observed
-// after it fired; the queue that fires it takes the event back. Ordering is
-// that of ScheduleIn with a fresh event: seq and stamp are assigned at
-// insertion. The event comes from the caller's queue's free list — the only
-// one this goroutine may touch — also when it crosses to the other shard,
-// where the traffic coming back draws on the list it retires to in turn.
-func (s *System) OneShot(name string, fn FuncID, d Domain, delay Tick, fire func()) {
-	s.Schedule(s.free.get(name, fn, d, fire), *s.now+delay)
+// OneShot fires fire once, delay ticks from now. No handle is returned, so
+// a one-shot can be neither descheduled nor observed after it fired; the
+// queue takes the event back once it fired. Ordering is that of ScheduleIn
+// with a fresh event: seq is assigned at insertion.
+func (s *System) OneShot(name string, fn FuncID, delay Tick, fire func()) {
+	s.Schedule(s.free.get(name, fn, fire), *s.now+delay)
 }
 
-// Deschedule removes a scheduled event. Under sharding an event owned by the
-// other shard cannot be descheduled (no component moves an event it does not
-// own, and supporting it would need a cancellation protocol).
-func (s *System) Deschedule(e *Event) {
-	if s.eng != nil && shardOf(e.domain) != s.shard {
-		panic(fmt.Sprintf("sim: cross-shard Deschedule of %s (domain %s)", e.name, e.domain))
-	}
-	s.queue.Deschedule(e)
-}
+// Deschedule removes a scheduled event.
+func (s *System) Deschedule(e *Event) { s.queue.Deschedule(e) }
 
 // Reschedule moves e to absolute tick when, scheduling it if necessary.
-// Like Deschedule, it is not supported across shards.
 func (s *System) Reschedule(e *Event, when Tick) {
-	if s.eng != nil && shardOf(e.domain) != s.shard {
-		panic(fmt.Sprintf("sim: cross-shard Reschedule of %s (domain %s)", e.name, e.domain))
-	}
 	s.TraceCall(s.fnSchedule)
 	s.queue.Reschedule(e, when)
 }
@@ -255,19 +209,11 @@ type RunResult struct {
 
 // Run services events until the queue empties, limit ticks is exceeded,
 // maxEvents events have fired (0 = unlimited), or a component requests exit.
-// With sharding enabled the run executes on two queues in parallel; results
-// are bit-identical to the serial run (see shardedqueue.go).
 //
-// Serially the queue drains itself (Queue.drain), and a RequestExit unwinds
-// out of that loop to here: it is recovered once per Run, not per event.
-// The exiting event counts, as every event that fired does.
+// The queue drains itself (Queue.drain), and a RequestExit unwinds out of
+// that loop to here: it is recovered once per Run, not per event. The
+// exiting event counts, as every event that fired does.
 func (s *System) Run(limit Tick, maxEvents uint64) (res RunResult) {
-	if s.eng != nil {
-		if s.prim != nil {
-			panic("sim: Run on a domain view")
-		}
-		return s.eng.run(s, limit, maxEvents)
-	}
 	s.startup()
 	start := s.serviced
 	budget := uint64(math.MaxUint64)
@@ -290,76 +236,4 @@ func (s *System) Run(limit Tick, maxEvents uint64) (res RunResult) {
 	}()
 	res.Status = s.queue.drain(s, limit, budget)
 	return res
-}
-
-// EnableSharding splits the system onto two event queues executed in
-// parallel under a conservative quantum barrier (see shardedqueue.go): the
-// memory domain gets a queue and worker goroutine of its own, everything
-// else stays on this System's queue and the goroutine that calls Run. It
-// must be called on the root System before any component that schedules
-// cross-domain events is constructed, and before simulation begins.
-func (s *System) EnableSharding(cfg ShardConfig) {
-	if s.prim != nil {
-		panic("sim: EnableSharding on a domain view")
-	}
-	if s.eng != nil {
-		panic("sim: EnableSharding called twice")
-	}
-	if s.started || s.serviced > 0 {
-		panic("sim: EnableSharding after simulation began")
-	}
-	if cfg.Quantum == 0 {
-		panic("sim: EnableSharding requires a nonzero quantum (derive it with QuantumFor)")
-	}
-	var mq Queue
-	if cfg.NewQueue != nil {
-		mq = cfg.NewQueue()
-	} else {
-		mq = NewHeapQueue()
-	}
-	eng := &shardEngine{
-		quantum: cfg.Quantum,
-		busLook: cfg.BusLookahead,
-		under:   s.tracer,
-	}
-	eng.traceOff = !s.tracing
-	mv := &System{
-		queue:      mq,
-		now:        mq.clock(),
-		free:       mq.pool(),
-		byName:     s.byName,
-		stats:      s.stats,
-		tracing:    s.tracing,
-		fnDispatch: s.fnDispatch,
-		fnSchedule: s.fnSchedule,
-		prim:       s,
-		shard:      shardMem,
-		eng:        eng,
-	}
-	eng.views = [2]*System{s, mv}
-	for i, v := range eng.views {
-		v.tracer = &shardTracer{eng: eng, shard: i, under: eng.under}
-		eng.log[i] = newShardLog()
-		if pc, ok := v.queue.(panicContexter); ok {
-			shard := i
-			pc.SetPanicContext(func() string { return eng.describe(shard) })
-		}
-	}
-	s.eng = eng
-}
-
-// Sharded reports whether sharded execution is enabled.
-func (s *System) Sharded() bool { return s.root().eng != nil }
-
-// DomainView returns the System facade owning the given domain's events:
-// components constructed against it schedule and read time on that domain's
-// shard. Without sharding, and for every domain but DomainMem, it returns
-// the root System itself. Views share the root's object registry,
-// statistics and tracer identity.
-func (s *System) DomainView(d Domain) *System {
-	r := s.root()
-	if r.eng == nil {
-		return r
-	}
-	return r.eng.views[shardOf(d)]
 }

@@ -87,15 +87,11 @@ type Result struct {
 }
 
 // ConfigPrefix renders every GuestConfig field that can alter guest
-// execution into a canonical string. It deliberately excludes Seed (nothing
-// reads it — pinned by TestCheckpointSeedInvariance), ExecTrace (observation only), and CPU
-// (instruction streams are model-invariant; the profile and checkpoints
-// always come from the Atomic model regardless of the measured target).
-//
-// Shards is excluded as well: the profile and the checkpoints come from the
-// Atomic model and the windows from interval sessions, and both always run
-// on the single event queue (core.ExecPlan), so the work keyed here is the
-// same whatever the target asks for.
+// execution into a canonical string. It deliberately excludes Seed and
+// Shards (nothing reads them — TestCheckpointSeedInvariance pins Seed),
+// ExecTrace (observation only), and CPU (instruction streams are
+// model-invariant; the profile and checkpoints always come from the Atomic
+// model regardless of the measured target).
 func ConfigPrefix(gc core.GuestConfig) string {
 	gc = gc.Normalized()
 	return fmt.Sprintf("mode=%s workload=%s scale=%d bootexit=%v bootkbs=%d ncpu=%d ideal=%v gtlb=%v calq=%v",

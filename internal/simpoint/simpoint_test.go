@@ -265,9 +265,8 @@ func TestConfigPrefixExcludesSeedIncludesExecution(t *testing.T) {
 	}
 }
 
-// TestSampledSharesAnalysisAcrossShards: the BBV pass, the checkpoints and
-// the interval windows always run on the single event queue, so two sampled
-// runs that differ only in Guest.Shards are the same work: one analysis, one
+// TestSampledSharesAnalysisAcrossShards: nothing reads Guest.Shards, so two
+// sampled runs that differ only in it are the same work: one analysis, one
 // set of on-disk checkpoint keys, one result.
 func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
 	cache, err := ckptcache.Open(t.TempDir())

@@ -167,7 +167,7 @@ func NewTimer(sys *sim.System, name string, base uint32, sink InterruptSink) *Ti
 	t.ev = sim.NewEvent(name+".fire", 0, func() {
 		t.interrupts.Inc()
 		t.sink.RaiseInterrupt()
-	}).SetDomain(sim.DomainDev)
+	})
 	t.interrupts = sys.Stats().Counter(name+".interrupts", "timer interrupts raised")
 	sys.Register(t)
 	return t
