@@ -112,10 +112,7 @@ func RunModel(model string, prog *isa.Program, caches bool, commit func(pc uint3
 		Ticks:     res.Now,
 		Stats:     g.Sys.Stats(),
 	}
-	for r := uint8(0); r < 32; r++ {
-		out.Regs[r] = c.ReadReg(r)
-		out.FRegs[r] = math.Float64bits(c.ReadFReg(r))
-	}
+	out.setRegs(c.Regs())
 	return out, nil
 }
 
@@ -130,31 +127,24 @@ func buildRig(model string, cores int, caches bool, prog *isa.Program) (*core.Gu
 	return g, nil
 }
 
+// setRegs copies a final register file into the result.
+func (r *Result) setRegs(rf *isa.Regs) {
+	r.Regs = rf.X
+	for i, f := range rf.F {
+		r.FRegs[i] = math.Float64bits(f)
+	}
+}
+
 // refCtx is a bare interpreter context over real guest memory: the oracle
 // every pipeline model is compared against.
 type refCtx struct {
-	regs  [32]uint32
-	fregs [32]float64
-	pc    uint32
-	csrs  map[uint32]uint32
-	mem   *guest.Memory
+	regs isa.Regs
+	pc   uint32
+	csrs map[uint32]uint32
+	mem  *guest.Memory
 }
 
-func (c *refCtx) ReadReg(r uint8) uint32 {
-	if r == 0 {
-		return 0
-	}
-	return c.regs[r]
-}
-
-func (c *refCtx) WriteReg(r uint8, v uint32) {
-	if r != 0 {
-		c.regs[r] = v
-	}
-}
-func (c *refCtx) ReadFReg(r uint8) float64                 { return c.fregs[r] }
-func (c *refCtx) WriteFReg(r uint8, v float64)             { c.fregs[r] = v }
-func (c *refCtx) PC() uint32                               { return c.pc }
+func (c *refCtx) Regs() *isa.Regs                          { return &c.regs }
 func (c *refCtx) ReadMem(a uint32, s int) (uint64, error)  { return c.mem.Read(a, s) }
 func (c *refCtx) WriteMem(a uint32, s int, v uint64) error { return c.mem.Write(a, s, v) }
 func (c *refCtx) ReadCSR(num uint32) uint32                { return c.csrs[num] }
@@ -189,17 +179,14 @@ func RunRef(prog *isa.Program, commit func(pc uint32, in isa.Inst)) (*Result, er
 		}
 		in := isa.Decode(w)
 		if in.Op == isa.OpEcall || in.Op == isa.OpEbreak {
-			out.ExitCode = ctx.ReadReg(10)
+			out.ExitCode = ctx.regs.X[10]
 			out.Retired = uint64(steps)
 			out.MemSum = gm.Checksum()
 			out.TraceHash = uint64(h)
-			for r := uint8(0); r < 32; r++ {
-				out.Regs[r] = ctx.ReadReg(r)
-				out.FRegs[r] = math.Float64bits(ctx.fregs[r])
-			}
+			out.setRegs(&ctx.regs)
 			return out, nil
 		}
-		o, err := isa.Execute(in, ctx)
+		o, err := isa.Execute(in, ctx.pc, ctx)
 		if err != nil {
 			return nil, fmt.Errorf("conformance: ref exec at %#x: %w", ctx.pc, err)
 		}

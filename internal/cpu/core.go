@@ -127,10 +127,9 @@ type Core struct {
 	fmem FuncMem
 	env  Env
 
-	regs  [32]uint32
-	fregs [32]float64
-	pc    uint32
-	csrs  map[uint32]uint32
+	regs isa.Regs
+	pc   uint32
+	csrs map[uint32]uint32
 
 	halted     bool
 	intPending bool
@@ -349,31 +348,20 @@ func (c *Core) Trap(cause uint32, epc uint32) {
 	c.pc = c.csrs[CSRMTVec]
 }
 
+// ReadReg returns integer register r, for environments and tests.
+func (c *Core) ReadReg(r uint8) uint32 { return c.regs.X[r] }
+
+// WriteReg sets integer register r; a write to register 0 is dropped.
+func (c *Core) WriteReg(r uint8, v uint32) { c.regs.SetX(r, v) }
+
+// PC returns the core's pc: while an instruction executes (an environment
+// call, say), that instruction's address.
+func (c *Core) PC() uint32 { return c.pc }
+
 // --- isa.Context implementation ---
 
-// ReadReg implements isa.Context.
-func (c *Core) ReadReg(r uint8) uint32 {
-	if r == 0 {
-		return 0
-	}
-	return c.regs[r]
-}
-
-// WriteReg implements isa.Context.
-func (c *Core) WriteReg(r uint8, v uint32) {
-	if r != 0 {
-		c.regs[r] = v
-	}
-}
-
-// ReadFReg implements isa.Context.
-func (c *Core) ReadFReg(r uint8) float64 { return c.fregs[r] }
-
-// WriteFReg implements isa.Context.
-func (c *Core) WriteFReg(r uint8, v float64) { c.fregs[r] = v }
-
-// PC implements isa.Context.
-func (c *Core) PC() uint32 { return c.pc }
+// Regs implements isa.Context.
+func (c *Core) Regs() *isa.Regs { return &c.regs }
 
 // ReadMem implements isa.Context: a functional read plus host data tracing.
 func (c *Core) ReadMem(addr uint32, size int) (uint64, error) {
@@ -464,7 +452,7 @@ func (c *Core) execute(in isa.Inst) (isa.Outcome, error) {
 		c.libRotor++
 	}
 	pcBefore := c.pc
-	out, err := isa.Execute(in, c)
+	out, err := isa.Execute(in, pcBefore, c)
 	if err != nil {
 		return out, fmt.Errorf("cpu: %s at pc %#x: %w", c.name, c.pc, err)
 	}
@@ -505,7 +493,7 @@ type ArchState struct {
 // SaveArchState captures the core's architectural state. Only meaningful at
 // an instruction boundary (a quiesced core).
 func (c *Core) SaveArchState() ArchState {
-	s := ArchState{Regs: c.regs, FRegs: c.fregs, PC: c.pc, CSRs: map[uint32]uint32{}}
+	s := ArchState{Regs: c.regs.X, FRegs: c.regs.F, PC: c.pc, CSRs: map[uint32]uint32{}}
 	//lint:deterministic map-to-map copy commutes; JSON encoding sorts the keys
 	for k, v := range c.csrs {
 		s.CSRs[k] = v
@@ -514,10 +502,11 @@ func (c *Core) SaveArchState() ArchState {
 }
 
 // LoadArchState overwrites the core's architectural state from a
-// checkpoint.
+// checkpoint. Register 0 is zeroed whatever the checkpoint holds: the
+// executor reads x0 from the file, so the file must hold zero there.
 func (c *Core) LoadArchState(s ArchState) {
-	c.regs = s.Regs
-	c.fregs = s.FRegs
+	c.regs = isa.Regs{X: s.Regs, F: s.FRegs}
+	c.regs.X[0] = 0
 	c.pc = s.PC
 	c.csrs = make(map[uint32]uint32, len(s.CSRs))
 	//lint:deterministic map-to-map copy commutes

@@ -438,6 +438,40 @@ _start:
 	}
 }
 
+// TestLoadedX0ReadsZero loads each model's core from a checkpoint whose
+// register 0 is not zero. The executor reads x0 from the register file, so
+// LoadArchState must zero it: the program reads x0 as 0 and the saved state
+// holds 0 there.
+func TestLoadedX0ReadsZero(t *testing.T) {
+	src := `
+_start:
+	add  a0, x0, a1
+	addi a0, a0, 0
+	or   a2, x0, x0
+	ecall
+`
+	for _, model := range allModels {
+		r := buildRig(t, model, src, false)
+		core := r.cpu.Core()
+		var s ArchState
+		s.Regs[0] = 0xDEAD_BEEF
+		s.Regs[11] = 5
+		s.Regs[12] = 9
+		s.PC = r.prog.Entry
+		core.LoadArchState(s)
+		if got := core.ReadReg(0); got != 0 {
+			t.Fatalf("%s: x0 reads %#x after LoadArchState", model, got)
+		}
+		res := runRig(t, r)
+		if res.ExitCode != 5 || core.ReadReg(12) != 0 {
+			t.Fatalf("%s: a0 = %d (want 5), a2 = %#x (want 0): x0 did not read as zero", model, res.ExitCode, core.ReadReg(12))
+		}
+		if saved := core.SaveArchState(); saved.Regs[0] != 0 {
+			t.Fatalf("%s: saved x0 = %#x", model, saved.Regs[0])
+		}
+	}
+}
+
 func TestHaltStopsScheduling(t *testing.T) {
 	r := buildRig(t, "atomic", sumProgram, false)
 	runRig(t, r)

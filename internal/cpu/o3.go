@@ -62,6 +62,9 @@ type O3CPU struct {
 	sqUsed   int
 	renameTo [isa.NumArchRegs]uint64
 
+	// storeDone is storeDrained, bound once rather than a closure per store.
+	storeDone func()
+
 	// Host-model stage functions.
 	fnRename sim.FuncID
 	fnIEW    sim.FuncID
@@ -82,6 +85,7 @@ func NewO3CPU(sys *sim.System, cfg Config, ocfg O3Config) *O3CPU {
 		panic("cpu: bad O3 config")
 	}
 	c := &O3CPU{ocfg: ocfg, rob: make([]robEntry, ocfg.ROBEntries), headSeq: 1, nextSeq: 1}
+	c.storeDone = c.storeDrained
 	core := newCore(sys, o3Code, cfg)
 	bp := NewTournamentBP(sys.Stats(), cfg.Name)
 	tr := sys.Tracer()
@@ -159,10 +163,7 @@ func (c *O3CPU) commit(now sim.Tick) {
 			// The store leaves the SQ when the cache accepts it.
 			core.sys.TraceCall(c.fnLSQ)
 			acc := mem.Access{Addr: e.memAddr, Size: uint8(e.in.MemSize()), Write: true}
-			core.cfg.DPort.SendTiming(acc, func() {
-				c.sqUsed--
-				c.schedule()
-			})
+			core.cfg.DPort.SendTiming(acc, c.storeDone)
 		}
 		if e.in.IsLoad() {
 			c.lqUsed--
@@ -170,6 +171,12 @@ func (c *O3CPU) commit(now sim.Tick) {
 		c.headSeq++
 		c.inROB--
 	}
+}
+
+// storeDrained frees a store's SQ entry once the cache has accepted it.
+func (c *O3CPU) storeDrained() {
+	c.sqUsed--
+	c.schedule()
 }
 
 // issue wakes up ready instructions out of order.

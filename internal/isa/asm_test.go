@@ -124,24 +124,24 @@ func TestAssemblePseudo(t *testing.T) {
 		out := exec(t, c, in)
 		c.pc = out.NextPC(c.pc)
 	}
-	if c.regs[10] != 0xDEADBEEF {
-		t.Fatalf("li a0 = %#x", c.regs[10])
+	if c.rf.X[10] != 0xDEADBEEF {
+		t.Fatalf("li a0 = %#x", c.rf.X[10])
 	}
 	for i := 0; i < 2; i++ {
 		in := word(t, p, c.pc)
 		out := exec(t, c, in)
 		c.pc = out.NextPC(c.pc)
 	}
-	if c.regs[11] != 42 {
-		t.Fatalf("li a1 = %d", c.regs[11])
+	if c.rf.X[11] != 42 {
+		t.Fatalf("li a1 = %d", c.rf.X[11])
 	}
 	for i := 0; i < 2; i++ {
 		in := word(t, p, c.pc)
 		out := exec(t, c, in)
 		c.pc = out.NextPC(c.pc)
 	}
-	if c.regs[12] != p.Symbol("data") {
-		t.Fatalf("la a2 = %#x, want %#x", c.regs[12], p.Symbol("data"))
+	if c.rf.X[12] != p.Symbol("data") {
+		t.Fatalf("la a2 = %#x, want %#x", c.rf.X[12], p.Symbol("data"))
 	}
 	// call encodes jal ra.
 	callIn := word(t, p, p.Entry+7*4)

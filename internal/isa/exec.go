@@ -5,20 +5,32 @@ import (
 	"math"
 )
 
-// Context is the architectural state interface the executor operates on.
-// Each CPU model provides an implementation; the semantics in this file are
-// shared so that every model retires bit-identical results.
+// Regs is the architectural register file: 32 integer and 32 float
+// registers. The executor indexes it directly, so a register access costs an
+// array index, not a call. x0 reads zero because nothing writes X[0]: SetX
+// drops writes to register 0, and whoever loads a file from outside (a
+// checkpoint) must zero X[0] itself. Register numbers are not masked, so an
+// out-of-range one panics rather than aliasing another register.
+type Regs struct {
+	X [32]uint32
+	F [32]float64
+}
+
+// SetX sets integer register r; a write to register 0 is dropped.
+func (rf *Regs) SetX(r uint8, v uint32) {
+	if r != 0 {
+		rf.X[r] = v
+	}
+}
+
+// Context is the architectural state the executor operates on beyond the
+// register file and the pc: memory, CSRs and the environment. Each CPU model
+// provides an implementation; the semantics in this file are shared so that
+// every model retires bit-identical results. Registers are not reached
+// through it: Execute asks once for the register file and indexes it.
 type Context interface {
-	// ReadReg returns integer register r; r==0 must read as zero.
-	ReadReg(r uint8) uint32
-	// WriteReg sets integer register r; writes to r==0 must be dropped.
-	WriteReg(r uint8, v uint32)
-	// ReadFReg returns float register r.
-	ReadFReg(r uint8) float64
-	// WriteFReg sets float register r.
-	WriteFReg(r uint8, v float64)
-	// PC returns the address of the executing instruction.
-	PC() uint32
+	// Regs returns the register file, which Execute reads and writes in place.
+	Regs() *Regs
 	// ReadMem loads size bytes at addr (zero-extended into the result).
 	ReadMem(addr uint32, size int) (uint64, error)
 	// WriteMem stores the low size bytes of v at addr.
@@ -58,184 +70,187 @@ func (o Outcome) NextPC(pc uint32) uint32 {
 
 // EffAddr computes the effective address of a load or store without
 // executing it. It panics if in is not a memory instruction.
-func EffAddr(in Inst, ctx Context) uint32 {
+func EffAddr(in Inst, rf *Regs) uint32 {
 	if !in.IsMem() {
 		panic("isa: EffAddr on non-memory instruction " + in.Op.Name())
 	}
-	return ctx.ReadReg(in.Rs1) + uint32(in.Imm)
+	return rf.X[in.Rs1] + uint32(in.Imm)
 }
 
 // StoreData returns the register value a store writes to memory.
-func StoreData(in Inst, ctx Context) uint64 {
+func StoreData(in Inst, rf *Regs) uint64 {
 	switch in.Op {
 	case OpSb, OpSh, OpSw:
-		return uint64(ctx.ReadReg(in.Rs2))
+		return uint64(rf.X[in.Rs2])
 	case OpFsd:
-		return math.Float64bits(ctx.ReadFReg(in.Rs2))
+		return math.Float64bits(rf.F[in.Rs2])
 	}
 	panic("isa: StoreData on non-store " + in.Op.Name())
 }
 
 // CompleteLoad writes loaded data into the destination register, applying
-// size/sign conversion. Timing CPU models call this when the memory response
-// arrives.
-func CompleteLoad(in Inst, ctx Context, data uint64) {
+// size/sign conversion.
+func CompleteLoad(in Inst, rf *Regs, data uint64) {
 	switch in.Op {
 	case OpLb:
-		ctx.WriteReg(in.Rd, uint32(int32(int8(data))))
+		rf.SetX(in.Rd, uint32(int32(int8(data))))
 	case OpLbu:
-		ctx.WriteReg(in.Rd, uint32(data&0xff))
+		rf.SetX(in.Rd, uint32(data&0xff))
 	case OpLh:
-		ctx.WriteReg(in.Rd, uint32(int32(int16(data))))
+		rf.SetX(in.Rd, uint32(int32(int16(data))))
 	case OpLhu:
-		ctx.WriteReg(in.Rd, uint32(data&0xffff))
+		rf.SetX(in.Rd, uint32(data&0xffff))
 	case OpLw:
-		ctx.WriteReg(in.Rd, uint32(data))
+		rf.SetX(in.Rd, uint32(data))
 	case OpFld:
-		ctx.WriteFReg(in.Rd, math.Float64frombits(data))
+		rf.F[in.Rd] = math.Float64frombits(data)
 	default:
 		panic("isa: CompleteLoad on non-load " + in.Op.Name())
 	}
 }
 
-// Execute runs one instruction to architectural completion against ctx,
-// including any memory access (atomic semantics). The PC register itself is
-// not advanced; callers use Outcome.NextPC.
-func Execute(in Inst, ctx Context) (Outcome, error) {
+// Execute runs the instruction at pc to architectural completion against
+// ctx, including any memory access (atomic semantics). The pc itself is not
+// advanced; callers use Outcome.NextPC.
+//
+// The register file is fetched once and indexed directly. Binding its
+// accessors to local function values instead (r := rf.x) would make every
+// register access an indirect call again, which is what the file replaced.
+func Execute(in Inst, pc uint32, ctx Context) (Outcome, error) {
 	var out Outcome
-	r := ctx.ReadReg
-	w := ctx.WriteReg
-	pc := ctx.PC()
+	rf := ctx.Regs()
+	x := &rf.X
+	f := &rf.F
 
 	switch in.Op {
 	// Integer ALU.
 	case OpAdd:
-		w(in.Rd, r(in.Rs1)+r(in.Rs2))
+		rf.SetX(in.Rd, x[in.Rs1]+x[in.Rs2])
 	case OpSub:
-		w(in.Rd, r(in.Rs1)-r(in.Rs2))
+		rf.SetX(in.Rd, x[in.Rs1]-x[in.Rs2])
 	case OpAnd:
-		w(in.Rd, r(in.Rs1)&r(in.Rs2))
+		rf.SetX(in.Rd, x[in.Rs1]&x[in.Rs2])
 	case OpOr:
-		w(in.Rd, r(in.Rs1)|r(in.Rs2))
+		rf.SetX(in.Rd, x[in.Rs1]|x[in.Rs2])
 	case OpXor:
-		w(in.Rd, r(in.Rs1)^r(in.Rs2))
+		rf.SetX(in.Rd, x[in.Rs1]^x[in.Rs2])
 	case OpSll:
-		w(in.Rd, r(in.Rs1)<<(r(in.Rs2)&31))
+		rf.SetX(in.Rd, x[in.Rs1]<<(x[in.Rs2]&31))
 	case OpSrl:
-		w(in.Rd, r(in.Rs1)>>(r(in.Rs2)&31))
+		rf.SetX(in.Rd, x[in.Rs1]>>(x[in.Rs2]&31))
 	case OpSra:
-		w(in.Rd, uint32(int32(r(in.Rs1))>>(r(in.Rs2)&31)))
+		rf.SetX(in.Rd, uint32(int32(x[in.Rs1])>>(x[in.Rs2]&31)))
 	case OpSlt:
-		w(in.Rd, b2u(int32(r(in.Rs1)) < int32(r(in.Rs2))))
+		rf.SetX(in.Rd, b2u(int32(x[in.Rs1]) < int32(x[in.Rs2])))
 	case OpSltu:
-		w(in.Rd, b2u(r(in.Rs1) < r(in.Rs2)))
+		rf.SetX(in.Rd, b2u(x[in.Rs1] < x[in.Rs2]))
 	case OpMul:
-		w(in.Rd, r(in.Rs1)*r(in.Rs2))
+		rf.SetX(in.Rd, x[in.Rs1]*x[in.Rs2])
 	case OpMulh:
-		w(in.Rd, uint32(uint64(int64(int32(r(in.Rs1)))*int64(int32(r(in.Rs2))))>>32))
+		rf.SetX(in.Rd, uint32(uint64(int64(int32(x[in.Rs1]))*int64(int32(x[in.Rs2])))>>32))
 	case OpDiv:
-		w(in.Rd, divS(int32(r(in.Rs1)), int32(r(in.Rs2))))
+		rf.SetX(in.Rd, divS(int32(x[in.Rs1]), int32(x[in.Rs2])))
 	case OpDivu:
-		w(in.Rd, divU(r(in.Rs1), r(in.Rs2)))
+		rf.SetX(in.Rd, divU(x[in.Rs1], x[in.Rs2]))
 	case OpRem:
-		w(in.Rd, remS(int32(r(in.Rs1)), int32(r(in.Rs2))))
+		rf.SetX(in.Rd, remS(int32(x[in.Rs1]), int32(x[in.Rs2])))
 	case OpRemu:
-		w(in.Rd, remU(r(in.Rs1), r(in.Rs2)))
+		rf.SetX(in.Rd, remU(x[in.Rs1], x[in.Rs2]))
 
 	// Immediate ALU.
 	case OpAddi:
-		w(in.Rd, r(in.Rs1)+uint32(in.Imm))
+		rf.SetX(in.Rd, x[in.Rs1]+uint32(in.Imm))
 	case OpAndi:
-		w(in.Rd, r(in.Rs1)&uint32(in.Imm))
+		rf.SetX(in.Rd, x[in.Rs1]&uint32(in.Imm))
 	case OpOri:
-		w(in.Rd, r(in.Rs1)|uint32(in.Imm))
+		rf.SetX(in.Rd, x[in.Rs1]|uint32(in.Imm))
 	case OpXori:
-		w(in.Rd, r(in.Rs1)^uint32(in.Imm))
+		rf.SetX(in.Rd, x[in.Rs1]^uint32(in.Imm))
 	case OpSlli:
-		w(in.Rd, r(in.Rs1)<<(uint32(in.Imm)&31))
+		rf.SetX(in.Rd, x[in.Rs1]<<(uint32(in.Imm)&31))
 	case OpSrli:
-		w(in.Rd, r(in.Rs1)>>(uint32(in.Imm)&31))
+		rf.SetX(in.Rd, x[in.Rs1]>>(uint32(in.Imm)&31))
 	case OpSrai:
-		w(in.Rd, uint32(int32(r(in.Rs1))>>(uint32(in.Imm)&31)))
+		rf.SetX(in.Rd, uint32(int32(x[in.Rs1])>>(uint32(in.Imm)&31)))
 	case OpSlti:
-		w(in.Rd, b2u(int32(r(in.Rs1)) < in.Imm))
+		rf.SetX(in.Rd, b2u(int32(x[in.Rs1]) < in.Imm))
 	case OpSltiu:
-		w(in.Rd, b2u(r(in.Rs1) < uint32(in.Imm)))
+		rf.SetX(in.Rd, b2u(x[in.Rs1] < uint32(in.Imm)))
 	case OpLui:
-		w(in.Rd, uint32(in.Imm)<<12)
+		rf.SetX(in.Rd, uint32(in.Imm)<<12)
 	case OpAuipc:
-		w(in.Rd, pc+uint32(in.Imm)<<12)
+		rf.SetX(in.Rd, pc+uint32(in.Imm)<<12)
 
 	// Memory.
 	case OpLb, OpLbu, OpLh, OpLhu, OpLw, OpFld:
-		addr := EffAddr(in, ctx)
+		addr := EffAddr(in, rf)
 		out.HasMem, out.MemAddr = true, addr
 		data, err := ctx.ReadMem(addr, in.MemSize())
 		if err != nil {
 			return out, err
 		}
-		CompleteLoad(in, ctx, data)
+		CompleteLoad(in, rf, data)
 	case OpSb, OpSh, OpSw, OpFsd:
-		addr := EffAddr(in, ctx)
+		addr := EffAddr(in, rf)
 		out.HasMem, out.MemAddr = true, addr
-		if err := ctx.WriteMem(addr, in.MemSize(), StoreData(in, ctx)); err != nil {
+		if err := ctx.WriteMem(addr, in.MemSize(), StoreData(in, rf)); err != nil {
 			return out, err
 		}
 
 	// Control.
 	case OpBeq:
-		out = branch(pc, in.Imm, r(in.Rs1) == r(in.Rs2))
+		out = branch(pc, in.Imm, x[in.Rs1] == x[in.Rs2])
 	case OpBne:
-		out = branch(pc, in.Imm, r(in.Rs1) != r(in.Rs2))
+		out = branch(pc, in.Imm, x[in.Rs1] != x[in.Rs2])
 	case OpBlt:
-		out = branch(pc, in.Imm, int32(r(in.Rs1)) < int32(r(in.Rs2)))
+		out = branch(pc, in.Imm, int32(x[in.Rs1]) < int32(x[in.Rs2]))
 	case OpBge:
-		out = branch(pc, in.Imm, int32(r(in.Rs1)) >= int32(r(in.Rs2)))
+		out = branch(pc, in.Imm, int32(x[in.Rs1]) >= int32(x[in.Rs2]))
 	case OpBltu:
-		out = branch(pc, in.Imm, r(in.Rs1) < r(in.Rs2))
+		out = branch(pc, in.Imm, x[in.Rs1] < x[in.Rs2])
 	case OpBgeu:
-		out = branch(pc, in.Imm, r(in.Rs1) >= r(in.Rs2))
+		out = branch(pc, in.Imm, x[in.Rs1] >= x[in.Rs2])
 	case OpJal:
-		w(in.Rd, pc+InstBytes)
+		rf.SetX(in.Rd, pc+InstBytes)
 		out.ControlTaken = true
 		out.ControlTarget = pc + uint32(in.Imm)*InstBytes
 	case OpJalr:
-		target := (r(in.Rs1) + uint32(in.Imm)) &^ 3
-		w(in.Rd, pc+InstBytes)
+		target := (x[in.Rs1] + uint32(in.Imm)) &^ 3
+		rf.SetX(in.Rd, pc+InstBytes)
 		out.ControlTaken = true
 		out.ControlTarget = target
 
 	// Floating point.
 	case OpFadd:
-		ctx.WriteFReg(in.Rd, ctx.ReadFReg(in.Rs1)+ctx.ReadFReg(in.Rs2))
+		f[in.Rd] = f[in.Rs1] + f[in.Rs2]
 	case OpFsub:
-		ctx.WriteFReg(in.Rd, ctx.ReadFReg(in.Rs1)-ctx.ReadFReg(in.Rs2))
+		f[in.Rd] = f[in.Rs1] - f[in.Rs2]
 	case OpFmul:
-		ctx.WriteFReg(in.Rd, ctx.ReadFReg(in.Rs1)*ctx.ReadFReg(in.Rs2))
+		f[in.Rd] = f[in.Rs1] * f[in.Rs2]
 	case OpFdiv:
-		ctx.WriteFReg(in.Rd, ctx.ReadFReg(in.Rs1)/ctx.ReadFReg(in.Rs2))
+		f[in.Rd] = f[in.Rs1] / f[in.Rs2]
 	case OpFsqrt:
-		ctx.WriteFReg(in.Rd, math.Sqrt(ctx.ReadFReg(in.Rs1)))
+		f[in.Rd] = math.Sqrt(f[in.Rs1])
 	case OpFmin:
-		ctx.WriteFReg(in.Rd, math.Min(ctx.ReadFReg(in.Rs1), ctx.ReadFReg(in.Rs2)))
+		f[in.Rd] = math.Min(f[in.Rs1], f[in.Rs2])
 	case OpFmax:
-		ctx.WriteFReg(in.Rd, math.Max(ctx.ReadFReg(in.Rs1), ctx.ReadFReg(in.Rs2)))
+		f[in.Rd] = math.Max(f[in.Rs1], f[in.Rs2])
 	case OpFabs:
-		ctx.WriteFReg(in.Rd, math.Abs(ctx.ReadFReg(in.Rs1)))
+		f[in.Rd] = math.Abs(f[in.Rs1])
 	case OpFneg:
-		ctx.WriteFReg(in.Rd, -ctx.ReadFReg(in.Rs1))
+		f[in.Rd] = -f[in.Rs1]
 	case OpFmv:
-		ctx.WriteFReg(in.Rd, ctx.ReadFReg(in.Rs1))
+		f[in.Rd] = f[in.Rs1]
 	case OpFcvtDW:
-		ctx.WriteFReg(in.Rd, float64(int32(r(in.Rs1))))
+		f[in.Rd] = float64(int32(x[in.Rs1]))
 	case OpFcvtWD:
-		w(in.Rd, uint32(int32(ctx.ReadFReg(in.Rs1))))
+		rf.SetX(in.Rd, uint32(int32(f[in.Rs1])))
 	case OpFeq:
-		w(in.Rd, b2u(ctx.ReadFReg(in.Rs1) == ctx.ReadFReg(in.Rs2)))
+		rf.SetX(in.Rd, b2u(f[in.Rs1] == f[in.Rs2]))
 	case OpFlt:
-		w(in.Rd, b2u(ctx.ReadFReg(in.Rs1) < ctx.ReadFReg(in.Rs2)))
+		rf.SetX(in.Rd, b2u(f[in.Rs1] < f[in.Rs2]))
 	case OpFle:
-		w(in.Rd, b2u(ctx.ReadFReg(in.Rs1) <= ctx.ReadFReg(in.Rs2)))
+		rf.SetX(in.Rd, b2u(f[in.Rs1] <= f[in.Rs2]))
 
 	// System.
 	case OpEcall:
@@ -244,14 +259,14 @@ func Execute(in Inst, ctx Context) (Outcome, error) {
 		ctx.Ebreak()
 	case OpCsrrw:
 		old := ctx.ReadCSR(uint32(in.Imm) & 0x7fff)
-		ctx.WriteCSR(uint32(in.Imm)&0x7fff, r(in.Rs1))
-		w(in.Rd, old)
+		ctx.WriteCSR(uint32(in.Imm)&0x7fff, x[in.Rs1])
+		rf.SetX(in.Rd, old)
 	case OpCsrrs:
 		old := ctx.ReadCSR(uint32(in.Imm) & 0x7fff)
 		if in.Rs1 != 0 {
-			ctx.WriteCSR(uint32(in.Imm)&0x7fff, old|r(in.Rs1))
+			ctx.WriteCSR(uint32(in.Imm)&0x7fff, old|x[in.Rs1])
 		}
-		w(in.Rd, old)
+		rf.SetX(in.Rd, old)
 	case OpWfi:
 		ctx.Wfi()
 	case OpMret:

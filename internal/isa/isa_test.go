@@ -7,14 +7,13 @@ import (
 	"testing/quick"
 )
 
-// fakeCtx is a minimal Context backed by plain arrays and a sparse memory
-// map, used to test the executor in isolation.
+// fakeCtx is a minimal Context backed by a register file and a sparse
+// memory map, used to test the executor in isolation.
 type fakeCtx struct {
-	regs  [32]uint32
-	fregs [32]float64
-	pc    uint32
-	mem   map[uint32]byte
-	csrs  map[uint32]uint32
+	rf   Regs
+	pc   uint32
+	mem  map[uint32]byte
+	csrs map[uint32]uint32
 
 	ecalls, ebreaks, wfis int
 	mretTarget            uint32
@@ -24,20 +23,7 @@ func newFakeCtx() *fakeCtx {
 	return &fakeCtx{mem: make(map[uint32]byte), csrs: make(map[uint32]uint32)}
 }
 
-func (c *fakeCtx) ReadReg(r uint8) uint32 {
-	if r == 0 {
-		return 0
-	}
-	return c.regs[r]
-}
-func (c *fakeCtx) WriteReg(r uint8, v uint32) {
-	if r != 0 {
-		c.regs[r] = v
-	}
-}
-func (c *fakeCtx) ReadFReg(r uint8) float64     { return c.fregs[r] }
-func (c *fakeCtx) WriteFReg(r uint8, v float64) { c.fregs[r] = v }
-func (c *fakeCtx) PC() uint32                   { return c.pc }
+func (c *fakeCtx) Regs() *Regs { return &c.rf }
 func (c *fakeCtx) ReadMem(addr uint32, size int) (uint64, error) {
 	var v uint64
 	for i := size - 1; i >= 0; i-- {
@@ -60,7 +46,7 @@ func (c *fakeCtx) Mret() uint32                  { return c.mretTarget }
 
 func exec(t *testing.T, c *fakeCtx, in Inst) Outcome {
 	t.Helper()
-	out, err := Execute(in, c)
+	out, err := Execute(in, c.pc, c)
 	if err != nil {
 		t.Fatalf("Execute(%v): %v", in, err)
 	}
@@ -147,8 +133,8 @@ func TestEncodeErrors(t *testing.T) {
 
 func TestIntegerALU(t *testing.T) {
 	c := newFakeCtx()
-	c.regs[1] = 7
-	c.regs[2] = 3
+	c.rf.X[1] = 7
+	c.rf.X[2] = 3
 	cases := []struct {
 		op   Op
 		want uint32
@@ -159,67 +145,112 @@ func TestIntegerALU(t *testing.T) {
 	}
 	for _, tc := range cases {
 		exec(t, c, Inst{Op: tc.op, Rd: 3, Rs1: 1, Rs2: 2})
-		if c.regs[3] != tc.want {
-			t.Errorf("%s: got %d, want %d", tc.op.Name(), c.regs[3], tc.want)
+		if c.rf.X[3] != tc.want {
+			t.Errorf("%s: got %d, want %d", tc.op.Name(), c.rf.X[3], tc.want)
 		}
 	}
 	// Signed right shift.
-	c.regs[1] = 0x8000_0000
-	c.regs[2] = 4
+	c.rf.X[1] = 0x8000_0000
+	c.rf.X[2] = 4
 	exec(t, c, Inst{Op: OpSra, Rd: 3, Rs1: 1, Rs2: 2})
-	if c.regs[3] != 0xF800_0000 {
-		t.Errorf("sra: got %#x", c.regs[3])
+	if c.rf.X[3] != 0xF800_0000 {
+		t.Errorf("sra: got %#x", c.rf.X[3])
 	}
 	// MULH of large values.
-	c.regs[1] = 0x7fff_ffff
-	c.regs[2] = 2
+	c.rf.X[1] = 0x7fff_ffff
+	c.rf.X[2] = 2
 	exec(t, c, Inst{Op: OpMulh, Rd: 3, Rs1: 1, Rs2: 2})
-	if c.regs[3] != 0 {
-		t.Errorf("mulh: got %#x", c.regs[3])
+	if c.rf.X[3] != 0 {
+		t.Errorf("mulh: got %#x", c.rf.X[3])
 	}
 }
 
 func TestDivisionEdgeCases(t *testing.T) {
 	c := newFakeCtx()
 	set := func(a, b uint32) {
-		c.regs[1], c.regs[2] = a, b
+		c.rf.X[1], c.rf.X[2] = a, b
 	}
 	// Division by zero.
 	set(42, 0)
 	exec(t, c, Inst{Op: OpDiv, Rd: 3, Rs1: 1, Rs2: 2})
-	if c.regs[3] != ^uint32(0) {
-		t.Errorf("div/0 = %#x", c.regs[3])
+	if c.rf.X[3] != ^uint32(0) {
+		t.Errorf("div/0 = %#x", c.rf.X[3])
 	}
 	exec(t, c, Inst{Op: OpRem, Rd: 3, Rs1: 1, Rs2: 2})
-	if c.regs[3] != 42 {
-		t.Errorf("rem/0 = %d", c.regs[3])
+	if c.rf.X[3] != 42 {
+		t.Errorf("rem/0 = %d", c.rf.X[3])
 	}
 	exec(t, c, Inst{Op: OpDivu, Rd: 3, Rs1: 1, Rs2: 2})
-	if c.regs[3] != ^uint32(0) {
-		t.Errorf("divu/0 = %#x", c.regs[3])
+	if c.rf.X[3] != ^uint32(0) {
+		t.Errorf("divu/0 = %#x", c.rf.X[3])
 	}
 	exec(t, c, Inst{Op: OpRemu, Rd: 3, Rs1: 1, Rs2: 2})
-	if c.regs[3] != 42 {
-		t.Errorf("remu/0 = %d", c.regs[3])
+	if c.rf.X[3] != 42 {
+		t.Errorf("remu/0 = %d", c.rf.X[3])
 	}
 	// Signed overflow INT_MIN / -1.
 	set(0x8000_0000, ^uint32(0))
 	exec(t, c, Inst{Op: OpDiv, Rd: 3, Rs1: 1, Rs2: 2})
-	if c.regs[3] != 0x8000_0000 {
-		t.Errorf("INT_MIN/-1 = %#x", c.regs[3])
+	if c.rf.X[3] != 0x8000_0000 {
+		t.Errorf("INT_MIN/-1 = %#x", c.rf.X[3])
 	}
 	exec(t, c, Inst{Op: OpRem, Rd: 3, Rs1: 1, Rs2: 2})
-	if c.regs[3] != 0 {
-		t.Errorf("INT_MIN%%-1 = %d", c.regs[3])
+	if c.rf.X[3] != 0 {
+		t.Errorf("INT_MIN%%-1 = %d", c.rf.X[3])
 	}
 }
 
+// TestX0Hardwired runs every opcode that writes an integer rd with rd = 0
+// and checks that the write is dropped: the file, X[0] included, is left as
+// it was. Each opcode is run over three operand pairs (a < b, a > b, a == b),
+// and must produce a nonzero result for some pair when rd is a real
+// register, so that a write reaching X[0] would show.
 func TestX0Hardwired(t *testing.T) {
-	c := newFakeCtx()
-	c.regs[1] = 5
-	exec(t, c, Inst{Op: OpAdd, Rd: 0, Rs1: 1, Rs2: 1})
-	if c.ReadReg(0) != 0 {
-		t.Fatal("x0 written")
+	pairs := []struct {
+		a, b   uint32
+		fa, fb float64
+	}{
+		{0xF000_010F, 3, 1.5, 2.5},
+		{3, 0xF000_010F, 2.5, 1.5},
+		{7, 7, 2.5, 2.5},
+	}
+	const imm = 8
+	setup := func(a, b uint32, fa, fb float64) *fakeCtx {
+		c := newFakeCtx()
+		c.pc = 0x1000
+		c.rf.X[1], c.rf.X[2] = a, b
+		c.rf.F[1], c.rf.F[2] = fa, fb
+		c.csrs[imm] = 0x55
+		for i := uint32(0); i < 8; i++ {
+			c.mem[a+imm+i] = 0xA5
+		}
+		return c
+	}
+	checked := 0
+	for op := Op(1); int(op) < NumOps; op++ {
+		info := opTable[op]
+		if !info.writesRd || info.fpRd {
+			continue
+		}
+		checked++
+		nonzero := false
+		for _, p := range pairs {
+			c := setup(p.a, p.b, p.fa, p.fb)
+			before := c.rf
+			exec(t, c, Inst{Op: op, Rd: 0, Rs1: 1, Rs2: 2, Imm: imm})
+			if c.rf != before {
+				t.Errorf("%s with rd = x0 changed the register file: X[0] = %#x", op.Name(), c.rf.X[0])
+			}
+			c = setup(p.a, p.b, p.fa, p.fb)
+			exec(t, c, Inst{Op: op, Rd: 5, Rs1: 1, Rs2: 2, Imm: imm})
+			nonzero = nonzero || c.rf.X[5] != 0
+		}
+		if !nonzero {
+			t.Errorf("%s writes zero to rd for every operand pair, so a write to x0 would not show", op.Name())
+		}
+	}
+	if checked < 40 {
+		t.Fatalf("checked %d opcodes that write an integer rd, want every one (at least 40)", checked)
 	}
 	in := Inst{Op: OpAdd, Rd: 0, Rs1: 1, Rs2: 1}
 	if in.Dest() != InvalidReg {
@@ -229,48 +260,48 @@ func TestX0Hardwired(t *testing.T) {
 
 func TestLoadsAndStores(t *testing.T) {
 	c := newFakeCtx()
-	c.regs[1] = 0x100
-	c.regs[2] = 0xDEADBEEF
+	c.rf.X[1] = 0x100
+	c.rf.X[2] = 0xDEADBEEF
 	exec(t, c, Inst{Op: OpSw, Rs1: 1, Rs2: 2, Imm: 4})
 	out := exec(t, c, Inst{Op: OpLw, Rd: 3, Rs1: 1, Imm: 4})
 	if !out.HasMem || out.MemAddr != 0x104 {
 		t.Fatalf("outcome = %+v", out)
 	}
-	if c.regs[3] != 0xDEADBEEF {
-		t.Fatalf("lw = %#x", c.regs[3])
+	if c.rf.X[3] != 0xDEADBEEF {
+		t.Fatalf("lw = %#x", c.rf.X[3])
 	}
 	// Signed byte load.
 	exec(t, c, Inst{Op: OpLb, Rd: 3, Rs1: 1, Imm: 7}) // 0xDE
-	if c.regs[3] != 0xFFFF_FFDE {
-		t.Fatalf("lb = %#x", c.regs[3])
+	if c.rf.X[3] != 0xFFFF_FFDE {
+		t.Fatalf("lb = %#x", c.rf.X[3])
 	}
 	exec(t, c, Inst{Op: OpLbu, Rd: 3, Rs1: 1, Imm: 7})
-	if c.regs[3] != 0xDE {
-		t.Fatalf("lbu = %#x", c.regs[3])
+	if c.rf.X[3] != 0xDE {
+		t.Fatalf("lbu = %#x", c.rf.X[3])
 	}
 	// Halfword.
 	exec(t, c, Inst{Op: OpLh, Rd: 3, Rs1: 1, Imm: 6}) // 0xDEAD
-	if c.regs[3] != 0xFFFF_DEAD {
-		t.Fatalf("lh = %#x", c.regs[3])
+	if c.rf.X[3] != 0xFFFF_DEAD {
+		t.Fatalf("lh = %#x", c.rf.X[3])
 	}
 	exec(t, c, Inst{Op: OpLhu, Rd: 3, Rs1: 1, Imm: 6})
-	if c.regs[3] != 0xDEAD {
-		t.Fatalf("lhu = %#x", c.regs[3])
+	if c.rf.X[3] != 0xDEAD {
+		t.Fatalf("lhu = %#x", c.rf.X[3])
 	}
 	// Float round trip through memory.
-	c.fregs[4] = 3.25
+	c.rf.F[4] = 3.25
 	exec(t, c, Inst{Op: OpFsd, Rs1: 1, Rs2: 4, Imm: 16})
 	exec(t, c, Inst{Op: OpFld, Rd: 5, Rs1: 1, Imm: 16})
-	if c.fregs[5] != 3.25 {
-		t.Fatalf("fld = %v", c.fregs[5])
+	if c.rf.F[5] != 3.25 {
+		t.Fatalf("fld = %v", c.rf.F[5])
 	}
 }
 
 func TestBranchesAndJumps(t *testing.T) {
 	c := newFakeCtx()
 	c.pc = 0x1000
-	c.regs[1] = 5
-	c.regs[2] = 5
+	c.rf.X[1] = 5
+	c.rf.X[2] = 5
 	out := exec(t, c, Inst{Op: OpBeq, Rs1: 1, Rs2: 2, Imm: 10})
 	if !out.ControlTaken || out.ControlTarget != 0x1000+40 {
 		t.Fatalf("beq taken: %+v", out)
@@ -289,18 +320,18 @@ func TestBranchesAndJumps(t *testing.T) {
 	}
 	// JAL links and redirects.
 	out = exec(t, c, Inst{Op: OpJal, Rd: 1, Imm: 100})
-	if c.regs[1] != 0x1004 || out.ControlTarget != 0x1000+400 || !out.ControlTaken {
-		t.Fatalf("jal: link=%#x out=%+v", c.regs[1], out)
+	if c.rf.X[1] != 0x1004 || out.ControlTarget != 0x1000+400 || !out.ControlTaken {
+		t.Fatalf("jal: link=%#x out=%+v", c.rf.X[1], out)
 	}
 	// JALR masks low bits.
-	c.regs[5] = 0x2003
+	c.rf.X[5] = 0x2003
 	out = exec(t, c, Inst{Op: OpJalr, Rd: 2, Rs1: 5, Imm: 0})
 	if out.ControlTarget != 0x2000 {
 		t.Fatalf("jalr target = %#x", out.ControlTarget)
 	}
 	// Unsigned comparisons.
-	c.regs[1] = 0xFFFF_FFFF // -1 signed, huge unsigned
-	c.regs[2] = 1
+	c.rf.X[1] = 0xFFFF_FFFF // -1 signed, huge unsigned
+	c.rf.X[2] = 1
 	out = exec(t, c, Inst{Op: OpBlt, Rs1: 1, Rs2: 2, Imm: 1})
 	if !out.ControlTaken {
 		t.Fatal("blt signed should take")
@@ -313,8 +344,8 @@ func TestBranchesAndJumps(t *testing.T) {
 
 func TestFloatOps(t *testing.T) {
 	c := newFakeCtx()
-	c.fregs[1] = 9.0
-	c.fregs[2] = 2.0
+	c.rf.F[1] = 9.0
+	c.rf.F[2] = 2.0
 	checks := []struct {
 		op   Op
 		want float64
@@ -324,57 +355,57 @@ func TestFloatOps(t *testing.T) {
 	}
 	for _, tc := range checks {
 		exec(t, c, Inst{Op: tc.op, Rd: 3, Rs1: 1, Rs2: 2})
-		if c.fregs[3] != tc.want {
-			t.Errorf("%s = %v, want %v", tc.op.Name(), c.fregs[3], tc.want)
+		if c.rf.F[3] != tc.want {
+			t.Errorf("%s = %v, want %v", tc.op.Name(), c.rf.F[3], tc.want)
 		}
 	}
 	exec(t, c, Inst{Op: OpFsqrt, Rd: 3, Rs1: 1})
-	if c.fregs[3] != 3 {
-		t.Errorf("fsqrt = %v", c.fregs[3])
+	if c.rf.F[3] != 3 {
+		t.Errorf("fsqrt = %v", c.rf.F[3])
 	}
-	c.fregs[1] = -2.5
+	c.rf.F[1] = -2.5
 	exec(t, c, Inst{Op: OpFabs, Rd: 3, Rs1: 1})
-	if c.fregs[3] != 2.5 {
-		t.Errorf("fabs = %v", c.fregs[3])
+	if c.rf.F[3] != 2.5 {
+		t.Errorf("fabs = %v", c.rf.F[3])
 	}
 	exec(t, c, Inst{Op: OpFneg, Rd: 3, Rs1: 1})
-	if c.fregs[3] != 2.5 {
-		t.Errorf("fneg = %v", c.fregs[3])
+	if c.rf.F[3] != 2.5 {
+		t.Errorf("fneg = %v", c.rf.F[3])
 	}
 	exec(t, c, Inst{Op: OpFmv, Rd: 3, Rs1: 1})
-	if c.fregs[3] != -2.5 {
-		t.Errorf("fmv = %v", c.fregs[3])
+	if c.rf.F[3] != -2.5 {
+		t.Errorf("fmv = %v", c.rf.F[3])
 	}
 	// Conversions.
 	minus7 := int32(-7)
-	c.regs[4] = uint32(minus7)
+	c.rf.X[4] = uint32(minus7)
 	exec(t, c, Inst{Op: OpFcvtDW, Rd: 3, Rs1: 4})
-	if c.fregs[3] != -7 {
-		t.Errorf("fcvt.d.w = %v", c.fregs[3])
+	if c.rf.F[3] != -7 {
+		t.Errorf("fcvt.d.w = %v", c.rf.F[3])
 	}
-	c.fregs[1] = -3.9
+	c.rf.F[1] = -3.9
 	exec(t, c, Inst{Op: OpFcvtWD, Rd: 5, Rs1: 1})
-	if int32(c.regs[5]) != -3 {
-		t.Errorf("fcvt.w.d = %d", int32(c.regs[5]))
+	if int32(c.rf.X[5]) != -3 {
+		t.Errorf("fcvt.w.d = %d", int32(c.rf.X[5]))
 	}
 	// Comparisons.
-	c.fregs[1], c.fregs[2] = 1.0, 2.0
+	c.rf.F[1], c.rf.F[2] = 1.0, 2.0
 	exec(t, c, Inst{Op: OpFlt, Rd: 5, Rs1: 1, Rs2: 2})
-	if c.regs[5] != 1 {
+	if c.rf.X[5] != 1 {
 		t.Error("flt")
 	}
 	exec(t, c, Inst{Op: OpFeq, Rd: 5, Rs1: 1, Rs2: 2})
-	if c.regs[5] != 0 {
+	if c.rf.X[5] != 0 {
 		t.Error("feq")
 	}
 	exec(t, c, Inst{Op: OpFle, Rd: 5, Rs1: 1, Rs2: 1})
-	if c.regs[5] != 1 {
+	if c.rf.X[5] != 1 {
 		t.Error("fle")
 	}
 	// NaN propagates through sqrt of negative.
-	c.fregs[1] = -1
+	c.rf.F[1] = -1
 	exec(t, c, Inst{Op: OpFsqrt, Rd: 3, Rs1: 1})
-	if !math.IsNaN(c.fregs[3]) {
+	if !math.IsNaN(c.rf.F[3]) {
 		t.Error("fsqrt(-1) should be NaN")
 	}
 }
@@ -387,19 +418,19 @@ func TestSystemOps(t *testing.T) {
 	if c.ecalls != 1 || c.ebreaks != 1 || c.wfis != 1 {
 		t.Fatalf("system counts: %d %d %d", c.ecalls, c.ebreaks, c.wfis)
 	}
-	c.regs[1] = 0x55
+	c.rf.X[1] = 0x55
 	exec(t, c, Inst{Op: OpCsrrw, Rd: 2, Rs1: 1, Imm: 0x300})
-	if c.csrs[0x300] != 0x55 || c.regs[2] != 0 {
-		t.Fatalf("csrrw: csr=%#x rd=%#x", c.csrs[0x300], c.regs[2])
+	if c.csrs[0x300] != 0x55 || c.rf.X[2] != 0 {
+		t.Fatalf("csrrw: csr=%#x rd=%#x", c.csrs[0x300], c.rf.X[2])
 	}
-	c.regs[1] = 0x0A
+	c.rf.X[1] = 0x0A
 	exec(t, c, Inst{Op: OpCsrrs, Rd: 2, Rs1: 1, Imm: 0x300})
-	if c.csrs[0x300] != 0x5F || c.regs[2] != 0x55 {
-		t.Fatalf("csrrs: csr=%#x rd=%#x", c.csrs[0x300], c.regs[2])
+	if c.csrs[0x300] != 0x5F || c.rf.X[2] != 0x55 {
+		t.Fatalf("csrrs: csr=%#x rd=%#x", c.csrs[0x300], c.rf.X[2])
 	}
 	// csrrs with rs1=x0 must not write.
 	exec(t, c, Inst{Op: OpCsrrs, Rd: 3, Rs1: 0, Imm: 0x300})
-	if c.csrs[0x300] != 0x5F || c.regs[3] != 0x5F {
+	if c.csrs[0x300] != 0x5F || c.rf.X[3] != 0x5F {
 		t.Fatal("csrrs x0 should be read-only")
 	}
 	c.mretTarget = 0x8000
@@ -408,7 +439,7 @@ func TestSystemOps(t *testing.T) {
 		t.Fatalf("mret: %+v", out)
 	}
 	// Illegal instruction errors out.
-	if _, err := Execute(Inst{Op: OpInvalid}, c); err == nil {
+	if _, err := Execute(Inst{Op: OpInvalid}, c.pc, c); err == nil {
 		t.Fatal("OpInvalid should error")
 	}
 }
@@ -479,7 +510,7 @@ func TestEffAddrAndStoreDataPanics(t *testing.T) {
 			t.Error("EffAddr on non-mem should panic")
 		}
 	}()
-	EffAddr(Inst{Op: OpAdd}, c)
+	EffAddr(Inst{Op: OpAdd}, &c.rf)
 }
 
 func TestCompleteLoadPanics(t *testing.T) {
@@ -489,5 +520,5 @@ func TestCompleteLoadPanics(t *testing.T) {
 			t.Error("CompleteLoad on non-load should panic")
 		}
 	}()
-	CompleteLoad(Inst{Op: OpAdd}, c, 0)
+	CompleteLoad(Inst{Op: OpAdd}, &c.rf, 0)
 }
