@@ -8,6 +8,7 @@ import (
 	"gem5prof/internal/hostmodel"
 	"gem5prof/internal/isa"
 	"gem5prof/internal/uarch"
+	"gem5prof/internal/workloads"
 )
 
 // Construction is paid once and reset many times. Three process-wide stores,
@@ -24,10 +25,11 @@ import (
 //     machine from them, one unit per distinct key among its hosts, and
 //     hands every unit back once the session's Reports have been extracted,
 //     so a repeated sweep builds no structure.
-//   - images: assembled guest programs under (workload, scale), each with
-//     its words decoded once (isa.Predecode), read-only after that;
-//     guest.Memory.Load copies out of them, and every core of every guest
-//     of that image fetches through the one decoded table.
+//   - images: assembled guest programs, read-only once built, which
+//     guest.Memory.Load copies out of: workloads under (workload, scale),
+//     each with its words decoded once (isa.Predecode), so that every core
+//     of every guest of that image fetches through the one decoded table,
+//     and FS kernels under their workloads.KernelConfig, not predecoded.
 //
 // None of them holds a statistic or anything a run has written and a later
 // run reads: reuse is either verified against what a fresh build would do
@@ -39,24 +41,27 @@ import (
 // Each holds at most a small
 // constant number of entries, least recently used out first, sized to what
 // the figure suite cycles through — eight simulator binaries (the Top-Down
-// set's four CPU models in SE and FS; the sampled figures use six) and the
+// set's four CPU models in SE and FS; the sampled figures use six), the
 // units of its host geometries (Fig. 14's seven FireSim hosts alone hand
-// back 25) — and no further: everything kept here is live heap, and the
+// back 25) and its images (fourteen workloads and three kernels) — and no
+// further: everything kept here is live heap, and the
 // collector lets the heap grow to twice that. The capacities are not knobs.
 var (
 	layouts = store[hostmodel.Config, *hostmodel.Layout]{max: 8}
 	units   = store[uarch.UnitKey, *uarch.Unit]{max: 48}
-	images  = store[imageKey, image]{max: 16}
+	images  = store[imageKey, image]{max: 24}
 )
 
-// imageKey names one assembled guest program.
+// imageKey names one assembled guest program: a workload at a scale, or
+// the FS kernel of a config.
 type imageKey struct {
 	workload string
 	scale    int
+	kernel   workloads.KernelConfig
 }
 
 // image is a workload program, its predecoded words and its reference
-// checksum.
+// checksum, or a kernel program alone.
 type image struct {
 	prog   *isa.Program
 	dec    *isa.Decoded

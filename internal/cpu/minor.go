@@ -22,6 +22,10 @@ type MinorCPU struct {
 	frontEnd
 
 	regReadyAt [isa.NumArchRegs]sim.Tick
+	// loadDone[d] completes a load into register d, and
+	// loadDone[isa.NumArchRegs] one with no destination: the register is
+	// all a completion needs, so each is bound once, not made per load.
+	loadDone [isa.NumArchRegs + 1]func()
 
 	// Host-model stage functions beyond the common core set.
 	fnIssue sim.FuncID
@@ -56,6 +60,13 @@ func NewMinorCPU(sys *sim.System, cfg Config) *MinorCPU {
 		rearm:      true,
 		squashes:   st.Counter(cfg.Name+".squashes", "pipeline squashes (mispredicts + traps)"),
 	})
+	for d := range isa.NumArchRegs {
+		c.loadDone[d] = func() {
+			c.regReadyAt[d] = c.core.sys.Now()
+			c.schedule()
+		}
+	}
+	c.loadDone[isa.NumArchRegs] = c.schedule
 	sys.Register(c)
 	return c
 }
@@ -189,16 +200,12 @@ func (c *MinorCPU) issueOne(mi decodedInst, now sim.Tick) bool {
 		core.sys.TraceCall(c.fnLSQ)
 		acc := mem.Access{Addr: out.MemAddr, Size: uint8(in.MemSize()), Write: in.IsStore()}
 		if in.IsLoad() {
-			d := in.Dest()
-			if d != isa.InvalidReg {
+			done := c.loadDone[isa.NumArchRegs]
+			if d := in.Dest(); d != isa.InvalidReg {
 				c.regReadyAt[d] = sim.MaxTick // unknown until response
+				done = c.loadDone[d]
 			}
-			core.cfg.DPort.SendTiming(acc, func() {
-				if d != isa.InvalidReg {
-					c.regReadyAt[d] = core.sys.Now()
-				}
-				c.schedule()
-			})
+			core.cfg.DPort.SendTiming(acc, done)
 		} else {
 			core.cfg.DPort.SendTiming(acc, nil) // stores drain via the cache
 		}

@@ -64,6 +64,9 @@ type O3CPU struct {
 
 	// storeDone is storeDrained, bound once rather than a closure per store.
 	storeDone func()
+	// freeLoads holds the load tags no response is pending on; issue takes
+	// one per load, and the response hands it back (see loadTag).
+	freeLoads []*loadTag
 
 	// Host-model stage functions.
 	fnRename sim.FuncID
@@ -197,23 +200,54 @@ func (c *O3CPU) issue(now sim.Tick) {
 		issued++
 		if e.in.IsLoad() {
 			core.sys.TraceCall(c.fnLSQ)
-			seqCopy := seq
 			acc := mem.Access{Addr: e.memAddr, Size: uint8(e.in.MemSize())}
-			core.cfg.DPort.SendTiming(acc, func() {
-				if c.live(seqCopy) {
-					le := c.entry(seqCopy)
-					le.complete = true
-					le.doneAt = core.sys.Now()
-					c.resolved(le)
-				}
-				c.schedule()
-			})
+			core.cfg.DPort.SendTiming(acc, c.tagLoad(seq).done)
 			continue
 		}
 		e.complete = true
 		e.doneAt = now + sim.Tick(fuLatency(e.in.Class()))*ClockPeriod
 		c.resolved(e)
 	}
+}
+
+// loadTag is one outstanding load: the sequence number its response
+// completes, and that completion, bound once when the tag is made. Tags are
+// recycled through O3CPU.freeLoads, so a load allocates nothing once as many
+// tags exist as loads are ever in flight at once.
+type loadTag struct {
+	c    *O3CPU
+	seq  uint64
+	done func() // complete, bound once
+}
+
+// tagLoad returns a free tag holding seq.
+func (c *O3CPU) tagLoad(seq uint64) *loadTag {
+	var t *loadTag
+	if n := len(c.freeLoads); n > 0 {
+		t = c.freeLoads[n-1]
+		c.freeLoads = c.freeLoads[:n-1]
+	} else {
+		t = &loadTag{c: c}
+		t.done = t.complete
+	}
+	t.seq = seq
+	return t
+}
+
+// complete is a load's response. The tag goes back on the free list here,
+// not when the load leaves the ROB or a squash passes it: a load that left
+// the ROB first would still get its response, which must find its own seq
+// to test against live, not that of a younger load the tag went to.
+func (t *loadTag) complete() {
+	c, seq := t.c, t.seq
+	c.freeLoads = append(c.freeLoads, t)
+	if c.live(seq) {
+		le := c.entry(seq)
+		le.complete = true
+		le.doneAt = c.core.sys.Now()
+		c.resolved(le)
+	}
+	c.schedule()
 }
 
 // resolved releases a mispredict fetch stall once its branch completes.

@@ -12,6 +12,7 @@ package hostmodel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"gem5prof/internal/sim"
@@ -165,7 +166,8 @@ type traceStep struct {
 // fnLayout is the static model of one registered function: everything about
 // it that is fixed once it is placed. Nothing writes to it afterwards, so
 // every code model that runs the same binary can read the same copy (see
-// Layout); what changes from call to call lives in fnRun.
+// Layout); what changes from call to call lives in CodeModel's rotor and
+// called tables.
 type fnLayout struct {
 	// name is the registered name. A helper has none of its own: it is
 	// helper number fn-owner-1 of the primary function owner, and FuncName
@@ -181,12 +183,6 @@ type fnLayout struct {
 	// helpers is how many helper callees follow a primary: place lays them
 	// out right behind it, so they are the functions fn+1 … fn+helpers.
 	helpers uint32
-}
-
-// fnRun is one function's dynamic state in one code model.
-type fnRun struct {
-	calls uint64 // invocations, across ResetRun boundaries
-	rotor uint32 // per-call trace/pattern rotation
 }
 
 // CodeModel implements sim.Tracer, translating simulator activity into host
@@ -214,9 +210,14 @@ type CodeModel struct {
 	owned  bool
 	byName map[string]int
 
-	scratch   []traceStep // buildTraces' work area
-	nameBuf   []byte      // place's, for helper names
-	run       []fnRun     // indexed by FuncID; at least len(funcs) long
+	scratch []traceStep // buildTraces' work area
+	nameBuf []byte      // place's, for helper names
+	// rotor is each function's per-call trace/pattern rotation, indexed by
+	// FuncID and at least len(funcs) long; bit fn of called is set once fn
+	// has run, across ResetRun boundaries, and called has a word for every
+	// 64 entries of rotor.
+	rotor     []uint32
+	called    []uint64
 	calls     uint64
 	statCalls uint64 // calls retired before the last ResetRun
 	stackHot  uint64
@@ -326,10 +327,8 @@ func (m *CodeModel) Calls() uint64 { return m.statCalls + m.calls }
 // once (the paper's Fig. 15 metric).
 func (m *CodeModel) CalledFuncs() int {
 	n := 0
-	for i := range m.run {
-		if m.run[i].calls > 0 {
-			n++
-		}
+	for _, w := range m.called {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -434,15 +433,14 @@ const maxCallDepth = 2
 
 func (m *CodeModel) call(fn sim.FuncID, depth int) {
 	f := &m.funcs[fn]
-	run := &m.run[fn]
 	m.calls++
-	run.calls++
+	m.called[fn/64] |= 1 << (fn % 64)
 	if m.prof != nil {
 		m.prof.Enter(fn)
 	}
-	run.rotor++
-	tr := f.traces[run.rotor%3]
-	pat := run.rotor
+	pat := m.rotor[fn] + 1
+	m.rotor[fn] = pat
+	tr := f.traces[pat%3]
 
 	// Call overhead: push/pop on the (hot) host stack.
 	m.sink.Data(m.stackHot-uint64(depth)*128, 16, true)
@@ -518,9 +516,7 @@ func (m *CodeModel) ResetRun() {
 	m.statCalls += m.calls
 	m.calls = 0
 	m.heapEnd = m.cfg.HeapBase + m.cfg.HeapPoolBytes + (1 << 20)
-	for i := range m.run {
-		m.run[i].rotor = 0
-	}
+	clear(m.rotor)
 	m.rewind([]*Layout{m.lay})
 }
 

@@ -88,7 +88,7 @@ func (m *CodeModel) rewind(cands []*Layout) {
 func (m *CodeModel) advance(cur cursor) {
 	m.cur = cur
 	m.funcs = m.lay.funcs[:cur.nfuncs]
-	if len(m.run) < cur.nfuncs {
+	if len(m.rotor) < cur.nfuncs {
 		// Room for a whole layout at once — as far as it has grown, when it
 		// is m's own: a follower usually gets to its end, and a builder then
 		// reallocates as seldom as placeOne does. Of several layouts still
@@ -100,7 +100,8 @@ func (m *CodeModel) advance(cur cursor) {
 				room = n
 			}
 		}
-		m.run = append(m.run, make([]fnRun, room-len(m.run))...)
+		m.rotor = append(m.rotor, make([]uint32, room-len(m.rotor))...)
+		m.called = append(m.called, make([]uint64, words(room)-len(m.called))...)
 	}
 }
 
@@ -161,8 +162,9 @@ func (m *CodeModel) follow(name string, codeBytes int, flags sim.FuncFlags) (sim
 // the function headers are copied; the traces behind them are immutable and
 // stay shared with the layout they came from. A model that had run further
 // than this on an earlier pass (ResetRun, then a guest that registers
-// differently) loses the counters of the functions past the fork: their ids
-// are about to name other functions.
+// differently) loses the rotors and called bits of the functions past the
+// fork, down to the bits past it in the last word kept: their ids are about
+// to name other functions.
 func (m *CodeModel) fork() {
 	from := m.lay
 	m.lay = &Layout{
@@ -178,8 +180,16 @@ func (m *CodeModel) fork() {
 		}
 	}
 	m.funcs = m.lay.funcs
-	m.run = m.run[:len(m.funcs)]
+	n := len(m.funcs)
+	m.rotor = m.rotor[:n]
+	m.called = m.called[:words(n)]
+	if n%64 != 0 {
+		m.called[len(m.called)-1] &= 1<<(n%64) - 1
+	}
 }
+
+// words is how many 64-bit words a set of n bits takes.
+func words(n int) int { return (n + 63) / 64 }
 
 // place lays out one primary function and its helpers.
 func (m *CodeModel) place(name string, codeBytes int, flags sim.FuncFlags) sim.FuncID {

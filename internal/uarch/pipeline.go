@@ -74,10 +74,12 @@ func (c *Consumer) Start() {
 	}()
 }
 
-// Wait blocks until the drain goroutine has exited — i.e. until the ring
-// was closed and every published batch applied (or the consumer aborted).
-// After Wait the caller has exclusive access to the Machine again. Wait on
-// a never-Started consumer returns immediately.
+// Wait blocks until the drain goroutine is done with the Machine — until
+// the ring was closed and every published batch applied (or the consumer
+// aborted). The goroutine signals that on its way out, so it may not have
+// exited yet when Wait returns. After Wait the caller has exclusive access
+// to the Machine again. Wait on a never-Started consumer returns
+// immediately.
 func (c *Consumer) Wait() {
 	if c.done != nil {
 		<-c.done
