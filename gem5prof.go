@@ -115,14 +115,6 @@ type (
 	Profiler = profiler.Profiler
 	// HugePageMode selects base/THP/EHP code backing (Figs. 10-11).
 	HugePageMode = uarch.HugePageMode
-	// PipelineMode selects serial or producer/consumer (ring-decoupled)
-	// execution of one co-simulation; statistics are bit-identical either
-	// way (DESIGN.md §10).
-	PipelineMode = core.PipelineMode
-	// ExecPlan is how one run executed — pipelined or not, queue backend —
-	// resolved once per run and reported on GuestResult.Plan and
-	// SessionResult.Plan, never in a report (DESIGN.md §19).
-	ExecPlan = core.ExecPlan
 )
 
 // Huge-page modes for the host text segment.
@@ -130,16 +122,6 @@ const (
 	PagesBase = uarch.PagesBase
 	PagesTHP  = uarch.PagesTHP
 	PagesEHP  = uarch.PagesEHP
-)
-
-// Pipeline modes for SessionConfig.Pipeline.
-const (
-	// PipelineAuto (the zero value) runs serially, as PipelineOff does.
-	PipelineAuto = core.PipelineAuto
-	// PipelineOff forces the serial co-simulation path.
-	PipelineOff = core.PipelineOff
-	// PipelineOn forces the pipelined path.
-	PipelineOn = core.PipelineOn
 )
 
 // RunSession runs one co-simulation: the guest simulator executing on a

@@ -16,45 +16,35 @@ import (
 // may allocate fewer than 0.02 objects per serviced event. With an event per
 // cache hit and a closure per access it allocated 1.07. What is left is the
 // closures of the miss path (the directory, the TLBs), a few per ten
-// thousand events. Both queue backends must get there, because each
-// recycles one-shot events itself.
+// thousand events.
 func TestTimingPathAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		calendar bool
-	}{
-		{"heap", false},
-		{"calendar", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, err := core.BuildGuest(core.GuestConfig{
-				CPU: core.Timing, Workload: "matmul_mt", Cores: 4,
-				CalendarQueue: tc.calendar,
-			}, sim.NewNopTracer())
-			if err != nil {
-				t.Fatal(err)
-			}
-			// To a mid-point: the threads are spawned, the caches warm and
-			// every free list at its high-water mark.
-			if res := g.RunFor(60 * sim.Microsecond); res.Status != sim.ExitLimit {
-				t.Fatalf("warm-up ended the run: %+v", res)
-			}
-			var before, after runtime.MemStats
-			events := g.Sys.EventsServiced()
-			runtime.ReadMemStats(&before)
-			res := g.RunFor(40 * sim.Microsecond)
-			runtime.ReadMemStats(&after)
-			events = g.Sys.EventsServiced() - events
-			if res.Status != sim.ExitLimit || events < 100_000 {
-				t.Fatalf("measured window too short: %d events, %+v", events, res)
-			}
-			perEvent := float64(after.Mallocs-before.Mallocs) / float64(events)
-			t.Logf("%d objects over %d events: %.4f per event", after.Mallocs-before.Mallocs, events, perEvent)
-			if perEvent >= 0.02 {
-				t.Errorf("%.4f objects allocated per serviced event, want < 0.02", perEvent)
-			}
-		})
-	}
+	t.Run("heap", func(t *testing.T) {
+		g, err := core.BuildGuest(core.GuestConfig{
+			CPU: core.Timing, Workload: "matmul_mt", Cores: 4,
+		}, sim.NewNopTracer())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// To a mid-point: the threads are spawned, the caches warm and
+		// every free list at its high-water mark.
+		if res := g.RunFor(60 * sim.Microsecond); res.Status != sim.ExitLimit {
+			t.Fatalf("warm-up ended the run: %+v", res)
+		}
+		var before, after runtime.MemStats
+		events := g.Sys.EventsServiced()
+		runtime.ReadMemStats(&before)
+		res := g.RunFor(40 * sim.Microsecond)
+		runtime.ReadMemStats(&after)
+		events = g.Sys.EventsServiced() - events
+		if res.Status != sim.ExitLimit || events < 100_000 {
+			t.Fatalf("measured window too short: %d events, %+v", events, res)
+		}
+		perEvent := float64(after.Mallocs-before.Mallocs) / float64(events)
+		t.Logf("%d objects over %d events: %.4f per event", after.Mallocs-before.Mallocs, events, perEvent)
+		if perEvent >= 0.02 {
+			t.Errorf("%.4f objects allocated per serviced event, want < 0.02", perEvent)
+		}
+	})
 }
 
 // TestDetailedPathAllocs holds the detailed models' steady state to (almost)
@@ -175,7 +165,7 @@ func TestSessionRebuildAllocs(t *testing.T) {
 		{"boot_exit", core.GuestConfig{CPU: core.O3, Mode: core.FS, BootExit: true, Seed: 42}, 286_184},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := core.SessionConfig{Guest: tc.guest, Host: host, Pipeline: core.PipelineOff}
+			sc := core.SessionConfig{Guest: tc.guest, Host: host}
 			run := func() uint64 {
 				t.Helper()
 				var before, after runtime.MemStats
@@ -186,10 +176,17 @@ func TestSessionRebuildAllocs(t *testing.T) {
 				runtime.ReadMemStats(&after)
 				return after.TotalAlloc - before.TotalAlloc
 			}
-			// The stores hold what this session builds and nothing else, as
-			// in the benchmark's process: a code model that follows several
-			// published binaries sizes its run table for the smallest.
-			core.DropStores()
+			// The layouts store holds the other CPU models' binaries of the
+			// same guest as well, as it does in a harness pass: a code model
+			// that follows several sizes its run tables from the binary it
+			// ends on, not from what the store holds.
+			for _, m := range []core.CPUModel{core.Atomic, core.Timing, core.Minor} {
+				other := sc
+				other.Guest.CPU = m
+				if _, err := core.RunSession(other); err != nil {
+					t.Fatal(err)
+				}
+			}
 			run()
 			got := run()
 			t.Logf("second build and run: %d bytes (%s)", got, runtime.Version())

@@ -148,11 +148,6 @@ func (c *Checkpoint) Validate() error {
 // checkpoint (the gem5 fast-forward-then-switch flow) and runs under any
 // tracer/host platform. The core count must match.
 func RestoreGuest(cfg GuestConfig, ck *Checkpoint, tracer sim.Tracer) (*GuestSystem, error) {
-	return restoreGuest(cfg, newExecPlan(SessionConfig{Guest: cfg, Pipeline: PipelineOff}, false), ck, tracer)
-}
-
-// restoreGuest is RestoreGuest under an already resolved plan.
-func restoreGuest(cfg GuestConfig, plan ExecPlan, ck *Checkpoint, tracer sim.Tracer) (*GuestSystem, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Cores != len(ck.Arch) {
 		return nil, fmt.Errorf("core: checkpoint has %d cores, config wants %d", len(ck.Arch), cfg.Cores)
@@ -168,7 +163,7 @@ func restoreGuest(cfg GuestConfig, plan ExecPlan, ck *Checkpoint, tracer sim.Tra
 	if cfg.Mode == "" {
 		cfg.Mode = ck.Mode
 	}
-	g, _, err := buildGuest(cfg, nil, plan, tracer)
+	g, _, err := buildGuest(cfg, nil, tracer)
 	if err != nil {
 		return nil, err
 	}

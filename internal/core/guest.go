@@ -72,9 +72,9 @@ type GuestConfig struct {
 	// for that reason and TestCheckpointSeedInvariance pins it. No
 	// experiment sets it; the field remains only because bench/ sets it.
 	Seed int64
-	// CalendarQueue selects the calendar event-queue backend instead of
-	// the heap (bit-identical results; TestCalendarQueueMatchesHeap). No
-	// harness sets it; it stays because bench/ compiles against it.
+	// CalendarQueue is read by nothing: every guest runs on one HeapQueue
+	// (DESIGN.md §15). No experiment sets it; the field remains only
+	// because bench/ sets it.
 	CalendarQueue bool
 	// Shards is read by nothing: every guest runs on one event queue
 	// (DESIGN.md §15). No experiment sets it; the field remains only
@@ -84,6 +84,14 @@ type GuestConfig struct {
 	// on every core (gem5's --debug-flags=Exec).
 	ExecTrace io.Writer
 }
+
+// ShardMode is the type of GuestConfig.Shards, which nothing reads. The type
+// remains only because bench/ compiles against it.
+type ShardMode int
+
+// ShardSerial is a ShardMode value that, like every other, changes nothing.
+// It remains only because bench/ compiles against it.
+const ShardSerial ShardMode = 1
 
 // Every guest has the same machine around its cores: memBytes of DRAM (like
 // the paper's small simulated memories relative to the host), cpu.ClockPeriod's
@@ -141,9 +149,6 @@ type GuestResult struct {
 	// HostEvents is the number of simulator events serviced (the event
 	// queue's workload).
 	HostEvents uint64
-	// Plan is how the guest executed. It is not part of the modeled
-	// outcome: every plan produces the same statistics.
-	Plan ExecPlan
 }
 
 // GuestSystem is a fully constructed, not-yet-run guest simulation.
@@ -155,7 +160,6 @@ type GuestSystem struct {
 	Hier   *mem.MultiHierarchy // nil when IdealMemory
 	SE     *sysemu.SEEnv       // SE mode only
 	FS     *sysemu.Platform    // FS mode only
-	plan   ExecPlan
 	expect uint32
 	hasRef bool
 }
@@ -164,7 +168,7 @@ type GuestSystem struct {
 // (use sim.NewNopTracer() for pure guest runs), with every CPU started at
 // the workload entry point.
 func BuildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, error) {
-	return startGuest(cfg, nil, newExecPlan(SessionConfig{Guest: cfg, Pipeline: PipelineOff}, false), tracer)
+	return startGuest(cfg, nil, tracer)
 }
 
 // BuildProgram is BuildGuest for the caller's SE program in place of a
@@ -172,13 +176,12 @@ func BuildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, error) {
 // guest has no reference checksum. prog is predecoded for this guest alone,
 // not kept in the images store.
 func BuildProgram(cfg GuestConfig, prog *isa.Program) (*GuestSystem, error) {
-	return startGuest(cfg, prog, newExecPlan(SessionConfig{Guest: cfg, Pipeline: PipelineOff}, false), sim.NewNopTracer())
+	return startGuest(cfg, prog, sim.NewNopTracer())
 }
 
-// startGuest is BuildGuest (or, for a non-nil prog, BuildProgram) under an
-// already resolved plan.
-func startGuest(cfg GuestConfig, prog *isa.Program, plan ExecPlan, tracer sim.Tracer) (*GuestSystem, error) {
-	g, entry, err := buildGuest(cfg, prog, plan, tracer)
+// startGuest is BuildGuest, or for a non-nil prog BuildProgram.
+func startGuest(cfg GuestConfig, prog *isa.Program, tracer sim.Tracer) (*GuestSystem, error) {
+	g, entry, err := buildGuest(cfg, prog, tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +248,7 @@ func storedImage(key imageKey, build func() (image, error)) (img image, err erro
 // buildGuest constructs the system without starting the CPUs, returning the
 // entry point of prog, or of the workload when prog is nil. restoreGuest
 // starts them at checkpointed PCs instead.
-func buildGuest(cfg GuestConfig, prog *isa.Program, plan ExecPlan, tracer sim.Tracer) (*GuestSystem, uint32, error) {
+func buildGuest(cfg GuestConfig, prog *isa.Program, tracer sim.Tracer) (*GuestSystem, uint32, error) {
 	cfg = cfg.withDefaults()
 
 	// What a config can name wrongly is rejected before anything is built:
@@ -270,15 +273,11 @@ func buildGuest(cfg GuestConfig, prog *isa.Program, plan ExecPlan, tracer sim.Tr
 		return nil, 0, fmt.Errorf("core: %w", err)
 	}
 
-	var queue sim.Queue = sim.NewHeapQueue()
-	if plan.Calendar {
-		queue = sim.NewCalendarQueue(1024, cpu.ClockPeriod)
-	}
-	sys := sim.NewSystemWith(queue, tracer)
+	sys := sim.NewSystemWith(tracer)
 	ram := guest.NewMemory(memBytes)
 	ram.SetHostBase(tracer.AllocData("guest.ram", memBytes))
 
-	g := &GuestSystem{Cfg: cfg, Sys: sys, Mem: ram, plan: plan}
+	g := &GuestSystem{Cfg: cfg, Sys: sys, Mem: ram}
 
 	// Load the program or workload image and, in FS mode, the kernel that
 	// enters it.
@@ -385,7 +384,6 @@ func (g *GuestSystem) finish(res sim.RunResult) (*GuestResult, error) {
 		ExitReason: res.ExitReason,
 		Stats:      g.Sys.Stats(),
 		HostEvents: g.Sys.EventsServiced(),
-		Plan:       g.plan,
 	}
 	for _, c := range g.CPUs {
 		out.Insts += c.Core().CommittedInsts()

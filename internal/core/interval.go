@@ -136,9 +136,8 @@ func (r *IntervalRunner) Close() {
 // Guest.CPU selects the detailed target model, while the checkpoint itself
 // was taken by the Atomic model.
 //
-// Interval sessions always run serially (never pipelined; see
-// newExecPlan). The function profiler is rejected outright because its
-// reports would mix warmup with measurement.
+// The function profiler is rejected outright because its reports would mix
+// warmup with measurement.
 func (r *IntervalRunner) Run(ck *Checkpoint, warmup, budget uint64) ([]*IntervalResult, error) {
 	if budget == 0 {
 		return nil, fmt.Errorf("core: interval budget must be positive")

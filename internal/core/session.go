@@ -1,68 +1,29 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
-	"sync/atomic"
 
 	"gem5prof/internal/hostmodel"
 	"gem5prof/internal/platform"
 	"gem5prof/internal/profiler"
-	"gem5prof/internal/ring"
 	"gem5prof/internal/uarch"
 )
 
-// PipelineMode selects whether a co-simulation runs its two stages — the
-// guest simulator + hostmodel trace synthesis (producer) and the
-// uarch.Machine (consumer) — on one goroutine or two, decoupled by a
-// batched SPSC ring (internal/ring). Strict FIFO delivery makes the
-// modeled statistics bit-identical either way (see DESIGN.md §10), so the
-// mode is purely a performance knob.
+// PipelineMode is the type of SessionConfig.Pipeline, which nothing reads:
+// a co-simulation runs the guest and the host machine on the caller's
+// goroutine (DESIGN.md §15). The type and its three values remain only
+// because bench/ compiles against them.
 type PipelineMode int
 
-// Pipeline modes.
+// Pipeline modes, each of which changes nothing.
 const (
-	// PipelineAuto (the zero value) defers to the process-wide default set
-	// by SetDefaultPipeline; if that too is auto, the pipeline is off.
 	PipelineAuto PipelineMode = iota
-	// PipelineOff forces the serial path (the pre-pipeline behaviour).
 	PipelineOff
-	// PipelineOn forces the pipelined path (on one core it only costs). No
-	// harness flag selects it any more; it stays because bench/ compiles
-	// against it and runs the cosim_pipelined workload on it.
 	PipelineOn
 )
 
-// String renders the mode as its flag spelling.
-func (m PipelineMode) String() string {
-	switch m {
-	case PipelineOff:
-		return "off"
-	case PipelineOn:
-		return "on"
-	default:
-		return "auto"
-	}
-}
-
-// defaultPipeline is the process-wide mode that PipelineAuto sessions
-// resolve against. Atomic so concurrent sessions may read it freely.
-var defaultPipeline atomic.Int32
-
-// SetDefaultPipeline sets the process-wide pipeline mode used by sessions
-// whose SessionConfig.Pipeline is PipelineAuto. Nothing in this module
-// calls it outside tests; it stays because bench/ compiles against it.
-func SetDefaultPipeline(m PipelineMode) { defaultPipeline.Store(int32(m)) }
-
-// DefaultPipeline returns the process-wide pipeline mode.
-func DefaultPipeline() PipelineMode { return PipelineMode(defaultPipeline.Load()) }
-
-// ringSlots is the per-session ring capacity in batches. 8 slots of 16 KiB
-// batches bound the producer's lead at 128 KiB of trace — enough slack
-// that neither side parks in steady state, small enough to stay resident
-// in a shared L2/LLC while crossing cores.
-const ringSlots = 8
+// SetDefaultPipeline does nothing. It remains only because bench/ calls it.
+func SetDefaultPipeline(PipelineMode) {}
 
 // SessionConfig describes one co-simulation: a guest g5 simulation executed
 // on a modeled host platform — the paper's unit of measurement.
@@ -78,12 +39,10 @@ type SessionConfig struct {
 	// (Fig. 12).
 	HostCode hostmodel.Config
 	// Profile attaches the function profiler (Fig. 15). It adds overhead,
-	// so it is off by default. Profiling forces a serial, unpipelined run
-	// (see newExecPlan).
+	// so it is off by default.
 	Profile bool
-	// Pipeline selects serial or producer/consumer execution of the
-	// co-simulation (bit-identical statistics either way). The zero value
-	// is PipelineAuto.
+	// Pipeline is read by nothing; the field remains only because bench/
+	// sets it.
 	Pipeline PipelineMode
 }
 
@@ -103,9 +62,6 @@ type SessionResult struct {
 	TextBytes   uint64
 	NumFuncs    int
 	CalledFuncs int
-	// Plan is how the session executed. It is not part of the modeled
-	// outcome: every plan produces the same statistics.
-	Plan ExecPlan
 }
 
 // SimSeconds returns the modeled host wall-clock of the simulation.
@@ -113,12 +69,10 @@ func (r *SessionResult) SimSeconds() float64 { return r.Host.TimeSeconds }
 
 // cosim bundles the host side of one co-simulation — the modeled machine,
 // with one lane per distinct host of the sweep on units shared by every
-// lane of their key, the synthetic simulator binary, and (when pipelined)
-// the ring stages — together with the guest it traces. RunSessions and
-// IntervalRunner share this assembly; only how (and how much of) the guest
-// runs differs.
+// lane of their key, and the synthetic simulator binary that feeds it —
+// together with the guest it traces. RunSessions and IntervalRunner share
+// this assembly; only how much of the guest runs differs.
 type cosim struct {
-	plan ExecPlan
 	// lanes[i] is the lane member i is modeled on; members whose contended
 	// hosts are equal share one. hosts[l] is lane l's contended host.
 	machine  *uarch.Machine
@@ -127,8 +81,6 @@ type cosim struct {
 	cm       *hostmodel.CodeModel
 	hostCode hostmodel.Config // normalised
 	prof     *profiler.Profiler
-	enc      *hostmodel.RingSink
-	cons     *uarch.Consumer
 	guest    *GuestSystem
 }
 
@@ -169,21 +121,9 @@ func newCosim(cfgs []SessionConfig, interval bool) (*cosim, error) {
 		return nil, fmt.Errorf("core: interval sessions do not support the function profiler")
 	}
 	distinct, lanes := assignLanes(hosts)
-	cs := &cosim{plan: newExecPlan(cfg, interval), lanes: lanes, hosts: distinct, hostCode: cfg.HostCode.Normalized()}
+	cs := &cosim{lanes: lanes, hosts: distinct, hostCode: cfg.HostCode.Normalized()}
 	cs.machine = acquireMachine(distinct...)
-
-	// Pipelined mode interposes a batch encoder between the code model and
-	// the machine; it then consumes the identical event stream on its own
-	// goroutine (uarch.Consumer), started only after the address map is
-	// final.
-	var sink hostmodel.Sink = cs.machine
-	if cs.plan.Pipelined {
-		rg := ring.New(ringSlots)
-		cs.enc = hostmodel.NewRingSink(rg)
-		cs.cons = uarch.NewConsumer(cs.machine, rg)
-		sink = cs.enc
-	}
-	cs.cm = hostmodel.Follow(cs.hostCode, sink, layouts.peek(cs.hostCode))
+	cs.cm = hostmodel.Follow(cs.hostCode, cs.machine, layouts.peek(cs.hostCode))
 	if cfg.Profile {
 		// A profiled sweep has one host (sweepHosts), so one lane.
 		cs.prof = profiler.New(cs.machine, cs.cm)
@@ -212,9 +152,9 @@ func (cs *cosim) counts(i int) (uarch.Counts, uarch.Report) {
 func (cs *cosim) build(gc GuestConfig, ck *Checkpoint) error {
 	var err error
 	if ck != nil {
-		cs.guest, err = restoreGuest(gc, cs.plan, ck, cs.cm)
+		cs.guest, err = RestoreGuest(gc, ck, cs.cm)
 	} else {
-		cs.guest, err = startGuest(gc, nil, cs.plan, cs.cm)
+		cs.guest, err = BuildGuest(gc, cs.cm)
 	}
 	if err != nil {
 		return err
@@ -234,40 +174,14 @@ func (cs *cosim) build(gc GuestConfig, ck *Checkpoint) error {
 }
 
 // release returns the machine's units to the store once nothing reads them
-// any more: after the consumer has been waited for and the Reports taken. A
-// profiled session keeps its machine, which the Profiler it hands out reads
-// cycles from. The cosim must not be used afterwards.
+// any more: after the run and the Reports taken. A profiled session keeps
+// its machine, which the Profiler it hands out reads cycles from. The cosim
+// must not be used afterwards.
 func (cs *cosim) release() {
 	if cs.prof == nil {
 		releaseMachine(cs.machine)
 	}
 	cs.machine = nil
-}
-
-// run executes the guest through the session's pipeline arrangement.
-// runGuest is the producer body (normally cs.guest.Run).
-func (cs *cosim) run(runGuest func() (*GuestResult, error)) (gres *GuestResult, err error) {
-	if !cs.plan.Pipelined {
-		return runGuest()
-	}
-	cs.cons.Start()
-	// Flush-on-report barrier: publish the partial tail batch, close the
-	// ring, and wait for the consumer to apply everything — on the error
-	// path and when the guest panics too, so no goroutine outlives its
-	// session and the machine is nobody's by the time it is released.
-	defer func() {
-		cs.enc.Close()
-		cs.cons.Wait()
-		if err == nil {
-			err = cs.enc.Err()
-		}
-	}()
-	// Label the producer stage so -cpuprofile output splits guest
-	// simulation + trace synthesis from the consumer's uarch time.
-	pprof.Do(context.Background(),
-		pprof.Labels("cosim-stage", "guest-producer"),
-		func(context.Context) { gres, err = runGuest() })
-	return gres, err
 }
 
 // results assembles one SessionResult per member for a completed run, in
@@ -284,7 +198,6 @@ func (cs *cosim) results(gres *GuestResult) []*SessionResult {
 			TextBytes:   cs.cm.TextBytes(),
 			NumFuncs:    cs.cm.NumFuncs(),
 			CalledFuncs: cs.cm.CalledFuncs(),
-			Plan:        cs.plan,
 		}
 	}
 	return out
@@ -300,9 +213,8 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 }
 
 // RunSessions co-simulates one guest on several hosts and returns one
-// result per member, in order. The members must share the guest, the
-// normalised binary (HostCode) and the pipeline mode, and only a sweep of
-// one may profile (SweepError otherwise); their hosts and scenarios may
+// result per member, in order. The members must share the guest and the
+// normalised binary (HostCode), and only a sweep of one may profile (SweepError otherwise); their hosts and scenarios may
 // differ in anything. The guest and its trace are simulated once, and the
 // contended hosts are lanes of one machine (DESIGN §21, §22): each cache,
 // uop cache, predictor and translation unit runs once for every lane whose
@@ -318,9 +230,8 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 // stores (stores.go) — a layout it verifies call by call, units it
 // resets completely, an image it copies from — cannot carry anything from
 // one session into another. The parallel experiment runner relies on this.
-// In pipelined mode each call adds one consumer goroutine for the duration
-// of its run, so a harness admitting Jobs concurrent calls runs at most
-// Jobs x (1 + pipeline) simulation goroutines.
+// A call runs on the caller's goroutine and starts none, so a harness
+// admitting Jobs concurrent calls runs Jobs simulation goroutines.
 func RunSessions(cfgs []SessionConfig) ([]*SessionResult, error) {
 	cs, err := newCosim(cfgs, false)
 	if err != nil {
@@ -330,7 +241,7 @@ func RunSessions(cfgs []SessionConfig) ([]*SessionResult, error) {
 	if err := cs.build(cfgs[0].Guest, nil); err != nil {
 		return nil, err
 	}
-	gres, err := cs.run(cs.guest.Run)
+	gres, err := cs.guest.Run()
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"gem5prof/internal/core"
 	"gem5prof/internal/hostmodel"
@@ -171,9 +170,8 @@ func TestFollowerOfTheOtherModeForks(t *testing.T) {
 // that a published layout is only read.
 func TestConcurrentSessionsShareLayouts(t *testing.T) {
 	var mix []core.SessionConfig
-	for i, sc := range sharingMatrix() {
+	for _, sc := range sharingMatrix() {
 		if sc.Guest.Cores == 0 && !sc.Guest.GuestTLBs && sc.Guest.CPU != core.Minor { // SE, FS, ideal x 3 CPUs x 2 builds
-			sc.Pipeline = []core.PipelineMode{core.PipelineOff, core.PipelineOn}[i/2%2]
 			mix = append(mix, sc)
 		}
 	}
@@ -347,52 +345,41 @@ func (w *panicAfter) Write(p []byte) (int, error) {
 // TestBrokenSessionLeavesStoresUsable: a session that panics mid-run, or
 // fails after it has drawn its machine, gives the machine back half used —
 // and the next session on those structure sizes must still be byte for
-// byte its cold self, with no consumer goroutine left behind.
+// byte its cold self. A session runs on its caller's goroutine: none of
+// them starts another.
 func TestBrokenSessionLeavesStoresUsable(t *testing.T) {
-	for _, pipe := range []core.PipelineMode{core.PipelineOff, core.PipelineOn} {
-		sc := core.SessionConfig{
-			Guest:    core.GuestConfig{CPU: core.Timing, Workload: "sieve", Scale: 256},
-			Host:     platform.M1Pro(),
-			Pipeline: pipe,
-		}
-		core.DropStores()
-		want := digest(t, sc)
-		before := runtime.NumGoroutine()
+	sc := core.SessionConfig{
+		Guest: core.GuestConfig{CPU: core.Timing, Workload: "sieve", Scale: 256},
+		Host:  platform.M1Pro(),
+	}
+	core.DropStores()
+	before := runtime.NumGoroutine()
+	want := digest(t, sc)
 
-		broken := sc
-		broken.Guest.ExecTrace = &panicAfter{lines: 700}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("pipeline %v: the run survived its exec-trace writer", pipe)
-				}
-			}()
-			core.RunSession(broken)
+	broken := sc
+	broken.Guest.ExecTrace = &panicAfter{lines: 700}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the run survived its exec-trace writer")
+			}
 		}()
-		unbuildable := sc
-		unbuildable.Guest.Workload = "no_such_workload"
-		if _, err := core.RunSession(unbuildable); err == nil {
-			t.Errorf("pipeline %v: unknown workload accepted", pipe)
-		}
-		if _, nu, _ := core.StoreLens(); nu == 0 {
-			t.Errorf("pipeline %v: the broken sessions did not give their machine back", pipe)
-		}
-		sc.Guest.ExecTrace = io.Discard // observation only: not part of the result
-		if got := digest(t, sc); got != want {
-			t.Errorf("pipeline %v: the session after a broken one differs from its cold run", pipe)
-		}
-		// Wait returns once the drain goroutine has closed its done
-		// channel, which it does on its way out, not after it: give the
-		// goroutine a moment to exit, and call it leaked only if it has
-		// not by the deadline.
-		after := runtime.NumGoroutine()
-		for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-			after = runtime.NumGoroutine()
-		}
-		if after > before {
-			t.Errorf("pipeline %v: goroutines %d -> %d", pipe, before, after)
-		}
+		core.RunSession(broken)
+	}()
+	unbuildable := sc
+	unbuildable.Guest.Workload = "no_such_workload"
+	if _, err := core.RunSession(unbuildable); err == nil {
+		t.Error("unknown workload accepted")
+	}
+	if _, nu, _ := core.StoreLens(); nu == 0 {
+		t.Error("the broken sessions did not give their machine back")
+	}
+	sc.Guest.ExecTrace = io.Discard // observation only: not part of the result
+	if got := digest(t, sc); got != want {
+		t.Error("the session after a broken one differs from its cold run")
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines %d -> %d", before, after)
 	}
 }
 

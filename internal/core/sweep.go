@@ -12,7 +12,7 @@ import (
 // SweepError rejects a sweep — the SessionConfigs of one RunSessions,
 // IntervalRunner or simpoint.RunSampledSweep — whose members cannot share
 // one guest: Field names what differs ("Guest", "HostCode" for the
-// normalised binary, "Pipeline" or "Profile"), between members A and B. A
+// normalised binary, or "Profile"), between members A and B. A
 // Profile set on one member of a sweep of several is rejected under Field
 // "Profile" too, since the profiler follows one host. Hosts and scenarios
 // may differ freely.
@@ -52,8 +52,6 @@ func sweepHosts(cfgs []SessionConfig) ([]uarch.Config, error) {
 			field = "Guest"
 		case c.HostCode.Normalized() != binary:
 			field = "HostCode"
-		case first.Pipeline != c.Pipeline:
-			field = "Pipeline"
 		case first.Profile || c.Profile:
 			field = "Profile"
 		}
@@ -79,14 +77,15 @@ func sweepHosts(cfgs []SessionConfig) ([]uarch.Config, error) {
 
 // sameGuest reports whether two guest configs build the same guest: equal
 // field for field, with the exec-trace writer the same one (a writer that
-// cannot be compared is never the same as another). Seed and Shards are left
-// out: nothing reads them.
+// cannot be compared is never the same as another). Seed, CalendarQueue and
+// Shards are left out: nothing reads them.
 func sameGuest(a, b GuestConfig) bool {
 	if !sameWriter(a.ExecTrace, b.ExecTrace) {
 		return false
 	}
 	a.ExecTrace, b.ExecTrace = nil, nil
 	a.Seed, b.Seed = 0, 0
+	a.CalendarQueue, b.CalendarQueue = false, false
 	a.Shards, b.Shards = 0, 0
 	return a == b
 }

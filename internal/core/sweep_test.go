@@ -90,8 +90,7 @@ func fig14Hosts() []uarch.Config {
 
 // TestLaneIdentity: every lane of a sweep counts what RunSession of its
 // host alone counts, and so, Price being pure, reports what it reports —
-// serial and pipelined, since the pipelined consumer feeds the laned
-// machine — and the lanes share the one guest they ran.
+// and the lanes share the one guest they ran.
 func TestLaneIdentity(t *testing.T) {
 	for name, cfgs := range laneSweeps() {
 		solo := make([]uarch.Counts, len(cfgs))
@@ -102,25 +101,19 @@ func TestLaneIdentity(t *testing.T) {
 			}
 			solo[i] = res.Counts
 		}
-		for _, pipe := range []core.PipelineMode{core.PipelineOff, core.PipelineOn} {
-			swept := append([]core.SessionConfig(nil), cfgs...)
-			for i := range swept {
-				swept[i].Pipeline = pipe
+		res, err := core.RunSessions(cfgs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res) != len(cfgs) {
+			t.Fatalf("%s: %d results for %d hosts", name, len(res), len(cfgs))
+		}
+		for i, r := range res {
+			if r.Counts != solo[i] {
+				t.Errorf("%s: lane %d (%s):\n%+v\nalone:\n%+v", name, i, cfgs[i].Host.Name, r.Counts, solo[i])
 			}
-			res, err := core.RunSessions(swept)
-			if err != nil {
-				t.Fatalf("%s, pipeline %v: %v", name, pipe, err)
-			}
-			if len(res) != len(cfgs) {
-				t.Fatalf("%s, pipeline %v: %d results for %d hosts", name, pipe, len(res), len(cfgs))
-			}
-			for i, r := range res {
-				if r.Counts != solo[i] {
-					t.Errorf("%s, pipeline %v: lane %d (%s):\n%+v\nalone:\n%+v", name, pipe, i, cfgs[i].Host.Name, r.Counts, solo[i])
-				}
-				if r.Guest != res[0].Guest {
-					t.Errorf("%s, pipeline %v: lane %d has a guest result of its own", name, pipe, i)
-				}
+			if r.Guest != res[0].Guest {
+				t.Errorf("%s: lane %d has a guest result of its own", name, i)
 			}
 		}
 	}
@@ -230,7 +223,9 @@ func TestSweepDrawsAUnitPerKey(t *testing.T) {
 // *SweepError naming the field and the two members, from every entry point
 // that takes a sweep, before a machine is drawn — never a panic. Members
 // that differ only on the host side (host, scenario, a spelled-out default
-// binary) or in the inert Seed and Shards are one sweep.
+// binary) or in the inert Seed, Shards, CalendarQueue and Pipeline are one
+// sweep, and a sweep of members that differ only in the inert fields counts
+// for each what it counts alone.
 func TestSweepRejections(t *testing.T) {
 	base := core.SessionConfig{
 		Guest: core.GuestConfig{CPU: core.Timing, Mode: core.SE, Workload: "sieve", Scale: 256},
@@ -244,7 +239,6 @@ func TestSweepRejections(t *testing.T) {
 		{"Guest", func(sc *core.SessionConfig) { sc.Guest.ExecTrace = io.Discard }},
 		{"HostCode", func(sc *core.SessionConfig) { sc.HostCode = hostmodel.Config{SizeFactor: 0.97} }},
 		{"HostCode", func(sc *core.SessionConfig) { sc.HostCode.TextSlots = 2 }},
-		{"Pipeline", func(sc *core.SessionConfig) { sc.Pipeline = core.PipelineOn }},
 		{"Profile", func(sc *core.SessionConfig) { sc.Profile = true }},
 	} {
 		other := base
@@ -281,14 +275,30 @@ func TestSweepRejections(t *testing.T) {
 	hostSide[2].Host.DSBUops = 0
 	hostSide[3].Scenario = platform.Scenario{Procs: 4}
 	hostSide[4].HostCode = hostmodel.DefaultConfig()
-	// Seed and Shards are read by nothing, so members that differ only in
-	// them build one guest.
-	inert := []core.SessionConfig{base, base, base}
+	// Seed, Shards, CalendarQueue and Pipeline are read by nothing, so
+	// members that differ only in them build one guest.
+	inert := []core.SessionConfig{base, base, base, base, base}
 	inert[1].Guest.Seed = 7
 	inert[2].Guest.Shards = 2
+	inert[3].Guest.CalendarQueue = true
+	inert[4].Pipeline = core.PipelineOn
+	inert[4].Host = platform.M1Pro()
 	for _, cfgs := range [][]core.SessionConfig{{profiled}, {traced, traced}, hostSide, inert} {
 		if err := core.CheckSweep(cfgs); err != nil {
 			t.Errorf("%d members: %v", len(cfgs), err)
+		}
+	}
+	res, err := core.RunSessions(inert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range inert {
+		solo, err := core.RunSession(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[i].Counts != solo.Counts {
+			t.Errorf("inert member %d counts in the sweep:\n%+v\nalone:\n%+v", i, res[i].Counts, solo.Counts)
 		}
 	}
 	if _, err := core.RunSessions(nil); err == nil {

@@ -43,16 +43,11 @@ func (r *Runner) Workers() int { return r.workers }
 // which is what lets the nested fan-out proceed without deadlocking the
 // pool at -j 1.
 //
-// Goroutine accounting with the co-simulation pipeline: a slot admits one
-// co-simulation, and a pipelined one adds exactly one uarch-consumer
-// goroutine for the duration of its run (core.RunSessions starts it after
-// admission and joins it before releasing the slot), so the harness runs
-// at most 2*Jobs simulation goroutines no matter how many experiments are
-// in flight.
+// A slot admits one co-simulation, which runs on the worker's goroutine
+// and starts none, so the harness runs at most Jobs simulation goroutines
+// no matter how many experiments are in flight.
 //
-// Workers carry the pprof label cosim-stage=experiment-worker; pipelined
-// sessions re-label their producer span and consumer goroutine, so a
-// -cpuprofile from cmd/experiments splits time across all three stages.
+// Workers carry the pprof label cosim-stage=experiment-worker.
 func (r *Runner) submit(fn func()) {
 	go func() {
 		r.sem <- struct{}{}

@@ -213,9 +213,11 @@ type CodeModel struct {
 	scratch []traceStep // buildTraces' work area
 	nameBuf []byte      // place's, for helper names
 	// rotor is each function's per-call trace/pattern rotation, indexed by
-	// FuncID and at least len(funcs) long; bit fn of called is set once fn
-	// has run, across ResetRun boundaries, and called has a word for every
-	// 64 entries of rotor.
+	// FuncID and at most len(funcs) long: Call grows it to len(funcs) when
+	// an id lies past it, so its size follows the binary the model runs and
+	// nothing else. Bit fn of called is set once fn has run, across
+	// ResetRun boundaries, and called has a word for every 64 entries of
+	// rotor.
 	rotor     []uint32
 	called    []uint64
 	calls     uint64
@@ -423,10 +425,23 @@ func hashName[S string | []byte](name S) uint64 {
 
 // Call implements sim.Tracer: replay one invocation of fn into the sink.
 func (m *CodeModel) Call(fn sim.FuncID) {
-	if int(fn) >= len(m.funcs) {
-		return
+	if int(fn) >= len(m.rotor) {
+		if int(fn) >= len(m.funcs) {
+			return
+		}
+		m.grow()
 	}
 	m.call(fn, 0)
+}
+
+// grow extends rotor to the functions registered so far, the new rotors at
+// zero, and called to a word for every 64 of them.
+func (m *CodeModel) grow() {
+	n := len(m.funcs)
+	m.rotor = append(m.rotor, make([]uint32, n-len(m.rotor))...)
+	if w := words(n); w > len(m.called) {
+		m.called = append(m.called, make([]uint64, w-len(m.called))...)
+	}
 }
 
 const maxCallDepth = 2
@@ -516,7 +531,6 @@ func (m *CodeModel) ResetRun() {
 	m.statCalls += m.calls
 	m.calls = 0
 	m.heapEnd = m.cfg.HeapBase + m.cfg.HeapPoolBytes + (1 << 20)
-	clear(m.rotor)
 	m.rewind([]*Layout{m.lay})
 }
 

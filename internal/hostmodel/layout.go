@@ -77,10 +77,12 @@ func (l *Layout) Same(o *Layout) bool {
 }
 
 // rewind puts the model at the start of a run that follows cands, layouts of
-// m.cfg that are immutable or m's own.
+// m.cfg that are immutable or m's own. The rotors start over at zero as the
+// functions are registered again (Call regrows them); the called bits stay.
 func (m *CodeModel) rewind(cands []*Layout) {
 	m.cands, m.owned, m.byName = cands, false, nil
 	m.lay, m.pos = cands[0], 0
+	m.rotor = m.rotor[:0]
 	m.advance(m.lay.at(0))
 }
 
@@ -88,21 +90,6 @@ func (m *CodeModel) rewind(cands []*Layout) {
 func (m *CodeModel) advance(cur cursor) {
 	m.cur = cur
 	m.funcs = m.lay.funcs[:cur.nfuncs]
-	if len(m.rotor) < cur.nfuncs {
-		// Room for a whole layout at once — as far as it has grown, when it
-		// is m's own: a follower usually gets to its end, and a builder then
-		// reallocates as seldom as placeOne does. Of several layouts still
-		// followed it is the smallest, so that what a session allocates does
-		// not depend on which of them was used last.
-		room := cap(m.lay.funcs)
-		for _, l := range m.cands {
-			if n := cap(l.funcs); n >= cur.nfuncs && n < room {
-				room = n
-			}
-		}
-		m.rotor = append(m.rotor, make([]uint32, room-len(m.rotor))...)
-		m.called = append(m.called, make([]uint64, words(room)-len(m.called))...)
-	}
 }
 
 // RegisterFunc implements sim.Tracer. While some layout the model follows
@@ -181,10 +168,12 @@ func (m *CodeModel) fork() {
 	}
 	m.funcs = m.lay.funcs
 	n := len(m.funcs)
-	m.rotor = m.rotor[:n]
-	m.called = m.called[:words(n)]
-	if n%64 != 0 {
-		m.called[len(m.called)-1] &= 1<<(n%64) - 1
+	m.rotor = m.rotor[:min(n, len(m.rotor))]
+	if w := words(n); len(m.called) >= w {
+		m.called = m.called[:w]
+		if n%64 != 0 {
+			m.called[w-1] &= 1<<(n%64) - 1
+		}
 	}
 }
 

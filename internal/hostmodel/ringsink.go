@@ -2,10 +2,11 @@ package hostmodel
 
 import "gem5prof/internal/ring"
 
-// RingSink is the producer half of the pipelined co-simulation: a Sink
-// that encodes the micro-event stream into compact ring.Records, batched
-// into the ring's in-place slots (no per-record allocation), for a
-// consumer goroutine (uarch.Consumer) to drain in strict FIFO order.
+// RingSink is a Sink that encodes the micro-event stream into compact
+// ring.Records, batched into the ring's in-place slots (no per-record
+// allocation), for a consumer goroutine (uarch.Consumer) to drain in strict
+// FIFO order. No co-simulation uses it any more; it remains only because
+// bench/ times the ring path (DESIGN.md §15).
 //
 // RingSink is not safe for concurrent use — it belongs to the single
 // producer goroutine, exactly like the CodeModel that feeds it.

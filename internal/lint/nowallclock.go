@@ -9,8 +9,7 @@ import (
 // and the process environment. A guest or session result is a pure
 // function of its config and of sim ticks — that is what makes a run
 // replayable bit-for-bit on any host and what the golden fixtures, the
-// conformance campaigns, and the pipelined-equals-serial differential all
-// rest on. Banning the sources outright means no flow from them into a
+// conformance campaigns, and the lane-identity tests all rest on. Banning the sources outright means no flow from them into a
 // stat, trace, checkpoint or report can exist. A model that needs variation
 // derives it from its config (a generator seeded from a config field) and
 // the event queue's Tick domain. Command binaries under cmd/ may time

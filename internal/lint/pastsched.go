@@ -9,11 +9,10 @@ import (
 
 // PastSched flags Schedule/Reschedule call sites whose tick argument is
 // not provably derived from the current simulation time. Scheduling into
-// the past corrupts a calendar queue's bucket invariants — the PR 1 bug
-// class — so the runtime panics on it (sim.CalendarQueue.ServiceOne
-// "time running backwards"); this analyzer moves the common cases of that
-// contract to compile time with a syntactic dataflow over the enclosing
-// function.
+// the past breaks an event queue's order, so the queues panic on it at run
+// time (sim.HeapQueue.Schedule's "scheduled at ... before now"); this
+// analyzer moves the common cases of that contract to compile time with a
+// syntactic dataflow over the enclosing function.
 //
 // A tick expression is accepted when it is
 //   - a call of a method named Now or CurTick, possibly plus other terms,

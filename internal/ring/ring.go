@@ -1,11 +1,13 @@
-// Package ring provides the bounded single-producer/single-consumer batch
-// ring that decouples the co-simulation's two stages: the guest
+// Package ring provides a bounded single-producer/single-consumer batch
+// ring that can decouple the co-simulation's two stages: the guest
 // discrete-event simulator plus hostmodel trace synthesis (the producer)
 // and the host micro-architecture model (the consumer), each on its own
-// goroutine.
+// goroutine. No co-simulation runs that way any more — the pipelined path
+// lost to the serial one (DESIGN.md §15) — and the package remains only
+// because bench/ times it.
 //
 // Design points, all in service of a lock-free steady state and strict
-// FIFO delivery (the determinism argument in DESIGN.md §10):
+// FIFO delivery:
 //
 //   - Records are compact tagged structs (one of FetchBlock/Branch/Data),
 //     moved in fixed-size Batches that live inside the ring's slot array,
@@ -22,8 +24,8 @@
 //
 // Because there is exactly one producer and one consumer and batches are
 // delivered in publication order, the consumer observes every record in
-// exactly the order the producer emitted it — which is what makes the
-// pipelined co-simulation's statistics bit-identical to the serial path.
+// exactly the order the producer emitted it — which is what makes a
+// machine fed through the ring count what one fed directly counts.
 package ring
 
 import (

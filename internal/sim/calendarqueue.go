@@ -4,10 +4,11 @@ import "fmt"
 
 const overflowPos = 1 << 30
 
-// CalendarQueue is an alternative event-queue backend: a sliding ring of
+// CalendarQueue is a second event-queue backend: a sliding ring of
 // fixed-width time buckets with an overflow area for far-future events
-// (a ladder/calendar queue). It exists to support the event-queue ablation
-// (DESIGN.md A5); behaviour is identical to HeapQueue.
+// (a ladder/calendar queue), firing events in HeapQueue's order. No System
+// runs on it: it lost to the deque at the depths guests run at (DESIGN.md
+// §15), and remains only because bench/ times it.
 type CalendarQueue struct {
 	oneShots
 	now     Tick
@@ -135,27 +136,6 @@ func (q *CalendarQueue) ServiceOne() bool {
 	e.fire()
 	q.put(e)
 	return true
-}
-
-func (q *CalendarQueue) clock() *Tick { return &q.now }
-
-// drain is HeapQueue.drain over this backend; each copy calls its own
-// queue's methods directly.
-func (q *CalendarQueue) drain(s *System, limit Tick, budget uint64) ExitStatus {
-	for {
-		if q.Empty() {
-			return ExitQueueEmpty
-		}
-		if q.NextTick() > limit {
-			return ExitLimit
-		}
-		if s.serviced >= budget {
-			return ExitEventLimit
-		}
-		s.TraceCall(s.fnDispatch)
-		q.ServiceOne()
-		s.serviced++
-	}
 }
 
 // peek advances buckets as needed and returns the earliest event without

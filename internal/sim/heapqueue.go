@@ -116,25 +116,6 @@ func (q *HeapQueue) ServiceOne() bool {
 	return true
 }
 
-func (q *HeapQueue) clock() *Tick { return &q.now }
-
-func (q *HeapQueue) drain(s *System, limit Tick, budget uint64) ExitStatus {
-	for {
-		if q.Empty() {
-			return ExitQueueEmpty
-		}
-		if q.NextTick() > limit {
-			return ExitLimit
-		}
-		if s.serviced >= budget {
-			return ExitEventLimit
-		}
-		s.TraceCall(s.fnDispatch)
-		q.ServiceOne()
-		s.serviced++
-	}
-}
-
 // at returns the k-th pending event.
 func (q *HeapQueue) at(k int) *Event { return q.ring[(q.head+k)&(len(q.ring)-1)] }
 

@@ -5,8 +5,8 @@ import "fmt"
 // naiveHeap is the binary min-heap that HeapQueue was before it became a
 // sorted deque (DESIGN.md §27), kept as it was as the reference the deque is
 // held to: TestQueueEquivalence, the backend tables of queue_test.go and
-// TestOneShotRecycle, and FuzzQueueEquivalence run both on the same traffic
-// and require the same fire order. It is ordered by (tick, priority,
+// FuzzQueueEquivalence run both on the same traffic and require the same
+// fire order. It is ordered by (tick, priority,
 // insertion sequence). All operations are O(log n).
 type naiveHeap struct {
 	oneShots
@@ -88,25 +88,6 @@ func (q *naiveHeap) ServiceOne() bool {
 	e.fire()
 	q.put(e)
 	return true
-}
-
-func (q *naiveHeap) clock() *Tick { return &q.now }
-
-func (q *naiveHeap) drain(s *System, limit Tick, budget uint64) ExitStatus {
-	for {
-		if q.Empty() {
-			return ExitQueueEmpty
-		}
-		if q.NextTick() > limit {
-			return ExitLimit
-		}
-		if s.serviced >= budget {
-			return ExitEventLimit
-		}
-		s.TraceCall(s.fnDispatch)
-		q.ServiceOne()
-		s.serviced++
-	}
 }
 
 func (q *naiveHeap) up(i int) {

@@ -6,99 +6,86 @@ import (
 	"testing"
 )
 
-func queueBackends() map[string]func() Queue {
-	return map[string]func() Queue{
-		"heap":      func() Queue { return NewHeapQueue() },
-		"naiveHeap": func() Queue { return newNaiveHeap() },
-		"calendar":  func() Queue { return NewCalendarQueue(256, 1000) },
-	}
-}
-
 // TestOneShotRecycle pins the lifetime rule of one-shot events: the queue
 // that fires one takes it back only after its callback returned, so recycling
 // is invisible to every caller.
 func TestOneShotRecycle(t *testing.T) {
-	for name, newQ := range queueBackends() {
-		newQ := newQ
-		// The cache hit response -> startFetch -> SendTiming chain: a
-		// one-shot's callback posts the next one-shot at the same tick. The
-		// new one must not be the event that is still firing, and however
-		// long the chain runs it only ever needs the two.
-		t.Run(name+"/same-tick chain", func(t *testing.T) {
-			sys := NewSystemWith(newQ(), NewNopTracer())
-			q := sys.Queue()
-			seen := map[*Event]bool{}
-			var firing *Event
-			const n = 1000
-			fired := 0
-			var link func()
-			link = func() {
-				fired++
-				if fired == n {
-					return
-				}
-				sys.OneShot("link", 0, 0, link)
-				if q.Peek() == firing {
-					t.Fatalf("fire %d: the new one-shot is the event still firing", fired)
-				}
+	// The cache hit response -> startFetch -> SendTiming chain: a
+	// one-shot's callback posts the next one-shot at the same tick. The
+	// new one must not be the event that is still firing, and however
+	// long the chain runs it only ever needs the two.
+	t.Run("heap/same-tick chain", func(t *testing.T) {
+		sys := NewSystemWith(NewNopTracer())
+		q := sys.Queue()
+		seen := map[*Event]bool{}
+		var firing *Event
+		const n = 1000
+		fired := 0
+		var link func()
+		link = func() {
+			fired++
+			if fired == n {
+				return
 			}
 			sys.OneShot("link", 0, 0, link)
-			for !q.Empty() {
-				firing = q.Peek()
-				seen[firing] = true
-				q.ServiceOne()
+			if q.Peek() == firing {
+				t.Fatalf("fire %d: the new one-shot is the event still firing", fired)
 			}
-			if fired != n || len(seen) != 2 {
-				t.Fatalf("%d fires used %d distinct events, want %d fires on 2", fired, len(seen), n)
-			}
-		})
+		}
+		sys.OneShot("link", 0, 0, link)
+		for !q.Empty() {
+			firing = q.Peek()
+			seen[firing] = true
+			q.ServiceOne()
+		}
+		if fired != n || len(seen) != 2 {
+			t.Fatalf("%d fires used %d distinct events, want %d fires on 2", fired, len(seen), n)
+		}
+	})
 
-		// k interleaved chains: the distinct events are the high-water mark
-		// of outstanding ones (k queued or firing, plus the one being posted
-		// from inside a callback), not the number of fires.
-		t.Run(name+"/high-water mark", func(t *testing.T) {
-			sys := NewSystemWith(newQ(), NewNopTracer())
-			q := sys.Queue()
-			const k, rounds = 7, 200
-			fired := 0
-			for i := 0; i < k; i++ {
-				delay := Tick(100 * (i + 1))
-				left := rounds
-				var again func()
-				again = func() {
-					fired++
-					if left--; left > 0 {
-						sys.OneShot("chain", 0, delay, again)
-					}
+	// k interleaved chains: the distinct events are the high-water mark
+	// of outstanding ones (k queued or firing, plus the one being posted
+	// from inside a callback), not the number of fires.
+	t.Run("heap/high-water mark", func(t *testing.T) {
+		sys := NewSystemWith(NewNopTracer())
+		q := sys.Queue()
+		const k, rounds = 7, 200
+		fired := 0
+		for i := 0; i < k; i++ {
+			delay := Tick(100 * (i + 1))
+			left := rounds
+			var again func()
+			again = func() {
+				fired++
+				if left--; left > 0 {
+					sys.OneShot("chain", 0, delay, again)
 				}
-				sys.OneShot("chain", 0, delay, again)
 			}
-			seen := map[*Event]bool{}
-			for !q.Empty() {
-				seen[q.Peek()] = true
-				q.ServiceOne()
-			}
-			if fired != k*rounds || len(seen) != k+1 {
-				t.Fatalf("%d fires used %d distinct events, want %d fires on %d", fired, len(seen), k*rounds, k+1)
-			}
-			if free := len(q.pool().free); free != k+1 {
-				t.Fatalf("%d events on the free list after the drain, want %d", free, k+1)
-			}
-		})
-	}
+			sys.OneShot("chain", 0, delay, again)
+		}
+		seen := map[*Event]bool{}
+		for !q.Empty() {
+			seen[q.Peek()] = true
+			q.ServiceOne()
+		}
+		if fired != k*rounds || len(seen) != k+1 {
+			t.Fatalf("%d fires used %d distinct events, want %d fires on %d", fired, len(seen), k*rounds, k+1)
+		}
+		if free := len(q.free); free != k+1 {
+			t.Fatalf("%d events on the free list after the drain, want %d", free, k+1)
+		}
+	})
 
 	// Invisible: a workload issuing every access and response through
 	// OneShot produces the trace, the event count and the result of the same
-	// workload allocating a fresh event each time, on both queues.
+	// workload allocating a fresh event each time.
 	t.Run("same trace as fresh events", func(t *testing.T) {
 		c := accessRun{seed: 3, maxOps: 400, cores: 4}
 		want := c.run()
 		c.oneShot = true
-		for _, c.calendar = range []bool{false, true} {
-			if got := c.run(); !reflect.DeepEqual(got, want) {
-				t.Errorf("calendar=%v: one-shot run differs from the fresh-event run (%d vs %d records, result %+v vs %+v)",
-					c.calendar, len(got.log), len(want.log), got.res, want.res)
-			}
+		if got := c.run(); !reflect.DeepEqual(got, want) {
+			t.Errorf("one-shot run differs from the fresh-event run (%d vs %d records, result %+v vs %+v)",
+				len(got.log), len(want.log), got.res, want.res)
 		}
 	})
 }
@@ -131,11 +118,10 @@ func (s *splitmix) next() uint64 {
 // same tick). oneShot issues the accesses and responses through
 // System.OneShot instead of a fresh event each.
 type accessRun struct {
-	calendar bool
-	oneShot  bool
-	cores    int
-	seed     uint64
-	maxOps   int
+	oneShot bool
+	cores   int
+	seed    uint64
+	maxOps  int
 }
 
 type accessRunOut struct {
@@ -146,12 +132,8 @@ type accessRunOut struct {
 }
 
 func (c accessRun) run() accessRunOut {
-	var q Queue = NewHeapQueue()
-	if c.calendar {
-		q = NewCalendarQueue(256, 1000)
-	}
 	tr := &seqTracer{}
-	sys := NewSystemWith(q, tr)
+	sys := NewSystemWith(tr)
 	fnCPU := tr.RegisterFunc("test::cpuTick", 100, 0)
 	fnMem := tr.RegisterFunc("test::memAccess", 200, 0)
 	fnResp := tr.RegisterFunc("test::resp", 50, 0)

@@ -110,7 +110,10 @@ func (s *queueStream) oneShot() {
 	}
 	id := 1000 + s.posted
 	s.posted++
-	s.q.Schedule(s.q.pool().get("o", 0, func() { s.fired(id) }), s.q.Now()+Tick(d))
+	free := s.q.(interface {
+		get(name string, fn FuncID, fire func()) *Event
+	})
+	s.q.Schedule(free.get("o", 0, func() { s.fired(id) }), s.q.Now()+Tick(d))
 	s.after()
 }
 

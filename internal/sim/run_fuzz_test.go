@@ -7,10 +7,9 @@ import (
 	"testing"
 )
 
-// naiveRun is the serial System.Run loop from before each queue drained
-// itself, kept as the reference FuzzRunEquivalence compares against: every
-// step calls through the Queue interface, and every event is fired under a
-// recover of its own.
+// naiveRun is the serial System.Run loop from before Run recovered once per
+// run, kept as the reference FuzzRunEquivalence compares against: every
+// event is fired under a recover of its own.
 func naiveRun(s *System, limit Tick, maxEvents uint64) RunResult {
 	s.startup()
 	res := RunResult{Status: ExitQueueEmpty}
@@ -110,7 +109,7 @@ func (p *runProgram) perform(op byte, inEvent bool) {
 		id := 1000 + p.posted
 		p.posted++
 		s.OneShot("o", 0, Tick(p.next()), func() { p.fire(id) })
-	case 5: // schedule far, past the calendar's window
+	case 5: // schedule far
 		e := p.events[int(p.next())%len(p.events)]
 		d := Tick(p.next())<<8 | Tick(p.next())
 		if !e.Scheduled() {
@@ -158,10 +157,8 @@ func (p *runProgram) play() {
 }
 
 // FuzzRunEquivalence drives random event programs through System.Run and
-// through naiveRun, on the heap and on the calendar queue (8 buckets of 16
-// ticks, so near schedules slide its window and far ones overflow it), and
-// requires of all four the same fired order, RunResults, Now,
-// EventsServiced and host trace calls.
+// through naiveRun, and requires of both the same fired order, RunResults,
+// Now, EventsServiced and host trace calls.
 func FuzzRunEquivalence(f *testing.F) {
 	// Run parameters are read when each Run starts; an event's op when it
 	// fires.
@@ -211,20 +208,14 @@ func FuzzRunEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type variant struct {
 			name string
-			newQ func() Queue
 			run  func(s *System, limit Tick, maxEvents uint64) RunResult
 		}
-		variants := []variant{
-			{"heap/naive", func() Queue { return NewHeapQueue() }, naiveRun},
-			{"heap/Run", func() Queue { return NewHeapQueue() }, (*System).Run},
-			{"calendar/naive", func() Queue { return NewCalendarQueue(8, 16) }, naiveRun},
-			{"calendar/Run", func() Queue { return NewCalendarQueue(8, 16) }, (*System).Run},
-		}
+		variants := []variant{{"naive", naiveRun}, {"Run", (*System).Run}}
 		var ref *runProgram
 		var refTrace []string
 		for _, v := range variants {
 			tr := &seqTracer{}
-			p := &runProgram{sys: NewSystemWith(v.newQ(), tr), run: v.run, data: data, events: make([]*Event, 8)}
+			p := &runProgram{sys: NewSystemWith(tr), run: v.run, data: data, events: make([]*Event, 8)}
 			p.play()
 			if ref == nil {
 				ref, refTrace = p, tr.log

@@ -104,9 +104,10 @@ func (e *Event) before(o *Event) bool {
 	return e.seq < o.seq
 }
 
-// Queue is the scheduling backend interface. Two implementations exist: the
-// default HeapQueue, a sorted deque (DESIGN.md §27), and a calendar queue
-// (see DESIGN.md ablation A5).
+// Queue is the interface of a bare event-queue backend. A System runs on
+// its HeapQueue, a sorted deque (DESIGN.md §27), and calls it directly; the
+// interface and its second implementation, CalendarQueue, remain only
+// because bench/ times both through it.
 type Queue interface {
 	// Now returns the current simulation time.
 	Now() Tick
@@ -130,18 +131,6 @@ type Queue interface {
 	Peek() *Event
 	// Len returns the number of pending events.
 	Len() int
-	// pool returns the queue's one-shot free list (embed oneShots).
-	pool() *oneShots
-	// clock returns the cell holding the queue's current time. A System
-	// keeps it, and the free list, from construction on, so that Now,
-	// ScheduleIn and OneShot make no call through this interface.
-	clock() *Tick
-	// drain is System.Run's loop over this queue, with direct calls to its
-	// own Empty, NextTick and ServiceOne: it fires events, counting each in
-	// s.serviced once it returns, until the queue empties, the next event
-	// lies past limit, or s.serviced reaches budget, and reports which. A
-	// RequestExit unwinds out of it to Run, which recovers it once per run.
-	drain(s *System, limit Tick, budget uint64) ExitStatus
 }
 
 // maxFreeOneShots bounds a queue's free list, so that a burst of
@@ -150,10 +139,8 @@ const maxFreeOneShots = 1024
 
 // oneShots is the free list of one-shot events embedded by every Queue
 // implementation. ServiceOne puts an event back after its callback
-// returned, and System.OneShot gets one from it.
+// returned, and System.OneShot gets one from its HeapQueue.
 type oneShots struct{ free []*Event }
-
-func (p *oneShots) pool() *oneShots { return p }
 
 // get returns a one-shot event, recycled when the list has one.
 func (p *oneShots) get(name string, fn FuncID, fire func()) *Event {

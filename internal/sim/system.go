@@ -22,12 +22,7 @@ type Startable interface {
 // every SimObject of one simulated machine. It is the root object handed to
 // all components.
 type System struct {
-	queue Queue
-	// now and free are the queue's clock and one-shot free list, taken
-	// once at construction: reading the time and drawing a one-shot make
-	// no call through the Queue interface.
-	now     *Tick
-	free    *oneShots
+	queue   *HeapQueue
 	objects []SimObject
 	byName  map[string]SimObject
 	stats   *Registry
@@ -42,19 +37,17 @@ type System struct {
 	started    bool
 }
 
-// NewSystem returns a System with a HeapQueue and a NopTracer. Nothing reads
-// seed: a System draws no random numbers. The parameter remains only because
-// bench/ compiles against this signature.
+// NewSystem returns a System with a NopTracer. Nothing reads seed: a System
+// draws no random numbers. The parameter remains only because bench/
+// compiles against this signature.
 func NewSystem(seed int64) *System {
-	return NewSystemWith(NewHeapQueue(), NewNopTracer())
+	return NewSystemWith(NewNopTracer())
 }
 
-// NewSystemWith returns a System using the provided queue backend and tracer.
-func NewSystemWith(q Queue, tr Tracer) *System {
+// NewSystemWith returns a System mirrored onto tr, on an empty HeapQueue.
+func NewSystemWith(tr Tracer) *System {
 	s := &System{
-		queue:  q,
-		now:    q.clock(),
-		free:   q.pool(),
+		queue:  NewHeapQueue(),
 		byName: make(map[string]SimObject),
 		stats:  NewRegistry(),
 		tracer: tr,
@@ -66,8 +59,8 @@ func NewSystemWith(q Queue, tr Tracer) *System {
 	return s
 }
 
-// Queue returns the system's event queue backend.
-func (s *System) Queue() Queue { return s.queue }
+// Queue returns the system's event queue.
+func (s *System) Queue() *HeapQueue { return s.queue }
 
 // Tracer returns the host tracer, for construction-time RegisterFunc and
 // AllocData. Run-time annotations go through TraceCall and TraceData.
@@ -96,7 +89,7 @@ func (s *System) TraceData(addr uint64, size uint32, write bool) {
 func (s *System) Stats() *Registry { return s.stats }
 
 // Now returns the current simulation time.
-func (s *System) Now() Tick { return *s.now }
+func (s *System) Now() Tick { return s.queue.now }
 
 // EventsServiced returns the number of events fired so far.
 func (s *System) EventsServiced() uint64 { return s.serviced }
@@ -126,7 +119,7 @@ func (s *System) Schedule(e *Event, when Tick) {
 
 // ScheduleIn inserts e delta ticks in the future.
 func (s *System) ScheduleIn(e *Event, delta Tick) {
-	s.Schedule(e, *s.now+delta)
+	s.Schedule(e, s.queue.now+delta)
 }
 
 // OneShot fires fire once, delay ticks from now. No handle is returned, so
@@ -134,7 +127,7 @@ func (s *System) ScheduleIn(e *Event, delta Tick) {
 // queue takes the event back once it fired. Ordering is that of ScheduleIn
 // with a fresh event: seq is assigned at insertion.
 func (s *System) OneShot(name string, fn FuncID, delay Tick, fire func()) {
-	s.Schedule(s.free.get(name, fn, fire), *s.now+delay)
+	s.Schedule(s.queue.get(name, fn, fire), s.queue.now+delay)
 }
 
 // Deschedule removes a scheduled event.
@@ -210,9 +203,9 @@ type RunResult struct {
 // Run services events until the queue empties, limit ticks is exceeded,
 // maxEvents events have fired (0 = unlimited), or a component requests exit.
 //
-// The queue drains itself (Queue.drain), and a RequestExit unwinds out of
-// that loop to here: it is recovered once per Run, not per event. The
-// exiting event counts, as every event that fired does.
+// A RequestExit unwinds out of the loop (drain) to here: it is recovered
+// once per Run, not per event. The exiting event counts, as every event
+// that fired does.
 func (s *System) Run(limit Tick, maxEvents uint64) (res RunResult) {
 	s.startup()
 	start := s.serviced
@@ -232,8 +225,29 @@ func (s *System) Run(limit Tick, maxEvents uint64) (res RunResult) {
 			res.ExitCode = ex.code
 		}
 		res.Events = s.serviced - start
-		res.Now = *s.now
+		res.Now = s.queue.now
 	}()
-	res.Status = s.queue.drain(s, limit, budget)
+	res.Status = s.drain(limit, budget)
 	return res
+}
+
+// drain is Run's loop: it fires events, counting each in s.serviced once it
+// returns, until the queue empties, the next event lies past limit, or
+// s.serviced reaches budget, and reports which.
+func (s *System) drain(limit Tick, budget uint64) ExitStatus {
+	q := s.queue
+	for {
+		if q.Empty() {
+			return ExitQueueEmpty
+		}
+		if q.NextTick() > limit {
+			return ExitLimit
+		}
+		if s.serviced >= budget {
+			return ExitEventLimit
+		}
+		s.TraceCall(s.fnDispatch)
+		q.ServiceOne()
+		s.serviced++
+	}
 }

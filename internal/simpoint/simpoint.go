@@ -87,16 +87,17 @@ type Result struct {
 }
 
 // ConfigPrefix renders every GuestConfig field that can alter guest
-// execution into a canonical string. It deliberately excludes Seed and
-// Shards (nothing reads them — TestCheckpointSeedInvariance pins Seed),
+// execution into a canonical string. It deliberately excludes Seed, Shards
+// and CalendarQueue (nothing reads them — TestCheckpointSeedInvariance pins
+// Seed),
 // ExecTrace (observation only), and CPU (instruction streams are
 // model-invariant; the profile and checkpoints always come from the Atomic
 // model regardless of the measured target).
 func ConfigPrefix(gc core.GuestConfig) string {
 	gc = gc.Normalized()
-	return fmt.Sprintf("mode=%s workload=%s scale=%d bootexit=%v bootkbs=%d ncpu=%d ideal=%v gtlb=%v calq=%v",
+	return fmt.Sprintf("mode=%s workload=%s scale=%d bootexit=%v bootkbs=%d ncpu=%d ideal=%v gtlb=%v",
 		gc.Mode, gc.Workload, gc.Scale, gc.BootExit, gc.BootKBs, gc.Cores,
-		gc.IdealMemory, gc.GuestTLBs, gc.CalendarQueue)
+		gc.IdealMemory, gc.GuestTLBs)
 }
 
 // Analysis is the work shared by every sampled co-simulation of one config

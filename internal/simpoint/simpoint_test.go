@@ -247,6 +247,11 @@ func TestConfigPrefixExcludesSeedIncludesExecution(t *testing.T) {
 	if simpoint.ConfigPrefix(a) != simpoint.ConfigPrefix(b) {
 		t.Fatal("prefix depends on seed")
 	}
+	b = testGuest()
+	b.CalendarQueue = true
+	if simpoint.ConfigPrefix(a) != simpoint.ConfigPrefix(b) {
+		t.Fatal("prefix depends on CalendarQueue, which nothing reads")
+	}
 	c := testGuest()
 	c.Scale = 2048
 	if simpoint.ConfigPrefix(a) == simpoint.ConfigPrefix(c) {
@@ -265,9 +270,9 @@ func TestConfigPrefixExcludesSeedIncludesExecution(t *testing.T) {
 	}
 }
 
-// TestSampledSharesAnalysisAcrossShards: nothing reads Guest.Shards, so two
-// sampled runs that differ only in it are the same work: one analysis, one
-// set of on-disk checkpoint keys, one result.
+// TestSampledSharesAnalysisAcrossShards: nothing reads Guest.Shards or
+// Guest.CalendarQueue, so two sampled runs that differ only in them are the
+// same work: one analysis, one set of on-disk checkpoint keys, one result.
 func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
 	cache, err := ckptcache.Open(t.TempDir())
 	if err != nil {
@@ -276,6 +281,7 @@ func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
 	serial, sharded := testSession(), testSession()
 	serial.Guest.Shards = core.ShardSerial
 	sharded.Guest.Shards = 2
+	sharded.Guest.CalendarQueue = true
 
 	a, err := simpoint.Analyze(serial.Guest, testConfig(cache))
 	if err != nil {
@@ -307,10 +313,10 @@ func TestSampledSharesAnalysisAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != cold.Misses || st.Misses != cold.Misses {
-		t.Fatalf("Shards split the checkpoint keys: cold %+v, after re-analysis %+v", cold, st)
+		t.Fatalf("Shards or CalendarQueue split the checkpoint keys: cold %+v, after re-analysis %+v", cold, st)
 	}
 	if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first[0], third) {
-		t.Fatalf("results differ across Shards:\nserial  %+v\nsharded %+v\nre-analysed %+v", first[0], second[0], third)
+		t.Fatalf("results differ across Shards and CalendarQueue:\nserial  %+v\nsharded %+v\nre-analysed %+v", first[0], second[0], third)
 	}
 
 	// An analysis measures its own family only.

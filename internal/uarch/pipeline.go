@@ -7,13 +7,13 @@ import (
 	"gem5prof/internal/ring"
 )
 
-// This file is the consumer half of the pipelined co-simulation: decoding
-// batched ring.Records back into Machine sink calls and running the drain
-// loop on its own goroutine. Because the ring is strict-FIFO SPSC and
-// every record maps to exactly one sink call, the Machine's state after a
-// drain is bit-identical to what the same event stream produces when
-// applied synchronously (the differential test in internal/core proves
-// this end to end).
+// This file decodes batched ring.Records back into Machine sink calls and
+// runs the drain loop on its own goroutine. No co-simulation uses it: a
+// session feeds its machine directly (DESIGN.md §15), and the file remains
+// only because bench/ times the ring path. Because the ring is strict-FIFO
+// SPSC and every record maps to exactly one sink call, the Machine's state
+// after a drain is bit-identical to what the same event stream produces
+// when applied synchronously (TestReportIdentityPerHostClass checks it).
 
 // ApplyBatch decodes a whole batch, in record order, into the sink calls
 // its records encode.

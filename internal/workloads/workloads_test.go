@@ -182,28 +182,6 @@ func TestFSMultiCore(t *testing.T) {
 	}
 }
 
-func TestCalendarQueueBackendMatchesHeap(t *testing.T) {
-	run := func(cal bool) *core.GuestResult {
-		res, err := core.RunGuest(core.GuestConfig{
-			CPU:           core.Timing,
-			Mode:          core.SE,
-			Workload:      "sieve",
-			Scale:         1024,
-			CalendarQueue: cal,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	h := run(false)
-	c := run(true)
-	if h.SimTicks != c.SimTicks || h.Insts != c.Insts || h.ExitCode != c.ExitCode {
-		t.Fatalf("backends diverge: heap(%d,%d) calendar(%d,%d)",
-			h.SimTicks, h.Insts, c.SimTicks, c.Insts)
-	}
-}
-
 func TestGuestTLBsSlowerButCorrect(t *testing.T) {
 	base, err := core.RunGuest(core.GuestConfig{
 		CPU: core.Timing, Mode: core.SE, Workload: "sieve", Scale: 1024,
