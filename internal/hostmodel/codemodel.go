@@ -129,10 +129,16 @@ func (c Config) Normalized() Config {
 	return c
 }
 
+// maxUopScale bounds DynFactor/SizeFactor, the factor buildTraces scales a
+// block's micro-ops by: a block of 47 bytes then decodes to at most about
+// 1.4e7 uops, far inside a traceStep's uint32.
+const maxUopScale = 1 << 20
+
 // Validate reports what New would panic on, for the normalised config: an
 // arena that is not a power-of-two number of power-of-two slots (placeFunc
 // staggers with SlotBytes/2-1 as a mask over 64-byte steps, hence the 128
-// byte floor) or a negative (or NaN) factor or count.
+// byte floor), a negative (or NaN) factor or count, or a DynFactor so far
+// above SizeFactor that a block's uop count would overflow.
 func (c Config) Validate() error {
 	c = c.Normalized()
 	switch {
@@ -143,6 +149,9 @@ func (c Config) Validate() error {
 	case !(c.SizeFactor > 0) || !(c.DynFactor > 0):
 		return fmt.Errorf("hostmodel: SizeFactor and DynFactor must not be negative (got %g, %g)",
 			c.SizeFactor, c.DynFactor)
+	case !(c.DynFactor/c.SizeFactor <= maxUopScale):
+		return fmt.Errorf("hostmodel: DynFactor/SizeFactor must be at most %d (got %g/%g)",
+			maxUopScale, c.DynFactor, c.SizeFactor)
 	case c.CalleeFanout < 0 || c.CalleesPerCall < 0:
 		return fmt.Errorf("hostmodel: CalleeFanout and CalleesPerCall must not be negative (got %d, %d)",
 			c.CalleeFanout, c.CalleesPerCall)
@@ -150,39 +159,55 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// traceStep is one step of a function's dynamic execution path.
+// traceStep is one basic block of a function's dynamic execution path. It
+// is placed relative to its function, so that a step takes 16 bytes and a
+// layout, which is kept and shared, holds no address twice:
+//
+//   - off is the block's offset from fnLayout.addr, below the function's
+//     size, which is a uint32.
+//   - br is the branch target's offset from the block, 0 for a block that
+//     only falls through. A branch goes 0–255 bytes past the end of its
+//     block, whose 1–47 bytes (32 for the fallback step) are in bytes, so
+//     a real branch is 1–302 bytes away and never reads as 0.
+//   - uops is the block's micro-op count: at most 1 + 47/bytesPerUop times
+//     DynFactor/SizeFactor, which Validate bounds by maxUopScale.
+//   - callee is the call slot this block invokes after it runs, noCallee
+//     for none; RegisterFunc refuses a function with more slots than that.
 type traceStep struct {
-	addr  uint64
-	bytes uint32
-	uops  uint32
-	// branch terminating the block (brTarget==0 means fallthrough only).
-	brTarget   uint64
-	brTakenPat uint8 // taken pattern bits, rotated per call
-	indirect   bool
-	// callee index to invoke after this block (-1 = none).
-	callee int
+	off      uint32
+	uops     uint32
+	br       uint16
+	callee   uint16
+	bytes    uint8
+	pat      uint8 // taken pattern bits, rotated per call
+	indirect bool
 }
+
+// noCallee is the callee of a step that calls nothing.
+const noCallee = 1<<16 - 1
 
 // fnLayout is the static model of one registered function: everything about
 // it that is fixed once it is placed. Nothing writes to it afterwards, so
 // every code model that runs the same binary can read the same copy (see
 // Layout); what changes from call to call lives in CodeModel's rotor and
 // called tables.
+//
+// A function has no name of its own here. A primary's is in the layout's
+// registration log, and a helper is helper number fn-owner-1 of the primary
+// owner, which FuncName spells out on demand: only a profile listing reads a
+// name, and a kept layout should not carry five thousand strings for it.
 type fnLayout struct {
-	// name is the registered name. A helper has none of its own: it is
-	// helper number fn-owner-1 of the primary function owner, and FuncName
-	// spells that out on demand — twelve of every thirteen functions are
-	// helpers, and a kept layout should not carry five thousand strings
-	// only a profile listing ever reads. owner is 0 for a primary.
-	name   string
-	owner  sim.FuncID
-	addr   uint64
-	size   uint32
-	flags  sim.FuncFlags
-	traces [3][]traceStep
+	addr uint64
+	// steps are the function's three traces back to back: trace 0 ends at
+	// cuts[0], trace 1 at cuts[1] and trace 2 at the end.
+	steps []traceStep
+	cuts  [2]uint32
+	owner sim.FuncID // 0 for a primary
+	size  uint32
 	// helpers is how many helper callees follow a primary: place lays them
 	// out right behind it, so they are the functions fn+1 … fn+helpers.
 	helpers uint32
+	flags   sim.FuncFlags
 }
 
 // CodeModel implements sim.Tracer, translating simulator activity into host
@@ -266,7 +291,7 @@ func (m *CodeModel) placeFunc(size uint32) uint64 {
 	stagger := (uint64(m.cur.nextSlot) * 2654435761 >> 7) & (m.cfg.SlotBytes/2 - 1) &^ 63
 	if uint64(size)+stagger > m.cfg.SlotBytes || m.cur.nextSlot >= m.cfg.TextSlots {
 		addr := m.cur.overflow
-		m.cur.overflow += uint64(size+15) &^ 15
+		m.cur.overflow += (uint64(size) + 15) &^ 15
 		return addr
 	}
 	slot := bitReverse(uint64(m.cur.nextSlot), m.slotBits)
@@ -307,13 +332,16 @@ func (m *CodeModel) NumFuncs() int { return len(m.funcs) }
 
 // FuncName returns the name of fn.
 func (m *CodeModel) FuncName(fn sim.FuncID) string {
-	if int(fn) >= len(m.funcs) {
+	switch {
+	case int(fn) >= len(m.funcs):
 		return fmt.Sprintf("fn%d", fn)
+	case fn == 0:
+		return "<dispatch>"
 	}
 	if f := &m.funcs[fn]; f.owner != 0 {
-		return string(helperName(nil, m.funcs[f.owner].name, int(fn-f.owner-1)))
+		return string(helperName(nil, m.lay.name(f.owner), int(fn-f.owner-1)))
 	}
-	return m.funcs[fn].name
+	return m.lay.name(fn)
 }
 
 // helperName appends the name of primary's i-th helper to buf.
@@ -339,16 +367,22 @@ func (m *CodeModel) CalledFuncs() int {
 // in a synthetic basic block.
 const bytesPerUop = 3.6
 
-// buildTraces precomputes three alternative dynamic paths through the
-// function: basic blocks of 16-48 bytes, each ending in a branch, some with
-// a call site. uopScale decouples dynamic work from static size (the -O3
-// model).
+// buildTraces lays out three alternative dynamic paths through the
+// function, back to back in f.steps: basic blocks of 16-48 bytes, each
+// ending in a branch, some with a call site. uopScale decouples dynamic work
+// from static size (the -O3 model). It fails on a function with more call
+// sites in a trace than a step can name.
 //
 // The steps are generated into scratch (returned for the next call) and
 // copied out at their exact length: a layout is kept and shared, so what it
 // holds is sized to what it uses.
-func (f *fnLayout) buildTraces(seed uint64, uopScale float64, scratch []traceStep) []traceStep {
-	for t := range f.traces {
+func (f *fnLayout) buildTraces(seed uint64, uopScale float64, scratch []traceStep) ([]traceStep, error) {
+	steps := scratch[:0]
+	for t := 0; t < 3; t++ {
+		if t > 0 {
+			f.cuts[t-1] = uint32(len(steps))
+		}
+		start := len(steps)
 		rng := seed*2654435761 + uint64(t)*0x9e3779b97f4a7c15
 		frac := 0.12 + 0.05*float64(t)
 		if f.size > 3000 && f.owner == 0 {
@@ -357,7 +391,6 @@ func (f *fnLayout) buildTraces(seed uint64, uopScale float64, scratch []traceSte
 			frac *= 0.55
 		}
 		covered := uint32(float64(f.size) * frac)
-		steps := scratch[:0]
 		pos := uint64(0)
 		callSlot := 0
 		for covered > 0 {
@@ -368,14 +401,13 @@ func (f *fnLayout) buildTraces(seed uint64, uopScale float64, scratch []traceSte
 			}
 			covered -= blk
 			step := traceStep{
-				addr:  f.addr + pos,
-				bytes: blk,
+				off:   uint32(pos),
+				bytes: uint8(blk),
 				uops:  1 + uint32(float64(blk)/bytesPerUop*uopScale),
 				// Branch to a point further into the function (or the next
 				// block when not taken).
-				brTarget: f.addr + pos + uint64(blk) + uint64(rng>>40&0xFF),
-				indirect: false,
-				callee:   -1,
+				br:     uint16(blk + uint32(rng>>40&0xFF)),
+				callee: noCallee,
 			}
 			// Most compiled branches are strongly biased; a minority carry
 			// data-dependent patterns (gem5's measured mispredict rate on
@@ -383,34 +415,34 @@ func (f *fnLayout) buildTraces(seed uint64, uopScale float64, scratch []traceSte
 			switch {
 			case rng>>13&0x3F < 62: // ~97%: always one way
 				if rng>>9&1 == 1 {
-					step.brTakenPat = 0xFF
+					step.pat = 0xFF
 				}
 			case rng>>13&0x3F < 63: // ~1.5%: short repeating pattern
-				step.brTakenPat = 0x66
+				step.pat = 0x66
 			default: // ~1.5%: noisy
-				step.brTakenPat = uint8(rng >> 17)
+				step.pat = uint8(rng >> 17)
 			}
 			// Virtual-dispatch functions issue indirect branches.
 			if f.flags&sim.FuncVirtual != 0 && pos == 0 {
 				step.indirect = true
 			}
-			if len(steps) > 0 && len(steps)%3 == 0 {
-				step.callee = callSlot
+			if n := len(steps) - start; n > 0 && n%3 == 0 {
+				if callSlot == noCallee {
+					return steps, fmt.Errorf("more than %d call sites in one trace", noCallee)
+				}
+				step.callee = uint16(callSlot)
 				callSlot++
 			}
 			steps = append(steps, step)
 			// Dynamic paths jump around the function body.
 			pos = (pos + uint64(blk) + (rng >> 21 & 0x3F)) % uint64(f.size)
 		}
-		if len(steps) == 0 {
-			steps = append(steps, traceStep{
-				addr: f.addr, bytes: 32, uops: 9, callee: -1,
-			})
+		if len(steps) == start {
+			steps = append(steps, traceStep{bytes: 32, uops: 9, callee: noCallee})
 		}
-		f.traces[t] = slices.Clone(steps)
-		scratch = steps
 	}
-	return scratch
+	f.steps = slices.Clone(steps)
+	return steps, nil
 }
 
 // hashName is 64-bit FNV-1a, spelled out so that hashing a name allocates
@@ -455,7 +487,12 @@ func (m *CodeModel) call(fn sim.FuncID, depth int) {
 	}
 	pat := m.rotor[fn] + 1
 	m.rotor[fn] = pat
-	tr := f.traces[pat%3]
+	// The trace is picked by index, not by a branch on pat%3: which of the
+	// three runs changes on every call, so the processor running this code
+	// would mispredict a branch on it.
+	cut := [4]uint32{0, f.cuts[0], f.cuts[1], uint32(len(f.steps))}
+	k := pat % 3
+	tr := f.steps[cut[k]:cut[k+1]]
 
 	// Call overhead: push/pop on the (hot) host stack.
 	m.sink.Data(m.stackHot-uint64(depth)*128, 16, true)
@@ -489,24 +526,25 @@ func (m *CodeModel) call(fn sim.FuncID, depth int) {
 	}
 	for i := range tr {
 		st := &tr[i]
-		m.sink.FetchBlock(st.addr, st.bytes, st.uops)
-		if st.brTarget != 0 {
-			taken := st.brTakenPat>>(pat%8)&1 == 1
-			target := st.brTarget
+		addr := f.addr + uint64(st.off)
+		m.sink.FetchBlock(addr, uint32(st.bytes), st.uops)
+		if st.br != 0 {
+			taken := st.pat>>(pat%8)&1 == 1
+			target := addr + uint64(st.br)
 			if st.indirect && f.flags&sim.FuncPoly != 0 {
 				// Megamorphic call site: rotate across dynamic types.
 				target += uint64(pat&3) * 192
 			}
-			m.sink.Branch(st.addr+uint64(st.bytes)-2, target, taken, st.indirect)
+			m.sink.Branch(addr+uint64(st.bytes)-2, target, taken, st.indirect)
 		}
-		if st.callee >= 0 && calleeBudget > 0 && depth < maxCallDepth && f.helpers > 0 {
+		if st.callee != noCallee && calleeBudget > 0 && depth < maxCallDepth && f.helpers > 0 {
 			// Rotate through the helper set so successive calls touch
 			// different helpers (low temporal reuse, like gem5).
 			calleeBudget--
 			// Helper selection rotates slowly: within a window of calls the
 			// same helpers run (good iCache reuse, like a steady simulation
 			// loop), while over a whole run every helper gets exercised.
-			idx := (int(pat/8) + st.callee*7) % int(f.helpers)
+			idx := (int(pat/8) + int(st.callee)*7) % int(f.helpers)
 			m.call(fn+1+sim.FuncID(idx), depth+1)
 		}
 	}

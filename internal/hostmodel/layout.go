@@ -1,7 +1,10 @@
 package hostmodel
 
 import (
+	"fmt"
+	"math"
 	"slices"
+	"sort"
 
 	"gem5prof/internal/sim"
 )
@@ -48,7 +51,14 @@ type cursor struct {
 // emptyLayout is the binary before any registration. FuncID 0 is the
 // reserved scheduler entry; a placeholder keeps the indexes lined up.
 func emptyLayout(cfg Config) *Layout {
-	return &Layout{cfg: cfg, funcs: []fnLayout{{name: "<dispatch>"}}}
+	return &Layout{cfg: cfg, funcs: []fnLayout{{}}}
+}
+
+// name returns the name primary fn was registered under: that of the
+// registration that placed it, which is the first whose cursor is past it.
+func (l *Layout) name(fn sim.FuncID) string {
+	i := sort.Search(len(l.log), func(i int) bool { return l.log[i].after.nfuncs > int(fn) })
+	return l.log[i].name
 }
 
 // at returns the cursor after the first pos registrations.
@@ -103,7 +113,14 @@ func (m *CodeModel) advance(cur cursor) {
 // Appending, a repeated (name, size, flags) triple returns the original
 // function: a simulator binary has one copy of each function no matter how
 // many components of a guest system trace into it.
+//
+// It panics, naming the function, on one no layout can hold: a negative
+// codeBytes, a size that scaled by SizeFactor exceeds a uint32, or a trace
+// with more call sites than a step can name.
 func (m *CodeModel) RegisterFunc(name string, codeBytes int, flags sim.FuncFlags) sim.FuncID {
+	if codeBytes < 0 {
+		panic(fmt.Errorf("hostmodel: RegisterFunc(%q, %d): negative code size", name, codeBytes))
+	}
 	if !m.owned {
 		if id, ok := m.follow(name, codeBytes, flags); ok {
 			return id
@@ -183,7 +200,10 @@ func words(n int) int { return (n + 63) / 64 }
 // place lays out one primary function and its helpers.
 func (m *CodeModel) place(name string, codeBytes int, flags sim.FuncFlags) sim.FuncID {
 	h := hashName(name)
-	id := m.placeOne(name, 0, h, codeBytes, flags)
+	id, err := m.placeOne(0, h, codeBytes, flags)
+	if err != nil {
+		panic(fmt.Errorf("hostmodel: RegisterFunc(%q, %d): %w", name, codeBytes, err))
+	}
 	// Primary functions bring a retinue of helper callees: parameter
 	// checks, accessors, allocator shims — the reason gem5 touches
 	// thousands of distinct functions per simulation.
@@ -198,7 +218,9 @@ func (m *CodeModel) place(name string, codeBytes int, flags sim.FuncFlags) sim.F
 		helperSize := 90 + codeBytes/20 + int(h>>uint(i%24)&0x7F)
 		// Helpers are direct-called leaves: no indirect branches.
 		m.nameBuf = helperName(m.nameBuf[:0], name, i)
-		m.placeOne("", id, hashName(m.nameBuf), helperSize, sim.FuncLeaf)
+		if _, err := m.placeOne(id, hashName(m.nameBuf), helperSize, sim.FuncLeaf); err != nil {
+			panic(fmt.Errorf("hostmodel: RegisterFunc(%q, %d): helper %d: %w", name, codeBytes, i, err))
+		}
 	}
 	m.lay.funcs[id].helpers = uint32(fanout)
 	m.cur.nfuncs = len(m.lay.funcs)
@@ -206,29 +228,28 @@ func (m *CodeModel) place(name string, codeBytes int, flags sim.FuncFlags) sim.F
 	return id
 }
 
-// placeOne lays out one function: a primary under its name, or a helper of
-// owner. seed is the hash of the function's full name.
-func (m *CodeModel) placeOne(name string, owner sim.FuncID, seed uint64, codeBytes int, flags sim.FuncFlags) sim.FuncID {
-	size := uint32(float64(codeBytes) * m.cfg.SizeFactor)
-	if size < 32 {
-		size = 32
+// placeOne lays out one function: a primary, or a helper of owner. seed is
+// the hash of the function's full name.
+func (m *CodeModel) placeOne(owner sim.FuncID, seed uint64, codeBytes int, flags sim.FuncFlags) (sim.FuncID, error) {
+	scaled := float64(codeBytes) * m.cfg.SizeFactor
+	if !(scaled <= math.MaxUint32) {
+		return 0, fmt.Errorf("%d bytes at SizeFactor %g do not fit a function's size", codeBytes, m.cfg.SizeFactor)
+	}
+	size := max(uint32(scaled), 32)
+	f := fnLayout{owner: owner, size: size, flags: flags}
+	var err error
+	if m.scratch, err = f.buildTraces(seed, m.cfg.DynFactor/m.cfg.SizeFactor, m.scratch); err != nil {
+		return 0, err
 	}
 	id := sim.FuncID(len(m.lay.funcs))
-	f := fnLayout{
-		name:  name,
-		owner: owner,
-		addr:  m.placeFunc(size),
-		size:  size,
-		flags: flags,
-	}
-	m.scratch = f.buildTraces(seed, m.cfg.DynFactor/m.cfg.SizeFactor, m.scratch)
+	f.addr = m.placeFunc(size)
 	if len(m.lay.funcs) == cap(m.lay.funcs) {
 		// Double: append's 1.25x steps would copy a binary of thousands of
 		// functions five times over while it is being laid out.
 		m.lay.funcs = slices.Grow(m.lay.funcs, max(len(m.lay.funcs), 64))
 	}
 	m.lay.funcs = append(m.lay.funcs, f)
-	return id
+	return id, nil
 }
 
 // Follow builds a code model feeding sink that follows published — layouts

@@ -405,6 +405,9 @@ func TestConfigNormalizedAndValidate(t *testing.T) {
 		{Config{DynFactor: -0.5}, "must not be negative"},
 		{Config{CalleeFanout: -1}, "must not be negative"},
 		{Config{CalleesPerCall: -2}, "must not be negative"},
+		{Config{DynFactor: maxUopScale}, ""},
+		{Config{DynFactor: 2 * maxUopScale}, "DynFactor/SizeFactor must be at most"},
+		{Config{SizeFactor: 1e-300}, "DynFactor/SizeFactor must be at most"},
 	} {
 		err := tc.cfg.Validate()
 		switch {

@@ -7,8 +7,9 @@ import (
 )
 
 // AtomicRing checks the two SPSC-ring concurrency disciplines that the
-// pipelined co-simulation's bit-identical-stats argument rests on
-// (DESIGN.md §10):
+// pipelined co-simulation's bit-identical-stats argument rested on; the
+// ring outlives it because the benchmark still times it (DESIGN.md §15,
+// "Removed: the pipelined session, the calendar selection and `ExecPlan`"):
 //
 //  1. Mixed access: a struct field that is read or written through
 //     sync/atomic anywhere in the package must never be touched with a
