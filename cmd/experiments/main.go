@@ -38,7 +38,8 @@
 // report on stdout (and -o) is byte-identical for every -j value — results
 // are collected in cell order and each run is a pure function of its cell's
 // config — so only timing, which is inherently nondeterministic, goes to
-// stderr. -run ids are checked before anything runs: an unknown id is a
+// stderr, where the closing "total:" line also gives the process's peak
+// resident set where /proc/self/status can be read. -run ids are checked before anything runs: an unknown id is a
 // usage error (exit 2) listing the valid set. See EXPERIMENTS.md for the
 // full flag reference.
 package main
@@ -51,6 +52,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -145,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		file.write(report)
 		fmt.Fprintf(stderr, "%s done at %v\n", oc.ID, time.Since(start).Round(time.Millisecond))
 	}
-	fmt.Fprintf(stderr, "total: %v (-j %d)\n", time.Since(start).Round(time.Millisecond), *jobs)
+	fmt.Fprintf(stderr, "total: %v (-j %d)%s\n", time.Since(start).Round(time.Millisecond), *jobs, peakRSS())
 	if err := file.close(); err != nil {
 		fmt.Fprintf(stderr, "writing %s: %v\n", *outPath, err)
 		return 1
@@ -154,6 +156,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// peakRSS is ", peak RSS N MB", the process's peak resident set (VmHWM in
+// /proc/self/status), or "" where that cannot be read.
+func peakRSS() string {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			if kb, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 10, 64); err == nil {
+				return fmt.Sprintf(", peak RSS %.1f MB", float64(kb)/1024)
+			}
+		}
+	}
+	return ""
 }
 
 // reportFile is the -o copy of the report; nil without -o. A full disk can

@@ -12,8 +12,9 @@ import (
 // TestReportCarriesNoHostTime is the dynamic half of the determinism
 // contract for this command, where the nowallclock source ban does not
 // apply (cmd/ may time itself): the report on stdout and in -o is
-// byte-identical at every -j, and the wall-clock progress lines exist —
-// on stderr only. The seed's committed experiments_full.txt ended in
+// byte-identical at every -j, and the wall-clock progress lines and, where
+// /proc/self/status can be read, the peak resident set exist — on stderr
+// only. The seed's committed experiments_full.txt ended in
 // "total: 17m41.636s", so this class did happen once.
 func TestReportCarriesNoHostTime(t *testing.T) {
 	var reports []string
@@ -30,7 +31,11 @@ func TestReportCarriesNoHostTime(t *testing.T) {
 		if !bytes.Equal(file, stdout.Bytes()) {
 			t.Errorf("-j %s: the -o file differs from stdout", j)
 		}
-		for _, timing := range []string{"done at", "total:"} {
+		hostLines := []string{"done at", "total:"}
+		if _, err := os.Stat("/proc/self/status"); err == nil {
+			hostLines = append(hostLines, ", peak RSS ")
+		}
+		for _, timing := range hostLines {
 			if strings.Contains(stdout.String(), timing) {
 				t.Errorf("-j %s: report contains the timing line %q", j, timing)
 			}

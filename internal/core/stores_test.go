@@ -312,6 +312,9 @@ func TestInvalidHostConfigsAreErrors(t *testing.T) {
 		{"64-byte slots", code(hostmodel.Config{SlotBytes: 64}), "core: host code: hostmodel: SlotBytes must be a power of two >= 128"},
 		{"negative size factor", code(hostmodel.Config{SizeFactor: -0.5}), "core: host code: hostmodel: SizeFactor"},
 		{"negative fanout", code(hostmodel.Config{CalleeFanout: -1}), "core: host code: hostmodel: CalleeFanout"},
+		{"text past 2^47", code(hostmodel.Config{TextBase: hostmodel.AddrLimit - 1<<20, TextSlots: 256, SlotBytes: 4 << 10}), "core: host code: hostmodel: the text arena at 0x7ffffff00000"},
+		{"heap past 2^47", code(hostmodel.Config{HeapBase: hostmodel.AddrLimit - 24<<20}), "core: host code: hostmodel: the heap at 0x7ffffe800000"},
+		{"stack at 2^47", code(hostmodel.Config{StackBase: hostmodel.AddrLimit}), "core: host code: hostmodel: StackBase 0x800000000000 is not below 2^47"},
 	} {
 		for entry, call := range map[string]func() error{
 			"RunSession":     func() error { _, err := core.RunSession(tc.sc); return err },

@@ -129,6 +129,21 @@ func (c Config) Normalized() Config {
 	return c
 }
 
+// AddrLimit bounds every address the code model emits: the text arena and
+// what overflows it, the heap pool, the reservation after it and every
+// region AllocData places, and the stack all lie below 2^47, the top of
+// user space on x86-64 and AArch64. uarch's L2 and LLC keep 4-byte tags,
+// which hold the tag of any address below it and of none above.
+const AddrLimit = 1 << 47
+
+// heapReserve is the resident SimObject set right after the allocator pool,
+// where AllocData's regions start.
+const heapReserve = 1 << 20
+
+// reaches reports whether the n bytes from base reach AddrLimit: end at or
+// past it.
+func reaches(base, n uint64) bool { return n >= AddrLimit || base >= AddrLimit-n }
+
 // maxUopScale bounds DynFactor/SizeFactor, the factor buildTraces scales a
 // block's micro-ops by: a block of 47 bytes then decodes to at most about
 // 1.4e7 uops, far inside a traceStep's uint32.
@@ -137,10 +152,12 @@ const maxUopScale = 1 << 20
 // Validate reports what New would panic on, for the normalised config: an
 // arena that is not a power-of-two number of power-of-two slots (placeFunc
 // staggers with SlotBytes/2-1 as a mask over 64-byte steps, hence the 128
-// byte floor), a negative (or NaN) factor or count, or a DynFactor so far
-// above SizeFactor that a block's uop count would overflow.
+// byte floor), a negative (or NaN) factor or count, a DynFactor so far
+// above SizeFactor that a block's uop count would overflow, or a text arena,
+// heap or stack that reaches AddrLimit.
 func (c Config) Validate() error {
 	c = c.Normalized()
+	arenaHi, arena := bits.Mul64(uint64(c.TextSlots), c.SlotBytes)
 	switch {
 	case c.TextSlots < 0 || c.TextSlots&(c.TextSlots-1) != 0:
 		return fmt.Errorf("hostmodel: TextSlots must be a power of two (got %d)", c.TextSlots)
@@ -155,6 +172,14 @@ func (c Config) Validate() error {
 	case c.CalleeFanout < 0 || c.CalleesPerCall < 0:
 		return fmt.Errorf("hostmodel: CalleeFanout and CalleesPerCall must not be negative (got %d, %d)",
 			c.CalleeFanout, c.CalleesPerCall)
+	case arenaHi != 0 || reaches(c.TextBase, arena):
+		return fmt.Errorf("hostmodel: the text arena at %#x of %d slots of %d B reaches 2^47 (AddrLimit)",
+			c.TextBase, c.TextSlots, c.SlotBytes)
+	case reaches(c.HeapBase, min(c.HeapPoolBytes, AddrLimit)+heapReserve):
+		return fmt.Errorf("hostmodel: the heap at %#x, a pool of %d B and 1 MB after it, reaches 2^47 (AddrLimit)",
+			c.HeapBase, c.HeapPoolBytes)
+	case c.StackBase >= AddrLimit:
+		return fmt.Errorf("hostmodel: StackBase %#x is not below 2^47 (AddrLimit)", c.StackBase)
 	}
 	return nil
 }
@@ -267,10 +292,10 @@ func newModel(cfg Config, sink Sink, cands []*Layout) *CodeModel {
 		cfg:      cfg,
 		sink:     sink,
 		stackHot: cfg.StackBase,
-		// The allocator pool sits at the start of the heap, followed by a
-		// 1MB reservation for the resident SimObject set.
+		// The allocator pool sits at the start of the heap, followed by
+		// the reservation for the resident SimObject set.
 		heapPool: cfg.HeapBase,
-		heapEnd:  cfg.HeapBase + cfg.HeapPoolBytes + (1 << 20),
+		heapEnd:  cfg.HeapBase + cfg.HeapPoolBytes + heapReserve,
 	}
 	for s := cfg.TextSlots; s > 1; s >>= 1 {
 		m.slotBits++
@@ -568,7 +593,7 @@ func (m *CodeModel) call(fn sim.FuncID, depth int) {
 func (m *CodeModel) ResetRun() {
 	m.statCalls += m.calls
 	m.calls = 0
-	m.heapEnd = m.cfg.HeapBase + m.cfg.HeapPoolBytes + (1 << 20)
+	m.heapEnd = m.cfg.HeapBase + m.cfg.HeapPoolBytes + heapReserve
 	m.rewind([]*Layout{m.lay})
 }
 
@@ -577,9 +602,13 @@ func (m *CodeModel) Data(addr uint64, size uint32, write bool) {
 	m.sink.Data(addr, size, write)
 }
 
-// AllocData implements sim.Tracer.
+// AllocData implements sim.Tracer. It panics, naming the region, on one
+// that would reach AddrLimit.
 func (m *CodeModel) AllocData(name string, bytes uint64) uint64 {
 	base := m.heapEnd
+	if reaches(base, bytes) {
+		panic(fmt.Errorf("hostmodel: AllocData(%q, %d): the region at %#x reaches 2^47 (AddrLimit)", name, bytes, base))
+	}
 	m.heapEnd += (bytes + 63) &^ 63
 	return base
 }

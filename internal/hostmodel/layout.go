@@ -115,8 +115,9 @@ func (m *CodeModel) advance(cur cursor) {
 // many components of a guest system trace into it.
 //
 // It panics, naming the function, on one no layout can hold: a negative
-// codeBytes, a size that scaled by SizeFactor exceeds a uint32, or a trace
-// with more call sites than a step can name.
+// codeBytes, a size that scaled by SizeFactor exceeds a uint32, a trace
+// with more call sites than a step can name, or a place past the arena that
+// reaches AddrLimit.
 func (m *CodeModel) RegisterFunc(name string, codeBytes int, flags sim.FuncFlags) sim.FuncID {
 	if codeBytes < 0 {
 		panic(fmt.Errorf("hostmodel: RegisterFunc(%q, %d): negative code size", name, codeBytes))
@@ -242,7 +243,9 @@ func (m *CodeModel) placeOne(owner sim.FuncID, seed uint64, codeBytes int, flags
 		return 0, err
 	}
 	id := sim.FuncID(len(m.lay.funcs))
-	f.addr = m.placeFunc(size)
+	if f.addr = m.placeFunc(size); reaches(f.addr, uint64(size)) {
+		return 0, fmt.Errorf("placed at %#x, its %d bytes reach 2^47 (AddrLimit)", f.addr, size)
+	}
 	if len(m.lay.funcs) == cap(m.lay.funcs) {
 		// Double: append's 1.25x steps would copy a binary of thousands of
 		// functions five times over while it is being laid out.

@@ -408,6 +408,17 @@ func TestConfigNormalizedAndValidate(t *testing.T) {
 		{Config{DynFactor: maxUopScale}, ""},
 		{Config{DynFactor: 2 * maxUopScale}, "DynFactor/SizeFactor must be at most"},
 		{Config{SizeFactor: 1e-300}, "DynFactor/SizeFactor must be at most"},
+		// Every address stays below 2^47: text, heap and stack each refused
+		// where they reach it, and accepted a byte short of that.
+		{Config{TextBase: AddrLimit - 8192*(16<<10)}, "text arena at 0x7ffff8000000 of 8192 slots of 16384 B reaches 2^47"},
+		{Config{TextBase: AddrLimit - 8192*(16<<10) - 1}, ""},
+		{Config{TextBase: 1 << 30, TextSlots: 1 << 40, SlotBytes: 1 << 30}, "text arena"}, // 2^70 bytes: the product wraps
+		{Config{HeapBase: AddrLimit - 24<<20 - 1<<20}, "heap at 0x7ffffe700000, a pool of 25165824 B and 1 MB after it, reaches 2^47"},
+		{Config{HeapBase: AddrLimit - 24<<20 - 1<<20 - 1}, ""},
+		{Config{HeapBase: 1 << 20, HeapPoolBytes: AddrLimit - 1<<20}, "heap at 0x100000"},
+		{Config{HeapPoolBytes: ^uint64(0)}, "heap at 0x7f0000000000"},
+		{Config{StackBase: AddrLimit}, "StackBase 0x800000000000 is not below 2^47"},
+		{Config{StackBase: AddrLimit - 1}, ""},
 	} {
 		err := tc.cfg.Validate()
 		switch {
@@ -431,13 +442,14 @@ func TestEveryConfigFieldChangesTheBinary(t *testing.T) {
 	for i := 0; i < v.NumField(); i++ {
 		cfg := def
 		f := reflect.ValueOf(&cfg).Elem().Field(i)
-		// Doubling keeps the power-of-two fields powers of two; a quarter
-		// less keeps the factors positive.
+		// Doubling or halving keeps the power-of-two fields powers of two,
+		// and halving keeps an address below AddrLimit; a quarter less
+		// keeps the factors positive.
 		switch f.Kind() {
 		case reflect.Int:
 			f.SetInt(2 * f.Int())
 		case reflect.Uint64:
-			f.SetUint(2 * f.Uint())
+			f.SetUint(f.Uint() / 2)
 		case reflect.Float64:
 			f.SetFloat(0.75 * f.Float())
 		default:

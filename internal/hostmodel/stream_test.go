@@ -118,3 +118,28 @@ func TestBadRegistrationsPanic(t *testing.T) {
 		})
 	}
 }
+
+// TestRegionsPastTheLimitPanic: a region AllocData would place, or a
+// function placed past a full arena, that reaches AddrLimit is refused by
+// name, as Validate refuses a config whose fixed regions reach it.
+func TestRegionsPastTheLimitPanic(t *testing.T) {
+	refused := func(want string, fn func()) {
+		t.Helper()
+		defer func() {
+			if err, _ := recover().(error); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("panicked with %v, want an error containing %q", err, want)
+			}
+		}()
+		fn()
+	}
+	heap := New(Config{HeapBase: AddrLimit - 4096 - (24<<20 + 1<<20)}, &recordSink{})
+	if base := heap.AllocData("regs", 64); base != AddrLimit-4096 {
+		t.Fatalf("the first region is at %#x, want %#x", base, uint64(AddrLimit-4096))
+	}
+	refused(`AllocData("guest.ram", 4032): the region at 0x7ffffffff040 reaches 2^47`,
+		func() { heap.AllocData("guest.ram", 4096-64) })
+
+	text := New(Config{TextBase: AddrLimit - 512 - 2*128, TextSlots: 2, SlotBytes: 128}, &recordSink{})
+	refused(`RegisterFunc("Big::f", 1000): placed at 0x7ffffffffe00, its 1000 bytes reach 2^47`,
+		func() { text.RegisterFunc("Big::f", 1000, sim.FuncLeaf) })
+}

@@ -10,6 +10,7 @@ package uarch
 // trains its counters through a chain of ifs).
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -119,37 +120,63 @@ func (t *naiveTLB) access(page uint64) (bool, uint64, bool) {
 	return false, evPage, evOK
 }
 
+// regionBases are where hostmodel's default config puts the simulator's
+// text, heap and stack. One offset from each is one set of any cache with
+// ways of up to 4 MB, under three tags of a few bits to all 31 of a sparse
+// key's.
+var regionBases = [...]uint64{0x40_0000, 0x7f00_0000_0000, 0x7fff_ff00_0000}
+
 // TestCacheDifferential drives the flattened cache and the naive
 // reference with identical randomized streams across several geometries,
-// comparing hit/miss and eviction victims on every access.
+// comparing hit/miss and eviction victims on every access. The addresses mix
+// the text, the heap and the stack in every set, and a quarter of them flip
+// one tag bit of an address — in a sparse cache, any of its key's 31 — so a
+// key that drops or misplaces a tag bit aliases two lines a reference tells
+// apart.
 func TestCacheDifferential(t *testing.T) {
-	geoms := []CacheGeom{
-		{SizeBytes: 1 << 10, Ways: 2, LineBytes: 64},   // 8 sets
-		{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64},  // L1-like
-		{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64},  // L2-like
-		{SizeBytes: 48 << 10, Ways: 12, LineBytes: 64}, // non-power-of-two ways
-		{SizeBytes: 2 << 10, Ways: 1, LineBytes: 32},   // direct-mapped
-	}
-	for gi, g := range geoms {
-		c := newCache(g, gi%2 == 1)
+	for gi, tc := range []struct {
+		g      CacheGeom
+		sparse bool
+	}{
+		{CacheGeom{SizeBytes: 1 << 10, Ways: 2, LineBytes: 64}, false},    // 8 sets
+		{CacheGeom{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64}, false},   // L1-like
+		{CacheGeom{SizeBytes: 512 << 10, Ways: 16, LineBytes: 64}, false}, // 32 KB a way: the largest dense
+		{CacheGeom{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64}, true},    // 64 KB a way: the smallest sparse, an L2
+		{CacheGeom{SizeBytes: 48 << 10, Ways: 12, LineBytes: 64}, false},  // non-power-of-two ways
+		{CacheGeom{SizeBytes: 768 << 10, Ways: 12, LineBytes: 64}, true},  // likewise, sparse
+		{CacheGeom{SizeBytes: 2 << 10, Ways: 1, LineBytes: 32}, false},    // direct-mapped
+		{CacheGeom{SizeBytes: 64 << 10, Ways: 1, LineBytes: 64}, true},    // direct-mapped, sparse
+	} {
+		g := tc.g
+		c := newCache(g)
+		if sparse := c.rowOf != nil; sparse != tc.sparse {
+			t.Fatalf("geom %d %+v: sparse = %v, want %v", gi, g, sparse, tc.sparse)
+		}
 		ref := newNaiveCache(g)
 		rng := rand.New(rand.NewSource(int64(gi) + 42))
-		footprint := 4 * g.SizeBytes
-		for i := 0; i < 60000; i++ {
-			addr := rng.Uint64() % footprint
+		wayBits := bits.TrailingZeros64(g.Sets() * g.LineBytes)
+		addr := func() uint64 {
+			a := regionBases[rng.Intn(len(regionBases))] + rng.Uint64()%(4*g.SizeBytes)
 			if rng.Intn(3) == 0 {
-				addr = rng.Uint64() % (g.SizeBytes / 4) // hot subset
+				a = regionBases[rng.Intn(len(regionBases))] + rng.Uint64()%(g.SizeBytes/4) // hot subset
 			}
+			if rng.Intn(4) == 0 {
+				a ^= 1 << (wayBits + rng.Intn(addrBits-wayBits)) // the same set, one tag bit away
+			}
+			return a
+		}
+		for i := 0; i < 60000; i++ {
+			a := addr()
 			c.evictedOK = false
-			gotHit := c.access(addr)
-			wantHit, wantEv, wantEvOK := ref.access(addr)
+			gotHit := c.access(a)
+			wantHit, wantEv, wantEvOK := ref.access(a)
 			if gotHit != wantHit || c.evictedOK != wantEvOK ||
 				(wantEvOK && c.evictedTag != wantEv) {
 				t.Fatalf("geom %d step %d addr %#x: got (hit=%v ev=%#x,%v) want (hit=%v ev=%#x,%v)",
-					gi, i, addr, gotHit, c.evictedTag, c.evictedOK, wantHit, wantEv, wantEvOK)
+					gi, i, a, gotHit, c.evictedTag, c.evictedOK, wantHit, wantEv, wantEvOK)
 			}
 			// probe must agree with a state-preserving membership check.
-			p := rng.Uint64() % footprint
+			p := addr()
 			if c.probe(p) != refProbe(ref, p) {
 				t.Fatalf("geom %d step %d: probe(%#x) disagrees", gi, i, p)
 			}
@@ -173,20 +200,14 @@ func refProbe(c *naiveCache, addr uint64) bool {
 // the reference with a fresh one: a reset cache must be a fresh cache.
 const resetOp = ^uint64(0)
 
-// cacheEquiv drives a fresh cache of each kind and the naive reference over
-// addrs and compares, on every step, hit/miss, the evicted tag, the resident
-// count and probe of the address just touched, of the one touched before it
-// and of its set-mate one cache size away.
+// cacheEquiv drives a fresh cache and the naive reference over addrs and
+// compares, on every step, hit/miss, the evicted tag, the resident count and
+// probe of the address just touched, of the one touched before it and of its
+// set-mate one cache size away.
 func cacheEquiv(t testing.TB, g CacheGeom, addrs []uint64) {
 	t.Helper()
-	for _, sparse := range []bool{false, true} {
-		cacheKindEquiv(t, g, sparse, addrs)
-	}
-}
-
-func cacheKindEquiv(t testing.TB, g CacheGeom, sparse bool, addrs []uint64) {
-	t.Helper()
-	c := newCache(g, sparse)
+	c := newCache(g)
+	sparse := c.rowOf != nil
 	ref := newNaiveCache(g)
 	var resident, prev, accesses uint64
 	for i, addr := range addrs {
@@ -262,7 +283,8 @@ func trafficStream(g CacheGeom, seed int64, n int) []uint64 {
 
 // TestCacheDifferentialTraffic covers what uniform addresses almost never
 // produce: back-to-back repeats of a block and sets that stay partly
-// filled, at every associativity and line size a host config uses.
+// filled, at every associativity and line size a host config uses, dense
+// (below 64 KB a way) and sparse.
 func TestCacheDifferentialTraffic(t *testing.T) {
 	for gi, tc := range []struct {
 		g CacheGeom
@@ -273,28 +295,35 @@ func TestCacheDifferentialTraffic(t *testing.T) {
 		{CacheGeom{SizeBytes: 2 << 10, Ways: 8, LineBytes: 32}, 60000},      // the Xeon's DSB
 		{CacheGeom{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64}, 100000},    // Xeon L1
 		{CacheGeom{SizeBytes: 192 << 10, Ways: 12, LineBytes: 128}, 100000}, // M1 L1I
+		{CacheGeom{SizeBytes: 512 << 10, Ways: 8, LineBytes: 64}, 200000},   // FireSim L2, sparse from here on
 		{CacheGeom{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64}, 300000},    // Xeon L2
 		{CacheGeom{SizeBytes: 8 << 20, Ways: 16, LineBytes: 128}, 600000},   // M1 Pro LLC
+		{CacheGeom{SizeBytes: 4 << 20, Ways: 2, LineBytes: 64}, 300000},     // the Xeon LLC under eight co-runners
 	} {
 		cacheEquiv(t, tc.g, trafficStream(tc.g, int64(gi)+7, tc.n))
 	}
 }
 
-// FuzzCacheEquivalence takes the geometry from the first three bytes and
-// an op per following byte: the top two bits choose repeat, next line,
-// same-set conflict or jump, the rest is the operand; the byte 0x3f is a
-// reset, after which the replay must match a fresh cache.
+// FuzzCacheEquivalence takes the geometry from the first three bytes — 1
+// to 2048 sets of 2 to 128 byte lines, so ways of 2 B to 256 KB, dense and
+// sparse — and an op per following byte: the top two bits choose repeat,
+// next line, same-set conflict or jump, the rest is the operand; the byte
+// 0x3f is a reset, after which the replay must match a fresh cache. A jump
+// of operand 32 or more goes to the top of the address space, where a sparse
+// key's tag has its high bits set.
 func FuzzCacheEquivalence(f *testing.F) {
 	f.Add([]byte{7, 3, 5, 0x80, 0x00, 0x41, 0x42, 0xc1, 0x00, 0x43})                   // 8-way: fill, repeat, conflict
 	f.Add([]byte{15, 0, 0, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0xc0, 0x81, 0x40})      // one 16-way set of 2 B lines
 	f.Add([]byte{0, 5, 6, 0xc5, 0x05, 0x85, 0xc5, 0x45, 0x85})                         // direct-mapped, 128 B lines: repeat, evict, return
 	f.Add([]byte{3, 1, 5, 0x80, 0x81, 0x82, 0x83, 0x84, 0x00, 0x3f, 0x00, 0x84, 0x80}) // 4-way: overfill a set, reset, the memoised line misses again
+	f.Add([]byte{1, 10, 5, 0xc3, 0xe3, 0xc3, 0xe3, 0x80, 0x3f, 0xe3, 0xc3})            // 2-way, 64 KB ways (sparse): a low and a high tag in one set, reset
+	f.Add([]byte{15, 11, 6, 0xe1, 0x81, 0x82, 0x83, 0xc1, 0xe1, 0x00, 0x42})           // 16-way, 256 KB ways: conflicts at the top of the address space
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		ways := 1 + int(data[0])%maxWays
-		sets := uint64(1) << (data[1] % 7)
+		sets := uint64(1) << (data[1] % 12)
 		g := CacheGeom{Ways: ways, LineBytes: 2 << (data[2] % 7)}
 		g.SizeBytes = sets * uint64(ways) * g.LineBytes
 		line := uint64(0)
@@ -311,9 +340,10 @@ func FuzzCacheEquivalence(f *testing.F) {
 			case 2:
 				line += sets * (1 + arg)
 			case 3:
-				line = arg * arg
+				line = (arg&31)*(arg&31) + arg>>5<<(addrBits-1)/g.LineBytes
 			}
-			addrs = append(addrs, line*g.LineBytes+arg%g.LineBytes)
+			// Held below 2^47, as hostmodel holds its addresses.
+			addrs = append(addrs, (line*g.LineBytes+arg%g.LineBytes)&(1<<addrBits-1))
 		}
 		cacheEquiv(t, g, addrs)
 	})

@@ -13,6 +13,7 @@ package uarch
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // CacheGeom is the geometry of one cache level.
@@ -31,6 +32,17 @@ const (
 	maxWays    = 16                 // a set's recency order packs 4-bit way numbers into one word
 	eachNibble = 0x1111111111111111 // the low bit of every 4-bit field
 
+	// addrBits bounds the addresses a cache is given: they are below 2^47,
+	// the top of user space, under which hostmodel keeps the modeled
+	// simulator's text, heap and stack (hostmodel.AddrLimit).
+	addrBits = 47
+	// sparseWayBytes is what one way must span for a cache to be sparse.
+	// The set and the line offset then take at least 16 bits of an address,
+	// so the tag of one below 2^addrBits has at most 31 and tag<<1|1 fits a
+	// 4-byte key.
+	sparseWayBytes = 1 << 16
+	tagLimit       = 1 << addrBits / sparseWayBytes
+
 	// A sparse cache hands rows out of chunks of this many: big enough that
 	// a session's few thousand rows are a few dozen allocations, small enough
 	// that the unused tail of the last one does not show.
@@ -38,10 +50,10 @@ const (
 	chunkRows = 1 << chunkBits
 )
 
-// cache is a set-associative exact-LRU cache over 64-bit host addresses.
+// cache is a set-associative exact-LRU cache over host addresses.
 //
-// A set is a row of keys — block<<1|1, or 0 for a way never filled, so that
-// a hit scan reads one contiguous row and nothing else — and one order word
+// A set is a row of keys — tag<<1|1, or 0 for a way never filled, so that a
+// hit scan reads one contiguous row and nothing else — and one order word
 // holding the way numbers from most (bits 0-3) to least recently used: a
 // lookup rewrites that one word, and a miss takes its victim from the top
 // of it without scanning. Every hit, miss and victim is what a scan over
@@ -53,23 +65,28 @@ const (
 // already in front, so repeating it is a hit that changes nothing and skips
 // the arrays.
 //
-// Where the rows live is fixed by the level at construction. The L1s and
-// the DSB take nearly every lookup and are dense: keys is set-major
-// (keys[set*ways+way]) and order has one word per set. The L2 and the LLC
-// are megabytes of which a run touches a few percent, and are sparse: rowOf
-// holds, per set, one more than the number of its row, 0 for a set never
-// touched, and a row — its order word, then its keys — is taken from chunks
-// on the set's first lookup. Chunks are never copied or moved and survive
-// reset, so a cache costs its set index plus the rows it has ever used.
-// Both kinds run the one row routine in lookup.
+// Where the rows live is fixed by the geometry at construction. A cache
+// whose ways span less than 64 KB — the L1s and the DSB, which take nearly
+// every lookup — is dense: keys is set-major (keys[set*ways+way]), 8 bytes
+// a key whose tag is the whole block, and order has one word per set. One
+// whose ways span 64 KB or more — every L2 and LLC, megabytes of which a
+// run touches a few percent — is sparse: rowOf holds, per set, one more
+// than the number of its row, 0 for a set never touched, and a row — its
+// order word and its ways 4-byte keys, 72 bytes at 16 ways — is taken from
+// chunks on the set's first lookup. Chunks are never copied or moved and
+// survive reset, so a cache costs its set index plus the rows it has ever
+// used. A sparse key's tag is block>>setBits, below 2^31 for every address
+// below 2^47; sparseKey panics on one that is not, so no two lines share a
+// key. Both kinds move a way to the front with promote and take a victim
+// with evict.
 type cache struct {
 	geom  CacheGeom
 	keys  []uint64 // dense: sets × ways
 	order []uint64 // dense: per set
 
-	rowOf  []uint32   // sparse: per set, row number + 1
-	chunks [][]uint64 // sparse: chunkRows rows of 1+ways words each
-	used   uint32     // sparse: rows handed out since the last reset
+	rowOf  []uint32      // sparse: per set, row number + 1
+	chunks []sparseChunk // sparse: chunkRows rows each
+	used   uint32        // sparse: rows handed out since the last reset
 
 	initial  uint64 // a set's order word before its first lookup: way w in position w
 	setMask  uint64
@@ -90,6 +107,13 @@ type cache struct {
 	evictedOK  bool
 }
 
+// sparseChunk is chunkRows rows of a sparse cache: row i's order word is
+// order[i] and its keys are keys[i*ways:(i+1)*ways].
+type sparseChunk struct {
+	order []uint64
+	keys  []uint32
+}
+
 // check reports what is wrong with a geometry, or "". A line has at least
 // two bytes so that block<<1 cannot overflow a key.
 func (g CacheGeom) check() string {
@@ -104,8 +128,9 @@ func (g CacheGeom) check() string {
 	return ""
 }
 
-// newCache builds a cache of geometry g, sparse or dense.
-func newCache(g CacheGeom, sparse bool) *cache {
+// newCache builds a cache of geometry g: sparse when a way spans
+// sparseWayBytes or more, dense otherwise.
+func newCache(g CacheGeom) *cache {
 	if msg := g.check(); msg != "" {
 		panic("uarch: cache: " + msg)
 	}
@@ -118,7 +143,7 @@ func newCache(g CacheGeom, sparse bool) *cache {
 		lineBits: uint(bits.TrailingZeros64(g.LineBytes)),
 		ways:     uint64(g.Ways),
 	}
-	if sparse {
+	if sets*g.LineBytes >= sparseWayBytes {
 		c.rowOf = make([]uint32, sets)
 	} else {
 		c.keys = make([]uint64, sets*c.ways)
@@ -153,10 +178,22 @@ func (c *cache) reset() {
 	c.arm()
 }
 
+// sparseKey is the key of block in a sparse cache. It panics on a block
+// whose tag has more than 31 bits, which only an address of 2^47 or more
+// has: cut to a 4-byte key, it would alias a line of another address.
+func (c *cache) sparseKey(block uint64) uint32 {
+	tag := block >> c.setBits
+	if tag >= tagLimit {
+		panic(fmt.Sprintf("uarch: cache: address %#x is past 2^%d: its tag in a %d B %d-way cache does not fit a 4-byte key",
+			block<<c.lineBits, addrBits, c.geom.SizeBytes, c.geom.Ways))
+	}
+	return uint32(tag<<1 | 1)
+}
+
 // sparseRow returns the keys and the order word of set's row. A set that has
 // none gets the next unused one, empty and in fill order, when take is set,
 // and nil otherwise.
-func (c *cache) sparseRow(set uint64, take bool) ([]uint64, *uint64) {
+func (c *cache) sparseRow(set uint64, take bool) ([]uint32, *uint64) {
 	r := c.rowOf[set]
 	fresh := r == 0
 	if fresh {
@@ -164,15 +201,18 @@ func (c *cache) sparseRow(set uint64, take bool) ([]uint64, *uint64) {
 			return nil, nil
 		}
 		if int(c.used>>chunkBits) == len(c.chunks) {
-			c.chunks = append(c.chunks, make([]uint64, chunkRows*(c.ways+1)))
+			c.chunks = append(c.chunks, sparseChunk{
+				order: make([]uint64, chunkRows),
+				keys:  make([]uint32, chunkRows*c.ways),
+			})
 		}
 		c.used++
 		r = c.used
 		c.rowOf[set] = r
 	}
-	chunk := c.chunks[(r-1)>>chunkBits]
-	at := uint64((r-1)&(chunkRows-1)) * (c.ways + 1)
-	keys, order := chunk[at+1:at+1+c.ways], &chunk[at]
+	ch := &c.chunks[(r-1)>>chunkBits]
+	i := uint64((r - 1) & (chunkRows - 1))
+	keys, order := ch.keys[i*c.ways:(i+1)*c.ways], &ch.order[i]
 	if fresh {
 		// A row of a chunk kept across a reset still holds the last run's.
 		*order = c.initial
@@ -192,15 +232,11 @@ func (c *cache) access(addr uint64) bool {
 // lookup is access past the memo.
 func (c *cache) lookup(block uint64) bool {
 	c.lastBlock = block
-	key := block<<1 | 1
 	set := block & c.setMask
-	var row []uint64
-	var order *uint64
-	if c.rowOf == nil {
-		row, order = c.keys[set*c.ways:(set+1)*c.ways], &c.order[set]
-	} else {
-		row, order = c.sparseRow(set, true)
+	if c.rowOf != nil {
+		return c.lookupSparse(set, c.sparseKey(block))
 	}
+	row, key := c.keys[set*c.ways:(set+1)*c.ways], block<<1|1
 	// No early exit: at most one way matches, and a fixed-length scan
 	// compiles to conditional moves, where leaving at the (unpredictable)
 	// hit way would be a mispredicted branch.
@@ -210,21 +246,12 @@ func (c *cache) lookup(block uint64) bool {
 			way = i
 		}
 	}
-	ord := *order
+	order := &c.order[set]
 	if way >= 0 {
-		// Find way's nibble: the lowest zero nibble of x (one above the
-		// set's ways is zero only for way 0, whose own nibble is lower).
-		// Move it to the front, shifting the nibbles below it up.
-		x := ord ^ uint64(way)*eachNibble
-		pos := uint(bits.TrailingZeros64((x-eachNibble)&^x&(eachNibble<<3))) - 3
-		below := uint64(1)<<pos - 1
-		*order = ord&^(below|0xF<<pos) | ord&below<<4 | uint64(way)
+		*order = promote(*order, way)
 		return true
 	}
-	c.Misses++
-	back := uint(c.ways-1) * 4
-	victim := ord >> back
-	*order = ord&^(0xF<<back)<<4 | victim
+	victim := c.evict(order)
 	if old := row[victim]; old == 0 {
 		c.resident++
 	} else {
@@ -234,23 +261,61 @@ func (c *cache) lookup(block uint64) bool {
 	return false
 }
 
+// lookupSparse is lookup in a sparse cache's set, key being sparseKey's.
+func (c *cache) lookupSparse(set uint64, key uint32) bool {
+	row, order := c.sparseRow(set, true)
+	way := -1
+	for i, k := range row {
+		if k == key {
+			way = i
+		}
+	}
+	if way >= 0 {
+		*order = promote(*order, way)
+		return true
+	}
+	victim := c.evict(order)
+	if old := row[victim]; old == 0 {
+		c.resident++
+	} else {
+		c.evictedTag, c.evictedOK = uint64(old>>1), true
+	}
+	row[victim] = key
+	return false
+}
+
+// promote returns the order word ord with way moved to the front and the
+// ways that were ahead of it shifted back one.
+func promote(ord uint64, way int) uint64 {
+	// Find way's nibble: the lowest zero nibble of x (one above the set's
+	// ways is zero only for way 0, whose own nibble is lower). Move it to
+	// the front, shifting the nibbles below it up.
+	x := ord ^ uint64(way)*eachNibble
+	pos := uint(bits.TrailingZeros64((x-eachNibble)&^x&(eachNibble<<3))) - 3
+	below := uint64(1)<<pos - 1
+	return ord&^(below|0xF<<pos) | ord&below<<4 | uint64(way)
+}
+
+// evict counts a miss in the set of order word *order, moves its least
+// recently used way to the front and returns that way, the victim.
+func (c *cache) evict(order *uint64) uint64 {
+	c.Misses++
+	ord := *order
+	back := uint(c.ways-1) * 4
+	victim := ord >> back
+	*order = ord&^(0xF<<back)<<4 | victim
+	return victim
+}
+
 // probe reports whether addr is resident without updating state.
 func (c *cache) probe(addr uint64) bool {
 	block := addr >> c.lineBits
-	key := block<<1 | 1
 	set := block & c.setMask
-	var row []uint64
-	if c.rowOf == nil {
-		row = c.keys[set*c.ways : (set+1)*c.ways]
-	} else {
-		row, _ = c.sparseRow(set, false)
+	if c.rowOf != nil {
+		row, _ := c.sparseRow(set, false)
+		return slices.Contains(row, c.sparseKey(block))
 	}
-	for _, k := range row {
-		if k == key {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(c.keys[set*c.ways:(set+1)*c.ways], block<<1|1)
 }
 
 // OccupancyBytes returns resident lines times the line size.

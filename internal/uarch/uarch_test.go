@@ -62,7 +62,7 @@ func TestCacheGeomSets(t *testing.T) {
 }
 
 func TestCacheHitMissLRU(t *testing.T) {
-	c := newCache(CacheGeom{SizeBytes: 1024, Ways: 2, LineBytes: 64}, false) // 8 sets
+	c := newCache(CacheGeom{SizeBytes: 1024, Ways: 2, LineBytes: 64}) // 8 sets
 	if c.access(0) {
 		t.Fatal("cold access hit")
 	}
@@ -89,11 +89,17 @@ func TestCacheHitMissLRU(t *testing.T) {
 }
 
 // TestCacheWorkingSetInvariant: a working set of at most Ways blocks mapping
-// to one set never re-misses (property over random access sequences).
+// to one set never re-misses (property over random access sequences), in a
+// dense cache and in a sparse one.
 func TestCacheWorkingSetInvariant(t *testing.T) {
 	f := func(seq []uint8) bool {
-		c := newCache(CacheGeom{SizeBytes: 4096, Ways: 4, LineBytes: 64}, len(seq)%2 == 1) // 16 sets
-		blocks := []uint64{0, 1024, 2048, 3072}                                            // all set 0
+		g := CacheGeom{SizeBytes: 4096, Ways: 4, LineBytes: 64} // 16 sets, 1 KB a way
+		if len(seq)%2 == 1 {
+			g.SizeBytes <<= 8 // 4096 sets, 64 KB a way
+		}
+		c := newCache(g)
+		way := g.SizeBytes / 4
+		blocks := []uint64{0, way, 2 * way, 3 * way} // all set 0
 		seen := map[uint64]bool{}
 		cold := 0
 		for _, s := range seq {
@@ -128,7 +134,7 @@ func TestCachePanicsOnBadGeometry(t *testing.T) {
 					t.Errorf("geometry %+v did not panic", g)
 				}
 			}()
-			newCache(g, false)
+			newCache(g)
 		}()
 	}
 }

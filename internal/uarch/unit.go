@@ -123,21 +123,21 @@ func newUnit(k UnitKey, c *Config) *Unit {
 	u := &Unit{key: k}
 	switch k.kind {
 	case kindL1I:
-		u.c, u.hasC = *newCache(c.L1I, false), true
+		u.c, u.hasC = *newCache(c.L1I), true
 	case kindL1D:
-		u.c, u.hasC = *newCache(c.L1D, false), true
+		u.c, u.hasC = *newCache(c.L1D), true
 	case kindL2:
-		u.c, u.hasC = *newCache(c.L2, true), true
+		u.c, u.hasC = *newCache(c.L2), true
 	case kindLLC:
 		u.fillBytes = c.L2.LineBytes
 		if c.LLC.SizeBytes > 0 {
 			// Two-level hosts (the FireSim Rocket) have no LLC.
-			u.c, u.hasC = *newCache(c.LLC, true), true
+			u.c, u.hasC = *newCache(c.LLC), true
 			u.fillBytes = c.LLC.LineBytes
 		}
 	case kindDSB:
 		if c.DSBUops > 0 {
-			u.c, u.hasC = *newCache(dsbGeom(c.DSBUops), false), true
+			u.c, u.hasC = *newCache(dsbGeom(c.DSBUops)), true
 		}
 	case kindBP:
 		u.bp = *newGshare(c.BPTableEntries, c.BTBEntries)
