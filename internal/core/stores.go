@@ -46,8 +46,9 @@ import (
 // an Atomic binary and 0.7 MB for an O3 one (DESIGN §20), the
 // units of its host geometries (Fig. 14's seven FireSim hosts alone hand
 // back 25), of which the L2 and LLC units hold the most: their set index and
-// every row a run gave a set, 1.8 MB for a Xeon LLC after the quick
-// 505.mcf_r replay (TestLLCHeldBytes in internal/uarch), and its images
+// every row a run gave a set, each sized to the lines its set filled, 0.54 MB
+// for a Xeon LLC after the quick 505.mcf_r replay (TestLLCHeldBytes in
+// internal/uarch) and 0.13 MB for its L2, and its images
 // (fourteen workloads and three kernels) — and no further: everything kept
 // here is live heap, and the collector lets the heap grow to twice that.
 // The capacities are not knobs.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strconv"
 
 	"gem5prof/internal/sim"
 )
@@ -252,6 +253,10 @@ type CodeModel struct {
 	pos   int
 	funcs []fnLayout
 	cur   cursor
+	// fresh are the functions this model placed since it last settled
+	// (layout.go), in chunks of freshChunk: while it builds, funcs and
+	// lay.funcs end before them.
+	fresh [][]fnLayout
 	// While following, cands are the published layouts that recorded every
 	// registration made so far (lay is the first of them). owned means lay
 	// is this model's private copy instead, which registrations append to;
@@ -353,10 +358,11 @@ func (m *CodeModel) textEnd() uint64 {
 func (c *Config) arenaEnd() uint64 { return c.TextBase + uint64(c.TextSlots)*c.SlotBytes }
 
 // NumFuncs returns the number of registered functions (including helpers).
-func (m *CodeModel) NumFuncs() int { return len(m.funcs) }
+func (m *CodeModel) NumFuncs() int { return m.cur.nfuncs }
 
 // FuncName returns the name of fn.
 func (m *CodeModel) FuncName(fn sim.FuncID) string {
+	m.settle()
 	switch {
 	case int(fn) >= len(m.funcs):
 		return fmt.Sprintf("fn%d", fn)
@@ -369,9 +375,12 @@ func (m *CodeModel) FuncName(fn sim.FuncID) string {
 	return m.lay.name(fn)
 }
 
-// helperName appends the name of primary's i-th helper to buf.
+// helperName appends the name of primary's i-th helper, primary::helperI,
+// to buf. It allocates only when buf is short, where fmt would box both
+// arguments of every helper a layout places.
 func helperName(buf []byte, primary string, i int) []byte {
-	return fmt.Appendf(buf, "%s::helper%d", primary, i)
+	buf = append(append(buf, primary...), "::helper"...)
+	return strconv.AppendInt(buf, int64(i), 10)
 }
 
 // Calls returns the total function invocations replayed, across ResetRun
@@ -483,6 +492,7 @@ func hashName[S string | []byte](name S) uint64 {
 // Call implements sim.Tracer: replay one invocation of fn into the sink.
 func (m *CodeModel) Call(fn sim.FuncID) {
 	if int(fn) >= len(m.rotor) {
+		m.settle()
 		if int(fn) >= len(m.funcs) {
 			return
 		}

@@ -108,6 +108,7 @@ func TestLayoutScattersAndDoesNotOverlap(t *testing.T) {
 	var spans []span
 	for i := 0; i < 200; i++ {
 		id := m.RegisterFunc(fmt.Sprintf("f%d", i), 1000+i*17, sim.FuncLeaf)
+		m.settle()
 		f := &m.funcs[id]
 		spans = append(spans, span{f.addr, f.addr + uint64(f.size)})
 	}

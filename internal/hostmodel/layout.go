@@ -90,6 +90,7 @@ func (l *Layout) Same(o *Layout) bool {
 // m.cfg that are immutable or m's own. The rotors start over at zero as the
 // functions are registered again (Call regrows them); the called bits stay.
 func (m *CodeModel) rewind(cands []*Layout) {
+	m.settle()
 	m.cands, m.owned, m.byName = cands, false, nil
 	m.lay, m.pos = cands[0], 0
 	m.rotor = m.rotor[:0]
@@ -100,6 +101,29 @@ func (m *CodeModel) rewind(cands []*Layout) {
 func (m *CodeModel) advance(cur cursor) {
 	m.cur = cur
 	m.funcs = m.lay.funcs[:cur.nfuncs]
+}
+
+// freshChunk is how many function headers one chunk of a model's fresh
+// functions holds: 28 KB.
+const freshChunk = 512
+
+// settle appends the functions placed since the last settle to lay.funcs,
+// in an array of exactly the binary's size, and points funcs at all of them.
+// A build settles once: at Publish, or at the first Call or FuncName that
+// reaches a function it placed.
+func (m *CodeModel) settle() {
+	if len(m.fresh) == 0 {
+		return
+	}
+	n := len(m.lay.funcs)
+	for _, ch := range m.fresh {
+		n += len(ch)
+	}
+	funcs := append(make([]fnLayout, 0, n), m.lay.funcs...)
+	for _, ch := range m.fresh {
+		funcs = append(funcs, ch...)
+	}
+	m.lay.funcs, m.funcs, m.fresh = funcs, funcs, nil
 }
 
 // RegisterFunc implements sim.Tracer. While some layout the model follows
@@ -164,8 +188,10 @@ func (m *CodeModel) follow(name string, codeBytes int, flags sim.FuncFlags) (sim
 }
 
 // fork makes lay a private copy of the registrations followed so far. Only
-// the function headers are copied; the traces behind them are immutable and
-// stay shared with the layout they came from. A model that had run further
+// the log is copied: the function headers stay shared with the layout they
+// came from, which is immutable, until the first settle copies them into an
+// array of the copy's own, and the traces behind them stay shared for good.
+// A model that had run further
 // than this on an earlier pass (ResetRun, then a guest that registers
 // differently) loses the rotors and called bits of the functions past the
 // fork, down to the bits past it in the last word kept: their ids are about
@@ -174,7 +200,7 @@ func (m *CodeModel) fork() {
 	from := m.lay
 	m.lay = &Layout{
 		cfg:   from.cfg,
-		funcs: append([]fnLayout(nil), from.funcs[:m.cur.nfuncs]...),
+		funcs: from.funcs[:m.cur.nfuncs:m.cur.nfuncs],
 		log:   append([]registration(nil), from.log[:m.pos]...),
 	}
 	m.cands, m.owned = nil, true
@@ -201,16 +227,16 @@ func words(n int) int { return (n + 63) / 64 }
 // place lays out one primary function and its helpers.
 func (m *CodeModel) place(name string, codeBytes int, flags sim.FuncFlags) sim.FuncID {
 	h := hashName(name)
-	id, err := m.placeOne(0, h, codeBytes, flags)
-	if err != nil {
-		panic(fmt.Errorf("hostmodel: RegisterFunc(%q, %d): %w", name, codeBytes, err))
-	}
 	// Primary functions bring a retinue of helper callees: parameter
 	// checks, accessors, allocator shims — the reason gem5 touches
 	// thousands of distinct functions per simulation.
 	fanout := m.cfg.CalleeFanout
 	if flags&sim.FuncLeaf != 0 {
 		fanout = 0
+	}
+	id, err := m.placeOne(0, fanout, h, codeBytes, flags)
+	if err != nil {
+		panic(fmt.Errorf("hostmodel: RegisterFunc(%q, %d): %w", name, codeBytes, err))
 	}
 	for i := 0; i < fanout; i++ {
 		// Helpers scale with their owner: big dispatch hubs (pipeline
@@ -219,39 +245,43 @@ func (m *CodeModel) place(name string, codeBytes int, flags sim.FuncFlags) sim.F
 		helperSize := 90 + codeBytes/20 + int(h>>uint(i%24)&0x7F)
 		// Helpers are direct-called leaves: no indirect branches.
 		m.nameBuf = helperName(m.nameBuf[:0], name, i)
-		if _, err := m.placeOne(id, hashName(m.nameBuf), helperSize, sim.FuncLeaf); err != nil {
+		if _, err := m.placeOne(id, 0, hashName(m.nameBuf), helperSize, sim.FuncLeaf); err != nil {
 			panic(fmt.Errorf("hostmodel: RegisterFunc(%q, %d): helper %d: %w", name, codeBytes, i, err))
 		}
 	}
-	m.lay.funcs[id].helpers = uint32(fanout)
-	m.cur.nfuncs = len(m.lay.funcs)
-	m.advance(m.cur)
+	m.cur.nfuncs = int(id) + 1 + fanout
 	return id
 }
 
-// placeOne lays out one function: a primary, or a helper of owner. seed is
-// the hash of the function's full name.
-func (m *CodeModel) placeOne(owner sim.FuncID, seed uint64, codeBytes int, flags sim.FuncFlags) (sim.FuncID, error) {
+// placeOne lays out one function: a primary followed by helpers helpers, or
+// a helper of owner. seed is the hash of the function's full name. The
+// header goes into the model's fresh chunks, where the next settle finds it.
+func (m *CodeModel) placeOne(owner sim.FuncID, helpers int, seed uint64, codeBytes int, flags sim.FuncFlags) (sim.FuncID, error) {
 	scaled := float64(codeBytes) * m.cfg.SizeFactor
 	if !(scaled <= math.MaxUint32) {
 		return 0, fmt.Errorf("%d bytes at SizeFactor %g do not fit a function's size", codeBytes, m.cfg.SizeFactor)
 	}
 	size := max(uint32(scaled), 32)
-	f := fnLayout{owner: owner, size: size, flags: flags}
+	f := fnLayout{owner: owner, size: size, flags: flags, helpers: uint32(helpers)}
 	var err error
 	if m.scratch, err = f.buildTraces(seed, m.cfg.DynFactor/m.cfg.SizeFactor, m.scratch); err != nil {
 		return 0, err
 	}
 	id := sim.FuncID(len(m.lay.funcs))
+	for _, ch := range m.fresh {
+		id += sim.FuncID(len(ch))
+	}
 	if f.addr = m.placeFunc(size); reaches(f.addr, uint64(size)) {
 		return 0, fmt.Errorf("placed at %#x, its %d bytes reach 2^47 (AddrLimit)", f.addr, size)
 	}
-	if len(m.lay.funcs) == cap(m.lay.funcs) {
-		// Double: append's 1.25x steps would copy a binary of thousands of
-		// functions five times over while it is being laid out.
-		m.lay.funcs = slices.Grow(m.lay.funcs, max(len(m.lay.funcs), 64))
+	// Chunks, not one growing array: the binary's size is not known until
+	// it settles, and a doubling array would copy its headers into arrays
+	// of up to twice that size before a last copy trimmed it.
+	if k := len(m.fresh); k == 0 || len(m.fresh[k-1]) == freshChunk {
+		m.fresh = append(m.fresh, make([]fnLayout, 0, freshChunk))
 	}
-	m.lay.funcs = append(m.lay.funcs, f)
+	ch := &m.fresh[len(m.fresh)-1]
+	*ch = append(*ch, f)
 	return id, nil
 }
 
@@ -281,8 +311,8 @@ func (m *CodeModel) Publish() *Layout {
 		return nil
 	}
 	if m.owned {
-		l.funcs, l.log = slices.Clone(l.funcs), slices.Clone(l.log)
-		m.funcs = l.funcs
+		m.settle()
+		l.log = slices.Clone(l.log)
 		m.cands, m.owned, m.byName = []*Layout{l}, false, nil
 	}
 	return l

@@ -181,6 +181,9 @@ func TestCacheDifferential(t *testing.T) {
 				t.Fatalf("geom %d step %d: probe(%#x) disagrees", gi, i, p)
 			}
 		}
+		if tc.sparse {
+			cacheEquiv(t, g, rowClassStream(g, int64(gi)))
+		}
 	}
 }
 
@@ -243,6 +246,57 @@ func cacheEquiv(t testing.TB, g CacheGeom, addrs []uint64) {
 	}
 }
 
+// rowClassStream walks sets of a sparse geometry through its row classes,
+// each set under the same tags, so that a row handed from one set to another
+// still holding the first one's keys would hit where the reference misses.
+// First one set each takes 1, 2, 3, 5, 9 and ways distinct lines (capped at
+// ways), hitting back all it holds after each fill, and the set of ways
+// lines goes on past them into evictions; then sets stop exactly at each
+// class boundary, 2, 4 and 8 lines, are hit back, and later take one line
+// more. The walk runs again after a reset, over its sets in another order,
+// so every row comes back out of a kept chunk or a free list.
+func rowClassStream(g CacheGeom, seed int64) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	sets, ways := g.Sets(), g.Ways
+	var addrs []uint64
+	line := func(set uint64, tag int) {
+		addrs = append(addrs, (uint64(tag)*sets+set)*g.LineBytes+rng.Uint64()%g.LineBytes)
+	}
+	// fill gives set the lines of tags from..to-1, hitting back every line
+	// of the set's tags below to that is still resident after each.
+	fill := func(set uint64, from, to int) {
+		for tag := from; tag < to; tag++ {
+			line(set, tag)
+			for _, back := range rng.Perm(min(tag+1, ways)) {
+				line(set, tag-back)
+			}
+		}
+	}
+	walk := func(setOf func(i int) uint64) {
+		i := 0
+		for _, n := range []int{1, 2, 3, 5, 9, ways} {
+			fill(setOf(i), 0, min(n, ways))
+			i++
+		}
+		fill(setOf(i-1), ways, ways+ways/2+2)
+		var stopped []uint64
+		for _, n := range []int{2, 4, 8} {
+			if n < ways {
+				fill(setOf(i), 0, n)
+				stopped = append(stopped, setOf(i))
+				i++
+			}
+		}
+		for j, set := range stopped {
+			fill(set, 2<<j, 2<<j+1)
+		}
+	}
+	walk(func(i int) uint64 { return uint64(i*37+5) % sets })
+	addrs = append(addrs, resetOp)
+	walk(func(i int) uint64 { return uint64((9-i)*37+5) % sets })
+	return addrs
+}
+
 // trafficStream is shaped like the hostmodel's stream and not like uniform
 // noise: runs of repeats inside one line (the memo), walks over the next
 // lines, returns to lines touched long ago (after their eviction, once the
@@ -299,8 +353,17 @@ func TestCacheDifferentialTraffic(t *testing.T) {
 		{CacheGeom{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64}, 300000},    // Xeon L2
 		{CacheGeom{SizeBytes: 8 << 20, Ways: 16, LineBytes: 128}, 600000},   // M1 Pro LLC
 		{CacheGeom{SizeBytes: 4 << 20, Ways: 2, LineBytes: 64}, 300000},     // the Xeon LLC under eight co-runners
+		{CacheGeom{SizeBytes: 3 << 20, Ways: 12, LineBytes: 64}, 300000},    // 12 ways: a last class of 12 keys
+		{CacheGeom{SizeBytes: 1 << 20, Ways: 4, LineBytes: 64}, 200000},     // 4 ways: two classes
 	} {
-		cacheEquiv(t, tc.g, trafficStream(tc.g, int64(gi)+7, tc.n))
+		addrs := trafficStream(tc.g, int64(gi)+7, tc.n)
+		if tc.g.sparse() {
+			// The rows the traffic left, full of its keys, are handed out
+			// again to the class walk, and after it to traffic anew.
+			addrs = append(append(addrs, resetOp), rowClassStream(tc.g, int64(gi))...)
+			addrs = append(append(addrs, resetOp), trafficStream(tc.g, int64(gi)+70, tc.n/4)...)
+		}
+		cacheEquiv(t, tc.g, addrs)
 	}
 }
 
@@ -318,6 +381,15 @@ func FuzzCacheEquivalence(f *testing.F) {
 	f.Add([]byte{3, 1, 5, 0x80, 0x81, 0x82, 0x83, 0x84, 0x00, 0x3f, 0x00, 0x84, 0x80}) // 4-way: overfill a set, reset, the memoised line misses again
 	f.Add([]byte{1, 10, 5, 0xc3, 0xe3, 0xc3, 0xe3, 0x80, 0x3f, 0xe3, 0xc3})            // 2-way, 64 KB ways (sparse): a low and a high tag in one set, reset
 	f.Add([]byte{15, 11, 6, 0xe1, 0x81, 0x82, 0x83, 0xc1, 0xe1, 0x00, 0x42})           // 16-way, 256 KB ways: conflicts at the top of the address space
+	// 16-way sparse, 512 sets of 128 B lines: sets 0, 1, 4, 9 and 16 walk to
+	// 3, 5, 9, 16 and 20 lines under the same tags, hitting back as they go,
+	// so each grows through the row classes and takes the rows the others
+	// gave back; then sets stop at 2, 4 and 8 lines, take one more, and the
+	// walks repeat after a reset, the sets in another order.
+	f.Add(rowClassSeed(15, 9, 6, [][2]byte{{0, 3}, {1, 5}, {2, 9}, {3, 16}, {4, 20}, {5, 2}, {6, 4}, {7, 8}, {5, 3}, {6, 5}, {7, 9}},
+		[][2]byte{{7, 9}, {0, 1}, {4, 16}, {2, 2}, {1, 4}}))
+	f.Add(rowClassSeed(11, 10, 5, [][2]byte{{0, 2}, {1, 3}, {2, 5}, {3, 12}, {4, 14}}, [][2]byte{{3, 4}, {0, 12}})) // 12 ways, 1024 sets of 64 B
+	f.Add(rowClassSeed(3, 11, 4, [][2]byte{{0, 2}, {1, 3}, {2, 6}}, [][2]byte{{2, 3}, {0, 1}}))                     // 4 ways, 2048 sets of 32 B
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -347,6 +419,28 @@ func FuzzCacheEquivalence(f *testing.F) {
 		}
 		cacheEquiv(t, g, addrs)
 	})
+}
+
+// rowClassSeed is a FuzzCacheEquivalence input: the geometry bytes, then for
+// each {a, n} of walks a walk of the set of line a² (a jump of operand a,
+// below 32) to n lines of tags 0, 1, 2 … one set apart, every line so far
+// touched again before each new one; then a reset, and the walks of again.
+func rowClassSeed(ways, sets, line byte, walks, again [][2]byte) []byte {
+	data := []byte{ways, sets, line}
+	walk := func(ws [][2]byte) {
+		for _, w := range ws {
+			for k := byte(1); k <= w[1]; k++ {
+				data = append(data, 0xc0|w[0])
+				for j := byte(1); j < k; j++ {
+					data = append(data, 0x80) // the same set, the next tag
+				}
+			}
+		}
+	}
+	walk(walks)
+	data = append(data, 0x3f)
+	walk(again)
+	return data
 }
 
 // TestTLBDifferential drives the O(1) TLB and the naive scan with

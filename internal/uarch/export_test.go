@@ -20,13 +20,17 @@ func (m *Machine) UnitOf(kind string) *Unit {
 func (u *Unit) Sparse() bool { return u.hasC && u.c.rowOf != nil }
 
 // HeldBytes is what u keeps of its structures, counted by capacity: a dense
-// cache's keys and order words, a sparse one's set index and row chunks,
-// and a predictor's tables and BTB. The TLBs' index is not counted.
+// cache's keys and order words, a sparse one's set index and the row chunks
+// of its classes, and a predictor's tables and BTB. The TLBs' index is not
+// counted.
 func (u *Unit) HeldBytes() int {
 	c := &u.c
-	n := 8*cap(c.keys) + 8*cap(c.order) + 4*cap(c.rowOf) + cap(c.chunks)*int(unsafe.Sizeof(sparseChunk{}))
-	for _, ch := range c.chunks {
-		n += 8*cap(ch.order) + 4*cap(ch.keys)
+	n := 8*cap(c.keys) + 8*cap(c.order) + 4*cap(c.rowOf) + cap(c.classes)*int(unsafe.Sizeof(rowClass{}))
+	for _, cl := range c.classes {
+		n += cap(cl.chunks) * int(unsafe.Sizeof(sparseChunk{}))
+		for _, ch := range cl.chunks {
+			n += 8*cap(ch.order) + 4*cap(ch.keys)
+		}
 	}
 	b := &u.bp
 	n += cap(b.bimodal) + cap(b.global) + cap(b.choice) + cap(b.btb)*int(unsafe.Sizeof(b.btb[0]))

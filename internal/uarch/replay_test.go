@@ -6,6 +6,7 @@ import (
 	"gem5prof/internal/core"
 	"gem5prof/internal/hostmodel"
 	"gem5prof/internal/platform"
+	"gem5prof/internal/spec"
 	"gem5prof/internal/uarch"
 )
 
@@ -67,10 +68,13 @@ func replay(m *uarch.Machine, recs []record) {
 	}
 }
 
-// BenchmarkRecordReplay is the record path alone: the head of the stream of
-// an O3 water_nsquared@40 session on the Xeon, replayed through a fresh
-// machine with no producer beside it, all of it and each record kind on its
-// own. It reports ns/record.
+// BenchmarkRecordReplay is the record path alone, on a machine drawn from
+// reset units as a session draws one from core's unit store, so that no
+// iteration pays for building or first touching its structures: the head of
+// the stream of an O3 water_nsquared@40 session on the Xeon, replayed with no
+// producer beside it, all of it and each record kind on its own (ns/record);
+// and spec, the quick Top-Down set's replay of 505.mcf_r, the one of that set
+// that reaches the LLC most (ns/block).
 func BenchmarkRecordReplay(b *testing.B) {
 	host := platform.IntelXeon()
 	hc := hostmodel.DefaultConfig()
@@ -85,11 +89,16 @@ func BenchmarkRecordReplay(b *testing.B) {
 	}
 	tb, te := cm.TextRange()
 	hb, he := cm.HeapRange()
-	machine := func() *uarch.Machine {
-		m := uarch.NewMachine(host)
-		m.MapText(tb, te)
-		m.MapData(hb, he)
-		m.MapData(hc.StackBase-(1<<20), hc.StackBase+(1<<12))
+	keeper := uarch.Keeper{}
+	uarch.NewMachine(host).Release(keeper.Put)
+	// machine draws a machine from the keeper; the caller releases it.
+	machine := func(mapped bool) *uarch.Machine {
+		m := uarch.Assemble(keeper.Take, host)
+		if mapped {
+			m.MapText(tb, te)
+			m.MapData(hb, he)
+			m.MapData(hc.StackBase-(1<<20), hc.StackBase+(1<<12))
+		}
 		return m
 	}
 
@@ -112,11 +121,31 @@ func BenchmarkRecordReplay(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				m := machine()
+				m := machine(true)
 				b.StartTimer()
 				replay(m, sub.recs)
+				b.StopTimer()
+				m.Release(keeper.Put)
+				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sub.recs)), "ns/record")
 		})
 	}
+
+	b.Run("spec", func(b *testing.B) {
+		p, err := spec.ByName("505.mcf_r")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := machine(false)
+			b.StartTimer()
+			p.Run(m, mcfBlocks)
+			b.StopTimer()
+			m.Release(keeper.Put)
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mcfBlocks), "ns/block")
+	})
 }

@@ -48,6 +48,15 @@ const (
 	// that the unused tail of the last one does not show.
 	chunkBits = 7
 	chunkRows = 1 << chunkBits
+
+	// A sparse row holds 2, 4, 8 or ways keys, the class capped at ways.
+	// rowOf names a row by its class in the low classBits bits and its
+	// number in the class plus one above them, so a class can number 2^30-1
+	// rows. A class never has more rows than the cache has sets, which
+	// maxSparseSets, the largest power of two below that, bounds.
+	numClasses    = 4
+	classBits     = 2
+	maxSparseSets = 1 << (32 - classBits - 1)
 )
 
 // cache is a set-associative exact-LRU cache over host addresses.
@@ -70,23 +79,28 @@ const (
 // every lookup — is dense: keys is set-major (keys[set*ways+way]), 8 bytes
 // a key whose tag is the whole block, and order has one word per set. One
 // whose ways span 64 KB or more — every L2 and LLC, megabytes of which a
-// run touches a few percent — is sparse: rowOf holds, per set, one more
-// than the number of its row, 0 for a set never touched, and a row — its
-// order word and its ways 4-byte keys, 72 bytes at 16 ways — is taken from
-// chunks on the set's first lookup. Chunks are never copied or moved and
-// survive reset, so a cache costs its set index plus the rows it has ever
-// used. A sparse key's tag is block>>setBits, below 2^31 for every address
-// below 2^47; sparseKey panics on one that is not, so no two lines share a
-// key. Both kinds move a way to the front with promote and take a victim
-// with evict.
+// run touches a few percent — is sparse: rowOf names, per set, the row that
+// holds its order word and its filled ways' 4-byte keys, 0 for a set never
+// touched. A row is sized to what its set has filled: it comes from one of
+// the classes of 2, 4, 8 and ways keys (capped at ways), and way w's key is
+// at index ways-1-w, so by the fill-order invariant the filled ways are a
+// prefix of the row and a miss in a set that is not full takes the first
+// index past it. A set starts in the smallest class; when that index
+// reaches its row's capacity, its keys and order word move to a row of the
+// next class and the old row goes on its class's free list for the next
+// set that needs one. Each class hands rows out of chunks that are never
+// copied or moved and survive reset, so a cache costs its set index plus
+// the rows it has ever used. A sparse key's tag is block>>setBits, below
+// 2^31 for every address below 2^47; sparseKey panics on one that is not,
+// so no two lines share a key. Both kinds move a way to the front with
+// promote and take a victim with evict.
 type cache struct {
 	geom  CacheGeom
 	keys  []uint64 // dense: sets × ways
 	order []uint64 // dense: per set
 
-	rowOf  []uint32      // sparse: per set, row number + 1
-	chunks []sparseChunk // sparse: chunkRows rows each
-	used   uint32        // sparse: rows handed out since the last reset
+	rowOf   []uint32   // sparse: per set, (row number + 1)<<classBits | class, 0 for none
+	classes []rowClass // sparse: the row classes, smallest first
 
 	initial  uint64 // a set's order word before its first lookup: way w in position w
 	setMask  uint64
@@ -107,8 +121,18 @@ type cache struct {
 	evictedOK  bool
 }
 
-// sparseChunk is chunkRows rows of a sparse cache: row i's order word is
-// order[i] and its keys are keys[i*ways:(i+1)*ways].
+// rowClass is the rows of a sparse cache that hold size keys each.
+type rowClass struct {
+	size   uint64
+	chunks []sparseChunk // chunkRows rows each
+	used   uint32        // rows handed out fresh since the last reset
+	// free is one more than the first row given back since the last reset,
+	// 0 for none; a free row's order word holds the next the same way.
+	free uint32
+}
+
+// sparseChunk is chunkRows rows of one class: row i's order word is
+// order[i] and its keys are keys[i*size:(i+1)*size].
 type sparseChunk struct {
 	order []uint64
 	keys  []uint32
@@ -124,9 +148,16 @@ func (g CacheGeom) check() string {
 		return fmt.Sprintf("line size %d B is not a power of two >= 2", g.LineBytes)
 	case g.Sets() == 0 || g.Sets()&(g.Sets()-1) != 0:
 		return fmt.Sprintf("%d B is not a power-of-two number of %d-way sets", g.SizeBytes, g.Ways)
+	case g.sparse() && g.Sets() > maxSparseSets:
+		return fmt.Sprintf("%d B of %d-way sets of %d B lines is %d sets, more than the %d a sparse cache's rows can number",
+			g.SizeBytes, g.Ways, g.LineBytes, g.Sets(), maxSparseSets)
 	}
 	return ""
 }
+
+// sparse reports whether a cache of geometry g keeps sparse rows: whether
+// one way spans sparseWayBytes or more.
+func (g CacheGeom) sparse() bool { return g.Sets()*g.LineBytes >= sparseWayBytes }
 
 // newCache builds a cache of geometry g: sparse when a way spans
 // sparseWayBytes or more, dense otherwise.
@@ -143,8 +174,15 @@ func newCache(g CacheGeom) *cache {
 		lineBits: uint(bits.TrailingZeros64(g.LineBytes)),
 		ways:     uint64(g.Ways),
 	}
-	if sets*g.LineBytes >= sparseWayBytes {
+	if g.sparse() {
 		c.rowOf = make([]uint32, sets)
+		for size := uint64(2); ; size *= 2 {
+			size = min(size, c.ways)
+			c.classes = append(c.classes, rowClass{size: size})
+			if size == c.ways {
+				break
+			}
+		}
 	} else {
 		c.keys = make([]uint64, sets*c.ways)
 		c.order = make([]uint64, sets)
@@ -159,7 +197,7 @@ func newCache(g CacheGeom) *cache {
 // added later starts from zero here without being named.
 func (c *cache) arm() {
 	*c = cache{
-		geom: c.geom, keys: c.keys, order: c.order, rowOf: c.rowOf, chunks: c.chunks,
+		geom: c.geom, keys: c.keys, order: c.order, rowOf: c.rowOf, classes: c.classes,
 		initial: c.initial, setMask: c.setMask, setBits: c.setBits, lineBits: c.lineBits, ways: c.ways,
 		lastBlock: ^uint64(0),
 	}
@@ -171,10 +209,13 @@ func (c *cache) arm() {
 // reset empties the cache in place; what follows is what a new cache of the
 // same geometry does. With 0 meaning never filled, invalidating a dense
 // cache is a clear; a sparse one forgets which sets have rows and hands the
-// rows it keeps out again, each initialised as it is taken.
+// rows it keeps out again, each cleared as it is taken.
 func (c *cache) reset() {
 	clear(c.keys)
 	clear(c.rowOf)
+	for i := range c.classes {
+		c.classes[i].used, c.classes[i].free = 0, 0
+	}
 	c.arm()
 }
 
@@ -190,35 +231,63 @@ func (c *cache) sparseKey(block uint64) uint32 {
 	return uint32(tag<<1 | 1)
 }
 
-// sparseRow returns the keys and the order word of set's row. A set that has
-// none gets the next unused one, empty and in fill order, when take is set,
-// and nil otherwise.
-func (c *cache) sparseRow(set uint64, take bool) ([]uint32, *uint64) {
-	r := c.rowOf[set]
-	fresh := r == 0
-	if fresh {
-		if !take {
-			return nil, nil
-		}
-		if int(c.used>>chunkBits) == len(c.chunks) {
-			c.chunks = append(c.chunks, sparseChunk{
+// sparseRow returns the keys and the order word of set's row, or nil for a
+// set that has none.
+func (c *cache) sparseRow(set uint64) ([]uint32, *uint64) {
+	id := c.rowOf[set]
+	if id == 0 {
+		return nil, nil
+	}
+	cl := &c.classes[id&(numClasses-1)]
+	r := uint64(id>>classBits - 1)
+	ch := &cl.chunks[r>>chunkBits]
+	i := r & (chunkRows - 1)
+	return ch.keys[i*cl.size : (i+1)*cl.size], &ch.order[i]
+}
+
+// takeRow gives set an empty row of class k, from the class's free list or
+// its next unused row, and returns it: the keys cleared, since a row kept
+// across a reset or given back by a set that grew still holds that set's,
+// and the order word for the caller to set.
+func (c *cache) takeRow(set uint64, k int) ([]uint32, *uint64) {
+	cl := &c.classes[k]
+	var r uint32
+	if cl.free != 0 {
+		r = cl.free - 1
+	} else {
+		if int(cl.used>>chunkBits) == len(cl.chunks) {
+			cl.chunks = append(cl.chunks, sparseChunk{
 				order: make([]uint64, chunkRows),
-				keys:  make([]uint32, chunkRows*c.ways),
+				keys:  make([]uint32, chunkRows*cl.size),
 			})
 		}
-		c.used++
-		r = c.used
-		c.rowOf[set] = r
+		r = cl.used
+		cl.used++
 	}
-	ch := &c.chunks[(r-1)>>chunkBits]
-	i := uint64((r - 1) & (chunkRows - 1))
-	keys, order := ch.keys[i*c.ways:(i+1)*c.ways], &ch.order[i]
-	if fresh {
-		// A row of a chunk kept across a reset still holds the last run's.
-		*order = c.initial
-		clear(keys)
+	ch := &cl.chunks[r>>chunkBits]
+	i := uint64(r & (chunkRows - 1))
+	if cl.free != 0 {
+		cl.free = uint32(ch.order[i])
 	}
-	return keys, order
+	c.rowOf[set] = (r+1)<<classBits | uint32(k)
+	keys := ch.keys[i*cl.size : (i+1)*cl.size]
+	clear(keys)
+	return keys, &ch.order[i]
+}
+
+// grow moves set's row, whose keys are full, to a row of the next class
+// and gives the old one back to its class's free list. It returns the new
+// row's keys.
+func (c *cache) grow(set uint64, keys []uint32, order *uint64) []uint32 {
+	id := c.rowOf[set]
+	k := int(id & (numClasses - 1))
+	bigger, ord := c.takeRow(set, k+1)
+	copy(bigger, keys)
+	*ord = *order
+	cl := &c.classes[k]
+	*order = uint64(cl.free)
+	cl.free = id >> classBits
+	return bigger
 }
 
 // access looks up addr, filling on miss. Returns true on hit. It is small
@@ -262,25 +331,35 @@ func (c *cache) lookup(block uint64) bool {
 }
 
 // lookupSparse is lookup in a sparse cache's set, key being sparseKey's.
+// Way w's key is at index ways-1-w of the set's row.
 func (c *cache) lookupSparse(set uint64, key uint32) bool {
-	row, order := c.sparseRow(set, true)
-	way := -1
+	row, order := c.sparseRow(set)
+	if row == nil {
+		row, order = c.takeRow(set, 0)
+		*order = c.initial
+	}
+	at := -1
 	for i, k := range row {
 		if k == key {
-			way = i
+			at = i
 		}
 	}
-	if way >= 0 {
-		*order = promote(*order, way)
+	if at >= 0 {
+		*order = promote(*order, int(c.ways)-1-at)
 		return true
 	}
-	victim := c.evict(order)
-	if old := row[victim]; old == 0 {
+	at = int(c.ways - 1 - c.evict(order))
+	if at == len(row) {
+		// The set is not full and its row is: the victim, the last unfilled
+		// way, is the first key past the row.
+		row = c.grow(set, row, order)
+	}
+	if old := row[at]; old == 0 {
 		c.resident++
 	} else {
 		c.evictedTag, c.evictedOK = uint64(old>>1), true
 	}
-	row[victim] = key
+	row[at] = key
 	return false
 }
 
@@ -312,7 +391,7 @@ func (c *cache) probe(addr uint64) bool {
 	block := addr >> c.lineBits
 	set := block & c.setMask
 	if c.rowOf != nil {
-		row, _ := c.sparseRow(set, false)
+		row, _ := c.sparseRow(set)
 		return slices.Contains(row, c.sparseKey(block))
 	}
 	return slices.Contains(c.keys[set*c.ways:(set+1)*c.ways], block<<1|1)

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -51,6 +52,39 @@ func testConfig() Config {
 		BPTableEntries: 4096, BTBEntries: 1024,
 		MispredictCycles: 15, ResteerCycles: 8, BAClearCycles: 9,
 		MLPOverlap: 0.7,
+	}
+}
+
+// TestSparseGeometryPastTheRowIds: a sparse cache's set index names a row by
+// its class and its number in two bits and thirty, so a geometry of more
+// sets than that can number — here 2^30 one-way sets of 2-byte lines, whose
+// index alone would be 4 GB — is refused by name, by Validate and by
+// newCache before anything is allocated; and the largest it can number, 2^29
+// sets, is a valid geometry.
+func TestSparseGeometryPastTheRowIds(t *testing.T) {
+	g := CacheGeom{SizeBytes: 1 << 31, Ways: 1, LineBytes: 2}
+	const want = "2147483648 B of 1-way sets of 2 B lines is 1073741824 sets, more than the 536870912 a sparse cache's rows can number"
+	cfg := testConfig()
+	cfg.LLC = g
+	if err := cfg.Validate(); err == nil || err.Error() != "uarch: test: LLC: "+want {
+		t.Errorf("Validate = %v, want uarch: test: LLC: %s", err, want)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	func() {
+		defer func() {
+			if msg := recover(); msg != "uarch: cache: "+want {
+				t.Errorf("newCache recovered %v, want uarch: cache: %s", msg, want)
+			}
+		}()
+		newCache(g)
+	}()
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("refusing the geometry allocated %d bytes", n)
+	}
+	if msg := (CacheGeom{SizeBytes: 1 << 30, Ways: 1, LineBytes: 2}).check(); msg != "" {
+		t.Errorf("2^29 sets refused: %s", msg)
 	}
 }
 
